@@ -24,7 +24,10 @@
 //! same sweep on the `FabricConfig::congested` queueing model; their
 //! `--check` gates pin the saturation knee (32-host per-op inflation
 //! over 1 host) and that queueing delay, not protocol cost, carries it
-//! (`fabric_queue_ns_per_op` share).
+//! (`fabric_queue_ns_per_op` share). Runs that include the `deref`
+//! group (part of `substrate`) are gated on the dereference hit path
+//! staying within a fixed factor of the baseline's bounds-checked
+//! `base + offset`.
 //!
 //! `--check` runs the groups and compares each path's median against
 //! the most recent snapshot labelled `--baseline`. Because one CI run
@@ -110,6 +113,18 @@ const CONGESTED_KNEE_MIN_INFLATION: f64 = 1.5;
 /// nanoseconds went, not just that they grew. Measured at
 /// introduction: ~0.6.
 const CONGESTED_MIN_QUEUE_SHARE: f64 = 0.10;
+
+/// Dereference gate (PR 14), applied by `--check` whenever the run
+/// includes the `deref` group: cxlalloc's `resolve` of a pointer into a
+/// mapped slab (`deref/resolve_hit_small`, `deref/resolve_hit_large`)
+/// may cost at most this many times `deref/resolve_hit_mi_baseline`,
+/// the baseline allocators' bounds-checked `base + offset`. With an MMU
+/// a mapped dereference is free, so whatever the mapping table charges
+/// a hit is a tax on every cxlalloc row of the KV figures that no
+/// baseline pays (before PR 14: ~10x). All three paths run the same
+/// loop in the same run, so machine state cancels out of the ratio.
+/// Measured at introduction: 1.0-1.3x.
+const DEREF_MAX_HIT_RATIO: f64 = 2.0;
 
 fn default_out() -> PathBuf {
     // crates/bench -> repo root.
@@ -346,6 +361,26 @@ fn main() {
                 base.label
             );
         }
+        // Intra-run gates: ratios between paths of this run, each checked
+        // only when the run produced its paths.
+        let mut intra_failed = false;
+        let mut intra_gated = false;
+        // Dereference gate: host-time ratio of the hit path to the
+        // baseline's, both measured by the same loop.
+        let median = |path: &str| records.iter().find(|r| r.path() == path).map(|r| r.median_ns);
+        if let Some(base) = median("deref/resolve_hit_mi_baseline") {
+            for hit in ["deref/resolve_hit_small", "deref/resolve_hit_large"] {
+                let Some(ns) = median(hit) else { continue };
+                intra_gated = true;
+                let ratio = ns / base;
+                let verdict = if ratio <= DEREF_MAX_HIT_RATIO { "ok" } else { "FAILED" };
+                println!(
+                    "  dereference gate: {hit} is {ratio:.2}x the baseline's base + offset \
+                     (need <= {DEREF_MAX_HIT_RATIO}x)  {verdict}"
+                );
+                intra_failed |= ratio > DEREF_MAX_HIT_RATIO;
+            }
+        }
         // Host-scaling gate: intra-run modeled-time ratios at the sweep
         // endpoints, checked only when the run produced those points.
         let counter = |group: &str, name: &str, key: &str| {
@@ -360,27 +395,25 @@ fn main() {
                 })
         };
         let point = |name: &str| counter("host_scaling", name, "sim_ns_per_op");
-        let mut scaling_failed = false;
-        let mut scaling_gated = false;
         if let (Some(unsharded), Some(sharded)) = (point("h32_unsharded"), point("h32_sharded")) {
-            scaling_gated = true;
+            intra_gated = true;
             let speedup = unsharded / sharded;
             let verdict = if speedup >= SCALING_MIN_SPEEDUP_H32 { "ok" } else { "FAILED" };
             println!(
                 "  host-scaling gate: 32-host sharded speedup {speedup:.2}x \
                  (need >= {SCALING_MIN_SPEEDUP_H32}x)  {verdict}"
             );
-            scaling_failed |= speedup < SCALING_MIN_SPEEDUP_H32;
+            intra_failed |= speedup < SCALING_MIN_SPEEDUP_H32;
         }
         if let (Some(unsharded), Some(sharded)) = (point("h1_unsharded"), point("h1_sharded")) {
-            scaling_gated = true;
+            intra_gated = true;
             let ratio = sharded / unsharded;
             let verdict = if ratio <= SCALING_MAX_PARITY_H1 { "ok" } else { "FAILED" };
             println!(
                 "  host-scaling gate: 1-host sharded/unsharded ratio {ratio:.2}x \
                  (need <= {SCALING_MAX_PARITY_H1}x)  {verdict}"
             );
-            scaling_failed |= ratio > SCALING_MAX_PARITY_H1;
+            intra_failed |= ratio > SCALING_MAX_PARITY_H1;
         }
         // Congested-fabric gates: same intra-run discipline on the
         // `host_scaling_congested` endpoints, when the run has them.
@@ -389,14 +422,14 @@ fn main() {
             cpoint("h1_sharded", "sim_latency_ns_per_op"),
             cpoint("h32_sharded", "sim_latency_ns_per_op"),
         ) {
-            scaling_gated = true;
+            intra_gated = true;
             let inflation = h32 / h1;
             let verdict = if inflation >= CONGESTED_KNEE_MIN_INFLATION { "ok" } else { "FAILED" };
             println!(
                 "  congested gate: 32-host/1-host sharded per-op inflation {inflation:.2}x \
                  (need >= {CONGESTED_KNEE_MIN_INFLATION}x)  {verdict}"
             );
-            scaling_failed |= inflation < CONGESTED_KNEE_MIN_INFLATION;
+            intra_failed |= inflation < CONGESTED_KNEE_MIN_INFLATION;
             if let Some(queue) = cpoint("h32_sharded", "fabric_queue_ns_per_op") {
                 let share = queue / h32;
                 let verdict =
@@ -405,19 +438,19 @@ fn main() {
                     "  congested gate: 32-host fabric queue share {share:.2} of modeled cost \
                      (need >= {CONGESTED_MIN_QUEUE_SHARE})  {verdict}"
                 );
-                scaling_failed |= share < CONGESTED_MIN_QUEUE_SHARE;
+                intra_failed |= share < CONGESTED_MIN_QUEUE_SHARE;
             }
         }
         assert!(
-            log_n > 0 || scaling_gated,
+            log_n > 0 || intra_gated,
             "--check: no gated path shared with the baseline and no intra-run gate applied"
         );
-        if !regressed.is_empty() || scaling_failed {
+        if !regressed.is_empty() || intra_failed {
             if !regressed.is_empty() {
                 eprintln!("check FAILED: {} path(s) regressed: {regressed:?}", regressed.len());
             }
-            if scaling_failed {
-                eprintln!("check FAILED: host-scaling gate violated");
+            if intra_failed {
+                eprintln!("check FAILED: intra-run gate violated");
             }
             std::process::exit(1);
         }

@@ -515,6 +515,25 @@ pub fn bench_kvstore(c: &mut Criterion) {
     // and with the PR-4 amortizations on. Replaced entries are freed on
     // the inserting thread after an EBR epoch, so magazines and fence
     // coalescing are the active levers here.
+    let cxl_worker = |options: AttachOptions| {
+        let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, options);
+        let store = KvStore::new(1 << 14, 2);
+        let mut w = store.worker(alloc.thread().unwrap());
+        for key in 0..10_000 {
+            w.insert(key, 8, 64).unwrap();
+        }
+        w
+    };
+    // A read allocates nothing: what separates this row from `get_hit`
+    // is what cxlalloc charges per dereference.
+    let mut w = cxl_worker(AttachOptions::default());
+    let mut key = 0u64;
+    group.bench_function("get_hit_cxl", |b| {
+        b.iter(|| {
+            key = (key + 1) % 10_000;
+            w.get(key).unwrap()
+        })
+    });
     for (name, options) in [
         ("insert_replace_cxl", AttachOptions::default()),
         (
@@ -527,17 +546,44 @@ pub fn bench_kvstore(c: &mut Criterion) {
             },
         ),
     ] {
-        let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, options);
-        let store = KvStore::new(1 << 14, 2);
-        let mut w = store.worker(alloc.thread().unwrap());
-        for key in 0..10_000 {
-            w.insert(key, 8, 64).unwrap();
-        }
+        let mut w = cxl_worker(options);
         let mut key = 0u64;
         group.bench_function(name, |b| {
             b.iter(|| {
                 key = (key + 1) % 10_000;
                 w.insert(key, 8, 64).unwrap();
+            })
+        });
+    }
+    group.finish();
+}
+
+/// Pointers one `deref` iteration translates; `Throughput::Elements`
+/// of the group, so snapshots carry `ns_per_op`.
+const DEREF_PTRS: usize = 64;
+
+/// The mapped-hit path of a dereference: `resolve` of pointers into
+/// already-mapped slabs, through the same `dyn PodAllocThread` call the
+/// KV index makes. With an MMU this costs nothing; here it is two
+/// compares and an add, and `resolve_hit_mi_baseline` — a bounds-checked
+/// `base + offset` — is the yardstick `bench-snapshot --check` holds it
+/// to, within the same run.
+pub fn bench_deref(c: &mut Criterion) {
+    use baselines::{MiLike, PodAlloc};
+    let mut group = c.benchmark_group("deref");
+    group.throughput(Throughput::Elements(DEREF_PTRS as u64));
+    let mi = MiLike::new(64 << 20);
+    for (name, size, mut t) in [
+        ("resolve_hit_small", 64usize, thread(true)),
+        ("resolve_hit_large", 8192, thread(true)),
+        ("resolve_hit_mi_baseline", 64, mi.thread().unwrap()),
+    ] {
+        let ptrs: Vec<_> = (0..DEREF_PTRS).map(|_| t.alloc(size).unwrap()).collect();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                for &p in &ptrs {
+                    std::hint::black_box(t.resolve(p, 24));
+                }
             })
         });
     }
@@ -938,5 +984,6 @@ pub fn substrate(c: &mut Criterion) {
     bench_cell_codecs(c);
     bench_liveness(c);
     bench_kvstore(c);
+    bench_deref(c);
     bench_workloads(c);
 }

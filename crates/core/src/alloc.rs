@@ -273,13 +273,15 @@ impl Cxlalloc {
         let layout = mem.layout();
         let (tid_raw, core_raw) = CURRENT.with(|c| c.get()).unwrap_or((0, 0));
         let core = CoreId(core_raw);
-        // Small/large heap: a pointer below the heap length should be
+        // Small/large heap: a range below the heap length should be
         // mapped (§3.3.1 — "the signal handler checks the heap length").
-        // An offset inside the heap's data region but outside any slab
-        // (`slab_of` returns `None`) is a wild access: reject the fault
-        // rather than risk unwinding inside the handler.
+        // The whole range is judged, not its first byte: a range that
+        // starts in a slab the heap has but runs past the heap's end (or
+        // out of the data region) is a wild access, and claiming to have
+        // mapped it would only fault again.
+        let last = fault.offset + fault.len.max(1) - 1;
         if layout.small.data.contains(fault.offset) {
-            let Some(slab) = layout.small.slab_of(fault.offset) else {
+            let Some(slab) = layout.small.slab_of(last) else {
                 return false;
             };
             let len = self.inner.small.len(mem, core) as u64;
@@ -290,7 +292,7 @@ impl Cxlalloc {
             return false;
         }
         if layout.large.data.contains(fault.offset) {
-            let Some(slab) = layout.large.slab_of(fault.offset) else {
+            let Some(slab) = layout.large.slab_of(last) else {
                 return false;
             };
             let len = self.inner.large.len(mem, core) as u64;
@@ -307,7 +309,7 @@ impl Cxlalloc {
                 return false;
             };
             let ctx = self.ctx(tid, core);
-            return self.inner.huge.handle_fault(&ctx, fault.offset);
+            return self.inner.huge.handle_fault(&ctx, fault.offset, last);
         }
         false
     }
@@ -842,7 +844,18 @@ impl ThreadHandle {
     /// # Errors
     ///
     /// Returns the [`Fault`] for wild pointers.
+    #[inline]
     pub fn resolve(&self, ptr: OffsetPtr, len: u64) -> Result<*mut u8, Fault> {
+        match self.heap.inner.process.resolve_hit(ptr.offset(), len) {
+            Some(raw) => Ok(raw),
+            None => self.resolve_miss(ptr, len),
+        }
+    }
+
+    #[cold]
+    fn resolve_miss(&self, ptr: OffsetPtr, len: u64) -> Result<*mut u8, Fault> {
+        // The fault handler is the only reader of `CURRENT`, and only a
+        // miss can reach it.
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         self.heap.inner.process.resolve(ptr.offset(), len)
     }

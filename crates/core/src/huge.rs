@@ -583,17 +583,17 @@ impl HugeHeap {
 
     // ---- fault handling (PC-T) -----------------------------------------------------
 
-    /// The huge-heap part of the signal handler: decides whether `offset`
-    /// is inside a live huge allocation and, if so, publishes a hazard
-    /// for `tid` and installs the mapping in `process`.
-    pub(crate) fn handle_fault(
-        &self,
-        ctx: &Ctx<'_>,
-        offset: u64,
-    ) -> bool {
+    /// The huge-heap part of the signal handler: decides whether the
+    /// faulting bytes `offset..=last` are inside one live huge
+    /// allocation and, if so, publishes a hazard for `tid` and installs
+    /// the mapping in `process`.
+    pub(crate) fn handle_fault(&self, ctx: &Ctx<'_>, offset: u64, last: u64) -> bool {
         let Some((_, desc)) = self.find_desc_covering(ctx, offset) else {
             return false;
         };
+        if last - desc.offset >= desc.size {
+            return false;
+        }
         // Publish the hazard before mapping (protocol rule 1). No
         // re-validation is needed — see §3.3.2: the racing free would be
         // a use-after-free in the application.

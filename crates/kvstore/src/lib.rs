@@ -137,9 +137,35 @@ impl std::fmt::Debug for KvThread {
     }
 }
 
+/// The translated header of one entry: a pointer to its three header
+/// words in this process. Translating costs a call into the allocator
+/// (for cxlalloc, the PC-T mapping check), so every walk translates an
+/// entry once and keeps this for as long as it holds the entry.
+#[derive(Debug, Clone, Copy)]
+struct Header(*const AtomicU64);
+
+impl Header {
+    #[inline]
+    fn word(&self, index: usize) -> &AtomicU64 {
+        debug_assert!(index < (HEADER / 8) as usize);
+        // SAFETY: entries are 8-aligned, at least HEADER bytes, and live
+        // in the shared segment for the life of the store; a `Header` is
+        // held only while the epoch that keeps its entry from being
+        // freed is pinned (retired entries are freed two epochs later).
+        unsafe { &*self.0.add(index) }
+    }
+
+    /// The link word: next entry offset | mark bit.
+    #[inline]
+    fn next(&self) -> &AtomicU64 {
+        self.word(0)
+    }
+}
+
 /// A decoded entry header.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
+    header: Header,
     next: u64,
     marked: bool,
     key: u64,
@@ -154,22 +180,15 @@ impl KvThread {
     }
 
     #[inline]
-    fn word(&mut self, ptr: OffsetPtr, index: u64) -> &AtomicU64 {
-        let raw = self.alloc.resolve(ptr, HEADER) as *const AtomicU64;
-        // SAFETY: entries are 8-aligned, at least HEADER bytes, and live
-        // in the shared segment for the life of the store (retired
-        // entries are freed only after two epochs).
-        unsafe { &*raw.add(index as usize) }
-    }
-
     fn read_entry(&mut self, ptr: OffsetPtr) -> Entry {
-        let next_raw = self.word(ptr, 0).load(Ordering::Acquire);
-        let key = self.word(ptr, 1).load(Ordering::Relaxed);
-        let lens = self.word(ptr, 2).load(Ordering::Relaxed);
+        let header = Header(self.alloc.resolve(ptr, HEADER) as *const AtomicU64);
+        let next_raw = header.next().load(Ordering::Acquire);
+        let lens = header.word(2).load(Ordering::Relaxed);
         Entry {
+            header,
             next: next_raw & !MARK,
             marked: next_raw & MARK != 0,
-            key,
+            key: header.word(1).load(Ordering::Relaxed),
             key_len: lens as u32,
             value_len: (lens >> 32) as u32,
         }
@@ -186,16 +205,19 @@ impl KvThread {
         let total = HEADER + key_len as u64 + value_len as u64;
         let ptr = self.alloc.alloc(total as usize)?;
         debug_assert_eq!(ptr.offset() % 8, 0);
-        // Fill the entry before publication.
+        // Fill the entry before publication: one translation covers the
+        // header and the body.
         let epoch = self.store.ebr.pin(self.slot);
-        self.word(ptr, 1).store(key, Ordering::Relaxed);
-        self.word(ptr, 2)
+        let raw = self.alloc.resolve(ptr, total);
+        let header = Header(raw as *const AtomicU64);
+        header.word(1).store(key, Ordering::Relaxed);
+        header
+            .word(2)
             .store(key_len as u64 | (value_len as u64) << 32, Ordering::Relaxed);
         if total > HEADER {
-            let body = self.alloc.resolve(ptr, total);
-            // SAFETY: `body` is valid for `total` bytes (just allocated).
+            // SAFETY: `raw` is valid for `total` bytes (just allocated).
             unsafe {
-                body.add(HEADER as usize)
+                raw.add(HEADER as usize)
                     .write_bytes(key as u8 ^ 0x5A, (total - HEADER) as usize)
             };
         }
@@ -205,7 +227,7 @@ impl KvThread {
         let bucket = unsafe { &*bucket };
         let mut head = bucket.load(Ordering::Acquire);
         loop {
-            self.word(ptr, 0).store(head, Ordering::Relaxed);
+            header.next().store(head, Ordering::Relaxed);
             match bucket.compare_exchange_weak(
                 head,
                 ptr.offset(),
@@ -219,7 +241,7 @@ impl KvThread {
         self.store.live_entries.fetch_add(1, Ordering::Relaxed);
         // Replace semantics: logically delete the next older entry with
         // the same key, if any.
-        self.delete_after(ptr, key, epoch);
+        self.delete_after(header, key, epoch);
         self.store.ebr.unpin(self.slot);
         self.quiesce();
         Ok(())
@@ -273,12 +295,12 @@ impl KvThread {
         // SAFETY: bucket array outlives workers.
         let bucket = unsafe { &*bucket };
         let mut cursor = bucket.load(Ordering::Acquire);
-        let mut prev: Option<OffsetPtr> = None;
+        let mut prev: Option<Header> = None;
         while let Some(ptr) = OffsetPtr::decode(cursor) {
             let entry = self.read_entry(ptr);
             if !entry.marked && entry.key == key {
-                if self.try_mark(ptr, entry.next) {
-                    self.unlink(bucket, prev, ptr, entry.next);
+                if try_mark(&entry) {
+                    unlink(prev.as_ref().map_or(bucket, Header::next), ptr, entry.next);
                     self.retired.push_back((epoch, ptr));
                     self.store.live_entries.fetch_sub(1, Ordering::Relaxed);
                     return true;
@@ -288,70 +310,29 @@ impl KvThread {
                 prev = None;
                 continue;
             }
-            prev = Some(ptr);
+            prev = Some(entry.header);
             cursor = entry.next;
         }
         false
     }
 
-    /// Deletes the first live `key` entry strictly *after* `from` (the
-    /// replace path of `insert`).
-    fn delete_after(&mut self, from: OffsetPtr, key: u64, epoch: u64) {
+    /// Deletes the first live `key` entry strictly *after* the entry
+    /// `from` heads (the replace path of `insert`).
+    fn delete_after(&mut self, from: Header, key: u64, epoch: u64) {
         let mut prev = from;
-        let mut cursor = self.read_entry(from).next;
+        let mut cursor = from.next().load(Ordering::Acquire) & !MARK;
         while let Some(ptr) = OffsetPtr::decode(cursor) {
             let entry = self.read_entry(ptr);
             if !entry.marked && entry.key == key {
-                if self.try_mark(ptr, entry.next) {
-                    // Best-effort physical unlink through prev.
-                    let prev_word = self.word(prev, 0) as *const AtomicU64;
-                    // SAFETY: prev entry remains valid (we hold the epoch).
-                    let prev_word = unsafe { &*prev_word };
-                    let _ = prev_word.compare_exchange(
-                        ptr.offset(),
-                        entry.next,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    );
+                if try_mark(&entry) {
+                    unlink(prev.next(), ptr, entry.next);
                     self.retired.push_back((epoch, ptr));
                     self.store.live_entries.fetch_sub(1, Ordering::Relaxed);
                 }
                 return;
             }
-            prev = ptr;
+            prev = entry.header;
             cursor = entry.next;
-        }
-    }
-
-    /// CAS-sets the mark bit on `ptr`'s next word.
-    fn try_mark(&mut self, ptr: OffsetPtr, next: u64) -> bool {
-        self.word(ptr, 0)
-            .compare_exchange(next, next | MARK, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
-
-    /// Physically unlinks a marked entry (best effort).
-    fn unlink(&mut self, bucket: &AtomicU64, prev: Option<OffsetPtr>, ptr: OffsetPtr, next: u64) {
-        match prev {
-            None => {
-                let _ = bucket.compare_exchange(
-                    ptr.offset(),
-                    next,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-            }
-            Some(prev) => {
-                let prev_word = self.word(prev, 0) as *const AtomicU64;
-                // SAFETY: prev valid under the epoch.
-                let prev_word = unsafe { &*prev_word };
-                let _ = prev_word.compare_exchange(
-                    ptr.offset(),
-                    next,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                );
-            }
         }
     }
 
@@ -385,6 +366,27 @@ impl KvThread {
         }
         self.alloc.maintain();
     }
+}
+
+/// CAS-sets the mark bit on `entry`'s link word.
+fn try_mark(entry: &Entry) -> bool {
+    entry
+        .header
+        .next()
+        .compare_exchange(
+            entry.next,
+            entry.next | MARK,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        )
+        .is_ok()
+}
+
+/// Physically unlinks the marked entry `ptr` from `link` — the bucket
+/// head or its predecessor's link word, which stays valid under the
+/// pinned epoch (best effort).
+fn unlink(link: &AtomicU64, ptr: OffsetPtr, next: u64) {
+    let _ = link.compare_exchange(ptr.offset(), next, Ordering::AcqRel, Ordering::Acquire);
 }
 
 #[cfg(test)]
@@ -519,6 +521,66 @@ mod tests {
         // not.
         let mut w = store.worker(alloc.thread().unwrap());
         let _ = w.get(9);
+    }
+
+    /// Counts `resolve` calls on their way to the wrapped allocator.
+    struct CountingResolves {
+        inner: Box<dyn PodAllocThread>,
+        resolves: Arc<AtomicU64>,
+    }
+
+    impl PodAllocThread for CountingResolves {
+        fn alloc(&mut self, size: usize) -> Result<OffsetPtr, BenchError> {
+            self.inner.alloc(size)
+        }
+        fn dealloc(&mut self, ptr: OffsetPtr) -> Result<(), BenchError> {
+            self.inner.dealloc(ptr)
+        }
+        fn resolve(&mut self, ptr: OffsetPtr, len: u64) -> *mut u8 {
+            self.resolves.fetch_add(1, Ordering::Relaxed);
+            self.inner.resolve(ptr, len)
+        }
+    }
+
+    #[test]
+    fn each_entry_hop_translates_once() {
+        let alloc = MiLike::new(64 << 20);
+        // One bucket: every key chains behind the others.
+        let store = KvStore::new(1, 1);
+        let resolves = Arc::new(AtomicU64::new(0));
+        let mut w = store.worker(Box::new(CountingResolves {
+            inner: alloc.thread().unwrap(),
+            resolves: resolves.clone(),
+        }));
+        let mut calls = |op: &dyn Fn(&mut KvThread)| {
+            let before = resolves.load(Ordering::Relaxed);
+            op(&mut w);
+            resolves.load(Ordering::Relaxed) - before
+        };
+
+        // An insert into an empty bucket translates the new entry only.
+        let n = calls(&|w| w.insert(0, 8, 64).unwrap());
+        assert!(n <= 2, "insert into an empty bucket made {n} resolve calls");
+
+        // Inserts go to the head, so key 0 ends up last of a chain of k.
+        const K: u64 = 6;
+        for key in 1..K {
+            calls(&|w| w.insert(key, 8, 64).unwrap());
+        }
+        let n = calls(&|w| assert_eq!(w.get(0), Some(64)));
+        assert!(n <= K + 1, "get at depth {K} made {n} resolve calls");
+        let n = calls(&|w| assert_eq!(w.get(K - 1), Some(64)));
+        assert!(n <= 2, "get at depth 1 made {n} resolve calls");
+        // A miss walks the chain and translates no body.
+        let n = calls(&|w| assert_eq!(w.get(99), None));
+        assert!(n <= K, "a miss over {K} entries made {n} resolve calls");
+        // Delete and replace hold on to the headers they walked over:
+        // marking and unlinking the last entry translates nothing more.
+        let n = calls(&|w| assert!(w.delete(0)));
+        assert!(n <= K, "delete at depth {K} made {n} resolve calls");
+        let n = calls(&|w| w.insert(1, 8, 64).unwrap());
+        assert!(n <= K, "replace at depth {} made {n} resolve calls", K - 1);
+        assert_eq!(store.len(), K - 1);
     }
 
     #[test]

@@ -70,8 +70,12 @@ pub struct HeapLayout {
     pub swcc_desc_stride: u64,
     /// Slab data region.
     pub data: Region,
-    /// Slab size in bytes.
+    /// Slab size in bytes (a power of two).
     pub slab_size: u64,
+    /// `log2(slab_size)`, so `slab_of` shifts instead of dividing by a
+    /// runtime field. Private: derived from `slab_size` in
+    /// [`Layout::compute`] and must stay consistent with it.
+    slab_shift: u32,
     /// Maximum number of slabs.
     pub max_slabs: u32,
     /// Number of size classes (length of `SmallLocal.sized`).
@@ -157,7 +161,7 @@ impl HeapLayout {
         if !self.data.contains(offset) {
             return None;
         }
-        Some(((offset - self.data.start) / self.slab_size) as u32)
+        Some(((offset - self.data.start) >> self.slab_shift) as u32)
     }
 
     /// Bytes of HWcc memory used once `len` slabs exist: the two global
@@ -306,6 +310,20 @@ pub struct Layout {
     pub max_threads: u32,
 }
 
+/// `log2(slab_size)`.
+///
+/// # Panics
+///
+/// Panics unless `slab_size` is a power of two (both slab sizes are
+/// compile-time constants, so this is a build-configuration bug).
+fn slab_shift(slab_size: u64) -> u32 {
+    assert!(
+        slab_size.is_power_of_two(),
+        "slab size {slab_size} is not a power of two"
+    );
+    slab_size.trailing_zeros()
+}
+
 fn align_up(x: u64, align: u64) -> u64 {
     debug_assert!(align.is_power_of_two());
     (x + align - 1) & !(align - 1)
@@ -445,6 +463,7 @@ impl Layout {
                 swcc_desc_stride: small_desc_stride,
                 data: small_data,
                 slab_size: SMALL_SLAB_SIZE,
+                slab_shift: slab_shift(SMALL_SLAB_SIZE),
                 max_slabs: config.small_max_slabs,
                 num_classes: SMALL_CLASSES,
                 global_stripes: config.global_stripes,
@@ -460,6 +479,7 @@ impl Layout {
                 swcc_desc_stride: large_desc_stride,
                 data: large_data,
                 slab_size: LARGE_SLAB_SIZE,
+                slab_shift: slab_shift(LARGE_SLAB_SIZE),
                 max_slabs: config.large_max_slabs,
                 num_classes: LARGE_CLASSES,
                 global_stripes: config.global_stripes,
@@ -696,6 +716,20 @@ mod tests {
             assert_eq!(l.small.slab_of(off + 31), Some(index));
         }
         assert_eq!(l.small.slab_of(l.small.data.end()), None);
+        // The shift agrees with a division by the slab size on both
+        // heaps, at slab boundaries and in the last byte of the region.
+        for hl in [&l.small, &l.large] {
+            for off in [
+                hl.data.start,
+                hl.data.start + hl.slab_size - 1,
+                hl.data.start + hl.slab_size,
+                hl.data.end() - 1,
+            ] {
+                let by_division = ((off - hl.data.start) / hl.slab_size) as u32;
+                assert_eq!(hl.slab_of(off), Some(by_division));
+            }
+            assert_eq!(hl.slab_of(hl.data.start - 1), None);
+        }
     }
 
     #[test]

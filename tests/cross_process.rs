@@ -69,6 +69,84 @@ fn new_mappings_become_visible_lazily() {
 }
 
 #[test]
+fn heap_extension_costs_the_other_process_one_fault() {
+    // PC-T against the byte watermark: whatever A allocated before B's
+    // fault is below the watermark the fault installs, so B faults once
+    // per heap *extension* and every later dereference is a plain hit.
+    let pod = pod();
+    let proc_b = pod.spawn_process();
+    let heap_a = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let heap_b = Cxlalloc::attach(proc_b.clone(), AttachOptions::default()).unwrap();
+    let mut a = heap_a.register_thread().unwrap();
+    let b = heap_b.register_thread().unwrap();
+    let slab_size = pod.layout().small.slab_size;
+
+    let first = a.alloc(1024).unwrap();
+    assert!(b.resolve(first, 1024).is_ok());
+    assert_eq!(proc_b.fault_count(), 1);
+    let mapped = proc_b.small_mapped();
+
+    // A fills slabs until the heap has grown past what B mapped.
+    let mut ptrs = vec![first];
+    while ptrs.last().unwrap().offset() < first.offset() + 4 * slab_size {
+        ptrs.push(a.alloc(1024).unwrap());
+    }
+    let newest = *ptrs.last().unwrap();
+    assert!(!proc_b.is_mapped(newest.offset(), 1024));
+    // Old pointers still hit; the new one faults exactly once, and the
+    // fault maps everything A has allocated so far.
+    assert!(b.resolve(first, 1024).is_ok());
+    assert_eq!(proc_b.fault_count(), 1);
+    assert!(b.resolve(newest, 1024).is_ok());
+    assert_eq!(proc_b.fault_count(), 2);
+    assert!(proc_b.small_mapped() > mapped);
+    for &p in &ptrs {
+        assert!(b.resolve(p, 1024).is_ok());
+    }
+    assert_eq!(proc_b.fault_count(), 2);
+    assert_eq!(proc_b.maps_installed(), 2);
+
+    // A range running past the end of the heap is wild: the handler
+    // declines it and the fault is delivered.
+    let heap_end = pod.layout().small.data.start + proc_b.small_mapped() * slab_size;
+    let past_end = OffsetPtr::new(heap_end - 8).unwrap();
+    assert!(b.resolve(past_end, 8).is_ok());
+    assert!(b.resolve(past_end, 16).is_err());
+    assert_eq!(proc_b.fault_count(), 3);
+
+    for p in ptrs {
+        a.dealloc(p).unwrap();
+    }
+}
+
+#[test]
+fn huge_mappings_are_looked_up_on_every_dereference() {
+    // Huge mappings come and go, so nothing about them is cached on
+    // the hit path: once unmapped, the same pointer faults again.
+    let pod = pod();
+    let proc_b = pod.spawn_process();
+    let heap_a = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let heap_b = Cxlalloc::attach(proc_b.clone(), AttachOptions::default()).unwrap();
+    let mut a = heap_a.register_thread().unwrap();
+    let b = heap_b.register_thread().unwrap();
+
+    let huge = a.alloc(2 << 20).unwrap();
+    assert!(b.resolve(huge, 2 << 20).is_ok());
+    assert!(b.resolve(huge, 8).is_ok());
+    assert_eq!(proc_b.fault_count(), 1);
+
+    proc_b.unmap_huge(huge.offset(), 2 << 20);
+    assert!(!proc_b.is_mapped(huge.offset(), 8));
+    assert!(b.resolve(huge, 8).is_ok());
+    assert_eq!(proc_b.fault_count(), 2);
+    assert_eq!(proc_b.maps_removed(), 1);
+    // A range leaving the allocation is not covered by mapping it.
+    assert!(b.resolve(huge, (2 << 20) + 1).is_err());
+
+    a.dealloc(huge).unwrap();
+}
+
+#[test]
 fn processes_attach_without_coordination() {
     // Paper §4: zeroed memory is a valid heap — processes may attach and
     // allocate concurrently with no init handshake.
