@@ -103,6 +103,26 @@ impl RegistryError {
     }
 }
 
+/// Evaluates `$body` with `$mem` bound to `$heap`'s backend: the concrete
+/// `&RawMemory` on a raw pod, `&dyn PodMemory` on every other. This is
+/// the one place a call picks its instantiation of the backend-generic
+/// internals ([`Ctx`] and everything that takes one); below it, a raw
+/// pod's `load_u64`/`store_u64`/`layout()` inline to loads and stores
+/// and its empty `flush`/`fence`/`writeback`/`trace_op` vanish. A macro
+/// rather than a closure so `$body` can borrow the caller's fields
+/// disjointly and is compiled once per backend from one source.
+macro_rules! on_backend {
+    ($heap:expr, |$mem:ident| $body:expr) => {
+        match $heap.inner.process.raw_memory() {
+            Some($mem) => $body,
+            None => {
+                let $mem = $heap.mem();
+                $body
+            }
+        }
+    };
+}
+
 /// Attach-time options.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttachOptions {
@@ -308,28 +328,32 @@ impl Cxlalloc {
             let Some(tid) = ThreadId::new(tid_raw) else {
                 return false;
             };
-            let ctx = self.ctx(tid, core);
+            let ctx = self.ctx(mem, tid, core);
             return self.inner.huge.handle_fault(&ctx, fault.offset, last);
         }
         false
     }
 
-    fn ctx(&self, tid: ThreadId, core: CoreId) -> Ctx<'_> {
-        self.ctx_with(tid, core, None, None, None, None)
+    /// A foreign-thread context (no shadow, buffer, magazines or
+    /// combiner) over backend `mem`.
+    fn ctx<'a, M: PodMemory + ?Sized>(&'a self, mem: &'a M, tid: ThreadId, core: CoreId) -> Ctx<'a, M> {
+        self.ctx_with(mem, tid, core, None, None, None, None)
     }
 
-    fn ctx_with<'a>(
+    #[allow(clippy::too_many_arguments)]
+    fn ctx_with<'a, M: PodMemory + ?Sized>(
         &'a self,
+        mem: &'a M,
         tid: ThreadId,
         core: CoreId,
         shadow: Option<&'a DescShadow>,
         remote: Option<&'a RemoteFreeBuffer>,
         magazines: Option<&'a Magazines>,
         comb: Option<&'a crate::comb::Combiner>,
-    ) -> Ctx<'a> {
+    ) -> Ctx<'a, M> {
         let configured_batch = self.inner.options.remote_free_batch.clamp(1, 255);
         Ctx {
-            mem: self.mem(),
+            mem,
             core,
             tid,
             process: &self.inner.process,
@@ -393,7 +417,7 @@ impl Cxlalloc {
         // Huge-heap state is always derived from the segment: for a fresh
         // slot this yields the full descriptor pool and no owned regions;
         // for an adopted slot it is the §3.4.2 reconstruction.
-        let huge = self.inner.huge.reconstruct(&self.ctx(tid, core));
+        let huge = self.inner.huge.reconstruct(&self.ctx(mem, tid, core));
         ThreadHandle {
             heap: self.clone(),
             tid,
@@ -514,16 +538,16 @@ impl Cxlalloc {
     /// The recovery body, run once the caller has established exclusive
     /// rights (slot observed DEAD, or held in ADOPTING by the caller).
     fn recover_inner(&self, tid: ThreadId, via: CoreId) -> RecoveryReport {
-        let ctx = self.ctx(tid, via);
-        let report = recovery::recover(&ctx);
-        // Recovery repairs the dead thread's structures through `via`'s
-        // cache, but the thread may resume on a different core (adopt
-        // hands the heap back to the original slot). Every repair must
-        // be durable before anyone else reads it.
-        let mem = self.mem();
-        mem.flush_all(via);
-        mem.fence(via);
-        report
+        on_backend!(self, |mem| {
+            let report = recovery::recover(&self.ctx(mem, tid, via));
+            // Recovery repairs the dead thread's structures through
+            // `via`'s cache, but the thread may resume on a different
+            // core (adopt hands the heap back to the original slot).
+            // Every repair must be durable before anyone else reads it.
+            mem.flush_all(via);
+            mem.fence(via);
+            report
+        })
     }
 
     /// Recovers `tid` and re-registers it as a live thread owned by the
@@ -737,8 +761,10 @@ impl ThreadHandle {
         &self.heap
     }
 
-    fn ctx(&self) -> Ctx<'_> {
+    /// This thread's context over backend `mem`.
+    fn ctx<'a, M: PodMemory + ?Sized>(&'a self, mem: &'a M) -> Ctx<'a, M> {
         self.heap.ctx_with(
+            mem,
             self.tid,
             self.core,
             Some(&self.shadow),
@@ -777,29 +803,35 @@ impl ThreadHandle {
     fn alloc_inner(&mut self, size: usize, dst: u64) -> Result<OffsetPtr, AllocError> {
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
-        let ctx = self.heap.ctx_with(
-            self.tid,
-            self.core,
-            Some(&self.shadow),
-            Some(&self.remote),
-            Some(&self.magazines),
-            Some(&self.comb),
-        );
-        let result = if size <= inner.small.classes.max_size() as usize {
-            inner.small.alloc(&ctx, size, dst)
-        } else if size <= inner.large.classes.max_size() as usize {
-            inner.large.alloc(&ctx, size, dst)
-        } else {
-            inner.huge.alloc(&ctx, &mut self.huge, size)
-        };
-        // Drain deferred descriptor stores into this core's cache: at
-        // op boundaries the cache/memory image matches the unshadowed
-        // implementation exactly (same-core readers — the invariant
-        // checker, an adopting recoverer — see current state).
-        self.shadow.sync_all(ctx.mem, ctx.core);
-        let offset = result?;
-        ctx.mem.trace_op(ctx.core, TraceKind::SlabAlloc, offset);
-        Ok(OffsetPtr::new(offset).expect("data offsets are nonzero"))
+        on_backend!(self.heap, |mem| {
+            // Built from fields, not `self.ctx`: the huge path below
+            // borrows `self.huge` mutably.
+            let ctx = self.heap.ctx_with(
+                mem,
+                self.tid,
+                self.core,
+                Some(&self.shadow),
+                Some(&self.remote),
+                Some(&self.magazines),
+                Some(&self.comb),
+            );
+            let result = if size <= inner.small.classes.max_size() as usize {
+                inner.small.alloc(&ctx, size, dst)
+            } else if size <= inner.large.classes.max_size() as usize {
+                inner.large.alloc(&ctx, size, dst)
+            } else {
+                inner.huge.alloc(&ctx, &mut self.huge, size)
+            };
+            // Drain deferred descriptor stores into this core's cache:
+            // at op boundaries the cache/memory image matches the
+            // unshadowed implementation exactly (same-core readers — the
+            // invariant checker, an adopting recoverer — see current
+            // state).
+            self.shadow.sync_all(mem, self.core);
+            let offset = result?;
+            mem.trace_op(self.core, TraceKind::SlabAlloc, offset);
+            Ok(OffsetPtr::new(offset).expect("data offsets are nonzero"))
+        })
     }
 
     /// Frees the allocation at `ptr`. Size is not required: the owning
@@ -812,30 +844,25 @@ impl ThreadHandle {
     pub fn dealloc(&mut self, ptr: OffsetPtr) -> Result<(), AllocError> {
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
-        let layout = self.heap.mem().layout();
         let offset = ptr.offset();
-        let ctx = self.heap.ctx_with(
-            self.tid,
-            self.core,
-            Some(&self.shadow),
-            Some(&self.remote),
-            Some(&self.magazines),
-            Some(&self.comb),
-        );
-        let result = if layout.small.data.contains(offset) {
-            inner.small.dealloc(&ctx, offset)
-        } else if layout.large.data.contains(offset) {
-            inner.large.dealloc(&ctx, offset)
-        } else if layout.huge.data.contains(offset) {
-            inner.huge.dealloc(&ctx, offset)
-        } else {
-            Err(AllocError::WildPointer { offset })
-        };
-        self.shadow.sync_all(ctx.mem, ctx.core);
-        if result.is_ok() {
-            ctx.mem.trace_op(ctx.core, TraceKind::SlabFree, offset);
-        }
-        result
+        on_backend!(self.heap, |mem| {
+            let layout = mem.layout();
+            let ctx = self.ctx(mem);
+            let result = if layout.small.data.contains(offset) {
+                inner.small.dealloc(&ctx, offset)
+            } else if layout.large.data.contains(offset) {
+                inner.large.dealloc(&ctx, offset)
+            } else if layout.huge.data.contains(offset) {
+                inner.huge.dealloc(&ctx, offset)
+            } else {
+                Err(AllocError::WildPointer { offset })
+            };
+            self.shadow.sync_all(mem, self.core);
+            if result.is_ok() {
+                mem.trace_op(self.core, TraceKind::SlabFree, offset);
+            }
+            result
+        })
     }
 
     /// Resolves `ptr` to a raw pointer valid for `len` bytes in this
@@ -934,28 +961,30 @@ impl ThreadHandle {
     /// Runs one huge-heap cleanup pass (hazard scan + descriptor
     /// reclamation); returns the number of allocations reclaimed.
     pub fn cleanup(&mut self) -> u32 {
-        let ctx = self.heap.ctx_with(
-            self.tid,
-            self.core,
-            Some(&self.shadow),
-            Some(&self.remote),
-            Some(&self.magazines),
-            Some(&self.comb),
-        );
-        self.heap.inner.huge.cleanup(&ctx, &mut self.huge)
+        on_backend!(self.heap, |mem| {
+            let ctx = self.heap.ctx_with(
+                mem,
+                self.tid,
+                self.core,
+                Some(&self.shadow),
+                Some(&self.remote),
+                Some(&self.magazines),
+                Some(&self.comb),
+            );
+            self.heap.inner.huge.cleanup(&ctx, &mut self.huge)
+        })
     }
 
     /// Publishes every buffered remote free now (one batched detectable
     /// CAS per slab with pending frees). Runs at the same quiesce points
     /// that drain the descriptor shadow, so the §3.2.2 stale-owner
     /// argument sees the same op-boundary image either way.
-    fn drain_remote_frees(&self) {
+    fn drain_remote_frees<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) {
         if self.remote.is_empty() {
             return;
         }
-        let ctx = self.ctx();
         while let Some((kind, slab, pending)) = self.remote.take_any() {
-            SlabHeap::of(kind).publish_remote_frees(&ctx, slab, pending);
+            SlabHeap::of(kind).publish_remote_frees(ctx, slab, pending);
         }
     }
 
@@ -969,19 +998,23 @@ impl ThreadHandle {
         // every other thread until their counter decrements land), then
         // deferred descriptor-shadow stores reach the cache so the
         // cache-wide writeback covers them.
-        self.drain_remote_frees();
-        self.shadow.sync_all(self.heap.mem(), self.core);
-        self.heap.mem().flush_all(self.core);
+        on_backend!(self.heap, |mem| {
+            self.drain_remote_frees(&self.ctx(mem));
+            self.shadow.sync_all(mem, self.core);
+            mem.flush_all(self.core);
+        })
     }
 
     /// Releases surplus thread-local slabs to the global free list
     /// immediately (normally done incrementally during frees).
     pub fn flush_local_caches(&mut self) {
-        self.drain_remote_frees();
-        let ctx = self.ctx();
-        self.heap.inner.small.release_overflow(&ctx);
-        self.heap.inner.large.release_overflow(&ctx);
-        self.shadow.sync_all(ctx.mem, ctx.core);
+        on_backend!(self.heap, |mem| {
+            let ctx = self.ctx(mem);
+            self.drain_remote_frees(&ctx);
+            self.heap.inner.small.release_overflow(&ctx);
+            self.heap.inner.large.release_overflow(&ctx);
+            self.shadow.sync_all(mem, self.core);
+        })
     }
 
     /// Huge-heap volatile state (inspection for tests).

@@ -10,9 +10,8 @@
 use cxl_pod::{CoreId, PodMemory};
 
 /// A view of one slab's free-block bitset inside the segment.
-#[derive(Clone, Copy)]
-pub struct BlockBits<'m> {
-    mem: &'m dyn PodMemory,
+pub struct BlockBits<'m, M: PodMemory + ?Sized> {
+    mem: &'m M,
     /// Segment offset of the first word.
     base: u64,
     /// Number of meaningful bits (blocks in the slab at its current
@@ -20,7 +19,17 @@ pub struct BlockBits<'m> {
     nbits: u32,
 }
 
-impl<'m> std::fmt::Debug for BlockBits<'m> {
+// Not derived: a derive would demand `M: Copy`, and the handle only
+// holds a reference.
+impl<M: PodMemory + ?Sized> Clone for BlockBits<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M: PodMemory + ?Sized> Copy for BlockBits<'_, M> {}
+
+impl<M: PodMemory + ?Sized> std::fmt::Debug for BlockBits<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BlockBits")
             .field("base", &self.base)
@@ -29,9 +38,9 @@ impl<'m> std::fmt::Debug for BlockBits<'m> {
     }
 }
 
-impl<'m> BlockBits<'m> {
+impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
     /// Creates a view of `nbits` bits starting at segment offset `base`.
-    pub fn new(mem: &'m dyn PodMemory, base: u64, nbits: u32) -> Self {
+    pub fn new(mem: &'m M, base: u64, nbits: u32) -> Self {
         debug_assert_eq!(base % 8, 0);
         BlockBits {
             mem,

@@ -41,6 +41,7 @@
 use crate::ctx::Ctx;
 use crate::error::{AllocError, HeapKind};
 use crate::slab::SlabHeap;
+use cxl_pod::PodMemory;
 use std::cell::Cell;
 use std::sync::atomic::Ordering;
 
@@ -269,19 +270,19 @@ impl Combiner {
     }
 }
 
-fn word_at(ctx: &Ctx<'_>, slot: u32) -> u64 {
+fn word_at<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, slot: u32) -> u64 {
     ctx.mem.layout().comb_at(slot)
 }
 
-fn load(ctx: &Ctx<'_>, off: u64) -> u64 {
+fn load<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, off: u64) -> u64 {
     ctx.mem.segment().atomic_u64(off).load(Ordering::SeqCst)
 }
 
-fn store(ctx: &Ctx<'_>, off: u64, word: u64) {
+fn store<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, off: u64, word: u64) {
     ctx.mem.segment().atomic_u64(off).store(word, Ordering::SeqCst);
 }
 
-fn cas(ctx: &Ctx<'_>, off: u64, current: u64, new: u64) -> bool {
+fn cas<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, off: u64, current: u64, new: u64) -> bool {
     ctx.mem
         .segment()
         .atomic_u64(off)
@@ -301,8 +302,8 @@ fn cas(ctx: &Ctx<'_>, off: u64, current: u64, new: u64) -> bool {
 /// winner's custody (durably, in this thread's request word) and will
 /// be published by the winner or its recovery — they are not lost, and
 /// the caller must not republish them.
-pub(crate) fn publish_combined(
-    ctx: &Ctx<'_>,
+pub(crate) fn publish_combined<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
     comb: &Combiner,
     slab: u32,
@@ -352,8 +353,8 @@ pub(crate) fn publish_combined(
 /// The winner path: scan the other slots for posted requests against
 /// the same slab, claim up to [`MAX_CLAIM`] (including our own), and
 /// publish the combined decrement with one logged detectable CAS.
-fn publish_as_winner(
-    ctx: &Ctx<'_>,
+fn publish_as_winner<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
     comb: &Combiner,
     slab: u32,
@@ -469,7 +470,7 @@ fn publish_as_winner(
 
 /// Releases every claimed word after the combined decrement: DONE-mark
 /// contributors (they release their own word), clear our own.
-fn release_claims(ctx: &Ctx<'_>, claims: &[(u32, u64, u64)], my_off: u64, comb: &Combiner) {
+fn release_claims<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, claims: &[(u32, u64, u64)], my_off: u64, comb: &Combiner) {
     for &(_, off, word) in claims {
         if off == my_off {
             store(ctx, off, EMPTY);
@@ -482,8 +483,8 @@ fn release_claims(ctx: &Ctx<'_>, claims: &[(u32, u64, u64)], my_off: u64, comb: 
 
 /// The waiter path: our batch was claimed by another winner; spin on
 /// the request word (deadline-bound) until it is DONE-marked.
-fn wait_for_winner(
-    ctx: &Ctx<'_>,
+fn wait_for_winner<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
     kind: HeapKind,
     comb: &Combiner,
     slab: u32,
@@ -525,7 +526,7 @@ fn wait_for_winner(
 
 /// The combiner-request word of `slot`, read durably (for recovery,
 /// audits, and white-box tests).
-pub fn read_word(mem: &dyn cxl_pod::PodMemory, slot: u32) -> u64 {
+pub fn read_word<M: PodMemory + ?Sized>(mem: &M, slot: u32) -> u64 {
     mem.segment()
         .atomic_u64(mem.layout().comb_at(slot))
         .load(Ordering::SeqCst)
@@ -568,7 +569,7 @@ pub fn done_marked(kind: HeapKind, slab: u32, k: u32, winner: u16) -> u64 {
 /// Stores `slot`'s combiner-request word durably (recovery and
 /// white-box tests only — live threads go through the posting
 /// protocol).
-pub fn write_word(mem: &dyn cxl_pod::PodMemory, slot: u32, word: u64) {
+pub fn write_word<M: PodMemory + ?Sized>(mem: &M, slot: u32, word: u64) {
     mem.segment()
         .atomic_u64(mem.layout().comb_at(slot))
         .store(word, Ordering::SeqCst);
@@ -578,7 +579,7 @@ pub fn write_word(mem: &dyn cxl_pod::PodMemory, slot: u32, word: u64) {
 /// dead thread's own unclaimed batch). The CAS arbitrates against a
 /// live winner claiming concurrently: `false` means a winner got there
 /// first and now owns the publish.
-pub(crate) fn take_posted(mem: &dyn cxl_pod::PodMemory, slot: u32, observed: u64) -> bool {
+pub(crate) fn take_posted<M: PodMemory + ?Sized>(mem: &M, slot: u32, observed: u64) -> bool {
     mem.segment()
         .atomic_u64(mem.layout().comb_at(slot))
         .compare_exchange(observed, EMPTY, Ordering::SeqCst, Ordering::SeqCst)

@@ -12,8 +12,14 @@ use std::sync::Arc;
 /// Everything a heap operation needs about the calling thread: its
 /// identity, its core (cache), its process (mapping view), and handles to
 /// its recovery log and the detectable-CAS help array.
-pub(crate) struct Ctx<'m> {
-    pub mem: &'m dyn PodMemory,
+///
+/// Generic over the backend so one source path serves both
+/// instantiations: [`ThreadHandle`](crate::ThreadHandle) and
+/// [`Cxlalloc`](crate::Cxlalloc) pick `M = RawMemory` once per call on a
+/// raw pod (every access inlines to a load or store), and the default
+/// `dyn PodMemory` everywhere else.
+pub(crate) struct Ctx<'m, M: PodMemory + ?Sized = dyn PodMemory + 'm> {
+    pub mem: &'m M,
     pub core: CoreId,
     pub tid: ThreadId,
     pub process: &'m Arc<Process>,
@@ -53,14 +59,14 @@ pub(crate) struct Ctx<'m> {
     pub retain_empty: bool,
 }
 
-impl<'m> Ctx<'m> {
+impl<'m, M: PodMemory + ?Sized> Ctx<'m, M> {
     /// The thread's recovery log (inert when recovery is disabled).
-    pub fn log(&self) -> OpLog<'m> {
+    pub fn log(&self) -> OpLog<'m, M> {
         OpLog::with_options(self.mem, self.tid.slot(), self.recoverable, self.coalesce_fences)
     }
 
     /// Detectable-CAS handle (plain CAS when recovery is disabled).
-    pub fn dcas(&self) -> Dcas<'m> {
+    pub fn dcas(&self) -> Dcas<'m, M> {
         Dcas::with_detectable(self.mem, self.recoverable)
     }
 
@@ -80,7 +86,7 @@ impl<'m> Ctx<'m> {
     }
 }
 
-impl<'m> std::fmt::Debug for Ctx<'m> {
+impl<M: PodMemory + ?Sized> std::fmt::Debug for Ctx<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Ctx")
             .field("tid", &self.tid)

@@ -24,29 +24,38 @@ use crate::ThreadId;
 use cxl_pod::{CoreId, PodMemory};
 
 /// Detectable-CAS operations over a pod memory backend.
-#[derive(Clone, Copy)]
-pub struct Dcas<'m> {
-    mem: &'m dyn PodMemory,
+pub struct Dcas<'m, M: PodMemory + ?Sized> {
+    mem: &'m M,
     /// When false, help recording is skipped (plain CAS semantics — the
     /// `cxlalloc-nonrecoverable` ablation). Cells still embed versions,
     /// which keeps them ABA-safe.
     detectable: bool,
 }
 
-impl<'m> std::fmt::Debug for Dcas<'m> {
+// Not derived: a derive would demand `M: Copy`, and the handle only
+// holds a reference.
+impl<M: PodMemory + ?Sized> Clone for Dcas<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M: PodMemory + ?Sized> Copy for Dcas<'_, M> {}
+
+impl<M: PodMemory + ?Sized> std::fmt::Debug for Dcas<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Dcas").finish_non_exhaustive()
     }
 }
 
-impl<'m> Dcas<'m> {
+impl<'m, M: PodMemory + ?Sized> Dcas<'m, M> {
     /// Creates a detectable handle over `mem`.
-    pub fn new(mem: &'m dyn PodMemory) -> Self {
+    pub fn new(mem: &'m M) -> Self {
         Self::with_detectable(mem, true)
     }
 
     /// Creates a handle, optionally with help recording disabled.
-    pub fn with_detectable(mem: &'m dyn PodMemory, detectable: bool) -> Self {
+    pub fn with_detectable(mem: &'m M, detectable: bool) -> Self {
         Dcas {
             mem,
             detectable,

@@ -80,25 +80,25 @@ pub struct HugeDesc {
 pub struct HugeHeap;
 
 impl HugeHeap {
-    fn hl<'a>(&self, mem: &'a dyn PodMemory) -> &'a HugeLayout {
+    fn hl<'a, M: PodMemory + ?Sized>(&self, mem: &'a M) -> &'a HugeLayout {
         &mem.layout().huge
     }
 
     // ---- uncachable access helpers (flush before read, flush after write) --
 
-    fn read_word(&self, ctx: &Ctx<'_>, off: u64) -> u64 {
+    fn read_word<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, off: u64) -> u64 {
         ctx.mem.flush(ctx.core, off, 8);
         ctx.mem.load_u64(ctx.core, off)
     }
 
-    fn write_word(&self, ctx: &Ctx<'_>, off: u64, value: u64) {
+    fn write_word<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, off: u64, value: u64) {
         ctx.mem.store_u64(ctx.core, off, value);
         ctx.mem.flush(ctx.core, off, 8);
         ctx.mem.fence(ctx.core);
     }
 
     /// Reads the descriptor at the given segment offset.
-    pub(crate) fn read_desc(&self, ctx: &Ctx<'_>, desc_off: u64) -> HugeDesc {
+    pub(crate) fn read_desc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, desc_off: u64) -> HugeDesc {
         ctx.mem.flush(ctx.core, desc_off, 32);
         HugeDesc {
             next: ctx.mem.load_u64(ctx.core, desc_off),
@@ -108,7 +108,7 @@ impl HugeHeap {
         }
     }
 
-    fn write_desc(&self, ctx: &Ctx<'_>, desc_off: u64, desc: HugeDesc) {
+    fn write_desc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, desc_off: u64, desc: HugeDesc) {
         ctx.mem.store_u64(ctx.core, desc_off, desc.next);
         ctx.mem.store_u64(ctx.core, desc_off + 8, desc.offset);
         ctx.mem.store_u64(ctx.core, desc_off + 16, desc.size);
@@ -120,14 +120,14 @@ impl HugeHeap {
 
     /// Head of thread `slot`'s descriptor list (descriptor offset, 0 =
     /// empty).
-    pub(crate) fn descs_head(&self, ctx: &Ctx<'_>, slot: u32) -> u64 {
+    pub(crate) fn descs_head<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slot: u32) -> u64 {
         self.read_word(ctx, self.hl(ctx.mem).local_descs_at(slot))
     }
 
     // ---- reservation array -------------------------------------------------
 
     /// The thread owning reservation `region` (raw id, 0 = unowned).
-    pub fn region_owner(&self, mem: &dyn PodMemory, core: CoreId, region: u32) -> u16 {
+    pub fn region_owner<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, region: u32) -> u16 {
         let cell = mem.load_u64(core, mem.layout().huge.reservation_at(region));
         crate::cell::Detect::unpack(cell).payload as u16
     }
@@ -136,7 +136,7 @@ impl HugeHeap {
     /// scan; returns the first region index claimed, with all claimed
     /// regions' space inserted into `st.free` (even on partial-run
     /// failures, so nothing leaks).
-    fn claim_regions(&self, ctx: &Ctx<'_>, st: &mut HugeThread, count: u32) -> bool {
+    fn claim_regions<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, st: &mut HugeThread, count: u32) -> bool {
         let hl = self.hl(ctx.mem);
         let dcas = ctx.dcas();
         'scan: loop {
@@ -234,9 +234,9 @@ impl HugeHeap {
     ///
     /// Returns [`AllocError::HazardSlotsExhausted`] when every slot is in
     /// use.
-    pub(crate) fn publish_hazard(
+    pub(crate) fn publish_hazard<M: PodMemory + ?Sized>(
         &self,
-        mem: &dyn PodMemory,
+        mem: &M,
         core: CoreId,
         tid: ThreadId,
         offset: u64,
@@ -261,7 +261,7 @@ impl HugeHeap {
 
     /// Removes `offset` from `tid`'s hazard array (after unmapping —
     /// protocol rule 2).
-    pub(crate) fn remove_hazard(&self, mem: &dyn PodMemory, core: CoreId, tid: ThreadId, offset: u64) {
+    pub(crate) fn remove_hazard<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, tid: ThreadId, offset: u64) {
         let hl = &mem.layout().huge;
         for i in 0..hl.hazards_per_thread {
             let slot_off = hl.hazard_at(tid.slot(), i);
@@ -275,7 +275,7 @@ impl HugeHeap {
     }
 
     /// Whether any thread publishes `offset` as a hazard.
-    pub(crate) fn hazard_published(&self, ctx: &Ctx<'_>, offset: u64) -> bool {
+    pub(crate) fn hazard_published<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> bool {
         let layout = ctx.mem.layout();
         let hl = &layout.huge;
         for slot in 0..layout.max_threads {
@@ -295,7 +295,7 @@ impl HugeHeap {
     /// Finds the in-use descriptor whose mapping covers `offset`, by
     /// consulting the reservation array for the owning thread and walking
     /// its descriptor list (the deallocation path of §3.1.2).
-    pub(crate) fn find_desc_by_offset(&self, ctx: &Ctx<'_>, offset: u64) -> Option<(u64, HugeDesc)> {
+    pub(crate) fn find_desc_by_offset<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Option<(u64, HugeDesc)> {
         let hl = self.hl(ctx.mem);
         let region = hl.region_of(offset)?;
         let owner = self.region_owner(ctx.mem, ctx.core, region);
@@ -305,7 +305,7 @@ impl HugeHeap {
 
     /// Finds an in-use descriptor whose mapping *covers* `offset` in any
     /// thread's list (the signal-handler path of §3.3.2).
-    pub(crate) fn find_desc_covering(&self, ctx: &Ctx<'_>, offset: u64) -> Option<(u64, HugeDesc)> {
+    pub(crate) fn find_desc_covering<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Option<(u64, HugeDesc)> {
         // Try the region owner first (common case), then all threads —
         // multi-region allocations live on the first region's owner's
         // list, but a fault may land in a later region.
@@ -325,7 +325,7 @@ impl HugeHeap {
         None
     }
 
-    fn find_cover_in_owner(&self, ctx: &Ctx<'_>, offset: u64) -> Option<(u64, HugeDesc)> {
+    fn find_cover_in_owner<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Option<(u64, HugeDesc)> {
         let hl = self.hl(ctx.mem);
         let region = hl.region_of(offset)?;
         let owner_slot = self
@@ -338,9 +338,9 @@ impl HugeHeap {
 
     /// Walks thread `slot`'s descriptor list, returning the first
     /// descriptor matching `pred`.
-    pub(crate) fn walk_descs(
+    pub(crate) fn walk_descs<M: PodMemory + ?Sized>(
         &self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx<'_, M>,
         slot: u32,
         pred: impl Fn(u64, &HugeDesc) -> bool,
     ) -> Option<(u64, HugeDesc)> {
@@ -365,7 +365,7 @@ impl HugeHeap {
 
     /// Allocates `size` bytes backed by a fresh mapping; returns the data
     /// offset.
-    pub(crate) fn alloc(&self, ctx: &Ctx<'_>, st: &mut HugeThread, size: usize) -> Result<u64, AllocError> {
+    pub(crate) fn alloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, st: &mut HugeThread, size: usize) -> Result<u64, AllocError> {
         if size == 0 {
             return Err(AllocError::InvalidSize { size });
         }
@@ -448,7 +448,7 @@ impl HugeHeap {
     // ---- deallocation -----------------------------------------------------------
 
     /// Frees the huge allocation at `offset`.
-    pub(crate) fn dealloc(&self, ctx: &Ctx<'_>, offset: u64) -> Result<(), AllocError> {
+    pub(crate) fn dealloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Result<(), AllocError> {
         let (desc_off, desc) = self
             .find_desc_by_offset(ctx, offset)
             .ok_or(AllocError::NotAllocated { offset })?;
@@ -486,7 +486,7 @@ impl HugeHeap {
     ///    recycle the descriptor slot.
     ///
     /// Returns the number of allocations fully reclaimed.
-    pub(crate) fn cleanup(&self, ctx: &Ctx<'_>, st: &mut HugeThread) -> u32 {
+    pub(crate) fn cleanup<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, st: &mut HugeThread) -> u32 {
         let hl = self.hl(ctx.mem);
         let my_slot = ctx.tid.slot();
 
@@ -548,7 +548,7 @@ impl HugeHeap {
 
     /// Finds a *freed* descriptor for `offset` (used by cleanup, where
     /// `find_desc_by_offset` skips free descriptors).
-    fn find_freed_desc(&self, ctx: &Ctx<'_>, offset: u64) -> Option<HugeDesc> {
+    fn find_freed_desc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Option<HugeDesc> {
         let layout = ctx.mem.layout();
         for slot in 0..layout.max_threads {
             if let Some((_, d)) = self.walk_descs(ctx, slot, |_, d| {
@@ -561,7 +561,7 @@ impl HugeHeap {
     }
 
     /// Unlinks the given descriptor from thread `slot`'s list (single-writer).
-    pub(crate) fn unlink_desc(&self, ctx: &Ctx<'_>, slot: u32, desc_off: u64) -> bool {
+    pub(crate) fn unlink_desc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slot: u32, desc_off: u64) -> bool {
         let hl = self.hl(ctx.mem);
         let head_off = hl.local_descs_at(slot);
         let mut prev: Option<u64> = None;
@@ -587,7 +587,7 @@ impl HugeHeap {
     /// faulting bytes `offset..=last` are inside one live huge
     /// allocation and, if so, publishes a hazard for `tid` and installs
     /// the mapping in `process`.
-    pub(crate) fn handle_fault(&self, ctx: &Ctx<'_>, offset: u64, last: u64) -> bool {
+    pub(crate) fn handle_fault<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64, last: u64) -> bool {
         let Some((_, desc)) = self.find_desc_covering(ctx, offset) else {
             return false;
         };
@@ -611,7 +611,7 @@ impl HugeHeap {
 
     /// Deterministically reconstructs `tid`'s volatile state from the
     /// reservation array and its descriptor list (paper §3.4.2).
-    pub(crate) fn reconstruct(&self, ctx: &Ctx<'_>) -> HugeThread {
+    pub(crate) fn reconstruct<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> HugeThread {
         let hl = self.hl(ctx.mem);
         let mut st = HugeThread::default();
         // Free space: all owned regions...
@@ -645,7 +645,7 @@ impl HugeHeap {
     }
 
     /// Bytes of HWcc memory used by the huge heap (constant).
-    pub fn hwcc_bytes(&self, mem: &dyn PodMemory) -> u64 {
+    pub fn hwcc_bytes<M: PodMemory + ?Sized>(&self, mem: &M) -> u64 {
         mem.layout().huge.hwcc_bytes()
     }
 }

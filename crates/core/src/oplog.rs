@@ -26,9 +26,8 @@ use cxl_pod::{CoreId, PodMemory};
 pub const AUX_WORDS: usize = 6;
 
 /// Handle to one thread's recovery log line.
-#[derive(Clone, Copy)]
-pub struct OpLog<'m> {
-    mem: &'m dyn PodMemory,
+pub struct OpLog<'m, M: PodMemory + ?Sized> {
+    mem: &'m M,
     slot: u32,
     /// When false (the `cxlalloc-nonrecoverable` ablation), `begin` and
     /// `clear` are no-ops; `bump_version` still counts so detectable-CAS
@@ -42,7 +41,17 @@ pub struct OpLog<'m> {
     coalesce: bool,
 }
 
-impl<'m> std::fmt::Debug for OpLog<'m> {
+// Not derived: a derive would demand `M: Copy`, and the handle only
+// holds a reference.
+impl<M: PodMemory + ?Sized> Clone for OpLog<'_, M> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<M: PodMemory + ?Sized> Copy for OpLog<'_, M> {}
+
+impl<M: PodMemory + ?Sized> std::fmt::Debug for OpLog<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("OpLog").field("slot", &self.slot).finish()
     }
@@ -59,20 +68,20 @@ pub struct LogEntry {
     pub aux: [u64; AUX_WORDS],
 }
 
-impl<'m> OpLog<'m> {
+impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     /// Creates a handle for thread slot `slot`.
-    pub fn new(mem: &'m dyn PodMemory, slot: u32) -> Self {
+    pub fn new(mem: &'m M, slot: u32) -> Self {
         Self::with_enabled(mem, slot, true)
     }
 
     /// Creates a handle, optionally inert (the `cxlalloc-nonrecoverable`
     /// ablation).
-    pub fn with_enabled(mem: &'m dyn PodMemory, slot: u32, enabled: bool) -> Self {
+    pub fn with_enabled(mem: &'m M, slot: u32, enabled: bool) -> Self {
         Self::with_options(mem, slot, enabled, false)
     }
 
     /// Creates a handle with fence coalescing opted in or out.
-    pub fn with_options(mem: &'m dyn PodMemory, slot: u32, enabled: bool, coalesce: bool) -> Self {
+    pub fn with_options(mem: &'m M, slot: u32, enabled: bool, coalesce: bool) -> Self {
         OpLog {
             mem,
             slot,

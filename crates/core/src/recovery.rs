@@ -26,6 +26,7 @@ use crate::ctx::Ctx;
 use crate::error::HeapKind;
 use crate::huge::HugeHeap;
 use crate::slab::SlabHeap;
+use cxl_pod::PodMemory;
 
 /// Operation codes stored in the log word. Slab ops are tagged with the
 /// heap they apply to via [`Op::encode`].
@@ -142,7 +143,7 @@ impl RecoveryReport {
 
 /// Runs recovery for the thread owning `ctx.tid` (a *dead* thread; the
 /// context's core and process belong to the recovering thread).
-pub(crate) fn recover(ctx: &Ctx<'_>) -> RecoveryReport {
+pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport {
     // Structural repair precedes the logged-op redo. The dead thread
     // mutated its list heads and `next` links through its private SWcc
     // cache and only published slab descriptors at linearization
@@ -153,8 +154,9 @@ pub(crate) fn recover(ctx: &Ctx<'_>) -> RecoveryReport {
     // so the lists are validated wholesale against the flushed
     // descriptors and bitmaps (the durable ground truth). This also
     // guarantees the redo below walks clean, acyclic lists.
-    sanitize_slab_lists(ctx, &SlabHeap::small());
-    sanitize_slab_lists(ctx, &SlabHeap::large());
+    let mut visited = Visited::default();
+    sanitize_slab_lists(ctx, &SlabHeap::small(), &mut visited);
+    sanitize_slab_lists(ctx, &SlabHeap::large(), &mut visited);
     let log = ctx.log();
     let entry = log.read(ctx.core);
     // The durable-buffer scan must skip batches another durable
@@ -249,7 +251,7 @@ pub(crate) fn recover(ctx: &Ctx<'_>) -> RecoveryReport {
 ///   and released by [`recover_slab`] before this scan). Publish the
 ///   contributor's batch directly and DONE-mark their word so their
 ///   wait loop completes.
-fn resolve_combiner_claims(ctx: &Ctx<'_>) {
+fn resolve_combiner_claims<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) {
     use crate::comb;
     if !ctx.recoverable {
         return;
@@ -298,7 +300,7 @@ fn resolve_combiner_claims(ctx: &Ctx<'_>) {
 /// (publishing again would double-decrement the counter). Closes the
 /// pre-PR-5 `SLOTS × (batch − 1)` leak of buffered-but-unpublished
 /// frees.
-fn republish_remote_buffer(ctx: &Ctx<'_>, skips: &[(HeapKind, u32)]) {
+fn republish_remote_buffer<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, skips: &[(HeapKind, u32)]) {
     use crate::remote::durable;
     if !ctx.recoverable {
         return;
@@ -328,7 +330,7 @@ fn republish_remote_buffer(ctx: &Ctx<'_>, skips: &[(HeapKind, u32)]) {
 
 /// Flushes the dead thread's local free-list heads so repairs are
 /// durable (the recovering core wrote them through its own cache).
-fn flush_thread_lines(ctx: &Ctx<'_>) {
+fn flush_thread_lines<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) {
     let layout = ctx.mem.layout();
     let slot = ctx.tid.slot();
     ctx.mem.flush(
@@ -349,9 +351,37 @@ fn flush_thread_lines(ctx: &Ctx<'_>) {
     ctx.mem.fence(ctx.core);
 }
 
+/// Visited marks for [`sanitize_list`], one scratch for all the lists of
+/// one recovery: `marks[slab] == stamp` means the list now being walked
+/// has already visited `slab`. Each list walks under its own stamp, so
+/// marks left by earlier lists (of either heap) never match and nothing
+/// is zeroed between lists.
+#[derive(Default)]
+struct Visited {
+    marks: Vec<u8>,
+    stamp: u8,
+}
+
+impl Visited {
+    /// Starts a new list over a heap of `len` slabs.
+    fn next_list(&mut self, len: u32) {
+        // 0 is "never visited"; a thread has one list per class and heap.
+        self.stamp = self.stamp.checked_add(1).expect("fewer than 256 private lists");
+        if self.marks.len() < len as usize {
+            self.marks.resize(len as usize, 0);
+        }
+    }
+
+    /// Marks `slab` (below the `len` given to [`Visited::next_list`]);
+    /// returns whether the current list had already visited it.
+    fn revisit(&mut self, slab: u32) -> bool {
+        std::mem::replace(&mut self.marks[slab as usize], self.stamp) == self.stamp
+    }
+}
+
 /// Restores the dead thread's private free lists of `heap` to a state
 /// satisfying the list invariants, using only durable data.
-fn sanitize_slab_lists(ctx: &Ctx<'_>, heap: &SlabHeap) {
+fn sanitize_slab_lists<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, visited: &mut Visited) {
     let hl = heap.hl(ctx.mem);
     // Drop any lines the recoverer itself may hold over the thread's
     // heads before reading the durable image.
@@ -362,9 +392,9 @@ fn sanitize_slab_lists(ctx: &Ctx<'_>, heap: &SlabHeap) {
     );
     ctx.mem.fence(ctx.core);
     let classes = hl.num_classes as u8;
-    sanitize_list(ctx, heap, heap.unsized_head_off(ctx), None);
+    sanitize_list(ctx, heap, heap.unsized_head_off(ctx), None, visited);
     for class in 0..classes {
-        sanitize_list(ctx, heap, heap.sized_head_off(ctx, class), Some(class));
+        sanitize_list(ctx, heap, heap.sized_head_off(ctx, class), Some(class), visited);
     }
 }
 
@@ -375,20 +405,28 @@ fn sanitize_slab_lists(ctx: &Ctx<'_>, heap: &SlabHeap) {
 /// Unlinking rewrites only the head or the previous *kept* node's
 /// `next`, never a foreign header, so chains that strayed into another
 /// list's slabs drain without corrupting that list. Unmapped indices
-/// and revisits (stale links can tie cycles) truncate the remainder.
-fn sanitize_list(ctx: &Ctx<'_>, heap: &SlabHeap, head_off: u64, class: Option<u8>) {
+/// and revisits within this list (stale links can tie cycles) truncate
+/// the remainder.
+fn sanitize_list<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
+    heap: &SlabHeap,
+    head_off: u64,
+    class: Option<u8>,
+    visited: &mut Visited,
+) {
     let hl = heap.hl(ctx.mem);
+    // Read per list, not per recovery: a live thread may extend the heap
+    // meanwhile, and the load is part of the simulated op stream.
     let len = heap.len(ctx.mem, ctx.core);
+    visited.next_list(len);
     let tid_raw = ctx.tid.raw();
-    let mut seen = vec![false; len as usize];
     let mut prev: Option<u32> = None;
     let mut cursor = (ctx.mem.load_u64(ctx.core, head_off) as u32).checked_sub(1);
     while let Some(slab) = cursor {
-        if slab >= len || seen[slab as usize] {
+        if slab >= len || visited.revisit(slab) {
             unlink_after(ctx, heap, head_off, prev, 0);
             return;
         }
-        seen[slab as usize] = true;
         ctx.mem
             .flush(ctx.core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
         ctx.mem.fence(ctx.core);
@@ -424,7 +462,7 @@ fn sanitize_list(ctx: &Ctx<'_>, heap: &SlabHeap, head_off: u64, class: Option<u8
 
 /// Points the list at `head_off` past an unlinked node: rewrites the
 /// head (no kept predecessor) or the previous kept node's `next`.
-fn unlink_after(ctx: &Ctx<'_>, heap: &SlabHeap, head_off: u64, prev: Option<u32>, next_raw: u32) {
+fn unlink_after<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, head_off: u64, prev: Option<u32>, next_raw: u32) {
     match prev {
         None => ctx.mem.store_u64(ctx.core, head_off, next_raw as u64),
         Some(p) => {
@@ -439,7 +477,7 @@ fn unlink_after(ctx: &Ctx<'_>, heap: &SlabHeap, head_off: u64, prev: Option<u32>
 /// Flushes (invalidates) the recovering core's view of the dead thread's
 /// slab descriptor and list heads before reading them — the recoverer
 /// may hold stale cached lines.
-fn refresh_slab_view(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32) {
+fn refresh_slab_view<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32) {
     let hl = heap.hl(ctx.mem);
     ctx.mem
         .flush(ctx.core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
@@ -451,8 +489,8 @@ fn refresh_slab_view(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32) {
     ctx.mem.fence(ctx.core);
 }
 
-fn recover_slab(
-    ctx: &Ctx<'_>,
+fn recover_slab<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
     op: Op,
     entry: &crate::oplog::LogEntry,
@@ -604,7 +642,7 @@ fn recover_slab(
 /// (0 = unused). Idempotent — a word that is no longer CLAIMED by the
 /// dead thread (a previous recovery pass already released it, or the
 /// contributor reclaimed theirs) is left alone.
-fn release_logged_claims(ctx: &Ctx<'_>, packed: u64) {
+fn release_logged_claims<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, packed: u64) {
     use crate::comb;
     let me = ctx.tid.slot();
     let me_raw = ctx.tid.raw();
@@ -627,7 +665,7 @@ fn release_logged_claims(ctx: &Ctx<'_>, packed: u64) {
 
 /// Parks an orphaned, freshly acquired slab on the dead thread's unsized
 /// list (idempotent).
-fn park_orphan(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32) {
+fn park_orphan<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32) {
     if heap.contains_local(ctx, heap.unsized_head_off(ctx), slab) {
         return;
     }
@@ -655,7 +693,7 @@ fn park_orphan(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32) {
 /// log entry names the new class. Only the dead thread's own lists can
 /// be stale like this — ownership transfers flush + fence — so a scan
 /// of its private heads is exhaustive.
-fn unlink_local_everywhere(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32) {
+fn unlink_local_everywhere<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32) {
     for class in 0..heap.classes.len() {
         heap.remove_local(ctx, heap.sized_head_off(ctx, class as u8), slab);
     }
@@ -665,7 +703,7 @@ fn unlink_local_everywhere(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32) {
 /// Normalizes a slab after a block-level op: recompute the free count
 /// from the bitset (the durable ground truth) and place the slab on the
 /// list its state dictates (Figure 4).
-fn normalize_slab(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32, class: u8) {
+fn normalize_slab<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32, class: u8) {
     let blocks = heap.classes.blocks_per_slab(class);
     let free = heap.bits(ctx, slab, class).count_set(ctx.core);
     heap.set_free_count(ctx, slab, free);
@@ -699,7 +737,7 @@ fn normalize_slab(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32, class: u8) {
 
 /// Redoes an undelivered remote-free decrement of `width` blocks (the
 /// batch width logged in the record's `b` byte; 1 for eager frees).
-fn redo_remote_free(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32, width: u32) {
+fn redo_remote_free<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32, width: u32) {
     let hl = heap.hl(ctx.mem);
     let dcas = ctx.dcas();
     loop {
@@ -731,8 +769,8 @@ fn redo_remote_free(ctx: &Ctx<'_>, heap: &SlabHeap, slab: u32, width: u32) {
     }
 }
 
-fn recover_huge(
-    ctx: &Ctx<'_>,
+fn recover_huge<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
     op: Op,
     entry: &crate::oplog::LogEntry,
     report: &mut RecoveryReport,

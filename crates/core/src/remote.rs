@@ -186,7 +186,7 @@ impl RemoteFreeBuffer {
 pub(crate) mod durable {
     use super::{key_of, HeapKind, SLOTS};
     use crate::ctx::Ctx;
-    use cxl_pod::CACHELINE;
+    use cxl_pod::{PodMemory, CACHELINE};
 
     const KEY_BITS: u32 = 34;
     const KEY_MASK: u64 = (1 << KEY_BITS) - 1;
@@ -213,14 +213,14 @@ pub(crate) mod durable {
     }
 
     /// Offset of word `i` in `ctx.tid`'s durable header line.
-    pub(crate) fn word_at(ctx: &Ctx<'_>, i: u32) -> u64 {
+    pub(crate) fn word_at<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, i: u32) -> u64 {
         ctx.mem.layout().remote_buf_word_at(ctx.tid.slot(), i)
     }
 
     /// Durably records `pending` buffered frees against `(kind, slab)`
     /// in `ctx.tid`'s line: store + flush + fence. The line always has
     /// room because it mirrors the bounded DRAM buffer slot-for-slot.
-    pub(crate) fn record(ctx: &Ctx<'_>, kind: HeapKind, slab: u32, pending: u32) {
+    pub(crate) fn record<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, kind: HeapKind, slab: u32, pending: u32) {
         let off = slot_for(ctx, key_of(kind, slab));
         ctx.mem.store_u64(ctx.core, off, pack(kind, slab, pending));
         // clwb: this is the thread's own durable line, rewritten on
@@ -233,7 +233,7 @@ pub(crate) mod durable {
 
     /// Durably clears the word for `(kind, slab)` in `ctx.tid`'s line;
     /// a no-op when absent (retried publish iterations, eager paths).
-    pub(crate) fn clear(ctx: &Ctx<'_>, kind: HeapKind, slab: u32) {
+    pub(crate) fn clear<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, kind: HeapKind, slab: u32) {
         let key = key_of(kind, slab);
         for i in 0..WORDS {
             let off = word_at(ctx, i);
@@ -245,14 +245,14 @@ pub(crate) mod durable {
     }
 
     /// Durably zeroes the word at `off`.
-    pub(crate) fn clear_word(ctx: &Ctx<'_>, off: u64) {
+    pub(crate) fn clear_word<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, off: u64) {
         ctx.mem.store_u64(ctx.core, off, 0);
         ctx.mem.writeback(ctx.core, off, 8);
         ctx.mem.fence(ctx.core);
     }
 
     /// The word currently keyed `key`, or the first empty slot.
-    fn slot_for(ctx: &Ctx<'_>, key: u64) -> u64 {
+    fn slot_for<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, key: u64) -> u64 {
         let mut free = None;
         for i in 0..WORDS {
             let off = word_at(ctx, i);

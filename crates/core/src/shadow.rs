@@ -99,7 +99,7 @@ fn slot_of(kind: HeapKind, slab: u32) -> usize {
     (slab as usize * 2 + (kind_tag(kind) as usize - 1)) & (SLOTS - 1)
 }
 
-fn desc_off(mem: &dyn PodMemory, kind: HeapKind, slab: u32) -> u64 {
+fn desc_off<M: PodMemory + ?Sized>(mem: &M, kind: HeapKind, slab: u32) -> u64 {
     let layout = mem.layout();
     let hl = match kind {
         HeapKind::Small => &layout.small,
@@ -109,7 +109,7 @@ fn desc_off(mem: &dyn PodMemory, kind: HeapKind, slab: u32) -> u64 {
     hl.swcc_desc_at(slab)
 }
 
-fn count_off(mem: &dyn PodMemory, kind: HeapKind, slab: u32) -> u64 {
+fn count_off<M: PodMemory + ?Sized>(mem: &M, kind: HeapKind, slab: u32) -> u64 {
     let layout = mem.layout();
     let hl = match kind {
         HeapKind::Small => &layout.small,
@@ -147,7 +147,7 @@ impl DescShadow {
     /// Writes `entry`'s dirty words into pod memory (the owner's
     /// simulated cache, for software-coherent backends) and returns it
     /// marked clean.
-    fn written_back(mem: &dyn PodMemory, core: CoreId, mut entry: Entry) -> Entry {
+    fn written_back<M: PodMemory + ?Sized>(mem: &M, core: CoreId, mut entry: Entry) -> Entry {
         let kind = match entry.key >> 32 {
             1 => HeapKind::Small,
             2 => HeapKind::Large,
@@ -166,7 +166,7 @@ impl DescShadow {
 
     /// The live entry for `(kind, slab)`, evicting (with writeback) any
     /// conflicting resident first.
-    fn entry_for(&self, mem: &dyn PodMemory, core: CoreId, kind: HeapKind, slab: u32) -> Entry {
+    fn entry_for<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, kind: HeapKind, slab: u32) -> Entry {
         let key = key_of(kind, slab);
         let slot = &self.slots[slot_of(kind, slab)];
         let entry = slot.get();
@@ -193,7 +193,7 @@ impl DescShadow {
     }
 
     /// Installs a header just loaded from pod memory (clean).
-    pub fn install_header(&self, mem: &dyn PodMemory, core: CoreId, kind: HeapKind, slab: u32, packed: u64) {
+    pub fn install_header<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, kind: HeapKind, slab: u32, packed: u64) {
         let mut entry = self.entry_for(mem, core, kind, slab);
         entry.header = packed;
         entry.flags |= HEADER_VALID;
@@ -201,7 +201,7 @@ impl DescShadow {
     }
 
     /// Installs a free count just loaded from pod memory (clean).
-    pub fn install_count(&self, mem: &dyn PodMemory, core: CoreId, kind: HeapKind, slab: u32, count: u64) {
+    pub fn install_count<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, kind: HeapKind, slab: u32, count: u64) {
         let mut entry = self.entry_for(mem, core, kind, slab);
         entry.count = count;
         entry.flags |= COUNT_VALID;
@@ -211,7 +211,7 @@ impl DescShadow {
     /// Records a header store. Returns `true` when the store was
     /// absorbed (write-back mode); `false` when the caller must also
     /// write through to pod memory.
-    pub fn store_header(&self, mem: &dyn PodMemory, core: CoreId, kind: HeapKind, slab: u32, packed: u64) -> bool {
+    pub fn store_header<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, kind: HeapKind, slab: u32, packed: u64) -> bool {
         let mut entry = self.entry_for(mem, core, kind, slab);
         entry.header = packed;
         entry.flags |= HEADER_VALID;
@@ -238,14 +238,14 @@ impl DescShadow {
     /// Records the first-fit rover for `(kind, slab)`. Volatile: never
     /// marks the entry dirty and is never written back — see
     /// [`Entry::rover`].
-    pub fn set_rover(&self, mem: &dyn PodMemory, core: CoreId, kind: HeapKind, slab: u32, rover: u32) {
+    pub fn set_rover<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, kind: HeapKind, slab: u32, rover: u32) {
         let mut entry = self.entry_for(mem, core, kind, slab);
         entry.rover = rover;
         self.slots[slot_of(kind, slab)].set(entry);
     }
 
     /// Records a free-count store; as [`DescShadow::store_header`].
-    pub fn store_count(&self, mem: &dyn PodMemory, core: CoreId, kind: HeapKind, slab: u32, count: u64) -> bool {
+    pub fn store_count<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, kind: HeapKind, slab: u32, count: u64) -> bool {
         let mut entry = self.entry_for(mem, core, kind, slab);
         entry.count = count;
         entry.flags |= COUNT_VALID;
@@ -262,7 +262,7 @@ impl DescShadow {
     /// lines. Call before any flush after which ownership may change,
     /// and before re-reading a descriptor another thread may have
     /// published (global-list pop).
-    pub fn drop_entry(&self, mem: &dyn PodMemory, core: CoreId, kind: HeapKind, slab: u32) {
+    pub fn drop_entry<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId, kind: HeapKind, slab: u32) {
         let slot = &self.slots[slot_of(kind, slab)];
         let entry = slot.get();
         if entry.key != key_of(kind, slab) {
@@ -281,7 +281,7 @@ impl DescShadow {
     /// memory state is byte-identical to the unshadowed implementation
     /// (within an op nothing else reads through this core). O(1) when
     /// nothing is dirty.
-    pub fn sync_all(&self, mem: &dyn PodMemory, core: CoreId) {
+    pub fn sync_all<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId) {
         if !self.maybe_dirty.replace(false) {
             return;
         }

@@ -116,7 +116,7 @@ impl SlabHeap {
     }
 
     /// This heap's region layout.
-    pub fn hl<'a>(&self, mem: &'a dyn PodMemory) -> &'a HeapLayout {
+    pub fn hl<'a, M: PodMemory + ?Sized>(&self, mem: &'a M) -> &'a HeapLayout {
         match self.kind {
             HeapKind::Small => &mem.layout().small,
             HeapKind::Large => &mem.layout().large,
@@ -137,7 +137,7 @@ impl SlabHeap {
     // recovery, the invariant checker's probes, fault handling — hit
     // pod memory directly, as before.
 
-    pub(crate) fn header(&self, ctx: &Ctx<'_>, slab: u32) -> SwccHeader {
+    pub(crate) fn header<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> SwccHeader {
         if let Some(shadow) = ctx.shadow {
             if let Some(packed) = shadow.header(self.kind, slab) {
                 return SwccHeader::unpack(packed);
@@ -149,7 +149,7 @@ impl SlabHeap {
         SwccHeader::unpack(ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab)))
     }
 
-    pub(crate) fn set_header(&self, ctx: &Ctx<'_>, slab: u32, header: SwccHeader) {
+    pub(crate) fn set_header<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, header: SwccHeader) {
         let packed = header.pack();
         if let Some(shadow) = ctx.shadow {
             if shadow.store_header(ctx.mem, ctx.core, self.kind, slab, packed) {
@@ -160,7 +160,7 @@ impl SlabHeap {
             .store_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab), packed);
     }
 
-    pub(crate) fn free_count(&self, ctx: &Ctx<'_>, slab: u32) -> u32 {
+    pub(crate) fn free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> u32 {
         if let Some(shadow) = ctx.shadow {
             if let Some(count) = shadow.free_count(self.kind, slab) {
                 return count as u32;
@@ -172,7 +172,7 @@ impl SlabHeap {
         ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab)) as u32
     }
 
-    pub(crate) fn set_free_count(&self, ctx: &Ctx<'_>, slab: u32, count: u32) {
+    pub(crate) fn set_free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, count: u32) {
         if let Some(shadow) = ctx.shadow {
             if shadow.store_count(ctx.mem, ctx.core, self.kind, slab, count as u64) {
                 return;
@@ -182,7 +182,7 @@ impl SlabHeap {
             .store_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab), count as u64);
     }
 
-    pub(crate) fn bits<'m>(&self, ctx: &Ctx<'m>, slab: u32, class: u8) -> BlockBits<'m> {
+    pub(crate) fn bits<'m, M: PodMemory + ?Sized>(&self, ctx: &Ctx<'m, M>, slab: u32, class: u8) -> BlockBits<'m, M> {
         BlockBits::new(
             ctx.mem,
             self.hl(ctx.mem).bitset_at(slab),
@@ -193,7 +193,7 @@ impl SlabHeap {
     /// Flushes a slab's entire SWcc descriptor (header, count, bitset)
     /// and fences — required before any transition after which another
     /// thread may become the owner (§3.2.2).
-    pub(crate) fn flush_desc(&self, ctx: &Ctx<'_>, slab: u32) {
+    pub(crate) fn flush_desc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
         let hl = self.hl(ctx.mem);
         // Drain deferred shadow stores into the cache first (so the
         // flush writes them back) and forget the entry: after the flush
@@ -207,32 +207,32 @@ impl SlabHeap {
     }
 
     /// Current heap length (number of mapped slabs).
-    pub fn len(&self, mem: &dyn PodMemory, core: CoreId) -> u32 {
+    pub fn len<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId) -> u32 {
         Detect::unpack(mem.load_u64(core, self.hl(mem).global_len)).payload
     }
 
     /// Whether the heap has no slabs yet.
-    pub fn is_empty(&self, mem: &dyn PodMemory, core: CoreId) -> bool {
+    pub fn is_empty<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId) -> bool {
         self.len(mem, core) == 0
     }
 
     // ---- private (thread-local) free lists ------------------------------
 
-    fn head_of(&self, ctx: &Ctx<'_>, head_off: u64) -> Option<u32> {
+    fn head_of<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64) -> Option<u32> {
         let raw = ctx.mem.load_u64(ctx.core, head_off) as u32;
         raw.checked_sub(1)
     }
 
-    pub(crate) fn unsized_head_off(&self, ctx: &Ctx<'_>) -> u64 {
+    pub(crate) fn unsized_head_off<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> u64 {
         self.hl(ctx.mem).local_unsized_at(ctx.tid.slot())
     }
 
-    pub(crate) fn sized_head_off(&self, ctx: &Ctx<'_>, class: u8) -> u64 {
+    pub(crate) fn sized_head_off<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, class: u8) -> u64 {
         self.hl(ctx.mem).local_sized_at(ctx.tid.slot(), class as u32)
     }
 
     /// Pushes `slab` onto the private list at `head_off`.
-    pub(crate) fn push_local(&self, ctx: &Ctx<'_>, head_off: u64, slab: u32) {
+    pub(crate) fn push_local<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64, slab: u32) {
         let old = ctx.mem.load_u64(ctx.core, head_off) as u32;
         let mut header = self.header(ctx, slab);
         header.next = old;
@@ -241,7 +241,7 @@ impl SlabHeap {
     }
 
     /// Pops the head of the private list at `head_off`.
-    pub(crate) fn pop_local(&self, ctx: &Ctx<'_>, head_off: u64) -> Option<u32> {
+    pub(crate) fn pop_local<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64) -> Option<u32> {
         let slab = self.head_of(ctx, head_off)?;
         let header = self.header(ctx, slab);
         ctx.mem.store_u64(ctx.core, head_off, header.next as u64);
@@ -251,7 +251,7 @@ impl SlabHeap {
     /// Removes `slab` from the private list at `head_off`; returns
     /// whether it was present. Private lists are short, so this walk is
     /// cheap; only the owning thread (or its recoverer) calls it.
-    pub(crate) fn remove_local(&self, ctx: &Ctx<'_>, head_off: u64, slab: u32) -> bool {
+    pub(crate) fn remove_local<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64, slab: u32) -> bool {
         let mut prev: Option<u32> = None;
         let mut cursor = self.head_of(ctx, head_off);
         let mut hops = 0u32;
@@ -280,7 +280,7 @@ impl SlabHeap {
     }
 
     /// Whether `slab` is on the private list at `head_off`.
-    pub(crate) fn contains_local(&self, ctx: &Ctx<'_>, head_off: u64, slab: u32) -> bool {
+    pub(crate) fn contains_local<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64, slab: u32) -> bool {
         let mut cursor = self.head_of(ctx, head_off);
         let mut hops = 0u32;
         while let Some(cur) = cursor {
@@ -295,7 +295,7 @@ impl SlabHeap {
     }
 
     /// Walks the private list at `head_off`, up to `cap` nodes.
-    pub(crate) fn list_len(&self, ctx: &Ctx<'_>, head_off: u64, cap: u32) -> u32 {
+    pub(crate) fn list_len<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64, cap: u32) -> u32 {
         let mut n = 0;
         let mut cursor = self.head_of(ctx, head_off);
         while let Some(cur) = cursor {
@@ -314,7 +314,7 @@ impl SlabHeap {
     /// thread's sized list. The slab must be owned by the caller and
     /// unlinked (freshly popped from the unsized list, the global list,
     /// or the heap end).
-    fn init_slab(&self, ctx: &Ctx<'_>, slab: u32, class: u8) {
+    fn init_slab<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8) {
         ctx.log().begin(
             ctx.core,
             LogWord {
@@ -332,7 +332,7 @@ impl SlabHeap {
 
     /// The (idempotent) body of slab initialization; also called by
     /// recovery to redo an interrupted init.
-    pub(crate) fn init_slab_body(&self, ctx: &Ctx<'_>, slab: u32, class: u8) {
+    pub(crate) fn init_slab_body<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8) {
         let blocks = self.classes.blocks_per_slab(class);
         self.set_header(ctx, slab, SwccHeader {
             next: 0,
@@ -365,14 +365,14 @@ impl SlabHeap {
     /// is the legacy head cell; the rest live in their own cachelines
     /// at the segment tail, so threads on different stripes never
     /// contend on the same line.
-    pub(crate) fn home_stripe(&self, ctx: &Ctx<'_>) -> u32 {
+    pub(crate) fn home_stripe<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> u32 {
         ctx.tid.slot() % self.hl(ctx.mem).global_stripes
     }
 
     /// Pops a slab from the striped global free list: the home stripe
     /// first, then deterministic round-robin work-stealing over the
     /// remaining stripes when the home stripe is empty.
-    fn pop_global(&self, ctx: &Ctx<'_>) -> Option<u32> {
+    fn pop_global<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> Option<u32> {
         let stripes = self.hl(ctx.mem).global_stripes;
         let home = self.home_stripe(ctx);
         for probe in 0..stripes {
@@ -388,7 +388,7 @@ impl SlabHeap {
     /// flush-before-load discipline on `next`). Returns `None` when the
     /// stripe is empty; CAS contention retries the *same* stripe — the
     /// head changed, so it is non-empty and progress is someone's.
-    fn pop_global_stripe(&self, ctx: &Ctx<'_>, stripe: u32) -> Option<u32> {
+    fn pop_global_stripe<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, stripe: u32) -> Option<u32> {
         let hl = self.hl(ctx.mem);
         let head_cell = hl.global_free_at(stripe);
         let dcas = ctx.dcas();
@@ -434,7 +434,7 @@ impl SlabHeap {
     /// home stripe of the global free list. The stripe index travels in
     /// the oplog record's `b` byte so recovery detects against the
     /// right head cell.
-    pub(crate) fn push_global(&self, ctx: &Ctx<'_>, slab: u32) {
+    pub(crate) fn push_global<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
         let hl = self.hl(ctx.mem);
         let stripe = self.home_stripe(ctx);
         let head_cell = hl.global_free_at(stripe);
@@ -479,7 +479,7 @@ impl SlabHeap {
     }
 
     /// Extends the heap by one slab; returns the new slab's index.
-    fn extend(&self, ctx: &Ctx<'_>) -> Option<u32> {
+    fn extend<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> Option<u32> {
         let hl = self.hl(ctx.mem);
         let dcas = ctx.dcas();
         loop {
@@ -514,7 +514,7 @@ impl SlabHeap {
 
     /// Installs this process's mappings up to `slabs` slabs (the three
     /// mappings of §3.3.1, modeled as the process's heap watermark).
-    pub(crate) fn map_upto(&self, ctx: &Ctx<'_>, slabs: u64) {
+    pub(crate) fn map_upto<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slabs: u64) {
         match self.kind {
             HeapKind::Small => ctx.process.map_small_upto(slabs),
             HeapKind::Large => ctx.process.map_large_upto(slabs),
@@ -525,7 +525,7 @@ impl SlabHeap {
     /// Acquires a slab for `class` into the sized list, per the paper's
     /// transfer order: thread-local unsized list, global free list, heap
     /// extension.
-    fn acquire(&self, ctx: &Ctx<'_>, class: u8) -> Result<(), AllocError> {
+    fn acquire<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, class: u8) -> Result<(), AllocError> {
         let slab = if let Some(slab) = self.head_of(ctx, self.unsized_head_off(ctx)) {
             // We log the init *before* popping so recovery can redo the
             // pop (the init body is idempotent and pops if still linked).
@@ -566,7 +566,7 @@ impl SlabHeap {
     /// caller will store the resulting pointer into; recovery uses it to
     /// decide whether an interrupted allocation reached the application
     /// (see `recovery.rs`).
-    pub(crate) fn alloc(&self, ctx: &Ctx<'_>, size: usize, detect_dst: u64) -> Result<u64, AllocError> {
+    pub(crate) fn alloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, size: usize, detect_dst: u64) -> Result<u64, AllocError> {
         let class = self
             .classes
             .class_of(size)
@@ -598,7 +598,7 @@ impl SlabHeap {
 
     /// Allocates one block from `slab` (the head of the caller's sized
     /// list for `class`), handling the full-slab transition.
-    fn alloc_block(&self, ctx: &Ctx<'_>, slab: u32, class: u8, detect_dst: u64) -> u64 {
+    fn alloc_block<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8, detect_dst: u64) -> u64 {
         let bits = self.bits(ctx, slab, class);
         // Next-fit: start the scan at the volatile per-slab rover hint.
         // Any hint value is safe — the scan re-validates the durable
@@ -650,9 +650,9 @@ impl SlabHeap {
     /// full-slab transition unlinks with `remove_local`. Recovery is
     /// shared: the redo of `AllocBlock` already locates the slab by
     /// index, not list position.
-    fn alloc_block_hint(
+    fn alloc_block_hint<M: PodMemory + ?Sized>(
         &self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx<'_, M>,
         slab: u32,
         class: u8,
         bit: u32,
@@ -702,7 +702,7 @@ impl SlabHeap {
     /// store would leak the block. The store goes straight to the
     /// segment: `detect_dst` is application data, written exactly as the
     /// caller would have written it.
-    fn finish_alloc(&self, ctx: &Ctx<'_>, slab: u32, class: u8, bit: u32, detect_dst: u64) -> u64 {
+    fn finish_alloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8, bit: u32, detect_dst: u64) -> u64 {
         let block =
             self.hl(ctx.mem).slab_data_at(slab) + bit as u64 * self.classes.block_size(class) as u64;
         if detect_dst != 0 {
@@ -718,7 +718,7 @@ impl SlabHeap {
 
     /// Detaches or disowns a just-full slab, per its remote counter.
     /// Idempotent (also used by recovery).
-    pub(crate) fn full_transition(&self, ctx: &Ctx<'_>, slab: u32, class: u8) {
+    pub(crate) fn full_transition<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8) {
         let hl = self.hl(ctx.mem);
         let remote = Detect::unpack(ctx.mem.load_u64(ctx.core, hl.hwcc_desc_at(slab))).payload;
         let blocks = self.classes.blocks_per_slab(class);
@@ -746,7 +746,7 @@ impl SlabHeap {
     /// Returns [`AllocError::NotAllocated`] for misaligned interior
     /// pointers, blocks that are already free, or slabs past the heap
     /// length.
-    pub(crate) fn dealloc(&self, ctx: &Ctx<'_>, offset: u64) -> Result<(), AllocError> {
+    pub(crate) fn dealloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Result<(), AllocError> {
         let hl = self.hl(ctx.mem);
         let slab = hl
             .slab_of(offset)
@@ -766,9 +766,9 @@ impl SlabHeap {
     }
 
     /// The unsynchronized local-free fast path.
-    fn free_local(
+    fn free_local<M: PodMemory + ?Sized>(
         &self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx<'_, M>,
         slab: u32,
         header: SwccHeader,
         offset: u64,
@@ -865,7 +865,7 @@ impl SlabHeap {
 
     /// Releases unsized slabs beyond the configured threshold to the
     /// global free list.
-    pub(crate) fn release_overflow(&self, ctx: &Ctx<'_>) {
+    pub(crate) fn release_overflow<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) {
         let head_off = self.unsized_head_off(ctx);
         while self.list_len(ctx, head_off, ctx.unsized_limit + 1) > ctx.unsized_limit {
             let Some(slab) = self.pop_local(ctx, head_off) else {
@@ -878,7 +878,7 @@ impl SlabHeap {
 
     /// The remote-free path: decrement the HWcc counter with detectable
     /// (m)CAS; steal the slab if we reach zero.
-    fn free_remote(&self, ctx: &Ctx<'_>, slab: u32, offset: u64) -> Result<(), AllocError> {
+    fn free_remote<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, offset: u64) -> Result<(), AllocError> {
         // While this thread's combiner-request word names `slab`, frees
         // against it must bypass buffering: a durable `remote_buf`
         // record for the same slab would give the slab two durable batch
@@ -960,9 +960,9 @@ impl SlabHeap {
     /// Every buffered free holds one of the counter's remaining credits,
     /// so the payload can never reach zero while frees sit in the buffer
     /// — no steal or slab reinitialization can race the buffered state.
-    fn free_remote_buffered(
+    fn free_remote_buffered<M: PodMemory + ?Sized>(
         &self,
-        ctx: &Ctx<'_>,
+        ctx: &Ctx<'_, M>,
         buf: &RemoteFreeBuffer,
         slab: u32,
         offset: u64,
@@ -1011,7 +1011,7 @@ impl SlabHeap {
     /// defense against application double-frees that were never
     /// buffered; a zero payload drops the batch the same way the eager
     /// path would have rejected each free.
-    pub(crate) fn publish_remote_frees(&self, ctx: &Ctx<'_>, slab: u32, k: u32) {
+    pub(crate) fn publish_remote_frees<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, k: u32) {
         let hl = self.hl(ctx.mem);
         let dcas = ctx.dcas();
         loop {
@@ -1092,7 +1092,7 @@ impl SlabHeap {
     /// unlinked) onto our unsized list. Safe without coordination: with
     /// the counter at zero there can be no further allocation from or
     /// deallocation to this slab (§3.1.1).
-    pub(crate) fn steal(&self, ctx: &Ctx<'_>, slab: u32) {
+    pub(crate) fn steal<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
         self.set_header(ctx, slab, SwccHeader {
             next: 0,
             owner: ctx.tid.raw(),
@@ -1108,12 +1108,12 @@ impl SlabHeap {
 
     /// Bytes of HWcc memory currently in use by this heap (§5.2.1
     /// accounting).
-    pub fn hwcc_bytes(&self, mem: &dyn PodMemory, core: CoreId) -> u64 {
+    pub fn hwcc_bytes<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId) -> u64 {
         self.hl(mem).hwcc_bytes(self.len(mem, core))
     }
 
     /// Total data bytes mapped (heap length × slab size).
-    pub fn mapped_bytes(&self, mem: &dyn PodMemory, core: CoreId) -> u64 {
+    pub fn mapped_bytes<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId) -> u64 {
         self.len(mem, core) as u64 * self.hl(mem).slab_size
     }
 }

@@ -1,0 +1,68 @@
+//! Crash-label coverage: the label lists the crash matrices iterate and
+//! the `crash_point("…")` / `crash::point("…")` calls compiled into the
+//! allocator must name exactly the same labels, each in exactly one
+//! list. A call whose label no list names is a crash point no matrix
+//! ever fires; a listed label with no call is a matrix row that can
+//! only ever report "never reached".
+
+use cxl_core::{comb, huge, slab};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::Path;
+
+const LISTS: [(&str, &[&str]); 4] = [
+    ("slab::CRASH_POINTS", slab::CRASH_POINTS),
+    ("slab::BATCH_CRASH_POINTS", slab::BATCH_CRASH_POINTS),
+    ("comb::COMB_CRASH_POINTS", comb::COMB_CRASH_POINTS),
+    ("huge::CRASH_POINTS", huge::CRASH_POINTS),
+];
+
+/// Every string literal passed to `crash_point(` or `crash::point(` in
+/// `crates/core/src/*.rs`, with the files that pass it.
+fn labels_in_source() -> BTreeMap<String, BTreeSet<String>> {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut found: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for entry in std::fs::read_dir(&src).unwrap() {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "rs") {
+            continue;
+        }
+        let file = path.file_name().unwrap().to_string_lossy().into_owned();
+        let text = std::fs::read_to_string(&path).unwrap();
+        for call in ["crash_point(\"", "crash::point(\""] {
+            for (at, _) in text.match_indices(call) {
+                let rest = &text[at + call.len()..];
+                let label = &rest[..rest.find('"').expect("unterminated label")];
+                found.entry(label.to_owned()).or_default().insert(file.clone());
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn every_crash_label_is_listed_exactly_once_and_every_listed_label_exists() {
+    let source = labels_in_source();
+    assert!(source.len() > 30, "the scan found only {} labels", source.len());
+
+    let mut listed: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for (list, labels) in LISTS {
+        for label in labels {
+            listed.entry(label).or_default().push(list);
+        }
+    }
+
+    let mut problems = Vec::new();
+    for (label, files) in &source {
+        match listed.get(label.as_str()).map_or(0, Vec::len) {
+            1 => {}
+            0 => problems.push(format!("{label} (in {files:?}) is in no list")),
+            _ => problems.push(format!("{label} is in several lists: {:?}", listed[label.as_str()])),
+        }
+    }
+    for (label, lists) in &listed {
+        if !source.contains_key(*label) {
+            problems.push(format!("{label} is listed in {lists:?} but no source file passes it"));
+        }
+    }
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}

@@ -123,6 +123,10 @@ struct PodInner {
     config: PodConfig,
     layout: Layout,
     memory: Arc<dyn PodMemory>,
+    /// `memory` again, by its concrete type, when it is a [`RawMemory`]
+    /// this pod built; handed to every process (see
+    /// [`Process::raw_memory`]).
+    raw: Option<Arc<RawMemory>>,
     processes: parking_lot::RwLock<Vec<Arc<Process>>>,
 }
 
@@ -137,8 +141,7 @@ impl Pod {
     pub fn new(config: PodConfig) -> Result<Self, PodError> {
         let layout = Layout::compute(&config)?;
         let segment = Arc::new(Segment::zeroed(layout.total_len)?);
-        let memory: Arc<dyn PodMemory> = Arc::new(RawMemory::new(segment, layout.clone()));
-        Ok(Self::assemble(config, layout, memory))
+        Ok(Self::assemble_raw(config, layout, segment))
     }
 
     /// Creates a pod backed by [`SimMemory`] with the given coherence mode.
@@ -156,7 +159,7 @@ impl Pod {
             config.max_threads,
             latency::LatencyModel::paper_calibrated(),
         ));
-        Ok(Self::assemble(config, layout, memory))
+        Ok(Self::assemble(config, layout, memory, None))
     }
 
     /// Creates a simulated pod with a fabric contention model: every
@@ -195,7 +198,7 @@ impl Pod {
             0,
             fabric,
         ));
-        Ok(Self::assemble(config, layout, memory))
+        Ok(Self::assemble(config, layout, memory, None))
     }
 
     /// Creates a simulated pod whose per-core caches hold at most
@@ -220,7 +223,7 @@ impl Pod {
             latency::LatencyModel::paper_calibrated(),
             cache_lines,
         ));
-        Ok(Self::assemble(config, layout, memory))
+        Ok(Self::assemble(config, layout, memory, None))
     }
 
     /// Creates a pod over a *shared segment file*, creating (or
@@ -289,23 +292,33 @@ impl Pod {
                 reason: format!("control tail of {tail_bytes} bytes overflows"),
             })?;
         let segment = Arc::new(Segment::map_shared(path, tail, create)?);
-        let memory: Arc<dyn PodMemory> = Arc::new(RawMemory::new(segment, layout.clone()));
-        Ok(Self::assemble(config, layout, memory))
+        Ok(Self::assemble_raw(config, layout, segment))
     }
 
     /// Creates a pod from an explicit memory backend (for tests that need
     /// a custom latency model or a pre-populated segment).
     pub fn from_memory(config: PodConfig, memory: Arc<dyn PodMemory>) -> Self {
         let layout = memory.layout().clone();
-        Self::assemble(config, layout, memory)
+        Self::assemble(config, layout, memory, None)
     }
 
-    fn assemble(config: PodConfig, layout: Layout, memory: Arc<dyn PodMemory>) -> Self {
+    fn assemble_raw(config: PodConfig, layout: Layout, segment: Arc<Segment>) -> Self {
+        let raw = Arc::new(RawMemory::new(segment, layout.clone()));
+        Self::assemble(config, layout, raw.clone(), Some(raw))
+    }
+
+    fn assemble(
+        config: PodConfig,
+        layout: Layout,
+        memory: Arc<dyn PodMemory>,
+        raw: Option<Arc<RawMemory>>,
+    ) -> Self {
         Pod {
             inner: Arc::new(PodInner {
                 config,
                 layout,
                 memory,
+                raw,
                 processes: parking_lot::RwLock::new(Vec::new()),
             }),
         }
@@ -335,7 +348,11 @@ impl Pod {
     pub fn spawn_process(&self) -> Arc<Process> {
         let mut guard = self.inner.processes.write();
         let id = ProcessId(guard.len() as u32);
-        let process = Arc::new(Process::new(id, self.inner.memory.clone()));
+        let process = Arc::new(Process::new(
+            id,
+            self.inner.memory.clone(),
+            self.inner.raw.clone(),
+        ));
         guard.push(process.clone());
         process
     }

@@ -32,7 +32,7 @@
 
 use crate::error::Fault;
 use crate::layout::{HeapLayout, Region};
-use crate::mem::PodMemory;
+use crate::mem::{PodMemory, RawMemory};
 use crate::segment::Segment;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
@@ -210,6 +210,8 @@ unsafe impl Sync for SegmentBase {}
 pub struct Process {
     id: ProcessId,
     memory: Arc<dyn PodMemory>,
+    /// `memory` by its concrete type when the pod is a raw one.
+    raw: Option<Arc<RawMemory>>,
     /// Keeps `base` valid for as long as the process exists.
     segment: Arc<Segment>,
     base: SegmentBase,
@@ -235,7 +237,11 @@ impl std::fmt::Debug for Process {
 }
 
 impl Process {
-    pub(crate) fn new(id: ProcessId, memory: Arc<dyn PodMemory>) -> Self {
+    pub(crate) fn new(
+        id: ProcessId,
+        memory: Arc<dyn PodMemory>,
+        raw: Option<Arc<RawMemory>>,
+    ) -> Self {
         let segment = memory.segment().clone();
         let layout = memory.layout();
         // `resolve_hit` hands out `base + offset` for any range below a
@@ -251,6 +257,7 @@ impl Process {
         Process {
             id,
             memory,
+            raw,
             segment,
             base,
             small,
@@ -271,6 +278,17 @@ impl Process {
     /// The pod memory this process is attached to.
     pub fn memory(&self) -> &Arc<dyn PodMemory> {
         &self.memory
+    }
+
+    /// The same memory as [`Process::memory`], statically typed, when the
+    /// pod runs on [`RawMemory`]; `None` on simulated pods and custom
+    /// backends ([`Pod::from_memory`](crate::Pod::from_memory)). Code
+    /// generic over the backend picks its instantiation from this once
+    /// per call, so that on a raw pod every metadata access below the
+    /// call is an inlined load or store rather than a virtual call.
+    #[inline]
+    pub fn raw_memory(&self) -> Option<&RawMemory> {
+        self.raw.as_deref()
     }
 
     /// Installs the fault handler (the allocator's "signal handler").
