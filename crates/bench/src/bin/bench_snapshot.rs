@@ -72,7 +72,7 @@ const CHECK_MIN_NS: f64 = 25.0;
 
 /// Host-scaling gate (PR 8), applied by `--check` whenever the run
 /// includes the sweep's endpoints (groups `host_scaling` or
-/// `host_scaling_smoke`): at 32 simulated hosts the sharded+combining
+/// `host_scaling_smoke`): at 32 simulated hosts the sharded
 /// configuration must beat the unsharded baseline by at least this
 /// factor of *modeled* time (the `sim_ns_per_op` counter — per-core
 /// virtual clocks with contended lines serialized, see EXPERIMENTS.md).

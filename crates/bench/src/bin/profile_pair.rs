@@ -60,14 +60,6 @@ fn main() {
         },
         480,
     );
-    pair(
-        "pair/held-480 magazines-64",
-        AttachOptions {
-            magazine_capacity: 64,
-            ..AttachOptions::default()
-        },
-        480,
-    );
 
     println!("-- primitives --");
     let pod = cxlalloc_pod(64 << 20, 8, None);

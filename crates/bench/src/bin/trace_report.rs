@@ -241,8 +241,8 @@ fn run_fabric_section(ops: u64, hosts: u32) -> Section {
 
 /// Where the remaining `local_alloc_free/small_64B` nanoseconds go
 /// (PR-9): one thread, steady-state 64-byte alloc/free pairs on a warm
-/// slab. With the first-fit rover the bitset scan is one word, magazine
-/// hints stay valid on the hysteresis-retained slab, and what is left
+/// slab. With the first-fit rover the bitset scan is one word, the
+/// hysteresis-retained slab is never re-initialized, and what is left
 /// is the recoverability floor — the oplog begin/commit writeback +
 /// fence per op — plus the handful of bitset/counter accesses. The
 /// per-op table this section prints *is* that floor, by event kind.

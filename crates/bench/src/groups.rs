@@ -114,8 +114,8 @@ pub fn bench_local_paths(c: &mut Criterion) {
 /// Remote-free (m)CAS path: producer/consumer across threads. The
 /// handoff gates the producer on the consumer's dealloc speed, so the
 /// measured throughput is the remote-free path; the PR-4 amortizations
-/// (batched publishes, magazines, coalesced fences) are enabled here —
-/// the eager ablation lives in `remote_free_batched/eager_64B`.
+/// (batched publishes, coalesced fences) are enabled here — the eager
+/// ablation lives in `remote_free_batched/eager_64B`.
 ///
 /// The handoff is a slot-sentinel SPSC ring rather than
 /// `std::sync::mpsc::sync_channel`: the channel's ~95 ns/op cost put a
@@ -151,7 +151,6 @@ pub fn bench_remote_free(c: &mut Criterion) {
     group.bench_function("producer_consumer_64B", |b| {
         let options = AttachOptions {
             remote_free_batch: 16,
-            magazine_capacity: 16,
             coalesce_fences: true,
             ..AttachOptions::default()
         };
@@ -230,51 +229,6 @@ pub fn bench_remote_free_batched(c: &mut Criterion) {
                 freer.dealloc(p).unwrap();
             })
         });
-    }
-    group.finish();
-}
-
-/// Local churn with and without the per-thread magazine: same
-/// alloc/free pair, a handful of held blocks keeping the slab
-/// partially live (a free that empties its slab bypasses the magazine
-/// because the slab may be retired).
-pub fn bench_magazines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("magazines");
-    group.throughput(Throughput::Elements(1));
-    for (name, capacity, mode) in [
-        ("churn_64B_baseline", 0u32, None),
-        ("churn_64B_magazine", 16, None),
-        // On the wall-clock backend the magazine roughly breaks even
-        // (a raw DRAM bitset scan is nearly free); the simulated SWcc
-        // substrate is where the skipped descriptor traffic is real.
-        ("sim_churn_64B_baseline", 0, Some(HwccMode::Limited)),
-        ("sim_churn_64B_magazine", 16, Some(HwccMode::Limited)),
-    ] {
-        let alloc = CxlallocAdapter::new(
-            cxlalloc_pod(if mode.is_some() { 64 << 20 } else { 1 << 30 }, 8, mode),
-            1,
-            AttachOptions {
-                magazine_capacity: capacity,
-                coalesce_fences: capacity > 0,
-                ..AttachOptions::default()
-            },
-        );
-        let mut t = alloc.thread().unwrap();
-        // 480 of the slab's 512 blocks stay live: the first-fit scan
-        // must walk ~7 full bitset words per alloc, which is exactly
-        // the walk the magazine's block hint skips. (Held blocks also
-        // keep the slab from going fully free, where frees bypass the
-        // magazine because the slab may be retired.)
-        let held: Vec<_> = (0..480).map(|_| t.alloc(64).unwrap()).collect();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let p = t.alloc(64).unwrap();
-                t.dealloc(p).unwrap();
-            })
-        });
-        for p in held {
-            t.dealloc(p).unwrap();
-        }
     }
     group.finish();
 }
@@ -511,12 +465,13 @@ pub fn bench_kvstore(c: &mut Criterion) {
         })
     });
     // The same workload over cxlalloc itself (the MiLike labels above
-    // are the baseline and cannot reflect allocator changes): eager,
-    // and with the PR-4 amortizations on. Replaced entries are freed on
-    // the inserting thread after an EBR epoch, so magazines and fence
-    // coalescing are the active levers here.
-    let cxl_worker = |options: AttachOptions| {
-        let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, options);
+    // are the baseline and cannot reflect allocator changes).
+    let cxl_worker = || {
+        let alloc = CxlallocAdapter::new(
+            cxlalloc_pod(1 << 30, 8, None),
+            1,
+            AttachOptions::default(),
+        );
         let store = KvStore::new(1 << 14, 2);
         let mut w = store.worker(alloc.thread().unwrap());
         for key in 0..10_000 {
@@ -526,7 +481,7 @@ pub fn bench_kvstore(c: &mut Criterion) {
     };
     // A read allocates nothing: what separates this row from `get_hit`
     // is what cxlalloc charges per dereference.
-    let mut w = cxl_worker(AttachOptions::default());
+    let mut w = cxl_worker();
     let mut key = 0u64;
     group.bench_function("get_hit_cxl", |b| {
         b.iter(|| {
@@ -534,27 +489,14 @@ pub fn bench_kvstore(c: &mut Criterion) {
             w.get(key).unwrap()
         })
     });
-    for (name, options) in [
-        ("insert_replace_cxl", AttachOptions::default()),
-        (
-            "insert_replace_cxl_batched",
-            AttachOptions {
-                remote_free_batch: 16,
-                magazine_capacity: 16,
-                coalesce_fences: true,
-                ..AttachOptions::default()
-            },
-        ),
-    ] {
-        let mut w = cxl_worker(options);
-        let mut key = 0u64;
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                key = (key + 1) % 10_000;
-                w.insert(key, 8, 64).unwrap();
-            })
-        });
-    }
+    let mut w = cxl_worker();
+    let mut key = 0u64;
+    group.bench_function("insert_replace_cxl", |b| {
+        b.iter(|| {
+            key = (key + 1) % 10_000;
+            w.insert(key, 8, 64).unwrap();
+        })
+    });
     group.finish();
 }
 
@@ -621,7 +563,7 @@ const HOST_SCALING_STRIPES: u32 = 64;
 /// The two swept configurations: the unsharded baseline (single global
 /// free-list head, the paper's eager §3.2.1 publish protocol) vs the
 /// sharded heap (64 per-host-stripe freelists) with batched publishes
-/// and contention-adaptive flat combining on top.
+/// and coalesced fences on top.
 fn host_scaling_variants() -> [(&'static str, u32, AttachOptions); 2] {
     // `unsized_limit: 0` on both sides: every emptied slab overflows to
     // the global free list instead of parking on the thread-local
@@ -642,9 +584,7 @@ fn host_scaling_variants() -> [(&'static str, u32, AttachOptions); 2] {
             AttachOptions {
                 unsized_limit: 0,
                 remote_free_batch: 64,
-                magazine_capacity: 32,
                 coalesce_fences: true,
-                combining: true,
                 ..AttachOptions::default()
             },
         ),
@@ -742,9 +682,8 @@ fn sim_sum_ns(mem: &dyn cxl_pod::PodMemory) -> u64 {
 }
 
 /// Attaches the sweep's per-point counters (modeled ns/op, CAS retries
-/// with per-site attribution, line-contention traffic, combining
-/// activity) to the record just produced, normalized per block op /
-/// per 1k block ops.
+/// with per-site attribution, line-contention traffic) to the record
+/// just produced, normalized per block op / per 1k block ops.
 fn annotate_host_scaling(
     group: &mut criterion::BenchmarkGroup<'_>,
     delta: &cxl_pod::stats::MemStatsSnapshot,
@@ -767,7 +706,6 @@ fn annotate_host_scaling(
         "line_transfers_per_kop",
         per_kop(delta.line_fills + delta.writebacks),
     );
-    group.annotate_last("comb_wins_per_kop", per_kop(delta.comb_wins));
     // Fabric attribution, attached only when the pod actually crossed a
     // (non-disabled) fabric so uncongested records keep their pre-PR-10
     // field set byte-for-byte.
@@ -789,7 +727,7 @@ fn annotate_host_scaling(
 }
 
 /// Host-scaling sweep (PR 8): 1–64 simulated hosts over the remote-free
-/// and kvstore paths, unsharded vs sharded+combining. Hosts are
+/// and kvstore paths, unsharded vs sharded. Hosts are
 /// registered handles on distinct simulated cores driven round-robin on
 /// one OS thread over the `HwccMode::Limited` substrate: on the
 /// wall-clock backend a CI box's scheduler would drown the coherence
@@ -859,16 +797,6 @@ fn host_scaling_sweep(
             let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
             let mut team: Vec<ThreadHandle> =
                 (0..hosts).map(|_| heap.register_thread().unwrap()).collect();
-            if stripes > 1 && hosts > 2 {
-                // The governor engages combining from the observed CAS
-                // retry rate, but a round-robin schedule on one OS
-                // thread never loses a CAS, so the sweep pins the
-                // combiner at the boost the governor would converge to
-                // under real multi-host contention (DESIGN.md §13).
-                for t in &team {
-                    t.force_combining(4);
-                }
-            }
             let mut routed: Vec<Vec<OffsetPtr>> = (0..hosts)
                 .map(|_| Vec::with_capacity(2 * HOST_SCALING_BLOCKS))
                 .collect();
@@ -971,7 +899,6 @@ pub fn alloc_paths(c: &mut Criterion) {
     bench_local_paths(c);
     bench_remote_free(c);
     bench_remote_free_batched(c);
-    bench_magazines(c);
     bench_huge(c);
 }
 

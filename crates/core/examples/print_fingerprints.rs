@@ -9,7 +9,9 @@
 //!
 //! Always prints an old-vs-new diff summary, so a re-pin is a reviewed,
 //! deliberate act: every changed line names the profile and seed whose
-//! observable behaviour moved. See EXPERIMENTS.md for the protocol.
+//! observable behaviour moved. Without `--bless` a changed pin is a
+//! failure (exit status 1), so CI shows the whole table once instead of
+//! scattered test failures. See EXPERIMENTS.md for the protocol.
 
 use cxl_core::explore::Explorer;
 use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
@@ -120,7 +122,6 @@ fn main() {
         liveness: true,
         config: SimConfig {
             remote_free_batch: 8,
-            magazine_capacity: 4,
             coalesce_fences: true,
             ..SimConfig::default()
         },
@@ -159,6 +160,7 @@ fn main() {
     if !bless {
         if changed > 0 {
             println!("run again with --bless to rewrite tests/common/golden_fingerprints.rs");
+            std::process::exit(1);
         }
         return;
     }
@@ -197,8 +199,8 @@ fn main() {
     }
     let _ = write!(
         out,
-        "];\n\n/// Liveness profile with batched remote frees, magazines, and fence\n\
-         /// coalescing (PR 4): (seed, fingerprint).\n\
+        "];\n\n/// Liveness profile with batched remote frees and fence coalescing\n\
+         /// (PR 4): (seed, fingerprint).\n\
          #[allow(dead_code)]\n\
          pub const BATCHED: &[(u64, u64)] = &[\n"
     );

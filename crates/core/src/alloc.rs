@@ -30,7 +30,7 @@ use crate::error::AllocError;
 use crate::huge::{HugeHeap, HugeThread};
 use crate::liveness::{lease, registry};
 use crate::recovery::{self, RecoveryReport};
-use crate::remote::{Magazines, RemoteFreeBuffer};
+use crate::remote::RemoteFreeBuffer;
 use crate::shadow::DescShadow;
 use crate::slab::SlabHeap;
 use crate::{OffsetPtr, ThreadId};
@@ -143,51 +143,12 @@ pub struct AttachOptions {
     /// buffered when a thread dies are republished by recovery from the
     /// thread's durable header line (see DESIGN.md §9.1).
     pub remote_free_batch: u32,
-    /// Per-class capacity of the volatile magazine of recently freed
-    /// local blocks (mimalloc-style); allocations re-validate and reuse
-    /// these hints, skipping the bitset scan. 0 — the default —
-    /// disables magazines.
-    pub magazine_capacity: u32,
     /// Defer each completed slab op's log-clear durability to the next
     /// op's `begin` flush (the two share a cacheline), eliding one
     /// flush + fence pair per op. Crash consistency is preserved: the
     /// durable log then names the last *completed* op, whose redo is
     /// idempotent (DESIGN.md §9.3).
     pub coalesce_fences: bool,
-    /// Start each slab's allocation scan from its first-fit rover — a
-    /// volatile per-slab hint in the owner's descriptor shadow,
-    /// advanced past each allocation and pulled back to each locally
-    /// freed bit — instead of rescanning the bitmap from word zero.
-    /// Any hint value is safe (the scan
-    /// re-validates every word against the durable bitset, wrapping
-    /// around), and recovery is unaffected: the `AllocBlock` oplog word
-    /// records the *chosen* bit, so redo never depends on scan order.
-    /// `false` reproduces the scan-from-zero behavior of earlier
-    /// rounds, for differential testing and ablation benches.
-    pub rover: bool,
-    /// Empty-slab hysteresis: when a local free empties a slab that is
-    /// the *only* slab on its sized list, keep it there (sized, fully
-    /// free) instead of moving it to the unsized list. The next
-    /// same-class allocation then takes a block directly, skipping the
-    /// unsized-pop + full slab re-init (header, count, bitset,
-    /// remote-counter rewrite) that dominates tight alloc/free cycles.
-    /// Bounded: at most one empty slab per (thread, class) is retained,
-    /// and only while its list would otherwise go empty. An empty sized
-    /// slab is a valid Figure-4 state for every checker; crash recovery
-    /// still normalizes empty slabs to the unsized list (the paper's
-    /// transition), so the hysteresis is purely a live-path policy.
-    /// `false` reproduces the paper's eager empty transition.
-    pub retain_empty: bool,
-    /// Permit contention-adaptive flat-combining of remote-free
-    /// publications (DESIGN.md §13): when the per-thread governor
-    /// observes a high CAS-retry rate on the publish path, batched
-    /// publishes are posted to the thread's combiner-request word and
-    /// merged by a claim winner into one detectable CAS, and the
-    /// effective batch width widens beyond `remote_free_batch`. Quiet
-    /// threads keep the direct path, so uncontended latency is
-    /// unchanged. Requires `recoverable` (the request words are
-    /// resolved by crash recovery); ignored otherwise.
-    pub combining: bool,
 }
 
 impl Default for AttachOptions {
@@ -196,11 +157,7 @@ impl Default for AttachOptions {
             unsized_limit: 4,
             recoverable: true,
             remote_free_batch: 1,
-            magazine_capacity: 0,
             coalesce_fences: false,
-            rover: true,
-            retain_empty: true,
-            combining: false,
         }
     }
 }
@@ -334,13 +291,11 @@ impl Cxlalloc {
         false
     }
 
-    /// A foreign-thread context (no shadow, buffer, magazines or
-    /// combiner) over backend `mem`.
+    /// A foreign-thread context (no shadow or buffer) over backend `mem`.
     fn ctx<'a, M: PodMemory + ?Sized>(&'a self, mem: &'a M, tid: ThreadId, core: CoreId) -> Ctx<'a, M> {
-        self.ctx_with(mem, tid, core, None, None, None, None)
+        self.ctx_with(mem, tid, core, None, None)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn ctx_with<'a, M: PodMemory + ?Sized>(
         &'a self,
         mem: &'a M,
@@ -348,10 +303,7 @@ impl Cxlalloc {
         core: CoreId,
         shadow: Option<&'a DescShadow>,
         remote: Option<&'a RemoteFreeBuffer>,
-        magazines: Option<&'a Magazines>,
-        comb: Option<&'a crate::comb::Combiner>,
     ) -> Ctx<'a, M> {
-        let configured_batch = self.inner.options.remote_free_batch.clamp(1, 255);
         Ctx {
             mem,
             core,
@@ -361,15 +313,8 @@ impl Cxlalloc {
             recoverable: self.inner.options.recoverable,
             shadow,
             remote,
-            // The governor may widen the configured batch while the
-            // publish path is contended (narrowing again when quiet).
-            remote_free_batch: comb
-                .map_or(configured_batch, |c| c.effective_batch(configured_batch)),
-            magazines,
-            comb,
+            remote_free_batch: self.inner.options.remote_free_batch.clamp(1, 255),
             coalesce_fences: self.inner.options.coalesce_fences,
-            rover: self.inner.options.rover,
-            retain_empty: self.inner.options.retain_empty,
         }
     }
 
@@ -426,10 +371,6 @@ impl Cxlalloc {
             huge,
             shadow: DescShadow::new(mem.hwcc_mode()),
             remote: RemoteFreeBuffer::new(),
-            magazines: Magazines::new(self.inner.options.magazine_capacity),
-            comb: crate::comb::Combiner::new(
-                self.inner.options.combining && self.inner.options.recoverable,
-            ),
         }
     }
 
@@ -737,12 +678,6 @@ pub struct ThreadHandle {
     /// Pending (buffered, unpublished) remote frees, keyed by slab.
     /// Inert unless `AttachOptions::remote_free_batch > 1`.
     remote: RemoteFreeBuffer,
-    /// Volatile per-class magazines of recently freed local blocks.
-    /// Inert unless `AttachOptions::magazine_capacity > 0`.
-    magazines: Magazines,
-    /// Flat-combining governor and request-word mirror. Inert unless
-    /// `AttachOptions::combining` is set.
-    comb: crate::comb::Combiner,
 }
 
 impl ThreadHandle {
@@ -769,8 +704,6 @@ impl ThreadHandle {
             self.core,
             Some(&self.shadow),
             Some(&self.remote),
-            Some(&self.magazines),
-            Some(&self.comb),
         )
     }
 
@@ -812,8 +745,6 @@ impl ThreadHandle {
                 self.core,
                 Some(&self.shadow),
                 Some(&self.remote),
-                Some(&self.magazines),
-                Some(&self.comb),
             );
             let result = if size <= inner.small.classes.max_size() as usize {
                 inner.small.alloc(&ctx, size, dst)
@@ -968,8 +899,6 @@ impl ThreadHandle {
                 self.core,
                 Some(&self.shadow),
                 Some(&self.remote),
-                Some(&self.magazines),
-                Some(&self.comb),
             );
             self.heap.inner.huge.cleanup(&ctx, &mut self.huge)
         })
@@ -1041,15 +970,6 @@ impl ThreadHandle {
         };
         let slab = hl.slab_of(offset).expect("offset is in the data region");
         self.shadow.set_rover(mem, self.core, heap.kind, slab, rover);
-    }
-
-    /// Pins this thread's flat-combining governor: `boost > 0` engages
-    /// combining at that batch boost, `0` disengages. A deterministic
-    /// knob for tests and benchmarks; requires
-    /// [`AttachOptions::combining`] (ignored otherwise). The governor
-    /// keeps adapting from subsequent retry-rate windows as usual.
-    pub fn force_combining(&self, boost: u32) {
-        self.comb.force(boost);
     }
 }
 

@@ -338,54 +338,6 @@ pub fn remote_buffered(mem: &dyn PodMemory, core: CoreId) -> Vec<BufferedBatch> 
     out
 }
 
-/// One batch of remote frees found in a thread's durable
-/// combiner-request word ([`crate::comb`]): posted for flat-combined
-/// publication (or claimed by a winner) but with the combined decrement
-/// not yet landed. Like [`BufferedBatch`], an exact
-/// ledger-vs-census audit must credit these as already-freed. Words in
-/// the DONE state are *not* reported — their decrement landed and is
-/// already visible as [`SlabAudit::remote_pending`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CombBatch {
-    /// Thread slot whose request word holds the batch.
-    pub slot: u32,
-    /// Which sized heap the batch targets.
-    pub kind: crate::HeapKind,
-    /// Target slab index.
-    pub slab: u32,
-    /// Frees in the batch.
-    pub pending: u32,
-}
-
-/// Scans every thread slot's combiner-request word and returns the
-/// batches still pending there (POSTED or CLAIMED — publication in
-/// flight when the snapshot was taken, typically because a kill caught
-/// a combiner mid-protocol; the winner's recovery publishes them).
-pub fn comb_pending(mem: &dyn PodMemory, core: CoreId) -> Vec<CombBatch> {
-    let _ = core; // request words are direct segment atomics
-    let layout = mem.layout();
-    let mut out = Vec::new();
-    for slot in 0..layout.max_threads {
-        let word = crate::comb::read_word(mem, slot);
-        if !crate::comb::is_pending(word) {
-            continue;
-        }
-        let Some(kind) = crate::comb::kind_of(word) else {
-            continue;
-        };
-        let pending = crate::comb::k_of(word);
-        if pending > 0 {
-            out.push(CombBatch {
-                slot,
-                kind,
-                slab: crate::comb::slab_of(word),
-                pending,
-            });
-        }
-    }
-    out
-}
-
 fn census_huge(mem: &dyn PodMemory, core: CoreId, offsets: &mut Vec<u64>) -> Result<(), String> {
     let layout = mem.layout();
     let hl = &layout.huge;

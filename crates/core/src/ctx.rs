@@ -3,7 +3,7 @@
 use crate::crash;
 use crate::dcas::Dcas;
 use crate::oplog::OpLog;
-use crate::remote::{Magazines, RemoteFreeBuffer};
+use crate::remote::RemoteFreeBuffer;
 use crate::shadow::DescShadow;
 use crate::ThreadId;
 use cxl_pod::{CoreId, PodMemory, Process};
@@ -40,23 +40,9 @@ pub(crate) struct Ctx<'m, M: PodMemory + ?Sized = dyn PodMemory + 'm> {
     /// eager (publish every free individually, the paper's base
     /// protocol).
     pub remote_free_batch: u32,
-    /// The calling thread's free-block magazines (`None` for
-    /// foreign-thread contexts).
-    pub magazines: Option<&'m Magazines>,
-    /// The calling thread's flat-combining state (`None` for
-    /// foreign-thread contexts, which always publish directly).
-    pub comb: Option<&'m crate::comb::Combiner>,
     /// Whether log clears may defer their durability to the next
     /// operation's `begin` flush (fence coalescing).
     pub coalesce_fences: bool,
-    /// Whether allocation scans start from the per-slab first-fit
-    /// rover hint in the shadow (`false` reproduces scan-from-zero, for the
-    /// rover differential tests and ablation benches).
-    pub rover: bool,
-    /// Whether a thread's last emptied slab may stay on its sized list
-    /// (empty-slab hysteresis) instead of cycling through the unsized
-    /// list and a full re-init on the next same-class allocation.
-    pub retain_empty: bool,
 }
 
 impl<'m, M: PodMemory + ?Sized> Ctx<'m, M> {

@@ -75,21 +75,6 @@ pub enum AllocError {
         /// The contested thread slot.
         thread: crate::ThreadId,
     },
-    /// A flat-combining remote-free publication was claimed by a
-    /// combiner winner that never completed it within the bounded wait
-    /// deadline (the winner crashed or stalled mid-combine). The frees
-    /// are *not* lost: they remain durably recorded in the caller's
-    /// combiner-request word, and the winner's crash recovery publishes
-    /// them. The caller's subsequent publications fall back to the
-    /// direct path until the word is released.
-    CombinerStalled {
-        /// The waiting thread whose batch is in the winner's custody.
-        thread: crate::ThreadId,
-        /// The slab the stalled batch targets.
-        slab: u32,
-        /// Raw thread id of the combiner winner that went silent.
-        winner: u16,
-    },
     /// A heartbeat found the lease word carrying a different epoch: a
     /// detector declared this thread dead and an adopter (possibly in
     /// another process) re-incarnated the slot. The handle must stop
@@ -158,10 +143,6 @@ impl fmt::Display for AllocError {
             AllocError::AdoptionRaced { thread } => {
                 write!(f, "another survivor is already adopting {thread}")
             }
-            AllocError::CombinerStalled { thread, slab, winner } => write!(
-                f,
-                "combiner winner {winner} stalled holding {thread}'s batch for slab {slab}"
-            ),
             AllocError::LeaseStolen {
                 thread,
                 held_epoch,
@@ -212,11 +193,6 @@ mod tests {
                 thread: crate::ThreadId::new(1).unwrap(),
                 held_epoch: 1,
                 found_epoch: 2,
-            },
-            AllocError::CombinerStalled {
-                thread: crate::ThreadId::new(1).unwrap(),
-                slab: 3,
-                winner: 2,
             },
         ];
         for e in errors {

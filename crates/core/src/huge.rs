@@ -146,11 +146,7 @@ impl HugeHeap {
             // virtually contiguous — so a failed pass from the hint
             // falls back to one full pass from region 0 before we
             // report exhaustion.
-            let start_hint = if ctx.rover {
-                st.region_rover.min(hl.num_regions)
-            } else {
-                0
-            };
+            let start_hint = st.region_rover.min(hl.num_regions);
             let mut run_start = None;
             let mut run_len = 0;
             'passes: for pass in [start_hint, 0] {

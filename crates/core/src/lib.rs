@@ -65,7 +65,6 @@ pub mod backoff;
 pub mod bitset;
 pub mod cell;
 pub mod class;
-pub mod comb;
 pub mod crash;
 mod ctx;
 pub mod dcas;

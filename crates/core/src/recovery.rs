@@ -55,13 +55,8 @@ pub enum Op {
     /// Remote free reaching zero (steal): `a` = slab, `b` = batch
     /// width as above, `c` = version.
     RemoteFreeLast = 8,
-    /// Flat-combined remote free (not reaching zero): `a` = slab, `b` =
-    /// combined batch width, `c` = version, aux0 = the claimed
-    /// combiner-request slots packed as four 16-bit `slot + 1` fields.
-    RemoteFreeComb = 9,
-    /// Flat-combined remote free reaching zero (steal): fields as
-    /// [`Op::RemoteFreeComb`].
-    RemoteFreeCombLast = 10,
+    // Codes 9 and 10 are retired (the flat-combined remote-free
+    // records); they stay unused so later codes do not move.
     /// Huge allocation: aux = `[desc_off, data_off, size]`.
     HugeAlloc = 13,
     /// Huge free: aux = `[desc_off]`.
@@ -101,8 +96,6 @@ impl Op {
             6 => Op::FreeLocal,
             7 => Op::RemoteFree,
             8 => Op::RemoteFreeLast,
-            9 => Op::RemoteFreeComb,
-            10 => Op::RemoteFreeCombLast,
             13 => Op::HugeAlloc,
             14 => Op::HugeFree,
             15 => Op::HugeClaim,
@@ -159,45 +152,28 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
     sanitize_slab_lists(ctx, &SlabHeap::large(), &mut visited);
     let log = ctx.log();
     let entry = log.read(ctx.core);
-    // The durable-buffer scan must skip batches another durable
-    // representation already covers, evaluated *before* any redo
-    // mutates that state:
-    //
-    // * The dead thread's own combiner-request word, when non-EMPTY,
-    //   names a batch that superseded the slab's `remote_buf` word (the
-    //   post precedes the durable clear; a crash in between leaves
-    //   both). The request word wins; the scan must not double-publish.
-    // * A `RemoteFree*` record whose CAS never landed is applied by the
-    //   logged redo. The detect must run before the redo reruns the CAS
-    //   with a newer version (which makes the logged version
-    //   undetectable).
-    let mut scan_skips: Vec<(HeapKind, u32)> = Vec::new();
-    if ctx.recoverable {
-        let own = crate::comb::read_word(ctx.mem, ctx.tid.slot());
-        if crate::comb::state_nonempty(own) {
-            if let Some(kind) = crate::comb::kind_of(own) {
-                scan_skips.push((kind, crate::comb::slab_of(own)));
-            }
-        }
-    }
     let Some((op, kind)) = Op::decode(entry.word.op) else {
         log.clear(ctx.core);
-        resolve_combiner_claims(ctx);
-        republish_remote_buffer(ctx, &scan_skips);
+        republish_remote_buffer(ctx, None);
         flush_thread_lines(ctx);
         return RecoveryReport::clean("unknown op cleared");
     };
     if op == Op::Idle {
-        resolve_combiner_claims(ctx);
-        republish_remote_buffer(ctx, &scan_skips);
+        republish_remote_buffer(ctx, None);
         flush_thread_lines(ctx);
         return RecoveryReport::clean("idle");
     }
+    // The durable-buffer scan must skip the batch a logged
+    // `RemoteFree*` record already covers: a record whose CAS never
+    // landed is applied by the logged redo. Evaluated *before* the redo,
+    // which reruns the CAS with a newer version (making the logged
+    // version undetectable).
+    let mut scan_skip = None;
     if matches!(op, Op::RemoteFree | Op::RemoteFreeLast) && kind != HeapKind::Huge {
         let heap = SlabHeap::of(kind);
         let cell = heap.hl(ctx.mem).hwcc_desc_at(entry.word.a);
         if !ctx.dcas().detect(ctx.core, cell, ctx.tid, entry.word.c) {
-            scan_skips.push((kind, entry.word.a));
+            scan_skip = Some((kind, entry.word.a));
         }
     }
     let mut report = RecoveryReport {
@@ -216,14 +192,11 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
         }
         HeapKind::Huge => recover_huge(ctx, op, &entry, &mut report),
     }
-    // Resolve combiner-request words the logged redo did not cover
-    // (unlogged claims, posted-but-unclaimed batches), then republish
-    // batched remote frees the dead thread had buffered but not yet
-    // published. Both run their own logged publishes, so they must
-    // precede the final log clear only in program order — each publish
-    // leaves the log idle again.
-    resolve_combiner_claims(ctx);
-    republish_remote_buffer(ctx, &scan_skips);
+    // Republish batched remote frees the dead thread had buffered but
+    // not yet published. Each publish is itself logged and leaves the
+    // log idle again, so this must precede the final log clear only in
+    // program order.
+    republish_remote_buffer(ctx, scan_skip);
     log.clear(ctx.core);
     // Everything recovery wrote must be durable before the slot is
     // reused: flush the thread's local-head lines.
@@ -231,76 +204,14 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
     report
 }
 
-/// Resolves the flat-combining protocol's durable request words after a
-/// crash (idempotent; a re-run recovery finds released words and does
-/// nothing):
-///
-/// * The dead thread's **own word** still POSTED: no winner claimed the
-///   batch. Atomically take it back (CAS, because a live winner may
-///   claim concurrently) and publish it directly.
-/// * Own word CLAIMED **by the dead thread itself**: it won its own
-///   claim but crashed before logging the combined publish (a logged
-///   publish releases the word in its redo arm). Publish directly.
-/// * Own word CLAIMED by **another** thread: the batch is in that
-///   winner's custody — leave it; the winner (or its recovery) both
-///   publishes and DONE-marks it.
-/// * Own word DONE: already published by its winner; just release it.
-/// * **Another slot's word** CLAIMED by the dead thread without a
-///   logged combined record: the dead thread took custody but the
-///   combined CAS demonstrably never happened (a logged one is redone
-///   and released by [`recover_slab`] before this scan). Publish the
-///   contributor's batch directly and DONE-mark their word so their
-///   wait loop completes.
-fn resolve_combiner_claims<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) {
-    use crate::comb;
-    if !ctx.recoverable {
-        return;
-    }
-    let me = ctx.tid.slot();
-    let me_raw = ctx.tid.raw();
-    let own = comb::read_word(ctx.mem, me);
-    if comb::is_posted(own) {
-        // A live winner may race this take-back; the CAS arbitrates.
-        if comb::take_posted(ctx.mem, me, own) {
-            if let Some(kind) = comb::kind_of(own) {
-                SlabHeap::of(kind).publish_remote_frees(ctx, comb::slab_of(own), comb::k_of(own));
-            }
-        }
-    } else if comb::is_claimed_by(own, me_raw) {
-        if let Some(kind) = comb::kind_of(own) {
-            SlabHeap::of(kind).publish_remote_frees(ctx, comb::slab_of(own), comb::k_of(own));
-        }
-        comb::write_word(ctx.mem, me, comb::EMPTY_WORD);
-    } else if comb::state(own) == comb::DONE_STATE {
-        comb::write_word(ctx.mem, me, comb::EMPTY_WORD);
-    }
-    for slot in 0..ctx.mem.layout().max_threads {
-        if slot == me {
-            continue;
-        }
-        let w = comb::read_word(ctx.mem, slot);
-        if !comb::is_claimed_by(w, me_raw) {
-            continue;
-        }
-        if let Some(kind) = comb::kind_of(w) {
-            SlabHeap::of(kind).publish_remote_frees(ctx, comb::slab_of(w), comb::k_of(w));
-        }
-        // Only the claim winner writes a CLAIMED word, and the winner is
-        // dead: a plain DONE-mark store cannot race the contributor's
-        // read-only wait loop.
-        comb::write_word(ctx.mem, slot, comb::done_word(w, me_raw));
-    }
-}
-
 /// Scans the dead thread's durable remote-free header line and
 /// republishes every batch whose decrement never reached its HWcc
-/// counter. `skips` names batches another durable representation
-/// already covers — the thread's logged `RemoteFree*` redo, or its own
-/// combiner-request word: those words are cleared without republishing
+/// counter. `skip` names the batch the thread's logged `RemoteFree*`
+/// redo already covers: its word is cleared without republishing
 /// (publishing again would double-decrement the counter). Closes the
 /// pre-PR-5 `SLOTS × (batch − 1)` leak of buffered-but-unpublished
 /// frees.
-fn republish_remote_buffer<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, skips: &[(HeapKind, u32)]) {
+fn republish_remote_buffer<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, skip: Option<(HeapKind, u32)>) {
     use crate::remote::durable;
     if !ctx.recoverable {
         return;
@@ -317,7 +228,7 @@ fn republish_remote_buffer<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, skips: &[(He
         let Some((kind, slab, pending)) = durable::unpack(word) else {
             continue;
         };
-        if skips.contains(&(kind, slab)) || pending == 0 {
+        if skip == Some((kind, slab)) || pending == 0 {
             durable::clear_word(ctx, off);
             continue;
         }
@@ -611,55 +522,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
                 report.outcome = "remote free redone";
             }
         }
-        Op::RemoteFreeComb | Op::RemoteFreeCombLast => {
-            let cell = hl.hwcc_desc_at(slab);
-            if dcas.detect(ctx.core, cell, ctx.tid, version) {
-                if op == Op::RemoteFreeCombLast {
-                    refresh_slab_view(ctx, heap, slab);
-                    if !heap.contains_local(ctx, heap.unsized_head_off(ctx), slab) {
-                        heap.steal(ctx, slab);
-                    }
-                    heap.flush_desc(ctx, slab);
-                }
-                report.outcome = "combined remote free completed";
-            } else {
-                // The combined decrement never landed: redo it by the
-                // logged combined width (steals internally on last).
-                redo_remote_free(ctx, heap, slab, (entry.word.b as u32).max(1));
-                report.outcome = "combined remote free redone";
-            }
-            // Either way the logged batch is fully applied: release
-            // every contributor word the record claimed (DONE-mark
-            // theirs, clear our own) so no later scan republishes them.
-            release_logged_claims(ctx, entry.aux[0]);
-        }
         _ => unreachable!("huge ops dispatched separately"),
-    }
-}
-
-/// Releases the combiner-request words a redone `RemoteFreeComb*`
-/// record claimed: `packed` holds up to four 16-bit `slot + 1` fields
-/// (0 = unused). Idempotent — a word that is no longer CLAIMED by the
-/// dead thread (a previous recovery pass already released it, or the
-/// contributor reclaimed theirs) is left alone.
-fn release_logged_claims<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, packed: u64) {
-    use crate::comb;
-    let me = ctx.tid.slot();
-    let me_raw = ctx.tid.raw();
-    for i in 0..comb::MAX_CLAIM {
-        let field = (packed >> (i * 16)) & 0xFFFF;
-        let Some(slot) = (field as u32).checked_sub(1) else {
-            continue;
-        };
-        let w = comb::read_word(ctx.mem, slot);
-        if !comb::is_claimed_by(w, me_raw) {
-            continue;
-        }
-        if slot == me {
-            comb::write_word(ctx.mem, slot, comb::EMPTY_WORD);
-        } else {
-            comb::write_word(ctx.mem, slot, comb::done_word(w, me_raw));
-        }
     }
 }
 
@@ -838,8 +701,6 @@ mod tests {
             Op::FreeLocal,
             Op::RemoteFree,
             Op::RemoteFreeLast,
-            Op::RemoteFreeComb,
-            Op::RemoteFreeCombLast,
         ] {
             for kind in [HeapKind::Small, HeapKind::Large] {
                 let raw = op.encode(kind);

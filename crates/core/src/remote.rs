@@ -1,41 +1,29 @@
-//! Batched remote frees and per-thread magazines (hot-path amortization).
+//! Batched remote frees (hot-path amortization).
 //!
-//! Both structures are *per-thread DRAM state* riding on the
+//! [`RemoteFreeBuffer`] is *per-thread DRAM state* riding on the
 //! [`ThreadHandle`](crate::ThreadHandle), in the same spirit as the
-//! descriptor shadow (`shadow.rs`): they reduce CXL traffic on the hot
-//! path.
-//!
-//! * [`RemoteFreeBuffer`] — a small table of *pending* remote frees
-//!   keyed by `(heap, slab)`. The paper's §3.2.1 protocol pays one
-//!   detectable mCAS on the slab's HWcc counter per freed block; the
-//!   buffer accumulates up to `remote_free_batch` frees against one
-//!   slab and publishes them with a *single* detectable CAS that
-//!   decrements the counter by *k* (the batch width travels in the
-//!   oplog record's `b` byte so recovery can redo exactly the
-//!   undelivered decrement). Crash-equivalence: a batched
-//!   decrement-by-k is indistinguishable from k eager decrements that
-//!   were all delayed to the publish instant; the counter can never
-//!   reach zero while frees sit in the buffer (each buffered free holds
-//!   one of the counter's remaining credits), so no steal or slab
-//!   reinitialization can race the buffered state. In recoverable mode
-//!   the buffer is mirrored word-for-word into a per-thread *durable
-//!   header line* at the segment tail (the [`durable`] module): every
-//!   buffered free durably records the slab's new pending count, and a
-//!   publish durably clears the slab's word *before* issuing its CAS.
-//!   Recovery scans a dead thread's line and republishes every
-//!   surviving batch, so buffered-but-unpublished frees are no longer
-//!   lost (the pre-PR-5 `SLOTS × (batch-1)` bounded leak is gone).
-//! * [`Magazines`] — a bounded per-class LIFO of `(slab, bit)` *hints*
-//!   for recently locally-freed blocks (mimalloc-style), skipping the
-//!   bitset scan of the alloc fast path. Hints are advisory: the
-//!   allocator re-validates owner, class, and the bitset bit before
-//!   using one, so stale hints (slab stolen, reinitialized, or emptied
-//!   since) are simply discarded. On crash the magazine vanishes with
-//!   the thread; its contents were free blocks in the durable bitset
-//!   all along, so recovery is unchanged.
+//! descriptor shadow (`shadow.rs`): a small table of *pending* remote
+//! frees keyed by `(heap, slab)`. The paper's §3.2.1 protocol pays one
+//! detectable mCAS on the slab's HWcc counter per freed block; the
+//! buffer accumulates up to `remote_free_batch` frees against one slab
+//! and publishes them with a *single* detectable CAS that decrements the
+//! counter by *k* (the batch width travels in the oplog record's `b`
+//! byte so recovery can redo exactly the undelivered decrement).
+//! Crash-equivalence: a batched decrement-by-k is indistinguishable from
+//! k eager decrements that were all delayed to the publish instant; the
+//! counter can never reach zero while frees sit in the buffer (each
+//! buffered free holds one of the counter's remaining credits), so no
+//! steal or slab reinitialization can race the buffered state. In
+//! recoverable mode the buffer is mirrored word-for-word into a
+//! per-thread *durable header line* at the segment tail (the [`durable`]
+//! module): every buffered free durably records the slab's new pending
+//! count, and a publish durably clears the slab's word *before* issuing
+//! its CAS. Recovery scans a dead thread's line and republishes every
+//! surviving batch, so buffered-but-unpublished frees are no longer lost
+//! (the pre-PR-5 `SLOTS × (batch-1)` bounded leak is gone).
 
 use crate::error::HeapKind;
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 
 /// Slots in the pending-free table. Remote-free traffic concentrates on
 /// few producer slabs at a time; eviction publishes early, so this only
@@ -268,64 +256,6 @@ pub(crate) mod durable {
     }
 }
 
-/// Per-thread, per-class magazines of recently freed local blocks.
-///
-/// A magazine entry is a `(slab, bit)` *hint*; the consumer re-validates
-/// it against the descriptor and bitset before use.
-#[derive(Debug)]
-pub(crate) struct Magazines {
-    capacity: u32,
-    small: RefCell<Vec<Vec<(u32, u32)>>>,
-    large: RefCell<Vec<Vec<(u32, u32)>>>,
-}
-
-impl Magazines {
-    /// Magazines of `capacity` hints per class (0 disables — `push` and
-    /// `pop` become no-ops and the per-class vectors stay unallocated).
-    pub fn new(capacity: u32) -> Self {
-        let classes = |n: u32| {
-            if capacity == 0 {
-                Vec::new()
-            } else {
-                (0..n).map(|_| Vec::with_capacity(capacity as usize)).collect()
-            }
-        };
-        Magazines {
-            capacity,
-            small: RefCell::new(classes(crate::class::SMALL_CLASSES_TABLE.len())),
-            large: RefCell::new(classes(crate::class::LARGE_CLASSES_TABLE.len())),
-        }
-    }
-
-    fn per_kind(&self, kind: HeapKind) -> &RefCell<Vec<Vec<(u32, u32)>>> {
-        match kind {
-            HeapKind::Small => &self.small,
-            HeapKind::Large => &self.large,
-            HeapKind::Huge => unreachable!("huge allocations have no size classes"),
-        }
-    }
-
-    /// Offers a freed block's hint; dropped when disabled or full.
-    pub fn push(&self, kind: HeapKind, class: u8, slab: u32, bit: u32) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut mags = self.per_kind(kind).borrow_mut();
-        let mag = &mut mags[class as usize];
-        if (mag.len() as u32) < self.capacity {
-            mag.push((slab, bit));
-        }
-    }
-
-    /// Takes the most recently pushed hint for `class`, if any.
-    pub fn pop(&self, kind: HeapKind, class: u8) -> Option<(u32, u32)> {
-        if self.capacity == 0 {
-            return None;
-        }
-        self.per_kind(kind).borrow_mut()[class as usize].pop()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,25 +305,5 @@ mod tests {
             vec![(HeapKind::Small, 1, 2), (HeapKind::Large, 2, 1)]
         );
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn magazines_are_per_class_lifo_and_bounded() {
-        let mags = Magazines::new(2);
-        mags.push(HeapKind::Small, 4, 10, 0);
-        mags.push(HeapKind::Small, 4, 10, 1);
-        mags.push(HeapKind::Small, 4, 10, 2); // over capacity: dropped
-        mags.push(HeapKind::Small, 5, 11, 9);
-        assert_eq!(mags.pop(HeapKind::Small, 4), Some((10, 1)));
-        assert_eq!(mags.pop(HeapKind::Small, 4), Some((10, 0)));
-        assert_eq!(mags.pop(HeapKind::Small, 4), None);
-        assert_eq!(mags.pop(HeapKind::Small, 5), Some((11, 9)));
-    }
-
-    #[test]
-    fn disabled_magazines_are_inert() {
-        let mags = Magazines::new(0);
-        mags.push(HeapKind::Small, 0, 1, 2);
-        assert_eq!(mags.pop(HeapKind::Small, 0), None);
     }
 }

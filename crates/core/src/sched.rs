@@ -295,9 +295,6 @@ pub struct SimConfig {
     /// Remote-free batch width passed to [`AttachOptions`]; 1 (the
     /// default) keeps the paper's eager per-free publish.
     pub remote_free_batch: u32,
-    /// Magazine capacity passed to [`AttachOptions`]; 0 (the default)
-    /// disables magazines.
-    pub magazine_capacity: u32,
     /// Fence coalescing passed to [`AttachOptions`].
     pub coalesce_fences: bool,
     /// Fabric contention model for the pod ([`cxl_pod::fabric`]):
@@ -319,7 +316,6 @@ impl Default for SimConfig {
             live_cap: 48,
             lease_expiry_ticks: 3,
             remote_free_batch: 1,
-            magazine_capacity: 0,
             coalesce_fences: false,
             fabric: None,
         }
@@ -517,7 +513,6 @@ pub fn run_on(
                 AttachOptions {
                     unsized_limit: 1,
                     remote_free_batch: config.remote_free_batch,
-                    magazine_capacity: config.magazine_capacity,
                     coalesce_fences: config.coalesce_fences,
                     ..AttachOptions::default()
                 },

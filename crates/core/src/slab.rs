@@ -571,22 +571,6 @@ impl SlabHeap {
             .classes
             .class_of(size)
             .ok_or(AllocError::InvalidSize { size })?;
-        if let Some(mags) = ctx.magazines {
-            while let Some((slab, bit)) = mags.pop(self.kind, class) {
-                // A magazine hint is advisory: the slab may have been
-                // emptied, reclassed, or stolen since the hint was
-                // pushed, or the block reallocated. Re-validate owner,
-                // class, and the bitset bit; discard stale hints.
-                let header = self.header(ctx, slab);
-                if header.owner == ctx.tid.raw()
-                    && header.flags & flags::SIZED != 0
-                    && header.class == class
-                    && self.bits(ctx, slab, class).get(ctx.core, bit)
-                {
-                    return Ok(self.alloc_block_hint(ctx, slab, class, bit, detect_dst));
-                }
-            }
-        }
         loop {
             let Some(slab) = self.head_of(ctx, self.sized_head_off(ctx, class)) else {
                 self.acquire(ctx, class)?;
@@ -605,18 +589,13 @@ impl SlabHeap {
         // bitset word by word and wraps — and the log word below records
         // the *chosen* bit, so recovery never depends on scan order. A
         // crash here loses only the hint.
-        let hint = match ctx.shadow {
-            Some(shadow) if ctx.rover => shadow.rover(self.kind, slab),
-            _ => 0,
-        };
+        let hint = ctx.shadow.map_or(0, |shadow| shadow.rover(self.kind, slab));
         let bit = bits
             .find_set_from(ctx.core, hint)
             .expect("sized-list invariant: slabs on sized lists are non-full");
         ctx.crash_point("slab::alloc_block::rover");
         if let Some(shadow) = ctx.shadow {
-            if ctx.rover {
-                shadow.set_rover(ctx.mem, ctx.core, self.kind, slab, bit + 1);
-            }
+            shadow.set_rover(ctx.mem, ctx.core, self.kind, slab, bit + 1);
         }
         ctx.log().begin(
             ctx.core,
@@ -637,52 +616,6 @@ impl SlabHeap {
             // The slab is now full: unlink it so the sized list only
             // holds non-full slabs, then detach or disown (Figure 4).
             self.pop_local(ctx, self.sized_head_off(ctx, class));
-            ctx.crash_point("slab::alloc_block::after_unlink");
-            self.full_transition(ctx, slab, class);
-            ctx.crash_point("slab::alloc_block::after_transition");
-        }
-        self.finish_alloc(ctx, slab, class, bit, detect_dst)
-    }
-
-    /// Allocates the specific free block `bit` of owned, sized `slab` (a
-    /// validated magazine hint). Identical to [`Self::alloc_block`]
-    /// except the slab need not be its sized list's head, so the
-    /// full-slab transition unlinks with `remove_local`. Recovery is
-    /// shared: the redo of `AllocBlock` already locates the slab by
-    /// index, not list position.
-    fn alloc_block_hint<M: PodMemory + ?Sized>(
-        &self,
-        ctx: &Ctx<'_, M>,
-        slab: u32,
-        class: u8,
-        bit: u32,
-        detect_dst: u64,
-    ) -> u64 {
-        let bits = self.bits(ctx, slab, class);
-        // Keep the first-fit rover moving even on the magazine path, so
-        // a later scan resumes past the block the hint just consumed.
-        if let Some(shadow) = ctx.shadow {
-            if ctx.rover {
-                shadow.set_rover(ctx.mem, ctx.core, self.kind, slab, bit + 1);
-            }
-        }
-        ctx.log().begin(
-            ctx.core,
-            LogWord {
-                op: self.op(Op::AllocBlock),
-                a: slab,
-                b: class,
-                c: bit as u16,
-            },
-            &[detect_dst],
-        );
-        ctx.crash_point("slab::alloc_block::after_log");
-        bits.clear(ctx.core, bit);
-        let remaining = self.free_count(ctx, slab) - 1;
-        self.set_free_count(ctx, slab, remaining);
-        ctx.crash_point("slab::alloc_block::after_clear");
-        if remaining == 0 {
-            self.remove_local(ctx, self.sized_head_off(ctx, class), slab);
             ctx.crash_point("slab::alloc_block::after_unlink");
             self.full_transition(ctx, slab, class);
             ctx.crash_point("slab::alloc_block::after_transition");
@@ -766,6 +699,13 @@ impl SlabHeap {
     }
 
     /// The unsynchronized local-free fast path.
+    ///
+    /// Applies the empty-slab hysteresis (argued where the slab
+    /// empties, below): at most one fully-free slab per (thread, class)
+    /// stays sized, and only while its list would otherwise go empty. An
+    /// empty sized slab is a valid Figure-4 state for every checker, and
+    /// the policy is live-path only — crash recovery still moves empty
+    /// slabs to the unsized list (the paper's transition).
     fn free_local<M: PodMemory + ?Sized>(
         &self,
         ctx: &Ctx<'_, M>,
@@ -818,8 +758,7 @@ impl SlabHeap {
             // blocks. Recovery is untouched — `normalize_slab` still
             // maps a crashed empty slab to the unsized list, which is a
             // valid (paper Figure-4) state the next allocation handles.
-            let alone = ctx.retain_empty
-                && self.head_of(ctx, self.sized_head_off(ctx, class)) == Some(slab)
+            let alone = self.head_of(ctx, self.sized_head_off(ctx, class)) == Some(slab)
                 && self.header(ctx, slab).next == 0;
             if !alone {
                 // Move from the sized list to the unsized list.
@@ -835,13 +774,6 @@ impl SlabHeap {
         ctx.crash_point("slab::free_local::after_relink");
         ctx.log().clear_relaxed(ctx.core);
         if stayed_sized {
-            // The slab stayed sized and owned: hint the freed block to
-            // the magazine so the next same-class alloc can skip the
-            // bitset scan. (A slab demoted to the unsized list would
-            // only produce a stale, discarded hint.)
-            if let Some(mags) = ctx.magazines {
-                mags.push(self.kind, class, slab, bit);
-            }
             // Pull the rover back to the freed bit. Without this the
             // hint is pure next-fit: it marches past freed-behind
             // blocks until it falls off the end of the bitmap and the
@@ -854,7 +786,7 @@ impl SlabHeap {
             // freer doesn't own the shadow); the wrap pass in
             // `find_set_from` keeps those reachable.
             if let Some(shadow) = ctx.shadow {
-                if ctx.rover && bit < shadow.rover(self.kind, slab) {
+                if bit < shadow.rover(self.kind, slab) {
                     shadow.set_rover(ctx.mem, ctx.core, self.kind, slab, bit);
                 }
             }
@@ -879,14 +811,7 @@ impl SlabHeap {
     /// The remote-free path: decrement the HWcc counter with detectable
     /// (m)CAS; steal the slab if we reach zero.
     fn free_remote<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, offset: u64) -> Result<(), AllocError> {
-        // While this thread's combiner-request word names `slab`, frees
-        // against it must bypass buffering: a durable `remote_buf`
-        // record for the same slab would give the slab two durable batch
-        // representations and recovery's dedup rule would double-count.
-        let buffering_blocked = ctx
-            .comb
-            .is_some_and(|c| c.blocks_buffering(self.kind, slab));
-        if ctx.remote_free_batch > 1 && !buffering_blocked {
+        if ctx.remote_free_batch > 1 {
             if let Some(buf) = ctx.remote {
                 return self.free_remote_buffered(ctx, buf, slab, offset);
             }
@@ -930,9 +855,6 @@ impl SlabHeap {
             {
                 ctx.crash_point("slab::remote_free::after_cas");
                 ctx.mem.trace_op(ctx.core, TraceKind::RemoteFreePublish, 1);
-                if let Some(comb) = ctx.comb {
-                    comb.note_publish();
-                }
                 if last {
                     self.steal(ctx, slab);
                 }
@@ -947,9 +869,6 @@ impl SlabHeap {
                 .note_cas_retry_at(cxl_pod::stats::CasRetrySite::RemotePublish);
             ctx.mem
                 .trace_op(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
-            if let Some(comb) = ctx.comb {
-                comb.note_retry();
-            }
         }
     }
 
@@ -982,16 +901,6 @@ impl SlabHeap {
         }
         if count >= ctx.remote_free_batch {
             let k = buf.take(self.kind, slab);
-            // The contention governor routes hot publishes through the
-            // flat-combining path; quiet threads keep the direct CAS.
-            // Combining needs recovery machinery (the request word is
-            // resolved by crash recovery), so the nonrecoverable
-            // ablation always publishes directly.
-            if let Some(comb) = ctx.comb {
-                if ctx.recoverable && comb.should_combine() {
-                    return crate::comb::publish_combined(ctx, self, comb, slab, k);
-                }
-            }
             self.publish_remote_frees(ctx, slab, k);
         } else if ctx.recoverable {
             // Mirror the new pending count into the durable header line
@@ -1065,9 +974,6 @@ impl SlabHeap {
                 ctx.mem.note_remote_free_batched(k_eff as u64);
                 ctx.mem
                     .trace_op(ctx.core, TraceKind::RemoteFreePublish, k_eff as u64);
-                if let Some(comb) = ctx.comb {
-                    comb.note_publish();
-                }
                 if last {
                     self.steal(ctx, slab);
                 }
@@ -1082,9 +988,6 @@ impl SlabHeap {
                 .note_cas_retry_at(cxl_pod::stats::CasRetrySite::RemotePublish);
             ctx.mem
                 .trace_op(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
-            if let Some(comb) = ctx.comb {
-                comb.note_retry();
-            }
         }
     }
 

@@ -33,8 +33,8 @@ pub const LIVENESS: &[(u64, u64)] = &[
     (47, 0x19293bac26aebed6),
 ];
 
-/// Liveness profile with batched remote frees, magazines, and fence
-/// coalescing (PR 4): (seed, fingerprint).
+/// Liveness profile with batched remote frees and fence coalescing
+/// (PR 4): (seed, fingerprint).
 #[allow(dead_code)]
 pub const BATCHED: &[(u64, u64)] = &[
     (23, 0x55b495b7daa34c14),

@@ -5,14 +5,13 @@
 //! ever fires; a listed label with no call is a matrix row that can
 //! only ever report "never reached".
 
-use cxl_core::{comb, huge, slab};
+use cxl_core::{huge, slab};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-const LISTS: [(&str, &[&str]); 4] = [
+const LISTS: [(&str, &[&str]); 3] = [
     ("slab::CRASH_POINTS", slab::CRASH_POINTS),
     ("slab::BATCH_CRASH_POINTS", slab::BATCH_CRASH_POINTS),
-    ("comb::COMB_CRASH_POINTS", comb::COMB_CRASH_POINTS),
     ("huge::CRASH_POINTS", huge::CRASH_POINTS),
 ];
 

@@ -122,6 +122,87 @@ fn every_slab_crash_point_recovers() {
     }
 }
 
+/// A thread that dies inside the first allocation from its retained
+/// empty slab: recovery undoes the allocation and `normalize_slab` moves
+/// the (again fully free) slab to the unsized list — the hysteresis is a
+/// live-path policy only — with a census naming exactly the blocks the
+/// victim still held.
+#[test]
+fn retained_empty_slab_is_normalized_by_recovery() {
+    use cxl_core::cell::{flags, SwccHeader};
+    use cxl_core::class::SMALL_CLASSES_TABLE;
+    let class = SMALL_CLASSES_TABLE.class_of(64).unwrap();
+    let blocks = SMALL_CLASSES_TABLE.blocks_per_slab(class);
+    for mode in [None, Some(HwccMode::Limited)] {
+        let pod = pod(mode);
+        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+        let (tid, slab, mut kept) = std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut t = heap.register_thread().unwrap();
+                // Blocks of other classes stay live across the crash;
+                // the first doubles as the detect destination.
+                let kept: Vec<OffsetPtr> = [8, 128, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
+                let cycle: Vec<OffsetPtr> = (0..blocks).map(|_| t.alloc(64).unwrap()).collect();
+                let slab = pod.layout().small.slab_of(cycle[0].offset()).unwrap();
+                for p in cycle {
+                    t.dealloc(p).unwrap();
+                }
+                // Quiesce, so the interrupted allocation is the only
+                // thing the crash can take with the victim's cache.
+                t.flush_cache();
+                crash::arm(CrashPlan {
+                    at: "slab::alloc_block::after_clear",
+                    skip: 0,
+                });
+                let crashed = crash::catch(std::panic::AssertUnwindSafe(|| {
+                    t.alloc_detectable(64, kept[0]).unwrap();
+                }))
+                .is_err();
+                crash::disarm();
+                assert!(crashed, "the allocation passes after_clear");
+                (t.tid(), slab, kept)
+            })
+            .join()
+            .unwrap()
+        });
+        heap.mark_crashed(tid).unwrap();
+        let survivor = heap.register_thread().unwrap();
+        let via = survivor.core();
+        heap.recover(tid, via).unwrap();
+
+        // Durable image, read through the survivor's (flushed) view.
+        let mem = pod.memory();
+        let hl = &pod.layout().small;
+        let durable = |off: u64| {
+            mem.flush(via, off, 8);
+            mem.fence(via);
+            mem.load_u64(via, off)
+        };
+        let header = SwccHeader::unpack(durable(hl.swcc_desc_at(slab)));
+        assert_eq!(header.owner, tid.raw(), "{mode:?}");
+        assert_eq!(header.flags & flags::SIZED, 0, "{mode:?}: slab {slab} is unsized");
+        assert_eq!(durable(hl.local_sized_at(tid.slot(), class as u32)), 0, "{mode:?}");
+        assert_eq!(durable(hl.local_unsized_at(tid.slot())), slab as u64 + 1, "{mode:?}");
+        heap.check_invariants(via)
+            .unwrap_or_else(|e| panic!("invariants ({mode:?}): {e}"));
+        let mut expected: Vec<u64> = kept.iter().map(|p| p.offset()).collect();
+        expected.sort_unstable();
+        assert_eq!(heap.census(via).unwrap().all_offsets(), expected, "{mode:?}");
+
+        // The adopter allocates from the normalized slab, not a new one.
+        let slabs = heap.stats().small_slabs;
+        let (mut adopted, _report) = heap.adopt(tid, via).unwrap();
+        let reused = adopted.alloc(64).unwrap();
+        assert_eq!(pod.layout().small.slab_of(reused.offset()), Some(slab), "{mode:?}");
+        assert_eq!(heap.stats().small_slabs, slabs, "{mode:?}");
+        kept.push(reused);
+        for p in kept {
+            adopted.dealloc(p).unwrap();
+        }
+        heap.check_invariants(via).unwrap();
+    }
+}
+
 #[test]
 fn remote_free_crash_points_recover() {
     for point in [

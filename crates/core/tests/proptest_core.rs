@@ -91,30 +91,43 @@ proptest! {
         // blocks), live-byte totals, the per-class live multiset, and
         // the slab-level trajectory (the rover only reorders bits
         // *within* a slab; slab fill/empty events are unchanged).
-        let mk = |rover: bool| {
+        let mk = || {
             let pod = Pod::new(PodConfig {
                 small_max_slabs: 256,
                 ..PodConfig::small_for_tests()
             }).unwrap();
-            let heap = Cxlalloc::attach(
-                pod.spawn_process(),
-                AttachOptions { rover, ..AttachOptions::default() },
-            ).unwrap();
+            let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
             (pod, heap)
         };
-        let (pod_r, heap_r) = mk(true);
-        let (_pod_z, heap_z) = mk(false);
+        let (pod_r, heap_r) = mk();
+        let (pod_z, heap_z) = mk();
         let mut tr = heap_r.register_thread().unwrap();
         let mut tz = heap_z.register_thread().unwrap();
         let mut live_r: Vec<(OffsetPtr, usize)> = Vec::new();
         let mut live_z: Vec<(OffsetPtr, usize)> = Vec::new();
         let mut shadow_r: HashMap<u64, usize> = HashMap::new();
+        // The reference heap scans from zero: before each allocation the
+        // rover of every slab its thread has allocated from is zeroed
+        // (one pointer per slab, keyed by the slab's data offset), and a
+        // slab it never touched has no rover yet.
+        let mut touched_z: HashMap<u64, OffsetPtr> = HashMap::new();
+        let slab_base = |offset: u64| {
+            let layout = pod_z.layout();
+            let hl = if layout.small.data.contains(offset) { &layout.small } else { &layout.large };
+            hl.slab_data_at(hl.slab_of(offset).unwrap())
+        };
 
         for op in ops {
             match op {
                 AllocOp::Alloc(size) => {
+                    for &p in touched_z.values() {
+                        tz.debug_set_rover(p, 0);
+                    }
                     let pr = tr.alloc(size);
                     let pz = tz.alloc(size);
+                    if let Ok(pz) = pz {
+                        touched_z.insert(slab_base(pz.offset()), pz);
+                    }
                     prop_assert_eq!(pr.is_ok(), pz.is_ok(), "success diverged for size {}", size);
                     let (Ok(pr), Ok(pz)) = (pr, pz) else { continue };
                     // Map oracle on the rover heap: in some data

@@ -1,15 +1,14 @@
-//! PR 4 acceptance tests: batched remote frees, per-thread magazines,
-//! and fence coalescing.
+//! PR 4 acceptance tests: batched remote frees and fence coalescing.
 //!
 //! * Crash matrix over the batched publish path
 //!   ([`cxl_core::slab::BATCH_CRASH_POINTS`]): a decrement-by-k must be
 //!   crash-equivalent to k delayed decrements-by-1 — the logged batch
 //!   width lets recovery redo exactly the undelivered decrement, and
 //!   detect prevents a double decrement when the CAS already landed.
-//! * Differential proptest: magazine-enabled and magazine-disabled
-//!   heaps driven by the same op sequence produce identical
-//!   post-quiesce slab bitsets and identical bitset-visible live bytes
-//!   at every quiesce point.
+//! * Differential proptest: fence-coalescing and default heaps driven
+//!   by the same op sequence produce identical post-quiesce slab
+//!   bitsets and identical bitset-visible live bytes at every quiesce
+//!   point.
 //! * Differential (seeded): a producer/consumer run with batch 8 ends
 //!   with exactly the HWcc counters of the eager (batch 1) run once the
 //!   consumer's buffer drains at its quiesce point.
@@ -38,7 +37,6 @@ fn pod() -> Pod {
 fn batched_options(batch: u32) -> AttachOptions {
     AttachOptions {
         remote_free_batch: batch,
-        magazine_capacity: 4,
         coalesce_fences: true,
         ..AttachOptions::default()
     }
@@ -268,7 +266,7 @@ fn buffered_frees_republished_after_crash() {
 }
 
 // ---------------------------------------------------------------------------
-// Magazine differential: same ops, magazines on vs off.
+// Fence-coalescing differential: same ops, coalescing on vs off.
 // ---------------------------------------------------------------------------
 
 /// Sums live (allocated) bytes of the small heap's sized slabs from the
@@ -325,13 +323,13 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Magazines are semantically invisible: the same single-class op
-    /// sequence on a magazine-enabled and a magazine-disabled heap
+    /// Fence coalescing is semantically invisible: the same
+    /// single-class op sequence on a coalescing and a default heap
     /// yields, at every quiesce point and after a full drain, identical
     /// bitset-visible live bytes (== the model's) and an identical
     /// durable bitset image.
     #[test]
-    fn magazine_differential_identical_quiesce_state(
+    fn fence_coalescing_differential_identical_quiesce_state(
         ops in proptest::collection::vec(diff_op(), 1..250)
     ) {
         let class = cxl_core::class::SMALL_CLASSES_TABLE.class_of(64).unwrap();
@@ -340,7 +338,6 @@ proptest! {
         let heap_off =
             Cxlalloc::attach(pod_off.spawn_process(), AttachOptions::default()).unwrap();
         let heap_on = Cxlalloc::attach(pod_on.spawn_process(), AttachOptions {
-            magazine_capacity: 8,
             coalesce_fences: true,
             ..AttachOptions::default()
         })
@@ -398,7 +395,7 @@ proptest! {
         prop_assert_eq!(
             heap_off.stats().small_slabs,
             heap_on.stats().small_slabs,
-            "magazines changed slab consumption"
+            "fence coalescing changed slab consumption"
         );
         prop_assert_eq!(hash_off, hash_on, "post-quiesce bitsets diverged");
         heap_off.check_invariants(t_off.core()).unwrap();

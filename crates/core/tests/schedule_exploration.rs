@@ -227,8 +227,8 @@ fn golden_replay_fingerprints_are_pinned() {
         let got = liveness.run_seed(seed).unwrap().fingerprint;
         assert_eq!(got, want, "liveness seed {seed}: {got:#018x} != {want:#018x}");
     }
-    // The liveness profile with batched remote frees, magazines, and
-    // fence coalescing enabled (PR 4). Both fingerprints differ from
+    // The liveness profile with batched remote frees and fence
+    // coalescing enabled (PR 4). Both fingerprints differ from
     // the eager runs of the same seeds above, proving the schedules
     // actually drive the batched publish path (crashes, adoptions, and
     // steals included) — and that it stays deterministic.
@@ -236,7 +236,6 @@ fn golden_replay_fingerprints_are_pinned() {
         liveness: true,
         config: SimConfig {
             remote_free_batch: 8,
-            magazine_capacity: 4,
             coalesce_fences: true,
             ..SimConfig::default()
         },

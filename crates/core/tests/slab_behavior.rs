@@ -48,20 +48,15 @@ fn freed_blocks_are_reused() {
 
 #[test]
 fn freed_blocks_are_reused_exactly_without_rover() {
-    // The scan-from-zero ablation (`rover: false`) preserves the
-    // classic lowest-bit-first policy: the freed block comes right back.
-    let pod = Pod::new(PodConfig::small_for_tests()).unwrap();
-    let heap = Cxlalloc::attach(
-        pod.spawn_process(),
-        AttachOptions {
-            rover: false,
-            ..AttachOptions::default()
-        },
-    )
-    .unwrap();
+    // The scan-from-zero reference (the slab's rover zeroed before the
+    // allocation, which makes `find_set_from` perform `find_set`'s
+    // loads) preserves the classic lowest-bit-first policy: the freed
+    // block comes right back.
+    let (_pod, heap) = setup();
     let mut t = heap.register_thread().unwrap();
     let a = t.alloc(64).unwrap();
     t.dealloc(a).unwrap();
+    t.debug_set_rover(a, 0);
     let b = t.alloc(64).unwrap();
     assert_eq!(a, b, "scan-from-zero should hand the block right back");
 }
@@ -145,6 +140,56 @@ fn empty_slabs_overflow_to_global_list_and_are_reused() {
         b.dealloc(p).unwrap();
     }
     heap.check_invariants(b.core()).unwrap();
+}
+
+/// The sized small-heap slabs `tid` owns, as `(class, free blocks)`,
+/// read from the descriptors of a raw pod (which are always current).
+fn owned_sized_slabs(pod: &Pod, heap: &Cxlalloc, tid: cxl_core::ThreadId) -> Vec<(u8, u32)> {
+    use cxl_core::cell::{flags, SwccHeader};
+    let hl = &pod.layout().small;
+    let mem = pod.memory();
+    (0..heap.stats().small_slabs)
+        .filter_map(|slab| {
+            let header = SwccHeader::unpack(mem.load_u64(CoreId(0), hl.swcc_desc_at(slab)));
+            (header.owner == tid.raw() && header.flags & flags::SIZED != 0).then(|| {
+                (header.class, mem.load_u64(CoreId(0), hl.free_count_at(slab)) as u32)
+            })
+        })
+        .collect()
+}
+
+#[test]
+fn empty_slab_hysteresis_retains_one_slab_per_class() {
+    // The bound `SlabHeap::free_local` documents: a thread retains at
+    // most one fully-free sized slab per class, however much it cycles.
+    use cxl_core::class::SMALL_CLASSES_TABLE;
+    let (pod, heap) = setup();
+    let mut t = heap.register_thread().unwrap();
+    let sizes = [64usize, 128, 256];
+    let mut expected: Vec<(u8, u32)> = sizes
+        .iter()
+        .map(|&size| {
+            let class = SMALL_CLASSES_TABLE.class_of(size).unwrap();
+            (class, SMALL_CLASSES_TABLE.blocks_per_slab(class))
+        })
+        .collect();
+    expected.sort_unstable();
+    // First cycle: exactly one slab's worth per class; second cycle: two
+    // and a half, so slabs fill, detach, relink and empty out of order.
+    for slabs_x2 in [2usize, 5] {
+        for &size in &sizes {
+            let class = SMALL_CLASSES_TABLE.class_of(size).unwrap();
+            let count = SMALL_CLASSES_TABLE.blocks_per_slab(class) as usize * slabs_x2 / 2;
+            let ptrs: Vec<OffsetPtr> = (0..count).map(|_| t.alloc(size).unwrap()).collect();
+            for p in ptrs {
+                t.dealloc(p).unwrap();
+            }
+        }
+        let mut held = owned_sized_slabs(&pod, &heap, t.tid());
+        held.sort_unstable();
+        assert_eq!(held, expected, "one fully-free sized slab per class, no other");
+        heap.check_invariants(t.core()).unwrap();
+    }
 }
 
 #[test]

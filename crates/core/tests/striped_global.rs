@@ -1,5 +1,4 @@
-//! PR 8 acceptance tests: the striped global free list and the
-//! flat-combining remote-free publication path.
+//! PR 8 acceptance tests: the striped global free list.
 //!
 //! * Crash matrix over the per-stripe `pop_global` / `push_global`
 //!   points with `global_stripes: 8`: the stripe index travels in the
@@ -11,21 +10,9 @@
 //! * Differential proptest: the same op sequence on a stripes=1 and a
 //!   stripes=8 pod yields censuses that both match the tracked live
 //!   set exactly (the unsharded heap is the oracle).
-//! * Crash matrix over every [`cxl_core::comb::COMB_CRASH_POINTS`]
-//!   label: a combined publish of k frees is crash-equivalent to k
-//!   delayed eager frees — the counter lands on exactly `blocks - k`
-//!   no matter where the combiner dies, and the request word is
-//!   released.
-//! * Combining semantics: a winner merges a foreign POSTED batch into
-//!   one decrement and DONE-marks the contributor; a word stuck in a
-//!   stalled winner's custody forces the direct path without touching
-//!   the word; a stale DONE word is released on the next publish.
-//! * Recovery resolves a dead thread's combiner state: its own POSTED
-//!   batch is taken back and republished, and claims it held on other
-//!   threads' words are published and DONE-marked.
 
 use cxl_core::crash::{self, CrashPlan};
-use cxl_core::{comb, AttachOptions, Cxlalloc, HeapKind, OffsetPtr, ThreadId};
+use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr, ThreadId};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
 use proptest::prelude::*;
 
@@ -52,16 +39,6 @@ fn overflow_options() -> AttachOptions {
     }
 }
 
-/// Attach options with flat combining permitted over a 4-wide batch.
-fn combining_options() -> AttachOptions {
-    AttachOptions {
-        remote_free_batch: 4,
-        coalesce_fences: true,
-        combining: true,
-        ..AttachOptions::default()
-    }
-}
-
 /// Runs `victim` on a fresh thread with a crash plan armed; returns the
 /// victim's tid plus whether the crash fired.
 fn crash_thread(
@@ -81,13 +58,6 @@ fn crash_thread(
         .join()
         .unwrap()
     })
-}
-
-/// Reads a small-heap slab's HWcc remote counter from durable memory.
-fn remote_counter(pod: &Pod, slab: u32) -> u32 {
-    let mem = pod.memory().as_ref();
-    cxl_core::cell::Detect::unpack(mem.load_u64(CoreId(13), mem.layout().small.hwcc_desc_at(slab)))
-        .payload
 }
 
 /// Whether global free-list stripe `stripe` (small heap) holds a slab.
@@ -340,240 +310,4 @@ proptest! {
         heap_1.check_invariants(a_1.core()).unwrap();
         heap_8.check_invariants(a_8.core()).unwrap();
     }
-}
-
-/// Crash matrix over every combined-publish point: the counter lands on
-/// exactly `512 - 4` whether the combiner died before posting took
-/// effect, mid-claim, with the log written, after the CAS, or after
-/// releasing its claims — and the request word ends EMPTY.
-#[test]
-fn combined_publish_crash_points_recover() {
-    for &point in comb::COMB_CRASH_POINTS {
-        let pod = striped_pod(STRIPES);
-        let heap = Cxlalloc::attach(pod.spawn_process(), combining_options()).unwrap();
-        let mut producer = heap.register_thread().unwrap();
-        let ptrs: Vec<OffsetPtr> = (0..512).map(|_| producer.alloc(64).unwrap()).collect();
-        assert_eq!(remote_counter(&pod, 0), 512);
-
-        let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip: 0 }, |t| {
-            t.force_combining(4);
-            for p in &ptrs[..4] {
-                t.dealloc(*p).unwrap();
-            }
-        });
-        assert!(crashed, "never reached {point}");
-        heap.mark_crashed(tid).unwrap();
-
-        // The producer keeps working while the victim is dead.
-        for _ in 0..50 {
-            let p = producer.alloc(64).unwrap();
-            producer.dealloc(p).unwrap();
-        }
-
-        heap.recover(tid, producer.core()).unwrap();
-        assert_eq!(
-            remote_counter(&pod, 0),
-            508,
-            "{point}: batch lost or double-published"
-        );
-        assert_eq!(
-            comb::read_word(pod.memory().as_ref(), tid.slot()),
-            0,
-            "{point}: request word not released"
-        );
-        heap.check_invariants(producer.core())
-            .unwrap_or_else(|e| panic!("invariants after {point}: {e}"));
-
-        let (mut adopted, _) = heap.adopt(tid, producer.core()).unwrap();
-        let p = adopted.alloc(64).unwrap();
-        adopted.dealloc(p).unwrap();
-        heap.check_invariants(adopted.core()).unwrap();
-    }
-}
-
-/// A combining winner merges a foreign POSTED batch against the same
-/// slab into its own publish — one decrement covers both — and
-/// DONE-marks the contributor's word with its own identity.
-#[test]
-fn winner_merges_foreign_posted_batch() {
-    let pod = striped_pod(STRIPES);
-    let heap = Cxlalloc::attach(pod.spawn_process(), combining_options()).unwrap();
-    let mut owner = heap.register_thread().unwrap();
-    let ptrs: Vec<OffsetPtr> = (0..512).map(|_| owner.alloc(64).unwrap()).collect();
-    assert_eq!(remote_counter(&pod, 0), 512);
-
-    let mut friend = heap.register_thread().unwrap();
-    friend.force_combining(4);
-
-    // Simulate a contributor on an unoccupied slot that posted a batch
-    // of 7 against the same slab and is waiting for a winner.
-    let fake_slot = (0..16)
-        .find(|s| *s != owner.tid().slot() && *s != friend.tid().slot())
-        .unwrap();
-    let mem = pod.memory().as_ref();
-    comb::write_word(mem, fake_slot, comb::posted_word(HeapKind::Small, 0, 7));
-
-    // The friend's 4th remote free triggers a combined publish that
-    // claims the fake batch: one decrement of 11.
-    for p in &ptrs[..4] {
-        friend.dealloc(*p).unwrap();
-    }
-    assert_eq!(remote_counter(&pod, 0), 512 - 11);
-    let w = comb::read_word(mem, fake_slot);
-    assert!(comb::is_done(w), "contributor word not DONE-marked");
-    assert_eq!(
-        w,
-        comb::done_marked(HeapKind::Small, 0, 7, friend.tid().raw()),
-        "DONE word must preserve the batch identity and name the winner"
-    );
-    assert_eq!(comb::read_word(mem, friend.tid().slot()), 0);
-
-    // Clean up the simulated slot so it cannot confuse later audits.
-    comb::write_word(mem, fake_slot, 0);
-}
-
-/// A request word stuck in a (stalled) winner's custody forces the
-/// direct publish path — the word is not touched, latency is bounded —
-/// and a stale DONE word is released on the next publish, after which
-/// combining resumes.
-#[test]
-fn stalled_custody_falls_back_to_direct_path() {
-    let pod = striped_pod(STRIPES);
-    let heap = Cxlalloc::attach(pod.spawn_process(), combining_options()).unwrap();
-    let mut owner = heap.register_thread().unwrap();
-    let ptrs: Vec<OffsetPtr> = (0..512).map(|_| owner.alloc(64).unwrap()).collect();
-
-    let mut friend = heap.register_thread().unwrap();
-    friend.force_combining(4);
-    let mem = pod.memory().as_ref();
-    let slot = friend.tid().slot();
-
-    // A previous batch of 4 sits in a stalled winner's custody.
-    let custody = comb::claimed_word(HeapKind::Small, 0, 4, 0x77);
-    comb::write_word(mem, slot, custody);
-    for p in &ptrs[..4] {
-        friend.dealloc(*p).unwrap();
-    }
-    assert_eq!(remote_counter(&pod, 0), 508, "direct fallback lost the batch");
-    assert_eq!(
-        comb::read_word(mem, slot),
-        custody,
-        "fallback must leave the custodied word untouched"
-    );
-
-    // The winner (or its recovery) eventually DONE-marks the word; the
-    // next publish releases it and goes back through the combiner.
-    comb::write_word(mem, slot, comb::done_marked(HeapKind::Small, 0, 4, 0x77));
-    for p in &ptrs[4..8] {
-        friend.dealloc(*p).unwrap();
-    }
-    assert_eq!(remote_counter(&pod, 0), 504);
-    assert_eq!(comb::read_word(mem, slot), 0, "stale DONE word not released");
-    heap.check_invariants(owner.core()).unwrap();
-}
-
-/// The combined final publish (counter to zero) steals the slab;
-/// crashing between the decrement and the steal must still hand the
-/// slab to recovery rather than leak it.
-#[test]
-fn combined_final_publish_steals_after_crash() {
-    let pod = striped_pod(STRIPES);
-    let heap = Cxlalloc::attach(pod.spawn_process(), combining_options()).unwrap();
-    let mut producer = heap.register_thread().unwrap();
-    let ptrs: Vec<OffsetPtr> = (0..512).map(|_| producer.alloc(64).unwrap()).collect();
-    assert_eq!(heap.stats().small_slabs, 1);
-
-    // 512 remote frees at batch 4 are 128 combined publishes; skip 127
-    // crashes the final one right after its CAS lands (counter zero,
-    // steal not yet done). Re-force each round: the governor would
-    // otherwise disengage across its quiet windows.
-    let (tid, crashed) = crash_thread(
-        &heap,
-        CrashPlan {
-            at: "comb::publish::after_cas",
-            skip: 127,
-        },
-        |t| {
-            for p in &ptrs {
-                t.force_combining(4);
-                t.dealloc(*p).unwrap();
-            }
-        },
-    );
-    assert!(crashed, "combined drain never reached the final publish");
-    assert_eq!(remote_counter(&pod, 0), 0);
-    heap.mark_crashed(tid).unwrap();
-
-    let report = heap.recover(tid, producer.core()).unwrap();
-    assert!(report.interrupted.is_some());
-    heap.check_invariants(producer.core()).unwrap();
-
-    // The drained slab was recovered, not leaked: refilling it must not
-    // extend the heap.
-    let (mut adopted, _) = heap.adopt(tid, producer.core()).unwrap();
-    let held: Vec<OffsetPtr> = (0..512).map(|_| adopted.alloc(64).unwrap()).collect();
-    assert_eq!(heap.stats().small_slabs, 1, "stolen slab leaked");
-    for p in held {
-        adopted.dealloc(p).unwrap();
-    }
-    heap.check_invariants(adopted.core()).unwrap();
-}
-
-/// Recovery of a dead thread resolves its combiner footprint: its own
-/// POSTED batch is taken back and republished, and a claim it held on
-/// another thread's word is published and DONE-marked so the (live)
-/// contributor is never wedged.
-#[test]
-fn recovery_resolves_dead_threads_posted_batch_and_claims() {
-    let pod = striped_pod(STRIPES);
-    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
-    let mut owner = heap.register_thread().unwrap();
-    let ptrs: Vec<OffsetPtr> = (0..512).map(|_| owner.alloc(64).unwrap()).collect();
-    assert_eq!(remote_counter(&pod, 0), 512);
-
-    // The victim dies mid-eager-free (decrement landed, log live).
-    let (tid, crashed) = crash_thread(
-        &heap,
-        CrashPlan {
-            at: "slab::remote_free::after_cas",
-            skip: 0,
-        },
-        |t| {
-            t.dealloc(ptrs[0]).unwrap();
-        },
-    );
-    assert!(crashed);
-    heap.mark_crashed(tid).unwrap();
-    assert_eq!(remote_counter(&pod, 0), 511);
-
-    // Fabricate the dead thread's combiner footprint: its own word
-    // holds a POSTED batch of 3 nobody claimed, and it died holding a
-    // claim of 5 on another slot's word.
-    let mem = pod.memory().as_ref();
-    let contributor_slot = (0..16)
-        .find(|s| *s != owner.tid().slot() && *s != tid.slot())
-        .unwrap();
-    comb::write_word(mem, tid.slot(), comb::posted_word(HeapKind::Small, 0, 3));
-    comb::write_word(
-        mem,
-        contributor_slot,
-        comb::claimed_word(HeapKind::Small, 0, 5, tid.raw()),
-    );
-
-    heap.recover(tid, owner.core()).unwrap();
-    assert_eq!(
-        remote_counter(&pod, 0),
-        512 - 1 - 3 - 5,
-        "recovery must republish the posted batch and the held claim exactly once"
-    );
-    assert_eq!(comb::read_word(mem, tid.slot()), 0, "own word not taken back");
-    assert_eq!(
-        comb::read_word(mem, contributor_slot),
-        comb::done_marked(HeapKind::Small, 0, 5, tid.raw()),
-        "held claim must be DONE-marked for the live contributor"
-    );
-    heap.check_invariants(owner.core()).unwrap();
-
-    // Clean the fabricated contributor word.
-    comb::write_word(mem, contributor_slot, 0);
 }

@@ -297,13 +297,6 @@ pub struct Layout {
     /// remote frees survive crashes. Lives at the segment tail so adding
     /// it never shifts existing offsets.
     pub remote_buf: Region,
-    /// Per-thread flat-combining request lines: one cacheline per thread
-    /// whose first word is the thread's combiner request cell (state,
-    /// heap kind, slab, batch width, winner). Threads post contended
-    /// remote-free batches here; one winner publishes the combined
-    /// decrement. Tail region, same offset-stability rule as
-    /// `remote_buf`.
-    pub comb: Region,
     /// Total segment length in bytes.
     pub total_len: u64,
     /// Thread slots.
@@ -431,13 +424,12 @@ impl Layout {
         let remote_buf = region(threads * CACHELINE, CACHELINE, &mut cursor);
 
         // Global free-list stripes 1..N (stripe 0 reuses the legacy
-        // `global_free` cell) and the flat-combining request lines also
-        // append at the tail: both are empty/new regions under the
-        // default config, so unstriped layouts stay byte-identical.
+        // `global_free` cell) also append at the tail: empty regions
+        // under the default config, so unstriped layouts stay
+        // byte-identical.
         let extra_stripes = config.global_stripes as u64 - 1;
         let small_stripes = region(extra_stripes * CACHELINE, CACHELINE, &mut cursor);
         let large_stripes = region(extra_stripes * CACHELINE, CACHELINE, &mut cursor);
-        let comb = region(threads * CACHELINE, CACHELINE, &mut cursor);
 
         let total_len = align_up(cursor, 4096);
         if total_len > config.max_segment_bytes {
@@ -498,7 +490,6 @@ impl Layout {
             },
             log,
             remote_buf,
-            comb,
             total_len,
             max_threads: config.max_threads,
         })
@@ -552,14 +543,6 @@ impl Layout {
     pub fn remote_buf_word_at(&self, slot: u32, i: u32) -> u64 {
         debug_assert!(i < (CACHELINE / 8) as u32);
         self.remote_buf_at(slot) + i as u64 * 8
-    }
-
-    /// Offset of thread `slot`'s flat-combining request line (word 0 is
-    /// the request cell).
-    #[inline]
-    pub fn comb_at(&self, slot: u32) -> u64 {
-        debug_assert!(slot < self.max_threads);
-        self.comb.start + slot as u64 * CACHELINE
     }
 
     /// Whether `offset` is inside the HWcc metadata region. The global
@@ -621,7 +604,6 @@ mod tests {
             ("large.data", l.large.data),
             ("huge.data", l.huge.data),
             ("remote_buf", l.remote_buf),
-            ("comb", l.comb),
         ];
         for w in regions.windows(2) {
             let (name_a, a) = w[0];
@@ -635,7 +617,7 @@ mod tests {
                 b.end()
             );
         }
-        assert!(l.comb.end() <= l.total_len);
+        assert!(l.remote_buf.end() <= l.total_len);
     }
 
     #[test]
@@ -659,14 +641,14 @@ mod tests {
             assert!(striped.small.global_free_at(s) >= striped.remote_buf.end());
             assert_eq!(striped.small.global_free_at(s) % CACHELINE, 0);
         }
-        assert!(striped.large.global_free_at(7) < striped.comb.start);
+        assert!(striped.large.global_free_at(7) < striped.total_len);
         // Unstriped layouts expose an empty stripe region.
         assert_eq!(base.small.stripe_heads.len, 0);
         assert_eq!(base.small.global_free_at(0), base.small.global_free);
     }
 
     #[test]
-    fn stripe_heads_are_hwcc_and_comb_is_not() {
+    fn stripe_heads_are_hwcc_and_not_data() {
         let l = Layout::compute(&PodConfig {
             global_stripes: 4,
             ..PodConfig::small_for_tests()
@@ -676,8 +658,6 @@ mod tests {
             assert!(l.is_hwcc(l.small.global_free_at(s)), "small stripe {s}");
             assert!(l.is_hwcc(l.large.global_free_at(s)), "large stripe {s}");
         }
-        assert!(!l.is_hwcc(l.comb_at(0)));
-        assert!(!l.is_data(l.comb_at(0)));
         assert!(!l.is_data(l.small.global_free_at(3)));
     }
 

@@ -109,11 +109,6 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     fn note_cas_retry_at(&self, _site: crate::stats::CasRetrySite) {
         self.note_cas_retry();
     }
-    /// Records a flat-combining election win (statistics only).
-    fn note_comb_win(&self) {}
-    /// Records a flat-combining request handed over to another thread's
-    /// publish (statistics only).
-    fn note_comb_wait(&self) {}
     /// Records a fence elided by epoch coalescing (statistics only).
     fn note_fence_elided(&self) {}
     /// Records a flush coalesced into a later flush of the same line
@@ -245,16 +240,6 @@ impl PodMemory for RawMemory {
     #[inline]
     fn note_cas_retry_at(&self, site: crate::stats::CasRetrySite) {
         self.stats.cas_retry_at(site);
-    }
-
-    #[inline]
-    fn note_comb_win(&self) {
-        self.stats.comb_win();
-    }
-
-    #[inline]
-    fn note_comb_wait(&self) {
-        self.stats.comb_wait();
     }
 
     // note_fence_elided / note_flush_coalesced stay no-ops here for the
@@ -996,14 +981,6 @@ impl PodMemory for SimMemory {
 
     fn note_cas_retry_at(&self, site: crate::stats::CasRetrySite) {
         self.stats.cas_retry_at(site);
-    }
-
-    fn note_comb_win(&self) {
-        self.stats.comb_win();
-    }
-
-    fn note_comb_wait(&self) {
-        self.stats.comb_wait();
     }
 
     fn trace_op(&self, core: CoreId, kind: TraceKind, arg: u64) {

@@ -43,8 +43,6 @@ struct Shard {
     cas_retries_remote_publish: AtomicU64,
     cas_retries_lease: AtomicU64,
     cas_retries_fallback: AtomicU64,
-    comb_wins: AtomicU64,
-    comb_waits: AtomicU64,
     fabric_requests: AtomicU64,
     fabric_queue_ns: AtomicU64,
     fabric_service_ns: AtomicU64,
@@ -57,7 +55,7 @@ struct Shard {
 pub enum CasRetrySite {
     /// Global free-list pop (`slab::pop_global`, per stripe).
     PopGlobal,
-    /// Remote-free counter publish (eager, batched, or combined).
+    /// Remote-free counter publish (eager or batched).
     RemotePublish,
     /// Registry / lease heartbeat CAS.
     Lease,
@@ -227,17 +225,6 @@ impl MemStats {
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }
-    /// Records a flat-combining election win delivering `k` frees.
-    #[inline]
-    pub fn comb_win(&self) {
-        bump!(self.comb_wins);
-    }
-    /// Records a flat-combining request handed to another thread's
-    /// publish (the poster did not publish itself).
-    #[inline]
-    pub fn comb_wait(&self) {
-        bump!(self.comb_waits);
-    }
     /// Records a breaker trip into fallback mode.
     #[inline]
     pub fn breaker_trip(&self) {
@@ -315,8 +302,6 @@ impl MemStats {
             cas_retries_remote_publish: sum!(self.cas_retries_remote_publish),
             cas_retries_lease: sum!(self.cas_retries_lease),
             cas_retries_fallback: sum!(self.cas_retries_fallback),
-            comb_wins: sum!(self.comb_wins),
-            comb_waits: sum!(self.comb_waits),
             fabric_requests: sum!(self.fabric_requests),
             fabric_queue_ns: sum!(self.fabric_queue_ns),
             fabric_service_ns: sum!(self.fabric_service_ns),
@@ -376,10 +361,6 @@ pub struct MemStatsSnapshot {
     pub cas_retries_lease: u64,
     /// CAS retries attributed to the software-fallback CAS path.
     pub cas_retries_fallback: u64,
-    /// Flat-combining election wins (combined publishes issued).
-    pub comb_wins: u64,
-    /// Flat-combining requests handed over to another thread's publish.
-    pub comb_waits: u64,
     /// Fabric crossings charged (line fills, writebacks, uncached ops,
     /// NMP round trips on a fabric-enabled pod).
     pub fabric_requests: u64,
@@ -439,8 +420,6 @@ impl MemStatsSnapshot {
             cas_retries_fallback: self
                 .cas_retries_fallback
                 .saturating_sub(earlier.cas_retries_fallback),
-            comb_wins: self.comb_wins.saturating_sub(earlier.comb_wins),
-            comb_waits: self.comb_waits.saturating_sub(earlier.comb_waits),
             fabric_requests: self.fabric_requests.saturating_sub(earlier.fabric_requests),
             fabric_queue_ns: self.fabric_queue_ns.saturating_sub(earlier.fabric_queue_ns),
             fabric_service_ns: self
@@ -517,17 +496,12 @@ mod tests {
         stats.cas_retry_at(CasRetrySite::Lease);
         stats.cas_retry_at(CasRetrySite::Fallback);
         stats.cas_retry(); // unattributed
-        stats.comb_win();
-        stats.comb_wait();
-        stats.comb_wait();
         let snap = stats.snapshot();
         assert_eq!(snap.cas_retries, 6);
         assert_eq!(snap.cas_retries_pop_global, 2);
         assert_eq!(snap.cas_retries_remote_publish, 1);
         assert_eq!(snap.cas_retries_lease, 1);
         assert_eq!(snap.cas_retries_fallback, 1);
-        assert_eq!(snap.comb_wins, 1);
-        assert_eq!(snap.comb_waits, 2);
         assert!(
             snap.cas_retries_pop_global
                 + snap.cas_retries_remote_publish

@@ -117,13 +117,8 @@ pub enum TraceKind {
     RemoteFreePublish = 22,
     /// Liveness lease renewal (heartbeat).
     LeaseRenew = 23,
-    /// Flat-combining election won: this thread published a combined
-    /// remote-free decrement (`arg` = combined batch width).
-    CombinerWin = 24,
-    /// Flat-combining request claimed by another thread: this thread's
-    /// batch was (or is being) published by the combiner (`arg` = batch
-    /// width handed over).
-    CombinerWait = 25,
+    // Ids 24 and 25 are retired (the flat-combining win / wait events);
+    // they stay unused so later ids do not move.
     /// Explicit write-back of a span with the line *retained* in the
     /// core's cache — clwb semantics, vs [`TraceKind::Flush`]'s
     /// evicting clflush (`arg` = dirty lines written back).
@@ -140,11 +135,13 @@ pub enum TraceKind {
     FabricService = 29,
 }
 
-/// Number of event kinds (one past the highest discriminant).
+/// Size of the event-kind id space (one past the highest
+/// discriminant, retired ids included): per-kind tables are indexed by
+/// id.
 pub const KIND_COUNT: usize = 30;
 
 /// All kinds, in discriminant order.
-pub const ALL_KINDS: [TraceKind; KIND_COUNT] = [
+pub const ALL_KINDS: [TraceKind; 28] = [
     TraceKind::LoadHit,
     TraceKind::LoadFill,
     TraceKind::LoadHwcc,
@@ -169,8 +166,6 @@ pub const ALL_KINDS: [TraceKind; KIND_COUNT] = [
     TraceKind::SlabFree,
     TraceKind::RemoteFreePublish,
     TraceKind::LeaseRenew,
-    TraceKind::CombinerWin,
-    TraceKind::CombinerWait,
     TraceKind::WritebackKept,
     TraceKind::StoreSpan,
     TraceKind::FabricQueue,
@@ -180,7 +175,7 @@ pub const ALL_KINDS: [TraceKind; KIND_COUNT] = [
 impl TraceKind {
     /// Decodes a discriminant byte.
     pub fn from_u8(raw: u8) -> Option<TraceKind> {
-        ALL_KINDS.get(raw as usize).copied()
+        ALL_KINDS.iter().copied().find(|&kind| kind as u8 == raw)
     }
 
     /// Stable display name.
@@ -210,8 +205,6 @@ impl TraceKind {
             TraceKind::SlabFree => "slab_free",
             TraceKind::RemoteFreePublish => "remote_free_publish",
             TraceKind::LeaseRenew => "lease_renew",
-            TraceKind::CombinerWin => "combiner_win",
-            TraceKind::CombinerWait => "combiner_wait",
             TraceKind::WritebackKept => "clwb",
             TraceKind::StoreSpan => "store_span",
             TraceKind::FabricQueue => "fabric_queue",
@@ -242,9 +235,7 @@ impl TraceKind {
             TraceKind::SlabAlloc
             | TraceKind::SlabFree
             | TraceKind::RemoteFreePublish
-            | TraceKind::LeaseRenew
-            | TraceKind::CombinerWin
-            | TraceKind::CombinerWait => "alloc",
+            | TraceKind::LeaseRenew => "alloc",
             TraceKind::FabricQueue | TraceKind::FabricService => "fabric",
         }
     }
@@ -618,7 +609,7 @@ pub mod attribution {
     //! Folding a trace into a per-phase, per-event-class
     //! latency-attribution table.
 
-    use super::{TraceKind, ALL_KINDS};
+    use super::TraceKind;
 
     /// One `(phase, kind)` row of the table.
     #[derive(Debug, Clone, PartialEq, Eq)]
@@ -664,7 +655,7 @@ pub mod attribution {
                         .get(phase as usize)
                         .cloned()
                         .unwrap_or_else(|| format!("phase{phase}")),
-                    kind: ALL_KINDS[kind as usize],
+                    kind: TraceKind::from_u8(kind).expect("attribution rows carry live kind ids"),
                     count,
                     total_ns,
                 })

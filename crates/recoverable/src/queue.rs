@@ -150,6 +150,16 @@ impl RecoverableQueue {
             let next_raw = cell(alloc, head_ptr).load(Ordering::Acquire);
             let (next_off, _) = unpack(next_raw);
             let Some(next_ptr) = OffsetPtr::new(next_off) else {
+                // A null `next` means empty only if `head_ptr` was still
+                // the dummy when `next` was read. Dummies are freed the
+                // moment they are dequeued, so a reader still holding an
+                // old head may be looking at a node already reused as
+                // the new tail, whose fresh `next` is null although the
+                // queue is not empty. Re-validate the head (the
+                // Michael–Scott consistency check) before saying so.
+                if cell(alloc, self.head_cell()).load(Ordering::Acquire) != head_raw {
+                    continue;
+                }
                 return None; // empty (only the dummy)
             };
             let value = cell(alloc, next_ptr.wrapping_add(8)).load(Ordering::Acquire);
@@ -285,29 +295,42 @@ mod tests {
 
     #[test]
     fn concurrent_enqueue_dequeue() {
-        let alloc = adapter();
-        let mut t0 = alloc.thread().unwrap();
-        let q = RecoverableQueue::create(t0.as_mut()).unwrap();
-        std::thread::scope(|s| {
-            for slot in 1..=3u32 {
-                let mut t = alloc.thread().unwrap();
-                s.spawn(move || {
-                    for i in 0..2000u64 {
-                        q.enqueue(t.as_mut(), slot, slot as u64 * 10_000 + i, 8).unwrap();
-                        if i % 2 == 0 {
-                            let _ = q.dequeue(t.as_mut());
+        // Many short rounds rather than one long one: a dequeue that
+        // reports a non-empty queue empty (see `dequeue`) needs a rare
+        // interleaving, and each round is a fresh draw at it.
+        const ROUNDS: usize = 64;
+        const PER_THREAD: u64 = 400;
+        for round in 0..ROUNDS {
+            let alloc = adapter();
+            let mut t0 = alloc.thread().unwrap();
+            let q = RecoverableQueue::create(t0.as_mut()).unwrap();
+            std::thread::scope(|s| {
+                for slot in 1..=3u32 {
+                    let mut t = alloc.thread().unwrap();
+                    s.spawn(move || {
+                        for i in 0..PER_THREAD {
+                            q.enqueue(t.as_mut(), slot, slot as u64 * 10_000 + i, 8).unwrap();
+                            if i % 2 == 0 {
+                                // Each thread has enqueued more than it
+                                // has dequeued, so the queue is never
+                                // empty here.
+                                assert!(
+                                    q.dequeue(t.as_mut()).is_some(),
+                                    "round {round}: non-empty queue reported empty"
+                                );
+                            }
                         }
-                    }
-                });
+                    });
+                }
+            });
+            // Drain the rest; every remaining value is one of the enqueued.
+            let mut drained = 0;
+            while let Some(v) = q.dequeue(t0.as_mut()) {
+                assert!((10_000..40_000).contains(&v));
+                drained += 1;
             }
-        });
-        // Drain the rest; every remaining value is one of the enqueued.
-        let mut drained = 0;
-        while let Some(v) = q.dequeue(t0.as_mut()) {
-            assert!((10_000..40_000).contains(&v));
-            drained += 1;
+            assert_eq!(drained, 3 * PER_THREAD - 3 * PER_THREAD / 2, "round {round}");
         }
-        assert_eq!(drained, 3 * 2000 - 3 * 1000);
     }
 
     #[test]

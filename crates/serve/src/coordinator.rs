@@ -122,10 +122,6 @@ pub struct RunArgs {
     /// hottest), concentrating traffic — and forwarded frees — on the
     /// shared hot head. `None` keeps each spec's own distribution.
     pub shared_skew: Option<f64>,
-    /// Workers publish contended remote frees through the
-    /// flat-combining path (and re-pin its governor each window so the
-    /// combined path stays engaged deterministically).
-    pub combining: bool,
     /// Soak mode: progress lines on stderr every few seconds.
     pub soak: bool,
     /// Spawn *two* replacements per crash and require exactly one
@@ -163,7 +159,6 @@ impl Default for RunArgs {
             shared_pct: 0,
             remote_batch: 1,
             shared_skew: None,
-            combining: false,
             soak: false,
             race_adopt: false,
             json_out: None,
@@ -213,7 +208,6 @@ impl RunArgs {
                 "--shared-pct" => out.shared_pct = num(flag, &val()?)?,
                 "--remote-batch" => out.remote_batch = num(flag, &val()?)?,
                 "--shared-skew" => out.shared_skew = Some(num(flag, &val()?)?),
-                "--combining" => out.combining = true,
                 "--soak" => {
                     out.secs = num(flag, &val()?)?;
                     out.soak = true;
@@ -394,11 +388,6 @@ pub struct AuditOutcome {
     /// published (a kill mid-batch leaves these; recovery republishes
     /// them when the slot is adopted).
     pub remote_buffered: u64,
-    /// Remote frees parked in POSTED/CLAIMED flat-combining request
-    /// words — a kill caught a combiner mid-protocol and no recovery
-    /// has run for the custodian yet. The batches are durable and
-    /// credited like buffered frees.
-    pub comb_pending: u64,
     /// Forwarded frees stranded in forward lanes (dead/stopped
     /// consumers) that the audit executed itself.
     pub stranded_forwards: u64,
@@ -575,7 +564,7 @@ impl RunReport {
              \"workers\": [{}],\n  \"adoptions\": [{}],\n  \"drains\": [{}],\n  \
              \"stalls\": [{}],\n  \"audit\": {{\"census_live\": {}, \
              \"ledger_live\": {}, \"effective_live\": {}, \"remote_pending\": {}, \
-             \"remote_buffered\": {}, \"comb_pending\": {}, \"stranded_forwards\": {}, \
+             \"remote_buffered\": {}, \"stranded_forwards\": {}, \
              \"credit_excess\": {}, \
              \"lost\": {}, \"phantom\": {}, \"duplicates\": {}, \
              \"counter_delta\": {}, \"invariants\": {:?}, \"clean\": {}}}\n}}\n",
@@ -598,7 +587,6 @@ impl RunReport {
             self.audit.effective_live,
             self.audit.remote_pending,
             self.audit.remote_buffered,
-            self.audit.comb_pending,
             self.audit.stranded_forwards,
             self.audit.credit_excess,
             self.audit.lost.len(),
@@ -1303,7 +1291,6 @@ fn spawn_worker(
         shared_pct: args.shared_pct,
         remote_batch: args.remote_batch,
         shared_skew: args.shared_skew,
-        combining: args.combining,
     };
     Command::new(&args.worker_exe)
         .arg("worker")
@@ -1360,13 +1347,6 @@ fn audit(pod: &Pod, plane: &ControlPlane) -> Result<AuditOutcome, String> {
     };
     let buffered = cxl_core::audit::remote_buffered(pod.memory().as_ref(), CoreId(0));
     let buffered_total: u64 = buffered.iter().map(|b| b.pending as u64).sum();
-    // Combined batches still parked in request words are the third
-    // durable home a remote free can wait in (after the slab counter
-    // and the remote_buf lines): a kill that caught a combiner between
-    // post and publish leaves them, and the custodian's recovery has
-    // not necessarily run by audit time.
-    let comb = cxl_core::audit::comb_pending(pod.memory().as_ref(), CoreId(0));
-    let comb_total: u64 = comb.iter().map(|b| b.pending as u64).sum();
 
     let mut ledger: Vec<u64> = Vec::new();
     let mut allocs = 0u64;
@@ -1400,12 +1380,7 @@ fn audit(pod: &Pod, plane: &ControlPlane) -> Result<AuditOutcome, String> {
                 .filter(|b| b.kind == sa.kind && b.slab == sa.slab)
                 .map(|b| b.pending as u64)
                 .sum();
-            let parked: u64 = comb
-                .iter()
-                .filter(|b| b.kind == sa.kind && b.slab == sa.slab)
-                .map(|b| b.pending as u64)
-                .sum();
-            (sa, sa.remote_pending as u64 + buf + parked)
+            (sa, sa.remote_pending as u64 + buf)
         })
         .collect();
     let mut lost = Vec::new();
@@ -1417,15 +1392,13 @@ fn audit(pod: &Pod, plane: &ControlPlane) -> Result<AuditOutcome, String> {
     }
     let credit_excess: u64 = credits.iter().map(|(_, c)| *c).sum();
     let remote_pending = census.remote_pending_total();
-    let effective_live = (heap_side.len() as u64)
-        .saturating_sub(remote_pending + buffered_total + comb_total);
+    let effective_live = (heap_side.len() as u64).saturating_sub(remote_pending + buffered_total);
     Ok(AuditOutcome {
         census_live: heap_side.len() as u64,
         ledger_live: ledger.len() as u64,
         effective_live,
         remote_pending,
         remote_buffered: buffered_total,
-        comb_pending: comb_total,
         stranded_forwards: stranded,
         credit_excess,
         lost,
@@ -1495,7 +1468,6 @@ mod tests {
             "8".into(),
             "--shared-skew".into(),
             "0.9".into(),
-            "--combining".into(),
             "--stall-ms".into(),
             "400".into(),
             "--max-probes".into(),
@@ -1508,7 +1480,6 @@ mod tests {
         assert_eq!(args.shared_pct, 50);
         assert_eq!(args.remote_batch, 8);
         assert_eq!(args.shared_skew, Some(0.9));
-        assert!(args.combining);
         assert_eq!(args.stall_ms, 400);
         assert_eq!(args.max_probes, 0);
 
@@ -1599,7 +1570,6 @@ mod tests {
                 effective_live: 10,
                 remote_pending: 2,
                 remote_buffered: 0,
-                comb_pending: 0,
                 stranded_forwards: 1,
                 credit_excess: 0,
                 lost: Vec::new(),
@@ -1648,7 +1618,6 @@ mod tests {
             "\"stalls\": [",
             "\"remote_pending\": 2",
             "\"effective_live\": 10",
-            "\"comb_pending\": 0",
             "\"stranded_forwards\": 1",
             "\"digest\": \"",
             "\"forwarded\": 5",

@@ -217,12 +217,6 @@ pub mod status {
     /// Deadline-bounded control-plane waits that expired
     /// ([`super::ControlPlaneTimeout`]s observed by this worker).
     pub const TIMEOUTS: u64 = 64;
-    /// Deallocs that came back
-    /// [`cxl_core::AllocError::CombinerStalled`]: the free's combined
-    /// batch stayed durably parked under a stalled winner's custody
-    /// (published by the winner or its recovery, never republished by
-    /// this worker).
-    pub const COMBINER_STALLS: u64 = 72;
 }
 
 impl WorkerPlane {
@@ -386,7 +380,7 @@ pub enum Msg {
         tid: u16,
     },
     /// Coordinator: drain gracefully — finish the current op, flush
-    /// magazines and remote-free buffers, freeze the lease, and exit
+    /// remote-free buffers, freeze the lease, and exit
     /// with the `DRAINED` code. Equivalent to SIGTERM, for schedulers
     /// that prefer the control plane over signals.
     Drain,

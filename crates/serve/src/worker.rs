@@ -22,7 +22,7 @@
 //! A worker can also *drain*: on SIGTERM, a [`Msg::Drain`] command, or
 //! a scheduled `--drain-after-ops` boundary it finishes the current op,
 //! executes the forwarded frees already queued to it, flushes
-//! magazines and remote-free buffers, freezes its lease
+//! remote-free buffers, freezes its lease
 //! ([`ThreadHandle::freeze_lease`]), and exits with
 //! [`exit::DRAINED`] — leaving a heap so settled that its replacement
 //! registers fresh instead of running recovery.
@@ -124,11 +124,6 @@ pub struct WorkerArgs {
     /// traffic and forwarded frees pile onto a few contended slabs.
     /// `None` keeps the spec's own distribution.
     pub shared_skew: Option<f64>,
-    /// Enables the flat-combining remote-free publication path
-    /// ([`AttachOptions`]'s `combining`); the serve loop re-pins the
-    /// governor each window so contended runs stay on the combined path
-    /// deterministically instead of depending on observed retry rates.
-    pub combining: bool,
 }
 
 impl WorkerArgs {
@@ -150,7 +145,6 @@ impl WorkerArgs {
         let mut shared_pct = 0u8;
         let mut remote_batch = 1u32;
         let mut shared_skew = None;
-        let mut combining = false;
         let mut it = args.iter();
         while let Some(flag) = it.next() {
             let mut val = || {
@@ -169,7 +163,6 @@ impl WorkerArgs {
                 "--shared-pct" => shared_pct = parse_num(flag, &val()?)?,
                 "--remote-batch" => remote_batch = parse_num(flag, &val()?)?,
                 "--shared-skew" => shared_skew = Some(parse_num(flag, &val()?)?),
-                "--combining" => combining = true,
                 other => return Err(format!("unknown worker flag {other}")),
             }
         }
@@ -199,7 +192,6 @@ impl WorkerArgs {
                 }
                 other => other,
             },
-            combining,
         })
     }
 
@@ -245,9 +237,6 @@ impl WorkerArgs {
             v.push("--shared-skew".into());
             v.push(theta.to_string());
         }
-        if self.combining {
-            v.push("--combining".into());
-        }
         v
     }
 }
@@ -280,7 +269,6 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         pod.spawn_process(),
         AttachOptions {
             remote_free_batch: args.remote_batch.max(1),
-            combining: args.combining,
             ..AttachOptions::default()
         },
     )
@@ -383,7 +371,6 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         drain_after_ops: args.drain_after_ops,
         stall_after_ops: args.stall_after_ops,
         shared_skew: args.shared_skew,
-        combining: args.combining.then(|| args.remote_batch.max(1)),
     })?;
     Ok(code)
 }
@@ -566,22 +553,9 @@ fn drain_inbound_burst(
                 Some(Msg::FreeBlock { offset, home, key }) => {
                     let ptr = OffsetPtr::new(offset)
                         .ok_or_else(|| format!("forwarded null offset (home {home} key {key})"))?;
-                    match handle.dealloc(ptr) {
-                        Ok(()) => {}
-                        // The combined batch holding this decrement is
-                        // durably parked in our request word under a
-                        // stalled winner's custody; the winner (or its
-                        // recovery) publishes it. Republishing here
-                        // would double-free — count the stall, move on.
-                        Err(AllocError::CombinerStalled { .. }) => {
-                            me.bump_status(status::COMBINER_STALLS, 1);
-                        }
-                        Err(e) => {
-                            return Err(format!(
-                                "forwarded dealloc (home {home} key {key}): {e}"
-                            ));
-                        }
-                    }
+                    handle.dealloc(ptr).map_err(|e| {
+                        format!("forwarded dealloc (home {home} key {key}): {e}")
+                    })?;
                     me.bump_status(status::FORWARDED, 1);
                     budget -= 1;
                 }
@@ -608,7 +582,7 @@ fn drain_inbound(
 /// The graceful-drain exit path (SIGTERM / `Msg::Drain` /
 /// `--drain-after-ops`): publish the DRAINED state first so the
 /// watchdog stops expecting heartbeats, execute the forwarded frees
-/// already queued here, flush magazines + remote-free buffers + shadow
+/// already queued here, flush remote-free buffers + shadow
 /// ([`ThreadHandle::flush_cache`]), freeze the lease, report, and exit
 /// with the dedicated code.
 #[cfg(unix)]
@@ -658,9 +632,6 @@ struct ServeLoop<'a> {
     drain_after_ops: Option<u64>,
     stall_after_ops: Option<u64>,
     shared_skew: Option<f64>,
-    /// Batch width to re-pin the combining governor with, when the
-    /// combined publication path is enabled.
-    combining: Option<u32>,
 }
 
 /// How often (in ops) a shared-keys worker sweeps its inbound forward
@@ -673,13 +644,6 @@ struct ServeLoop<'a> {
 const FORWARD_SWEEP_EVERY: u64 = 8;
 #[cfg(unix)]
 const FORWARD_SWEEP_BUDGET: usize = 16;
-
-/// How often (in ops) a `--combining` worker re-pins the governor. The
-/// governor's own windows would disengage the combined path whenever
-/// contention momentarily drops, making kill-at-combine schedules
-/// non-replayable; the periodic re-pin keeps it engaged for the run.
-#[cfg(unix)]
-const COMBINE_REPIN_EVERY: u64 = 64;
 
 /// Salt mixing the worker seed into the skew RNG so the Zipf overlay
 /// draws independently of the op stream (which consumes the raw seed).
@@ -737,11 +701,6 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         }
         if s.forwards.active() && ops.is_multiple_of(FORWARD_SWEEP_EVERY) {
             drain_inbound_burst(&mut s.handle, s.me, s.forwards, FORWARD_SWEEP_BUDGET)?;
-        }
-        if let Some(batch) = s.combining {
-            if ops.is_multiple_of(COMBINE_REPIN_EVERY) {
-                s.handle.force_combining(batch);
-            }
         }
         let mut op = stream.next_op();
         if let Some((zipf, rng)) = skew.as_mut() {
@@ -837,17 +796,7 @@ fn free_cell(
             return Ok(());
         }
     }
-    match handle.dealloc(ptr) {
-        Ok(()) => {}
-        // Stalled-winner custody: the batch (this free included) is
-        // durably named by our combiner-request word and will be
-        // published by the winner or its recovery — the block is as
-        // good as freed, so the ledger clear below stays correct.
-        Err(AllocError::CombinerStalled { .. }) => {
-            me.bump_status(status::COMBINER_STALLS, 1);
-        }
-        Err(e) => return Err(format!("dealloc: {e}")),
-    }
+    handle.dealloc(ptr).map_err(|e| format!("dealloc: {e}"))?;
     me.bump_status(status::FREES, 1);
     me.ledger_set(k, 0);
     Ok(())
@@ -998,7 +947,6 @@ mod tests {
             shared_pct: 50,
             remote_batch: 8,
             shared_skew: Some(0.9),
-            combining: true,
         };
         let rendered = args.to_args();
         let parsed = WorkerArgs::parse(&rendered).unwrap();
@@ -1010,7 +958,6 @@ mod tests {
         assert_eq!(parsed.shared_pct, 50);
         assert_eq!(parsed.remote_batch, 8);
         assert_eq!(parsed.shared_skew, Some(0.9));
-        assert!(parsed.combining);
         assert!(WorkerArgs::parse(&["--bogus".into()]).is_err());
         assert!(WorkerArgs::parse(&[]).is_err());
         let mut over = rendered.clone();

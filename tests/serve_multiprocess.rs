@@ -198,7 +198,6 @@ fn stolen_heartbeat_kills_worker_across_processes() {
         shared_pct: 0,
         remote_batch: 1,
         shared_skew: None,
-        combining: false,
     };
     let mut child = Command::new(serve_exe())
         .arg("worker")
@@ -343,17 +342,15 @@ fn shared_key_crash_mid_batch_stays_exact() {
     assert!(report.is_clean());
 }
 
-/// Kill-at-combine chaos: workers publish their contended remote frees
-/// through the flat-combining path (`--combining`, re-pinned each
-/// governor window so it stays engaged), a Zipf θ=0.9 skew overlay
-/// concentrates traffic — and forwarded frees — on the shared hot
-/// head, and two workers SIGKILL themselves mid-stream, very likely
-/// mid-combine. The audit's credits (per-slab remote-pending, durable
-/// remote buffers, *and* batches parked in combiner-request words)
-/// must still balance the books to exactly zero lost and zero phantom
-/// blocks with a zero counter delta.
+/// Kill-mid-batch chaos under skew: workers buffer their remote frees
+/// 8 wide, a Zipf θ=0.9 skew overlay concentrates traffic — and
+/// forwarded frees — on the shared hot head, and two workers SIGKILL
+/// themselves mid-stream, very likely with batches still buffered. The
+/// audit's credits (per-slab remote-pending and durable remote
+/// buffers) must still balance the books to exactly zero lost and zero
+/// phantom blocks with a zero counter delta.
 #[test]
-fn kill_at_combine_with_skew_stays_exact() {
+fn kill_mid_batch_with_skew_stays_exact() {
     let args = RunArgs {
         workers: 4,
         secs: 0.0,
@@ -361,10 +358,9 @@ fn kill_at_combine_with_skew_stays_exact() {
         shared_pct: 50,
         remote_batch: 8,
         shared_skew: Some(0.9),
-        combining: true,
         self_kills: vec![(1, 900), (2, 1300)],
         seed: 31,
-        ..base_args("combine")
+        ..base_args("skew-batch")
     };
     let report = coordinator::run(&args).expect("run");
 
