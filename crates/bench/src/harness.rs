@@ -82,17 +82,18 @@ pub fn run_macro(
 
     let ops_per_thread = (total_ops / threads as u64).max(1);
     let start = Instant::now();
-    std::thread::scope(|scope| {
+    let workers: Vec<_> = std::thread::scope(|scope| {
+        let mut handles = Vec::new();
         for t in 0..threads {
             let store = store.clone();
             let alloc = alloc.clone();
             let crashed = &crashed;
             let done_ops = &done_ops;
             let spec = spec.clone();
-            scope.spawn(move || {
+            handles.push(scope.spawn(move || {
                 let Ok(handle) = alloc.thread() else {
                     crashed.store(true, std::sync::atomic::Ordering::Relaxed);
-                    return;
+                    return None;
                 };
                 let mut w = store.worker(handle);
                 let mut stream = OpStream::new(spec, StdRng::seed_from_u64(7 + t as u64));
@@ -129,11 +130,20 @@ pub fn run_macro(
                     }
                 }
                 done_ops.fetch_add(completed, std::sync::atomic::Ordering::Relaxed);
-                w.drain_retired();
-            });
+                Some(w)
+            }));
         }
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().expect("kv worker panicked"))
+            .collect()
     });
     let seconds = start.elapsed().as_secs_f64();
+    // Every worker has joined, so nothing is pinned: the drain frees all
+    // that was retired before memory is read.
+    for mut w in workers {
+        w.drain_retired();
+    }
     let usage = alloc.memory_usage();
     MacroResult {
         workload: spec.name,

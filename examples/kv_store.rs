@@ -40,11 +40,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let start = Instant::now();
-    std::thread::scope(|s| {
+    let workers: Vec<_> = std::thread::scope(|s| {
+        let mut handles = Vec::new();
         for t in 0..THREADS {
             let mut worker = store.worker(alloc.thread().expect("register worker"));
             let spec = spec.clone();
-            s.spawn(move || {
+            handles.push(s.spawn(move || {
                 let mut stream = OpStream::new(spec, StdRng::seed_from_u64(t as u64));
                 let (mut hits, mut misses) = (0u64, 0u64);
                 for _ in 0..OPS_PER_THREAD {
@@ -67,12 +68,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         }
                     }
                 }
-                worker.drain_retired();
                 println!("  thread {t}: {hits} read hits, {misses} misses");
-            });
+                worker
+            }));
         }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect()
     });
     let seconds = start.elapsed().as_secs_f64();
+    // With every worker joined no reader is left: the drain frees all
+    // that was retired.
+    for mut worker in workers {
+        assert_eq!(worker.drain_retired(), 0);
+    }
     let total = OPS_PER_THREAD * THREADS as u64;
     let usage = alloc.memory_usage();
     println!(

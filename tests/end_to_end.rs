@@ -22,11 +22,12 @@ fn pod() -> Pod {
 
 fn run_mix(alloc: &dyn PodAlloc, spec: WorkloadSpec, threads: u32, ops_per_thread: u64) {
     let store = KvStore::new(1 << 12, threads as usize);
-    std::thread::scope(|s| {
+    let workers: Vec<_> = std::thread::scope(|s| {
+        let mut handles = Vec::new();
         for t in 0..threads {
             let mut w = store.worker(alloc.thread().unwrap());
             let spec = spec.clone();
-            s.spawn(move || {
+            handles.push(s.spawn(move || {
                 let mut stream = OpStream::new(spec, StdRng::seed_from_u64(t as u64));
                 for _ in 0..ops_per_thread {
                     match stream.next_op() {
@@ -47,10 +48,15 @@ fn run_mix(alloc: &dyn PodAlloc, spec: WorkloadSpec, threads: u32, ops_per_threa
                         }
                     }
                 }
-                w.drain_retired();
-            });
+                w
+            }));
         }
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
+    // Drained once nobody is left to hold an entry: nothing remains.
+    for mut w in workers {
+        assert_eq!(w.drain_retired(), 0);
+    }
 }
 
 #[test]
@@ -141,7 +147,7 @@ fn kv_crash_and_recovery_mid_run() {
     heap.check_invariants(CoreId(0)).unwrap();
     // Entries inserted before the crash are intact.
     assert_eq!(live.get(0), Some(64));
-    live.drain_retired();
+    assert_eq!(live.drain_retired(), 0);
 }
 
 #[test]
