@@ -1,7 +1,8 @@
-//! Criterion microbenchmarks of the allocator's hot paths: the local
-//! alloc/free fast path per heap, the remote-free (m)CAS path, huge
-//! allocation, and the recoverable-vs-not ablation. Bodies live in
-//! `cxl_bench::groups` so `bench-snapshot` can run the same groups.
+//! Criterion microbenchmarks of the allocator paths no `pod-bench`
+//! workload exercises: alloc/free under fragmentation and over the
+//! mCAS-only substrate, the remote-free publish path (threaded and in
+//! isolation), and huge allocation. The list is
+//! `cxl_bench::groups::alloc_paths`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cxl_bench::groups;
@@ -9,6 +10,6 @@ use cxl_bench::groups;
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = groups::bench_local_paths, groups::bench_remote_free, groups::bench_huge
+    targets = groups::alloc_paths
 }
 criterion_main!(benches);

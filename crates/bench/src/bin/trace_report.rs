@@ -277,8 +277,8 @@ fn run_floor_section(ops: u64) -> Section {
     // Per-op floor table: the steady phase's rows divided by the pair
     // count. `total ns/op` here is simulated latency-model time, not
     // wall clock — the *shape* (which kinds remain, at what counts) is
-    // the attribution; wall-clock floors are measured by
-    // `profile-pair` and pinned in BENCH_hotpath.json.
+    // the attribution; the wall-clock floor is `pod-bench --trace 1`'s
+    // `core.alloc_ns` + `core.dealloc_ns` on `kv_update`.
     let attribution = mem
         .tracer()
         .expect("simulated backends carry a tracer")

@@ -1,48 +1,37 @@
 //! Criterion benchmark groups shared by the bench harnesses.
 //!
-//! The bodies live here (not in `benches/`) so both the criterion
-//! harnesses (`benches/alloc_paths.rs`, `benches/substrate.rs`) and the
-//! `bench-snapshot` binary can run the same groups; `bench-snapshot`
-//! additionally post-processes the [`criterion::BenchRecord`]s into
-//! `BENCH_hotpath.json`.
+//! The bodies live here (not in `benches/`) so the criterion harnesses
+//! (`benches/alloc_paths.rs`, `benches/substrate.rs`) and the
+//! `bench-gates` binary run the same code. A path is here for one of
+//! two reasons: it feeds an intra-run gate (`deref/*`, `bitset/*`,
+//! `host_scaling*`), or it measures a mechanism no `pod-bench` workload
+//! or `fig*` binary exercises. Nothing records these medians; a claim
+//! across commits is a `pod-bench` A/B (`benchmark/`).
 
 use crate::allocators::{cxlalloc_pod, cxlalloc_pod_striped, cxlalloc_pod_striped_fabric};
 use baselines::{CxlallocAdapter, PodAlloc, PodAllocThread};
 use criterion::{Criterion, Throughput};
-use cxl_core::cell::Detect;
 use cxl_core::dcas::Dcas;
 use cxl_core::{AttachOptions, ThreadId};
 use cxl_pod::latency::{Clocks, LatencyModel};
 use cxl_pod::nmp::NmpDevice;
 use cxl_pod::stats::MemStats;
 use cxl_pod::{CoreId, FabricConfig, HwccMode, Pod, PodConfig, Segment};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::sync::Arc;
 
-fn thread(recoverable: bool) -> Box<dyn PodAllocThread> {
-    let options = AttachOptions {
-        recoverable,
-        ..AttachOptions::default()
-    };
-    let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, options);
+fn thread() -> Box<dyn PodAllocThread> {
+    let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, AttachOptions::default());
     alloc.thread().unwrap()
 }
 
-/// Local alloc/free fast path per heap, plus the recoverable-vs-not
-/// ablation and the same path over the simulated SWcc substrate.
+/// Local alloc/free under fragmentation, and over the mCAS-only
+/// substrate. (The unfragmented pair per heap, the non-recoverable
+/// ablation and the `Limited`-HWcc pair are `pod-bench` rows:
+/// `core.alloc_ns` + `core.dealloc_ns`, `sensitivity`,
+/// `core.sim_local_pair_ns`.)
 pub fn bench_local_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_alloc_free");
     group.throughput(Throughput::Elements(1));
-    for (name, size) in [("small_64B", 64usize), ("small_1KiB", 1024), ("large_8KiB", 8192)] {
-        let mut t = thread(true);
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let p = t.alloc(size).unwrap();
-                t.dealloc(p).unwrap();
-            })
-        });
-    }
     // Fragmentation-adversarial shape: hold the low 480 of the slab's
     // 512 blocks so every free bit lives in the top bitset words, then
     // churn. A scan-from-zero `find_set` walks ~7 dead words per alloc
@@ -50,7 +39,7 @@ pub fn bench_local_paths(c: &mut Criterion) {
     // blocks also pin the slab sized, so the churn never pays the
     // slab-reinit path. An 8-word bitmap is short, so most of the win
     // lives in the 8B variant below.)
-    let mut t = thread(true);
+    let mut t = thread();
     let held: Vec<_> = (0..480).map(|_| t.alloc(64).unwrap()).collect();
     group.bench_function("fragmented_small_64B", |b| {
         b.iter(|| {
@@ -67,7 +56,7 @@ pub fn bench_local_paths(c: &mut Criterion) {
     // back to the freed bit on every dealloc) lands exactly on the free
     // bit. This is where first-fit-with-hint pays for itself — the 64B
     // bitmap is too short for the scan to dominate.
-    let mut t = thread(true);
+    let mut t = thread();
     let held: Vec<_> = (0..4090).map(|_| t.alloc(8).unwrap()).collect();
     group.bench_function("fragmented_small_8B", |b| {
         b.iter(|| {
@@ -78,36 +67,21 @@ pub fn bench_local_paths(c: &mut Criterion) {
     for p in held {
         t.dealloc(p).unwrap();
     }
-    // The cxlalloc-nonrecoverable ablation (paper §5.2.1: ~0.3–5 %
-    // difference on real hardware; higher here because the log flush is
-    // a larger fraction of a simulated op).
-    let mut t = thread(false);
-    group.bench_function("small_64B_nonrecoverable", |b| {
+    // The unfragmented pair over the simulated substrate with no HWcc
+    // at all, where every descriptor access goes through the SWcc cache
+    // model and every CAS is an mCAS.
+    let alloc = CxlallocAdapter::new(
+        cxlalloc_pod(64 << 20, 8, Some(HwccMode::None)),
+        1,
+        AttachOptions::default(),
+    );
+    let mut t = alloc.thread().unwrap();
+    group.bench_function("sim_none_small_64B", |b| {
         b.iter(|| {
             let p = t.alloc(64).unwrap();
             t.dealloc(p).unwrap();
         })
     });
-    // The same fast path over the simulated substrate, where every
-    // descriptor access goes through the SWcc cache model: this is the
-    // path the substrate hot-path work targets.
-    for (name, mode) in [
-        ("sim_limited_small_64B", HwccMode::Limited),
-        ("sim_none_small_64B", HwccMode::None),
-    ] {
-        let alloc = CxlallocAdapter::new(
-            cxlalloc_pod(64 << 20, 8, Some(mode)),
-            1,
-            AttachOptions::default(),
-        );
-        let mut t = alloc.thread().unwrap();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let p = t.alloc(64).unwrap();
-                t.dealloc(p).unwrap();
-            })
-        });
-    }
     group.finish();
 }
 
@@ -237,7 +211,7 @@ pub fn bench_remote_free_batched(c: &mut Criterion) {
 pub fn bench_huge(c: &mut Criterion) {
     let mut group = c.benchmark_group("huge_heap");
     group.throughput(Throughput::Elements(1));
-    let mut t = thread(true);
+    let mut t = thread();
     group.bench_function("alloc_free_cleanup_4MiB", |b| {
         b.iter(|| {
             let p = t.alloc(4 << 20).unwrap();
@@ -252,11 +226,11 @@ pub fn bench_huge(c: &mut Criterion) {
 /// fragmented slab presents: one free bit high in an 8B-class bitmap
 /// (4096 bits), 63 all-zero words before it. `find_set_sparse` runs
 /// the allocator's strategy for that shape — `find_set_from` with a
-/// carried rover hint, so only the first probe pays the full walk —
-/// and is pinned by the CI `bench-snapshot --check` gate, so a change
-/// that silently reintroduces the full rescan fails loudly;
-/// `find_set_sparse_scan0` keeps the scan-from-zero cost visible for
-/// attribution across PRs.
+/// carried rover hint, so only the first probe pays the full walk;
+/// `find_set_sparse_scan0` is the scan-from-zero cost of the same
+/// probes. `bench-gates` holds the second to at least 4x the first in
+/// the same run, so a change that silently reintroduces the full rescan
+/// fails loudly.
 pub fn bench_bitset(c: &mut Criterion) {
     use cxl_core::bitset::BlockBits;
     let mut group = c.benchmark_group("bitset");
@@ -386,21 +360,6 @@ pub fn bench_swcc_substrate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Packed 64-bit cell codecs.
-pub fn bench_cell_codecs(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cell_codecs");
-    group.throughput(Throughput::Elements(1));
-    group.bench_function("detect_pack_unpack", |b| {
-        let d = Detect {
-            version: 77,
-            tid: 3,
-            payload: 123456,
-        };
-        b.iter(|| Detect::unpack(criterion::black_box(d.pack())))
-    });
-    group.finish();
-}
-
 /// Heartbeats, detector ticks, and the software-fallback CAS path.
 pub fn bench_liveness(c: &mut Criterion) {
     use cxl_core::liveness::LivenessDetector;
@@ -439,85 +398,23 @@ pub fn bench_liveness(c: &mut Criterion) {
     group.finish();
 }
 
-/// KV-store worker ops over the mimalloc-like baseline.
-pub fn bench_kvstore(c: &mut Criterion) {
-    use baselines::MiLike;
-    use kvstore::KvStore;
-    let mut group = c.benchmark_group("kvstore");
-    group.throughput(Throughput::Elements(1));
-    let alloc = MiLike::new(512 << 20);
-    let store = KvStore::new(1 << 14, 2);
-    let mut w = store.worker(alloc.thread().unwrap());
-    for key in 0..10_000 {
-        w.insert(key, 8, 64).unwrap();
-    }
-    let mut key = 0u64;
-    group.bench_function("get_hit", |b| {
-        b.iter(|| {
-            key = (key + 1) % 10_000;
-            w.get(key).unwrap()
-        })
-    });
-    group.bench_function("insert_replace", |b| {
-        b.iter(|| {
-            key = (key + 1) % 10_000;
-            w.insert(key, 8, 64).unwrap();
-        })
-    });
-    // The same workload over cxlalloc itself (the MiLike labels above
-    // are the baseline and cannot reflect allocator changes).
-    let cxl_worker = || {
-        let alloc = CxlallocAdapter::new(
-            cxlalloc_pod(1 << 30, 8, None),
-            1,
-            AttachOptions::default(),
-        );
-        let store = KvStore::new(1 << 14, 2);
-        let mut w = store.worker(alloc.thread().unwrap());
-        for key in 0..10_000 {
-            w.insert(key, 8, 64).unwrap();
-        }
-        w
-    };
-    // A read allocates nothing: what separates this row from `get_hit`
-    // is what cxlalloc charges per dereference.
-    let mut w = cxl_worker();
-    let mut key = 0u64;
-    group.bench_function("get_hit_cxl", |b| {
-        b.iter(|| {
-            key = (key + 1) % 10_000;
-            w.get(key).unwrap()
-        })
-    });
-    let mut w = cxl_worker();
-    let mut key = 0u64;
-    group.bench_function("insert_replace_cxl", |b| {
-        b.iter(|| {
-            key = (key + 1) % 10_000;
-            w.insert(key, 8, 64).unwrap();
-        })
-    });
-    group.finish();
-}
-
-/// Pointers one `deref` iteration translates; `Throughput::Elements`
-/// of the group, so snapshots carry `ns_per_op`.
+/// Pointers one `deref` iteration translates.
 const DEREF_PTRS: usize = 64;
 
 /// The mapped-hit path of a dereference: `resolve` of pointers into
 /// already-mapped slabs, through the same `dyn PodAllocThread` call the
 /// KV index makes. With an MMU this costs nothing; here it is two
 /// compares and an add, and `resolve_hit_mi_baseline` — a bounds-checked
-/// `base + offset` — is the yardstick `bench-snapshot --check` holds it
-/// to, within the same run.
+/// `base + offset` — is the yardstick `bench-gates` holds it to, within
+/// the same run.
 pub fn bench_deref(c: &mut Criterion) {
     use baselines::{MiLike, PodAlloc};
     let mut group = c.benchmark_group("deref");
     group.throughput(Throughput::Elements(DEREF_PTRS as u64));
     let mi = MiLike::new(64 << 20);
     for (name, size, mut t) in [
-        ("resolve_hit_small", 64usize, thread(true)),
-        ("resolve_hit_large", 8192, thread(true)),
+        ("resolve_hit_small", 64usize, thread()),
+        ("resolve_hit_large", 8192, thread()),
         ("resolve_hit_mi_baseline", 64, mi.thread().unwrap()),
     ] {
         let ptrs: Vec<_> = (0..DEREF_PTRS).map(|_| t.alloc(size).unwrap()).collect();
@@ -529,21 +426,6 @@ pub fn bench_deref(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// Workload generation (Zipfian sampling, MC12 op streams).
-pub fn bench_workloads(c: &mut Criterion) {
-    use workloads::{OpStream, WorkloadSpec, Zipfian};
-    let mut group = c.benchmark_group("workload_generation");
-    group.throughput(Throughput::Elements(1));
-    let z = Zipfian::ycsb(8_400_000);
-    let mut rng = StdRng::seed_from_u64(1);
-    group.bench_function("zipfian_sample", |b| {
-        b.iter(|| z.sample_scrambled(&mut rng))
-    });
-    let mut stream = OpStream::new(WorkloadSpec::mc12(), StdRng::seed_from_u64(2));
-    group.bench_function("mc12_next_op", |b| b.iter(|| stream.next_op()));
     group.finish();
 }
 
@@ -739,8 +621,8 @@ pub fn bench_host_scaling(c: &mut Criterion) {
 }
 
 /// CI smoke variant of [`bench_host_scaling`]: just the 1- and 32-host
-/// endpoints of the remote-free sweep — the points the
-/// `bench-snapshot --check` scaling gate reads.
+/// endpoints of the remote-free sweep — the points the `bench-gates`
+/// scaling gate reads.
 pub fn bench_host_scaling_smoke(c: &mut Criterion) {
     host_scaling_sweep(c, &[1, 32], false, None);
 }
@@ -763,8 +645,7 @@ pub fn bench_host_scaling_congested(c: &mut Criterion) {
 }
 
 /// CI smoke variant of [`bench_host_scaling_congested`]: the 1- and
-/// 32-host endpoints the congested `bench-snapshot --check` knee gate
-/// reads.
+/// 32-host endpoints the congested `bench-gates` knee gate reads.
 pub fn bench_host_scaling_congested_smoke(c: &mut Criterion) {
     host_scaling_sweep(c, &[1, 32], false, Some(FabricConfig::congested()));
 }
@@ -908,9 +789,6 @@ pub fn substrate(c: &mut Criterion) {
     bench_cas(c);
     bench_nmp(c);
     bench_swcc_substrate(c);
-    bench_cell_codecs(c);
     bench_liveness(c);
-    bench_kvstore(c);
     bench_deref(c);
-    bench_workloads(c);
 }

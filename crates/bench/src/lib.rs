@@ -3,9 +3,8 @@
 //! One binary per paper table/figure (see `src/bin/`): `fig_table1`,
 //! `fig_table2`, `fig7_recovery`, `fig8_macro`, `fig9_micro`,
 //! `fig10_huge`, `fig11_mcas`, `fig12_cxl`, and `fig_mlc`. Each prints
-//! the same rows/series the paper reports and appends NDJSON records to
-//! `results.ndjson` (set `CXL_BENCH_OUT` to change the path, empty to
-//! disable).
+//! the same rows/series the paper reports and, when `CXL_BENCH_OUT`
+//! names a file, appends its records to it as NDJSON.
 //!
 //! By default the binaries run *scaled-down* workloads that finish in
 //! seconds; pass `--paper` for the paper's full operation counts.

@@ -71,30 +71,29 @@ fn escape_json(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Appends NDJSON records to the file named by `CXL_BENCH_OUT`
-/// (default `results.ndjson`; empty disables output). Hand-rolled to
-/// stay within the approved dependency set.
+/// Appends NDJSON records to the file named by `CXL_BENCH_OUT`; with
+/// the variable unset or empty nothing is written (the printed tables
+/// are the record). Hand-rolled to stay within the approved dependency
+/// set.
 #[derive(Debug)]
 pub struct NdjsonSink {
     file: Option<std::fs::File>,
 }
 
 impl NdjsonSink {
-    /// Opens the sink for the experiment named `experiment`.
+    /// Opens the sink on the file `CXL_BENCH_OUT` names, if any.
     pub fn open() -> Self {
-        let path = std::env::var("CXL_BENCH_OUT").unwrap_or_else(|_| "results.ndjson".into());
-        let file = if path.is_empty() {
-            None
-        } else {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .ok()
-        };
-        NdjsonSink {
-            file,
-        }
+        let file = std::env::var("CXL_BENCH_OUT")
+            .ok()
+            .filter(|path| !path.is_empty())
+            .and_then(|path| {
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+                    .ok()
+            });
+        NdjsonSink { file }
     }
 
     /// Writes one record.
@@ -248,6 +247,32 @@ mod tests {
         assert_eq!(human_rate(999.0), "999");
         assert_eq!(human_bytes(512), "512 B");
         assert_eq!(human_bytes(1536), "1.5 KiB");
+    }
+
+    #[test]
+    fn sink_writes_only_where_cxl_bench_out_points() {
+        // The only test that touches the variable, so no other thread
+        // of this test binary races it.
+        let record = |sink: &mut NdjsonSink| sink.record(&[("experiment", "t".into())]);
+        let cwd = || -> std::collections::BTreeSet<_> {
+            let entries = std::fs::read_dir(".").unwrap();
+            entries.map(|e| e.unwrap().file_name()).collect()
+        };
+        let before = cwd();
+        std::env::remove_var("CXL_BENCH_OUT");
+        record(&mut NdjsonSink::open());
+        assert_eq!(before, cwd(), "an unset CXL_BENCH_OUT created a file in the cwd");
+
+        let out = std::env::temp_dir().join(format!("cxl-bench-sink-{}.ndjson", std::process::id()));
+        let _ = std::fs::remove_file(&out);
+        std::env::set_var("CXL_BENCH_OUT", &out);
+        let mut sink = NdjsonSink::open();
+        record(&mut sink);
+        record(&mut sink);
+        std::env::remove_var("CXL_BENCH_OUT");
+        let text = std::fs::read_to_string(&out).unwrap();
+        std::fs::remove_file(&out).unwrap();
+        assert_eq!(text, "{\"experiment\":\"t\"}\n".repeat(2));
     }
 
     #[test]

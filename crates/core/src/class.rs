@@ -110,12 +110,6 @@ impl ClassTable {
         (self.slab_size / self.block_size(class) as u64) as u32
     }
 
-    /// The slab size of this heap.
-    #[inline]
-    pub fn slab_size(&self) -> u64 {
-        self.slab_size
-    }
-
     /// Internal fragmentation of serving `size` from its class, in bytes.
     pub fn waste(&self, size: usize) -> Option<usize> {
         self.class_of(size)

@@ -83,12 +83,13 @@ pub fn catch<T>(f: impl FnOnce() -> T + std::panic::UnwindSafe) -> Result<T, Cra
     }
 }
 
-/// Collects the crash-point labels compiled into the allocator, by
-/// module, for white-box test enumeration. Kept in sync by the
-/// `crash_points` test in each module.
+/// The one registry of crash-point labels compiled into the allocator,
+/// by list, for white-box test enumeration. `tests/crash_labels.rs`
+/// holds it equal to the labels the source passes to [`point`].
 pub fn known_points() -> HashMap<&'static str, &'static [&'static str]> {
     let mut map: HashMap<&'static str, &'static [&'static str]> = HashMap::new();
     map.insert("slab", crate::slab::CRASH_POINTS);
+    map.insert("slab_batch", crate::slab::BATCH_CRASH_POINTS);
     map.insert("huge", crate::huge::CRASH_POINTS);
     map
 }

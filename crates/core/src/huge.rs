@@ -639,9 +639,4 @@ impl HugeHeap {
         }
         st
     }
-
-    /// Bytes of HWcc memory used by the huge heap (constant).
-    pub fn hwcc_bytes<M: PodMemory + ?Sized>(&self, mem: &M) -> u64 {
-        mem.layout().huge.hwcc_bytes()
-    }
 }

@@ -71,16 +71,11 @@ pub struct LogEntry {
 impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     /// Creates a handle for thread slot `slot`.
     pub fn new(mem: &'m M, slot: u32) -> Self {
-        Self::with_enabled(mem, slot, true)
+        Self::with_options(mem, slot, true, false)
     }
 
     /// Creates a handle, optionally inert (the `cxlalloc-nonrecoverable`
-    /// ablation).
-    pub fn with_enabled(mem: &'m M, slot: u32, enabled: bool) -> Self {
-        Self::with_options(mem, slot, enabled, false)
-    }
-
-    /// Creates a handle with fence coalescing opted in or out.
+    /// ablation), with fence coalescing opted in or out.
     pub fn with_options(mem: &'m M, slot: u32, enabled: bool, coalesce: bool) -> Self {
         OpLog {
             mem,

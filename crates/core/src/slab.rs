@@ -1009,12 +1009,6 @@ impl SlabHeap {
 
     // ---- introspection ------------------------------------------------------
 
-    /// Bytes of HWcc memory currently in use by this heap (§5.2.1
-    /// accounting).
-    pub fn hwcc_bytes<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId) -> u64 {
-        self.hl(mem).hwcc_bytes(self.len(mem, core))
-    }
-
     /// Total data bytes mapped (heap length × slab size).
     pub fn mapped_bytes<M: PodMemory + ?Sized>(&self, mem: &M, core: CoreId) -> u64 {
         self.len(mem, core) as u64 * self.hl(mem).slab_size

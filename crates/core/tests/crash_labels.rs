@@ -1,19 +1,14 @@
-//! Crash-label coverage: the label lists the crash matrices iterate and
-//! the `crash_point("…")` / `crash::point("…")` calls compiled into the
-//! allocator must name exactly the same labels, each in exactly one
-//! list. A call whose label no list names is a crash point no matrix
+//! Crash-label coverage: the registry the crash matrices iterate
+//! (`crash::known_points()`) and the `crash_point("…")` /
+//! `crash::point("…")` calls compiled into the allocator must name
+//! exactly the same labels, each in exactly one of the registry's
+//! lists. A call whose label no list names is a crash point no matrix
 //! ever fires; a listed label with no call is a matrix row that can
 //! only ever report "never reached".
 
-use cxl_core::{huge, slab};
+use cxl_core::crash;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
-
-const LISTS: [(&str, &[&str]); 3] = [
-    ("slab::CRASH_POINTS", slab::CRASH_POINTS),
-    ("slab::BATCH_CRASH_POINTS", slab::BATCH_CRASH_POINTS),
-    ("huge::CRASH_POINTS", huge::CRASH_POINTS),
-];
 
 /// Every string literal passed to `crash_point(` or `crash::point(` in
 /// `crates/core/src/*.rs`, with the files that pass it.
@@ -44,7 +39,7 @@ fn every_crash_label_is_listed_exactly_once_and_every_listed_label_exists() {
     assert!(source.len() > 30, "the scan found only {} labels", source.len());
 
     let mut listed: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (list, labels) in LISTS {
+    for (list, labels) in crash::known_points() {
         for label in labels {
             listed.entry(label).or_default().push(list);
         }

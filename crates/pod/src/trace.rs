@@ -16,8 +16,8 @@
 //! [`Tracer::enabled`] — a single relaxed load — before computing
 //! anything else (including the timestamp). Disarmed, tracing adds
 //! one predictable branch per substrate operation and allocates
-//! nothing; the benchmark regression gate (`bench-snapshot --check`)
-//! runs with the tracer disarmed and must not move.
+//! nothing; the repo benchmark (`pod-bench`, `benchmark/`) and the CI
+//! gates (`bench-gates`) run with the tracer disarmed and must not move.
 //!
 //! # Determinism: the tracer is a correctness oracle
 //!

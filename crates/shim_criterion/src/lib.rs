@@ -26,7 +26,7 @@ pub enum Throughput {
 }
 
 /// One finished benchmark's measurement, kept by the driver so harness
-/// binaries (e.g. `bench-snapshot`) can post-process results instead of
+/// binaries (e.g. `bench-gates`) can post-process results instead of
 /// scraping stdout.
 #[derive(Debug, Clone)]
 pub struct BenchRecord {
@@ -44,8 +44,8 @@ pub struct BenchRecord {
     pub throughput: Option<Throughput>,
     /// Auxiliary counters attached after measurement via
     /// [`BenchmarkGroup::annotate_last`] (e.g. per-op memory-traffic
-    /// rates observed while the samples ran), serialized by
-    /// `bench-snapshot` alongside the timing fields.
+    /// rates observed while the samples ran); `bench-gates` forms its
+    /// modeled-time ratios from them.
     pub counters: Vec<(String, f64)>,
 }
 
@@ -139,11 +139,14 @@ impl BenchmarkGroup<'_> {
     }
 
     /// Attaches an auxiliary counter to the most recently recorded
-    /// benchmark. No-op when the last `bench_function` produced no
-    /// record (its routine never called [`Bencher::iter`]).
+    /// benchmark and prints it under that benchmark's line. No-op when
+    /// the last `bench_function` produced no record (its routine never
+    /// called [`Bencher::iter`]).
     pub fn annotate_last(&mut self, key: impl Into<String>, value: f64) {
         if let Some(record) = self.criterion.records.last_mut() {
-            record.counters.push((key.into(), value));
+            let key = key.into();
+            println!("    {key} = {value:.1}");
+            record.counters.push((key, value));
         }
     }
 
