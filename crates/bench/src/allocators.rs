@@ -91,45 +91,8 @@ impl AllocatorKind {
     }
 }
 
-/// Builds a pod for cxlalloc sized to `capacity` total data bytes (half
-/// small, 3/8 large, plus huge address space), optionally over a
-/// simulated-coherence backend.
-pub fn cxlalloc_pod(capacity: u64, max_threads: u32, mode: Option<HwccMode>) -> Pod {
-    cxlalloc_pod_striped(capacity, max_threads, 1, mode)
-}
-
-/// Like [`cxlalloc_pod`], with the global free list split into
-/// `stripes` per-host-stripe freelists (the host-scaling sweep's
-/// sharded configuration; 1 reproduces the legacy single-head layout).
-pub fn cxlalloc_pod_striped(
-    capacity: u64,
-    max_threads: u32,
-    stripes: u32,
-    mode: Option<HwccMode>,
-) -> Pod {
-    let config = striped_config(capacity, max_threads, stripes);
-    match mode {
-        None => Pod::new(config).expect("pod"),
-        Some(mode) => Pod::with_simulation(config, mode).expect("pod"),
-    }
-}
-
-/// Like [`cxlalloc_pod_striped`], on a simulated pod whose memory
-/// traffic crosses a contended fabric: every line fill, writeback, and
-/// NMP op is additionally charged queueing + service delay by the
-/// `cxl_pod::fabric` model (the congested host-scaling sweep).
-pub fn cxlalloc_pod_striped_fabric(
-    capacity: u64,
-    max_threads: u32,
-    stripes: u32,
-    mode: HwccMode,
-    fabric: cxl_pod::FabricConfig,
-) -> Pod {
-    let config = striped_config(capacity, max_threads, stripes);
-    Pod::with_simulation_fabric(config, mode, fabric).expect("pod")
-}
-
-fn striped_config(capacity: u64, max_threads: u32, stripes: u32) -> PodConfig {
+/// The config every `cxlalloc_pod*` constructor sizes its pod with.
+fn pod_config(capacity: u64, max_threads: u32) -> PodConfig {
     PodConfig {
         max_threads: max_threads.max(8),
         small_max_slabs: ((capacity / 2) / (32 << 10)).clamp(64, 1 << 20) as u32,
@@ -139,8 +102,31 @@ fn striped_config(capacity: u64, max_threads: u32, stripes: u32) -> PodConfig {
         huge_descs_per_thread: 512,
         hazards_per_thread: 64,
         max_segment_bytes: 256 << 30,
-        global_stripes: stripes,
     }
+}
+
+/// Builds a pod for cxlalloc sized to `capacity` total data bytes (half
+/// small, 3/8 large, plus huge address space), optionally over a
+/// simulated-coherence backend.
+pub fn cxlalloc_pod(capacity: u64, max_threads: u32, mode: Option<HwccMode>) -> Pod {
+    let config = pod_config(capacity, max_threads);
+    match mode {
+        None => Pod::new(config).expect("pod"),
+        Some(mode) => Pod::with_simulation(config, mode).expect("pod"),
+    }
+}
+
+/// Like [`cxlalloc_pod`], on a simulated pod whose memory traffic
+/// crosses a contended fabric: every line fill, writeback, and NMP op
+/// is additionally charged queueing + service delay by the
+/// `cxl_pod::fabric` model (the congested host-scaling sweep).
+pub fn cxlalloc_pod_fabric(
+    capacity: u64,
+    max_threads: u32,
+    mode: HwccMode,
+    fabric: cxl_pod::FabricConfig,
+) -> Pod {
+    Pod::with_simulation_fabric(pod_config(capacity, max_threads), mode, fabric).expect("pod")
 }
 
 /// Builds a simulated-coherence pod for the Figure 12 experiments.
@@ -156,17 +142,7 @@ pub fn cxlalloc_pod_with_mode(
     use cxl_pod::{Layout, Segment, SimMemory};
     use std::sync::Arc as StdArc;
 
-    let config = PodConfig {
-        max_threads: max_threads.max(8),
-        small_max_slabs: ((capacity / 2) / (32 << 10)).clamp(64, 1 << 20) as u32,
-        large_max_slabs: ((capacity * 3 / 8) / (512 << 10)).clamp(8, 1 << 16) as u32,
-        huge_capacity: (capacity / 4).max(64 << 20),
-        huge_regions: 256,
-        huge_descs_per_thread: 512,
-        hazards_per_thread: 64,
-        max_segment_bytes: 256 << 30,
-        global_stripes: 1,
-    };
+    let config = pod_config(capacity, max_threads);
     let mut model = LatencyModel::paper_calibrated();
     if local_dram {
         // Local DRAM: misses and device ops at DRAM latency, cheap
@@ -201,7 +177,6 @@ pub fn huge_pod(huge_capacity: u64, max_threads: u32) -> Pod {
         huge_descs_per_thread: 256,
         hazards_per_thread: 128,
         max_segment_bytes: 1 << 40,
-        global_stripes: 1,
     };
     Pod::new(config).expect("huge pod")
 }

@@ -26,7 +26,7 @@
 //! byte-identical replay (see `OBSERVABILITY.md`).
 
 use baselines::{CxlallocAdapter, PodAlloc, PodAllocThread};
-use cxl_bench::allocators::{cxlalloc_pod, cxlalloc_pod_striped_fabric};
+use cxl_bench::allocators::{cxlalloc_pod, cxlalloc_pod_fabric};
 use cxl_core::AttachOptions;
 use cxl_pod::trace::{chrome_trace_json, TraceKind, Tracer};
 use cxl_pod::{CoreId, FabricConfig, HwccMode, PodMemory};
@@ -117,10 +117,9 @@ fn main() {
 /// was protocol (latency model), fabric service (pipe occupancy), and
 /// fabric queueing (waiting for contended stations).
 fn run_fabric_section(ops: u64, hosts: u32) -> Section {
-    let pod = cxlalloc_pod_striped_fabric(
+    let pod = cxlalloc_pod_fabric(
         CAPACITY,
         hosts.max(8),
-        64,
         HwccMode::Limited,
         FabricConfig::congested(),
     );
@@ -130,14 +129,7 @@ fn run_fabric_section(ops: u64, hosts: u32) -> Section {
     tracer.arm();
 
     enter_phase(tracer, cores, "attach");
-    let adapter = CxlallocAdapter::new(
-        pod,
-        1,
-        AttachOptions {
-            unsized_limit: 0,
-            ..AttachOptions::default()
-        },
-    );
+    let adapter = CxlallocAdapter::new(pod, 1, AttachOptions::default());
     let mut team: Vec<Box<dyn PodAllocThread>> = (0..hosts)
         .map(|_| adapter.thread().expect("register fabric host"))
         .collect();

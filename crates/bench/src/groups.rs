@@ -8,7 +8,7 @@
 //! or `fig*` binary exercises. Nothing records these medians; a claim
 //! across commits is a `pod-bench` A/B (`benchmark/`).
 
-use crate::allocators::{cxlalloc_pod, cxlalloc_pod_striped, cxlalloc_pod_striped_fabric};
+use crate::allocators::{cxlalloc_pod, cxlalloc_pod_fabric};
 use baselines::{CxlallocAdapter, PodAlloc, PodAllocThread};
 use criterion::{Criterion, Throughput};
 use cxl_core::dcas::Dcas;
@@ -431,40 +431,25 @@ pub fn bench_deref(c: &mut Criterion) {
 
 /// Blocks per host per round of the remote-free host-scaling kernel:
 /// one full small slab, so every round cycles each host's slab through
-/// remote-free counters, slab stealing, and the global free list.
+/// remote-free counters and slab stealing (a stolen slab parks on the
+/// stealer's unsized list and overflows to the global free list past
+/// `unsized_limit`).
 const HOST_SCALING_BLOCKS: usize = 512;
 
 /// Insert/replace ops per host per round of the kvstore host-scaling
 /// kernel.
 const HOST_SCALING_KV_OPS: usize = 256;
 
-/// Stripe count of the sharded configuration (one stripe per possible
-/// host at the sweep's widest point).
-const HOST_SCALING_STRIPES: u32 = 64;
-
-/// The two swept configurations: the unsharded baseline (single global
-/// free-list head, the paper's eager §3.2.1 publish protocol) vs the
-/// sharded heap (64 per-host-stripe freelists) with batched publishes
-/// and coalesced fences on top.
-fn host_scaling_variants() -> [(&'static str, u32, AttachOptions); 2] {
-    // `unsized_limit: 0` on both sides: every emptied slab overflows to
-    // the global free list instead of parking on the thread-local
-    // unsized list, so the sweep actually exercises the stripe layer
-    // rather than the local cache in front of it.
+/// The two swept configurations, on the same pod: the paper's eager
+/// §3.2.1 publish protocol (every default) vs remote frees published
+/// in batches of up to 64 with the log-clear fence coalesced into the
+/// next op's.
+fn host_scaling_variants() -> [(&'static str, AttachOptions); 2] {
     [
+        ("eager", AttachOptions::default()),
         (
-            "unsharded",
-            1,
+            "batched",
             AttachOptions {
-                unsized_limit: 0,
-                ..AttachOptions::default()
-            },
-        ),
-        (
-            "sharded",
-            HOST_SCALING_STRIPES,
-            AttachOptions {
-                unsized_limit: 0,
                 remote_free_batch: 64,
                 coalesce_fences: true,
                 ..AttachOptions::default()
@@ -478,7 +463,7 @@ fn host_scaling_variants() -> [(&'static str, u32, AttachOptions); 2] {
 /// over its peers, then every host frees what it received. With more
 /// than one host every free is a remote free (a publish CAS into the
 /// owner slab's counter line, touched by every peer core in turn), and
-/// every emptied slab is stolen and crosses the global free list.
+/// every emptied slab is stolen by the peer whose free emptied it.
 fn host_scaling_round(
     team: &mut [cxl_core::ThreadHandle],
     routed: &mut [Vec<cxl_core::OffsetPtr>],
@@ -502,9 +487,9 @@ fn host_scaling_round(
 /// The remote-free kernel with host-interleaved issue order (one op per
 /// host per turn), used for the congested-fabric sweep. The fabric's
 /// stations are issue-order FIFO over per-core virtual clocks, so the
-/// batched kernel above — which runs each host's whole batch before the
-/// next host's — would push a station's busy-clock to the end of host
-/// 0's batch and make host 1's first (virtual-time-earlier) request
+/// host-at-a-time kernel above — which runs each host's whole round
+/// before the next host's — would push a station's busy-clock to the end
+/// of host 0's round and make host 1's first (virtual-time-earlier) request
 /// wait behind all of it: a global-lock artifact of the sequential
 /// driver, not queueing. Interleaving keeps the per-core clocks in
 /// lockstep, so station waits measure genuine backlog instead.
@@ -609,7 +594,7 @@ fn annotate_host_scaling(
 }
 
 /// Host-scaling sweep (PR 8): 1–64 simulated hosts over the remote-free
-/// and kvstore paths, unsharded vs sharded. Hosts are
+/// and kvstore paths, eager vs batched. Hosts are
 /// registered handles on distinct simulated cores driven round-robin on
 /// one OS thread over the `HwccMode::Limited` substrate: on the
 /// wall-clock backend a CI box's scheduler would drown the coherence
@@ -659,11 +644,9 @@ fn host_scaling_sweep(
     use cxl_core::{Cxlalloc, OffsetPtr, ThreadHandle};
     use kvstore::KvStore;
 
-    let build_pod = |stripes: u32| match fabric {
-        Some(config) => {
-            cxlalloc_pod_striped_fabric(64 << 20, 80, stripes, HwccMode::Limited, config)
-        }
-        None => cxlalloc_pod_striped(64 << 20, 80, stripes, Some(HwccMode::Limited)),
+    let build_pod = || match fabric {
+        Some(config) => cxlalloc_pod_fabric(64 << 20, 80, HwccMode::Limited, config),
+        None => cxlalloc_pod(64 << 20, 80, Some(HwccMode::Limited)),
     };
     let group_name = if fabric.is_some() {
         "host_scaling_congested"
@@ -672,8 +655,8 @@ fn host_scaling_sweep(
     };
     let mut group = c.benchmark_group(group_name);
     for &hosts in host_counts {
-        for (variant, stripes, options) in host_scaling_variants() {
-            let pod = build_pod(stripes);
+        for (variant, options) in host_scaling_variants() {
+            let pod = build_pod();
             let mem = pod.memory().clone();
             let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
             let mut team: Vec<ThreadHandle> =
@@ -726,8 +709,8 @@ fn host_scaling_sweep(
         // table walk, which is the point of measuring it separately.
         const KV_KEYS: u64 = 4096;
         for &hosts in host_counts {
-            for (variant, stripes, options) in host_scaling_variants() {
-                let pod = build_pod(stripes);
+            for (variant, options) in host_scaling_variants() {
+                let pod = build_pod();
                 let mem = pod.memory().clone();
                 let alloc = CxlallocAdapter::new(pod, 1, options);
                 let store = KvStore::new(1 << 12, hosts as usize + 1);

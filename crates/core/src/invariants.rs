@@ -53,39 +53,29 @@ fn check_slab_heap(mem: &dyn PodMemory, core: CoreId, heap: &SlabHeap) -> Result
         return Err(format!("{kind}: heap length {len} exceeds capacity {}", hl.max_slabs));
     }
 
-    // Global free-list stripes: acyclic (jointly — `seen` is shared, so
-    // a slab reachable from two stripes is caught), within length,
-    // unowned, unsized.
+    // Global free list: acyclic, within length, unowned, unsized.
     let mut seen = vec![false; len as usize];
-    for stripe in 0..hl.global_stripes {
-        let head = Detect::unpack(mem.load_u64(core, hl.global_free_at(stripe))).payload;
-        let mut cursor = head.checked_sub(1);
-        while let Some(slab) = cursor {
-            if slab >= len {
-                return Err(format!(
-                    "{kind}: global stripe {stripe} contains unmapped slab {slab}"
-                ));
-            }
-            if seen[slab as usize] {
-                return Err(format!(
-                    "{kind}: global stripe {stripe} revisits slab {slab} (cycle or cross-stripe link)"
-                ));
-            }
-            seen[slab as usize] = true;
-            let header = read_header(mem, core, hl, slab);
-            if header.owner != 0 {
-                return Err(format!(
-                    "{kind}: slab {slab} on global stripe {stripe} has owner {}",
-                    header.owner
-                ));
-            }
-            if header.flags & flags::SIZED != 0 {
-                return Err(format!(
-                    "{kind}: slab {slab} on global stripe {stripe} is sized"
-                ));
-            }
-            cursor = header.next.checked_sub(1);
+    let head = Detect::unpack(mem.load_u64(core, hl.global_free)).payload;
+    let mut cursor = head.checked_sub(1);
+    while let Some(slab) = cursor {
+        if slab >= len {
+            return Err(format!("{kind}: global list contains unmapped slab {slab}"));
         }
+        if seen[slab as usize] {
+            return Err(format!("{kind}: global list cycles at slab {slab}"));
+        }
+        seen[slab as usize] = true;
+        let header = read_header(mem, core, hl, slab);
+        if header.owner != 0 {
+            return Err(format!(
+                "{kind}: slab {slab} on global list has owner {}",
+                header.owner
+            ));
+        }
+        if header.flags & flags::SIZED != 0 {
+            return Err(format!("{kind}: slab {slab} on global list is sized"));
+        }
+        cursor = header.next.checked_sub(1);
     }
 
     // Per-thread lists.

@@ -425,11 +425,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
             }
         }
         Op::PopGlobal => {
-            // The stripe the crashed CAS targeted travels in `b`; the
-            // modulo tolerates a record written under a different
-            // stripe count (impossible within one pod, but cheap).
-            let head = hl.global_free_at(entry.word.b as u32 % hl.global_stripes);
-            if dcas.detect(ctx.core, head, ctx.tid, version) {
+            if dcas.detect(ctx.core, hl.global_free, ctx.tid, version) {
                 refresh_slab_view(ctx, heap, slab);
                 park_orphan(ctx, heap, slab);
                 report.outcome = "pop completed; slab parked on unsized list";
@@ -439,8 +435,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
         }
         Op::PushGlobal => {
             refresh_slab_view(ctx, heap, slab);
-            let head = hl.global_free_at(entry.word.b as u32 % hl.global_stripes);
-            if dcas.detect(ctx.core, head, ctx.tid, version) {
+            if dcas.detect(ctx.core, hl.global_free, ctx.tid, version) {
                 // The slab is on the global list; it must not also be on
                 // any of our private lists (the pop precedes the CAS,
                 // but be defensive — and a stale sized-list link from a

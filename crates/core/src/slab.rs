@@ -361,36 +361,12 @@ impl SlabHeap {
         }
     }
 
-    /// The stripe of the global free list `ctx.tid` homes to. Stripe 0
-    /// is the legacy head cell; the rest live in their own cachelines
-    /// at the segment tail, so threads on different stripes never
-    /// contend on the same line.
-    pub(crate) fn home_stripe<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> u32 {
-        ctx.tid.slot() % self.hl(ctx.mem).global_stripes
-    }
-
-    /// Pops a slab from the striped global free list: the home stripe
-    /// first, then deterministic round-robin work-stealing over the
-    /// remaining stripes when the home stripe is empty.
-    fn pop_global<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> Option<u32> {
-        let stripes = self.hl(ctx.mem).global_stripes;
-        let home = self.home_stripe(ctx);
-        for probe in 0..stripes {
-            let stripe = (home + probe) % stripes;
-            if let Some(slab) = self.pop_global_stripe(ctx, stripe) {
-                return Some(slab);
-            }
-        }
-        None
-    }
-
-    /// Pops from one stripe's head cell (paper §3.2.2's
+    /// Pops a slab from the global free list (paper §3.2.2's
     /// flush-before-load discipline on `next`). Returns `None` when the
-    /// stripe is empty; CAS contention retries the *same* stripe — the
-    /// head changed, so it is non-empty and progress is someone's.
-    fn pop_global_stripe<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, stripe: u32) -> Option<u32> {
+    /// list is empty.
+    fn pop_global<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> Option<u32> {
         let hl = self.hl(ctx.mem);
-        let head_cell = hl.global_free_at(stripe);
+        let head_cell = hl.global_free;
         let dcas = ctx.dcas();
         loop {
             let head = dcas.read(ctx.core, head_cell);
@@ -410,7 +386,7 @@ impl SlabHeap {
                 LogWord {
                     op: self.op(Op::PopGlobal),
                     a: slab,
-                    b: stripe as u8,
+                    b: 0,
                     c: version,
                 },
                 &[],
@@ -430,14 +406,10 @@ impl SlabHeap {
         }
     }
 
-    /// Pushes `slab` (owned, unlinked, empty) onto the calling thread's
-    /// home stripe of the global free list. The stripe index travels in
-    /// the oplog record's `b` byte so recovery detects against the
-    /// right head cell.
+    /// Pushes `slab` (owned, unlinked, empty) onto the global free list.
     pub(crate) fn push_global<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
         let hl = self.hl(ctx.mem);
-        let stripe = self.home_stripe(ctx);
-        let head_cell = hl.global_free_at(stripe);
+        let head_cell = hl.global_free;
         let dcas = ctx.dcas();
         loop {
             let head = dcas.read(ctx.core, head_cell);
@@ -457,7 +429,7 @@ impl SlabHeap {
                 LogWord {
                     op: self.op(Op::PushGlobal),
                     a: slab,
-                    b: stripe as u8,
+                    b: 0,
                     c: version,
                 },
                 &[],

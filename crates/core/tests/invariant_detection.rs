@@ -42,7 +42,7 @@ fn detects_owned_slab_on_global_list() {
         .pack(),
     );
     let err = heap.check_invariants(t.core()).unwrap_err();
-    assert!(err.contains("global stripe"), "{err}");
+    assert!(err.contains("global list"), "{err}");
 }
 
 #[test]

@@ -61,13 +61,6 @@ pub struct PodConfig {
     pub hazards_per_thread: u32,
     /// Safety cap on the total segment size in bytes.
     pub max_segment_bytes: u64,
-    /// Number of global free-list stripes per slab heap. Stripe 0 is the
-    /// legacy `SmallGlobal.free` cell; stripes 1..N live in their own
-    /// cachelines at the segment tail so enabling striping never shifts a
-    /// pre-existing offset. Hosts hash to a home stripe by thread slot
-    /// and work-steal round-robin on local exhaustion. The default of 1
-    /// is byte-for-byte identical to the unsharded layout.
-    pub global_stripes: u32,
 }
 
 impl Default for PodConfig {
@@ -81,7 +74,6 @@ impl Default for PodConfig {
             huge_descs_per_thread: 1024,
             hazards_per_thread: 64,
             max_segment_bytes: 64 << 30,
-            global_stripes: 1,
         }
     }
 }
@@ -98,7 +90,6 @@ impl PodConfig {
             huge_descs_per_thread: 64,
             hazards_per_thread: 8,
             max_segment_bytes: 1 << 30,
-            global_stripes: 1,
         }
     }
 
@@ -134,13 +125,6 @@ impl PodConfig {
         }
         if self.hazards_per_thread == 0 {
             return fail("hazards_per_thread must be at least 1");
-        }
-        if self.global_stripes == 0 {
-            return fail("global_stripes must be at least 1");
-        }
-        // The stripe index travels in the oplog record's `b` byte.
-        if self.global_stripes > 64 {
-            return fail("global_stripes must be at most 64");
         }
         Ok(())
     }
@@ -191,22 +175,6 @@ mod tests {
         let config = PodConfig::small_for_tests();
         assert_eq!(config.huge_region_size() % PAGE_SIZE, 0);
         assert!(config.huge_region_size() * config.huge_regions as u64 >= config.huge_capacity);
-    }
-
-    #[test]
-    fn rejects_bad_stripe_counts() {
-        for stripes in [0u32, 65, 1000] {
-            let config = PodConfig {
-                global_stripes: stripes,
-                ..PodConfig::small_for_tests()
-            };
-            assert!(config.validate().is_err(), "stripes = {stripes}");
-        }
-        let config = PodConfig {
-            global_stripes: 64,
-            ..PodConfig::small_for_tests()
-        };
-        assert!(config.validate().is_ok());
     }
 
     #[test]

@@ -289,11 +289,6 @@ impl FaultInjector {
         self.armed.store(false, Ordering::Relaxed);
     }
 
-    /// Number of rules currently armed (spent rules included).
-    pub fn rule_count(&self) -> usize {
-        self.rules.lock().len()
-    }
-
     /// Backend hook: reports an event at `site` by `core` touching
     /// `[offset, offset+len)`, and returns the fault to inject, if any.
     ///

@@ -80,29 +80,9 @@ pub struct HeapLayout {
     pub max_slabs: u32,
     /// Number of size classes (length of `SmallLocal.sized`).
     pub num_classes: u32,
-    /// Number of global free-list stripes (≥ 1). Stripe 0 is the legacy
-    /// `global_free` cell; the rest live in [`Self::stripe_heads`].
-    pub global_stripes: u32,
-    /// Detectable-CAS head cells for stripes 1..`global_stripes`, one
-    /// cacheline each so contending hosts never share a line. Empty when
-    /// unstriped. Lives at the segment tail (offset stability).
-    pub stripe_heads: Region,
 }
 
 impl HeapLayout {
-    /// Offset of global free-list stripe `stripe`'s head cell. Stripe 0
-    /// is the legacy `global_free` cell so an unstriped layout is
-    /// byte-identical to the pre-stripe one.
-    #[inline]
-    pub fn global_free_at(&self, stripe: u32) -> u64 {
-        debug_assert!(stripe < self.global_stripes);
-        if stripe == 0 {
-            self.global_free
-        } else {
-            self.stripe_heads.start + (stripe as u64 - 1) * crate::config::CACHELINE
-        }
-    }
-
     /// Offset of slab `index`'s HWcc descriptor.
     #[inline]
     pub fn hwcc_desc_at(&self, index: u32) -> u64 {
@@ -423,14 +403,6 @@ impl Layout {
         // pins replay fingerprints across versions.
         let remote_buf = region(threads * CACHELINE, CACHELINE, &mut cursor);
 
-        // Global free-list stripes 1..N (stripe 0 reuses the legacy
-        // `global_free` cell) also append at the tail: empty regions
-        // under the default config, so unstriped layouts stay
-        // byte-identical.
-        let extra_stripes = config.global_stripes as u64 - 1;
-        let small_stripes = region(extra_stripes * CACHELINE, CACHELINE, &mut cursor);
-        let large_stripes = region(extra_stripes * CACHELINE, CACHELINE, &mut cursor);
-
         let total_len = align_up(cursor, 4096);
         if total_len > config.max_segment_bytes {
             return Err(PodError::SegmentTooLarge {
@@ -458,8 +430,6 @@ impl Layout {
                 slab_shift: slab_shift(SMALL_SLAB_SIZE),
                 max_slabs: config.small_max_slabs,
                 num_classes: SMALL_CLASSES,
-                global_stripes: config.global_stripes,
-                stripe_heads: small_stripes,
             },
             large: HeapLayout {
                 global_len: large_global.start,
@@ -474,8 +444,6 @@ impl Layout {
                 slab_shift: slab_shift(LARGE_SLAB_SIZE),
                 max_slabs: config.large_max_slabs,
                 num_classes: LARGE_CLASSES,
-                global_stripes: config.global_stripes,
-                stripe_heads: large_stripes,
             },
             huge: HugeLayout {
                 reservations,
@@ -545,15 +513,10 @@ impl Layout {
         self.remote_buf_at(slot) + i as u64 * 8
     }
 
-    /// Whether `offset` is inside the HWcc metadata region. The global
-    /// free-list stripe heads are HWcc cells too (they are detectable-CAS
-    /// targets exactly like the legacy `global_free` cell); they live at
-    /// the tail for offset stability, so they are checked explicitly.
+    /// Whether `offset` is inside the HWcc metadata region.
     #[inline]
     pub fn is_hwcc(&self, offset: u64) -> bool {
         self.hwcc.contains(offset)
-            || self.small.stripe_heads.contains(offset)
-            || self.large.stripe_heads.contains(offset)
     }
 
     /// Whether `offset` is inside any data region (application memory,
@@ -621,44 +584,18 @@ mod tests {
     }
 
     #[test]
-    fn striping_appends_at_tail_without_shifting_offsets() {
-        let base = layout();
-        let striped = Layout::compute(&PodConfig {
-            global_stripes: 8,
-            ..PodConfig::small_for_tests()
-        })
-        .unwrap();
-        // Every pre-stripe offset is unchanged (fingerprint stability).
-        assert_eq!(base.small.global_free, striped.small.global_free);
-        assert_eq!(base.small.data, striped.small.data);
-        assert_eq!(base.large.swcc_desc, striped.large.swcc_desc);
-        assert_eq!(base.log, striped.log);
-        assert_eq!(base.remote_buf, striped.remote_buf);
-        // Stripe 0 is the legacy cell; the rest get a cacheline each.
-        assert_eq!(striped.small.global_free_at(0), striped.small.global_free);
-        assert_eq!(striped.small.stripe_heads.len, 7 * CACHELINE);
-        for s in 1..8 {
-            assert!(striped.small.global_free_at(s) >= striped.remote_buf.end());
-            assert_eq!(striped.small.global_free_at(s) % CACHELINE, 0);
+    fn remote_buf_is_the_tail_and_segment_sizes_are_pinned() {
+        // Sizes read off commit e188e34, whose layout still ended in
+        // the (empty by default) stripe-head regions: dropping them
+        // moved no offset and resized no segment.
+        for (config, total_len) in [
+            (PodConfig::default(), 8_999_403_520),
+            (PodConfig::small_for_tests(), 73_490_432),
+        ] {
+            let l = Layout::compute(&config).unwrap();
+            assert_eq!(l.total_len, align_up(l.remote_buf.end(), 4096));
+            assert_eq!(l.total_len, total_len);
         }
-        assert!(striped.large.global_free_at(7) < striped.total_len);
-        // Unstriped layouts expose an empty stripe region.
-        assert_eq!(base.small.stripe_heads.len, 0);
-        assert_eq!(base.small.global_free_at(0), base.small.global_free);
-    }
-
-    #[test]
-    fn stripe_heads_are_hwcc_and_not_data() {
-        let l = Layout::compute(&PodConfig {
-            global_stripes: 4,
-            ..PodConfig::small_for_tests()
-        })
-        .unwrap();
-        for s in 0..4 {
-            assert!(l.is_hwcc(l.small.global_free_at(s)), "small stripe {s}");
-            assert!(l.is_hwcc(l.large.global_free_at(s)), "large stripe {s}");
-        }
-        assert!(!l.is_data(l.small.global_free_at(3)));
     }
 
     #[test]

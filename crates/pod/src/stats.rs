@@ -53,7 +53,7 @@ struct Shard {
 /// of the aggregate [`MemStatsSnapshot::cas_retries`] counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CasRetrySite {
-    /// Global free-list pop (`slab::pop_global`, per stripe).
+    /// Global free-list head CAS, push or pop.
     PopGlobal,
     /// Remote-free counter publish (eager or batched).
     RemotePublish,

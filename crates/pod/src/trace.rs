@@ -431,15 +431,6 @@ impl Tracer {
         (names.len() - 1) as PhaseId
     }
 
-    /// Name of a phase id (`"?"` if unknown).
-    pub fn phase_name(&self, id: PhaseId) -> String {
-        self.names
-            .lock()
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| "?".to_string())
-    }
-
     /// Moves `core` into `phase`; subsequent events from that core are
     /// attributed there.
     pub fn set_phase(&self, core: usize, phase: PhaseId) {

@@ -7,60 +7,59 @@
 
 use cxl_pod::PodConfig;
 
+/// One key per `PodConfig` field, in declaration order.
+const KEYS: [&str; 8] = ["mt", "ss", "ls", "hc", "hr", "hd", "hz", "mb"];
+
 /// Renders `config` as `key=value` pairs (`mt=64,ss=2048,...`).
 pub fn format_config(c: &PodConfig) -> String {
-    format!(
-        "mt={},ss={},ls={},hc={},hr={},hd={},hz={},mb={},gs={}",
-        c.max_threads,
-        c.small_max_slabs,
-        c.large_max_slabs,
+    let values = [
+        c.max_threads as u64,
+        c.small_max_slabs as u64,
+        c.large_max_slabs as u64,
         c.huge_capacity,
-        c.huge_regions,
-        c.huge_descs_per_thread,
-        c.hazards_per_thread,
+        c.huge_regions as u64,
+        c.huge_descs_per_thread as u64,
+        c.hazards_per_thread as u64,
         c.max_segment_bytes,
-        c.global_stripes,
-    )
+    ];
+    let pairs: Vec<String> = KEYS.iter().zip(values).map(|(key, value)| format!("{key}={value}")).collect();
+    pairs.join(",")
 }
 
-/// Parses [`format_config`] output.
+/// Parses [`format_config`] output. Every key must appear exactly once:
+/// a worker that filled a missing field with a guess would derive a
+/// different layout from the coordinator's.
 ///
 /// # Errors
 ///
-/// A description of the malformed or missing field.
+/// A description of the malformed, duplicate or missing field.
 pub fn parse_config(s: &str) -> Result<PodConfig, String> {
-    let mut c = PodConfig {
-        max_threads: 0,
-        small_max_slabs: 0,
-        large_max_slabs: 0,
-        huge_capacity: 0,
-        huge_regions: 0,
-        huge_descs_per_thread: 0,
-        hazards_per_thread: 0,
-        max_segment_bytes: 0,
-        global_stripes: 1,
-    };
+    let mut values = [None; KEYS.len()];
     for pair in s.split(',') {
         let (key, value) = pair.split_once('=').ok_or_else(|| format!("bad pair {pair:?}"))?;
+        let slot = KEYS
+            .iter()
+            .position(|k| *k == key)
+            .ok_or_else(|| format!("unknown config key {key:?}"))?;
         let num: u64 = value.parse().map_err(|_| format!("bad value in {pair:?}"))?;
-        let num32 = || u32::try_from(num).map_err(|_| format!("{pair:?} overflows u32"));
-        match key {
-            "mt" => c.max_threads = num32()?,
-            "ss" => c.small_max_slabs = num32()?,
-            "ls" => c.large_max_slabs = num32()?,
-            "hc" => c.huge_capacity = num,
-            "hr" => c.huge_regions = num32()?,
-            "hd" => c.huge_descs_per_thread = num32()?,
-            "hz" => c.hazards_per_thread = num32()?,
-            "mb" => c.max_segment_bytes = num,
-            "gs" => c.global_stripes = num32()?,
-            other => return Err(format!("unknown config key {other:?}")),
+        if values[slot].replace(num).is_some() {
+            return Err(format!("duplicate config key {key:?}"));
         }
     }
-    if c.max_threads == 0 {
-        return Err("config is missing mt".into());
-    }
-    Ok(c)
+    let get = |slot: usize| values[slot].ok_or_else(|| format!("config is missing {}", KEYS[slot]));
+    let get32 = |slot: usize| {
+        u32::try_from(get(slot)?).map_err(|_| format!("{} overflows u32", KEYS[slot]))
+    };
+    Ok(PodConfig {
+        max_threads: get32(0)?,
+        small_max_slabs: get32(1)?,
+        large_max_slabs: get32(2)?,
+        huge_capacity: get(3)?,
+        huge_regions: get32(4)?,
+        huge_descs_per_thread: get32(5)?,
+        hazards_per_thread: get32(6)?,
+        max_segment_bytes: get(7)?,
+    })
 }
 
 #[cfg(test)]
@@ -70,12 +69,7 @@ mod tests {
     #[test]
     fn roundtrips_every_field() {
         for config in [PodConfig::default(), PodConfig::small_for_tests()] {
-            let encoded = format_config(&config);
-            let decoded = parse_config(&encoded).unwrap();
-            assert_eq!(format_config(&decoded), encoded);
-            assert_eq!(decoded.max_threads, config.max_threads);
-            assert_eq!(decoded.max_segment_bytes, config.max_segment_bytes);
-            assert_eq!(decoded.global_stripes, config.global_stripes);
+            assert_eq!(parse_config(&format_config(&config)), Ok(config));
         }
     }
 
@@ -85,6 +79,17 @@ mod tests {
         assert!(parse_config("mt").is_err());
         assert!(parse_config("mt=x").is_err());
         assert!(parse_config("zz=1").is_err());
-        assert!(parse_config("ss=1").is_err(), "mt is mandatory");
+    }
+
+    #[test]
+    fn rejects_truncated_and_duplicated_configs() {
+        let full = format_config(&PodConfig::small_for_tests());
+        assert!(parse_config("mt=64").is_err(), "every key is mandatory");
+        for (cut, _) in full.match_indices(',') {
+            assert!(parse_config(&full[..cut]).is_err(), "{}", &full[..cut]);
+        }
+        assert!(parse_config(&format!("{full},mt=16")).is_err(), "duplicate key");
+        let wide = full.replace("ss=64,", "ss=4294967296,");
+        assert_eq!(parse_config(&wide), Err("ss overflows u32".to_string()));
     }
 }

@@ -55,7 +55,6 @@ pub fn serve_config() -> PodConfig {
         huge_descs_per_thread: 64,
         hazards_per_thread: 8,
         max_segment_bytes: 4 << 30,
-        global_stripes: 8,
     }
 }
 
