@@ -2,7 +2,7 @@
 //!
 //! Runs the gate-feeding criterion groups and evaluates five gates.
 //! Every gate is a ratio between two numbers of *this* run — two host
-//! medians measured by the same loop, or two modeled counters — so
+//! times measured by the same loop, or two modeled counters — so
 //! machine speed and machine state cancel and no stored number is
 //! involved. The binary reads and writes no file. A claim across
 //! commits is not made here: that is a `pod-bench` A/B (`benchmark/`).
@@ -22,10 +22,12 @@ use cxl_bench::groups;
 use Bound::{AtLeast, AtMost};
 
 /// One side of a ratio: a path and the counter attached to its record,
-/// or [`MEDIAN`] for the path's median host ns.
+/// or [`MEDIAN`] / [`MIN`] for the path's median / fastest-sample host
+/// ns.
 type Input = (&'static str, &'static str);
 
 const MEDIAN: &str = "median_ns";
+const MIN: &str = "min_ns";
 const SIM: &str = "sim_ns_per_op";
 const LATENCY: &str = "sim_latency_ns_per_op";
 const QUEUE: &str = "fabric_queue_ns_per_op";
@@ -69,8 +71,12 @@ const GATES: [Gate; 7] = [
     // dereference is free, so what a hit costs is a tax on every
     // cxlalloc row of the KV figures. Measured 0.8–1.6x; 5.3–5.8x with
     // slab-count watermarks and a `dyn` call per hit (before PR 14).
-    gate("dereference (small)", (DEREF_SMALL, MEDIAN), (DEREF_BASELINE, MEDIAN), AtMost(2.0)),
-    gate("dereference (large)", (DEREF_LARGE, MEDIAN), (DEREF_BASELINE, MEDIAN), AtMost(2.0)),
+    // Fastest samples, not medians: a ~2 ns loop body only ever reads
+    // slow (a neighbour's burst, a migration), and with three samples
+    // one slow one is the median — 2.07x about one run in thirty with
+    // nothing changed. The minimum of each side is the path itself.
+    gate("dereference (small)", (DEREF_SMALL, MIN), (DEREF_BASELINE, MIN), AtMost(2.0)),
+    gate("dereference (large)", (DEREF_LARGE, MIN), (DEREF_BASELINE, MIN), AtMost(2.0)),
     // 64 probes of a 4096-bit bitmap whose one free bit is in the last
     // word, from zero against from the carried rover hint. Measured
     // 12–19x; a rover that drops its hint makes both the same walk.
@@ -118,11 +124,14 @@ impl Verdict {
 
 fn read(records: &[BenchRecord], (path, counter): Input) -> Option<f64> {
     let record = records.iter().find(|r| r.path() == path)?;
-    if counter == MEDIAN {
-        return Some(record.median_ns);
+    match counter {
+        MEDIAN => Some(record.median_ns),
+        MIN => Some(record.min_ns),
+        _ => {
+            let attached = record.counters.iter().find(|(key, _)| key == counter)?;
+            Some(attached.1)
+        }
     }
-    let attached = record.counters.iter().find(|(key, _)| key == counter)?;
-    Some(attached.1)
 }
 
 fn evaluate(records: &[BenchRecord]) -> Vec<Verdict> {
@@ -198,14 +207,15 @@ fn main() {
 mod tests {
     use super::*;
 
-    fn record(path: &str, median_ns: f64, counters: &[(&str, f64)]) -> BenchRecord {
+    /// A record whose samples all read `host_ns`.
+    fn record(path: &str, host_ns: f64, counters: &[(&str, f64)]) -> BenchRecord {
         let (group, id) = path.split_once('/').unwrap();
         BenchRecord {
             group: group.to_string(),
             id: id.to_string(),
-            median_ns,
-            min_ns: median_ns,
-            max_ns: median_ns,
+            median_ns: host_ns,
+            min_ns: host_ns,
+            max_ns: host_ns,
             throughput: None,
             counters: counters.iter().map(|&(key, value)| (key.to_string(), value)).collect(),
         }
@@ -244,8 +254,8 @@ mod tests {
     fn each_gate_fails_on_the_regression_it_exists_for() {
         // (gate row, the input moved, its value at the regression)
         let regressions: [(usize, Input, f64); 7] = [
-            (0, (DEREF_SMALL, MEDIAN), 530.0), // 5.3x
-            (1, (DEREF_LARGE, MEDIAN), 580.0), // 5.8x
+            (0, (DEREF_SMALL, MIN), 530.0), // 5.3x
+            (1, (DEREF_LARGE, MIN), 580.0), // 5.8x
             (2, (SPARSE_HINTED, MEDIAN), 7564.0 / 1.5),
             (3, (H32_BATCHED, SIM), 651.9), // batch 1: 1.21x
             (4, (H1_BATCHED, SIM), 635.0 * 1.4),
@@ -255,15 +265,26 @@ mod tests {
         for (row, (path, counter), value) in regressions {
             let mut records = measured();
             let moved = records.iter_mut().find(|r| r.path() == path).unwrap();
-            match moved.counters.iter_mut().find(|(key, _)| key == counter) {
-                Some(attached) => attached.1 = value,
-                None => moved.median_ns = value,
+            match counter {
+                MEDIAN => moved.median_ns = value,
+                MIN => moved.min_ns = value,
+                _ => moved.counters.iter_mut().find(|(key, _)| key == counter).unwrap().1 = value,
             }
             let mut expected = [Some(true); 7];
             expected[row] = Some(false);
             assert_eq!(outcomes(&records), expected, "{}", GATES[row].name);
             assert!(!all_pass(&evaluate(&records)), "{}", GATES[row].name);
         }
+    }
+
+    #[test]
+    fn one_slow_sample_does_not_fail_a_dereference_row() {
+        // The 1-in-30 run at `--samples 3`: the path's fastest sample is
+        // where it always is, a slow second one is the median.
+        let mut records = measured();
+        let small = records.iter_mut().find(|r| r.path() == DEREF_SMALL).unwrap();
+        (small.median_ns, small.max_ns) = (208.0, 260.0);
+        assert_eq!(outcomes(&records), [Some(true); 7]);
     }
 
     #[test]

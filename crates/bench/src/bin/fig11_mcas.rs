@@ -97,11 +97,11 @@ fn simulate(variant: Variant, threads: usize, model: &LatencyModel) -> Vec<u64> 
     let total = threads * OPS_PER_THREAD;
     for _ in 0..total {
         let Reverse((issue, core)) = heap.pop().expect("cores never exhaust");
-        let arrival = issue + jitter.apply(pre, model.jitter_pct);
+        let arrival = issue + jitter.apply(pre, model.jitter_pct());
         let start = resource_free.max(arrival);
-        let completion = start + jitter.apply(service, model.jitter_pct);
+        let completion = start + jitter.apply(service, model.jitter_pct());
         resource_free = completion;
-        let done = completion + jitter.apply(post, model.jitter_pct);
+        let done = completion + jitter.apply(post, model.jitter_pct());
         latencies.push(done - issue);
         heap.push(Reverse((done, core)));
     }

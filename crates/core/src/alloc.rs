@@ -248,6 +248,7 @@ impl Cxlalloc {
     fn handle_fault(&self, process: &Process, fault: Fault) -> bool {
         let mem = process.memory().as_ref();
         let layout = mem.layout();
+        // A thread with no handle charges `CoreId(0)`: see `register_thread`.
         let (tid_raw, core_raw) = CURRENT.with(|c| c.get()).unwrap_or((0, 0));
         let core = CoreId(core_raw);
         // Small/large heap: a range below the heap length should be
@@ -326,6 +327,13 @@ impl Cxlalloc {
     /// or [`AllocError::DeviceContention`] if the registry CAS could not
     /// complete against a persistently contended mCAS device.
     pub fn register_thread(&self) -> Result<ThreadHandle, AllocError> {
+        // Charged to `CoreId(0)` whichever thread calls: a known
+        // exception to the simulator's one-writer-per-core clock rule
+        // (`cxl_pod::latency`). Racing core 0's own thread, this thread's
+        // stale store can roll core 0's clock back by everything its
+        // owner charged since this thread's load — as it always could
+        // against a CAS's `serialize_through`; the charge stays here
+        // because moving it re-pins every replay fingerprint.
         let mem = self.mem();
         let layout = mem.layout();
         for slot in 0..layout.max_threads {
@@ -384,6 +392,7 @@ impl Cxlalloc {
     pub fn mark_crashed(&self, tid: ThreadId) -> Result<(), AllocError> {
         let mem = self.mem();
         let off = mem.layout().registry_at(tid.slot());
+        // `CoreId(0)` from any thread: see `register_thread`.
         registry_cas(mem, CoreId(0), off, registry::LIVE, registry::DEAD).map_err(|e| {
             e.map_conflict(|_| AllocError::BadThreadState {
                 thread: tid,
@@ -413,6 +422,7 @@ impl Cxlalloc {
     pub fn declare_dead(&self, tid: ThreadId) -> Result<bool, AllocError> {
         let mem = self.mem();
         let off = mem.layout().registry_at(tid.slot());
+        // `CoreId(0)` from any thread: see `register_thread`.
         match registry_cas(mem, CoreId(0), off, registry::LIVE, registry::DEAD) {
             Ok(()) => {
                 if let Some(sim) = mem.as_any().downcast_ref::<cxl_pod::SimMemory>() {
@@ -598,6 +608,7 @@ impl Cxlalloc {
     /// Heap-wide statistics.
     pub fn stats(&self) -> HeapStats {
         let mem = self.mem();
+        // `CoreId(0)` from any thread: see `register_thread`.
         let core = CoreId(0);
         let small_len = self.inner.small.len(mem, core);
         let large_len = self.inner.large.len(mem, core);

@@ -1,17 +1,28 @@
 //! The allocator's internals are compiled twice from one source: for
 //! `RawMemory` (picked statically, once per call, on a raw pod) and for
-//! `dyn PodMemory` (every other pod). This drives one seeded script
-//! through both — a raw pod and a simulated pod in `HwccMode::Full`,
-//! which models the same fully coherent memory behind the `dyn`
-//! instantiation — and requires the two to agree on every returned
-//! offset, every recovery report, the final census and the slab counts.
+//! `dyn PodMemory` (every other pod). This drives one seeded script,
+//! with three crashes and adoptions in it, through pairs of pods and
+//! requires each pair to agree on every returned offset, every recovery
+//! report, the final census and the slab counts:
+//!
+//! * a raw pod and a simulated pod in `HwccMode::Full`, which models the
+//!   same fully coherent memory behind the `dyn` instantiation;
+//! * for `HwccMode::Limited` and `HwccMode::None`, where no raw pod
+//!   models the same memory, two simulated pods built independently
+//!   (`Pod::with_simulation` and `Pod::from_memory` over an identical
+//!   `SimMemory`) — where the simulator's own output must match too:
+//!   every counter, every core's virtual clock and the fingerprint of
+//!   the whole event stream.
 
 use cxl_core::crash::{self, CrashPlan};
 use cxl_core::{AttachOptions, BlockCensus, Cxlalloc, OffsetPtr, ThreadHandle};
-use cxl_pod::{HwccMode, Pod, PodConfig};
+use cxl_pod::latency::LatencyModel;
+use cxl_pod::stats::MemStatsSnapshot;
+use cxl_pod::{CoreId, HwccMode, Layout, Pod, PodConfig, Segment, SimMemory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 
 const SEED: u64 = 0x00D1_FF15;
 const STEPS: usize = 6000;
@@ -32,15 +43,26 @@ enum Event {
     Crashed { by: usize, outcome: &'static str, lost_block: Option<u64> },
 }
 
+#[derive(Debug, PartialEq)]
 struct Outcome {
     events: Vec<Event>,
-    census: BlockCensus,
+    /// The two end-of-run audits' verdicts; `Ok` on coherent memory.
+    invariants: Result<(), String>,
+    census: Result<BlockCensus, String>,
     slabs: (u32, u32),
+    /// What the backend itself recorded: counters, each core's virtual
+    /// clock, and the trace stream's fingerprint on backends that trace.
+    stats: MemStatsSnapshot,
+    virtual_ns: Vec<u64>,
+    trace: Option<u64>,
 }
 
 fn run(pod: &Pod, expect_static: bool) -> Outcome {
     let process = pod.spawn_process();
     assert_eq!(process.raw_memory().is_some(), expect_static);
+    if let Some(tracer) = pod.memory().tracer() {
+        tracer.arm();
+    }
     let heap = Cxlalloc::attach(process, AttachOptions::default()).unwrap();
     let mut handles: Vec<ThreadHandle> = vec![
         heap.register_thread().unwrap(),
@@ -137,37 +159,55 @@ fn run(pod: &Pod, expect_static: bool) -> Outcome {
         handle.flush_cache();
     }
     let via = handles[0].core();
-    heap.check_invariants(via).unwrap();
-    let census = heap.census(via).unwrap();
-    // Exact, by the audit's own accounting: a block whose remote free
-    // was published but not yet applied by the slab's owner still has
-    // its bit clear, and `remote_pending` counts exactly those.
-    let counted = census.all_offsets();
-    for (ptr, _) in &live {
-        assert!(counted.binary_search(&ptr.offset()).is_ok(), "live block {ptr:?} lost");
+    let invariants = heap.check_invariants(via);
+    let census = heap.census(via);
+    let mem = pod.memory();
+    // On coherent memory the audits are exact, by their own accounting:
+    // a block whose remote free was published but not yet applied by the
+    // slab's owner still has its bit clear, and `remote_pending` counts
+    // exactly those. Where `mark_crashed` discards the victim's cache
+    // they are not yet (ROADMAP item 1: a bitmap word that lived only in
+    // that cache is lost); there the verdicts are compared between the
+    // two instantiations like everything else.
+    if mem.hwcc_mode() == HwccMode::Full {
+        invariants.as_ref().unwrap();
+        let census = census.as_ref().unwrap();
+        let counted = census.all_offsets();
+        for (ptr, _) in &live {
+            assert!(counted.binary_search(&ptr.offset()).is_ok(), "live block {ptr:?} lost");
+        }
+        assert_eq!(
+            counted.len() as u64,
+            live.len() as u64 + census.remote_pending_total(),
+            "census counts a block nobody holds"
+        );
     }
-    assert_eq!(
-        counted.len() as u64,
-        live.len() as u64 + census.remote_pending_total(),
-        "census counts a block nobody holds"
-    );
     let stats = heap.stats();
     Outcome {
         events,
+        invariants,
         census,
         slabs: (stats.small_slabs, stats.large_slabs),
+        stats: mem.stats(),
+        virtual_ns: (0..pod.config().max_threads)
+            .map(|core| mem.virtual_ns(CoreId(core as u16)))
+            .collect(),
+        trace: mem.tracer().map(|tracer| tracer.fingerprint()),
+    }
+}
+
+fn config() -> PodConfig {
+    PodConfig {
+        small_max_slabs: 256,
+        large_max_slabs: 64,
+        ..PodConfig::small_for_tests()
     }
 }
 
 #[test]
 fn static_and_dyn_instantiations_agree() {
-    let config = PodConfig {
-        small_max_slabs: 256,
-        large_max_slabs: 64,
-        ..PodConfig::small_for_tests()
-    };
-    let raw = run(&Pod::new(config.clone()).unwrap(), true);
-    let sim = run(&Pod::with_simulation(config, HwccMode::Full).unwrap(), false);
+    let raw = run(&Pod::new(config()).unwrap(), true);
+    let sim = run(&Pod::with_simulation(config(), HwccMode::Full).unwrap(), false);
 
     assert_eq!(raw.events.len(), sim.events.len());
     for (step, (a, b)) in raw.events.iter().zip(&sim.events).enumerate() {
@@ -181,4 +221,40 @@ fn static_and_dyn_instantiations_agree() {
     assert!(count(|e| matches!(e, Event::Alloc { size, got: Ok(_), .. } if *size > 1024)) > 100);
     assert!(count(|e| matches!(e, Event::Free { got: Ok(()), .. })) > 1000);
     assert_eq!(count(|e| matches!(e, Event::Free { got: Err(_), .. })), 0);
+}
+
+/// The pod `Pod::with_simulation(config(), mode)` builds, assembled by
+/// hand and handed to `Pod::from_memory`.
+fn hand_built_sim_pod(mode: HwccMode) -> Pod {
+    let config = config();
+    let layout = Layout::compute(&config).unwrap();
+    let segment = Arc::new(Segment::zeroed(layout.total_len).unwrap());
+    let sim = SimMemory::new(
+        segment,
+        layout,
+        mode,
+        config.max_threads,
+        LatencyModel::paper_calibrated(),
+    );
+    Pod::from_memory(config, Arc::new(sim))
+}
+
+#[test]
+fn simulated_pods_agree_on_every_counter_and_clock() {
+    for mode in [HwccMode::Limited, HwccMode::None] {
+        let built = run(&Pod::with_simulation(config(), mode).unwrap(), false);
+        let handed = run(&hand_built_sim_pod(mode), false);
+
+        for (step, (a, b)) in built.events.iter().zip(&handed.events).enumerate() {
+            assert_eq!(a, b, "{mode}: step {step} differs between the two pods");
+        }
+        assert_eq!(built, handed, "{mode}");
+
+        // The comparison is of a simulation that did something.
+        assert!(built.trace.is_some());
+        assert!(built.stats.line_fills > 0 && built.stats.writebacks > 0);
+        assert!(built.virtual_ns[0] > 0 && built.virtual_ns[1] > 0);
+        let (cas, mcas) = (built.stats.cas_ok, built.stats.mcas_ok);
+        assert!(if mode == HwccMode::None { mcas > 0 } else { cas > 0 && mcas == 0 });
+    }
 }

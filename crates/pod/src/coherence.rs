@@ -25,12 +25,14 @@
 //! open-addressed, power-of-two line table probed linearly, with a
 //! generation counter so [`CacheModel::discard_all`] is O(1): steady
 //! state load/store/flush allocates nothing and touches no `HashMap`.
-//! (The previous map-based implementation survives as
-//! [`oracle::MapCacheModel`], the reference model for the differential
-//! property test.)
+//! (The previous map-based implementation survives in
+//! `tests/cache_differential.rs` as the reference model of the
+//! differential property test.) For the same reason the traffic of the
+//! cached region is counted here, as plain per-core fields under the
+//! lock an access already holds ([`CacheCounts`]), not as atomic bumps
+//! on the backend's shared counters.
 
 use crate::segment::Segment;
-use crate::stats::MemStats;
 use crate::trace::{TraceKind, Tracer};
 use parking_lot::Mutex;
 use std::sync::atomic::Ordering;
@@ -60,6 +62,37 @@ const EMPTY: Slot = Slot {
     words: [0; WORDS],
 };
 
+/// Traffic through the cache model, summed over cores by
+/// [`CacheModel::counts`]. The fields mean what the fields of the same
+/// names in [`MemStatsSnapshot`](crate::stats::MemStatsSnapshot) mean.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CacheCounts {
+    /// Cached loads, hit or miss.
+    pub loads: u64,
+    /// Cached stores, hit or miss.
+    pub stores: u64,
+    /// Loads served from the cache.
+    pub cached_hits: u64,
+    /// Lines filled from the segment (load or store misses).
+    pub line_fills: u64,
+    /// Dirty lines written back: by a flush, a writeback, a full flush
+    /// or a silent eviction.
+    pub writebacks: u64,
+    /// Ranged flush and writeback calls.
+    pub flushes: u64,
+}
+
+impl std::ops::AddAssign for CacheCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.loads += other.loads;
+        self.stores += other.stores;
+        self.cached_hits += other.cached_hits;
+        self.line_fills += other.line_fills;
+        self.writebacks += other.writebacks;
+        self.flushes += other.flushes;
+    }
+}
+
 /// A single core's private cache: an open-addressed table of lines.
 #[derive(Debug)]
 struct CoreCache {
@@ -72,6 +105,7 @@ struct CoreCache {
     len: usize,
     /// Xorshift state for pseudo-random eviction.
     seed: u64,
+    counts: CacheCounts,
 }
 
 impl CoreCache {
@@ -83,6 +117,7 @@ impl CoreCache {
             generation: 1,
             len: 0,
             seed: 0x2545_F491_4F6C_DD1D ^ (core as u64 + 1),
+            counts: CacheCounts::default(),
         }
     }
 
@@ -238,7 +273,7 @@ impl CacheModel {
 
     /// Makes room for one more line: evict (bounded) or grow (unbounded)
     /// when required.
-    fn make_room(&self, core: usize, cache: &mut CoreCache, segment: &Segment, stats: &MemStats) {
+    fn make_room(&self, core: usize, cache: &mut CoreCache, segment: &Segment) {
         if self.capacity == 0 {
             // Grow at 7/8 load to keep probe clusters short.
             if (cache.len + 1) * 8 > (cache.mask + 1) * 7 {
@@ -253,14 +288,8 @@ impl CacheModel {
         let line = cache.slots[victim];
         if line.dirty != 0 {
             let line_addr = line.tag & !1;
-            for (i, &w) in line.words.iter().enumerate() {
-                if line.dirty & (1 << i) != 0 {
-                    segment
-                        .atomic_u64(line_addr + i as u64 * 8)
-                        .store(w, Ordering::Release);
-                }
-            }
-            stats.writeback();
+            Self::write_back(segment, line_addr, &line);
+            cache.counts.writebacks += 1;
             // A *silent* eviction: the software never requested this
             // writeback — exactly the event worth seeing in a trace.
             self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
@@ -305,18 +334,20 @@ impl CacheModel {
     /// has since changed (that staleness is the point).
     ///
     /// Returns `(value, hit)`.
-    pub fn load(&self, core: usize, segment: &Segment, offset: u64, stats: &MemStats) -> (u64, bool) {
+    #[inline]
+    pub fn load(&self, core: usize, segment: &Segment, offset: u64) -> (u64, bool) {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
         let tag = line_addr | 1;
         let mut cache = self.caches[core].lock();
+        cache.counts.loads += 1;
         if let Some(i) = cache.find(tag) {
-            stats.cached_hit();
+            cache.counts.cached_hits += 1;
             return (cache.slots[i].words[word], true);
         }
-        self.make_room(core, &mut cache, segment, stats);
+        self.make_room(core, &mut cache, segment);
         let words = Self::fill(segment, line_addr);
-        stats.line_fill();
+        cache.counts.line_fills += 1;
         self.tracer.emit_here(core, TraceKind::LineFill, line_addr);
         let value = words[word];
         let i = cache.insert_slot(tag);
@@ -333,17 +364,19 @@ impl CacheModel {
     /// stays private to `core` until the line is flushed.
     ///
     /// Returns `true` if the line was already present.
-    pub fn store(&self, core: usize, segment: &Segment, offset: u64, value: u64, stats: &MemStats) -> bool {
+    #[inline]
+    pub fn store(&self, core: usize, segment: &Segment, offset: u64, value: u64) -> bool {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
         let tag = line_addr | 1;
         let mut cache = self.caches[core].lock();
+        cache.counts.stores += 1;
         let (i, hit) = match cache.find(tag) {
             Some(i) => (i, true),
             None => {
-                self.make_room(core, &mut cache, segment, stats);
+                self.make_room(core, &mut cache, segment);
                 let words = Self::fill(segment, line_addr);
-                stats.line_fill();
+                cache.counts.line_fills += 1;
                 self.tracer.emit_here(core, TraceKind::LineFill, line_addr);
                 let i = cache.insert_slot(tag);
                 cache.slots[i] = Slot {
@@ -364,7 +397,7 @@ impl CacheModel {
     /// intersecting `[offset, offset + len)` from `core`'s cache.
     ///
     /// Returns the number of lines written back.
-    pub fn flush(&self, core: usize, segment: &Segment, offset: u64, len: u64, stats: &MemStats) -> usize {
+    pub fn flush(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
         let first = offset & !(LINE - 1);
         let last = (offset + len.max(1) - 1) & !(LINE - 1);
         let mut cache = self.caches[core].lock();
@@ -375,7 +408,7 @@ impl CacheModel {
                 let slot = cache.slots[i];
                 if slot.dirty != 0 {
                     Self::write_back(segment, line_addr, &slot);
-                    stats.writeback();
+                    cache.counts.writebacks += 1;
                     self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
                     written += 1;
                 }
@@ -386,7 +419,7 @@ impl CacheModel {
             }
             line_addr += LINE;
         }
-        stats.flush();
+        cache.counts.flushes += 1;
         written
     }
 
@@ -399,7 +432,8 @@ impl CacheModel {
     /// stale copy of a *shared* line must still use `flush`.
     ///
     /// Returns the number of lines written back.
-    pub fn writeback(&self, core: usize, segment: &Segment, offset: u64, len: u64, stats: &MemStats) -> usize {
+    #[inline]
+    pub fn writeback(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
         let first = offset & !(LINE - 1);
         let last = (offset + len.max(1) - 1) & !(LINE - 1);
         let mut cache = self.caches[core].lock();
@@ -410,7 +444,7 @@ impl CacheModel {
                 if cache.slots[i].dirty != 0 {
                     let slot = cache.slots[i];
                     Self::write_back(segment, line_addr, &slot);
-                    stats.writeback();
+                    cache.counts.writebacks += 1;
                     self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
                     cache.slots[i].dirty = 0;
                     written += 1;
@@ -421,13 +455,13 @@ impl CacheModel {
             }
             line_addr += LINE;
         }
-        stats.flush();
+        cache.counts.flushes += 1;
         written
     }
 
     /// Writes back and drops every line in `core`'s cache (a full
     /// quiesce — used before validating the heap from another core).
-    pub fn flush_all(&self, core: usize, segment: &Segment, stats: &MemStats) {
+    pub fn flush_all(&self, core: usize, segment: &Segment) {
         let mut cache = self.caches[core].lock();
         if cache.len > 0 {
             for i in 0..cache.slots.len() {
@@ -437,7 +471,7 @@ impl CacheModel {
                 let slot = cache.slots[i];
                 if slot.dirty != 0 {
                     Self::write_back(segment, slot.tag & !1, &slot);
-                    stats.writeback();
+                    cache.counts.writebacks += 1;
                     self.tracer.emit_here(core, TraceKind::Writeback, slot.tag & !1);
                 }
             }
@@ -456,6 +490,16 @@ impl CacheModel {
         cache.len = 0;
     }
 
+    /// Traffic counted so far, summed over cores. Discarding a cache
+    /// loses its lines, not its counts.
+    pub fn counts(&self) -> CacheCounts {
+        let mut total = CacheCounts::default();
+        for cache in &self.caches {
+            total += cache.lock().counts;
+        }
+        total
+    }
+
     /// Test hook: whether `core` currently caches the line containing
     /// `offset`.
     pub fn is_cached(&self, core: usize, offset: u64) -> bool {
@@ -464,246 +508,22 @@ impl CacheModel {
     }
 }
 
-pub mod oracle {
-    //! The previous `HashMap`-based cache model, kept verbatim as the
-    //! *reference semantics* for the differential property test
-    //! (`tests/cache_differential.rs`): random op sequences must observe
-    //! identical memory and stats through both models. Not used by any
-    //! production path.
-
-    use super::{MemStats, Segment, LINE, WORDS};
-    use parking_lot::Mutex;
-    use std::collections::HashMap;
-    use std::sync::atomic::Ordering;
-
-    #[derive(Debug, Clone, Copy)]
-    struct CacheLine {
-        words: [u64; WORDS],
-        dirty: u8,
-    }
-
-    #[derive(Debug, Default)]
-    struct CoreCache {
-        lines: HashMap<u64, CacheLine>,
-        seed: u64,
-    }
-
-    /// Map-based reference implementation of [`super::CacheModel`].
-    #[derive(Debug)]
-    pub struct MapCacheModel {
-        caches: Vec<Mutex<CoreCache>>,
-        capacity: usize,
-    }
-
-    impl MapCacheModel {
-        /// Creates unbounded caches for `cores` cores.
-        pub fn new(cores: usize) -> Self {
-            Self::with_capacity(cores, 0)
-        }
-
-        /// Creates caches holding at most `capacity` lines per core.
-        pub fn with_capacity(cores: usize, capacity: usize) -> Self {
-            MapCacheModel {
-                caches: (0..cores)
-                    .map(|i| {
-                        Mutex::new(CoreCache {
-                            lines: HashMap::new(),
-                            seed: 0x2545_F491_4F6C_DD1D ^ (i as u64 + 1),
-                        })
-                    })
-                    .collect(),
-                capacity,
-            }
-        }
-
-        fn maybe_evict(&self, cache: &mut CoreCache, segment: &Segment, stats: &MemStats) {
-            if self.capacity == 0 || cache.lines.len() < self.capacity {
-                return;
-            }
-            let mut x = cache.seed;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            cache.seed = x;
-            let index = (x % cache.lines.len() as u64) as usize;
-            let victim = *cache.lines.keys().nth(index).expect("nonempty");
-            let line = cache.lines.remove(&victim).expect("key just observed");
-            if line.dirty != 0 {
-                for (i, &w) in line.words.iter().enumerate() {
-                    if line.dirty & (1 << i) != 0 {
-                        segment
-                            .atomic_u64(victim + i as u64 * 8)
-                            .store(w, Ordering::Release);
-                    }
-                }
-                stats.writeback();
-            }
-        }
-
-        /// Cached load; returns `(value, hit)`.
-        pub fn load(&self, core: usize, segment: &Segment, offset: u64, stats: &MemStats) -> (u64, bool) {
-            debug_assert_eq!(offset % 8, 0);
-            let (line_addr, word) = split(offset);
-            let mut cache = self.caches[core].lock();
-            if let Some(line) = cache.lines.get(&line_addr) {
-                stats.cached_hit();
-                return (line.words[word], true);
-            }
-            self.maybe_evict(&mut cache, segment, stats);
-            let mut words = [0u64; WORDS];
-            for (i, w) in words.iter_mut().enumerate() {
-                *w = segment
-                    .atomic_u64(line_addr + i as u64 * 8)
-                    .load(Ordering::Acquire);
-            }
-            stats.line_fill();
-            let value = words[word];
-            cache.lines.insert(line_addr, CacheLine { words, dirty: 0 });
-            (value, false)
-        }
-
-        /// Cached store (write-allocate); returns `true` on a hit.
-        pub fn store(&self, core: usize, segment: &Segment, offset: u64, value: u64, stats: &MemStats) -> bool {
-            debug_assert_eq!(offset % 8, 0);
-            let (line_addr, word) = split(offset);
-            let mut cache = self.caches[core].lock();
-            let hit = cache.lines.contains_key(&line_addr);
-            if !hit {
-                self.maybe_evict(&mut cache, segment, stats);
-            }
-            let line = cache.lines.entry(line_addr).or_insert_with(|| {
-                let mut words = [0u64; WORDS];
-                for (i, w) in words.iter_mut().enumerate() {
-                    *w = segment
-                        .atomic_u64(line_addr + i as u64 * 8)
-                        .load(Ordering::Acquire);
-                }
-                stats.line_fill();
-                CacheLine { words, dirty: 0 }
-            });
-            line.words[word] = value;
-            line.dirty |= 1 << word;
-            hit
-        }
-
-        /// Flushes every line intersecting the range; returns lines
-        /// written back.
-        pub fn flush(&self, core: usize, segment: &Segment, offset: u64, len: u64, stats: &MemStats) -> usize {
-            let first = offset & !(LINE - 1);
-            let last = (offset + len.max(1) - 1) & !(LINE - 1);
-            let mut cache = self.caches[core].lock();
-            let mut written = 0;
-            let mut line_addr = first;
-            loop {
-                if let Some(line) = cache.lines.remove(&line_addr) {
-                    if line.dirty != 0 {
-                        for (i, &w) in line.words.iter().enumerate() {
-                            if line.dirty & (1 << i) != 0 {
-                                segment
-                                    .atomic_u64(line_addr + i as u64 * 8)
-                                    .store(w, Ordering::Release);
-                            }
-                        }
-                        stats.writeback();
-                        written += 1;
-                    }
-                }
-                if line_addr == last {
-                    break;
-                }
-                line_addr += LINE;
-            }
-            stats.flush();
-            written
-        }
-
-        /// Writes back dirty lines in the range without evicting them
-        /// (clwb semantics); returns lines written back.
-        pub fn writeback(&self, core: usize, segment: &Segment, offset: u64, len: u64, stats: &MemStats) -> usize {
-            let first = offset & !(LINE - 1);
-            let last = (offset + len.max(1) - 1) & !(LINE - 1);
-            let mut cache = self.caches[core].lock();
-            let mut written = 0;
-            let mut line_addr = first;
-            loop {
-                if let Some(line) = cache.lines.get_mut(&line_addr) {
-                    if line.dirty != 0 {
-                        for (i, &w) in line.words.iter().enumerate() {
-                            if line.dirty & (1 << i) != 0 {
-                                segment
-                                    .atomic_u64(line_addr + i as u64 * 8)
-                                    .store(w, Ordering::Release);
-                            }
-                        }
-                        line.dirty = 0;
-                        stats.writeback();
-                        written += 1;
-                    }
-                }
-                if line_addr == last {
-                    break;
-                }
-                line_addr += LINE;
-            }
-            stats.flush();
-            written
-        }
-
-        /// Writes back and drops every line in `core`'s cache.
-        pub fn flush_all(&self, core: usize, segment: &Segment, stats: &MemStats) {
-            let mut cache = self.caches[core].lock();
-            for (line_addr, line) in cache.lines.drain() {
-                if line.dirty != 0 {
-                    for (i, &w) in line.words.iter().enumerate() {
-                        if line.dirty & (1 << i) != 0 {
-                            segment
-                                .atomic_u64(line_addr + i as u64 * 8)
-                                .store(w, Ordering::Release);
-                        }
-                    }
-                    stats.writeback();
-                }
-            }
-        }
-
-        /// Drops every line without writing back.
-        pub fn discard_all(&self, core: usize) {
-            self.caches[core].lock().lines.clear();
-        }
-
-        /// Whether `core` caches the line containing `offset`.
-        pub fn is_cached(&self, core: usize, offset: u64) -> bool {
-            let (line_addr, _) = split(offset);
-            self.caches[core].lock().lines.contains_key(&line_addr)
-        }
-    }
-
-    #[inline]
-    fn split(offset: u64) -> (u64, usize) {
-        (offset & !(LINE - 1), ((offset % LINE) / 8) as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn setup() -> (Arc<Segment>, CacheModel, MemStats) {
-        (
-            Arc::new(Segment::zeroed(4096).unwrap()),
-            CacheModel::new(4),
-            MemStats::new(),
-        )
+    fn setup() -> (Arc<Segment>, CacheModel) {
+        (Arc::new(Segment::zeroed(4096).unwrap()), CacheModel::new(4))
     }
 
     #[test]
     fn miss_then_hit() {
-        let (seg, cache, stats) = setup();
+        let (seg, cache) = setup();
         seg.atomic_u64(64).store(7, Ordering::SeqCst);
-        let (v, hit) = cache.load(0, &seg, 64, &stats);
+        let (v, hit) = cache.load(0, &seg, 64);
         assert_eq!((v, hit), (7, false));
-        let (v, hit) = cache.load(0, &seg, 64, &stats);
+        let (v, hit) = cache.load(0, &seg, 64);
         assert_eq!((v, hit), (7, true));
     }
 
@@ -712,50 +532,50 @@ mod tests {
         // Core 0 caches a value; core 1 updates memory directly; core 0
         // keeps seeing the stale value until it flushes (evicts) and
         // reloads. This is the exact hazard the SWcc protocol manages.
-        let (seg, cache, stats) = setup();
+        let (seg, cache) = setup();
         seg.atomic_u64(64).store(1, Ordering::SeqCst);
-        assert_eq!(cache.load(0, &seg, 64, &stats).0, 1);
+        assert_eq!(cache.load(0, &seg, 64).0, 1);
         seg.atomic_u64(64).store(2, Ordering::SeqCst);
-        assert_eq!(cache.load(0, &seg, 64, &stats).0, 1, "must be stale");
-        cache.flush(0, &seg, 64, 8, &stats);
-        assert_eq!(cache.load(0, &seg, 64, &stats).0, 2);
+        assert_eq!(cache.load(0, &seg, 64).0, 1, "must be stale");
+        cache.flush(0, &seg, 64, 8);
+        assert_eq!(cache.load(0, &seg, 64).0, 2);
     }
 
     #[test]
     fn store_invisible_until_flush() {
-        let (seg, cache, stats) = setup();
-        cache.store(0, &seg, 64, 42, &stats);
+        let (seg, cache) = setup();
+        cache.store(0, &seg, 64, 42);
         assert_eq!(seg.peek_u64(64), 0, "store must stay private");
         // Another core reads memory (through its own cache): sees 0.
-        assert_eq!(cache.load(1, &seg, 64, &stats).0, 0);
-        cache.flush(0, &seg, 64, 8, &stats);
+        assert_eq!(cache.load(1, &seg, 64).0, 0);
+        cache.flush(0, &seg, 64, 8);
         assert_eq!(seg.peek_u64(64), 42);
         // Core 1 still caches the stale 0 until it, too, flushes.
-        assert_eq!(cache.load(1, &seg, 64, &stats).0, 0);
-        cache.flush(1, &seg, 64, 8, &stats);
-        assert_eq!(cache.load(1, &seg, 64, &stats).0, 42);
+        assert_eq!(cache.load(1, &seg, 64).0, 0);
+        cache.flush(1, &seg, 64, 8);
+        assert_eq!(cache.load(1, &seg, 64).0, 42);
     }
 
     #[test]
     fn writeback_is_word_granular() {
         // Two cores dirty different words of the same line; both
         // writebacks must survive (no whole-line clobbering).
-        let (seg, cache, stats) = setup();
-        cache.store(0, &seg, 0, 10, &stats);
-        cache.store(1, &seg, 8, 20, &stats);
-        cache.flush(0, &seg, 0, 8, &stats);
-        cache.flush(1, &seg, 8, 8, &stats);
+        let (seg, cache) = setup();
+        cache.store(0, &seg, 0, 10);
+        cache.store(1, &seg, 8, 20);
+        cache.flush(0, &seg, 0, 8);
+        cache.flush(1, &seg, 8, 8);
         assert_eq!(seg.peek_u64(0), 10);
         assert_eq!(seg.peek_u64(8), 20);
     }
 
     #[test]
     fn flush_range_covers_multiple_lines() {
-        let (seg, cache, stats) = setup();
-        cache.store(0, &seg, 0, 1, &stats);
-        cache.store(0, &seg, 64, 2, &stats);
-        cache.store(0, &seg, 128, 3, &stats);
-        let written = cache.flush(0, &seg, 0, 192, &stats);
+        let (seg, cache) = setup();
+        cache.store(0, &seg, 0, 1);
+        cache.store(0, &seg, 64, 2);
+        cache.store(0, &seg, 128, 3);
+        let written = cache.flush(0, &seg, 0, 192);
         assert_eq!(written, 3);
         assert_eq!(seg.peek_u64(0), 1);
         assert_eq!(seg.peek_u64(64), 2);
@@ -764,8 +584,8 @@ mod tests {
 
     #[test]
     fn discard_loses_dirty_data() {
-        let (seg, cache, stats) = setup();
-        cache.store(0, &seg, 64, 99, &stats);
+        let (seg, cache) = setup();
+        cache.store(0, &seg, 64, 99);
         cache.discard_all(0);
         assert_eq!(seg.peek_u64(64), 0);
         assert!(!cache.is_cached(0, 64));
@@ -773,9 +593,9 @@ mod tests {
 
     #[test]
     fn clean_flush_writes_nothing() {
-        let (seg, cache, stats) = setup();
-        cache.load(0, &seg, 64, &stats);
-        let written = cache.flush(0, &seg, 64, 8, &stats);
+        let (seg, cache) = setup();
+        cache.load(0, &seg, 64);
+        let written = cache.flush(0, &seg, 64, 8);
         assert_eq!(written, 0);
     }
 
@@ -784,11 +604,11 @@ mod tests {
         // A line cached before discard_all must read as absent after,
         // and re-filling it must observe current memory, even though the
         // stale slot bytes are still physically in the table.
-        let (seg, cache, stats) = setup();
-        cache.store(0, &seg, 64, 5, &stats);
+        let (seg, cache) = setup();
+        cache.store(0, &seg, 64, 5);
         cache.discard_all(0);
         seg.atomic_u64(64).store(9, Ordering::SeqCst);
-        let (v, hit) = cache.load(0, &seg, 64, &stats);
+        let (v, hit) = cache.load(0, &seg, 64);
         assert_eq!((v, hit), (9, false));
     }
 
@@ -798,16 +618,15 @@ mod tests {
         // every dirty word.
         let seg = Arc::new(Segment::zeroed(1 << 20).unwrap());
         let cache = CacheModel::new(1);
-        let stats = MemStats::new();
         let n = 4096u64;
         for i in 0..n {
-            cache.store(0, &seg, i * 64, i + 1, &stats);
+            cache.store(0, &seg, i * 64, i + 1);
         }
         for i in 0..n {
-            assert_eq!(cache.load(0, &seg, i * 64, &stats).0, i + 1);
+            assert_eq!(cache.load(0, &seg, i * 64).0, i + 1);
         }
-        assert_eq!(stats.snapshot().writebacks, 0, "unbounded never evicts");
-        cache.flush_all(0, &seg, &stats);
+        assert_eq!(cache.counts().writebacks, 0, "unbounded never evicts");
+        cache.flush_all(0, &seg);
         for i in 0..n {
             assert_eq!(seg.peek_u64(i * 64), i + 1);
         }
@@ -820,20 +639,19 @@ mod tests {
         // deletion invariant).
         let seg = Arc::new(Segment::zeroed(1 << 20).unwrap());
         let cache = CacheModel::new(1);
-        let stats = MemStats::new();
         let lines: Vec<u64> = (0..64).map(|i| i * 64).collect();
         for &l in &lines {
-            cache.store(0, &seg, l, l + 7, &stats);
+            cache.store(0, &seg, l, l + 7);
         }
         // Remove every third line, then verify the rest still hit.
         for &l in lines.iter().step_by(3) {
-            cache.flush(0, &seg, l, 8, &stats);
+            cache.flush(0, &seg, l, 8);
         }
         for (i, &l) in lines.iter().enumerate() {
             if i % 3 == 0 {
                 assert!(!cache.is_cached(0, l));
             } else {
-                let (v, hit) = cache.load(0, &seg, l, &stats);
+                let (v, hit) = cache.load(0, &seg, l);
                 assert!(hit, "line {l:#x} lost by deletion compaction");
                 assert_eq!(v, l + 7);
             }
@@ -850,13 +668,12 @@ mod eviction_tests {
     fn bounded_cache_evicts_and_writes_back() {
         let seg = Arc::new(Segment::zeroed(1 << 16).unwrap());
         let cache = CacheModel::with_capacity(1, 4);
-        let stats = MemStats::new();
         // Dirty 10 distinct lines; with 4 slots, at least 6 evictions
         // must have written back.
         for i in 0..10u64 {
-            cache.store(0, &seg, i * 64, i + 1, &stats);
+            cache.store(0, &seg, i * 64, i + 1);
         }
-        let snap = stats.snapshot();
+        let snap = cache.counts();
         assert!(snap.writebacks >= 6, "writebacks={}", snap.writebacks);
         // Everything evicted is durable; everything cached is not yet.
         let mut durable = 0;
@@ -867,7 +684,7 @@ mod eviction_tests {
         }
         assert!(durable >= 6);
         // A full flush drains the rest.
-        cache.flush(0, &seg, 0, 10 * 64, &stats);
+        cache.flush(0, &seg, 0, 10 * 64);
         for i in 0..10u64 {
             assert_eq!(seg.peek_u64(i * 64), i + 1);
         }
@@ -877,20 +694,18 @@ mod eviction_tests {
     fn unbounded_cache_never_evicts() {
         let seg = Arc::new(Segment::zeroed(1 << 16).unwrap());
         let cache = CacheModel::new(1);
-        let stats = MemStats::new();
         for i in 0..100u64 {
-            cache.store(0, &seg, i * 64, 1, &stats);
+            cache.store(0, &seg, i * 64, 1);
         }
-        assert_eq!(stats.snapshot().writebacks, 0);
+        assert_eq!(cache.counts().writebacks, 0);
     }
 
     #[test]
     fn bounded_cache_stays_within_capacity() {
         let seg = Arc::new(Segment::zeroed(1 << 16).unwrap());
         let cache = CacheModel::with_capacity(1, 4);
-        let stats = MemStats::new();
         for i in 0..64u64 {
-            cache.store(0, &seg, i * 64, i + 1, &stats);
+            cache.store(0, &seg, i * 64, i + 1);
         }
         let resident = (0..64u64).filter(|&i| cache.is_cached(0, i * 64)).count();
         assert!(resident <= 4, "resident={resident}");

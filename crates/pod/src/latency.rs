@@ -19,12 +19,74 @@
 //! contention (17–20 % lower p50/p99 at 16 threads) because the device
 //! pipelines independent requests while coherence traffic must bounce the
 //! exclusive line between cores.
+//!
+//! # One writer per core
+//!
+//! A core's clock and its jitter seed are written only by the OS thread
+//! driving that core (the thread that holds the core's `ThreadHandle`).
+//! [`Clocks::advance`], [`Clocks::advance_exact`] and
+//! [`Clocks::serialize_through`] therefore update them with a relaxed
+//! load and a relaxed store, not a locked read-modify-write: a charge is
+//! made on every simulated access, and the rule makes the RMW dead
+//! weight. Any thread may *read* a clock ([`Clocks::now`]). Two threads
+//! charging one core at once stay memory-safe (the cells are atomics),
+//! but the later store wins whole: a foreign charge that loaded the clock
+//! before the core's own thread charged it stores back the stale value
+//! plus its own cost, rolling the clock back by *everything* the owner
+//! charged in between (a whole timeslice if the foreign thread was
+//! preempted there), and the jitter sequence forks the same way.
+//!
+//! Known exceptions, all in `cxl-core`, all on `CoreId(0)`:
+//! `register_thread`, `mark_crashed`, `declare_dead` and
+//! `Cxlalloc::stats` charge core 0 from whichever thread calls them
+//! (workers register from their own threads while worker 0 may already
+//! be running); the fault handler charges core 0 when it runs on a
+//! thread that holds no `ThreadHandle`; and `recover`/`adopt` charge
+//! whatever `via` core the caller names, which some callers
+//! (`fig7_recovery`) give as a literal `CoreId(0)`. A run whose modeled
+//! time must be exact keeps those calls off the time core 0's own
+//! thread is charging — the single-threaded replay tests and the
+//! `alloc_sim` workload do.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// `x % d` for a divisor fixed ahead of time, as multiplications by a
+/// precomputed reciprocal (Lemire, Kaser & Kurz, "Faster remainder by
+/// direct computation", 2019): with `magic = ⌈2¹²⁸ / d⌉`, the low 128
+/// bits of `magic · x` are the fractional part of `x / d` scaled by
+/// 2¹²⁸, and multiplying them by `d` leaves the remainder in the top 64
+/// bits. Exact for every `u64` `x` whenever `d < 2⁶⁴` (128 fractional
+/// bits ≥ 64 + log₂ d).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Remainder {
+    d: u64,
+    magic: u128,
+}
+
+impl Remainder {
+    fn new(d: u64) -> Self {
+        // d = 1 wraps the magic to 0, which yields the remainder 0.
+        Remainder {
+            d,
+            magic: (u128::MAX / d as u128).wrapping_add(1),
+        }
+    }
+
+    #[inline]
+    fn of(self, x: u64) -> u64 {
+        let low = self.magic.wrapping_mul(x as u128);
+        // Top 64 bits of the 192-bit product `low · d`.
+        let bottom = ((low as u64 as u128) * self.d as u128) >> 64;
+        let top = (low >> 64) * self.d as u128;
+        ((bottom + top) >> 64) as u64
+    }
+}
+
 /// Latency constants in nanoseconds.
 ///
-/// Every field is public so experiments can build ablations; use
+/// Every constant is a public field so experiments can build ablations;
+/// the jitter range is set through [`LatencyModel::with_jitter_pct`]
+/// because a reciprocal is derived from it. Use
 /// [`LatencyModel::paper_calibrated`] for the defaults.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LatencyModel {
@@ -59,7 +121,9 @@ pub struct LatencyModel {
     pub nmp_service_ns: u64,
     /// Multiplicative jitter range (percent) applied pseudo-randomly so
     /// percentile plots have realistic tails.
-    pub jitter_pct: u64,
+    jitter_pct: u64,
+    /// Remainder by `4 · jitter_pct + 1`, the number of jitter offsets.
+    jitter_span: Remainder,
 }
 
 impl LatencyModel {
@@ -78,8 +142,9 @@ impl LatencyModel {
             line_transfer_ns: 160,
             mcas_round_trip_ns: 2100,
             nmp_service_ns: 60,
-            jitter_pct: 12,
+            ..Self::zero()
         }
+        .with_jitter_pct(12)
     }
 
     /// A zero-latency model, used when only operation *counts* matter.
@@ -98,7 +163,21 @@ impl LatencyModel {
             mcas_round_trip_ns: 0,
             nmp_service_ns: 0,
             jitter_pct: 0,
+            jitter_span: Remainder::new(1),
         }
+    }
+
+    /// The multiplicative jitter range in percent.
+    pub fn jitter_pct(&self) -> u64 {
+        self.jitter_pct
+    }
+
+    /// This model with charges jittered uniformly in
+    /// `[-jitter_pct, +3 · jitter_pct]` percent (0 = none).
+    pub fn with_jitter_pct(mut self, jitter_pct: u64) -> Self {
+        self.jitter_pct = jitter_pct;
+        self.jitter_span = Remainder::new(jitter_pct * 4 + 1);
+        self
     }
 }
 
@@ -143,10 +222,12 @@ impl Clocks {
     }
 
     /// Advances `core`'s clock by `ns` (with jitter) and returns the
-    /// jittered duration charged.
+    /// jittered duration charged. Called by the thread driving `core`
+    /// (see the module docs).
+    #[inline]
     pub fn advance(&self, core: usize, ns: u64, model: &LatencyModel) -> u64 {
         let charged = self.jitter(core, ns, model);
-        self.cores[core].fetch_add(charged, Ordering::Relaxed);
+        self.advance_exact(core, charged);
         charged
     }
 
@@ -165,8 +246,12 @@ impl Clocks {
     /// clocks.advance_exact(0, 2);
     /// assert_eq!(clocks.now(0), 42);
     /// ```
+    #[inline]
     pub fn advance_exact(&self, core: usize, ns: u64) {
-        self.cores[core].fetch_add(ns, Ordering::Relaxed);
+        // Single writer per core: load + store, no locked RMW.
+        let clock = &self.cores[core];
+        let now = clock.load(Ordering::Relaxed);
+        clock.store(now.wrapping_add(ns), Ordering::Relaxed);
     }
 
     /// Serializes `core` through a shared resource clock: the operation
@@ -205,6 +290,7 @@ impl Clocks {
     }
 
     /// Deterministic per-core xorshift jitter.
+    #[inline]
     fn jitter(&self, core: usize, ns: u64, model: &LatencyModel) -> u64 {
         if model.jitter_pct == 0 || ns == 0 {
             return ns;
@@ -217,8 +303,7 @@ impl Clocks {
         seed.store(x, Ordering::Relaxed);
         // Uniform in [-jitter_pct, +3*jitter_pct]% — positively skewed so
         // tails (p99, p99.9) stretch upward like real measurements.
-        let span = model.jitter_pct * 4;
-        let offset_pct = (x % (span + 1)) as i64 - model.jitter_pct as i64;
+        let offset_pct = model.jitter_span.of(x) as i64 - model.jitter_pct as i64;
         let delta = (ns as i64 * offset_pct) / 100;
         (ns as i64 + delta).max(1) as u64
     }
@@ -288,6 +373,71 @@ mod tests {
             assert_eq!(a, b, "advance_exact must not touch the jitter seed");
         }
         assert_eq!(jittered.now(0), plain.now(0) + 32 * 7);
+    }
+
+    #[test]
+    fn reciprocal_remainder_is_exact() {
+        let mut draw = 0x9E37_79B9_7F4A_7C15u64;
+        // Every divisor a jitter range of 0–100 % produces, and the rest
+        // in between.
+        for d in 1..=401u64 {
+            let rem = Remainder::new(d);
+            let check = |x: u64| assert_eq!(rem.of(x), x % d, "{x} % {d}");
+            for x in [0, 1, d - 1, d, d + 1, u64::MAX - 1, u64::MAX] {
+                check(x);
+            }
+            for shift in 1..64 {
+                let p = 1u64 << shift;
+                for x in [p - 1, p, p + 1] {
+                    check(x);
+                }
+            }
+            for multiple in [u64::MAX / d * d, u64::MAX / d * d - 1] {
+                check(multiple);
+            }
+            for _ in 0..100_000 / 401 + 1 {
+                draw ^= draw << 13;
+                draw ^= draw >> 7;
+                draw ^= draw << 17;
+                check(draw);
+            }
+        }
+    }
+
+    #[test]
+    fn jitter_sequence_is_pinned() {
+        // The first sixteen charges of core 0 under the calibrated model:
+        // every simulated figure and every trace fingerprint is a function
+        // of this sequence.
+        let clocks = Clocks::new(1);
+        let model = LatencyModel::paper_calibrated();
+        const PINNED: [u64; 16] = [
+            880, 1270, 1190, 1080, 950, 1360, 1120, 1190, 990, 1170, 910, 1210, 1260, 1320, 920,
+            1070,
+        ];
+        let charges: Vec<u64> = (0..16).map(|_| clocks.advance(0, 1000, &model)).collect();
+        assert_eq!(charges, PINNED);
+        assert_eq!(clocks.now(0), PINNED.iter().sum::<u64>());
+    }
+
+    #[test]
+    fn interleaved_charges_sum_exactly() {
+        let clocks = Clocks::new(2);
+        let model = LatencyModel::paper_calibrated();
+        let resource = AtomicU64::new(0);
+        let mut expected = 0;
+        for i in 0..1000u64 {
+            expected += clocks.advance(0, 357, &model);
+            clocks.advance_exact(0, i);
+            expected += i;
+            // An idle resource never makes the core wait, so the latency
+            // observed is the service time charged.
+            resource.store(0, Ordering::Relaxed);
+            expected += clocks.serialize_through(0, &resource, 160, &model);
+            assert_eq!(resource.load(Ordering::Relaxed), clocks.now(0));
+            assert_eq!(clocks.now(0), expected, "after round {i}");
+        }
+        assert_eq!(clocks.now(1), 0, "charges to core 0 never touch core 1");
     }
 
     #[test]

@@ -296,6 +296,8 @@ pub struct SimMemory {
     nmp: NmpDevice,
     clocks: Clocks,
     model: LatencyModel,
+    /// Every counter but the cached region's traffic, which `cache`
+    /// keeps under its own lock; [`PodMemory::stats`] adds the two.
     stats: Arc<MemStats>,
     faults: Arc<FaultInjector>,
     /// Latency-attribution event tracer, shared with the NMP device and
@@ -637,9 +639,8 @@ impl PodMemory for SimMemory {
     }
 
     fn load_u64(&self, core: CoreId, offset: u64) -> u64 {
-        self.stats.load();
         if self.is_cached_region(offset) {
-            let (value, hit) = self.cache.load(core.index(), &self.segment, offset, &self.stats);
+            let (value, hit) = self.cache.load(core.index(), &self.segment, offset);
             let ns = if hit {
                 self.model.cache_hit_ns
             } else {
@@ -665,6 +666,7 @@ impl PodMemory for SimMemory {
         } else {
             // HWcc region: cacheable-and-coherent (Full/Limited) or
             // device-biased uncachable (None).
+            self.stats.load();
             let (kind, ns) = match self.mode {
                 HwccMode::None => {
                     self.stats.uncached();
@@ -729,9 +731,8 @@ impl PodMemory for SimMemory {
     }
 
     fn store_u64(&self, core: CoreId, offset: u64, value: u64) {
-        self.stats.store();
         if self.is_cached_region(offset) {
-            self.cache.store(core.index(), &self.segment, offset, value, &self.stats);
+            self.cache.store(core.index(), &self.segment, offset, value);
             let cost = self
                 .clocks
                 .advance(core.index(), self.model.cache_store_ns, &self.model);
@@ -745,6 +746,7 @@ impl PodMemory for SimMemory {
                 );
             }
         } else {
+            self.stats.store();
             let (kind, ns) = match self.mode {
                 HwccMode::None => {
                     self.stats.uncached();
@@ -838,7 +840,7 @@ impl PodMemory for SimMemory {
         }
         let mut written = 0;
         if self.is_cached_region(offset) {
-            written = self.cache.flush(core.index(), &self.segment, offset, len, &self.stats);
+            written = self.cache.flush(core.index(), &self.segment, offset, len);
             if written > 0 && self.faults.enabled() {
                 if let Some(FaultKind::DelayWriteback(ns)) =
                     self.faults.check(FaultSite::Writeback, core.index(), offset, len)
@@ -915,9 +917,7 @@ impl PodMemory for SimMemory {
         }
         let mut written = 0;
         if self.is_cached_region(offset) {
-            written = self
-                .cache
-                .writeback(core.index(), &self.segment, offset, len, &self.stats);
+            written = self.cache.writeback(core.index(), &self.segment, offset, len);
             if written > 0 && self.faults.enabled() {
                 if let Some(FaultKind::DelayWriteback(ns)) =
                     self.faults.check(FaultSite::Writeback, core.index(), offset, len)
@@ -971,8 +971,7 @@ impl PodMemory for SimMemory {
     }
 
     fn flush_all(&self, core: CoreId) {
-        self.cache
-            .flush_all(core.index(), &self.segment, &self.stats);
+        self.cache.flush_all(core.index(), &self.segment);
     }
 
     fn note_cas_retry(&self) {
@@ -1007,7 +1006,17 @@ impl PodMemory for SimMemory {
     }
 
     fn stats(&self) -> MemStatsSnapshot {
-        self.stats.snapshot()
+        // The cached region's traffic is counted by the cache model,
+        // everything else by `MemStats`.
+        let mut snapshot = self.stats.snapshot();
+        let cached = self.cache.counts();
+        snapshot.loads += cached.loads;
+        snapshot.stores += cached.stores;
+        snapshot.cached_hits += cached.cached_hits;
+        snapshot.line_fills += cached.line_fills;
+        snapshot.writebacks += cached.writebacks;
+        snapshot.flushes += cached.flushes;
+        snapshot
     }
 
     fn virtual_ns(&self, core: CoreId) -> u64 {

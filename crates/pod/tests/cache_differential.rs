@@ -3,14 +3,14 @@
 //! The coherence simulation sits under *every* simulated memory access,
 //! so its rewrite (map → open-addressed table, `coherence.rs`) must be
 //! observably identical to the old implementation. The old model is kept
-//! verbatim as [`cxl_pod::coherence::oracle::MapCacheModel`]; this test
-//! drives random `load`/`store`/`flush`/`flush_all`/`discard_all`
+//! below as [`MapCacheModel`], used by nothing else; this test drives
+//! random `load`/`store`/`flush`/`writeback`/`flush_all`/`discard_all`
 //! sequences through both and demands identical results.
 //!
 //! Two regimes:
 //!
 //! * **Unbounded** caches are fully deterministic in both models, so the
-//!   comparison is lockstep: every op's return value, every stats
+//!   comparison is lockstep: every op's return value, every traffic
 //!   counter, every residency bit, and the final durable memory must
 //!   match exactly.
 //! * **Bounded** caches evict — and the oracle picks its victim from
@@ -22,12 +22,237 @@
 //!   quiesce. That convergence is the property the bounded test checks,
 //!   against both the oracle and an independent last-write model.
 
-use cxl_pod::coherence::oracle::MapCacheModel;
-use cxl_pod::coherence::{CacheModel, LINE};
-use cxl_pod::stats::MemStats;
+use cxl_pod::coherence::{CacheCounts, CacheModel, LINE};
 use cxl_pod::Segment;
+use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+
+/// 8-byte words in a cache line.
+const WORDS_PER_LINE: usize = (LINE / 8) as usize;
+
+#[derive(Debug, Clone, Copy)]
+struct CacheLine {
+    words: [u64; WORDS_PER_LINE],
+    dirty: u8,
+}
+
+#[derive(Debug, Default)]
+struct CoreCache {
+    lines: HashMap<u64, CacheLine>,
+    seed: u64,
+    counts: CacheCounts,
+}
+
+/// The previous `HashMap`-based cache model, kept as the *reference
+/// semantics* of [`CacheModel`]: same operations, same return values,
+/// its traffic counted into its own [`CacheCounts`].
+#[derive(Debug)]
+struct MapCacheModel {
+    caches: Vec<Mutex<CoreCache>>,
+    capacity: usize,
+}
+
+impl MapCacheModel {
+    /// Creates unbounded caches for `cores` cores.
+    fn new(cores: usize) -> Self {
+        Self::with_capacity(cores, 0)
+    }
+
+    /// Creates caches holding at most `capacity` lines per core.
+    fn with_capacity(cores: usize, capacity: usize) -> Self {
+        MapCacheModel {
+            caches: (0..cores)
+                .map(|i| {
+                    Mutex::new(CoreCache {
+                        lines: HashMap::new(),
+                        seed: 0x2545_F491_4F6C_DD1D ^ (i as u64 + 1),
+                        counts: CacheCounts::default(),
+                    })
+                })
+                .collect(),
+            capacity,
+        }
+    }
+
+    fn maybe_evict(&self, cache: &mut CoreCache, segment: &Segment) {
+        if self.capacity == 0 || cache.lines.len() < self.capacity {
+            return;
+        }
+        let mut x = cache.seed;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        cache.seed = x;
+        let index = (x % cache.lines.len() as u64) as usize;
+        let victim = *cache.lines.keys().nth(index).expect("nonempty");
+        let line = cache.lines.remove(&victim).expect("key just observed");
+        if line.dirty != 0 {
+            for (i, &w) in line.words.iter().enumerate() {
+                if line.dirty & (1 << i) != 0 {
+                    segment
+                        .atomic_u64(victim + i as u64 * 8)
+                        .store(w, Ordering::Release);
+                }
+            }
+            cache.counts.writebacks += 1;
+        }
+    }
+
+    /// Cached load; returns `(value, hit)`.
+    fn load(&self, core: usize, segment: &Segment, offset: u64) -> (u64, bool) {
+        debug_assert_eq!(offset % 8, 0);
+        let (line_addr, word) = split(offset);
+        let mut cache = self.caches[core].lock();
+        cache.counts.loads += 1;
+        if let Some(&line) = cache.lines.get(&line_addr) {
+            cache.counts.cached_hits += 1;
+            return (line.words[word], true);
+        }
+        self.maybe_evict(&mut cache, segment);
+        let mut words = [0u64; WORDS_PER_LINE];
+        for (i, w) in words.iter_mut().enumerate() {
+            *w = segment
+                .atomic_u64(line_addr + i as u64 * 8)
+                .load(Ordering::Acquire);
+        }
+        cache.counts.line_fills += 1;
+        let value = words[word];
+        cache.lines.insert(line_addr, CacheLine { words, dirty: 0 });
+        (value, false)
+    }
+
+    /// Cached store (write-allocate); returns `true` on a hit.
+    fn store(&self, core: usize, segment: &Segment, offset: u64, value: u64) -> bool {
+        debug_assert_eq!(offset % 8, 0);
+        let (line_addr, word) = split(offset);
+        let mut cache = self.caches[core].lock();
+        cache.counts.stores += 1;
+        let hit = cache.lines.contains_key(&line_addr);
+        if !hit {
+            self.maybe_evict(&mut cache, segment);
+            cache.counts.line_fills += 1;
+        }
+        let line = cache.lines.entry(line_addr).or_insert_with(|| {
+            let mut words = [0u64; WORDS_PER_LINE];
+            for (i, w) in words.iter_mut().enumerate() {
+                *w = segment
+                    .atomic_u64(line_addr + i as u64 * 8)
+                    .load(Ordering::Acquire);
+            }
+            CacheLine { words, dirty: 0 }
+        });
+        line.words[word] = value;
+        line.dirty |= 1 << word;
+        hit
+    }
+
+    /// Flushes every line intersecting the range; returns lines
+    /// written back.
+    fn flush(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
+        let first = offset & !(LINE - 1);
+        let last = (offset + len.max(1) - 1) & !(LINE - 1);
+        let mut cache = self.caches[core].lock();
+        let mut written = 0;
+        let mut line_addr = first;
+        loop {
+            if let Some(line) = cache.lines.remove(&line_addr) {
+                if line.dirty != 0 {
+                    for (i, &w) in line.words.iter().enumerate() {
+                        if line.dirty & (1 << i) != 0 {
+                            segment
+                                .atomic_u64(line_addr + i as u64 * 8)
+                                .store(w, Ordering::Release);
+                        }
+                    }
+                    cache.counts.writebacks += 1;
+                    written += 1;
+                }
+            }
+            if line_addr == last {
+                break;
+            }
+            line_addr += LINE;
+        }
+        cache.counts.flushes += 1;
+        written
+    }
+
+    /// Writes back dirty lines in the range without evicting them
+    /// (clwb semantics); returns lines written back.
+    fn writeback(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
+        let first = offset & !(LINE - 1);
+        let last = (offset + len.max(1) - 1) & !(LINE - 1);
+        let mut cache = self.caches[core].lock();
+        let mut written = 0;
+        let mut line_addr = first;
+        loop {
+            if let Some(line) = cache.lines.get_mut(&line_addr) {
+                if line.dirty != 0 {
+                    for (i, &w) in line.words.iter().enumerate() {
+                        if line.dirty & (1 << i) != 0 {
+                            segment
+                                .atomic_u64(line_addr + i as u64 * 8)
+                                .store(w, Ordering::Release);
+                        }
+                    }
+                    line.dirty = 0;
+                    cache.counts.writebacks += 1;
+                    written += 1;
+                }
+            }
+            if line_addr == last {
+                break;
+            }
+            line_addr += LINE;
+        }
+        cache.counts.flushes += 1;
+        written
+    }
+
+    /// Writes back and drops every line in `core`'s cache.
+    fn flush_all(&self, core: usize, segment: &Segment) {
+        let mut cache = self.caches[core].lock();
+        for (line_addr, line) in std::mem::take(&mut cache.lines) {
+            if line.dirty != 0 {
+                for (i, &w) in line.words.iter().enumerate() {
+                    if line.dirty & (1 << i) != 0 {
+                        segment
+                            .atomic_u64(line_addr + i as u64 * 8)
+                            .store(w, Ordering::Release);
+                    }
+                }
+                cache.counts.writebacks += 1;
+            }
+        }
+    }
+
+    /// Traffic counted so far, summed over cores.
+    fn counts(&self) -> CacheCounts {
+        let mut total = CacheCounts::default();
+        for cache in &self.caches {
+            total += cache.lock().counts;
+        }
+        total
+    }
+
+    /// Drops every line without writing back.
+    fn discard_all(&self, core: usize) {
+        self.caches[core].lock().lines.clear();
+    }
+
+    /// Whether `core` caches the line containing `offset`.
+    fn is_cached(&self, core: usize, offset: u64) -> bool {
+        let (line_addr, _) = split(offset);
+        self.caches[core].lock().lines.contains_key(&line_addr)
+    }
+}
+
+#[inline]
+fn split(offset: u64) -> (u64, usize) {
+    (offset & !(LINE - 1), ((offset % LINE) / 8) as usize)
+}
 
 const CORES: usize = 3;
 /// Cache lines in the test segment.
@@ -40,6 +265,7 @@ enum Op {
     Load { core: usize, off: u64 },
     Store { core: usize, off: u64, value: u64 },
     Flush { core: usize, off: u64, len: u64 },
+    Writeback { core: usize, off: u64, len: u64 },
     FlushAll { core: usize },
     DiscardAll { core: usize },
 }
@@ -56,6 +282,8 @@ fn any_op() -> impl Strategy<Value = Op> {
             .prop_map(|(core, off, value)| Op::Store { core, off, value }),
         2 => (0usize..CORES, word_off(), 1u64..4 * LINE)
             .prop_map(|(core, off, len)| Op::Flush { core, off, len }),
+        2 => (0usize..CORES, word_off(), 1u64..4 * LINE)
+            .prop_map(|(core, off, len)| Op::Writeback { core, off, len }),
         1 => (0usize..CORES).prop_map(|core| Op::FlushAll { core }),
         1 => (0usize..CORES).prop_map(|core| Op::DiscardAll { core }),
     ]
@@ -74,6 +302,8 @@ fn single_writer_op() -> impl Strategy<Value = Op> {
         }),
         2 => (0usize..CORES, word_off(), 1u64..4 * LINE)
             .prop_map(|(core, off, len)| Op::Flush { core, off, len }),
+        2 => (0usize..CORES, word_off(), 1u64..4 * LINE)
+            .prop_map(|(core, off, len)| Op::Writeback { core, off, len }),
         1 => (0usize..CORES).prop_map(|core| Op::FlushAll { core }),
     ]
 }
@@ -98,35 +328,40 @@ proptest! {
         let seg_old = seeded_segment(&init);
         let model_new = CacheModel::new(CORES);
         let model_old = MapCacheModel::new(CORES);
-        let stats_new = MemStats::new();
-        let stats_old = MemStats::new();
 
         for (step, op) in ops.iter().enumerate() {
             match *op {
                 Op::Load { core, off } => {
                     prop_assert_eq!(
-                        model_new.load(core, &seg_new, off, &stats_new),
-                        model_old.load(core, &seg_old, off, &stats_old),
+                        model_new.load(core, &seg_new, off),
+                        model_old.load(core, &seg_old, off),
                         "load step {} ({:?})", step, op
                     );
                 }
                 Op::Store { core, off, value } => {
                     prop_assert_eq!(
-                        model_new.store(core, &seg_new, off, value, &stats_new),
-                        model_old.store(core, &seg_old, off, value, &stats_old),
+                        model_new.store(core, &seg_new, off, value),
+                        model_old.store(core, &seg_old, off, value),
                         "store step {} ({:?})", step, op
                     );
                 }
                 Op::Flush { core, off, len } => {
                     prop_assert_eq!(
-                        model_new.flush(core, &seg_new, off, len, &stats_new),
-                        model_old.flush(core, &seg_old, off, len, &stats_old),
+                        model_new.flush(core, &seg_new, off, len),
+                        model_old.flush(core, &seg_old, off, len),
                         "flush step {} ({:?})", step, op
                     );
                 }
+                Op::Writeback { core, off, len } => {
+                    prop_assert_eq!(
+                        model_new.writeback(core, &seg_new, off, len),
+                        model_old.writeback(core, &seg_old, off, len),
+                        "writeback step {} ({:?})", step, op
+                    );
+                }
                 Op::FlushAll { core } => {
-                    model_new.flush_all(core, &seg_new, &stats_new);
-                    model_old.flush_all(core, &seg_old, &stats_old);
+                    model_new.flush_all(core, &seg_new);
+                    model_old.flush_all(core, &seg_old);
                 }
                 Op::DiscardAll { core } => {
                     model_new.discard_all(core);
@@ -134,8 +369,8 @@ proptest! {
                 }
             }
             prop_assert_eq!(
-                stats_new.snapshot(), stats_old.snapshot(),
-                "stats diverged at step {} ({:?})", step, op
+                model_new.counts(), model_old.counts(),
+                "counters diverged at step {} ({:?})", step, op
             );
         }
 
@@ -166,8 +401,6 @@ proptest! {
         let seg_old = seeded_segment(&init);
         let model_new = CacheModel::with_capacity(CORES, capacity);
         let model_old = MapCacheModel::with_capacity(CORES, capacity);
-        let stats_new = MemStats::new();
-        let stats_old = MemStats::new();
 
         // Independent last-write model: under single-writer stores the
         // quiesced value of each word is simply the last value stored to
@@ -181,21 +414,25 @@ proptest! {
                     // Loaded values may legitimately differ between the
                     // models mid-run: an eviction the oracle happened to
                     // take refreshes staleness at a different moment.
-                    let _ = model_new.load(core, &seg_new, off, &stats_new);
-                    let _ = model_old.load(core, &seg_old, off, &stats_old);
+                    let _ = model_new.load(core, &seg_new, off);
+                    let _ = model_old.load(core, &seg_old, off);
                 }
                 Op::Store { core, off, value } => {
-                    model_new.store(core, &seg_new, off, value, &stats_new);
-                    model_old.store(core, &seg_old, off, value, &stats_old);
+                    model_new.store(core, &seg_new, off, value);
+                    model_old.store(core, &seg_old, off, value);
                     expected[(off / 8) as usize] = value;
                 }
                 Op::Flush { core, off, len } => {
-                    model_new.flush(core, &seg_new, off, len, &stats_new);
-                    model_old.flush(core, &seg_old, off, len, &stats_old);
+                    model_new.flush(core, &seg_new, off, len);
+                    model_old.flush(core, &seg_old, off, len);
+                }
+                Op::Writeback { core, off, len } => {
+                    model_new.writeback(core, &seg_new, off, len);
+                    model_old.writeback(core, &seg_old, off, len);
                 }
                 Op::FlushAll { core } => {
-                    model_new.flush_all(core, &seg_new, &stats_new);
-                    model_old.flush_all(core, &seg_old, &stats_old);
+                    model_new.flush_all(core, &seg_new);
+                    model_old.flush_all(core, &seg_old);
                 }
                 Op::DiscardAll { .. } => unreachable!("excluded from single-writer ops"),
             }
@@ -203,8 +440,8 @@ proptest! {
 
         // Quiesce every core, then all three memories must agree.
         for core in 0..CORES {
-            model_new.flush_all(core, &seg_new, &stats_new);
-            model_old.flush_all(core, &seg_old, &stats_old);
+            model_new.flush_all(core, &seg_new);
+            model_old.flush_all(core, &seg_old);
         }
         for w in 0..WORDS {
             prop_assert_eq!(
