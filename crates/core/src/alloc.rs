@@ -111,12 +111,22 @@ impl RegistryError {
 /// and its empty `flush`/`fence`/`writeback`/`trace_op` vanish. A macro
 /// rather than a closure so `$body` can borrow the caller's fields
 /// disjointly and is compiled once per backend from one source.
+///
+/// `$body` runs inside one [`PodMemory::op_scope`] on `$core`, the only
+/// core it may access memory as: a simulated pod takes that core's cache
+/// lock once for the call instead of once per access (the fault handler
+/// re-entering under it included), a raw pod's scope is empty and
+/// compiles away. A `crash::point` unwinding out of `$body` drops it.
 macro_rules! on_backend {
-    ($heap:expr, |$mem:ident| $body:expr) => {
+    ($heap:expr, $core:expr, |$mem:ident| $body:expr) => {
         match $heap.inner.process.raw_memory() {
-            Some($mem) => $body,
+            Some($mem) => {
+                let _scope = $mem.op_scope($core);
+                $body
+            }
             None => {
                 let $mem = $heap.mem();
+                let _scope = $mem.op_scope($core);
                 $body
             }
         }
@@ -145,9 +155,11 @@ pub struct AttachOptions {
     pub remote_free_batch: u32,
     /// Defer each completed slab op's log-clear durability to the next
     /// op's `begin` flush (the two share a cacheline), eliding one
-    /// flush + fence pair per op. Crash consistency is preserved: the
+    /// flush + fence pair per op. The heap stays crash consistent: the
     /// durable log then names the last *completed* op, whose redo is
-    /// idempotent (DESIGN.md §9.3).
+    /// idempotent. The recovery *report* does not: a thread that dies
+    /// between ops has its last returned allocation reported as
+    /// [`RecoveryReport::lost_block`] (DESIGN.md §9.3).
     pub coalesce_fences: bool,
 }
 
@@ -399,10 +411,19 @@ impl Cxlalloc {
                 state: "not live",
             })
         })?;
-        if let Some(sim) = mem.as_any().downcast_ref::<cxl_pod::SimMemory>() {
+        self.discard_dead_cache(tid);
+        Ok(())
+    }
+
+    /// On a simulated pod, drops dead thread `tid`'s cache unwritten.
+    /// Call outside any op scope: the dead core is not the caller's, and
+    /// a thread inside a scope must not touch another core's cache
+    /// (`cxl_pod::coherence`). If the "dead" thread is in fact mid-op
+    /// on another OS thread, this waits for that op to return.
+    fn discard_dead_cache(&self, tid: ThreadId) {
+        if let Some(sim) = self.mem().as_any().downcast_ref::<cxl_pod::SimMemory>() {
             sim.cache().discard_all(tid.slot() as usize);
         }
-        Ok(())
     }
 
     /// Declares `tid` dead on behalf of a liveness detector whose lease
@@ -425,9 +446,7 @@ impl Cxlalloc {
         // `CoreId(0)` from any thread: see `register_thread`.
         match registry_cas(mem, CoreId(0), off, registry::LIVE, registry::DEAD) {
             Ok(()) => {
-                if let Some(sim) = mem.as_any().downcast_ref::<cxl_pod::SimMemory>() {
-                    sim.cache().discard_all(tid.slot() as usize);
-                }
+                self.discard_dead_cache(tid);
                 Ok(true)
             }
             Err(RegistryError::Conflict(registry::DEAD | registry::ADOPTING)) => Ok(false),
@@ -489,7 +508,7 @@ impl Cxlalloc {
     /// The recovery body, run once the caller has established exclusive
     /// rights (slot observed DEAD, or held in ADOPTING by the caller).
     fn recover_inner(&self, tid: ThreadId, via: CoreId) -> RecoveryReport {
-        on_backend!(self, |mem| {
+        on_backend!(self, via, |mem| {
             let report = recovery::recover(&self.ctx(mem, tid, via));
             // Recovery repairs the dead thread's structures through
             // `via`'s cache, but the thread may resume on a different
@@ -702,6 +721,12 @@ impl ThreadHandle {
         self.core
     }
 
+    /// The lease epoch this incarnation installed at registration or
+    /// adoption; heartbeats renew the lease only while it still carries it.
+    pub fn lease_epoch(&self) -> u16 {
+        self.lease_epoch
+    }
+
     /// The owning heap.
     pub fn heap(&self) -> &Cxlalloc {
         &self.heap
@@ -747,7 +772,7 @@ impl ThreadHandle {
     fn alloc_inner(&mut self, size: usize, dst: u64) -> Result<OffsetPtr, AllocError> {
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
-        on_backend!(self.heap, |mem| {
+        on_backend!(self.heap, self.core, |mem| {
             // Built from fields, not `self.ctx`: the huge path below
             // borrows `self.huge` mutably.
             let ctx = self.heap.ctx_with(
@@ -787,7 +812,7 @@ impl ThreadHandle {
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
         let offset = ptr.offset();
-        on_backend!(self.heap, |mem| {
+        on_backend!(self.heap, self.core, |mem| {
             let layout = mem.layout();
             let ctx = self.ctx(mem);
             let result = if layout.small.data.contains(offset) {
@@ -903,7 +928,7 @@ impl ThreadHandle {
     /// Runs one huge-heap cleanup pass (hazard scan + descriptor
     /// reclamation); returns the number of allocations reclaimed.
     pub fn cleanup(&mut self) -> u32 {
-        on_backend!(self.heap, |mem| {
+        on_backend!(self.heap, self.core, |mem| {
             let ctx = self.heap.ctx_with(
                 mem,
                 self.tid,
@@ -938,7 +963,7 @@ impl ThreadHandle {
         // every other thread until their counter decrements land), then
         // deferred descriptor-shadow stores reach the cache so the
         // cache-wide writeback covers them.
-        on_backend!(self.heap, |mem| {
+        on_backend!(self.heap, self.core, |mem| {
             self.drain_remote_frees(&self.ctx(mem));
             self.shadow.sync_all(mem, self.core);
             mem.flush_all(self.core);
@@ -948,7 +973,7 @@ impl ThreadHandle {
     /// Releases surplus thread-local slabs to the global free list
     /// immediately (normally done incrementally during frees).
     pub fn flush_local_caches(&mut self) {
-        on_backend!(self.heap, |mem| {
+        on_backend!(self.heap, self.core, |mem| {
             let ctx = self.ctx(mem);
             self.drain_remote_frees(&ctx);
             self.heap.inner.small.release_overflow(&ctx);

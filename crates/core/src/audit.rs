@@ -147,6 +147,7 @@ pub enum BlockState {
 /// A description of why the offset cannot be probed (outside every
 /// heap, or a bogus descriptor on the way).
 pub fn block_state(mem: &dyn PodMemory, core: CoreId, offset: u64) -> Result<BlockState, String> {
+    let _scope = mem.op_scope(core);
     let layout = mem.layout();
     for heap in [SlabHeap::small(), SlabHeap::large()] {
         let hl = heap.hl(mem);
@@ -212,6 +213,7 @@ pub fn block_state(mem: &dyn PodMemory, core: CoreId, offset: u64) -> Result<Blo
 ///
 /// A human-readable description of the first inconsistency found.
 pub fn census(mem: &dyn PodMemory, core: CoreId) -> Result<BlockCensus, String> {
+    let _scope = mem.op_scope(core);
     let mut out = BlockCensus::default();
     for heap in [SlabHeap::small(), SlabHeap::large()] {
         let offsets = match heap.kind {

@@ -19,6 +19,7 @@ use cxl_pod::{CoreId, HeapLayout, PodMemory};
 ///
 /// A human-readable description of the violated invariant.
 pub fn check(mem: &dyn PodMemory, core: CoreId) -> Result<(), String> {
+    let _scope = mem.op_scope(core);
     check_registry(mem, core)?;
     for heap in [SlabHeap::small(), SlabHeap::large()] {
         check_slab_heap(mem, core, &heap)?;

@@ -694,7 +694,14 @@ fn exec_step(
                 return Ok(());
             };
             crash::arm(CrashPlan { at, skip });
-            let churned = crash::catch(std::panic::AssertUnwindSafe(|| churn(&mut handle)));
+            // One op scope for the whole churn (thousands of calls on
+            // one core), opened inside `catch` so that the unwinding crash
+            // releases it: `mark_crashed` below must run outside any.
+            let mem = host.heap.process().memory();
+            let churned = crash::catch(std::panic::AssertUnwindSafe(|| {
+                let _scope = mem.op_scope(handle.core());
+                churn(&mut handle)
+            }));
             crash::disarm();
             match churned {
                 Err(signal) => {

@@ -456,3 +456,31 @@ fn batched_remote_free_differential_matches_eager() {
         );
     }
 }
+
+/// Known deviation of `coalesce_fences` (DESIGN.md §9.3): the relaxed
+/// clear of a completed op's log record lives only in the owner's cache
+/// until the next op's `begin` flush carries it out. A thread that dies
+/// *between* ops takes it along, the durable log still names the
+/// completed `AllocBlock`, and recovery — which cannot tell a completed
+/// record from an interrupted one — reports a block the application
+/// holds as `lost_block`. The heap is exact either way (the redo is
+/// idempotent); the report is not. The default options clear durably
+/// and report nothing.
+#[test]
+fn relaxed_clear_reports_a_returned_block_as_lost() {
+    for coalesce_fences in [false, true] {
+        let pod = pod();
+        let options = AttachOptions { coalesce_fences, ..AttachOptions::default() };
+        let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
+        let survivor = heap.register_thread().unwrap();
+        let mut victim = heap.register_thread().unwrap();
+        let returned = victim.alloc(64).unwrap();
+        let tid = victim.tid();
+        drop(victim); // dies holding `returned`, no op in flight
+        heap.mark_crashed(tid).unwrap();
+        let report = heap.recover(tid, survivor.core()).unwrap();
+        let expected = coalesce_fences.then_some(returned.offset());
+        assert_eq!(report.lost_block, expected, "coalesce_fences: {coalesce_fences}: {report:?}");
+        assert_eq!(report.interrupted.is_some(), coalesce_fences);
+    }
+}

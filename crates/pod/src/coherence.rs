@@ -31,11 +31,34 @@
 //! cached region is counted here, as plain per-core fields under the
 //! lock an access already holds ([`CacheCounts`]), not as atomic bumps
 //! on the backend's shared counters.
+//!
+//! # The per-core lock and the op scope
+//!
+//! Each core's cache sits behind one private re-entrant lock,
+//! `CoreLock`. An access takes it, touches the cache and releases it —
+//! unless the calling thread already holds it through an [`OpScope`]
+//! ([`CacheModel::scope`]): then the access is one compare of the lock's
+//! owner token against the thread's own and no locked instruction. An
+//! allocator op opens one scope on its core, so its ~9 cached accesses
+//! pay for the lock once. Everything else — a foreign `discard_all`,
+//! `counts()`, an unscoped access from any thread — goes through the
+//! same lock and simply waits for the op in flight, so no thread ever
+//! sees another's half-applied cache update.
+//!
+//! **One scope per thread.** A thread inside a scope must not open a
+//! second core's scope, nor touch another core's cache at all: two
+//! threads doing that to each other's cores would deadlock. Debug builds
+//! assert the rule at both places a thread can block (`scope` and the
+//! unscoped path of `enter`); a nested scope on the *same* core is a
+//! no-op and the outer one keeps holding. The cross-core calls the
+//! allocator makes (`discard_all` of a dead thread's core, `counts()`)
+//! therefore run outside any scope.
 
 use crate::segment::Segment;
 use crate::trace::{TraceKind, Tracer};
-use parking_lot::Mutex;
-use std::sync::atomic::Ordering;
+use parking_lot::{Mutex, MutexGuard};
+use std::cell::{Cell, UnsafeCell};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Cacheline size in bytes.
@@ -219,6 +242,146 @@ impl CoreCache {
     }
 }
 
+thread_local! {
+    /// The address of this thread-local is the thread's owner token:
+    /// unique among live threads and never 0. Its value is the address
+    /// of the `CoreLock` the thread's open scope holds (0 outside a
+    /// scope), read only by the debug assertions of the one-scope rule.
+    static SCOPE: Cell<usize> = const { Cell::new(0) };
+}
+
+#[inline]
+fn thread_token() -> usize {
+    SCOPE.with(|scope| scope as *const Cell<usize> as usize)
+}
+
+/// One core's cache behind a lock its holder can re-enter: the mutex,
+/// the token of the thread whose [`OpScope`] holds it, and the cache.
+struct CoreLock {
+    mutex: Mutex<()>,
+    /// The scope holder's [`thread_token`], else 0. Written only while
+    /// `mutex` is held and cleared before it is released.
+    owner: AtomicUsize,
+    cache: UnsafeCell<CoreCache>,
+}
+
+// SAFETY: `cache` is reached only through `enter`, which hands out the
+// one `&mut CoreCache` either under `mutex` or to the thread whose scope
+// holds `mutex` (see `enter`); `CoreCache` is plain owned data (`Send`),
+// and `mutex` and `owner` are `Sync` themselves.
+unsafe impl Sync for CoreLock {}
+
+impl std::fmt::Debug for CoreLock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CoreLock")
+            .field("owner", &self.owner.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+/// Exclusive access to one core's cache for the length of one
+/// [`CacheModel`] method; holds the mutex unless the thread's scope does.
+struct Entered<'a> {
+    cache: &'a mut CoreCache,
+    _guard: Option<MutexGuard<'a, ()>>,
+}
+
+impl std::ops::Deref for Entered<'_> {
+    type Target = CoreCache;
+    #[inline]
+    fn deref(&self) -> &CoreCache {
+        self.cache
+    }
+}
+
+impl std::ops::DerefMut for Entered<'_> {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut CoreCache {
+        self.cache
+    }
+}
+
+impl CoreLock {
+    fn new(cache: CoreCache) -> Self {
+        CoreLock {
+            mutex: Mutex::new(()),
+            owner: AtomicUsize::new(0),
+            cache: UnsafeCell::new(cache),
+        }
+    }
+
+    /// Whether the calling thread's scope holds this lock. `Relaxed` is
+    /// enough: a thread can read its own token here only if it stored it
+    /// itself — no other live thread has that token — and it clears the
+    /// word before its scope releases the mutex, so every later value it
+    /// can observe is 0 or another thread's token.
+    #[inline]
+    fn held_by_caller(&self) -> bool {
+        self.owner.load(Ordering::Relaxed) == thread_token()
+    }
+
+    /// The cache, exclusively, until the returned value drops.
+    #[inline]
+    fn enter(&self) -> Entered<'_> {
+        let guard = if self.held_by_caller() {
+            None
+        } else {
+            debug_assert_eq!(
+                SCOPE.with(Cell::get),
+                0,
+                "a thread inside one core's op scope touched another core's cache"
+            );
+            Some(self.mutex.lock())
+        };
+        // SAFETY: the reference is exclusive. Either `guard` holds
+        // `mutex`, or this thread's `OpScope` does: `owner` carries its
+        // token (`held_by_caller`), and `OpScope` is `!Send` (it owns a
+        // `MutexGuard`), so the scope is open on this very thread and no
+        // other thread can be past `mutex`. Within the thread, no method
+        // of `CacheModel` calls another while it holds an `Entered`
+        // (`make_room` takes the `&mut CoreCache` it is given), so two
+        // never coexist. A leaked scope keeps `mutex` locked for good, so
+        // a later thread that reuses the token's address is still the
+        // only one inside.
+        let cache = unsafe { &mut *self.cache.get() };
+        Entered {
+            cache,
+            _guard: guard,
+        }
+    }
+}
+
+/// RAII guard of [`CacheModel::scope`] (and
+/// [`PodMemory::op_scope`](crate::PodMemory::op_scope)): while it lives,
+/// the opening thread's accesses to that core's cache skip the per-access
+/// lock. Empty — nothing held, nothing to release — on backends without a
+/// cache model and when nested inside a scope on the same core. Released
+/// on drop, unwinding included.
+#[derive(Default)]
+#[must_use = "the scope ends when this guard drops"]
+pub struct OpScope<'a> {
+    held: Option<(&'a CoreLock, MutexGuard<'a, ()>)>,
+}
+
+impl std::fmt::Debug for OpScope<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("OpScope")
+            .field("holds_lock", &self.held.is_some())
+            .finish()
+    }
+}
+
+impl Drop for OpScope<'_> {
+    #[inline]
+    fn drop(&mut self) {
+        if let Some((lock, _guard)) = &self.held {
+            SCOPE.with(|scope| scope.set(0));
+            lock.owner.store(0, Ordering::Relaxed);
+            // `_guard` drops with the field, after the token is cleared.
+        }
+    }
+}
+
 /// The pod-wide cache model: one private cache per core.
 ///
 /// By default caches are **unbounded** — maximally stale, the most
@@ -229,7 +392,7 @@ impl CoreCache {
 /// layout discipline must make such writebacks harmless.
 #[derive(Debug)]
 pub struct CacheModel {
-    caches: Vec<Mutex<CoreCache>>,
+    caches: Vec<CoreLock>,
     /// Maximum lines per core (0 = unbounded).
     capacity: usize,
     /// Event tracer shared with the owning backend. Disarmed unless
@@ -264,7 +427,7 @@ impl CacheModel {
         };
         CacheModel {
             caches: (0..cores)
-                .map(|i| Mutex::new(CoreCache::new(initial_slots, i)))
+                .map(|i| CoreLock::new(CoreCache::new(initial_slots, i)))
                 .collect(),
             capacity,
             tracer,
@@ -300,6 +463,34 @@ impl CacheModel {
     /// Number of cores.
     pub fn cores(&self) -> usize {
         self.caches.len()
+    }
+
+    /// Opens an op scope on `core`: takes the core's lock once and makes
+    /// every access to `core`'s cache by this thread, until the guard
+    /// drops, a token compare. A scope nested inside one on the same core
+    /// is empty; the outer one keeps holding.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if the thread is inside another core's scope
+    /// (the one-scope rule, module docs).
+    #[inline]
+    pub fn scope(&self, core: usize) -> OpScope<'_> {
+        let lock = &self.caches[core];
+        if lock.held_by_caller() {
+            return OpScope::default();
+        }
+        debug_assert_eq!(
+            SCOPE.with(Cell::get),
+            0,
+            "a thread inside one core's op scope opened another core's"
+        );
+        let guard = lock.mutex.lock();
+        lock.owner.store(thread_token(), Ordering::Relaxed);
+        SCOPE.with(|scope| scope.set(lock as *const CoreLock as usize));
+        OpScope {
+            held: Some((lock, guard)),
+        }
     }
 
     #[inline]
@@ -339,7 +530,7 @@ impl CacheModel {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
         let tag = line_addr | 1;
-        let mut cache = self.caches[core].lock();
+        let mut cache = self.caches[core].enter();
         cache.counts.loads += 1;
         if let Some(i) = cache.find(tag) {
             cache.counts.cached_hits += 1;
@@ -369,7 +560,7 @@ impl CacheModel {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
         let tag = line_addr | 1;
-        let mut cache = self.caches[core].lock();
+        let mut cache = self.caches[core].enter();
         cache.counts.stores += 1;
         let (i, hit) = match cache.find(tag) {
             Some(i) => (i, true),
@@ -400,7 +591,7 @@ impl CacheModel {
     pub fn flush(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
         let first = offset & !(LINE - 1);
         let last = (offset + len.max(1) - 1) & !(LINE - 1);
-        let mut cache = self.caches[core].lock();
+        let mut cache = self.caches[core].enter();
         let mut written = 0;
         let mut line_addr = first;
         loop {
@@ -436,7 +627,7 @@ impl CacheModel {
     pub fn writeback(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
         let first = offset & !(LINE - 1);
         let last = (offset + len.max(1) - 1) & !(LINE - 1);
-        let mut cache = self.caches[core].lock();
+        let mut cache = self.caches[core].enter();
         let mut written = 0;
         let mut line_addr = first;
         loop {
@@ -462,7 +653,7 @@ impl CacheModel {
     /// Writes back and drops every line in `core`'s cache (a full
     /// quiesce — used before validating the heap from another core).
     pub fn flush_all(&self, core: usize, segment: &Segment) {
-        let mut cache = self.caches[core].lock();
+        let mut cache = self.caches[core].enter();
         if cache.len > 0 {
             for i in 0..cache.slots.len() {
                 if !cache.live(i) {
@@ -485,7 +676,7 @@ impl CacheModel {
     /// thread pinned there). O(1): the generation bump invalidates every
     /// slot at once.
     pub fn discard_all(&self, core: usize) {
-        let mut cache = self.caches[core].lock();
+        let mut cache = self.caches[core].enter();
         cache.generation += 1;
         cache.len = 0;
     }
@@ -495,7 +686,7 @@ impl CacheModel {
     pub fn counts(&self) -> CacheCounts {
         let mut total = CacheCounts::default();
         for cache in &self.caches {
-            total += cache.lock().counts;
+            total += cache.enter().counts;
         }
         total
     }
@@ -504,7 +695,7 @@ impl CacheModel {
     /// `offset`.
     pub fn is_cached(&self, core: usize, offset: u64) -> bool {
         let (line_addr, _) = Self::split(offset);
-        self.caches[core].lock().find(line_addr | 1).is_some()
+        self.caches[core].enter().find(line_addr | 1).is_some()
     }
 }
 

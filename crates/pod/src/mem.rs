@@ -14,7 +14,7 @@
 //!   [`NmpDevice`] mCAS. A virtual-clock latency model accumulates
 //!   modeled time (Figures 11–12).
 
-use crate::coherence::CacheModel;
+use crate::coherence::{CacheModel, OpScope};
 use crate::config::CACHELINE;
 use crate::fabric::{Fabric, FabricConfig};
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
@@ -147,6 +147,17 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     /// Writes back and drops `core`'s entire cache (quiesce before
     /// external validation). No-op on coherent backends.
     fn flush_all(&self, _core: CoreId) {}
+    /// Opens an op scope on `core`: until the guard drops, the calling
+    /// thread's accesses as `core` skip whatever per-access lock the
+    /// backend's cache model takes ([`SimMemory`]: see
+    /// [`crate::coherence`], including the one-scope-per-thread rule).
+    /// Changes host cost only — values, counters, modeled time and trace
+    /// events are those of the same calls made outside a scope. Empty on
+    /// backends without a cache model.
+    #[inline]
+    fn op_scope(&self, _core: CoreId) -> OpScope<'_> {
+        OpScope::default()
+    }
     /// Counter snapshot.
     fn stats(&self) -> MemStatsSnapshot;
     /// Virtual time accumulated by `core` in nanoseconds (zero for
@@ -972,6 +983,10 @@ impl PodMemory for SimMemory {
 
     fn flush_all(&self, core: CoreId) {
         self.cache.flush_all(core.index(), &self.segment);
+    }
+
+    fn op_scope(&self, core: CoreId) -> OpScope<'_> {
+        self.cache.scope(core.index())
     }
 
     fn note_cas_retry(&self) {

@@ -12,7 +12,10 @@
 //! * **Unbounded** caches are fully deterministic in both models, so the
 //!   comparison is lockstep: every op's return value, every traffic
 //!   counter, every residency bit, and the final durable memory must
-//!   match exactly.
+//!   match exactly. The script runs three times ([`Scoping`]): every
+//!   access taking the core's lock itself, a `CacheModel::scope` per
+//!   access, and the whole script inside one scope — an op scope may
+//!   change what an access costs the host and nothing else.
 //! * **Bounded** caches evict — and the oracle picks its victim from
 //!   `HashMap` iteration order, which is not reproducible — so lockstep
 //!   comparison is meaningless there. But under the allocator's
@@ -270,6 +273,43 @@ enum Op {
     DiscardAll { core: usize },
 }
 
+impl Op {
+    fn core(self) -> usize {
+        match self {
+            Op::Load { core, .. }
+            | Op::Store { core, .. }
+            | Op::Flush { core, .. }
+            | Op::Writeback { core, .. }
+            | Op::FlushAll { core }
+            | Op::DiscardAll { core } => core,
+        }
+    }
+
+    fn on_core(self, core: usize) -> Op {
+        match self {
+            Op::Load { off, .. } => Op::Load { core, off },
+            Op::Store { off, value, .. } => Op::Store { core, off, value },
+            Op::Flush { off, len, .. } => Op::Flush { core, off, len },
+            Op::Writeback { off, len, .. } => Op::Writeback { core, off, len },
+            Op::FlushAll { .. } => Op::FlushAll { core },
+            Op::DiscardAll { .. } => Op::DiscardAll { core },
+        }
+    }
+}
+
+/// Where the lockstep run opens op scopes on the new model (the oracle
+/// has none).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scoping {
+    /// Nowhere: every access takes its core's lock itself.
+    Unscoped,
+    /// One scope on the op's core around each access.
+    PerAccess,
+    /// One scope around the whole script, which then runs on core 0
+    /// only: a thread inside a scope may not touch another core's cache.
+    WholeScript,
+}
+
 fn word_off() -> impl Strategy<Value = u64> {
     (0u64..WORDS).prop_map(|w| w * 8)
 }
@@ -316,6 +356,85 @@ fn seeded_segment(init: &[u64]) -> Segment {
     seg
 }
 
+/// Runs `ops` through both models and demands identical results at
+/// every step and identical residency and memory at the end.
+fn lockstep(ops: &[Op], init: &[u64], scoping: Scoping) {
+    let seg_new = seeded_segment(init);
+    let seg_old = seeded_segment(init);
+    let model_new = CacheModel::new(CORES);
+    let model_old = MapCacheModel::new(CORES);
+
+    let whole = (scoping == Scoping::WholeScript).then(|| model_new.scope(0));
+    for (step, op) in ops.iter().enumerate() {
+        let op = if whole.is_some() { op.on_core(0) } else { *op };
+        let access = (scoping == Scoping::PerAccess).then(|| model_new.scope(op.core()));
+        match op {
+            Op::Load { core, off } => {
+                prop_assert_eq!(
+                    model_new.load(core, &seg_new, off),
+                    model_old.load(core, &seg_old, off),
+                    "load step {} ({:?})", step, op
+                );
+            }
+            Op::Store { core, off, value } => {
+                prop_assert_eq!(
+                    model_new.store(core, &seg_new, off, value),
+                    model_old.store(core, &seg_old, off, value),
+                    "store step {} ({:?})", step, op
+                );
+            }
+            Op::Flush { core, off, len } => {
+                prop_assert_eq!(
+                    model_new.flush(core, &seg_new, off, len),
+                    model_old.flush(core, &seg_old, off, len),
+                    "flush step {} ({:?})", step, op
+                );
+            }
+            Op::Writeback { core, off, len } => {
+                prop_assert_eq!(
+                    model_new.writeback(core, &seg_new, off, len),
+                    model_old.writeback(core, &seg_old, off, len),
+                    "writeback step {} ({:?})", step, op
+                );
+            }
+            Op::FlushAll { core } => {
+                model_new.flush_all(core, &seg_new);
+                model_old.flush_all(core, &seg_old);
+            }
+            Op::DiscardAll { core } => {
+                model_new.discard_all(core);
+                model_old.discard_all(core);
+            }
+        }
+        drop(access);
+        // `counts()` visits every core, so not from inside a scope.
+        if whole.is_none() {
+            prop_assert_eq!(
+                model_new.counts(), model_old.counts(),
+                "counters diverged at step {} ({:?})", step, op
+            );
+        }
+    }
+    drop(whole);
+    prop_assert_eq!(model_new.counts(), model_old.counts(), "counters diverged ({:?})", scoping);
+
+    // After the sequence: identical residency and identical durable
+    // memory, word for word.
+    for w in 0..WORDS {
+        prop_assert_eq!(
+            seg_new.peek_u64(w * 8), seg_old.peek_u64(w * 8),
+            "durable word {} diverged", w
+        );
+        for core in 0..CORES {
+            prop_assert_eq!(
+                model_new.is_cached(core, w * 8),
+                model_old.is_cached(core, w * 8),
+                "residency of word {} on core {} diverged", w, core
+            );
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
@@ -324,70 +443,8 @@ proptest! {
         ops in proptest::collection::vec(any_op(), 1..250),
         init in proptest::collection::vec(any::<u64>(), WORDS as usize..=WORDS as usize),
     ) {
-        let seg_new = seeded_segment(&init);
-        let seg_old = seeded_segment(&init);
-        let model_new = CacheModel::new(CORES);
-        let model_old = MapCacheModel::new(CORES);
-
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Load { core, off } => {
-                    prop_assert_eq!(
-                        model_new.load(core, &seg_new, off),
-                        model_old.load(core, &seg_old, off),
-                        "load step {} ({:?})", step, op
-                    );
-                }
-                Op::Store { core, off, value } => {
-                    prop_assert_eq!(
-                        model_new.store(core, &seg_new, off, value),
-                        model_old.store(core, &seg_old, off, value),
-                        "store step {} ({:?})", step, op
-                    );
-                }
-                Op::Flush { core, off, len } => {
-                    prop_assert_eq!(
-                        model_new.flush(core, &seg_new, off, len),
-                        model_old.flush(core, &seg_old, off, len),
-                        "flush step {} ({:?})", step, op
-                    );
-                }
-                Op::Writeback { core, off, len } => {
-                    prop_assert_eq!(
-                        model_new.writeback(core, &seg_new, off, len),
-                        model_old.writeback(core, &seg_old, off, len),
-                        "writeback step {} ({:?})", step, op
-                    );
-                }
-                Op::FlushAll { core } => {
-                    model_new.flush_all(core, &seg_new);
-                    model_old.flush_all(core, &seg_old);
-                }
-                Op::DiscardAll { core } => {
-                    model_new.discard_all(core);
-                    model_old.discard_all(core);
-                }
-            }
-            prop_assert_eq!(
-                model_new.counts(), model_old.counts(),
-                "counters diverged at step {} ({:?})", step, op
-            );
-        }
-
-        // After the sequence: identical residency and identical durable
-        // memory, word for word.
-        for w in 0..WORDS {
-            prop_assert_eq!(
-                seg_new.peek_u64(w * 8), seg_old.peek_u64(w * 8),
-                "durable word {} diverged", w
-            );
-            for core in 0..CORES {
-                prop_assert_eq!(
-                    model_new.is_cached(core, w * 8),
-                    model_old.is_cached(core, w * 8),
-                    "residency of word {} on core {} diverged", w, core
-                );
-            }
+        for scoping in [Scoping::Unscoped, Scoping::PerAccess, Scoping::WholeScript] {
+            lockstep(&ops, &init, scoping);
         }
     }
 

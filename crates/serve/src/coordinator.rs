@@ -332,6 +332,12 @@ pub struct AdoptionRecord {
     pub victim_tid: u16,
     /// Replacements reporting a won adoption race (must end at 1).
     pub winners: u32,
+    /// `(pid, installed lease epoch)` of every reported winner, in
+    /// report order. When `winners` is not 1 this says which failure it
+    /// is: two pids mean two processes won DEAD→ADOPTING; one pid
+    /// twice, or epochs of two different episodes, mean the coordinator
+    /// matched two reports to this one record.
+    pub winner_ids: Vec<(u64, u16)>,
     /// Replacements reporting a lost race.
     pub losers: u32,
     /// Phantom ledger cells the winner reconciled away.
@@ -528,10 +534,21 @@ impl RunReport {
             .adoptions
             .iter()
             .map(|a| {
+                let winner_ids: Vec<String> = a
+                    .winner_ids
+                    .iter()
+                    .map(|(pid, epoch)| format!("[{pid},{epoch}]"))
+                    .collect();
                 format!(
-                    "{{\"index\":{},\"victim_tid\":{},\"winners\":{},\"losers\":{},\
-                     \"phantoms\":{},\"inherited\":{}}}",
-                    a.index, a.victim_tid, a.winners, a.losers, a.phantoms, a.inherited
+                    "{{\"index\":{},\"victim_tid\":{},\"winners\":{},\"winner_ids\":[{}],\
+                     \"losers\":{},\"phantoms\":{},\"inherited\":{}}}",
+                    a.index,
+                    a.victim_tid,
+                    a.winners,
+                    winner_ids.join(","),
+                    a.losers,
+                    a.phantoms,
+                    a.inherited
                 )
             })
             .collect();
@@ -1148,7 +1165,7 @@ fn pump(
                         let _ = plane.worker(index).cmd_ring().push(Msg::Stop);
                     }
                 }
-                Msg::AdoptReport { victim, winner, phantoms, inherited } => {
+                Msg::AdoptReport { victim, winner, phantoms, inherited, pid, epoch } => {
                     // The loser of a raced adoption may report after the
                     // winner already resolved the episode — match by
                     // victim, not only by the in-flight marker.
@@ -1162,6 +1179,7 @@ fn pump(
                         .ok_or_else(|| format!("unexpected adopt report for {victim}"))?;
                     if winner {
                         rec.winners += 1;
+                        rec.winner_ids.push((pid, epoch));
                         rec.phantoms = phantoms;
                         rec.inherited = inherited;
                         slot.adopting = None;
@@ -1254,6 +1272,7 @@ fn reap_and_replace(
             index,
             victim_tid,
             winners: 0,
+            winner_ids: Vec::new(),
             losers: 0,
             phantoms: 0,
             inherited: 0,
@@ -1610,8 +1629,19 @@ mod tests {
 
     #[test]
     fn report_json_is_v2_with_chaos_fields() {
-        let json = report_fixture().to_json();
+        let mut report = report_fixture();
+        report.adoptions.push(AdoptionRecord {
+            index: 0,
+            victim_tid: 1,
+            winners: 1,
+            winner_ids: vec![(4242, 3)],
+            losers: 1,
+            phantoms: 0,
+            inherited: 9,
+        });
+        let json = report.to_json();
         for needle in [
+            "\"winner_ids\":[[4242,3]]",
             "\"schema\": \"serve-run-v2\"",
             "\"drains\": [",
             "\"stalls\": [",

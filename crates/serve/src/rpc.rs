@@ -342,6 +342,13 @@ pub enum Msg {
         phantoms: u64,
         /// Live blocks inherited through the ledger.
         inherited: u64,
+        /// The reporting process's OS pid.
+        pid: u64,
+        /// The lease epoch the adoption installed (0 from a loser, which
+        /// installed none). With `pid` it tells two winners — two pids,
+        /// the slot's epoch lineage forked — from one winner counted
+        /// twice.
+        epoch: u16,
     },
     /// Coordinator: begin serving.
     Start {
@@ -462,11 +469,13 @@ pub fn encode(msg: &Msg, seq: u64) -> [u64; 8] {
             w[2] = *tid as u64;
             KIND_HELLO
         }
-        Msg::AdoptReport { victim, winner, phantoms, inherited } => {
+        Msg::AdoptReport { victim, winner, phantoms, inherited, pid, epoch } => {
             w[1] = *victim as u64;
             w[2] = *winner as u64;
             w[3] = *phantoms;
             w[4] = *inherited;
+            w[5] = *pid;
+            w[6] = *epoch as u64;
             KIND_ADOPT
         }
         Msg::Start { seed, spec, hb_every, target_ops } => {
@@ -529,6 +538,8 @@ pub fn decode(w: &[u64; 8], seq: u64) -> Result<Msg, FrameError> {
             winner: w[2] != 0,
             phantoms: w[3],
             inherited: w[4],
+            pid: w[5],
+            epoch: w[6] as u16,
         }),
         KIND_START => Ok(Msg::Start {
             seed: w[1],
@@ -964,14 +975,13 @@ mod tests {
     fn arb_msg() -> impl Strategy<Value = Msg> {
         prop_oneof![
             (any::<u64>(), any::<u16>()).prop_map(|(pid, tid)| Msg::Hello { pid, tid }),
-            (any::<u16>(), any::<bool>(), any::<u64>(), any::<u64>()).prop_map(
-                |(victim, winner, phantoms, inherited)| Msg::AdoptReport {
-                    victim,
-                    winner,
-                    phantoms,
-                    inherited
-                }
-            ),
+            (
+                (any::<u16>(), any::<bool>(), any::<u64>(), any::<u64>()),
+                (any::<u64>(), any::<u16>())
+            )
+                .prop_map(|((victim, winner, phantoms, inherited), (pid, epoch))| {
+                    Msg::AdoptReport { victim, winner, phantoms, inherited, pid, epoch }
+                }),
             (any::<u64>(), any::<u8>(), any::<u64>(), any::<u64>()).prop_map(
                 |(seed, spec, hb_every, target_ops)| Msg::Start {
                     seed,

@@ -300,6 +300,8 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
                         winner: false,
                         phantoms: 0,
                         inherited: 0,
+                        pid: std::process::id() as u64,
+                        epoch: 0,
                     });
                     return Ok(exit::RACED);
                 }
@@ -433,6 +435,8 @@ fn adopt(
                         winner: true,
                         phantoms,
                         inherited,
+                        pid: std::process::id() as u64,
+                        epoch: handle.lease_epoch(),
                     });
                     return Ok(Some(handle));
                 }

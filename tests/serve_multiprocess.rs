@@ -105,7 +105,12 @@ fn raced_adoption_has_exactly_one_winner() {
     assert_eq!(report.kills, 1);
     assert_eq!(report.adoptions.len(), 1, "adoptions: {:?}", report.adoptions);
     let adoption = &report.adoptions[0];
-    assert_eq!(adoption.winners, 1, "{adoption:?}");
+    assert_eq!(
+        adoption.winners, 1,
+        "winners as (pid, lease epoch): {:?} — two pids: both won DEAD→ADOPTING; \
+         one pid twice, or another episode's epoch: one winner counted twice — {adoption:?}",
+        adoption.winner_ids
+    );
     assert_eq!(adoption.losers, 1, "the raced replacement must lose: {adoption:?}");
     assert!(report.audit.is_clean(), "audit: {:?}", report.audit);
     assert!(report.is_clean());
