@@ -131,34 +131,29 @@ fn main() {
     let trace = trace_fingerprint();
     let trace_congested = trace_fingerprint_congested();
 
-    let mut changed = 0;
+    let mut schedule_changed = 0;
     println!("golden fingerprints (old -> new):");
-    diff("classic", golden::CLASSIC, &classic, &mut changed);
-    diff("liveness", golden::LIVENESS, &liveness, &mut changed);
-    diff("batched", golden::BATCHED, &batched, &mut changed);
-    if trace == golden::TRACE_SCRIPTED {
-        println!("  trace    scripted  {trace:#018x}  (unchanged)");
-    } else {
-        println!(
-            "  trace    scripted  {:#018x} -> {trace:#018x}",
-            golden::TRACE_SCRIPTED
-        );
-        changed += 1;
+    diff("classic", golden::CLASSIC, &classic, &mut schedule_changed);
+    diff("liveness", golden::LIVENESS, &liveness, &mut schedule_changed);
+    diff("batched", golden::BATCHED, &batched, &mut schedule_changed);
+    let mut trace_changed = 0;
+    for (label, was, now) in [
+        ("scripted ", golden::TRACE_SCRIPTED, trace),
+        ("congested", golden::TRACE_CONGESTED, trace_congested),
+    ] {
+        if was == now {
+            println!("  trace    {label} {now:#018x}  (unchanged)");
+        } else {
+            println!("  trace    {label} {was:#018x} -> {now:#018x}");
+            trace_changed += 1;
+        }
     }
-    if trace_congested == golden::TRACE_CONGESTED {
-        println!("  trace    congested {trace_congested:#018x}  (unchanged)");
-    } else {
-        println!(
-            "  trace    congested {:#018x} -> {trace_congested:#018x}",
-            golden::TRACE_CONGESTED
-        );
-        changed += 1;
-    }
-    let total = classic.len() + liveness.len() + batched.len() + 2;
-    println!("{changed} of {total} pins changed");
+    let schedules = classic.len() + liveness.len() + batched.len();
+    println!("schedule pins (allocator behaviour): {schedule_changed} of {schedules} changed");
+    println!("trace pins (modeled cost): {trace_changed} of 2 changed");
 
     if !bless {
-        if changed > 0 {
+        if schedule_changed + trace_changed > 0 {
             println!("run again with --bless to rewrite tests/common/golden_fingerprints.rs");
             std::process::exit(1);
         }
@@ -175,10 +170,13 @@ fn main() {
          // prints an old-vs-new diff summary, and rewrites this file. See\n\
          // EXPERIMENTS.md (\"Golden-fingerprint re-pin protocol\") for when a\n\
          // re-pin is legitimate.\n//\n\
-         // A fingerprint mixes every step outcome, allocated offset, live-set\n\
-         // length, and recovery outcome of a run — so these constants change\n\
-         // only when the allocator's *observable* behaviour changes, never from\n\
-         // pure substrate optimizations (caches, shadows, counters).\n//\n\
+         // Two kinds of pin. A schedule pin (CLASSIC, LIVENESS, BATCHED) mixes\n\
+         // every step outcome, allocated offset, live-set length, and recovery\n\
+         // outcome of a run — so it changes only when the allocator's\n\
+         // *observable* behaviour changes, never from substrate optimizations\n\
+         // (caches, counters). A trace pin (TRACE_SCRIPTED, TRACE_CONGESTED)\n\
+         // also mixes every charged nanosecond, so it carries modeled cost: it\n\
+         // moves whenever an access starts or stops being charged.\n//\n\
          // Each test target include!s this file and uses only some pins, so\n\
          // every constant carries allow(dead_code).\n\n\
          /// Classic explorer profile (`Explorer::default()`): (seed, fingerprint).\n\

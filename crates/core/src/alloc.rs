@@ -26,12 +26,12 @@
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::ctx::Ctx;
-use crate::error::AllocError;
+use crate::error::{AllocError, HeapKind};
 use crate::huge::{HugeHeap, HugeThread};
 use crate::liveness::{lease, registry};
 use crate::recovery::{self, RecoveryReport};
 use crate::remote::RemoteFreeBuffer;
-use crate::shadow::DescShadow;
+use crate::rover::Rovers;
 use crate::slab::SlabHeap;
 use crate::{OffsetPtr, ThreadId};
 use cxl_pod::trace::TraceKind;
@@ -304,7 +304,7 @@ impl Cxlalloc {
         false
     }
 
-    /// A foreign-thread context (no shadow or buffer) over backend `mem`.
+    /// A foreign-thread context (no rovers or buffer) over backend `mem`.
     fn ctx<'a, M: PodMemory + ?Sized>(&'a self, mem: &'a M, tid: ThreadId, core: CoreId) -> Ctx<'a, M> {
         self.ctx_with(mem, tid, core, None, None)
     }
@@ -314,7 +314,7 @@ impl Cxlalloc {
         mem: &'a M,
         tid: ThreadId,
         core: CoreId,
-        shadow: Option<&'a DescShadow>,
+        rovers: Option<&'a Rovers>,
         remote: Option<&'a RemoteFreeBuffer>,
     ) -> Ctx<'a, M> {
         Ctx {
@@ -324,7 +324,7 @@ impl Cxlalloc {
             process: &self.inner.process,
             unsized_limit: self.inner.options.unsized_limit,
             recoverable: self.inner.options.recoverable,
-            shadow,
+            rovers,
             remote,
             remote_free_batch: self.inner.options.remote_free_batch.clamp(1, 255),
             coalesce_fences: self.inner.options.coalesce_fences,
@@ -389,7 +389,7 @@ impl Cxlalloc {
             core,
             lease_epoch: lease::epoch(fresh),
             huge,
-            shadow: DescShadow::new(mem.hwcc_mode()),
+            rovers: Rovers::new(),
             remote: RemoteFreeBuffer::new(),
         }
     }
@@ -701,10 +701,8 @@ pub struct ThreadHandle {
     /// instead of silently renewing a slot it no longer owns.
     lease_epoch: u16,
     huge: HugeThread,
-    /// Owner-side DRAM shadow of this thread's slab descriptors
-    /// (paper §3.2: single-writer state the owner never needs to
-    /// re-read from CXL memory).
-    shadow: DescShadow,
+    /// Where each recently used slab's next block scan starts.
+    rovers: Rovers,
     /// Pending (buffered, unpublished) remote frees, keyed by slab.
     /// Inert unless `AttachOptions::remote_free_batch > 1`.
     remote: RemoteFreeBuffer,
@@ -738,7 +736,7 @@ impl ThreadHandle {
             mem,
             self.tid,
             self.core,
-            Some(&self.shadow),
+            Some(&self.rovers),
             Some(&self.remote),
         )
     }
@@ -779,23 +777,16 @@ impl ThreadHandle {
                 mem,
                 self.tid,
                 self.core,
-                Some(&self.shadow),
+                Some(&self.rovers),
                 Some(&self.remote),
             );
-            let result = if size <= inner.small.classes.max_size() as usize {
+            let offset = if size <= inner.small.classes.max_size() as usize {
                 inner.small.alloc(&ctx, size, dst)
             } else if size <= inner.large.classes.max_size() as usize {
                 inner.large.alloc(&ctx, size, dst)
             } else {
                 inner.huge.alloc(&ctx, &mut self.huge, size)
-            };
-            // Drain deferred descriptor stores into this core's cache:
-            // at op boundaries the cache/memory image matches the
-            // unshadowed implementation exactly (same-core readers — the
-            // invariant checker, an adopting recoverer — see current
-            // state).
-            self.shadow.sync_all(mem, self.core);
-            let offset = result?;
+            }?;
             mem.trace_op(self.core, TraceKind::SlabAlloc, offset);
             Ok(OffsetPtr::new(offset).expect("data offsets are nonzero"))
         })
@@ -824,7 +815,6 @@ impl ThreadHandle {
             } else {
                 Err(AllocError::WildPointer { offset })
             };
-            self.shadow.sync_all(mem, self.core);
             if result.is_ok() {
                 mem.trace_op(self.core, TraceKind::SlabFree, offset);
             }
@@ -905,7 +895,8 @@ impl ThreadHandle {
     /// and never become adoptable, which is exactly right because a
     /// drained thread has nothing left to recover — call
     /// [`flush_cache`](Self::flush_cache) first so every buffered
-    /// remote free and shadow store is durable before the freeze lands.
+    /// remote free and cached descriptor store is durable before the
+    /// freeze lands.
     ///
     /// If the lease was already stolen (epoch moved on), the freeze is
     /// silently skipped: the slot belongs to the adopter now and its
@@ -933,7 +924,7 @@ impl ThreadHandle {
                 mem,
                 self.tid,
                 self.core,
-                Some(&self.shadow),
+                Some(&self.rovers),
                 Some(&self.remote),
             );
             self.heap.inner.huge.cleanup(&ctx, &mut self.huge)
@@ -941,9 +932,9 @@ impl ThreadHandle {
     }
 
     /// Publishes every buffered remote free now (one batched detectable
-    /// CAS per slab with pending frees). Runs at the same quiesce points
-    /// that drain the descriptor shadow, so the §3.2.2 stale-owner
-    /// argument sees the same op-boundary image either way.
+    /// CAS per slab with pending frees), at the quiesce points
+    /// [`flush_cache`](Self::flush_cache) and
+    /// [`flush_local_caches`](Self::flush_local_caches).
     fn drain_remote_frees<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) {
         if self.remote.is_empty() {
             return;
@@ -960,12 +951,10 @@ impl ThreadHandle {
     /// caches).
     pub fn flush_cache(&self) {
         // Buffered remote frees publish first (they are invisible to
-        // every other thread until their counter decrements land), then
-        // deferred descriptor-shadow stores reach the cache so the
-        // cache-wide writeback covers them.
+        // every other thread until their counter decrements land), so
+        // the cache-wide writeback covers their stores too.
         on_backend!(self.heap, self.core, |mem| {
             self.drain_remote_frees(&self.ctx(mem));
-            self.shadow.sync_all(mem, self.core);
             mem.flush_all(self.core);
         })
     }
@@ -978,7 +967,6 @@ impl ThreadHandle {
             self.drain_remote_frees(&ctx);
             self.heap.inner.small.release_overflow(&ctx);
             self.heap.inner.large.release_overflow(&ctx);
-            self.shadow.sync_all(mem, self.core);
         })
     }
 
@@ -994,18 +982,17 @@ impl ThreadHandle {
     /// incorrect; tests use this hook to prove exactly that.
     #[doc(hidden)]
     pub fn debug_set_rover(&self, ptr: OffsetPtr, rover: u32) {
-        let mem = self.heap.mem();
-        let layout = mem.layout();
+        let layout = self.heap.mem().layout();
         let offset = ptr.offset();
-        let (heap, hl) = if layout.small.data.contains(offset) {
-            (&self.heap.inner.small, &layout.small)
+        let (kind, hl) = if layout.small.data.contains(offset) {
+            (HeapKind::Small, &layout.small)
         } else if layout.large.data.contains(offset) {
-            (&self.heap.inner.large, &layout.large)
+            (HeapKind::Large, &layout.large)
         } else {
             panic!("debug_set_rover: {offset:#x} is not a slab-heap pointer");
         };
         let slab = hl.slab_of(offset).expect("offset is in the data region");
-        self.shadow.set_rover(mem, self.core, heap.kind, slab, rover);
+        self.rovers.set(kind, slab, rover);
     }
 }
 

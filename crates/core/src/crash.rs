@@ -48,11 +48,6 @@ pub fn disarm() {
     PLAN.with(|p| p.set(None));
 }
 
-/// Whether a plan is currently armed on this thread.
-pub fn armed() -> bool {
-    PLAN.with(|p| p.get().is_some())
-}
-
 /// A crash point. Panics with [`CrashSignal`] when the armed plan names
 /// `label` (after `skip` prior encounters); otherwise a near-free check.
 #[inline]
@@ -117,7 +112,7 @@ mod tests {
         });
         assert_eq!(r, Err(CrashSignal { at: "here" }));
         // The plan disarms on fire.
-        assert!(!armed());
+        assert_eq!(PLAN.with(Cell::get), None);
         point("here"); // no longer crashes
     }
 
@@ -152,7 +147,7 @@ mod tests {
             skip: 0,
         });
         std::thread::spawn(|| {
-            assert!(!armed());
+            assert_eq!(PLAN.with(Cell::get), None);
             point("x"); // other thread unaffected
         })
         .join()

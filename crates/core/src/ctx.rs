@@ -1,10 +1,9 @@
 //! Per-thread operation context.
 
-use crate::crash;
 use crate::dcas::Dcas;
 use crate::oplog::OpLog;
 use crate::remote::RemoteFreeBuffer;
-use crate::shadow::DescShadow;
+use crate::rover::Rovers;
 use crate::ThreadId;
 use cxl_pod::{CoreId, PodMemory, Process};
 use std::sync::Arc;
@@ -29,10 +28,10 @@ pub(crate) struct Ctx<'m, M: PodMemory + ?Sized = dyn PodMemory + 'm> {
     /// Whether recovery state (redo log, help records) is maintained.
     /// `false` reproduces the `cxlalloc-nonrecoverable` ablation.
     pub recoverable: bool,
-    /// The calling thread's descriptor shadow (`None` for contexts that
+    /// The calling thread's first-fit rovers (`None` for contexts that
     /// act on *another* thread's structures — recovery, fault handling —
-    /// which must read pod memory directly).
-    pub shadow: Option<&'m DescShadow>,
+    /// whose scans start from the bottom).
+    pub rovers: Option<&'m Rovers>,
     /// The calling thread's pending-remote-free buffer (`None` for
     /// foreign-thread contexts, which never buffer).
     pub remote: Option<&'m RemoteFreeBuffer>,
@@ -54,21 +53,6 @@ impl<'m, M: PodMemory + ?Sized> Ctx<'m, M> {
     /// Detectable-CAS handle (plain CAS when recovery is disabled).
     pub fn dcas(&self) -> Dcas<'m, M> {
         Dcas::with_detectable(self.mem, self.recoverable)
-    }
-
-    /// A crash point that first drains deferred shadow stores into the
-    /// (to-be-discarded) simulated cache, so the crash image white-box
-    /// tests and schedule exploration observe is byte-identical to the
-    /// unshadowed implementation. The drain runs only when a crash plan
-    /// is armed; otherwise this is exactly [`crash::point`].
-    #[inline]
-    pub fn crash_point(&self, label: &'static str) {
-        if crash::armed() {
-            if let Some(shadow) = self.shadow {
-                shadow.sync_all(self.mem, self.core);
-            }
-        }
-        crash::point(label);
     }
 }
 

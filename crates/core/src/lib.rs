@@ -78,8 +78,8 @@ pub mod oplog;
 mod ptr;
 pub mod recovery;
 mod remote;
+mod rover;
 pub mod sched;
-mod shadow;
 pub mod slab;
 
 pub use alloc::{AttachOptions, Cxlalloc, HeapStats, ThreadHandle};

@@ -1,9 +1,9 @@
 //! Batched remote frees (hot-path amortization).
 //!
 //! [`RemoteFreeBuffer`] is *per-thread DRAM state* riding on the
-//! [`ThreadHandle`](crate::ThreadHandle), in the same spirit as the
-//! descriptor shadow (`shadow.rs`): a small table of *pending* remote
-//! frees keyed by `(heap, slab)`. The paper's §3.2.1 protocol pays one
+//! [`ThreadHandle`](crate::ThreadHandle), like the first-fit rovers
+//! (`rover.rs`): a small table of *pending* remote frees keyed by
+//! `(heap, slab)`. The paper's §3.2.1 protocol pays one
 //! detectable mCAS on the slab's HWcc counter per freed block; the
 //! buffer accumulates up to `remote_free_batch` frees against one slab
 //! and publishes them with a *single* detectable CAS that decrements the
@@ -63,7 +63,7 @@ fn decode(key: u64) -> (HeapKind, u32) {
 
 /// Per-thread bounded buffer of pending (unpublished) remote frees.
 ///
-/// Interior-mutable and `!Sync` by construction (like `DescShadow`): it
+/// Interior-mutable and `!Sync` by construction (like `Rovers`): it
 /// belongs to exactly one thread.
 #[derive(Debug)]
 pub(crate) struct RemoteFreeBuffer {

@@ -37,6 +37,7 @@
 use crate::bitset::BlockBits;
 use crate::cell::{flags, Detect, LogWord, SwccHeader};
 use crate::class::ClassTable;
+use crate::crash;
 use crate::ctx::Ctx;
 use crate::error::{AllocError, HeapKind};
 use crate::recovery::Op;
@@ -130,54 +131,34 @@ impl SlabHeap {
 
     // ---- descriptor accessors ------------------------------------------
     //
-    // All four route through the calling thread's descriptor shadow
-    // when it has one (see `shadow.rs`): loads are served from the
-    // shadow, stores are absorbed (software-coherent backends) or
-    // written through (coherent backends). Contexts without a shadow —
-    // recovery, the invariant checker's probes, fault handling — hit
-    // pod memory directly, as before.
+    // Each is one access through the calling core's cache; the owner's
+    // stay hits until an ownership transition flushes them (§3.2.2). An
+    // owner's access also claims the slab's rover slot (`rover.rs`).
+
+    fn claim_rover<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
+        if let Some(rovers) = ctx.rovers {
+            rovers.claim(self.kind, slab);
+        }
+    }
 
     pub(crate) fn header<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> SwccHeader {
-        if let Some(shadow) = ctx.shadow {
-            if let Some(packed) = shadow.header(self.kind, slab) {
-                return SwccHeader::unpack(packed);
-            }
-            let packed = ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab));
-            shadow.install_header(ctx.mem, ctx.core, self.kind, slab, packed);
-            return SwccHeader::unpack(packed);
-        }
+        self.claim_rover(ctx, slab);
         SwccHeader::unpack(ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab)))
     }
 
     pub(crate) fn set_header<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, header: SwccHeader) {
-        let packed = header.pack();
-        if let Some(shadow) = ctx.shadow {
-            if shadow.store_header(ctx.mem, ctx.core, self.kind, slab, packed) {
-                return;
-            }
-        }
+        self.claim_rover(ctx, slab);
         ctx.mem
-            .store_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab), packed);
+            .store_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab), header.pack());
     }
 
     pub(crate) fn free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> u32 {
-        if let Some(shadow) = ctx.shadow {
-            if let Some(count) = shadow.free_count(self.kind, slab) {
-                return count as u32;
-            }
-            let count = ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab));
-            shadow.install_count(ctx.mem, ctx.core, self.kind, slab, count);
-            return count as u32;
-        }
+        self.claim_rover(ctx, slab);
         ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab)) as u32
     }
 
     pub(crate) fn set_free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, count: u32) {
-        if let Some(shadow) = ctx.shadow {
-            if shadow.store_count(ctx.mem, ctx.core, self.kind, slab, count as u64) {
-                return;
-            }
-        }
+        self.claim_rover(ctx, slab);
         ctx.mem
             .store_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab), count as u64);
     }
@@ -195,11 +176,9 @@ impl SlabHeap {
     /// thread may become the owner (§3.2.2).
     pub(crate) fn flush_desc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
         let hl = self.hl(ctx.mem);
-        // Drain deferred shadow stores into the cache first (so the
-        // flush writes them back) and forget the entry: after the flush
-        // another thread may own the descriptor.
-        if let Some(shadow) = ctx.shadow {
-            shadow.drop_entry(ctx.mem, ctx.core, self.kind, slab);
+        // After the flush another thread may own the slab.
+        if let Some(rovers) = ctx.rovers {
+            rovers.forget(self.kind, slab);
         }
         ctx.mem
             .flush(ctx.core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
@@ -325,7 +304,7 @@ impl SlabHeap {
             },
             &[],
         );
-        ctx.crash_point("slab::init::after_log");
+        crash::point("slab::init::after_log");
         self.init_slab_body(ctx, slab, class);
         ctx.log().clear_relaxed(ctx.core);
     }
@@ -341,7 +320,7 @@ impl SlabHeap {
             flags: flags::SIZED,
         });
         self.set_free_count(ctx, slab, blocks);
-        ctx.crash_point("slab::init::mid");
+        crash::point("slab::init::mid");
         self.bits(ctx, slab, class).set_all(ctx.core);
         // Reset the remote-free counter to the block count. A plain
         // store is safe: no block of this slab is live, so no thread can
@@ -372,11 +351,11 @@ impl SlabHeap {
             let head = dcas.read(ctx.core, head_cell);
             let slab = head.payload.checked_sub(1)?;
             // Readers flush before loading SWccDesc.next; a stale load is
-            // caught by the CAS on the head (version mismatch). The
-            // shadow entry (a clean read-install at most — we don't own
-            // slabs on the global list) is dropped for the same reason.
-            if let Some(shadow) = ctx.shadow {
-                shadow.drop_entry(ctx.mem, ctx.core, self.kind, slab);
+            // caught by the CAS on the head (version mismatch). We don't
+            // own slabs on the global list, so any rover we kept for this
+            // one is forgotten too.
+            if let Some(rovers) = ctx.rovers {
+                rovers.forget(self.kind, slab);
             }
             ctx.mem.flush(ctx.core, hl.swcc_desc_at(slab), 8);
             let next = self.header(ctx, slab).next;
@@ -391,12 +370,12 @@ impl SlabHeap {
                 },
                 &[],
             );
-            ctx.crash_point("slab::pop_global::after_log");
+            crash::point("slab::pop_global::after_log");
             if dcas
                 .attempt(ctx.core, head_cell, head, next, ctx.tid, version)
                 .is_ok()
             {
-                ctx.crash_point("slab::pop_global::after_cas");
+                crash::point("slab::pop_global::after_cas");
                 return Some(slab);
             }
             ctx.log().clear_relaxed(ctx.core);
@@ -434,12 +413,12 @@ impl SlabHeap {
                 },
                 &[],
             );
-            ctx.crash_point("slab::push_global::after_log");
+            crash::point("slab::push_global::after_log");
             if dcas
                 .attempt(ctx.core, head_cell, head, slab + 1, ctx.tid, version)
                 .is_ok()
             {
-                ctx.crash_point("slab::push_global::after_cas");
+                crash::point("slab::push_global::after_cas");
                 ctx.log().clear_relaxed(ctx.core);
                 return;
             }
@@ -470,12 +449,12 @@ impl SlabHeap {
                 },
                 &[],
             );
-            ctx.crash_point("slab::extend::after_log");
+            crash::point("slab::extend::after_log");
             if dcas
                 .attempt(ctx.core, hl.global_len, len, len.payload + 1, ctx.tid, version)
                 .is_ok()
             {
-                ctx.crash_point("slab::extend::after_cas");
+                crash::point("slab::extend::after_cas");
                 let slab = len.payload;
                 self.map_upto(ctx, slab as u64 + 1);
                 return Some(slab);
@@ -511,7 +490,7 @@ impl SlabHeap {
                 },
                 &[],
             );
-            ctx.crash_point("slab::init::after_log");
+            crash::point("slab::init::after_log");
             self.pop_local(ctx, self.unsized_head_off(ctx));
             self.init_slab_body(ctx, slab, class);
             ctx.log().clear_relaxed(ctx.core);
@@ -561,13 +540,13 @@ impl SlabHeap {
         // bitset word by word and wraps — and the log word below records
         // the *chosen* bit, so recovery never depends on scan order. A
         // crash here loses only the hint.
-        let hint = ctx.shadow.map_or(0, |shadow| shadow.rover(self.kind, slab));
+        let hint = ctx.rovers.map_or(0, |rovers| rovers.get(self.kind, slab));
         let bit = bits
             .find_set_from(ctx.core, hint)
             .expect("sized-list invariant: slabs on sized lists are non-full");
-        ctx.crash_point("slab::alloc_block::rover");
-        if let Some(shadow) = ctx.shadow {
-            shadow.set_rover(ctx.mem, ctx.core, self.kind, slab, bit + 1);
+        crash::point("slab::alloc_block::rover");
+        if let Some(rovers) = ctx.rovers {
+            rovers.set(self.kind, slab, bit + 1);
         }
         ctx.log().begin(
             ctx.core,
@@ -579,18 +558,18 @@ impl SlabHeap {
             },
             &[detect_dst],
         );
-        ctx.crash_point("slab::alloc_block::after_log");
+        crash::point("slab::alloc_block::after_log");
         bits.clear(ctx.core, bit);
         let remaining = self.free_count(ctx, slab) - 1;
         self.set_free_count(ctx, slab, remaining);
-        ctx.crash_point("slab::alloc_block::after_clear");
+        crash::point("slab::alloc_block::after_clear");
         if remaining == 0 {
             // The slab is now full: unlink it so the sized list only
             // holds non-full slabs, then detach or disown (Figure 4).
             self.pop_local(ctx, self.sized_head_off(ctx, class));
-            ctx.crash_point("slab::alloc_block::after_unlink");
+            crash::point("slab::alloc_block::after_unlink");
             self.full_transition(ctx, slab, class);
-            ctx.crash_point("slab::alloc_block::after_transition");
+            crash::point("slab::alloc_block::after_transition");
         }
         self.finish_alloc(ctx, slab, class, bit, detect_dst)
     }
@@ -615,7 +594,7 @@ impl SlabHeap {
                 .segment()
                 .atomic_u64(detect_dst)
                 .store(block, std::sync::atomic::Ordering::SeqCst);
-            ctx.crash_point("slab::alloc_block::after_deliver");
+            crash::point("slab::alloc_block::after_deliver");
         }
         ctx.log().clear_relaxed(ctx.core);
         block
@@ -707,12 +686,12 @@ impl SlabHeap {
             },
             &[],
         );
-        ctx.crash_point("slab::free_local::after_log");
+        crash::point("slab::free_local::after_log");
         let was_full = self.free_count(ctx, slab) == 0;
         bits.set(ctx.core, bit);
         let now_free = self.free_count(ctx, slab) + 1;
         self.set_free_count(ctx, slab, now_free);
-        ctx.crash_point("slab::free_local::after_set");
+        crash::point("slab::free_local::after_set");
         if was_full {
             // It was detached (full + owned + unlinked): re-link it.
             self.push_local(ctx, self.sized_head_off(ctx, class), slab);
@@ -743,7 +722,7 @@ impl SlabHeap {
                 stayed_sized = false;
             }
         }
-        ctx.crash_point("slab::free_local::after_relink");
+        crash::point("slab::free_local::after_relink");
         ctx.log().clear_relaxed(ctx.core);
         if stayed_sized {
             // Pull the rover back to the freed bit. Without this the
@@ -755,11 +734,11 @@ impl SlabHeap {
             // "no free bit below the rover" across *local* frees, so
             // `find_set_from` degenerates to exact first-fit at
             // one-word cost. Remote frees don't update the hint (the
-            // freer doesn't own the shadow); the wrap pass in
+            // freer doesn't own the rover); the wrap pass in
             // `find_set_from` keeps those reachable.
-            if let Some(shadow) = ctx.shadow {
-                if bit < shadow.rover(self.kind, slab) {
-                    shadow.set_rover(ctx.mem, ctx.core, self.kind, slab, bit);
+            if let Some(rovers) = ctx.rovers {
+                if bit < rovers.get(self.kind, slab) {
+                    rovers.set(self.kind, slab, bit);
                 }
             }
         }
@@ -775,7 +754,7 @@ impl SlabHeap {
             let Some(slab) = self.pop_local(ctx, head_off) else {
                 return;
             };
-            ctx.crash_point("slab::push_global::after_pop");
+            crash::point("slab::push_global::after_pop");
             self.push_global(ctx, slab);
         }
     }
@@ -813,7 +792,7 @@ impl SlabHeap {
                 },
                 &[],
             );
-            ctx.crash_point("slab::remote_free::after_log");
+            crash::point("slab::remote_free::after_log");
             if dcas
                 .attempt(
                     ctx.core,
@@ -825,7 +804,7 @@ impl SlabHeap {
                 )
                 .is_ok()
             {
-                ctx.crash_point("slab::remote_free::after_cas");
+                crash::point("slab::remote_free::after_cas");
                 ctx.mem.trace_op(ctx.core, TraceKind::RemoteFreePublish, 1);
                 if last {
                     self.steal(ctx, slab);
@@ -922,7 +901,7 @@ impl SlabHeap {
                 },
                 &[],
             );
-            ctx.crash_point("slab::remote_free::publish_after_log");
+            crash::point("slab::remote_free::publish_after_log");
             // Durably retire the batch's header word *before* the CAS:
             // once the decrement can have landed, no recovery may
             // republish it. A crash in between is covered by the oplog
@@ -942,7 +921,7 @@ impl SlabHeap {
                 )
                 .is_ok()
             {
-                ctx.crash_point("slab::remote_free::publish_after_cas");
+                crash::point("slab::remote_free::publish_after_cas");
                 ctx.mem.note_remote_free_batched(k_eff as u64);
                 ctx.mem
                     .trace_op(ctx.core, TraceKind::RemoteFreePublish, k_eff as u64);
@@ -975,7 +954,7 @@ impl SlabHeap {
             flags: 0,
         });
         self.set_free_count(ctx, slab, 0);
-        ctx.crash_point("slab::remote_free::before_steal_push");
+        crash::point("slab::remote_free::before_steal_push");
         self.push_local(ctx, self.unsized_head_off(ctx), slab);
     }
 

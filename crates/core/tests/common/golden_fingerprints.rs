@@ -7,10 +7,13 @@
 // EXPERIMENTS.md ("Golden-fingerprint re-pin protocol") for when a
 // re-pin is legitimate.
 //
-// A fingerprint mixes every step outcome, allocated offset, live-set
-// length, and recovery outcome of a run — so these constants change
-// only when the allocator's *observable* behaviour changes, never from
-// pure substrate optimizations (caches, shadows, counters).
+// Two kinds of pin. A schedule pin (CLASSIC, LIVENESS, BATCHED) mixes
+// every step outcome, allocated offset, live-set length, and recovery
+// outcome of a run — so it changes only when the allocator's
+// *observable* behaviour changes, never from substrate optimizations
+// (caches, counters). A trace pin (TRACE_SCRIPTED, TRACE_CONGESTED)
+// also mixes every charged nanosecond, so it carries modeled cost: it
+// moves whenever an access starts or stops being charged.
 //
 // Each test target include!s this file and uses only some pins, so
 // every constant carries allow(dead_code).
@@ -44,11 +47,11 @@ pub const BATCHED: &[(u64, u64)] = &[
 /// Trace-stream fingerprint of the scripted crash/recovery schedule in
 /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42).
 #[allow(dead_code)]
-pub const TRACE_SCRIPTED: u64 = 0x51c9a9d296a92ea4;
+pub const TRACE_SCRIPTED: u64 = 0x7177aab6309cab61;
 
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
 /// cost determinism of the fabric layer, which schedule fingerprints
 /// (outcomes and offsets only) cannot see.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0x32d54e44deec2580;
+pub const TRACE_CONGESTED: u64 = 0x9169420578f1f129;

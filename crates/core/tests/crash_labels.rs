@@ -1,6 +1,6 @@
 //! Crash-label coverage: the registry the crash matrices iterate
-//! (`crash::known_points()`) and the `crash_point("…")` /
-//! `crash::point("…")` calls compiled into the allocator must name
+//! (`crash::known_points()`) and the `crash::point("…")` calls
+//! compiled into the allocator must name
 //! exactly the same labels, each in exactly one of the registry's
 //! lists. A call whose label no list names is a crash point no matrix
 //! ever fires; a listed label with no call is a matrix row that can
@@ -15,7 +15,7 @@ use cxl_pod::{HwccMode, Pod, PodConfig};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-/// Every string literal passed to `crash_point(` or `crash::point(` in
+/// Every string literal passed to `crash::point(` in
 /// `crates/core/src/*.rs`, with the files that pass it.
 fn labels_in_source() -> BTreeMap<String, BTreeSet<String>> {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
@@ -27,12 +27,11 @@ fn labels_in_source() -> BTreeMap<String, BTreeSet<String>> {
         }
         let file = path.file_name().unwrap().to_string_lossy().into_owned();
         let text = std::fs::read_to_string(&path).unwrap();
-        for call in ["crash_point(\"", "crash::point(\""] {
-            for (at, _) in text.match_indices(call) {
-                let rest = &text[at + call.len()..];
-                let label = &rest[..rest.find('"').expect("unterminated label")];
-                found.entry(label.to_owned()).or_default().insert(file.clone());
-            }
+        let call = "crash::point(\"";
+        for (at, _) in text.match_indices(call) {
+            let rest = &text[at + call.len()..];
+            let label = &rest[..rest.find('"').expect("unterminated label")];
+            found.entry(label.to_owned()).or_default().insert(file.clone());
         }
     }
     found

@@ -50,7 +50,7 @@ fn crash_thread(
 #[test]
 fn every_slab_crash_point_recovers() {
     for point in cxl_core::slab::CRASH_POINTS {
-        for mode in [None, Some(HwccMode::Limited)] {
+        for mode in [None, Some(HwccMode::Limited), Some(HwccMode::None)] {
             let pod = pod(mode);
             // A tight unsized limit makes the workload overflow to (and
             // pop from) the global free list quickly.
@@ -405,38 +405,48 @@ fn random_blackbox_crashes() {
 fn crash_point_matrix_via_schedule_driver() {
     // The full crash-point matrix: every label the allocator compiles
     // in (`crash::known_points`), at first and third encounter, driven
-    // through the deterministic schedule driver. Each cell crashes the
-    // victim host at the label mid-churn, keeps a second host working,
+    // through the deterministic schedule driver on a `Limited` pod and
+    // on an mCAS pod (`HwccMode::None`). Each cell crashes the victim
+    // host at the label mid-churn, keeps a second host working,
     // recovers the victim cross-host, and ends with a full
-    // invariant-checked drain.
+    // invariant-checked drain. On the mCAS pod each cell must also
+    // replay: two runs of the same (config, schedule) produce identical
+    // fingerprints.
     use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
 
-    let config = SimConfig::default();
-    for (module, points) in crash::known_points() {
-        for &at in points {
-            for skip in [0u32, 2] {
-                let schedule = Schedule {
-                    seed: 0,
-                    hosts: 2,
-                    steps: vec![
-                        Step::Alloc { host: 0, size: 64 },
-                        Step::Crash { host: 1, at, skip },
-                        // The survivor keeps allocating while host 1 is
-                        // dead (non-blocking crash, paper §3.4.1).
-                        Step::Alloc { host: 0, size: 256 },
-                        Step::Alloc { host: 0, size: 4096 },
-                        Step::Recover { host: 1, via: 0 },
-                        Step::Alloc { host: 1, size: 64 },
-                    ],
-                };
-                let report = sched::run(&config, &schedule, &FaultPlan::none())
-                    .unwrap_or_else(|e| panic!("{module}::{at} skip {skip}: {e}"));
-                // Whether the point fired depends on the label and skip
-                // (some are only reached once per churn); either way the
-                // run must validate. But the matrix as a whole must
-                // actually crash: checked below over the accumulated
-                // counts.
-                assert_eq!(report.steps, 6, "{module}::{at}");
+    for mode in [HwccMode::Limited, HwccMode::None] {
+        let config = SimConfig { mode, ..SimConfig::default() };
+        for (module, points) in crash::known_points() {
+            for &at in points {
+                for skip in [0u32, 2] {
+                    let schedule = Schedule {
+                        seed: 0,
+                        hosts: 2,
+                        steps: vec![
+                            Step::Alloc { host: 0, size: 64 },
+                            Step::Crash { host: 1, at, skip },
+                            // The survivor keeps allocating while host 1
+                            // is dead (non-blocking crash, paper §3.4.1).
+                            Step::Alloc { host: 0, size: 256 },
+                            Step::Alloc { host: 0, size: 4096 },
+                            Step::Recover { host: 1, via: 0 },
+                            Step::Alloc { host: 1, size: 64 },
+                        ],
+                    };
+                    let cell = format!("{mode:?} {module}::{at} skip {skip}");
+                    let report = sched::run(&config, &schedule, &FaultPlan::none())
+                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    // Whether the point fired depends on the label and
+                    // skip (some are only reached once per churn; the
+                    // companion test below holds every label to fire);
+                    // either way the run must validate.
+                    assert_eq!(report.steps, 6, "{cell}");
+                    if mode == HwccMode::None {
+                        let replay = sched::run(&config, &schedule, &FaultPlan::none())
+                            .unwrap_or_else(|e| panic!("{cell} (replay): {e}"));
+                        assert_eq!(report.fingerprint, replay.fingerprint, "{cell}: replay diverged");
+                    }
+                }
             }
         }
     }
@@ -546,113 +556,5 @@ fn large_heap_crash_points_recover() {
         adopted.dealloc(p).unwrap();
         heap.check_invariants(adopted.core())
             .unwrap_or_else(|e| panic!("invariants after {point}: {e}"));
-    }
-}
-
-#[test]
-fn every_slab_crash_point_recovers_with_writeback_shadow() {
-    // The owner-shadow matrix (DESIGN.md §8): under a write-back shadow
-    // (`HwccMode::None` — descriptor stores are deferred in the owner's
-    // DRAM shadow), an armed crash point first drains the shadow into
-    // the victim's simulated cache, which the crash then discards. The
-    // durable SWcc image recovery reads must therefore be exactly what
-    // an unshadowed crash at the same point would have left. Every slab
-    // label is crashed mid-churn and the heap revalidated after
-    // cross-core recovery.
-    for point in cxl_core::slab::CRASH_POINTS {
-        let pod = pod(Some(HwccMode::None));
-        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions {
-            unsized_limit: 1,
-            ..AttachOptions::default()
-        })
-        .unwrap();
-
-        // Same all-paths workload as `every_slab_crash_point_recovers`:
-        // local churn, slab fills, unsized overflow to the global list,
-        // pops back from it.
-        let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip: 0 }, |t| {
-            let mut helper_ptrs = Vec::new();
-            for round in 0..3 {
-                let ptrs: Vec<OffsetPtr> = (0..1200).map(|_| t.alloc(64).unwrap()).collect();
-                for (i, p) in ptrs.into_iter().enumerate() {
-                    if i % 7 == round {
-                        helper_ptrs.push(p);
-                    } else {
-                        t.dealloc(p).unwrap();
-                    }
-                }
-            }
-            for p in helper_ptrs {
-                t.dealloc(p).unwrap();
-            }
-            let again: Vec<OffsetPtr> = (0..2400).map(|_| t.alloc(64).unwrap()).collect();
-            for p in again {
-                t.dealloc(p).unwrap();
-            }
-            // A detectable alloc reaches the delivery crash point.
-            let cell = t.alloc(8).unwrap();
-            let p = t.alloc_detectable(64, cell).unwrap();
-            t.dealloc(p).unwrap();
-            t.dealloc(cell).unwrap();
-        });
-
-        // Remote-free points need a second thread and are covered by
-        // `remote_free_crash_points_recover`.
-        if !crashed && point.starts_with("slab::remote_free") {
-            continue;
-        }
-        assert!(crashed, "workload never reached {point} under HwccMode::None");
-        heap.mark_crashed(tid).unwrap();
-
-        let mut live = heap.register_thread().unwrap();
-        for _ in 0..100 {
-            let p = live.alloc(64).unwrap();
-            live.dealloc(p).unwrap();
-        }
-
-        let report = heap.recover(tid, live.core()).unwrap();
-        assert!(!report.outcome.is_empty());
-        heap.check_invariants(live.core())
-            .unwrap_or_else(|e| panic!("invariants after {point} (shadowed write-back): {e}"));
-    }
-}
-
-#[test]
-fn crash_point_matrix_replays_under_writeback_shadow() {
-    // Schedule-driver companion: the same crash-point matrix as
-    // `crash_point_matrix_via_schedule_driver`, but on an mCAS pod
-    // (`HwccMode::None`) where the shadow runs write-back. Each cell
-    // must replay deterministically: two runs of the same
-    // (config, schedule) produce identical fingerprints even though the
-    // crash interleaves with deferred shadow stores.
-    use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
-
-    let config = SimConfig {
-        mode: HwccMode::None,
-        ..SimConfig::default()
-    };
-    for (module, points) in crash::known_points() {
-        for &at in points {
-            let schedule = Schedule {
-                seed: 0,
-                hosts: 2,
-                steps: vec![
-                    Step::Alloc { host: 0, size: 64 },
-                    Step::Crash { host: 1, at, skip: 0 },
-                    Step::Alloc { host: 0, size: 256 },
-                    Step::Recover { host: 1, via: 0 },
-                    Step::Alloc { host: 1, size: 64 },
-                ],
-            };
-            let a = sched::run(&config, &schedule, &FaultPlan::none())
-                .unwrap_or_else(|e| panic!("{module}::{at}: {e}"));
-            let b = sched::run(&config, &schedule, &FaultPlan::none())
-                .unwrap_or_else(|e| panic!("{module}::{at} (replay): {e}"));
-            assert_eq!(
-                a.fingerprint, b.fingerprint,
-                "{module}::{at}: replay diverged under the write-back shadow"
-            );
-            assert_eq!(a.steps, 5, "{module}::{at}");
-        }
     }
 }

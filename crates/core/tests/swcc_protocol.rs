@@ -86,21 +86,21 @@ fn owner_metadata_stays_cached_for_local_ops() {
     let delta = pod.memory().stats().since(&before);
     // Every alloc/free logs (flush of the log line ⇒ writebacks), and
     // those log-line refills are the *only* line fills in steady state:
-    // the slab descriptor never leaves the owner's reach (it is served
-    // from the owner's DRAM shadow, and before that change stayed
-    // resident in the simulated cache — either way, no CXL traffic).
+    // the slab descriptor stays resident in the owner's simulated cache,
+    // so its reads are hits, not CXL traffic.
     assert!(
         delta.line_fills <= delta.flushes,
         "steady-state fills must be log-line refills only: {delta:?}"
     );
-    // The owner shadow keeps header/free-count reads out of the
-    // simulated cache entirely: the remaining loads are bitset words
-    // and list heads — a handful per operation, not the descriptor
-    // round trips of a shadowless owner.
+    // Measured: exactly 5 loads per op (2000 over these 400 ops), all
+    // hits. Two are the owner's descriptor reads (the free count on
+    // alloc; the header and the free count twice on free, per pair); the
+    // other three are bitset words and list heads. One load per op of
+    // margin: a path that re-reads descriptor words per access fails.
     let ops = 400u64;
     assert!(
-        delta.loads <= ops * 5,
-        "owner descriptor reads should not reach the cache: {delta:?}"
+        delta.loads <= ops * 6,
+        "steady-state owner ops should stay a handful of cached loads: {delta:?}"
     );
     t.dealloc(warm).unwrap();
 }

@@ -3,8 +3,8 @@
 //! Fixed bucket array in pod memory; each bucket is a lock-free push
 //! stack of nodes with tagged heads. Removal is *logical* (a CAS on the
 //! node's state word claims it); claimed nodes are retired by the
-//! claiming worker and physically freed at phase boundaries
-//! ([`MapWorker::flush_removed`]) — the phased insert/remove shape of
+//! claiming worker, then unlinked and physically freed at phase
+//! boundaries ([`MapWorker::flush_removed`]) — the phased insert/remove shape of
 //! the Figure 7 experiment. Insertion uses the same memento protocol as
 //! the queue: the node pointer's destination cell is registered with
 //! the allocator ([`alloc_detectable`]), so a crash between allocation
@@ -26,6 +26,7 @@
 use crate::{alloc_control, cell, MAX_SLOTS};
 use baselines::{BenchError, PodAllocThread};
 use cxl_core::OffsetPtr;
+use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 const NODE_HEADER: u64 = 24;
@@ -57,7 +58,8 @@ pub struct RecoverableMap {
 /// Per-worker state: the retire list of logically removed nodes.
 #[derive(Debug, Default)]
 pub struct MapWorker {
-    removed: Vec<OffsetPtr>,
+    /// `(bucket cell, node)` per removed node.
+    removed: Vec<(OffsetPtr, OffsetPtr)>,
 }
 
 impl MapWorker {
@@ -66,21 +68,66 @@ impl MapWorker {
         Self::default()
     }
 
-    /// Physically frees every node this worker removed. Call at phase
-    /// boundaries (no concurrent walkers may still hold references from
-    /// the removal phase).
+    /// Unlinks every node this worker removed from its bucket, then
+    /// physically frees it. Call at a phase boundary: no thread may walk
+    /// the map meanwhile (`contains`, `remove`, `len`,
+    /// `collect_allocations`), and no other worker may flush
+    /// concurrently. Racing inserts are safe: they only CAS bucket heads,
+    /// and so does unlinking a head.
     pub fn flush_removed(&mut self, alloc: &mut dyn PodAllocThread) -> usize {
-        let n = self.removed.len();
-        for node in self.removed.drain(..) {
+        let mut removed = std::mem::take(&mut self.removed);
+        removed.sort_unstable_by_key(|&(bucket, _)| bucket.offset());
+        for group in removed.chunk_by(|a, b| a.0 == b.0) {
+            let doomed: HashSet<u64> = group.iter().map(|&(_, node)| node.offset()).collect();
+            unlink_all(alloc, group[0].0, &doomed);
+        }
+        for &(_, node) in &removed {
             let _ = alloc.dealloc(node);
         }
         alloc.maintain();
-        n
+        removed.len()
     }
 
     /// Nodes pending physical free.
     pub fn pending(&self) -> usize {
         self.removed.len()
+    }
+}
+
+/// Splices every node in `doomed` out of the chain at `bucket`, in one
+/// walk. Doomed heads are popped with a CAS, retried when a racing
+/// insert wins; an insert only pushes a fresh node, so once the head is
+/// kept it stays in the chain, and the interior — whose `next` words
+/// only the flusher writes — is spliced with plain stores.
+fn unlink_all(alloc: &mut dyn PodAllocThread, bucket: OffsetPtr, doomed: &HashSet<u64>) {
+    let mut prev = loop {
+        let head_raw = cell(alloc, bucket).load(Ordering::Acquire);
+        let (head, tag) = unpack(head_raw);
+        let Some(node) = OffsetPtr::new(head) else {
+            return;
+        };
+        if !doomed.contains(&head) {
+            break node;
+        }
+        let next = unpack(cell(alloc, node).load(Ordering::Acquire)).0;
+        let _ = cell(alloc, bucket).compare_exchange(
+            head_raw,
+            pack(next, tag + 1),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+    };
+    loop {
+        let (next, _) = unpack(cell(alloc, prev).load(Ordering::Acquire));
+        let Some(node) = OffsetPtr::new(next) else {
+            return;
+        };
+        if doomed.contains(&next) {
+            let after = unpack(cell(alloc, node).load(Ordering::Acquire)).0;
+            cell(alloc, prev).store(pack(after, 0), Ordering::Release);
+        } else {
+            prev = node;
+        }
     }
 }
 
@@ -121,10 +168,13 @@ impl RecoverableMap {
         self.control.wrapping_add(8 + slot as u64 * 8)
     }
 
+    /// Bucket `b`'s head cell.
+    fn bucket_at(&self, b: u64) -> OffsetPtr {
+        self.control.wrapping_add(8 + MAX_SLOTS as u64 * 8 + b * 8)
+    }
+
     fn bucket_cell(&self, key: u64) -> OffsetPtr {
-        let index = splitmix(key) % self.buckets;
-        self.control
-            .wrapping_add(8 + MAX_SLOTS as u64 * 8 + index * 8)
+        self.bucket_at(splitmix(key) % self.buckets)
     }
 
     /// Inserts `key` with `payload` extra bytes via worker `slot`'s
@@ -203,7 +253,7 @@ impl RecoverableMap {
                     .compare_exchange(0, 1, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
             {
-                worker.removed.push(ptr);
+                worker.removed.push((bucket, ptr));
                 return true;
             }
             cursor = unpack(cell(alloc, ptr).load(Ordering::Acquire)).0;
@@ -248,10 +298,7 @@ impl RecoverableMap {
     pub fn collect_allocations(&self, alloc: &mut dyn PodAllocThread) -> Vec<OffsetPtr> {
         let mut out = vec![self.control];
         for b in 0..self.buckets {
-            let bucket = self
-                .control
-                .wrapping_add(8 + MAX_SLOTS as u64 * 8 + b * 8);
-            let (mut cursor, _) = unpack(cell(alloc, bucket).load(Ordering::Acquire));
+            let (mut cursor, _) = unpack(cell(alloc, self.bucket_at(b)).load(Ordering::Acquire));
             while let Some(ptr) = OffsetPtr::new(cursor) {
                 out.push(ptr);
                 cursor = unpack(cell(alloc, ptr).load(Ordering::Acquire)).0;
@@ -264,10 +311,7 @@ impl RecoverableMap {
     pub fn len(&self, alloc: &mut dyn PodAllocThread) -> u64 {
         let mut count = 0;
         for b in 0..self.buckets {
-            let bucket = self
-                .control
-                .wrapping_add(8 + MAX_SLOTS as u64 * 8 + b * 8);
-            let (mut cursor, _) = unpack(cell(alloc, bucket).load(Ordering::Acquire));
+            let (mut cursor, _) = unpack(cell(alloc, self.bucket_at(b)).load(Ordering::Acquire));
             while let Some(ptr) = OffsetPtr::new(cursor) {
                 if cell(alloc, ptr.wrapping_add(16)).load(Ordering::Relaxed) == 0 {
                     count += 1;
@@ -364,6 +408,37 @@ mod tests {
     }
 
     #[test]
+    fn flushed_nodes_leave_their_chains() {
+        // A flush used to free nodes still linked in their chains; the
+        // second round's inserts reused those blocks, rewrote their `next`
+        // and closed cycles, so `len` never returned.
+        let alloc = adapter();
+        let mut t = alloc.thread().unwrap();
+        let mut w = MapWorker::new();
+        let map = RecoverableMap::create(t.as_mut(), 64).unwrap();
+        for key in 0..500 {
+            map.insert(t.as_mut(), 0, key, 16).unwrap();
+        }
+        for key in 0..500 {
+            assert!(map.remove(t.as_mut(), &mut w, key));
+        }
+        assert_eq!(w.flush_removed(t.as_mut()), 500);
+        for key in 1000..1500 {
+            map.insert(t.as_mut(), 0, key, 16).unwrap();
+        }
+        for b in 0..map.buckets {
+            let (mut cursor, _) = unpack(cell(t.as_mut(), map.bucket_at(b)).load(Ordering::Acquire));
+            let mut hops = 0;
+            while let Some(ptr) = OffsetPtr::new(cursor) {
+                hops += 1;
+                assert!(hops <= 500, "bucket {b}'s chain has a cycle");
+                cursor = unpack(cell(t.as_mut(), ptr).load(Ordering::Acquire)).0;
+            }
+        }
+        assert_eq!(map.len(t.as_mut()), 500);
+    }
+
+    #[test]
     fn concurrent_inserts_then_removes() {
         let alloc = adapter();
         let mut t0 = alloc.thread().unwrap();
@@ -380,19 +455,29 @@ mod tests {
             }
         });
         assert_eq!(map.len(t0.as_mut()), 4000);
-        std::thread::scope(|s| {
-            for slot in 0..4u32 {
-                let mut t = alloc.thread().unwrap();
-                s.spawn(move || {
-                    let mut w = MapWorker::new();
-                    for i in 0..1000u64 {
-                        assert!(map.remove(t.as_mut(), &mut w, slot as u64 * 10_000 + i));
-                    }
-                    w.flush_removed(t.as_mut());
-                });
-            }
+        // Each worker flushes only after the join: a flush must not race
+        // the other workers' walks.
+        let workers: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4u32)
+                .map(|slot| {
+                    let mut t = alloc.thread().unwrap();
+                    s.spawn(move || {
+                        let mut w = MapWorker::new();
+                        for i in 0..1000u64 {
+                            assert!(map.remove(t.as_mut(), &mut w, slot as u64 * 10_000 + i));
+                        }
+                        (t, w)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(map.is_empty(t0.as_mut()));
+        for (mut t, mut w) in workers {
+            assert_eq!(w.flush_removed(t.as_mut()), 1000);
+        }
+        assert!(map.is_empty(t0.as_mut()));
+        assert_eq!(map.collect_allocations(t0.as_mut()), vec![map.control()]);
     }
 
     #[test]

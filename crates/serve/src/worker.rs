@@ -586,7 +586,7 @@ fn drain_inbound(
 /// The graceful-drain exit path (SIGTERM / `Msg::Drain` /
 /// `--drain-after-ops`): publish the DRAINED state first so the
 /// watchdog stops expecting heartbeats, execute the forwarded frees
-/// already queued here, flush remote-free buffers + shadow
+/// already queued here, flush remote-free buffers + the core's cache
 /// ([`ThreadHandle::flush_cache`]), freeze the lease, report, and exit
 /// with the dedicated code.
 #[cfg(unix)]
