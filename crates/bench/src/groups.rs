@@ -321,7 +321,7 @@ pub fn bench_nmp(c: &mut Criterion) {
 
 /// The simulated SWcc substrate's steady-state path: cached loads and
 /// stores through the per-core cache model, flush writeback, and the
-/// coherent-CAS path that serializes through the per-line clock table.
+/// coherent-CAS path that serializes through its line's resource clock.
 pub fn bench_swcc_substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("swcc_substrate");
     group.throughput(Throughput::Elements(1));
@@ -347,9 +347,9 @@ pub fn bench_swcc_substrate(c: &mut Criterion) {
             mem.fence(core);
         })
     });
-    // CAS is only legal on HWcc-region cells; in Limited mode that is
-    // the coherent-CAS path that serializes through the per-line clock
-    // table (formerly the global mutex + HashMap).
+    // CAS is only legal on HWcc-region cells, in every mode; in Limited
+    // mode that is the coherent-CAS path, which serializes through the
+    // line's slot of `SimMemory`'s dense per-HWcc-line clock array.
     let hwcc_off = pod.layout().small.hwcc_desc_at(0);
     group.bench_function("coherent_cas", |b| {
         b.iter(|| {

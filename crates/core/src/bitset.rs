@@ -144,17 +144,11 @@ impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
     }
 
     /// Sets all `nbits` bits (slab initialization: every block free) and
-    /// zeroes any tail bits of the last word. Full words go through the
-    /// backend's bulk span store, so simulated backends charge one
-    /// contiguous traversal instead of per-word round trips.
+    /// zeroes any tail bits of the last word.
     pub fn set_all(&self, core: CoreId) {
-        const ONES: [u64; SPAN_WORDS] = [u64::MAX; SPAN_WORDS];
         let full = self.nbits / 64;
-        let mut w = 0;
-        while w < full {
-            let n = ((full - w) as usize).min(SPAN_WORDS);
-            self.mem.store_u64_span(core, self.word_offset(w), &ONES[..n]);
-            w += n as u32;
+        for w in 0..full {
+            self.mem.store_u64(core, self.word_offset(w), u64::MAX);
         }
         if !self.nbits.is_multiple_of(64) {
             self.mem
@@ -162,21 +156,12 @@ impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
         }
     }
 
-    /// Counts set (free) bits. Full words are read through the backend's
-    /// bulk span load (the `detector_tick` fast path); the masked tail
-    /// word stays a scalar load.
+    /// Counts set (free) bits.
     pub fn count_set(&self, core: CoreId) -> u32 {
-        let mut buf = [0u64; SPAN_WORDS];
         let full = self.nbits / 64;
-        let mut count = 0;
-        let mut w = 0;
-        while w < full {
-            let n = ((full - w) as usize).min(SPAN_WORDS);
-            let dst = &mut buf[..n];
-            self.mem.load_u64_span(core, self.word_offset(w), dst);
-            count += dst.iter().map(|x| x.count_ones()).sum::<u32>();
-            w += n as u32;
-        }
+        let mut count = (0..full)
+            .map(|w| self.mem.load_u64(core, self.word_offset(w)).count_ones())
+            .sum();
         if !self.nbits.is_multiple_of(64) {
             let word = self.mem.load_u64(core, self.word_offset(full));
             count += (word & ((1u64 << (self.nbits % 64)) - 1)).count_ones();
@@ -184,10 +169,6 @@ impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
         count
     }
 }
-
-/// Stack-buffer width for bulk span transfers: covers the deepest slab
-/// bitset (the 8-byte class, 4096 blocks = 64 words) in one span.
-const SPAN_WORDS: usize = 64;
 
 #[cfg(test)]
 mod tests {

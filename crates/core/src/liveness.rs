@@ -128,10 +128,6 @@ pub struct LivenessDetector {
     last: Vec<u64>,
     /// Consecutive ticks the slot's lease has been unchanged.
     stale: Vec<u32>,
-    /// Scratch for the per-tick registry span load.
-    states: Vec<u64>,
-    /// Scratch for the per-tick lease span load.
-    words: Vec<u64>,
 }
 
 impl LivenessDetector {
@@ -143,8 +139,6 @@ impl LivenessDetector {
             expiry_ticks: expiry_ticks.max(1),
             last: vec![0; max_threads as usize],
             stale: vec![0; max_threads as usize],
-            states: vec![0; max_threads as usize],
-            words: vec![0; max_threads as usize],
         }
     }
 
@@ -166,24 +160,15 @@ impl LivenessDetector {
         let mem = heap.process().memory().clone();
         let layout = mem.layout();
         let mut report = DetectorReport::default();
-        // Batch the scan: registry and lease slots are contiguous
-        // 8-byte-stride HWcc arrays, so one span load per array replaces
-        // 2·max_threads dispatched loads per tick. Both words of a slot
-        // are read without an intervening declare_dead, so the per-slot
-        // decisions below see the same (state, lease) pairs a word-wise
-        // scan would have seen at the top of the tick; staleness across
-        // the tick is inherent to lease expiry either way.
-        let slots = self.last.len();
-        mem.load_u64_span(via, layout.registry_at(0), &mut self.states);
-        mem.load_u64_span(via, layout.lease_at(0), &mut self.words);
-        for slot in 0..slots as u32 {
+        for slot in 0..self.last.len() as u32 {
             report.scanned += 1;
-            if self.states[slot as usize] != registry::LIVE {
+            let state = mem.load_u64(via, layout.registry_at(slot));
+            let word = mem.load_u64(via, layout.lease_at(slot));
+            if state != registry::LIVE {
                 self.last[slot as usize] = 0;
                 self.stale[slot as usize] = 0;
                 continue;
             }
-            let word = self.words[slot as usize];
             if lease::is_frozen(word) {
                 // Cleanly-drained slot: it will never heartbeat again by
                 // design, and its heap state was flushed before the

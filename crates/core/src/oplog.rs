@@ -139,7 +139,6 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
             return;
         }
         self.mem.store_u64(core, self.word_off(), LogWord::IDLE.pack());
-        self.mem.note_flush_coalesced();
         self.mem.note_fence_elided();
     }
 

@@ -54,6 +54,7 @@
 //! allocator makes (`discard_all` of a dead thread's core, `counts()`)
 //! therefore run outside any scope.
 
+use crate::config::CACHELINE;
 use crate::segment::Segment;
 use crate::trace::{TraceKind, Tracer};
 use parking_lot::{Mutex, MutexGuard};
@@ -61,9 +62,7 @@ use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Cacheline size in bytes.
-pub const LINE: u64 = 64;
-const WORDS: usize = (LINE / 8) as usize;
+const WORDS: usize = (CACHELINE / 8) as usize;
 
 /// One slot of the open-addressed line table. `tag` is the line address
 /// with bit 0 set (line addresses are 64-aligned, so 0 is free to mean
@@ -495,18 +494,31 @@ impl CacheModel {
 
     #[inline]
     fn split(offset: u64) -> (u64, usize) {
-        (offset & !(LINE - 1), ((offset % LINE) / 8) as usize)
+        (offset & !(CACHELINE - 1), ((offset % CACHELINE) / 8) as usize)
     }
 
+    /// A load or store miss: makes room, fills `line_addr` from the
+    /// segment as a clean line and returns its slot.
     #[inline]
-    fn fill(segment: &Segment, line_addr: u64) -> [u64; WORDS] {
+    fn fill(&self, core: usize, cache: &mut CoreCache, segment: &Segment, line_addr: u64) -> usize {
+        self.make_room(core, cache, segment);
         let mut words = [0u64; WORDS];
         for (i, w) in words.iter_mut().enumerate() {
             *w = segment
                 .atomic_u64(line_addr + i as u64 * 8)
                 .load(Ordering::Acquire);
         }
-        words
+        cache.counts.line_fills += 1;
+        self.tracer.emit_here(core, TraceKind::LineFill, line_addr);
+        let tag = line_addr | 1;
+        let i = cache.insert_slot(tag);
+        cache.slots[i] = Slot {
+            tag,
+            gen: cache.generation,
+            dirty: 0,
+            words,
+        };
+        i
     }
 
     #[inline]
@@ -529,26 +541,14 @@ impl CacheModel {
     pub fn load(&self, core: usize, segment: &Segment, offset: u64) -> (u64, bool) {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
-        let tag = line_addr | 1;
         let mut cache = self.caches[core].enter();
         cache.counts.loads += 1;
-        if let Some(i) = cache.find(tag) {
+        if let Some(i) = cache.find(line_addr | 1) {
             cache.counts.cached_hits += 1;
             return (cache.slots[i].words[word], true);
         }
-        self.make_room(core, &mut cache, segment);
-        let words = Self::fill(segment, line_addr);
-        cache.counts.line_fills += 1;
-        self.tracer.emit_here(core, TraceKind::LineFill, line_addr);
-        let value = words[word];
-        let i = cache.insert_slot(tag);
-        cache.slots[i] = Slot {
-            tag,
-            gen: cache.generation,
-            dirty: 0,
-            words,
-        };
-        (value, false)
+        let i = self.fill(core, &mut cache, segment, line_addr);
+        (cache.slots[i].words[word], false)
     }
 
     /// Cached store of the u64 at `offset` (write-allocate). The store
@@ -559,25 +559,11 @@ impl CacheModel {
     pub fn store(&self, core: usize, segment: &Segment, offset: u64, value: u64) -> bool {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
-        let tag = line_addr | 1;
         let mut cache = self.caches[core].enter();
         cache.counts.stores += 1;
-        let (i, hit) = match cache.find(tag) {
+        let (i, hit) = match cache.find(line_addr | 1) {
             Some(i) => (i, true),
-            None => {
-                self.make_room(core, &mut cache, segment);
-                let words = Self::fill(segment, line_addr);
-                cache.counts.line_fills += 1;
-                self.tracer.emit_here(core, TraceKind::LineFill, line_addr);
-                let i = cache.insert_slot(tag);
-                cache.slots[i] = Slot {
-                    tag,
-                    gen: cache.generation,
-                    dirty: 0,
-                    words,
-                };
-                (i, false)
-            }
+            None => (self.fill(core, &mut cache, segment, line_addr), false),
         };
         cache.slots[i].words[word] = value;
         cache.slots[i].dirty |= 1 << word;
@@ -589,29 +575,7 @@ impl CacheModel {
     ///
     /// Returns the number of lines written back.
     pub fn flush(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
-        let first = offset & !(LINE - 1);
-        let last = (offset + len.max(1) - 1) & !(LINE - 1);
-        let mut cache = self.caches[core].enter();
-        let mut written = 0;
-        let mut line_addr = first;
-        loop {
-            if let Some(i) = cache.find(line_addr | 1) {
-                let slot = cache.slots[i];
-                if slot.dirty != 0 {
-                    Self::write_back(segment, line_addr, &slot);
-                    cache.counts.writebacks += 1;
-                    self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
-                    written += 1;
-                }
-                cache.remove_at(i);
-            }
-            if line_addr == last {
-                break;
-            }
-            line_addr += LINE;
-        }
-        cache.counts.flushes += 1;
-        written
+        self.write_out(core, segment, offset, len, true)
     }
 
     /// Writes back every dirty line intersecting `[offset, offset + len)`
@@ -623,28 +587,41 @@ impl CacheModel {
     /// stale copy of a *shared* line must still use `flush`.
     ///
     /// Returns the number of lines written back.
-    #[inline]
     pub fn writeback(&self, core: usize, segment: &Segment, offset: u64, len: u64) -> usize {
-        let first = offset & !(LINE - 1);
-        let last = (offset + len.max(1) - 1) & !(LINE - 1);
+        self.write_out(core, segment, offset, len, false)
+    }
+
+    /// The one line loop of [`CacheModel::flush`] (`evict`) and
+    /// [`CacheModel::writeback`]: writes back each dirty line of the
+    /// range, then drops it or keeps it clean. Returns the lines written.
+    #[inline]
+    pub(crate) fn write_out(
+        &self,
+        core: usize,
+        segment: &Segment,
+        offset: u64,
+        len: u64,
+        evict: bool,
+    ) -> usize {
+        let first = offset & !(CACHELINE - 1);
+        let last = (offset + len.max(1) - 1) & !(CACHELINE - 1);
         let mut cache = self.caches[core].enter();
         let mut written = 0;
-        let mut line_addr = first;
-        loop {
-            if let Some(i) = cache.find(line_addr | 1) {
-                if cache.slots[i].dirty != 0 {
-                    let slot = cache.slots[i];
-                    Self::write_back(segment, line_addr, &slot);
-                    cache.counts.writebacks += 1;
-                    self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
-                    cache.slots[i].dirty = 0;
-                    written += 1;
-                }
+        for line_addr in (first..=last).step_by(CACHELINE as usize) {
+            let Some(i) = cache.find(line_addr | 1) else {
+                continue;
+            };
+            if cache.slots[i].dirty != 0 {
+                let slot = cache.slots[i];
+                Self::write_back(segment, line_addr, &slot);
+                cache.counts.writebacks += 1;
+                self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
+                cache.slots[i].dirty = 0;
+                written += 1;
             }
-            if line_addr == last {
-                break;
+            if evict {
+                cache.remove_at(i);
             }
-            line_addr += LINE;
         }
         cache.counts.flushes += 1;
         written

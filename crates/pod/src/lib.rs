@@ -61,7 +61,6 @@ mod error;
 pub mod fabric;
 pub mod fault;
 pub mod latency;
-pub mod lineclock;
 mod layout;
 mod mem;
 pub mod nmp;

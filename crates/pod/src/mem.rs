@@ -20,13 +20,12 @@ use crate::fabric::{Fabric, FabricConfig};
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
 use crate::latency::{Clocks, LatencyModel};
 use crate::layout::Layout;
-use crate::lineclock::LineClockTable;
 use crate::nmp::NmpDevice;
 use crate::segment::Segment;
 use crate::stats::{MemStats, MemStatsSnapshot};
 use crate::trace::{TraceKind, Tracer};
 use crate::CoreId;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// How much inter-host hardware cache coherence the pod provides
@@ -67,33 +66,11 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     fn hwcc_mode(&self) -> HwccMode;
     /// Loads the u64 at `offset`.
     fn load_u64(&self, core: CoreId, offset: u64) -> u64;
-    /// Loads `dst.len()` consecutive u64s starting at `offset` into
-    /// `dst` (8-byte stride). Semantically identical to a loop of
-    /// [`PodMemory::load_u64`] — same values, same accounting totals —
-    /// but lets scanners (the liveness detector's registry/lease sweep)
-    /// amortize the dispatch to one call per span; simulated backends
-    /// may additionally charge the span's latency as one bulk clock
-    /// advance instead of one jittered advance per word.
-    fn load_u64_span(&self, core: CoreId, offset: u64, dst: &mut [u64]) {
-        for (i, word) in dst.iter_mut().enumerate() {
-            *word = self.load_u64(core, offset + 8 * i as u64);
-        }
-    }
     /// Stores the u64 at `offset`.
     fn store_u64(&self, core: CoreId, offset: u64, value: u64);
-    /// Stores `words.len()` consecutive u64s starting at `offset`
-    /// (8-byte stride). Semantically identical to a loop of
-    /// [`PodMemory::store_u64`] — same values, same accounting totals —
-    /// but lets bulk writers (slab-init `set_all`) amortize the dispatch
-    /// to one call per span; simulated backends may additionally charge
-    /// the span's latency as one bulk clock advance instead of one
-    /// jittered advance per word.
-    fn store_u64_span(&self, core: CoreId, offset: u64, words: &[u64]) {
-        for (i, &word) in words.iter().enumerate() {
-            self.store_u64(core, offset + 8 * i as u64, word);
-        }
-    }
-    /// Atomically compares-and-swaps the u64 at `offset`.
+    /// Atomically compares-and-swaps the u64 at `offset`. Only cells of
+    /// the HWcc region may be CASed ([`SimMemory`] asserts it in every
+    /// mode).
     ///
     /// # Errors
     ///
@@ -111,9 +88,6 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     }
     /// Records a fence elided by epoch coalescing (statistics only).
     fn note_fence_elided(&self) {}
-    /// Records a flush coalesced into a later flush of the same line
-    /// (statistics only).
-    fn note_flush_coalesced(&self) {}
     /// Records `k` remote frees delivered through one batched decrement
     /// (statistics only).
     fn note_remote_free_batched(&self, _k: u64) {}
@@ -210,27 +184,8 @@ impl PodMemory for RawMemory {
     }
 
     #[inline]
-    fn load_u64_span(&self, _core: CoreId, offset: u64, dst: &mut [u64]) {
-        for (i, word) in dst.iter_mut().enumerate() {
-            *word = self
-                .segment
-                .atomic_u64(offset + 8 * i as u64)
-                .load(Ordering::Acquire);
-        }
-    }
-
-    #[inline]
     fn store_u64(&self, _core: CoreId, offset: u64, value: u64) {
         self.segment.atomic_u64(offset).store(value, Ordering::Release)
-    }
-
-    #[inline]
-    fn store_u64_span(&self, _core: CoreId, offset: u64, words: &[u64]) {
-        for (i, &word) in words.iter().enumerate() {
-            self.segment
-                .atomic_u64(offset + 8 * i as u64)
-                .store(word, Ordering::Release);
-        }
     }
 
     #[inline]
@@ -253,8 +208,8 @@ impl PodMemory for RawMemory {
         self.stats.cas_retry_at(site);
     }
 
-    // note_fence_elided / note_flush_coalesced stay no-ops here for the
-    // same reason `flush`/`fence` are empty: they would fire per
+    // note_fence_elided stays a no-op here for the same reason
+    // `flush`/`fence` are empty: it would fire per
     // allocator op and put a shared counter on the fast path of a
     // backend whose flushes are free anyway. Use SimMemory when the
     // traffic counters matter.
@@ -314,10 +269,10 @@ pub struct SimMemory {
     /// Latency-attribution event tracer, shared with the NMP device and
     /// the cache model. Disarmed by default; see [`crate::trace`].
     tracer: Arc<Tracer>,
-    /// Per-cacheline resource clocks modeling exclusive-line transfer
-    /// under coherent CAS contention. Lock-free: inline atomics in a
-    /// sharded open-addressed table (see [`crate::lineclock`]).
-    line_clocks: LineClockTable,
+    /// One resource clock per line of the HWcc region, indexed by line
+    /// number from the region's first line: models exclusive-line
+    /// transfer under coherent CAS contention. CAS is legal only there.
+    line_clocks: Box<[AtomicU64]>,
     /// Fabric contention model, shared with the NMP device so host line
     /// traffic and mCAS round trips queue at the same stations.
     /// [`Fabric::disabled`] (the default on every constructor except
@@ -400,6 +355,7 @@ impl SimMemory {
         let stats = Arc::new(MemStats::new());
         let faults = Arc::new(FaultInjector::new());
         let tracer = Arc::new(Tracer::new(cores as usize));
+        let lines = layout.hwcc.end().div_ceil(CACHELINE) - layout.hwcc.start / CACHELINE;
         SimMemory {
             nmp: NmpDevice::with_observers(
                 segment.clone(),
@@ -418,7 +374,7 @@ impl SimMemory {
             stats,
             faults,
             tracer,
-            line_clocks: LineClockTable::new(),
+            line_clocks: (0..lines).map(|_| AtomicU64::new(0)).collect(),
             fabric,
         }
     }
@@ -571,7 +527,8 @@ impl SimMemory {
 
     /// Coherent CAS with exclusive-line contention modeling.
     fn coherent_cas(&self, core: CoreId, offset: u64, current: u64, new: u64) -> Result<u64, u64> {
-        let line = self.line_clocks.clock(offset);
+        let line =
+            &self.line_clocks[(offset / CACHELINE - self.layout.hwcc.start / CACHELINE) as usize];
         let mut cost = self
             .clocks
             .serialize_through(core.index(), line, self.model.line_transfer_ns, &self.model);
@@ -592,6 +549,100 @@ impl SimMemory {
         }
         result
     }
+
+    /// The one body of [`PodMemory::flush`] (`evict`: clflush, the line
+    /// leaves the cache) and [`PodMemory::writeback`] (clwb, it stays
+    /// clean). Both share the fault surface, the `flush_ns` charge and
+    /// the fabric crossing; they differ in the cache call and the trace
+    /// kind.
+    fn write_out(&self, core: CoreId, offset: u64, len: u64, evict: bool) {
+        // Extra charges from injected faults fold into the event's cost
+        // so the trace reconciles with the virtual clock.
+        let mut extra = 0u64;
+        if self.faults.enabled() {
+            match self.faults.check(FaultSite::Flush, core.index(), offset, len) {
+                Some(FaultKind::DropFlush) => {
+                    // The CPU retires the clflush / clwb but the device
+                    // loses it: the line stays dirty and cached, and the
+                    // store never reaches shared memory.
+                    self.stats.fault();
+                    let cost = self
+                        .clocks
+                        .advance(core.index(), self.model.flush_ns, &self.model);
+                    if self.tracer.enabled() {
+                        self.tracer.emit(
+                            core.index(),
+                            TraceKind::FlushDropped,
+                            offset,
+                            cost,
+                            self.clocks.now(core.index()),
+                        );
+                    }
+                    return;
+                }
+                Some(FaultKind::DelayFlush(ns)) => {
+                    self.stats.fault();
+                    extra += self.clocks.advance(core.index(), ns, &self.model);
+                }
+                Some(FaultKind::AbandonCache) => {
+                    // Host crash at this flush point: the whole cache
+                    // dies unwritten.
+                    self.cache.discard_all(core.index());
+                    self.stats.fault();
+                    self.tracer
+                        .emit_here(core.index(), TraceKind::CacheAbandon, offset);
+                    return;
+                }
+                _ => {}
+            }
+        }
+        let mut written = 0;
+        if self.is_cached_region(offset) {
+            written = self
+                .cache
+                .write_out(core.index(), &self.segment, offset, len, evict);
+            if written > 0 && self.faults.enabled() {
+                if let Some(FaultKind::DelayWriteback(ns)) =
+                    self.faults.check(FaultSite::Writeback, core.index(), offset, len)
+                {
+                    self.stats.fault();
+                    extra += self
+                        .clocks
+                        .advance(core.index(), ns * written as u64, &self.model);
+                }
+            }
+        } else {
+            self.stats.flush();
+        }
+        let cost = extra
+            + self
+                .clocks
+                .advance(core.index(), self.model.flush_ns, &self.model);
+        if self.tracer.enabled() {
+            let kind = if evict {
+                TraceKind::Flush
+            } else {
+                TraceKind::WritebackKept
+            };
+            self.tracer.emit(
+                core.index(),
+                kind,
+                written as u64,
+                cost,
+                self.clocks.now(core.index()),
+            );
+        }
+        if written > 0 {
+            // The written-back lines cross the fabric as one payload.
+            self.fabric.apply(
+                core.index(),
+                written as u64 * CACHELINE,
+                &self.clocks,
+                &self.stats,
+                &self.tracer,
+            );
+        }
+    }
 }
 
 impl PodMemory for SimMemory {
@@ -605,48 +656,6 @@ impl PodMemory for SimMemory {
 
     fn hwcc_mode(&self) -> HwccMode {
         self.mode
-    }
-
-    fn load_u64_span(&self, core: CoreId, offset: u64, dst: &mut [u64]) {
-        // Fast path: a coherent-mode span entirely inside the HWcc
-        // region (the liveness detector's registry/lease sweeps) skips
-        // the per-word dispatch — one bulk stats bump and one clock
-        // advance of n × hwcc_load_ns for the whole span. Totals match
-        // a loop of `load_u64` exactly; only the jitter granularity
-        // (one draw per span instead of per word) differs.
-        let n = dst.len() as u64;
-        if n == 0 {
-            return;
-        }
-        let last = offset + 8 * (n - 1);
-        if self.mode != HwccMode::None
-            && !self.is_cached_region(offset)
-            && !self.is_cached_region(last)
-        {
-            self.stats.load_n(n);
-            let cost = self
-                .clocks
-                .advance(core.index(), n * self.model.hwcc_load_ns, &self.model);
-            if self.tracer.enabled() {
-                self.tracer.emit(
-                    core.index(),
-                    TraceKind::LoadSpan,
-                    n,
-                    cost,
-                    self.clocks.now(core.index()),
-                );
-            }
-            for (i, word) in dst.iter_mut().enumerate() {
-                *word = self
-                    .segment
-                    .atomic_u64(offset + 8 * i as u64)
-                    .load(Ordering::Acquire);
-            }
-            return;
-        }
-        for (i, word) in dst.iter_mut().enumerate() {
-            *word = self.load_u64(core, offset + 8 * i as u64);
-        }
     }
 
     fn load_u64(&self, core: CoreId, offset: u64) -> u64 {
@@ -700,47 +709,6 @@ impl PodMemory for SimMemory {
         }
     }
 
-    fn store_u64_span(&self, core: CoreId, offset: u64, words: &[u64]) {
-        // Fast path mirroring `load_u64_span`: a coherent-mode span
-        // entirely inside the HWcc region (slab-init `set_all` of a
-        // bitset) skips the per-word dispatch — one bulk stats bump and
-        // one clock advance of n × hwcc_load_ns for the whole span.
-        // Totals match a loop of `store_u64` exactly; only the jitter
-        // granularity (one draw per span instead of per word) differs.
-        let n = words.len() as u64;
-        if n == 0 {
-            return;
-        }
-        let last = offset + 8 * (n - 1);
-        if self.mode != HwccMode::None
-            && !self.is_cached_region(offset)
-            && !self.is_cached_region(last)
-        {
-            self.stats.store_n(n);
-            let cost = self
-                .clocks
-                .advance(core.index(), n * self.model.hwcc_load_ns, &self.model);
-            if self.tracer.enabled() {
-                self.tracer.emit(
-                    core.index(),
-                    TraceKind::StoreSpan,
-                    n,
-                    cost,
-                    self.clocks.now(core.index()),
-                );
-            }
-            for (i, &word) in words.iter().enumerate() {
-                self.segment
-                    .atomic_u64(offset + 8 * i as u64)
-                    .store(word, Ordering::Release);
-            }
-            return;
-        }
-        for (i, &word) in words.iter().enumerate() {
-            self.store_u64(core, offset + 8 * i as u64, word);
-        }
-    }
-
     fn store_u64(&self, core: CoreId, offset: u64, value: u64) {
         if self.is_cached_region(offset) {
             self.cache.store(core.index(), &self.segment, offset, value);
@@ -781,7 +749,7 @@ impl PodMemory for SimMemory {
 
     fn cas_u64(&self, core: CoreId, offset: u64, current: u64, new: u64) -> Result<u64, u64> {
         assert!(
-            !self.is_cached_region(offset) || self.mode == HwccMode::Full,
+            self.layout.is_hwcc(offset),
             "SWcc protocol violation: CAS on software-coherent offset {offset:#x} \
              (CAS requires coherence; only HWcc-region cells may be CASed)"
         );
@@ -809,161 +777,11 @@ impl PodMemory for SimMemory {
     }
 
     fn flush(&self, core: CoreId, offset: u64, len: u64) {
-        // Extra charges from injected faults fold into the flush
-        // event's cost so the trace reconciles with the virtual clock.
-        let mut extra = 0u64;
-        if self.faults.enabled() {
-            match self.faults.check(FaultSite::Flush, core.index(), offset, len) {
-                Some(FaultKind::DropFlush) => {
-                    // The CPU retires the clflush but the device loses
-                    // it: the line stays dirty and cached, and the
-                    // store never reaches shared memory.
-                    self.stats.fault();
-                    let cost = self
-                        .clocks
-                        .advance(core.index(), self.model.flush_ns, &self.model);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            core.index(),
-                            TraceKind::FlushDropped,
-                            offset,
-                            cost,
-                            self.clocks.now(core.index()),
-                        );
-                    }
-                    return;
-                }
-                Some(FaultKind::DelayFlush(ns)) => {
-                    self.stats.fault();
-                    extra += self.clocks.advance(core.index(), ns, &self.model);
-                }
-                Some(FaultKind::AbandonCache) => {
-                    // Host crash at this flush point: the whole cache
-                    // dies unwritten.
-                    self.cache.discard_all(core.index());
-                    self.stats.fault();
-                    self.tracer
-                        .emit_here(core.index(), TraceKind::CacheAbandon, offset);
-                    return;
-                }
-                _ => {}
-            }
-        }
-        let mut written = 0;
-        if self.is_cached_region(offset) {
-            written = self.cache.flush(core.index(), &self.segment, offset, len);
-            if written > 0 && self.faults.enabled() {
-                if let Some(FaultKind::DelayWriteback(ns)) =
-                    self.faults.check(FaultSite::Writeback, core.index(), offset, len)
-                {
-                    self.stats.fault();
-                    extra += self
-                        .clocks
-                        .advance(core.index(), ns * written as u64, &self.model);
-                }
-            }
-        } else {
-            self.stats.flush();
-        }
-        let cost = extra
-            + self
-                .clocks
-                .advance(core.index(), self.model.flush_ns, &self.model);
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                core.index(),
-                TraceKind::Flush,
-                written as u64,
-                cost,
-                self.clocks.now(core.index()),
-            );
-        }
-        if written > 0 {
-            // The written-back lines cross the fabric as one payload.
-            self.fabric.apply(
-                core.index(),
-                written as u64 * CACHELINE,
-                &self.clocks,
-                &self.stats,
-                &self.tracer,
-            );
-        }
+        self.write_out(core, offset, len, true);
     }
 
     fn writeback(&self, core: CoreId, offset: u64, len: u64) {
-        // Same fault surface as `flush`: a dropped clwb retires at the
-        // CPU but the device loses it, so the line simply stays dirty.
-        let mut extra = 0u64;
-        if self.faults.enabled() {
-            match self.faults.check(FaultSite::Flush, core.index(), offset, len) {
-                Some(FaultKind::DropFlush) => {
-                    self.stats.fault();
-                    let cost = self
-                        .clocks
-                        .advance(core.index(), self.model.flush_ns, &self.model);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            core.index(),
-                            TraceKind::FlushDropped,
-                            offset,
-                            cost,
-                            self.clocks.now(core.index()),
-                        );
-                    }
-                    return;
-                }
-                Some(FaultKind::DelayFlush(ns)) => {
-                    self.stats.fault();
-                    extra += self.clocks.advance(core.index(), ns, &self.model);
-                }
-                Some(FaultKind::AbandonCache) => {
-                    self.cache.discard_all(core.index());
-                    self.stats.fault();
-                    self.tracer
-                        .emit_here(core.index(), TraceKind::CacheAbandon, offset);
-                    return;
-                }
-                _ => {}
-            }
-        }
-        let mut written = 0;
-        if self.is_cached_region(offset) {
-            written = self.cache.writeback(core.index(), &self.segment, offset, len);
-            if written > 0 && self.faults.enabled() {
-                if let Some(FaultKind::DelayWriteback(ns)) =
-                    self.faults.check(FaultSite::Writeback, core.index(), offset, len)
-                {
-                    self.stats.fault();
-                    extra += self
-                        .clocks
-                        .advance(core.index(), ns * written as u64, &self.model);
-                }
-            }
-        } else {
-            self.stats.flush();
-        }
-        let cost = extra
-            + self
-                .clocks
-                .advance(core.index(), self.model.flush_ns, &self.model);
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                core.index(),
-                TraceKind::WritebackKept,
-                written as u64,
-                cost,
-                self.clocks.now(core.index()),
-            );
-        }
-        if written > 0 {
-            self.fabric.apply(
-                core.index(),
-                written as u64 * CACHELINE,
-                &self.clocks,
-                &self.stats,
-                &self.tracer,
-            );
-        }
+        self.write_out(core, offset, len, false);
     }
 
     fn fence(&self, core: CoreId) {
@@ -1010,10 +828,6 @@ impl PodMemory for SimMemory {
 
     fn note_fence_elided(&self) {
         self.stats.fence_elided();
-    }
-
-    fn note_flush_coalesced(&self) {
-        self.stats.flush_coalesced();
     }
 
     fn note_remote_free_batched(&self, k: u64) {
@@ -1185,11 +999,59 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SWcc protocol violation")]
-    fn cas_on_swcc_region_is_rejected() {
-        let mem = sim(HwccMode::Limited);
-        let off = mem.layout().small.swcc_desc_at(0);
-        let _ = mem.cas_u64(CoreId(0), off, 0, 1);
+    fn cas_on_swcc_region_is_rejected_in_every_mode() {
+        for mode in [HwccMode::Full, HwccMode::Limited, HwccMode::None] {
+            let mem = sim(mode);
+            let off = mem.layout().small.swcc_desc_at(0);
+            let cas = std::panic::AssertUnwindSafe(|| mem.cas_u64(CoreId(0), off, 0, 1));
+            let panic = std::panic::catch_unwind(cas).expect_err("a CAS on a SWcc cell must panic");
+            let message = panic.downcast_ref::<String>().unwrap();
+            assert!(message.contains("SWcc protocol violation"), "{mode}: {message}");
+        }
+    }
+
+    /// A simulated pod whose charges are the model's constants exactly.
+    fn sim_unjittered() -> SimMemory {
+        let layout = Layout::compute(&PodConfig::small_for_tests()).unwrap();
+        let segment = Arc::new(Segment::zeroed(layout.total_len).unwrap());
+        let model = LatencyModel::paper_calibrated().with_jitter_pct(0);
+        SimMemory::new(segment, layout, HwccMode::Limited, 8, model)
+    }
+
+    #[test]
+    fn cas_on_one_line_serializes() {
+        let mem = sim_unjittered();
+        let (transfer, base) = (mem.model().line_transfer_ns, mem.model().cas_base_ns);
+        let off = mem.layout().hwcc.start;
+        assert!(mem.cas_u64(CoreId(0), off, 0, 1).is_ok());
+        // Another word of the same line: core 1 waits for core 0's hold.
+        assert!(mem.cas_u64(CoreId(1), off + 8, 0, 1).is_ok());
+        assert_eq!(mem.virtual_ns(CoreId(0)), transfer + base);
+        assert_eq!(mem.virtual_ns(CoreId(1)), 2 * transfer + base);
+    }
+
+    #[test]
+    fn cas_on_different_lines_does_not_serialize() {
+        let mem = sim_unjittered();
+        let off = mem.layout().hwcc.start;
+        assert!(mem.cas_u64(CoreId(0), off, 0, 1).is_ok());
+        assert!(mem.cas_u64(CoreId(1), off + CACHELINE, 0, 1).is_ok());
+        assert_eq!(mem.virtual_ns(CoreId(0)), mem.virtual_ns(CoreId(1)));
+    }
+
+    #[test]
+    fn first_and_last_hwcc_lines_have_their_own_clocks() {
+        let mem = sim_unjittered();
+        let (transfer, base) = (mem.model().line_transfer_ns, mem.model().cas_base_ns);
+        let hwcc = mem.layout().hwcc;
+        let (first, last) = (hwcc.start, hwcc.end() - 8);
+        assert_ne!(first / CACHELINE, last / CACHELINE);
+        assert!(mem.cas_u64(CoreId(0), first, 0, 1).is_ok());
+        assert!(mem.cas_u64(CoreId(1), last, 0, 1).is_ok());
+        assert!(mem.cas_u64(CoreId(2), last, 1, 2).is_ok());
+        assert_eq!(mem.virtual_ns(CoreId(0)), transfer + base);
+        assert_eq!(mem.virtual_ns(CoreId(1)), transfer + base);
+        assert_eq!(mem.virtual_ns(CoreId(2)), 2 * transfer + base);
     }
 
     #[test]

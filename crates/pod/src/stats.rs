@@ -37,7 +37,6 @@ struct Shard {
     breaker_heals: AtomicU64,
     fallback_cas: AtomicU64,
     fences_elided: AtomicU64,
-    flushes_coalesced: AtomicU64,
     remote_free_batched: AtomicU64,
     cas_retries_pop_global: AtomicU64,
     cas_retries_remote_publish: AtomicU64,
@@ -137,20 +136,10 @@ impl MemStats {
     pub fn load(&self) {
         bump!(self.loads);
     }
-    /// Records `n` loads delivered by one span load.
-    #[inline]
-    pub fn load_n(&self, n: u64) {
-        self.shard().loads.fetch_add(n, Ordering::Relaxed);
-    }
     /// Records a store.
     #[inline]
     pub fn store(&self) {
         bump!(self.stores);
-    }
-    /// Records `n` stores delivered by one span store.
-    #[inline]
-    pub fn store_n(&self, n: u64) {
-        self.shard().stores.fetch_add(n, Ordering::Relaxed);
     }
     /// Records a CAS outcome.
     #[inline]
@@ -245,11 +234,6 @@ impl MemStats {
     pub fn fence_elided(&self) {
         bump!(self.fences_elided);
     }
-    /// Records a flush coalesced into a later one on the same line.
-    #[inline]
-    pub fn flush_coalesced(&self) {
-        bump!(self.flushes_coalesced);
-    }
     /// Records `k` remote frees delivered by one batched decrement.
     #[inline]
     pub fn remote_free_batched(&self, k: u64) {
@@ -296,7 +280,6 @@ impl MemStats {
             breaker_heals: sum!(self.breaker_heals),
             fallback_cas: sum!(self.fallback_cas),
             fences_elided: sum!(self.fences_elided),
-            flushes_coalesced: sum!(self.flushes_coalesced),
             remote_free_batched: sum!(self.remote_free_batched),
             cas_retries_pop_global: sum!(self.cas_retries_pop_global),
             cas_retries_remote_publish: sum!(self.cas_retries_remote_publish),
@@ -347,10 +330,9 @@ pub struct MemStatsSnapshot {
     pub breaker_heals: u64,
     /// Software-fallback CAS operations.
     pub fallback_cas: u64,
-    /// Fences elided by epoch coalescing.
+    /// Fences elided by epoch coalescing: one per coalesced log clear,
+    /// whose flush also rides on the next `begin`'s flush of the line.
     pub fences_elided: u64,
-    /// Flushes coalesced into a later flush of the same line.
-    pub flushes_coalesced: u64,
     /// Remote frees delivered through batched decrements.
     pub remote_free_batched: u64,
     /// CAS retries attributed to global free-list pops.
@@ -402,9 +384,6 @@ impl MemStatsSnapshot {
             breaker_heals: self.breaker_heals.saturating_sub(earlier.breaker_heals),
             fallback_cas: self.fallback_cas.saturating_sub(earlier.fallback_cas),
             fences_elided: self.fences_elided.saturating_sub(earlier.fences_elided),
-            flushes_coalesced: self
-                .flushes_coalesced
-                .saturating_sub(earlier.flushes_coalesced),
             remote_free_batched: self
                 .remote_free_batched
                 .saturating_sub(earlier.remote_free_batched),
@@ -478,12 +457,10 @@ mod tests {
         let stats = MemStats::new();
         stats.fence_elided();
         stats.fence_elided();
-        stats.flush_coalesced();
         stats.remote_free_batched(7);
         stats.remote_free_batched(3);
         let snap = stats.snapshot();
         assert_eq!(snap.fences_elided, 2);
-        assert_eq!(snap.flushes_coalesced, 1);
         assert_eq!(snap.remote_free_batched, 10);
     }
 

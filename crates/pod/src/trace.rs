@@ -75,15 +75,16 @@ pub enum TraceKind {
     LoadHwcc = 2,
     /// Uncached load (HWcc mode `None`).
     LoadUncached = 3,
-    /// Bulk span load (one event for the whole span; `arg` = words).
-    LoadSpan = 4,
+    // Id 4 is retired (the bulk span load); it stays unused so later
+    // ids do not move.
     /// Cached store that dirtied a line.
     StoreDirty = 5,
     /// Store to the HWcc window.
     StoreHwcc = 6,
     /// Uncached store.
     StoreUncached = 7,
-    /// SWcc-window CAS in a coherent mode (serialized on the line).
+    /// Coherent CAS on an HWcc-region cell (`Full` / `Limited`),
+    /// serialized on the line's resource clock.
     CasAttempt = 8,
     /// CAS retry loop iteration (allocator-level; zero cost).
     CasRetry = 9,
@@ -123,8 +124,7 @@ pub enum TraceKind {
     /// core's cache — clwb semantics, vs [`TraceKind::Flush`]'s
     /// evicting clflush (`arg` = dirty lines written back).
     WritebackKept = 26,
-    /// Bulk span store (one event for the whole span; `arg` = words).
-    StoreSpan = 27,
+    // Id 27 is retired (the bulk span store), like 4.
     /// Fabric queue-wait: time spent queued at fabric stations (host
     /// port / switch / device port) before service began (`arg` =
     /// payload bytes). Emitted only when the wait is nonzero.
@@ -141,12 +141,11 @@ pub enum TraceKind {
 pub const KIND_COUNT: usize = 30;
 
 /// All kinds, in discriminant order.
-pub const ALL_KINDS: [TraceKind; 28] = [
+pub const ALL_KINDS: [TraceKind; 26] = [
     TraceKind::LoadHit,
     TraceKind::LoadFill,
     TraceKind::LoadHwcc,
     TraceKind::LoadUncached,
-    TraceKind::LoadSpan,
     TraceKind::StoreDirty,
     TraceKind::StoreHwcc,
     TraceKind::StoreUncached,
@@ -167,7 +166,6 @@ pub const ALL_KINDS: [TraceKind; 28] = [
     TraceKind::RemoteFreePublish,
     TraceKind::LeaseRenew,
     TraceKind::WritebackKept,
-    TraceKind::StoreSpan,
     TraceKind::FabricQueue,
     TraceKind::FabricService,
 ];
@@ -185,7 +183,6 @@ impl TraceKind {
             TraceKind::LoadFill => "load_fill",
             TraceKind::LoadHwcc => "load_hwcc",
             TraceKind::LoadUncached => "load_uncached",
-            TraceKind::LoadSpan => "load_span",
             TraceKind::StoreDirty => "store_dirty",
             TraceKind::StoreHwcc => "store_hwcc",
             TraceKind::StoreUncached => "store_uncached",
@@ -206,7 +203,6 @@ impl TraceKind {
             TraceKind::RemoteFreePublish => "remote_free_publish",
             TraceKind::LeaseRenew => "lease_renew",
             TraceKind::WritebackKept => "clwb",
-            TraceKind::StoreSpan => "store_span",
             TraceKind::FabricQueue => "fabric_queue",
             TraceKind::FabricService => "fabric_service",
         }
@@ -219,12 +215,8 @@ impl TraceKind {
             TraceKind::LoadHit
             | TraceKind::LoadFill
             | TraceKind::LoadHwcc
-            | TraceKind::LoadUncached
-            | TraceKind::LoadSpan => "load",
-            TraceKind::StoreDirty
-            | TraceKind::StoreHwcc
-            | TraceKind::StoreUncached
-            | TraceKind::StoreSpan => "store",
+            | TraceKind::LoadUncached => "load",
+            TraceKind::StoreDirty | TraceKind::StoreHwcc | TraceKind::StoreUncached => "store",
             TraceKind::CasAttempt | TraceKind::CasRetry | TraceKind::CasFallback => "cas",
             TraceKind::McasAttempt | TraceKind::McasRetry | TraceKind::McasDelay => "nmp",
             TraceKind::LineFill | TraceKind::Writeback | TraceKind::CacheAbandon => "cache",
@@ -259,7 +251,7 @@ pub struct Event {
     /// Simulated nanoseconds this event was charged (0 for
     /// structural events).
     pub cost_ns: u32,
-    /// Kind-specific argument (offset, span width, batch width, …).
+    /// Kind-specific argument (offset, lines written, batch width, …).
     pub arg: u64,
     /// The core's virtual clock *after* the charge landed.
     pub stamp_ns: u64,

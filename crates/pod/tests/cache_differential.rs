@@ -25,8 +25,8 @@
 //!   quiesce. That convergence is the property the bounded test checks,
 //!   against both the oracle and an independent last-write model.
 
-use cxl_pod::coherence::{CacheCounts, CacheModel, LINE};
-use cxl_pod::Segment;
+use cxl_pod::coherence::{CacheCounts, CacheModel};
+use cxl_pod::{Segment, CACHELINE as LINE};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::collections::HashMap;
