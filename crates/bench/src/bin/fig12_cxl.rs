@@ -16,15 +16,19 @@
 //! from uncachable memory, and shared partial slabs whose batch refills
 //! contend on mCAS as threads grow.
 //!
-//! Throughput is *modeled* (total operations / longest per-core virtual
-//! time), since the latencies come from the calibrated model.
+//! Every variant runs on the clock-ordered [`driver`]: one OS thread
+//! issues each host's operations, the next one always to the host whose
+//! simulated core clock is earliest, so the figure is a pure function of
+//! the code. Throughput is *modeled*: total operations over the run's
+//! makespan in virtual time.
 
-use baselines::CxlallocAdapter;
+use baselines::{CxlallocAdapter, PodAlloc};
 use cxl_bench::allocators::cxlalloc_pod_with_mode;
+use cxl_bench::driver::{self, MicroHost, Span};
 use cxl_bench::report::{human_rate, NdjsonSink, Table};
 use cxl_bench::Options;
 use cxl_core::AttachOptions;
-use cxl_pod::{CoreId, HwccMode, Pod, PodMemory};
+use cxl_pod::{CoreId, HwccMode, Layout, Pod, PodMemory};
 use std::sync::Arc;
 use workloads::MicroSpec;
 
@@ -32,194 +36,120 @@ use workloads::MicroSpec;
 /// the simulation).
 const OPS: u64 = 8_000;
 
-fn modeled_throughput(pod: &Pod, cores: &[u16], ops: u64) -> f64 {
-    let longest = cores
-        .iter()
-        .map(|&c| pod.memory().virtual_ns(CoreId(c)))
-        .max()
-        .unwrap_or(0);
-    if longest == 0 {
-        return 0.0;
-    }
-    ops as f64 / (longest as f64 / 1e9)
-}
+/// A variant's runner: `(mode, local_dram, spec, threads)` → makespan.
+type Runner = fn(HwccMode, bool, &MicroSpec, u32) -> Span;
 
 /// Runs cxlalloc's threadtest/xmalloc over a simulated pod.
-fn run_cxlalloc(mode: HwccMode, local_dram: bool, spec: &MicroSpec, threads: u32) -> f64 {
+fn run_cxlalloc(mode: HwccMode, local_dram: bool, spec: &MicroSpec, threads: u32) -> Span {
     let pod = cxlalloc_pod_with_mode(512 << 20, threads + 2, mode, local_dram);
-    let alloc = Arc::new(CxlallocAdapter::new(pod.clone(), 2, AttachOptions::default()));
-    let total = OPS * threads as u64;
-    let result = cxl_bench::run_micro(
-        &(alloc as Arc<dyn baselines::PodAlloc>),
-        &MicroSpec {
-            total_ops: total,
-            ..*spec
-        },
-        threads,
-    );
-    assert!(!result.failed);
-    let cores: Vec<u16> = (0..threads as u16 + 2).collect();
-    modeled_throughput(&pod, &cores, result.ops)
+    let alloc = CxlallocAdapter::new(pod.clone(), 2, AttachOptions::default());
+    let mut hosts: Vec<_> = (0..threads).map(|_| alloc.thread().unwrap()).collect();
+    driver::micro(pod.memory().as_ref(), &mut hosts, spec, OPS)
 }
 
-/// A minimal ralloc model over the same simulated pod memory: shared
-/// partial slabs (one hot bitmap word per class), thread-local caches,
-/// and metadata reads on every free.
-fn run_ralloc_sim(mode: HwccMode, local_dram: bool, spec: &MicroSpec, threads: u32) -> f64 {
+/// Runs the ralloc model's threadtest/xmalloc over a simulated pod.
+fn run_ralloc(mode: HwccMode, local_dram: bool, spec: &MicroSpec, threads: u32) -> Span {
     let pod = cxlalloc_pod_with_mode(512 << 20, threads + 2, mode, local_dram);
     seed_ralloc(&pod);
-    let mem = pod.memory().clone();
-    let layout = mem.layout().clone();
-    let remote = spec.remote_free;
+    let mut hosts: Vec<_> = (0..threads)
+        .map(|t| Ralloc { mem: pod.memory().clone(), core: CoreId(t as u16), cache: Vec::new() })
+        .collect();
+    driver::micro(pod.memory().as_ref(), &mut hosts, spec, OPS)
+}
 
-    // Cell roles (all in the HWcc region, like ralloc's undivided
-    // metadata): per-slab bitmap word + per-slab class word; a global
-    // next-slab cursor.
-    let cursor_cell = layout.huge.reservation_at(0);
-    // A small rotating set of active slabs concentrates traffic and,
-    // without HWcc, turns bitmap races into expensive mCAS retries —
-    // ralloc-mcas's poor scaling (paper §5.4.2).
-    // Must exceed the blocks simultaneously held in thread caches and
-    // in-flight xmalloc batches, or refills starve: 128 words × 64
-    // blocks = 8192 for ≤ 26 threads × ~300 held.
-    let slab_limit = layout
-        .small
-        .max_slabs
-        .min(layout.large.max_slabs)
-        .min(128);
+/// One thread of a minimal ralloc model over the simulated pod memory:
+/// shared partial slabs (one hot bitmap word per slab, in the HWcc
+/// region like ralloc's undivided metadata), a thread-local cache of
+/// block handles (`slab * 64 + bit`), and metadata reads on every free.
+struct Ralloc {
+    mem: Arc<dyn PodMemory>,
+    core: CoreId,
+    cache: Vec<u32>,
+}
 
-    std::thread::scope(|scope| {
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..threads)
-            .map(|_| std::sync::mpsc::sync_channel::<Vec<u32>>(2))
-            .unzip();
-        let mut senders: Vec<Option<_>> = senders.into_iter().map(Some).collect();
-        let mut receivers: Vec<Option<_>> = receivers.into_iter().map(Some).collect();
-        for t in 0..threads as usize {
-            let mem = mem.clone();
-            let layout = layout.clone();
-            let to_next = senders[(t + 1) % threads as usize].take().unwrap();
-            let from_prev = receivers[t].take().unwrap();
-            scope.spawn(move || {
-                let core = CoreId(t as u16);
-                let mut cache: Vec<u32> = Vec::new(); // block handles: slab*64+bit
-                // Returns blocks to their shared bitmaps (CAS/mCAS per
-                // word) — used when the thread cache spills.
-                let spill = |mem: &Arc<dyn PodMemory>, cache: &mut Vec<u32>, keep: usize| {
-                    while cache.len() > keep {
-                        let handle = cache.pop().expect("nonempty");
-                        let word = layout.small.hwcc_desc_at(handle / 64);
-                        loop {
-                            let cur = mem.load_u64(core, word);
-                            if mem
-                                .cas_u64(core, word, cur, cur | 1 << (handle % 64))
-                                .is_ok()
-                            {
-                                break;
-                            }
-                        }
-                    }
-                };
-                let mut done = 0u64;
-                let mut batch = Vec::with_capacity(spec.batch);
-                while done < OPS {
-                    for _ in 0..spec.batch.min((OPS - done) as usize) {
-                        // Alloc: thread-local cache first.
-                        let handle = match cache.pop() {
-                            Some(h) => h,
-                            None => {
-                                // Refill: claim a whole shared bitmap word
-                                // (one CAS/mCAS for up to 64 blocks), from
-                                // the globally shared cursor — the
-                                // contended structure.
-                                loop {
-                                    let cur = mem.load_u64(core, cursor_cell);
-                                    let slab = (cur % slab_limit as u64) as u32;
-                                    let word = layout.small.hwcc_desc_at(slab);
-                                    let bits = mem.load_u64(core, word);
-                                    if bits == 0 {
-                                        // Exhausted: advance the cursor.
-                                        let _ = mem.cas_u64(core, cursor_cell, cur, cur + 1);
-                                        continue;
-                                    }
-                                    // Claim at most 8 blocks per CAS so
-                                    // refills recur (and contend) often.
-                                    let mut take = bits;
-                                    let mut kept = 0;
-                                    while take != 0 && kept < 8 {
-                                        take &= take - 1;
-                                        kept += 1;
-                                    }
-                                    let claimed = bits ^ take;
-                                    if mem.cas_u64(core, word, bits, bits & !claimed).is_ok() {
-                                        for b in 0..64u32 {
-                                            if claimed & (1 << b) != 0 {
-                                                cache.push(slab * 64 + b);
-                                            }
-                                        }
-                                        break;
-                                    }
-                                }
-                                cache.pop().expect("refill nonempty")
-                            }
-                        };
-                        batch.push(handle);
-                        done += 1;
-                    }
-                    // Frees: read the block's size class from metadata
-                    // (uncachable without HWcc), then park the block in
-                    // the freeing thread's own cache — ralloc's shared
-                    // slabs allow this, which is why it beats cxlalloc's
-                    // counter protocol at low thread counts (§5.4.2).
-                    let free_block = |mem: &Arc<dyn PodMemory>, cache: &mut Vec<u32>, handle: u32| {
-                        let _class =
-                            mem.load_u64(core, layout.large.hwcc_desc_at(handle / 64));
-                        cache.push(handle);
-                    };
-                    if remote && threads > 1 {
-                        if to_next.send(std::mem::take(&mut batch)).is_err() {
-                            break;
-                        }
-                        while let Ok(incoming) = from_prev.try_recv() {
-                            for h in incoming {
-                                free_block(&mem, &mut cache, h);
-                            }
-                        }
-                    } else {
-                        for h in batch.drain(..) {
-                            free_block(&mem, &mut cache, h);
-                        }
-                    }
-                    // Bounded caches: overflow spills back to the shared
-                    // bitmaps (mCAS traffic that contends as threads
-                    // grow).
-                    if cache.len() > 96 {
-                        spill(&mem, &mut cache, 48);
-                    }
-                }
-                drop(to_next);
-                while let Ok(incoming) = from_prev.recv() {
-                    for h in &incoming {
-                        let _ = mem.load_u64(core, layout.large.hwcc_desc_at(h / 64));
-                    }
-                    cache.extend(incoming);
-                    if cache.len() > 96 {
-                        spill(&mem, &mut cache, 48);
-                    }
-                }
-                spill(&mem, &mut cache, 0);
-            });
+/// Slabs the model rotates over. A small set concentrates traffic and,
+/// without HWcc, turns bitmap races into expensive mCAS retries —
+/// ralloc-mcas's poor scaling (paper §5.4.2). It must exceed the blocks
+/// held in thread caches and in-flight xmalloc batches, or refills
+/// starve: 128 words × 64 blocks = 8192 for ≤ 26 threads × ~300 held.
+fn slab_limit(layout: &Layout) -> u32 {
+    layout.small.max_slabs.min(layout.large.max_slabs).min(128)
+}
+
+impl MicroHost for Ralloc {
+    type Block = u32;
+
+    fn core(&self) -> CoreId {
+        self.core
+    }
+
+    /// From the thread cache; when it is empty, a refill claims up to 8
+    /// blocks of a shared bitmap word with one CAS/mCAS, found through
+    /// the globally shared next-slab cursor — the contended structure.
+    fn alloc(&mut self, _size: usize) -> u32 {
+        if let Some(handle) = self.cache.pop() {
+            return handle;
         }
-    });
-    let cores: Vec<u16> = (0..threads as u16).collect();
-    modeled_throughput(&pod, &cores, OPS * threads as u64)
+        let (mem, core) = (self.mem.as_ref(), self.core);
+        let layout = mem.layout();
+        let cursor_cell = layout.huge.reservation_at(0);
+        loop {
+            let cur = mem.load_u64(core, cursor_cell);
+            let slab = (cur % slab_limit(layout) as u64) as u32;
+            let word = layout.small.hwcc_desc_at(slab);
+            let bits = mem.load_u64(core, word);
+            if bits == 0 {
+                // Exhausted: advance the cursor.
+                let _ = mem.cas_u64(core, cursor_cell, cur, cur + 1);
+                continue;
+            }
+            // Claim at most 8 blocks per CAS so refills recur (and
+            // contend) often.
+            let mut take = bits;
+            for _ in 0..8 {
+                take &= take.wrapping_sub(1);
+            }
+            let claimed = bits ^ take;
+            if mem.cas_u64(core, word, bits, bits & !claimed).is_ok() {
+                let blocks = (0..64u32).filter(|b| claimed & 1 << b != 0);
+                self.cache.extend(blocks.map(|b| slab * 64 + b));
+                return self.cache.pop().expect("refill nonempty");
+            }
+        }
+    }
+
+    /// Reads the block's size class from metadata (uncachable without
+    /// HWcc), then parks the block in this thread's own cache — ralloc's
+    /// shared slabs allow this, which is why it beats cxlalloc's counter
+    /// protocol at low thread counts (§5.4.2). Past 96 cached blocks the
+    /// cache spills back to 48 through the shared bitmaps (a CAS/mCAS
+    /// per block, contending as threads grow).
+    fn free(&mut self, handle: u32) {
+        let (mem, core) = (self.mem.as_ref(), self.core);
+        let layout = mem.layout();
+        mem.load_u64(core, layout.large.hwcc_desc_at(handle / 64));
+        self.cache.push(handle);
+        if self.cache.len() <= 96 {
+            return;
+        }
+        while self.cache.len() > 48 {
+            let handle = self.cache.pop().expect("nonempty");
+            let word = layout.small.hwcc_desc_at(handle / 64);
+            loop {
+                let cur = mem.load_u64(core, word);
+                if mem.cas_u64(core, word, cur, cur | 1 << (handle % 64)).is_ok() {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 /// Pre-fills the ralloc model's bitmap words so refills find blocks.
 fn seed_ralloc(pod: &Pod) {
     let mem = pod.memory();
     let layout = mem.layout();
-    let slab_limit = layout.small.max_slabs.min(layout.large.max_slabs).min(128);
-    for slab in 0..slab_limit {
+    for slab in 0..slab_limit(layout) {
         mem.store_u64(CoreId(0), layout.small.hwcc_desc_at(slab), u64::MAX);
     }
     mem.reset_clocks();
@@ -233,37 +163,17 @@ fn main() {
 
     let thread_counts = [1u32, 4, 8, 16, 24];
     for spec in [MicroSpec::threadtest_small(), MicroSpec::xmalloc_small()] {
-        for (variant, mode, dram) in [
-            ("cxlalloc", HwccMode::Limited, true),
-            ("cxlalloc-hwcc", HwccMode::Limited, false),
-            ("cxlalloc-mcas", HwccMode::None, false),
+        for (variant, mode, dram, run) in [
+            ("cxlalloc", HwccMode::Limited, true, run_cxlalloc as Runner),
+            ("cxlalloc-hwcc", HwccMode::Limited, false, run_cxlalloc),
+            ("cxlalloc-mcas", HwccMode::None, false, run_cxlalloc),
+            ("ralloc", HwccMode::Limited, true, run_ralloc),
+            ("ralloc-hwcc", HwccMode::Limited, false, run_ralloc),
+            ("ralloc-mcas", HwccMode::None, false, run_ralloc),
         ] {
             for &threads in &thread_counts {
-                let tput = run_cxlalloc(mode, dram, &spec, threads);
-                table.row(vec![
-                    spec.name.to_string(),
-                    variant.to_string(),
-                    threads.to_string(),
-                    human_rate(tput),
-                ]);
-                sink.record(&[
-                    ("experiment", "fig12".into()),
-                    ("workload", spec.name.into()),
-                    ("variant", variant.into()),
-                    ("threads", threads.into()),
-                    ("modeled_throughput", tput.into()),
-                ]);
-                reference.insert((spec.name.to_string(), variant, threads), tput);
-                eprintln!("fig12 {} {variant} t={threads} -> {}", spec.name, human_rate(tput));
-            }
-        }
-        for (variant, mode, dram) in [
-            ("ralloc", HwccMode::Limited, true),
-            ("ralloc-hwcc", HwccMode::Limited, false),
-            ("ralloc-mcas", HwccMode::None, false),
-        ] {
-            for &threads in &thread_counts {
-                let tput = run_ralloc_sim(mode, dram, &spec, threads);
+                let span = run(mode, dram, &spec, threads);
+                let tput = (OPS * threads as u64) as f64 * 1e9 / span.makespan_ns.max(1) as f64;
                 table.row(vec![
                     spec.name.to_string(),
                     variant.to_string(),

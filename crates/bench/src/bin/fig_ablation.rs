@@ -8,15 +8,16 @@
 //! 3. **Detectable vs plain CAS under contention** — the help-array
 //!    recording cost on the remote-free path.
 //! 4. **Coherence mode** — the same workload across Full / Limited /
-//!    None pods (modeled time), isolating what each coherence assumption
-//!    costs.
+//!    None pods (modeled time on the clock-ordered driver), isolating
+//!    what each coherence assumption costs.
 
 use baselines::{CxlallocAdapter, PodAlloc};
 use cxl_bench::allocators::{cxlalloc_pod, cxlalloc_pod_with_mode};
+use cxl_bench::driver;
 use cxl_bench::report::{human_rate, NdjsonSink, Table};
 use cxl_bench::run_micro;
 use cxl_core::AttachOptions;
-use cxl_pod::{CoreId, HwccMode};
+use cxl_pod::HwccMode;
 use std::sync::Arc;
 use workloads::MicroSpec;
 
@@ -97,22 +98,11 @@ fn main() {
         ("no-hwcc (mcas)", HwccMode::None),
     ] {
         let pod = cxlalloc_pod_with_mode(512 << 20, 6, mode, false);
-        let alloc: Arc<dyn PodAlloc> = Arc::new(CxlallocAdapter::new(
-            pod.clone(),
-            2,
-            AttachOptions::default(),
-        ));
-        let spec = MicroSpec {
-            total_ops: 16_000,
-            ..MicroSpec::threadtest_small()
-        };
-        let result = run_micro(&alloc, &spec, 2);
-        let longest = (0..4u16)
-            .map(|c| pod.memory().virtual_ns(CoreId(c)))
-            .max()
-            .unwrap_or(1)
-            .max(1);
-        let tput = result.ops as f64 / (longest as f64 / 1e9);
+        let alloc = CxlallocAdapter::new(pod.clone(), 2, AttachOptions::default());
+        let mut hosts = [alloc.thread().unwrap(), alloc.thread().unwrap()];
+        let spec = MicroSpec::threadtest_small();
+        let span = driver::micro(pod.memory().as_ref(), &mut hosts, &spec, 8_000);
+        let tput = 16_000.0 * 1e9 / span.makespan_ns.max(1) as f64;
         let stats = pod.memory().stats();
         table.row(vec![
             name.to_string(),

@@ -27,6 +27,7 @@
 
 use baselines::{CxlallocAdapter, PodAlloc, PodAllocThread};
 use cxl_bench::allocators::{cxlalloc_pod, cxlalloc_pod_fabric};
+use cxl_bench::groups::{remote_free_kernel, HOST_SCALING_BLOCKS};
 use cxl_core::AttachOptions;
 use cxl_pod::trace::{chrome_trace_json, TraceKind, Tracer};
 use cxl_pod::{CoreId, FabricConfig, HwccMode, PodMemory};
@@ -130,63 +131,26 @@ fn run_fabric_section(ops: u64, hosts: u32) -> Section {
 
     enter_phase(tracer, cores, "attach");
     let adapter = CxlallocAdapter::new(pod, 1, AttachOptions::default());
-    let mut team: Vec<Box<dyn PodAllocThread>> = (0..hosts)
-        .map(|_| adapter.thread().expect("register fabric host"))
-        .collect();
+    let mut round = remote_free_kernel(&adapter, hosts as usize);
+    let per_round = hosts as u64 * HOST_SCALING_BLOCKS as u64;
+    let rounds = (ops / per_round).max(2);
 
-    const PER_HOST: usize = 128;
-    let rounds = (ops / (hosts as u64 * PER_HOST as u64)).max(2);
-    let mut routed: Vec<Vec<_>> = (0..hosts).map(|_| Vec::new()).collect();
-    // Host-interleaved issue order (one op per host per turn): the
-    // fabric's stations are issue-order FIFO over per-core virtual
-    // clocks, so batching each host's whole round would serialize the
-    // hosts in driver order — a global-lock artifact, not queueing.
-    // Interleaving keeps the clocks in lockstep; waits then measure
-    // genuine backlog (same discipline as the congested bench sweep).
-    let round = |team: &mut Vec<Box<dyn PodAllocThread>>, routed: &mut Vec<Vec<_>>| {
-        for j in 0..PER_HOST {
-            for (i, t) in team.iter_mut().enumerate() {
-                let p = t.alloc(64).expect("fabric alloc");
-                let dst = if hosts == 1 {
-                    0
-                } else {
-                    (i + 1 + j % (hosts as usize - 1)) % hosts as usize
-                };
-                routed[dst].push(p);
-            }
-        }
-        let mut drained = false;
-        while !drained {
-            drained = true;
-            for (t, received) in team.iter_mut().zip(routed.iter_mut()) {
-                if let Some(p) = received.pop() {
-                    t.dealloc(p).expect("fabric free");
-                    drained = false;
-                }
-            }
-        }
-    };
-
-    // One untimed round: from all-zero clocks even interleaved issue
-    // briefly skews, so a warm round lets the stations reach steady
-    // state. The attribution split below reads only the steady phase;
-    // the reconciliation oracles still cover the whole run.
+    // One untimed round, as in the bench sweep. The attribution split
+    // below reads only the steady phase; the reconciliation oracles
+    // still cover the whole run.
     enter_phase(tracer, cores, "warmup");
-    round(&mut team, &mut routed);
+    round();
     let warm = mem.stats();
 
     enter_phase(tracer, cores, "remote_free");
     for _ in 0..rounds {
-        round(&mut team, &mut routed);
-    }
-    for t in &mut team {
-        t.maintain();
+        round();
     }
 
     let section = reconcile(&mem, cores);
 
     let stats = mem.stats().since(&warm);
-    let pair_ops = rounds * hosts as u64 * PER_HOST as u64;
+    let pair_ops = rounds * per_round;
     let attribution = tracer.attribution();
     // Steady state only: the `remote_free` phase's rows (the stats
     // delta above shares the same boundary).

@@ -9,14 +9,16 @@
 //! across commits is a `pod-bench` A/B (`benchmark/`).
 
 use crate::allocators::{cxlalloc_pod, cxlalloc_pod_fabric};
+use crate::driver::{self, Span, Turn};
 use baselines::{CxlallocAdapter, PodAlloc, PodAllocThread};
 use criterion::{Criterion, Throughput};
 use cxl_core::dcas::Dcas;
-use cxl_core::{AttachOptions, ThreadId};
+use cxl_core::{AttachOptions, OffsetPtr, ThreadId};
 use cxl_pod::latency::{Clocks, LatencyModel};
 use cxl_pod::nmp::NmpDevice;
-use cxl_pod::stats::MemStats;
+use cxl_pod::stats::{MemStats, MemStatsSnapshot};
 use cxl_pod::{CoreId, FabricConfig, HwccMode, Pod, PodConfig, Segment};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 fn thread() -> Box<dyn PodAllocThread> {
@@ -101,7 +103,6 @@ pub fn bench_local_paths(c: &mut Criterion) {
 /// timeslice while the peer is runnable but not running, and the ring
 /// degenerates to one transfer per scheduler quantum.
 pub fn bench_remote_free(c: &mut Criterion) {
-    use cxl_core::OffsetPtr;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn wait_until(slot: &AtomicU64, empty: bool) -> u64 {
@@ -434,11 +435,17 @@ pub fn bench_deref(c: &mut Criterion) {
 /// remote-free counters and slab stealing (a stolen slab parks on the
 /// stealer's unsized list and overflows to the global free list past
 /// `unsized_limit`).
-const HOST_SCALING_BLOCKS: usize = 512;
+pub const HOST_SCALING_BLOCKS: usize = 512;
 
 /// Insert/replace ops per host per round of the kvstore host-scaling
 /// kernel.
 const HOST_SCALING_KV_OPS: usize = 256;
+
+/// Rounds each host-scaling point's modeled counters are read over,
+/// after one untimed warm-up round. Fixed, so the counters are a pure
+/// function of the code; the timed rounds that follow only feed the
+/// record's host ns.
+const HOST_SCALING_ROUNDS: u64 = 4;
 
 /// The two swept configurations, on the same pod: the paper's eager
 /// §3.2.1 publish protocol (every default) vs remote frees published
@@ -458,168 +465,137 @@ fn host_scaling_variants() -> [(&'static str, AttachOptions); 2] {
     ]
 }
 
-/// One round of the remote-free host-scaling kernel: every host
-/// allocates a slab's worth of 64B blocks and scatters them round-robin
-/// over its peers, then every host frees what it received. With more
-/// than one host every free is a remote free (a publish CAS into the
-/// owner slab's counter line, touched by every peer core in turn), and
-/// every emptied slab is stolen by the peer whose free emptied it.
-fn host_scaling_round(
-    team: &mut [cxl_core::ThreadHandle],
-    routed: &mut [Vec<cxl_core::OffsetPtr>],
-    per_host: usize,
-) {
-    let hosts = team.len();
-    for (i, t) in team.iter_mut().enumerate() {
-        for j in 0..per_host {
-            let p = t.alloc(64).unwrap();
-            let dst = if hosts == 1 { 0 } else { (i + 1 + j % (hosts - 1)) % hosts };
-            routed[dst].push(p);
-        }
-    }
-    for (t, received) in team.iter_mut().zip(routed.iter_mut()) {
-        for p in received.drain(..) {
-            t.dealloc(p).unwrap();
-        }
-    }
-}
+/// One round of a host-scaling kernel, returning its modeled time.
+pub type Round = Box<dyn FnMut() -> Span>;
 
-/// The remote-free kernel with host-interleaved issue order (one op per
-/// host per turn), used for the congested-fabric sweep. The fabric's
-/// stations are issue-order FIFO over per-core virtual clocks, so the
-/// host-at-a-time kernel above — which runs each host's whole round
-/// before the next host's — would push a station's busy-clock to the end
-/// of host 0's round and make host 1's first (virtual-time-earlier) request
-/// wait behind all of it: a global-lock artifact of the sequential
-/// driver, not queueing. Interleaving keeps the per-core clocks in
-/// lockstep, so station waits measure genuine backlog instead.
-fn host_scaling_round_interleaved(
-    team: &mut [cxl_core::ThreadHandle],
-    routed: &mut [Vec<cxl_core::OffsetPtr>],
-    per_host: usize,
-) {
-    let hosts = team.len();
-    for j in 0..per_host {
-        for (i, t) in team.iter_mut().enumerate() {
-            let p = t.alloc(64).unwrap();
-            let dst = if hosts == 1 { 0 } else { (i + 1 + j % (hosts - 1)) % hosts };
-            routed[dst].push(p);
-        }
-    }
-    let mut drained = false;
-    while !drained {
-        drained = true;
-        for (t, received) in team.iter_mut().zip(routed.iter_mut()) {
-            if let Some(p) = received.pop() {
-                t.dealloc(p).unwrap();
-                drained = false;
+/// Builds a host-scaling kernel on `hosts` threads of an adapter.
+type Kernel = fn(&CxlallocAdapter, usize) -> Round;
+
+/// The remote-free host-scaling kernel on `hosts` threads of `alloc`.
+/// Each round, every host allocates a slab's worth of 64B blocks and
+/// scatters them round-robin over its peers, then (a second driver run,
+/// so a barrier) every host frees what it received, oldest first. With
+/// more than one host every free is a remote free (a publish CAS into
+/// the owner slab's counter line, touched by every peer core in turn),
+/// and every emptied slab is stolen by the peer whose free emptied it.
+pub fn remote_free_kernel(alloc: &CxlallocAdapter, hosts: usize) -> Round {
+    let mem = alloc.pod().memory().clone();
+    let mut team: Vec<_> = (0..hosts).map(|_| alloc.thread().unwrap()).collect();
+    let cores: Vec<CoreId> = team.iter().map(|t| driver::core_of(t.as_ref())).collect();
+    let mut routed: Vec<VecDeque<OffsetPtr>> = vec![VecDeque::new(); hosts];
+    let mut allocated = vec![0; hosts];
+    Box::new(move || {
+        allocated.fill(0);
+        let mut span = driver::run(mem.as_ref(), &cores, |i| {
+            let j = allocated[i];
+            if j == HOST_SCALING_BLOCKS {
+                return Turn::Done;
             }
-        }
+            let dst = if hosts == 1 { 0 } else { (i + 1 + j % (hosts - 1)) % hosts };
+            routed[dst].push_back(team[i].alloc(64).unwrap());
+            allocated[i] += 1;
+            Turn::Ran
+        });
+        span += driver::run(mem.as_ref(), &cores, |i| match routed[i].pop_front() {
+            Some(p) => {
+                team[i].dealloc(p).unwrap();
+                Turn::Ran
+            }
+            None => Turn::Done,
+        });
+        span
+    })
+}
+
+/// The kvstore host-scaling kernel on `hosts` workers of `alloc`: the
+/// hosts share one key space, so each replace retires a value some
+/// *other* host allocated and the EBR-deferred free follows the
+/// remote-free path; allocator-side contention is diluted by the
+/// (DRAM-side) table walk, which is the point of measuring it
+/// separately. A host drains its retired list after its round's last
+/// insert.
+fn kvstore_kernel(alloc: &CxlallocAdapter, hosts: usize) -> Round {
+    use kvstore::KvStore;
+    const KV_KEYS: u64 = 4096;
+    let mem = alloc.pod().memory().clone();
+    let store = KvStore::new(1 << 12, hosts + 1);
+    let mut workers: Vec<_> = (0..hosts).map(|_| store.worker(alloc.thread().unwrap())).collect();
+    for key in 0..KV_KEYS {
+        workers[0].insert(key, 8, 64).unwrap();
     }
+    let cores: Vec<CoreId> = workers.iter_mut().map(|w| driver::core_of(w.allocator())).collect();
+    let mut cursor = 0u64;
+    let mut done = vec![0; hosts];
+    Box::new(move || {
+        done.fill(0);
+        driver::run(mem.as_ref(), &cores, |i| {
+            if done[i] == HOST_SCALING_KV_OPS {
+                return Turn::Done;
+            }
+            cursor = cursor.wrapping_add(1);
+            let key = cursor.wrapping_mul(2654435761).wrapping_add(i as u64 * 97) % KV_KEYS;
+            workers[i].insert(key, 8, 64).unwrap();
+            done[i] += 1;
+            if done[i] == HOST_SCALING_KV_OPS {
+                workers[i].drain_retired();
+            }
+            Turn::Ran
+        })
+    })
 }
 
-/// Latest virtual time across every simulated core — the sweep's
-/// makespan clock. The wall clock of a round-robin driver charges a
-/// 357 ns line fill and a 4 ns cache hit the same bookkeeping cost, so
-/// host-scaling throughput is read from the substrate's modeled time
-/// (per-core clocks, with contended CAS lines serialized through the
-/// per-line resource clocks), not from wall time.
-fn sim_now_ns(mem: &dyn cxl_pod::PodMemory) -> u64 {
-    let sim = mem
-        .as_any()
-        .downcast_ref::<cxl_pod::SimMemory>()
-        .expect("host-scaling sweep runs on the simulated substrate");
-    let clocks = sim.clocks();
-    (0..clocks.len()).map(|c| clocks.now(c)).max().unwrap_or(0)
-}
-
-/// Sum of virtual time across every simulated core — the sweep's
-/// aggregate-latency clock. Dividing the makespan by total ops rewards
-/// parallelism (32 hosts split one timeline), so the congested knee —
-/// each host's ops getting *slower* as offered load outruns the device
-/// port — is read from this sum instead: Σ per-core deltas / total ops
-/// is the mean modeled latency one op actually experienced.
-fn sim_sum_ns(mem: &dyn cxl_pod::PodMemory) -> u64 {
-    let sim = mem
-        .as_any()
-        .downcast_ref::<cxl_pod::SimMemory>()
-        .expect("host-scaling sweep runs on the simulated substrate");
-    let clocks = sim.clocks();
-    (0..clocks.len()).map(|c| clocks.now(c)).sum()
-}
-
-/// Attaches the sweep's per-point counters (modeled ns/op, CAS retries
-/// with per-site attribution, line-contention traffic) to the record
-/// just produced, normalized per block op / per 1k block ops.
+/// Attaches the sweep's per-point counters to the record just produced,
+/// normalized per block op / per 1k block ops: the makespan
+/// (`sim_ns_per_op`) and the mean modeled latency of one op
+/// (`sim_latency_ns_per_op`, Σ of the hosts' clock advances over ops),
+/// CAS retries with per-site attribution, line-contention traffic, and
+/// the fabric's queueing / service split (zero on an uncongested pod).
 fn annotate_host_scaling(
     group: &mut criterion::BenchmarkGroup<'_>,
-    delta: &cxl_pod::stats::MemStatsSnapshot,
-    sim_ns: u64,
-    sim_sum: u64,
+    delta: &MemStatsSnapshot,
+    span: Span,
     ops: u64,
 ) {
-    let per_kop = |n: u64| n as f64 * 1000.0 / ops.max(1) as f64;
-    group.annotate_last("sim_ns_per_op", sim_ns as f64 / ops.max(1) as f64);
-    group.annotate_last("cas_retries_per_kop", per_kop(delta.cas_retries));
-    group.annotate_last(
-        "pop_global_retries_per_kop",
-        per_kop(delta.cas_retries_pop_global),
-    );
-    group.annotate_last(
-        "publish_retries_per_kop",
-        per_kop(delta.cas_retries_remote_publish),
-    );
-    group.annotate_last(
-        "line_transfers_per_kop",
-        per_kop(delta.line_fills + delta.writebacks),
-    );
-    // Fabric attribution, attached only when the pod actually crossed a
-    // (non-disabled) fabric so uncongested records keep their pre-PR-10
-    // field set byte-for-byte.
-    if delta.fabric_requests > 0 {
-        group.annotate_last(
-            "sim_latency_ns_per_op",
-            sim_sum as f64 / ops.max(1) as f64,
-        );
-        group.annotate_last(
-            "fabric_queue_ns_per_op",
-            delta.fabric_queue_ns as f64 / ops.max(1) as f64,
-        );
-        group.annotate_last(
-            "fabric_service_ns_per_op",
-            delta.fabric_service_ns as f64 / ops.max(1) as f64,
-        );
-        group.annotate_last("fabric_saturated_per_kop", per_kop(delta.fabric_saturated));
+    let per_op = |n: u64| n as f64 / ops as f64;
+    let per_kop = |n: u64| per_op(n) * 1000.0;
+    for (key, value) in [
+        ("sim_ns_per_op", per_op(span.makespan_ns)),
+        ("sim_latency_ns_per_op", per_op(span.sum_ns)),
+        ("cas_retries_per_kop", per_kop(delta.cas_retries)),
+        ("pop_global_retries_per_kop", per_kop(delta.cas_retries_pop_global)),
+        ("publish_retries_per_kop", per_kop(delta.cas_retries_remote_publish)),
+        ("line_transfers_per_kop", per_kop(delta.line_fills + delta.writebacks)),
+        ("fabric_queue_ns_per_op", per_op(delta.fabric_queue_ns)),
+        ("fabric_service_ns_per_op", per_op(delta.fabric_service_ns)),
+        ("fabric_saturated_per_kop", per_kop(delta.fabric_saturated)),
+    ] {
+        group.annotate_last(key, value);
     }
 }
 
-/// Host-scaling sweep (PR 8): 1–64 simulated hosts over the remote-free
-/// and kvstore paths, eager vs batched. Hosts are
-/// registered handles on distinct simulated cores driven round-robin on
-/// one OS thread over the `HwccMode::Limited` substrate: on the
-/// wall-clock backend a CI box's scheduler would drown the coherence
-/// signal, while here every cross-host line transfer and publish CAS is
-/// real measured work and also shows up in the `MemStats` counters
-/// attached to each record.
+/// Host-scaling sweep: 1–64 simulated hosts over the remote-free
+/// and kvstore paths, eager vs batched. Hosts are registered threads on
+/// distinct simulated cores of one `HwccMode::Limited` pod, issued by
+/// the clock-ordered [`driver`] on one OS thread: on the wall-clock
+/// backend a CI box's scheduler would drown the coherence signal, while
+/// here every cross-host line transfer and publish CAS is modeled work
+/// and also shows up in the `MemStats` counters attached to each record.
 pub fn bench_host_scaling(c: &mut Criterion) {
     host_scaling_sweep(c, &[1, 2, 4, 8, 16, 32, 64], true, None);
 }
 
-/// CI smoke variant of [`bench_host_scaling`]: just the 1- and 32-host
-/// endpoints of the remote-free sweep — the points the `bench-gates`
-/// scaling gate reads.
+/// CI smoke variant of [`bench_host_scaling`]: the 1- and 4-host points
+/// of the remote-free sweep — the widths the `bench-gates` scaling
+/// gates read.
 pub fn bench_host_scaling_smoke(c: &mut Criterion) {
-    host_scaling_sweep(c, &[1, 32], false, None);
+    host_scaling_sweep(c, &[1, 4], false, None);
 }
 
-/// The host-scaling sweep on a congested fabric (PR 10): identical
-/// kernel and configurations, but every line fill, writeback, and NMP
+/// The host-scaling sweep on a congested fabric: identical
+/// kernels and configurations, but every line fill, writeback, and NMP
 /// op additionally crosses the [`FabricConfig::congested`] queueing
-/// model, so per-op latency (`sim_latency_ns_per_op`: per-core clock
-/// deltas summed over total ops) picks up an inflection — the
-/// saturation knee — as hosts outrun the device port, absent from the
-/// uncongested curve. Records also carry `fabric_queue_ns_per_op` /
-/// `fabric_service_ns_per_op` / `fabric_saturated_per_kop` counters.
+/// model, so per-op latency (`sim_latency_ns_per_op`) picks up an
+/// inflection — the saturation knee — as hosts outrun the device port.
 pub fn bench_host_scaling_congested(c: &mut Criterion) {
     host_scaling_sweep(
         c,
@@ -637,121 +613,41 @@ pub fn bench_host_scaling_congested_smoke(c: &mut Criterion) {
 
 fn host_scaling_sweep(
     c: &mut Criterion,
-    host_counts: &[u32],
+    host_counts: &[usize],
     with_kvstore: bool,
     fabric: Option<FabricConfig>,
 ) {
-    use cxl_core::{Cxlalloc, OffsetPtr, ThreadHandle};
-    use kvstore::KvStore;
-
-    let build_pod = || match fabric {
-        Some(config) => cxlalloc_pod_fabric(64 << 20, 80, HwccMode::Limited, config),
-        None => cxlalloc_pod(64 << 20, 80, Some(HwccMode::Limited)),
-    };
-    let group_name = if fabric.is_some() {
-        "host_scaling_congested"
-    } else {
-        "host_scaling"
-    };
-    let mut group = c.benchmark_group(group_name);
-    for &hosts in host_counts {
-        for (variant, options) in host_scaling_variants() {
-            let pod = build_pod();
-            let mem = pod.memory().clone();
-            let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
-            let mut team: Vec<ThreadHandle> =
-                (0..hosts).map(|_| heap.register_thread().unwrap()).collect();
-            let mut routed: Vec<Vec<OffsetPtr>> = (0..hosts)
-                .map(|_| Vec::with_capacity(2 * HOST_SCALING_BLOCKS))
-                .collect();
-            let mut rounds = 0u64;
-            group.throughput(Throughput::Elements(
-                hosts as u64 * HOST_SCALING_BLOCKS as u64,
-            ));
-            // Congested runs use the interleaved kernel (see
-            // `host_scaling_round_interleaved`) plus one untimed round:
-            // from all-zero clocks even interleaved issue briefly skews,
-            // and a warm round lets the stations reach steady state.
-            let round: fn(&mut [cxl_core::ThreadHandle], &mut [Vec<OffsetPtr>], usize) =
-                if fabric.is_some() {
-                    host_scaling_round_interleaved
-                } else {
-                    host_scaling_round
-                };
-            if fabric.is_some() {
-                round(&mut team, &mut routed, HOST_SCALING_BLOCKS);
-            }
-            let before = mem.stats();
-            let sim_before = sim_now_ns(mem.as_ref());
-            let sum_before = sim_sum_ns(mem.as_ref());
-            group.bench_function(format!("remote_free_h{hosts}_{variant}"), |b| {
-                b.iter(|| {
-                    round(&mut team, &mut routed, HOST_SCALING_BLOCKS);
-                    rounds += 1;
-                })
-            });
-            let delta = mem.stats().since(&before);
-            annotate_host_scaling(
-                &mut group,
-                &delta,
-                sim_now_ns(mem.as_ref()) - sim_before,
-                sim_sum_ns(mem.as_ref()) - sum_before,
-                rounds * hosts as u64 * HOST_SCALING_BLOCKS as u64,
-            );
-        }
-    }
-
-    if with_kvstore {
-        // The same sweep at the kvstore layer: hosts share one key
-        // space, so each replace retires a value some *other* host
-        // allocated and the EBR-deferred free follows the remote-free
-        // path; allocator-side contention is diluted by the (DRAM-side)
-        // table walk, which is the point of measuring it separately.
-        const KV_KEYS: u64 = 4096;
+    let kernels: &[(&str, usize, Kernel)] = &[
+        ("remote_free", HOST_SCALING_BLOCKS, remote_free_kernel),
+        ("kvstore", HOST_SCALING_KV_OPS, kvstore_kernel),
+    ];
+    let kernels = if with_kvstore { kernels } else { &kernels[..1] };
+    let name = if fabric.is_some() { "host_scaling_congested" } else { "host_scaling" };
+    let mut group = c.benchmark_group(name);
+    for &(kernel, per_host, build) in kernels {
         for &hosts in host_counts {
             for (variant, options) in host_scaling_variants() {
-                let pod = build_pod();
+                let pod = match fabric {
+                    Some(config) => cxlalloc_pod_fabric(64 << 20, 80, HwccMode::Limited, config),
+                    None => cxlalloc_pod(64 << 20, 80, Some(HwccMode::Limited)),
+                };
                 let mem = pod.memory().clone();
-                let alloc = CxlallocAdapter::new(pod, 1, options);
-                let store = KvStore::new(1 << 12, hosts as usize + 1);
-                let mut workers: Vec<_> = (0..hosts)
-                    .map(|_| store.worker(alloc.thread().unwrap()))
-                    .collect();
-                for key in 0..KV_KEYS {
-                    workers[0].insert(key, 8, 64).unwrap();
-                }
-                let mut cursor = 0u64;
-                let mut rounds = 0u64;
-                group.throughput(Throughput::Elements(
-                    hosts as u64 * HOST_SCALING_KV_OPS as u64,
-                ));
+                let mut round = build(&CxlallocAdapter::new(pod, 1, options), hosts);
+                // From all-zero clocks every host's first ops land at
+                // t = 0; one untimed round lets lines, slabs and fabric
+                // stations reach steady state.
+                round();
                 let before = mem.stats();
-                let sim_before = sim_now_ns(mem.as_ref());
-                let sum_before = sim_sum_ns(mem.as_ref());
-                group.bench_function(format!("kvstore_h{hosts}_{variant}"), |b| {
-                    b.iter(|| {
-                        for (i, w) in workers.iter_mut().enumerate() {
-                            for _ in 0..HOST_SCALING_KV_OPS {
-                                cursor = cursor.wrapping_add(1);
-                                let key = cursor
-                                    .wrapping_mul(2654435761)
-                                    .wrapping_add(i as u64 * 97)
-                                    % KV_KEYS;
-                                w.insert(key, 8, 64).unwrap();
-                            }
-                            w.drain_retired();
-                        }
-                        rounds += 1;
-                    })
-                });
+                let mut span = Span::default();
+                for _ in 0..HOST_SCALING_ROUNDS {
+                    span += round();
+                }
                 let delta = mem.stats().since(&before);
-                annotate_host_scaling(
-                    &mut group,
-                    &delta,
-                    sim_now_ns(mem.as_ref()) - sim_before,
-                    sim_sum_ns(mem.as_ref()) - sum_before,
-                    rounds * hosts as u64 * HOST_SCALING_KV_OPS as u64,
-                );
+                let per_round = (hosts * per_host) as u64;
+                group.throughput(Throughput::Elements(per_round));
+                let id = format!("{kernel}_h{hosts}_{variant}");
+                group.bench_function(id, |b| b.iter(&mut round));
+                annotate_host_scaling(&mut group, &delta, span, HOST_SCALING_ROUNDS * per_round);
             }
         }
     }
@@ -774,4 +670,31 @@ pub fn substrate(c: &mut Criterion) {
     bench_swcc_substrate(c);
     bench_liveness(c);
     bench_deref(c);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every per-core clock and counter after a warm-up and two rounds of
+    /// `build`'s kernel at 4 hosts on a fresh pod.
+    fn kernel_state(build: Kernel) -> (Vec<u64>, MemStatsSnapshot) {
+        let pod = cxlalloc_pod(64 << 20, 8, Some(HwccMode::Limited));
+        let mem = pod.memory().clone();
+        let mut round = build(&CxlallocAdapter::new(pod, 1, AttachOptions::default()), 4);
+        for _ in 0..3 {
+            round();
+        }
+        let clocks = (0..8).map(|c| mem.virtual_ns(CoreId(c))).collect();
+        (clocks, mem.stats())
+    }
+
+    #[test]
+    fn two_runs_of_a_kernel_model_the_same_pod() {
+        for build in [remote_free_kernel as Kernel, kvstore_kernel] {
+            let first = kernel_state(build);
+            assert!(first.0[..4].iter().all(|&ns| ns > 0), "every host ran");
+            assert_eq!(first, kernel_state(build));
+        }
+    }
 }

@@ -12,6 +12,7 @@
 #![warn(missing_docs)]
 
 pub mod allocators;
+pub mod driver;
 pub mod groups;
 pub mod harness;
 pub mod report;

@@ -147,59 +147,68 @@ pub struct Schedule {
     pub steps: Vec<Step>,
 }
 
+/// A [`Step`] variant without its fields. A generator mix lists kinds
+/// with the end of each one's range of rolls in `0..100`; a kind's range
+/// starts where the previous one's ends.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Alloc,
+    Dealloc,
+    Cleanup,
+    FlushCache,
+    Crash,
+    Recover,
+    StopHeartbeat,
+    DetectorTick,
+    DeviceDegrade,
+}
+
+/// [`Schedule::generate`]'s mix: churn, crashes and recoveries.
+const CLASSIC_MIX: [(Kind, u32); 6] = [
+    (Kind::Alloc, 45),
+    (Kind::Dealloc, 72),
+    (Kind::Cleanup, 78),
+    (Kind::FlushCache, 84),
+    (Kind::Crash, 94),
+    (Kind::Recover, 100),
+];
+
+/// [`Schedule::generate_liveness`]'s mix: the classic kinds, thinner,
+/// plus hangs, detector ticks and device outages.
+const LIVENESS_MIX: [(Kind, u32); 9] = [
+    (Kind::Alloc, 39),
+    (Kind::Dealloc, 60),
+    (Kind::Cleanup, 64),
+    (Kind::FlushCache, 68),
+    (Kind::Crash, 74),
+    (Kind::Recover, 80),
+    (Kind::StopHeartbeat, 86),
+    (Kind::DetectorTick, 96),
+    (Kind::DeviceDegrade, 100),
+];
+
 impl Schedule {
     /// Generates the canonical random schedule for `seed`: `len` steps
     /// over `hosts` hosts, mixing allocation churn, crashes at random
     /// [`crash::point`] labels, and recoveries. The same seed always
     /// yields the byte-identical schedule.
     pub fn generate(seed: u64, hosts: usize, len: usize) -> Schedule {
-        assert!(hosts > 0, "a schedule needs at least one host");
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let slab_points = crate::slab::CRASH_POINTS;
-        let huge_points = crate::huge::CRASH_POINTS;
-        let steps = (0..len)
-            .map(|_| {
-                let host = rng.gen_range(0..hosts);
-                match rng.gen_range(0..100u32) {
-                    0..=44 => Step::Alloc {
-                        host,
-                        size: Self::pick_size(&mut rng),
-                    },
-                    45..=71 => Step::Dealloc {
-                        host,
-                        index: rng.gen_range(0..1024usize),
-                    },
-                    72..=77 => Step::Cleanup { host },
-                    78..=83 => Step::FlushCache { host },
-                    84..=93 => {
-                        let at = if rng.gen_range(0..4u32) == 0 {
-                            huge_points[rng.gen_range(0..huge_points.len())]
-                        } else {
-                            slab_points[rng.gen_range(0..slab_points.len())]
-                        };
-                        Step::Crash {
-                            host,
-                            at,
-                            skip: rng.gen_range(0..6u32),
-                        }
-                    }
-                    _ => Step::Recover {
-                        host,
-                        via: rng.gen_range(0..hosts),
-                    },
-                }
-            })
-            .collect();
-        Schedule { seed, hosts, steps }
+        Self::generate_from(&CLASSIC_MIX, seed, hosts, len)
     }
 
     /// Generates the canonical *liveness* schedule for `seed`: the
     /// classic churn/crash mix of [`Schedule::generate`] plus silent
     /// host hangs ([`Step::StopHeartbeat`]), detector ticks
     /// ([`Step::DetectorTick`]), and device outages
-    /// ([`Step::DeviceDegrade`]). Kept separate from `generate` so
-    /// existing seeds replay byte-identically.
+    /// ([`Step::DeviceDegrade`]). A separate mix, so existing seeds of
+    /// `generate` replay byte-identically.
     pub fn generate_liveness(seed: u64, hosts: usize, len: usize) -> Schedule {
+        Self::generate_from(&LIVENESS_MIX, seed, hosts, len)
+    }
+
+    /// The one generator body: per step, draw the host, then a roll in
+    /// `0..100` that picks a kind from `mix`, then the kind's own fields.
+    fn generate_from(mix: &[(Kind, u32)], seed: u64, hosts: usize, len: usize) -> Schedule {
         assert!(hosts > 0, "a schedule needs at least one host");
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let slab_points = crate::slab::CRASH_POINTS;
@@ -207,18 +216,23 @@ impl Schedule {
         let steps = (0..len)
             .map(|_| {
                 let host = rng.gen_range(0..hosts);
-                match rng.gen_range(0..100u32) {
-                    0..=38 => Step::Alloc {
+                let roll = rng.gen_range(0..100u32);
+                let &(kind, _) = mix
+                    .iter()
+                    .find(|&&(_, end)| roll < end)
+                    .expect("a mix's last kind ends at 100");
+                match kind {
+                    Kind::Alloc => Step::Alloc {
                         host,
                         size: Self::pick_size(&mut rng),
                     },
-                    39..=59 => Step::Dealloc {
+                    Kind::Dealloc => Step::Dealloc {
                         host,
                         index: rng.gen_range(0..1024usize),
                     },
-                    60..=63 => Step::Cleanup { host },
-                    64..=67 => Step::FlushCache { host },
-                    68..=73 => {
+                    Kind::Cleanup => Step::Cleanup { host },
+                    Kind::FlushCache => Step::FlushCache { host },
+                    Kind::Crash => {
                         let at = if rng.gen_range(0..4u32) == 0 {
                             huge_points[rng.gen_range(0..huge_points.len())]
                         } else {
@@ -230,13 +244,13 @@ impl Schedule {
                             skip: rng.gen_range(0..6u32),
                         }
                     }
-                    74..=79 => Step::Recover {
+                    Kind::Recover => Step::Recover {
                         host,
                         via: rng.gen_range(0..hosts),
                     },
-                    80..=85 => Step::StopHeartbeat { host },
-                    86..=95 => Step::DetectorTick { host },
-                    _ => Step::DeviceDegrade {
+                    Kind::StopHeartbeat => Step::StopHeartbeat { host },
+                    Kind::DetectorTick => Step::DetectorTick { host },
+                    Kind::DeviceDegrade => Step::DeviceDegrade {
                         host,
                         pairs: rng.gen_range(8..=24u32),
                     },
