@@ -20,13 +20,27 @@
 //! Recovery never blocks live threads: it touches only the dead thread's
 //! single-writer structures plus lock-free cells, exactly like a normal
 //! operation. Recovery is itself crash-tolerant — every step is
-//! idempotent, so a crashed recovery can simply be re-run.
+//! idempotent, so a crashed recovery can simply be re-run
+//! ([`CRASH_POINTS`] lets tests crash it).
+//!
+//! Each of the dead thread's private lists is walked once per recovery,
+//! by the sanitize pass; the redo finds the logged slab where that walk
+//! recorded it.
 
+use crate::crash;
 use crate::ctx::Ctx;
 use crate::error::HeapKind;
 use crate::huge::HugeHeap;
 use crate::slab::SlabHeap;
 use cxl_pod::PodMemory;
+
+/// Crash-point labels compiled into recovery itself (white-box tests
+/// crash a recovery and run it again).
+pub const CRASH_POINTS: &[&str] = &[
+    "recovery::after_sanitize",
+    "recovery::redo::after_unlink",
+    "recovery::after_redo",
+];
 
 /// Operation codes stored in the log word. Slab ops are tagged with the
 /// heap they apply to via [`Op::encode`].
@@ -153,14 +167,22 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
     // or disowned, and links may run into foreign chains. The redo log
     // cannot help — it covers only the one interrupted operation —
     // so the lists are validated wholesale against the flushed
-    // descriptors and bitmaps (the durable ground truth). This also
-    // guarantees the redo below walks clean, acyclic lists.
-    let mut visited = Visited::default();
-    sanitize_slab_lists(ctx, &SlabHeap::small(), &mut visited);
-    sanitize_slab_lists(ctx, &SlabHeap::large(), &mut visited);
+    // descriptors and bitmaps (the durable ground truth). The log is
+    // read first (sanitize never writes it) so the same walk records
+    // where the logged slab sits, and the redo needs no walk of its own.
     let log = ctx.log();
     let entry = log.read(ctx.core);
-    let Some((op, kind)) = Op::decode(entry.word.op) else {
+    let decoded = Op::decode(entry.word.op);
+    let logged_in = |heap: HeapKind| match decoded {
+        Some((op, kind)) if op != Op::Idle && kind == heap => Some(entry.word.a),
+        _ => None,
+    };
+    let mut visited = Visited::default();
+    let small = sanitize_slab_lists(ctx, &SlabHeap::small(), &mut visited, logged_in(HeapKind::Small));
+    let large = sanitize_slab_lists(ctx, &SlabHeap::large(), &mut visited, logged_in(HeapKind::Large));
+    let place = small.or(large);
+    crash::point("recovery::after_sanitize");
+    let Some((op, kind)) = decoded else {
         log.clear(ctx.core);
         republish_remote_buffer(ctx, None);
         flush_thread_lines(ctx);
@@ -191,19 +213,16 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
     };
     match kind {
         HeapKind::Small | HeapKind::Large => {
-            let heap = if kind == HeapKind::Small {
-                SlabHeap::small()
-            } else {
-                SlabHeap::large()
-            };
-            recover_slab(ctx, &heap, op, &entry, &mut report);
+            recover_slab(ctx, &SlabHeap::of(kind), op, &entry, place, &mut report);
         }
         HeapKind::Huge => recover_huge(ctx, op, &entry, &mut report),
     }
+    crash::point("recovery::after_redo");
     // Republish batched remote frees the dead thread had buffered but
     // not yet published. Each publish is itself logged and leaves the
     // log idle again, so this must precede the final log clear only in
-    // program order.
+    // program order. Its steals edit the unsized list, so the logged
+    // slab's place is stale from here on; nothing below reads it.
     republish_remote_buffer(ctx, scan_skip);
     log.clear(ctx.core);
     // Everything recovery wrote must be durable before the slot is
@@ -298,9 +317,34 @@ impl Visited {
     }
 }
 
+/// Where a slab sits on the dead thread's sanitized private lists: the
+/// list that keeps it and its kept predecessor there.
+///
+/// Exact from the moment sanitize records it until the redo edits a
+/// list. After sanitize every node on any list is kept, and a node is
+/// kept only on the list its durable header names, so a slab sits on
+/// at most one list. Its predecessor is never rewritten once recorded:
+/// sanitize's unlinks rewrite only the previous *kept* node's `next`
+/// (the slab itself, or a node after it) or the head of a list with no
+/// kept node yet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Place {
+    /// Head offset of the list.
+    head_off: u64,
+    /// The kept predecessor; `None` when the slab is the head.
+    prev: Option<u32>,
+}
+
 /// Restores the dead thread's private free lists of `heap` to a state
-/// satisfying the list invariants, using only durable data.
-fn sanitize_slab_lists<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, visited: &mut Visited) {
+/// satisfying the list invariants, using only durable data. Returns
+/// the [`Place`] of `logged` (the slab the log names, when it names
+/// one in this heap), or `None` if no list keeps it.
+fn sanitize_slab_lists<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
+    heap: &SlabHeap,
+    visited: &mut Visited,
+    logged: Option<u32>,
+) -> Option<Place> {
     let hl = heap.hl(ctx.mem);
     // Drop any lines the recoverer itself may hold over the thread's
     // heads before reading the durable image.
@@ -311,10 +355,15 @@ fn sanitize_slab_lists<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap,
     );
     ctx.mem.fence(ctx.core);
     let classes = hl.num_classes as u8;
-    sanitize_list(ctx, heap, heap.unsized_head_off(ctx), None, visited);
+    let mut place = sanitize_list(ctx, heap, heap.unsized_head_off(ctx), None, visited, logged);
     for class in 0..classes {
-        sanitize_list(ctx, heap, heap.sized_head_off(ctx, class), Some(class), visited);
+        let head_off = heap.sized_head_off(ctx, class);
+        if let Some(found) = sanitize_list(ctx, heap, head_off, Some(class), visited, logged) {
+            debug_assert!(place.is_none(), "slab kept on two lists");
+            place = Some(found);
+        }
     }
+    place
 }
 
 /// Walks one private list in durable state and unlinks every node that
@@ -325,14 +374,16 @@ fn sanitize_slab_lists<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap,
 /// `next`, never a foreign header, so chains that strayed into another
 /// list's slabs drain without corrupting that list. Unmapped indices
 /// and revisits within this list (stale links can tie cycles) truncate
-/// the remainder.
+/// the remainder. Returns the [`Place`] of `logged` if this list keeps
+/// it.
 fn sanitize_list<M: PodMemory + ?Sized>(
     ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
     head_off: u64,
     class: Option<u8>,
     visited: &mut Visited,
-) {
+    logged: Option<u32>,
+) -> Option<Place> {
     let hl = heap.hl(ctx.mem);
     // Read per list, not per recovery: a live thread may extend the heap
     // meanwhile, and the load is part of the simulated op stream.
@@ -340,11 +391,12 @@ fn sanitize_list<M: PodMemory + ?Sized>(
     visited.next_list(len);
     let tid_raw = ctx.tid.raw();
     let mut prev: Option<u32> = None;
+    let mut place = None;
     let mut cursor = (ctx.mem.load_u64(ctx.core, head_off) as u32).checked_sub(1);
     while let Some(slab) = cursor {
         if slab >= len || visited.revisit(slab) {
             unlink_after(ctx, heap, head_off, prev, 0);
-            return;
+            return place;
         }
         ctx.mem
             .flush(ctx.core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
@@ -371,25 +423,25 @@ fn sanitize_list<M: PodMemory + ?Sized>(
             }
         }
         if keep {
+            if logged == Some(slab) {
+                place = Some(Place { head_off, prev });
+            }
             prev = Some(slab);
         } else {
             unlink_after(ctx, heap, head_off, prev, header.next);
         }
         cursor = header.next.checked_sub(1);
     }
+    place
 }
 
 /// Points the list at `head_off` past an unlinked node: rewrites the
-/// head (no kept predecessor) or the previous kept node's `next`.
+/// head (no kept predecessor) or the previous kept node's `next`, and
+/// makes a rewritten node durable.
 fn unlink_after<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, head_off: u64, prev: Option<u32>, next_raw: u32) {
-    match prev {
-        None => ctx.mem.store_u64(ctx.core, head_off, next_raw as u64),
-        Some(p) => {
-            let mut ph = heap.header(ctx, p);
-            ph.next = next_raw;
-            heap.set_header(ctx, p, ph);
-            heap.flush_desc(ctx, p);
-        }
+    heap.unlink_local(ctx, head_off, prev, next_raw);
+    if let Some(p) = prev {
+        heap.flush_desc(ctx, p);
     }
 }
 
@@ -408,17 +460,22 @@ fn refresh_slab_view<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, s
     ctx.mem.fence(ctx.core);
 }
 
+/// Redoes the slab-heap op the log names. `place` is where sanitize
+/// found the logged slab; every redo path reads it instead of walking
+/// the lists, and the redo's first list edit consumes it.
 fn recover_slab<M: PodMemory + ?Sized>(
     ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
     op: Op,
     entry: &crate::oplog::LogEntry,
+    place: Option<Place>,
     report: &mut RecoveryReport,
 ) {
     let hl = heap.hl(ctx.mem);
     let dcas = ctx.dcas();
     let slab = entry.word.a;
     let version = entry.word.c;
+    let on_unsized = place.is_some_and(|p| p.head_off == heap.unsized_head_off(ctx));
     match op {
         Op::Idle => {}
         Op::Extend => {
@@ -426,7 +483,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
                 // The CAS landed: slab `a` is ours and orphaned.
                 refresh_slab_view(ctx, heap, slab);
                 heap.map_upto(ctx, slab as u64 + 1);
-                park_orphan(ctx, heap, slab);
+                park_orphan(ctx, heap, slab, place);
                 report.outcome = "extend completed; slab parked on unsized list";
             } else {
                 report.outcome = "extend had not happened";
@@ -435,7 +492,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
         Op::PopGlobal => {
             if dcas.detect(ctx.core, hl.global_free, ctx.tid, version) {
                 refresh_slab_view(ctx, heap, slab);
-                park_orphan(ctx, heap, slab);
+                park_orphan(ctx, heap, slab, place);
                 report.outcome = "pop completed; slab parked on unsized list";
             } else {
                 report.outcome = "pop had not happened";
@@ -448,9 +505,9 @@ fn recover_slab<M: PodMemory + ?Sized>(
                 // any of our private lists (the pop precedes the CAS,
                 // but be defensive — and a stale sized-list link from a
                 // lost cached epoch may still be durable).
-                unlink_local_everywhere(ctx, heap, slab);
+                unlink_logged(ctx, heap, slab, place);
                 report.outcome = "push completed";
-            } else if heap.contains_local(ctx, heap.unsized_head_off(ctx), slab) {
+            } else if on_unsized {
                 // Crash before the pop: nothing happened.
                 report.outcome = "push had not happened";
             } else {
@@ -461,8 +518,12 @@ fn recover_slab<M: PodMemory + ?Sized>(
         }
         Op::InitSlab => {
             refresh_slab_view(ctx, heap, slab);
-            unlink_local_everywhere(ctx, heap, slab);
-            heap.init_slab_body(ctx, slab, entry.word.b);
+            // Still on the unsized list if the pop was lost, or on an
+            // old class's list (see `unlink_logged`).
+            unlink_logged(ctx, heap, slab, place);
+            let class = entry.word.b;
+            heap.init_slab_desc(ctx, slab, class);
+            heap.push_local(ctx, heap.sized_head_off(ctx, class), slab);
             heap.flush_desc(ctx, slab);
             report.outcome = "init redone";
         }
@@ -494,7 +555,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
             } else {
                 report.outcome = "allocation had not happened";
             }
-            normalize_slab(ctx, heap, slab, class);
+            normalize_slab(ctx, heap, slab, class, place);
         }
         Op::FreeLocal => {
             refresh_slab_view(ctx, heap, slab);
@@ -502,7 +563,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
             let bit = entry.word.c as u32;
             // Redo: the target state is "block free".
             heap.bits(ctx, slab, class).set(ctx.core, bit);
-            normalize_slab(ctx, heap, slab, class);
+            normalize_slab(ctx, heap, slab, class, place);
             report.outcome = "free redone";
         }
         Op::RemoteFree | Op::RemoteFreeLast => {
@@ -510,7 +571,7 @@ fn recover_slab<M: PodMemory + ?Sized>(
             if dcas.detect(ctx.core, cell, ctx.tid, version) {
                 if op == Op::RemoteFreeLast {
                     refresh_slab_view(ctx, heap, slab);
-                    if !heap.contains_local(ctx, heap.unsized_head_off(ctx), slab) {
+                    if !on_unsized {
                         heap.steal(ctx, slab);
                     }
                     heap.flush_desc(ctx, slab);
@@ -531,13 +592,14 @@ fn recover_slab<M: PodMemory + ?Sized>(
 
 /// Parks an orphaned, freshly acquired slab on the dead thread's unsized
 /// list (idempotent).
-fn park_orphan<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32) {
-    if heap.contains_local(ctx, heap.unsized_head_off(ctx), slab) {
+fn park_orphan<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32, place: Option<Place>) {
+    let unsized_off = heap.unsized_head_off(ctx);
+    if place.is_some_and(|p| p.head_off == unsized_off) {
         return;
     }
     // A reacquired slab may still carry a stale sized-list link from a
     // lost cached epoch of this same thread; clear it before parking.
-    unlink_local_everywhere(ctx, heap, slab);
+    unlink_logged(ctx, heap, slab, place);
     heap.set_header(ctx, slab, crate::cell::SwccHeader {
         next: 0,
         owner: ctx.tid.raw(),
@@ -545,60 +607,55 @@ fn park_orphan<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u
         flags: 0,
     });
     heap.set_free_count(ctx, slab, 0);
-    heap.push_local(ctx, heap.unsized_head_off(ctx), slab);
+    heap.push_local(ctx, unsized_off, slab);
     heap.flush_desc(ctx, slab);
 }
 
-/// Unlinks `slab` from every one of the dead thread's local lists —
-/// all sized lists plus the unsized list.
+/// Takes the logged `slab` off the one private list that keeps it, at
+/// the `place` sanitize recorded: one store, to its kept predecessor's
+/// header or to the head. `None` (no list keeps it) unlinks nothing.
 ///
-/// The logged class alone does not say which list the slab durably sits
-/// on: the dead thread's cached relinks are lost with its cache, so a
-/// slab that migrated classes (sized A → unsized → sized B) can still
-/// be on the *old* class's list in the durable image while the pending
-/// log entry names the new class. Only the dead thread's own lists can
-/// be stale like this — ownership transfers flush + fence — so a scan
-/// of its private heads is exhaustive.
-fn unlink_local_everywhere<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32) {
-    for class in 0..heap.classes.len() {
-        heap.remove_local(ctx, heap.sized_head_off(ctx, class as u8), slab);
+/// The logged class alone does not say which list that is: the dead
+/// thread's cached relinks are lost with its cache, so a slab that
+/// migrated classes (sized A → unsized → sized B) can still be on the
+/// *old* class's list in the durable image while the pending log entry
+/// names the new class. Only the dead thread's own lists can be stale
+/// like this — ownership transfers flush + fence — and sanitize walks
+/// every one of them.
+fn unlink_logged<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32, place: Option<Place>) {
+    if let Some(Place { head_off, prev }) = place {
+        let next_raw = heap.header(ctx, slab).next;
+        heap.unlink_local(ctx, head_off, prev, next_raw);
     }
-    heap.remove_local(ctx, heap.unsized_head_off(ctx), slab);
+    crash::point("recovery::redo::after_unlink");
 }
 
 /// Normalizes a slab after a block-level op: recompute the free count
 /// from the bitset (the durable ground truth) and place the slab on the
 /// list its state dictates (Figure 4).
-fn normalize_slab<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32, class: u8) {
+fn normalize_slab<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32, class: u8, place: Option<Place>) {
     let blocks = heap.classes.blocks_per_slab(class);
     let free = heap.bits(ctx, slab, class).count_set(ctx.core);
     heap.set_free_count(ctx, slab, free);
-    let unsized_off = heap.unsized_head_off(ctx);
+    unlink_logged(ctx, heap, slab, place);
     if free == 0 {
-        // Full: must be unlinked, then detached or disowned.
-        unlink_local_everywhere(ctx, heap, slab);
+        // Full: unlinked, then detached or disowned.
         heap.full_transition(ctx, slab, class);
-    } else if free == blocks {
-        // Empty: unsized.
-        unlink_local_everywhere(ctx, heap, slab);
-        let mut header = heap.header(ctx, slab);
-        header.class = 0;
-        header.flags = 0;
-        header.owner = ctx.tid.raw();
-        heap.set_header(ctx, slab, header);
-        heap.push_local(ctx, unsized_off, slab);
-        heap.flush_desc(ctx, slab);
-    } else {
-        // Non-full: on (only) the logged class's sized list.
-        unlink_local_everywhere(ctx, heap, slab);
-        let mut header = heap.header(ctx, slab);
-        header.class = class;
-        header.flags = crate::cell::flags::SIZED;
-        header.owner = ctx.tid.raw();
-        heap.set_header(ctx, slab, header);
-        heap.push_local(ctx, heap.sized_head_off(ctx, class), slab);
-        heap.flush_desc(ctx, slab);
+        return;
     }
+    // Empty: unsized. Non-full: on (only) the logged class's sized list.
+    let (head_off, class, flags) = if free == blocks {
+        (heap.unsized_head_off(ctx), 0, 0)
+    } else {
+        (heap.sized_head_off(ctx, class), class, crate::cell::flags::SIZED)
+    };
+    let mut header = heap.header(ctx, slab);
+    header.class = class;
+    header.flags = flags;
+    header.owner = ctx.tid.raw();
+    heap.set_header(ctx, slab, header);
+    heap.push_local(ctx, head_off, slab);
+    heap.flush_desc(ctx, slab);
 }
 
 /// Redoes an undelivered remote-free decrement of `width` blocks (the

@@ -227,9 +227,27 @@ impl SlabHeap {
         Some(slab)
     }
 
+    /// Unlinks a node from the private list at `head_off`, given its
+    /// predecessor there (`None`: the node is the head) and its raw
+    /// `next` link: one store, to the head or to `prev`'s header.
+    pub(crate) fn unlink_local<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64, prev: Option<u32>, next_raw: u32) {
+        match prev {
+            None => ctx.mem.store_u64(ctx.core, head_off, next_raw as u64),
+            Some(p) => {
+                let mut ph = self.header(ctx, p);
+                ph.next = next_raw;
+                self.set_header(ctx, p, ph);
+            }
+        }
+    }
+
     /// Removes `slab` from the private list at `head_off`; returns
-    /// whether it was present. Private lists are short, so this walk is
-    /// cheap; only the owning thread (or its recoverer) calls it.
+    /// whether it was present. It walks the list up to `slab`, which is
+    /// as long as the thread's non-full slabs of one class. Its one
+    /// caller is the owner's live empty-slab move in `free_local`.
+    /// Recovery does not call it: sanitize records where the logged
+    /// slab sits, and the redo unlinks it there with
+    /// [`SlabHeap::unlink_local`].
     pub(crate) fn remove_local<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, head_off: u64, slab: u32) -> bool {
         let mut prev: Option<u32> = None;
         let mut cursor = self.head_of(ctx, head_off);
@@ -242,14 +260,7 @@ impl SlabHeap {
             hops += 1;
             let header = self.header(ctx, cur);
             if cur == slab {
-                match prev {
-                    None => ctx.mem.store_u64(ctx.core, head_off, header.next as u64),
-                    Some(p) => {
-                        let mut ph = self.header(ctx, p);
-                        ph.next = header.next;
-                        self.set_header(ctx, p, ph);
-                    }
-                }
+                self.unlink_local(ctx, head_off, prev, header.next);
                 return true;
             }
             prev = Some(cur);
@@ -309,9 +320,22 @@ impl SlabHeap {
         ctx.log().clear_relaxed(ctx.core);
     }
 
-    /// The (idempotent) body of slab initialization; also called by
-    /// recovery to redo an interrupted init.
-    pub(crate) fn init_slab_body<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8) {
+    /// The body of slab initialization: the descriptor, then the link
+    /// into the sized list unless the slab is already on it. The guard
+    /// keeps the body idempotent; the caller acquires only for an empty
+    /// sized list, so it costs one head load.
+    fn init_slab_body<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8) {
+        self.init_slab_desc(ctx, slab, class);
+        if !self.contains_local(ctx, self.sized_head_off(ctx, class), slab) {
+            self.push_local(ctx, self.sized_head_off(ctx, class), slab);
+        }
+    }
+
+    /// Writes `slab`'s descriptor for `class` (header with a null
+    /// `next`, free count, full bitset) and resets its remote-free
+    /// counter. Idempotent; recovery's `InitSlab` redo calls it and
+    /// links the slab itself.
+    pub(crate) fn init_slab_desc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8) {
         let blocks = self.classes.blocks_per_slab(class);
         self.set_header(ctx, slab, SwccHeader {
             next: 0,
@@ -335,9 +359,6 @@ impl SlabHeap {
             }
             .pack(),
         );
-        if !self.contains_local(ctx, self.sized_head_off(ctx, class), slab) {
-            self.push_local(ctx, self.sized_head_off(ctx, class), slab);
-        }
     }
 
     /// Pops a slab from the global free list (paper §3.2.2's

@@ -47,11 +47,11 @@ pub const BATCHED: &[(u64, u64)] = &[
 /// Trace-stream fingerprint of the scripted crash/recovery schedule in
 /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42).
 #[allow(dead_code)]
-pub const TRACE_SCRIPTED: u64 = 0x7177aab6309cab61;
+pub const TRACE_SCRIPTED: u64 = 0x8350ebaa93adc473;
 
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
 /// cost determinism of the fabric layer, which schedule fingerprints
 /// (outcomes and offsets only) cannot see.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0x9169420578f1f129;
+pub const TRACE_CONGESTED: u64 = 0x24bde2cb8d3f85c3;

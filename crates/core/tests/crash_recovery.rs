@@ -411,12 +411,16 @@ fn crash_point_matrix_via_schedule_driver() {
     // recovers the victim cross-host, and ends with a full
     // invariant-checked drain. On the mCAS pod each cell must also
     // replay: two runs of the same (config, schedule) produce identical
-    // fingerprints.
+    // fingerprints. Recovery's own labels are never passed by a
+    // victim's churn; `crashed_recovery_is_rerun_exactly` fires them.
     use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
 
     for mode in [HwccMode::Limited, HwccMode::None] {
         let config = SimConfig { mode, ..SimConfig::default() };
         for (module, points) in crash::known_points() {
+            if module == "recovery" {
+                continue;
+            }
             for &at in points {
                 for skip in [0u32, 2] {
                     let schedule = Schedule {
@@ -457,11 +461,16 @@ fn crash_point_matrix_fires_for_every_label_at_skip_zero() {
     // Companion to the matrix above: at skip 0 the churn workload must
     // actually reach every label (otherwise the matrix silently tests
     // nothing). Remote-free labels need a second thread's blocks and
-    // are covered by `remote_free_crash_points_recover`.
+    // are covered by `remote_free_crash_points_recover`; recovery's
+    // labels need a recovery and are covered by
+    // `crashed_recovery_is_rerun_exactly`.
     use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
 
     let config = SimConfig::default();
     for (module, points) in crash::known_points() {
+        if module == "recovery" {
+            continue;
+        }
         for &at in points {
             if at.starts_with("slab::remote_free") {
                 continue;
@@ -557,4 +566,125 @@ fn large_heap_crash_points_recover() {
         heap.check_invariants(adopted.core())
             .unwrap_or_else(|e| panic!("invariants after {point}: {e}"));
     }
+}
+
+/// A recovery that crashes is run again, and is exact. The victim dies
+/// at a slab label; the first `Cxlalloc::recover` dies at each of
+/// recovery's own labels; the second runs through. The adopter then
+/// finds clean invariants, a census of exactly the blocks the victim
+/// held, and a heap that still serves every class. (Adoption through
+/// `try_adopt`'s ADOPTING state is not crashed here.)
+#[test]
+fn crashed_recovery_is_rerun_exactly() {
+    use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASS_SIZES};
+    use std::collections::BTreeSet;
+    const VICTIM_LABELS: [&str; 4] = [
+        "slab::alloc_block::after_clear",
+        "slab::free_local::after_set",
+        "slab::init::mid",
+        "slab::push_global::after_pop",
+    ];
+    // 64-byte blocks per 32 KiB small slab.
+    const PER_SLAB: usize = 512;
+    let mut fired = BTreeSet::new();
+    for mode in [None, Some(HwccMode::Limited)] {
+        for victim_at in VICTIM_LABELS {
+            for &recovery_at in cxl_core::recovery::CRASH_POINTS {
+                let cell = format!("{victim_at} then {recovery_at} ({mode:?})");
+                // Room for one (retained) slab per large class.
+                let config = PodConfig { small_max_slabs: 256, large_max_slabs: 32, ..PodConfig::small_for_tests() };
+                let pod = match mode {
+                    None => Pod::new(config).unwrap(),
+                    Some(mode) => Pod::with_simulation(config, mode).unwrap(),
+                };
+                // Every slab a thread gives up goes to the global list.
+                let options = AttachOptions { unsized_limit: 0, ..AttachOptions::default() };
+                let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
+                let survivor = heap.register_thread().unwrap();
+                let via = survivor.core();
+
+                // Two 64 B slabs: the first emptied (and retained), the
+                // second down to one block, `last`. Freeing `last`
+                // empties it and overflows the unsized list; allocating
+                // takes a block from it; a 256 B allocation initializes
+                // a fresh slab.
+                let (tid, mut held, last) = std::thread::scope(|s| {
+                    s.spawn(|| {
+                        let mut t = heap.register_thread().unwrap();
+                        let held: Vec<OffsetPtr> = [8, 128, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
+                        let mut filled: Vec<OffsetPtr> = (0..2 * PER_SLAB).map(|_| t.alloc(64).unwrap()).collect();
+                        let last = filled.pop().unwrap();
+                        for p in filled {
+                            t.dealloc(p).unwrap();
+                        }
+                        // Quiesce: the crashing op is then the only one
+                        // the victim's cache can take with it.
+                        t.flush_cache();
+                        crash::arm(CrashPlan { at: victim_at, skip: 0 });
+                        let crashed = crash::catch(std::panic::AssertUnwindSafe(|| match victim_at {
+                            "slab::alloc_block::after_clear" => drop(t.alloc_detectable(64, held[0])),
+                            "slab::init::mid" => drop(t.alloc(256)),
+                            _ => t.dealloc(last).unwrap(),
+                        }))
+                        .is_err();
+                        crash::disarm();
+                        assert!(crashed, "{cell}: the victim never crashed");
+                        (t.tid(), held, last)
+                    })
+                    .join()
+                    .unwrap()
+                });
+                // `last` is still held unless the crash was in its free.
+                // On `Limited` the free that crashed at `after_pop` had
+                // cleared its log with the freed bit still in the
+                // victim's cache, so the block reads allocated (the
+                // `crash_labels.rs` cell of the same name).
+                let freed = match victim_at {
+                    "slab::free_local::after_set" => true,
+                    "slab::push_global::after_pop" => mode.is_none(),
+                    _ => false,
+                };
+                if !freed {
+                    held.push(last);
+                }
+                heap.mark_crashed(tid).unwrap();
+
+                crash::arm(CrashPlan { at: recovery_at, skip: 0 });
+                let first = crash::catch(std::panic::AssertUnwindSafe(|| heap.recover(tid, via)));
+                crash::disarm();
+                // An idle log (the `after_pop` victim) ends recovery
+                // after sanitize, before any redo label.
+                let expect_crash =
+                    recovery_at == "recovery::after_sanitize" || victim_at != "slab::push_global::after_pop";
+                assert_eq!(first.is_err(), expect_crash, "{cell}");
+                if first.is_err() {
+                    fired.insert(recovery_at);
+                }
+                let report = heap.recover(tid, via).unwrap();
+                assert_eq!(report.lost_block, None, "{cell}");
+
+                heap.check_invariants(via)
+                    .unwrap_or_else(|e| panic!("{cell}: invariants: {e}"));
+                let mut expected: Vec<u64> = held.iter().map(|p| p.offset()).collect();
+                expected.sort_unstable();
+                assert_eq!(heap.census(via).unwrap().all_offsets(), expected, "{cell}");
+
+                let (mut adopted, _report) = heap.adopt(tid, via).unwrap();
+                for &size in SMALL_CLASS_SIZES.iter().chain(&LARGE_CLASS_SIZES) {
+                    let p = adopted.alloc(size as usize).unwrap();
+                    adopted.flush_cache();
+                    assert_eq!(heap.census(via).unwrap().total(), expected.len() + 1, "{cell}");
+                    adopted.dealloc(p).unwrap();
+                }
+                for p in held {
+                    adopted.dealloc(p).unwrap();
+                }
+                adopted.flush_cache();
+                heap.check_invariants(via).unwrap();
+                assert_eq!(heap.census(via).unwrap().total(), 0, "{cell}");
+            }
+        }
+    }
+    let all: BTreeSet<&str> = cxl_core::recovery::CRASH_POINTS.iter().copied().collect();
+    assert_eq!(fired, all);
 }

@@ -1,7 +1,9 @@
 //! `recovery::sanitize_list` edge cases: a dead thread's durable private
 //! lists are corrupted by hand — a cycle, a chain that strays into
 //! another class's list, a `next` past the heap length — and recovery
-//! must still hand back a heap that passes every check.
+//! must still hand back a heap that passes every check. The redo
+//! variants also write a durable log record naming a slab in one of
+//! those shapes, so the redo meets the repaired lists too.
 //!
 //! Live operation never writes these shapes; they stand for the
 //! mixed-epoch images a crash on a software-coherent pod can leave (a
@@ -9,10 +11,11 @@
 //! lost with the cache). A raw pod is used so the test can write the
 //! durable image directly.
 
-use cxl_core::cell::SwccHeader;
+use cxl_core::cell::{LogWord, SwccHeader};
 use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASSES_TABLE, SMALL_CLASS_SIZES};
-use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr, ThreadId};
-use cxl_pod::{CoreId, Pod, PodConfig};
+use cxl_core::oplog::OpLog;
+use cxl_core::{AttachOptions, Cxlalloc, HeapKind, Op, OffsetPtr, ThreadId};
+use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
 
 const CLASS_A_SIZE: usize = 64;
 const CLASS_B_SIZE: usize = 128;
@@ -28,7 +31,13 @@ struct Victim {
     a1: u32,
     a2: u32,
     b: u32,
+    /// The slabs the next 64 B allocation may come from after recovery.
+    reuse: Vec<u32>,
 }
+
+/// The ops whose redo places a slab on a list, each checked below on a
+/// slab in every corrupted shape.
+const REDO_OPS: [Op; 3] = [Op::FreeLocal, Op::AllocBlock, Op::InitSlab];
 
 impl Victim {
     fn new() -> Self {
@@ -69,6 +78,7 @@ impl Victim {
             a1,
             a2,
             b,
+            reuse: vec![a1, a2],
         };
         // The shape the corruptions below start from.
         assert_eq!(v.head(CLASS_A_SIZE), a1 + 1);
@@ -100,14 +110,79 @@ impl Victim {
         self.pod.memory().store_u64(CoreId(0), off, header.pack());
     }
 
+    /// Overwrites the 128 B list's durable head (raw: index + 1, 0 null).
+    fn set_head_b(&self, head: u32) {
+        let class = SMALL_CLASSES_TABLE.class_of(CLASS_B_SIZE).unwrap() as u32;
+        let off = self.pod.layout().small.local_sized_at(self.tid.slot(), class);
+        self.pod.memory().store_u64(CoreId(0), off, head as u64);
+    }
+
+    /// Marks every `size` block of `slab` free in its durable bitmap,
+    /// as the victim's lost epoch had left it (freed, or re-initialized
+    /// for `size`), and drops those blocks from the live set. A logged
+    /// op may then name the slab as any redo finds it: the free and the
+    /// allocation of its block 0 had not happened, and an init finds no
+    /// live block to overwrite.
+    fn empty(&mut self, slab: u32, size: usize) {
+        let hl = self.pod.layout().small.clone();
+        let blocks = SMALL_CLASSES_TABLE.blocks_per_slab(SMALL_CLASSES_TABLE.class_of(size).unwrap());
+        for word in 0..u64::from(blocks.div_ceil(64)) {
+            self.pod.memory().store_u64(CoreId(0), hl.bitset_at(slab) + 8 * word, u64::MAX);
+        }
+        self.live.retain(|p| hl.slab_of(p.offset()) != Some(slab));
+    }
+
+    /// Writes a durable log record, as if the victim died inside `op` on
+    /// block 0 of `slab`, for blocks of `size`, with no detect
+    /// destination. Callers empty `slab` first ([`Victim::empty`]), so
+    /// no redo touches a live block.
+    fn log(&self, op: Op, slab: u32, size: usize) {
+        let word = LogWord {
+            op: op.encode(HeapKind::Small),
+            a: slab,
+            b: SMALL_CLASSES_TABLE.class_of(size).unwrap(),
+            c: 0,
+        };
+        OpLog::new(self.pod.memory().as_ref(), self.tid.slot()).begin(CoreId(0), word, &[0]);
+    }
+
+    /// Slabs the victim owns that are neither full nor on one of its
+    /// small-heap lists: a redo that unlinked at the wrong place leaks
+    /// them, and neither the invariants nor the census can tell.
+    fn orphans(&self) -> Vec<u32> {
+        let hl = &self.pod.layout().small;
+        let load = |off: u64| self.pod.memory().load_u64(CoreId(0), off);
+        let slot = self.tid.slot();
+        let heads = std::iter::once(hl.local_unsized_at(slot))
+            .chain((0..hl.num_classes).map(|class| hl.local_sized_at(slot, class)));
+        let mut listed = std::collections::BTreeSet::new();
+        for head in heads {
+            let mut cursor = (load(head) as u32).checked_sub(1);
+            while let Some(slab) = cursor.filter(|&slab| listed.insert(slab)) {
+                cursor = self.header(slab).next.checked_sub(1);
+            }
+        }
+        (0..self.heap.stats().small_slabs)
+            .filter(|slab| {
+                let header = self.header(*slab);
+                let open = header.flags & cxl_core::cell::flags::SIZED == 0 || load(hl.free_count_at(*slab)) > 0;
+                header.owner == self.tid.raw() && open && !listed.contains(slab)
+            })
+            .collect()
+    }
+
     /// `mark_crashed` → `recover` → `adopt`, then every check the issue
     /// names: invariants, an exact census, and an adopted handle that
-    /// still allocates from every class.
+    /// still allocates from every class. The invariants and the orphan
+    /// check also run between `recover` and `adopt`, whose own recovery
+    /// pass would otherwise re-sanitize a list the redo left wrong.
     fn recover_and_check(self) {
         let survivor = self.heap.register_thread().unwrap();
         let via = survivor.core();
         self.heap.mark_crashed(self.tid).unwrap();
         self.heap.recover(self.tid, via).unwrap();
+        self.heap.check_invariants(via).unwrap();
+        assert_eq!(self.orphans(), Vec::<u32>::new(), "owned, open and on no list");
         let (mut adopted, _report) = self.heap.adopt(self.tid, via).unwrap();
         assert_eq!(adopted.tid(), self.tid);
 
@@ -116,11 +191,11 @@ impl Victim {
         expected.sort_unstable();
         assert_eq!(self.heap.census(via).unwrap().all_offsets(), expected);
 
-        // Both kept slabs are still reachable through the repaired list:
+        // The kept slabs are still reachable through the repaired list:
         // the next 64 B blocks come from them, not from a fresh slab.
         let reused = adopted.alloc(CLASS_A_SIZE).unwrap();
         let slab = self.pod.layout().small.slab_of(reused.offset()).unwrap();
-        assert!(slab == self.a1 || slab == self.a2, "64 B block came from slab {slab}");
+        assert!(self.reuse.contains(&slab), "64 B block came from slab {slab}");
         adopted.dealloc(reused).unwrap();
 
         for &size in SMALL_CLASS_SIZES.iter().chain(&LARGE_CLASS_SIZES) {
@@ -188,4 +263,140 @@ fn stray_slab_is_dropped_from_the_wrong_list_and_kept_on_its_own() {
     assert_eq!(v.head(CLASS_B_SIZE), v.b + 1, "128 B list kept its slab");
     assert_eq!(v.header(v.b).next, 0);
     v.heap.check_invariants(survivor.core()).unwrap();
+}
+
+#[test]
+fn redo_of_a_stray_slab_finds_it_on_its_own_list() {
+    // `b` is reached (and dropped) as a stray of the 64 B list, and kept
+    // as the head of its own list: the redo unlinks it there.
+    for op in REDO_OPS {
+        let mut v = Victim::new();
+        v.set_next(v.a2, v.b + 1);
+        v.empty(v.b, CLASS_B_SIZE);
+        v.log(op, v.b, CLASS_B_SIZE);
+        v.recover_and_check();
+    }
+}
+
+#[test]
+fn redo_of_the_slab_behind_a_cut_cycle() {
+    // a1 → a2 → a1 → …: the cut rewrites a2's `next` to null, and a2
+    // keeps a1 as its predecessor, which the redo's unlink rewrites.
+    for op in REDO_OPS {
+        let mut v = Victim::new();
+        v.set_next(v.a2, v.a1 + 1);
+        v.empty(v.a2, CLASS_A_SIZE);
+        v.log(op, v.a2, CLASS_A_SIZE);
+        v.recover_and_check();
+    }
+}
+
+#[test]
+fn redo_of_a_slab_on_no_list() {
+    // The 128 B head was lost: `b` is owned and sized but on no list,
+    // so the redo unlinks nothing and links it afresh.
+    for op in REDO_OPS {
+        let mut v = Victim::new();
+        v.set_head_b(0);
+        v.empty(v.b, CLASS_B_SIZE);
+        v.log(op, v.b, CLASS_B_SIZE);
+        v.recover_and_check();
+    }
+}
+
+#[test]
+fn redo_for_a_new_class_unlinks_the_slab_from_its_stale_class_list() {
+    // The migration case: the victim moved `b` from 128 B to 64 B in
+    // its cache and died inside an op on it, so the durable image keeps
+    // `b` on the 128 B list with a 128 B header while the log names
+    // 64 B. The re-initialized bitmap was evicted before the header.
+    for op in REDO_OPS {
+        let mut v = Victim::new();
+        v.empty(v.b, CLASS_A_SIZE);
+        v.log(op, v.b, CLASS_A_SIZE);
+        if op == Op::InitSlab {
+            // The init leaves `b` at the head of the 64 B list.
+            v.reuse.push(v.b);
+        }
+        v.recover_and_check();
+    }
+}
+
+/// Cache traffic of one recovery, as `[loads, stores, cached_hits,
+/// line_fills, writebacks, flushes]`, of a victim on a `Limited` pod
+/// whose 64 B list holds `slabs` non-full slabs. With `logged` the
+/// victim died inside a `FreeLocal` on the tail slab; otherwise its log
+/// is idle. The counts are summed over cores, and only the recovering
+/// core runs in between.
+fn recovery_traffic(slabs: usize, logged: bool) -> [u64; 6] {
+    let pod = Pod::with_simulation(
+        PodConfig {
+            small_max_slabs: 64,
+            ..PodConfig::small_for_tests()
+        },
+        HwccMode::Limited,
+    )
+    .unwrap();
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let mut t = heap.register_thread().unwrap();
+    let (tid, core) = (t.tid(), t.core());
+    let class = SMALL_CLASSES_TABLE.class_of(CLASS_A_SIZE).unwrap();
+    let per_slab = SMALL_CLASSES_TABLE.blocks_per_slab(class) as usize;
+    // Fill the slabs (each detaches full), then free block 0 of each in
+    // fill order: each relinks at the head, so the first is the tail.
+    let blocks: Vec<OffsetPtr> = (0..slabs * per_slab).map(|_| t.alloc(CLASS_A_SIZE).unwrap()).collect();
+    for s in 0..slabs {
+        t.dealloc(blocks[s * per_slab]).unwrap();
+    }
+    t.flush_cache();
+    drop(t);
+    let hl = &pod.layout().small;
+    let tail = hl.slab_of(blocks[0].offset()).unwrap();
+    let head_off = hl.local_sized_at(tid.slot(), class as u32);
+    let head = hl.slab_of(blocks[(slabs - 1) * per_slab].offset()).unwrap();
+    assert_eq!(pod.memory().load_u64(core, head_off), (head + 1) as u64);
+    if logged {
+        // Block 0 is already free: the redo's set is a no-op and the
+        // normalization moves the tail slab to the head.
+        let word = LogWord {
+            op: Op::FreeLocal.encode(HeapKind::Small),
+            a: tail,
+            b: class,
+            c: 0,
+        };
+        OpLog::new(pod.memory().as_ref(), tid.slot()).begin(core, word, &[]);
+    }
+    heap.mark_crashed(tid).unwrap();
+
+    let sim = pod.memory().as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
+    let before = sim.cache().counts();
+    heap.recover(tid, survivor.core()).unwrap();
+    let after = sim.cache().counts();
+    heap.check_invariants(survivor.core()).unwrap();
+    if logged {
+        assert_eq!(pod.memory().load_u64(survivor.core(), head_off), (tail + 1) as u64);
+    }
+    [
+        after.loads - before.loads,
+        after.stores - before.stores,
+        after.cached_hits - before.cached_hits,
+        after.line_fills - before.line_fills,
+        after.writebacks - before.writebacks,
+        after.flushes - before.flushes,
+    ]
+}
+
+#[test]
+fn redo_cost_does_not_grow_with_the_list() {
+    // Subtracting the idle-log recovery of the same victim cancels the
+    // sanitize walk, which grows with the list; what is left is the
+    // redo, which finds the tail slab where sanitize recorded it.
+    let redo = |slabs| {
+        let (logged, idle) = (recovery_traffic(slabs, true), recovery_traffic(slabs, false));
+        std::array::from_fn::<i64, 6, _>(|i| logged[i] as i64 - idle[i] as i64)
+    };
+    let (short, long) = (redo(4), redo(32));
+    assert!(short[0] > 0, "the redo loads something: {short:?}");
+    assert_eq!(short, long, "[loads, stores, hits, fills, writebacks, flushes]");
 }
