@@ -3,22 +3,24 @@
 //!
 //! The coordinator creates the shared pod file, spawns N real OS
 //! worker processes, drives them through the ring control plane, and —
-//! mid-run — throws the full scheduler repertoire at them on seeded
-//! schedules:
+//! mid-run — throws the full scheduler repertoire at them. Each
+//! [`Chaos`] kind is one signal, injected either from one seeded timed
+//! schedule (`timed_chaos`) or op-exact by the victim itself
+//! (`--self-kill/--self-drain/--self-stall INDEX:OPS`):
 //!
-//! - **`kill -9`** (timed `--kills` or op-exact `--self-kill`): the
-//!   victim vanishes mid-traffic; a replacement detects the death by
-//!   lease expiry and adopts the crashed thread slot.
-//! - **SIGTERM drains** (timed `--drains`, rolling `--rolling N:PERIOD`,
-//!   or op-exact `--self-drain`): the victim finishes its in-flight op,
-//!   executes queued forwarded frees, flushes every buffer, freezes its
-//!   lease, and exits [`exit::DRAINED`]; the coordinator spawns a
-//!   *fresh* replacement — no adoption, no recovery.
-//! - **SIGSTOP stalls** (timed `--stalls` or op-exact `--self-stall`):
-//!   the victim simply stops scheduling. The coordinator's watchdog
-//!   notices the frozen lease counter, probes with SIGCONT (revival),
-//!   and — if the worker stays wedged past the probe ladder — escalates
-//!   to SIGKILL and lets the adoption machinery take over.
+//! - **`kill -9`** (`--kills`): the victim vanishes mid-traffic; a
+//!   replacement detects the death by lease expiry and adopts the
+//!   crashed thread slot.
+//! - **SIGTERM drains** (`--drains`, rolling `--rolling N:PERIOD`): the
+//!   victim finishes its in-flight op, executes queued forwarded frees,
+//!   flushes every buffer, freezes its lease, and exits
+//!   [`exit::DRAINED`]; the coordinator spawns a *fresh* replacement —
+//!   no adoption, no recovery.
+//! - **SIGSTOP stalls** (`--stalls`): the victim simply stops
+//!   scheduling. The coordinator's watchdog notices the frozen lease
+//!   counter, probes with SIGCONT (revival), and — if the worker stays
+//!   wedged past the probe ladder — escalates to SIGKILL and lets the
+//!   adoption machinery take over.
 //!
 //! When traffic stops and every child is reaped, the heap is quiescent
 //! by construction, and the coordinator runs the zero-lost-blocks
@@ -30,7 +32,6 @@
 
 #![cfg(unix)]
 
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -42,6 +43,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::rpc::{self, run_state, state, status, ControlPlane, Msg, HIST_BUCKETS};
 use crate::worker::{exit, WorkerArgs};
+use crate::{send_signal, Chaos};
 
 /// A pod config sized for serving runs: plenty of small/large slabs,
 /// a token huge heap (the serve workload never allocates huge).
@@ -93,14 +95,11 @@ pub struct RunArgs {
     /// Rolling restart: `N` SIGTERM drains, one every `PERIOD` seconds,
     /// round-robin over the slots (time mode only).
     pub rolling: Option<(u32, f64)>,
-    /// Deterministic self-kills: `(worker index, after ops)`.
-    pub self_kills: Vec<(u32, u64)>,
-    /// Deterministic self-drains: the worker raises SIGTERM on itself
-    /// at the exact op count, so the drain is replayable.
-    pub self_drains: Vec<(u32, u64)>,
-    /// Deterministic self-stalls: the worker SIGSTOPs itself at the
-    /// exact op count and waits for the watchdog's SIGCONT.
-    pub self_stalls: Vec<(u32, u64)>,
+    /// Op-exact chaos, in flag order: `(kind, worker index, after ops)`.
+    /// The worker raises the kind's signal on itself at the exact op
+    /// count, so the event is replayable. Each fresh spawn of a slot
+    /// arms the slot's next event of each kind.
+    pub self_events: Vec<(Chaos, u32, u64)>,
     /// Watchdog: milliseconds of lease-counter silence before a RUNNING
     /// worker counts as stalled.
     pub stall_ms: u64,
@@ -149,9 +148,7 @@ impl Default for RunArgs {
             drains: 0,
             stalls: 0,
             rolling: None,
-            self_kills: Vec::new(),
-            self_drains: Vec::new(),
-            self_stalls: Vec::new(),
+            self_events: Vec::new(),
             stall_ms: 2000,
             probe_grace_ms: 500,
             max_probes: 3,
@@ -197,9 +194,14 @@ impl RunArgs {
                         .ok_or_else(|| format!("--rolling wants N:PERIOD, got {v:?}"))?;
                     out.rolling = Some((num(flag, n)?, num(flag, period)?));
                 }
-                "--self-kill" => out.self_kills.push(pair(flag, &val()?)?),
-                "--self-drain" => out.self_drains.push(pair(flag, &val()?)?),
-                "--self-stall" => out.self_stalls.push(pair(flag, &val()?)?),
+                "--self-kill" | "--self-drain" | "--self-stall" => {
+                    let v = val()?;
+                    let (idx, ops) = v
+                        .split_once(':')
+                        .ok_or_else(|| format!("{flag} wants INDEX:OPS, got {v:?}"))?;
+                    let kind = flag["--self-".len()..].parse()?;
+                    out.self_events.push((kind, num(flag, idx)?, num(flag, ops)?));
+                }
                 "--stall-ms" => out.stall_ms = num(flag, &val()?)?,
                 "--probe-grace-ms" => out.probe_grace_ms = num(flag, &val()?)?,
                 "--max-probes" => out.max_probes = num(flag, &val()?)?,
@@ -253,21 +255,19 @@ impl RunArgs {
                 return Err("--shared-skew must be in (0, 1)".into());
             }
         }
-        for (name, events) in [
-            ("--self-kill", &self.self_kills),
-            ("--self-drain", &self.self_drains),
-            ("--self-stall", &self.self_stalls),
-        ] {
-            if let Some((i, _)) = events.iter().find(|(i, _)| *i >= self.workers) {
-                return Err(format!("{name} index {i} >= --workers {}", self.workers));
-            }
+        if let Some((kind, i, _)) = self.self_events.iter().find(|(_, i, _)| *i >= self.workers) {
+            return Err(format!(
+                "--self-{} index {i} >= --workers {}",
+                kind.name(),
+                self.workers
+            ));
         }
         // Every drain permanently freezes a thread slot and its fresh
         // replacement registers a new one; budget against max_threads
         // (plus the audit's own registration and one slot of slack).
         let planned_drains = self.drains as u64
             + self.rolling.map_or(0, |(n, _)| n as u64)
-            + self.self_drains.len() as u64;
+            + self.self_events.iter().filter(|(k, ..)| *k == Chaos::Drain).count() as u64;
         if self.workers as u64 + planned_drains + 2 > self.config.max_threads as u64 {
             return Err(format!(
                 "{} workers + {planned_drains} drains (+2 audit slots) exceed \
@@ -283,18 +283,40 @@ fn num<T: std::str::FromStr>(flag: &str, s: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("{flag}: bad value {s:?}"))
 }
 
-fn pair(flag: &str, s: &str) -> Result<(u32, u64), String> {
-    let (idx, ops) = s
-        .split_once(':')
-        .ok_or_else(|| format!("{flag} wants INDEX:OPS, got {s:?}"))?;
-    Ok((num(flag, idx)?, num(flag, ops)?))
-}
-
 /// The seed a given incarnation of a worker slot streams ops from.
 /// Exposed so crash-audit tests can replay the exact op sequence.
 pub fn incarnation_seed(base: u64, index: u32, incarnation: u32) -> u64 {
     base ^ (index as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15)
         ^ ((incarnation as u64) << 48)
+}
+
+/// The timed chaos schedule of a time-mode run: every `(at, kind,
+/// victim)` event, in firing order. Each kind streams from its own
+/// tagged seed inside its own window `secs × [start, start + width)`, so
+/// adding events of one kind never moves another's; `--rolling N:PERIOD`
+/// adds drains at `period × (i + 1)`, round-robin over the slots.
+fn timed_chaos(args: &RunArgs) -> Vec<(Duration, Chaos, u32)> {
+    let mut events = Vec::new();
+    for (kind, count, tag, start, width) in [
+        (Chaos::Kill, args.kills, 0x6b69_6c6c, 0.25, 0.4),     // "kill"
+        (Chaos::Drain, args.drains, 0x64_7261_696e, 0.20, 0.45), // "drain"
+        (Chaos::Stall, args.stalls, 0x73_7461_6c6c, 0.15, 0.5),  // "stall"
+    ] {
+        let mut rng = StdRng::seed_from_u64(args.seed ^ tag);
+        for _ in 0..count {
+            let at = args.secs * (start + width * rng.gen::<f64>());
+            events.push((Duration::from_secs_f64(at), kind, rng.gen_range(0..args.workers)));
+        }
+    }
+    if let Some((n, period)) = args.rolling {
+        for i in 0..n {
+            let at = Duration::from_secs_f64(period * (i + 1) as f64);
+            events.push((at, Chaos::Drain, i % args.workers));
+        }
+    }
+    // Stable: same-instant events keep their per-kind order.
+    events.sort_by_key(|&(at, ..)| at);
+    events
 }
 
 /// Per-worker results in the final report.
@@ -648,56 +670,38 @@ impl Drop for Fleet {
     }
 }
 
-/// Per-slot queues of op-exact chaos events, armed one of each kind per
-/// *fresh* spawn (initial worker or post-drain replacement). Adoption
-/// replacements never arm events: an adopter continues a crashed
-/// incarnation, it doesn't open a new chapter of the schedule.
-struct SelfEvents {
-    kills: Vec<VecDeque<u64>>,
-    drains: Vec<VecDeque<u64>>,
-    stalls: Vec<VecDeque<u64>>,
-}
+/// Per-slot queues of op-exact chaos events in flag order, armed one of
+/// each kind per *fresh* spawn (initial worker or post-drain
+/// replacement). Adoption replacements never arm events: an adopter
+/// continues a crashed incarnation, it doesn't open a new chapter of
+/// the schedule.
+struct SelfEvents(Vec<Vec<(Chaos, u64)>>);
 
 impl SelfEvents {
     fn new(args: &RunArgs) -> SelfEvents {
-        let queue = |events: &[(u32, u64)]| {
-            let mut q = vec![VecDeque::new(); args.workers as usize];
-            for &(index, ops) in events {
-                q[index as usize].push_back(ops);
-            }
-            q
-        };
-        SelfEvents {
-            kills: queue(&args.self_kills),
-            drains: queue(&args.self_drains),
-            stalls: queue(&args.self_stalls),
+        let mut queues = vec![Vec::new(); args.workers as usize];
+        for &(kind, index, ops) in &args.self_events {
+            queues[index as usize].push((kind, ops));
         }
+        SelfEvents(queues)
     }
 
-    fn arm(&mut self, index: u32) -> (Option<u64>, Option<u64>, Option<u64>) {
-        let i = index as usize;
-        (
-            self.kills[i].pop_front(),
-            self.drains[i].pop_front(),
-            self.stalls[i].pop_front(),
-        )
+    /// Takes the slot's next event of each kind, sorted by op count.
+    fn arm(&mut self, index: u32) -> Vec<(u64, Chaos)> {
+        let queue = &mut self.0[index as usize];
+        let mut armed: Vec<(u64, Chaos)> = Chaos::ALL
+            .into_iter()
+            .filter_map(|kind| {
+                let at = queue.iter().position(|(k, _)| *k == kind)?;
+                Some((queue.remove(at).1, kind))
+            })
+            .collect();
+        armed.sort_unstable();
+        armed
     }
 }
 
-const SIGTERM: i32 = 15;
 const SIGCONT: i32 = 18;
-const SIGSTOP: i32 = 19;
-
-/// Sends a raw signal to a child pid (`Child::kill` only speaks
-/// SIGKILL).
-fn send_signal(pid: u32, sig: i32) {
-    extern "C" {
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe {
-        kill(pid as i32, sig);
-    }
-}
 
 /// Whether a slot is a healthy chaos target: started, not
 /// mid-adoption, its worker past Start and not draining (state
@@ -896,50 +900,7 @@ fn drive_slots(
     let mut stolen: Vec<u16> = Vec::new();
     let mut kills = 0u32;
     let mut watchdog = Watchdog::new(args);
-
-    // Seeded chaos schedules (time mode). Each family streams from its
-    // own tagged seed so adding drains never perturbs the kill times.
-    let mut kill_sched: Vec<(Duration, u32)> = {
-        let mut rng = StdRng::seed_from_u64(args.seed ^ 0x6b69_6c6c); // "kill"
-        let mut v: Vec<_> = (0..args.kills)
-            .map(|_| {
-                let at = args.secs * (0.25 + 0.4 * rng.gen::<f64>());
-                (Duration::from_secs_f64(at), rng.gen_range(0..args.workers))
-            })
-            .collect();
-        v.sort_by_key(|(at, _)| *at);
-        v
-    };
-    let mut drain_sched: Vec<(Duration, u32)> = {
-        let mut rng = StdRng::seed_from_u64(args.seed ^ 0x64_7261_696e); // "drain"
-        let mut v: Vec<_> = (0..args.drains)
-            .map(|_| {
-                let at = args.secs * (0.20 + 0.45 * rng.gen::<f64>());
-                (Duration::from_secs_f64(at), rng.gen_range(0..args.workers))
-            })
-            .collect();
-        if let Some((n, period)) = args.rolling {
-            for i in 0..n {
-                v.push((
-                    Duration::from_secs_f64(period * (i + 1) as f64),
-                    i % args.workers,
-                ));
-            }
-        }
-        v.sort_by_key(|(at, _)| *at);
-        v
-    };
-    let mut stall_sched: Vec<(Duration, u32)> = {
-        let mut rng = StdRng::seed_from_u64(args.seed ^ 0x73_7461_6c6c); // "stall"
-        let mut v: Vec<_> = (0..args.stalls)
-            .map(|_| {
-                let at = args.secs * (0.15 + 0.5 * rng.gen::<f64>());
-                (Duration::from_secs_f64(at), rng.gen_range(0..args.workers))
-            })
-            .collect();
-        v.sort_by_key(|(at, _)| *at);
-        v
-    };
+    let mut schedule = timed_chaos(args);
 
     // Phase 1: wait for every initial Hello, then start traffic.
     let setup_deadline = Instant::now() + Duration::from_secs(60);
@@ -965,48 +926,28 @@ fn drive_slots(
         pump(plane, slots, &mut adoptions, &mut drains, &mut stolen, args)?;
         kills += reap_and_replace(args, pod, slots, &mut adoptions, &mut events)?;
         watchdog.tick(pod, plane, slots, &mut stalls);
-        while let Some(&(at, victim)) = kill_sched.first() {
-            if traffic_start.elapsed() < at {
-                break;
+        // The injector. A due event whose slot is mid-replacement waits,
+        // and holds back the later events of its kind. A stall is never
+        // CONTed here: the watchdog's probe is the only revival path, so
+        // every episode exercises it.
+        let now = traffic_start.elapsed();
+        let mut held: Vec<Chaos> = Vec::new();
+        schedule.retain(|&(at, kind, victim)| {
+            if at > now || held.contains(&kind) {
+                return true;
             }
             let slot = &mut slots[victim as usize];
-            if healthy(plane, victim, slot) {
-                let mut child = slot.child.take().unwrap();
-                let _ = child.kill(); // SIGKILL on unix
-                let _ = child.wait();
-                slot.child = Some(child); // reap_and_replace sees the corpse
-                kill_sched.remove(0);
-            } else {
-                // Slot is mid-replacement; retry this kill shortly.
-                break;
+            if !healthy(plane, victim, slot) {
+                held.push(kind);
+                return true;
             }
-        }
-        while let Some(&(at, victim)) = drain_sched.first() {
-            if traffic_start.elapsed() < at {
-                break;
+            let child = slot.child.as_mut().expect("a healthy slot has a child");
+            send_signal(child.id(), kind.signal());
+            if kind == Chaos::Kill {
+                let _ = child.wait(); // reap_and_replace sees the corpse
             }
-            let slot = &mut slots[victim as usize];
-            if healthy(plane, victim, slot) {
-                send_signal(slot.child.as_ref().unwrap().id(), SIGTERM);
-                drain_sched.remove(0);
-            } else {
-                break;
-            }
-        }
-        while let Some(&(at, victim)) = stall_sched.first() {
-            if traffic_start.elapsed() < at {
-                break;
-            }
-            let slot = &mut slots[victim as usize];
-            if healthy(plane, victim, slot) {
-                // The injector never CONTs: the watchdog's probe is the
-                // only revival path, so every episode exercises it.
-                send_signal(slot.child.as_ref().unwrap().id(), SIGSTOP);
-                stall_sched.remove(0);
-            } else {
-                break;
-            }
-        }
+            false
+        });
         if args.soak && soak_log.elapsed() >= Duration::from_secs(5) {
             let ops: u64 =
                 (0..args.workers).map(|i| plane.worker(i).status(status::OPS)).sum();
@@ -1066,7 +1007,7 @@ fn drive_slots(
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    // Drain any Finished/Drained events that raced the final reap.
+    // Drain any Exited events that raced the final reap.
     pump(plane, slots, &mut adoptions, &mut drains, &mut stolen, args)?;
 
     // Phase 4: the heap is quiescent — audit it.
@@ -1187,7 +1128,7 @@ fn pump(
                         rec.losers += 1;
                     }
                 }
-                Msg::Drained { ops, live, .. } => {
+                Msg::Exited { drained: true, ops, live } => {
                     // pump() always runs before reap_and_replace() in
                     // the same pass, so `slot.tid` is still the
                     // draining incarnation's — its replacement can't
@@ -1199,9 +1140,8 @@ fn pump(
                         live,
                     });
                 }
-                Msg::Finished { .. } => slot.finished = true,
+                Msg::Exited { drained: false, .. } => slot.finished = true,
                 Msg::Stolen { tid } => stolen.push(tid),
-                Msg::Progress { .. } => {}
                 other => return Err(format!("unexpected event {other:?}")),
             }
         }
@@ -1229,7 +1169,7 @@ fn reap_and_replace(
         let Some(child) = slot.child.as_mut() else { continue };
         let Ok(Some(exit_status)) = child.try_wait() else { continue };
         if exit_status.success() {
-            continue; // clean exit (its Finished event may still be in flight)
+            continue; // clean exit (its Exited event may still be in flight)
         }
         if !slot.started || slot.adopting.is_some() {
             continue; // not a traffic-phase death we can attribute yet
@@ -1291,11 +1231,6 @@ fn spawn_worker(
     adopt: Option<u16>,
     events: &mut SelfEvents,
 ) -> Result<Child, String> {
-    let (kill_after_ops, drain_after_ops, stall_after_ops) = if adopt.is_none() {
-        events.arm(index)
-    } else {
-        (None, None, None) // adopters never re-arm the deterministic schedule
-    };
     let worker_args = WorkerArgs {
         file: args.file.clone(),
         config: args.config.clone(),
@@ -1303,9 +1238,8 @@ fn spawn_worker(
         ledger_cap: args.ledger_cap,
         index,
         adopt,
-        kill_after_ops,
-        drain_after_ops,
-        stall_after_ops,
+        // Adopters never re-arm the deterministic schedule.
+        chaos: if adopt.is_none() { events.arm(index) } else { Vec::new() },
         shared_pct: args.shared_pct,
         remote_batch: args.remote_batch,
         shared_skew: args.shared_skew,
@@ -1461,7 +1395,7 @@ mod tests {
         .unwrap();
         assert_eq!(args.workers, 2);
         assert_eq!(args.target_ops, 500);
-        assert_eq!(args.self_kills, vec![(0, 250)]);
+        assert_eq!(args.self_events, vec![(Chaos::Kill, 0, 250)]);
         assert!(RunArgs::parse(&["--workers".into(), "0".into()]).is_err());
         assert!(
             RunArgs::parse(&["--kills".into(), "1".into(), "--ops".into(), "5".into()])
@@ -1550,19 +1484,75 @@ mod tests {
 
     #[test]
     fn self_events_arm_per_fresh_spawn_in_flag_order() {
+        let flags = "--workers 3 --self-kill 0:100 --self-drain 1:50 --self-drain 1:75 \
+                     --self-stall 2:900 --self-kill 2:600 --self-drain 2:300";
+        let argv: Vec<String> = flags.split_whitespace().map(String::from).collect();
+        let args = RunArgs::parse(&argv).unwrap();
+        let mut events = SelfEvents::new(&args);
+        assert_eq!(events.arm(0), vec![(100, Chaos::Kill)]);
+        assert_eq!(events.arm(0), vec![]);
+        assert_eq!(events.arm(1), vec![(50, Chaos::Drain)]);
+        // The drained slot's *next* fresh spawn arms the next drain.
+        assert_eq!(events.arm(1), vec![(75, Chaos::Drain)]);
+        assert_eq!(events.arm(1), vec![]);
+        // One fresh spawn arms one event of each kind, sorted by op.
+        assert_eq!(
+            events.arm(2),
+            vec![(300, Chaos::Drain), (600, Chaos::Kill), (900, Chaos::Stall)]
+        );
+        assert_eq!(events.arm(2), vec![]);
+    }
+
+    #[test]
+    fn timed_chaos_is_seeded_per_kind() {
         let args = RunArgs {
-            workers: 2,
-            self_kills: vec![(0, 100)],
-            self_drains: vec![(1, 50), (1, 75)],
+            workers: 4,
+            secs: 20.0,
+            kills: 5,
+            drains: 3,
+            stalls: 4,
+            seed: 99,
             ..RunArgs::default()
         };
-        let mut events = SelfEvents::new(&args);
-        assert_eq!(events.arm(0), (Some(100), None, None));
-        assert_eq!(events.arm(0), (None, None, None));
-        assert_eq!(events.arm(1), (None, Some(50), None));
-        // The drained slot's *next* fresh spawn arms the next drain.
-        assert_eq!(events.arm(1), (None, Some(75), None));
-        assert_eq!(events.arm(1), (None, None, None));
+        let schedule = timed_chaos(&args);
+        assert_eq!(schedule, timed_chaos(&args), "same args, same schedule");
+        assert_eq!(schedule.len(), 12);
+        assert!(schedule.windows(2).all(|w| w[0].0 <= w[1].0), "firing order");
+        for &(at, kind, victim) in &schedule {
+            let (start, width) = match kind {
+                Chaos::Kill => (0.25, 0.4),
+                Chaos::Drain => (0.20, 0.45),
+                Chaos::Stall => (0.15, 0.5),
+            };
+            let s = at.as_secs_f64();
+            assert!(
+                s >= args.secs * start && s < args.secs * (start + width),
+                "{kind:?} at {s}s outside its window"
+            );
+            assert!(victim < args.workers);
+        }
+
+        // More drains, or a rolling restart, never move a kill.
+        let kills = |a: &RunArgs| -> Vec<(Duration, u32)> {
+            timed_chaos(a)
+                .into_iter()
+                .filter(|(_, k, _)| *k == Chaos::Kill)
+                .map(|(at, _, v)| (at, v))
+                .collect()
+        };
+        let more = RunArgs { drains: 9, rolling: Some((3, 1.5)), ..args.clone() };
+        assert_eq!(kills(&args), kills(&more));
+        assert_eq!(kills(&args).len(), 5);
+
+        // Rolling drains land at period × (i + 1), round-robin.
+        let rolling = RunArgs { rolling: Some((6, 1.5)), ..RunArgs::default() };
+        let expect: Vec<_> = (0..6u32)
+            .map(|i| {
+                let at = Duration::from_secs_f64(1.5 * (i + 1) as f64);
+                (at, Chaos::Drain, i % rolling.workers)
+            })
+            .collect();
+        assert_eq!(timed_chaos(&rolling), expect);
     }
 
     fn report_fixture() -> RunReport {

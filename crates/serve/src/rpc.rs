@@ -33,6 +33,12 @@
 //! retiring its redo log. After any crash, "block allocated" and
 //! "ledger names it" can disagree for at most the one in-flight free,
 //! which adoption reconciles via [`cxl_core::audit::block_state`].
+//!
+//! The cmd ring carries [`Msg::Start`] and [`Msg::Stop`]; the evt ring
+//! carries [`Msg::Hello`], [`Msg::AdoptReport`], [`Msg::Stolen`] and one
+//! [`Msg::Exited`] per incarnation, whether it stopped or drained; the
+//! forward rings carry [`Msg::FreeBlock`]. Chaos never travels over the
+//! rings: a drain is triggered by SIGTERM only.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -64,7 +70,7 @@ pub mod state {
     pub const INIT: u64 = 0;
     /// Serving traffic.
     pub const RUNNING: u64 = 1;
-    /// Exited cleanly after `Finished`.
+    /// Stopped or reached its op target; exiting cleanly.
     pub const DONE: u64 = 2;
     /// Draining (or drained): the worker stopped taking ops and is
     /// flushing its buffers toward a frozen-lease exit. Published at
@@ -363,46 +369,23 @@ pub enum Msg {
     },
     /// Coordinator: stop serving and exit cleanly.
     Stop,
-    /// Worker: periodic progress.
-    Progress {
-        /// Ops completed so far.
+    /// Worker: exit summary, sent once buffers are flushed and the lease
+    /// is frozen. `drained` marks a SIGTERM drain, after which a
+    /// *re-registering* replacement (not an adopter) takes over the
+    /// slot's traffic share; otherwise the worker stopped or reached
+    /// its op target.
+    Exited {
+        /// Whether the exit was a drain.
+        drained: bool,
+        /// Ops completed by this incarnation.
         ops: u64,
-        /// Live blocks in this worker's ledger.
-        live: u64,
-    },
-    /// Worker: clean exit summary.
-    Finished {
-        /// Ops completed.
-        ops: u64,
-        /// Blocks allocated.
-        allocs: u64,
-        /// Blocks freed.
-        frees: u64,
-        /// Live blocks at exit.
+        /// Live blocks left in the ledger.
         live: u64,
     },
     /// Worker: a heartbeat was rejected with `LeaseStolen`.
     Stolen {
         /// The stolen thread id (raw).
         tid: u16,
-    },
-    /// Coordinator: drain gracefully — finish the current op, flush
-    /// remote-free buffers, freeze the lease, and exit
-    /// with the `DRAINED` code. Equivalent to SIGTERM, for schedulers
-    /// that prefer the control plane over signals.
-    Drain,
-    /// Worker: drain complete; same summary shape as `Finished` but the
-    /// slot's lease is now frozen and a *re-registering* replacement
-    /// (not an adopter) should take over the traffic share.
-    Drained {
-        /// Ops completed before the drain took effect.
-        ops: u64,
-        /// Blocks allocated.
-        allocs: u64,
-        /// Blocks freed.
-        frees: u64,
-        /// Live blocks left in the ledger for the replacement.
-        live: u64,
     },
     /// Worker→worker (forward rings only): free the block backing a
     /// shared key on behalf of its home worker. The home worker already
@@ -423,12 +406,11 @@ const KIND_HELLO: u8 = 1;
 const KIND_ADOPT: u8 = 2;
 const KIND_START: u8 = 3;
 const KIND_STOP: u8 = 4;
-const KIND_PROGRESS: u8 = 5;
-const KIND_FINISHED: u8 = 6;
+const KIND_EXITED: u8 = 6;
 const KIND_STOLEN: u8 = 7;
-const KIND_DRAIN: u8 = 8;
-const KIND_DRAINED: u8 = 9;
 const KIND_FREE_BLOCK: u8 = 10;
+// Kinds 5 (progress), 8 (drain command) and 9 (drained) are retired:
+// nothing sent the first two, and 9 folded into `Exited`.
 
 /// A malformed ring slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -486,29 +468,15 @@ pub fn encode(msg: &Msg, seq: u64) -> [u64; 8] {
             KIND_START
         }
         Msg::Stop => KIND_STOP,
-        Msg::Progress { ops, live } => {
-            w[1] = *ops;
-            w[2] = *live;
-            KIND_PROGRESS
-        }
-        Msg::Finished { ops, allocs, frees, live } => {
-            w[1] = *ops;
-            w[2] = *allocs;
-            w[3] = *frees;
-            w[4] = *live;
-            KIND_FINISHED
+        Msg::Exited { drained, ops, live } => {
+            w[1] = *drained as u64;
+            w[2] = *ops;
+            w[3] = *live;
+            KIND_EXITED
         }
         Msg::Stolen { tid } => {
             w[1] = *tid as u64;
             KIND_STOLEN
-        }
-        Msg::Drain => KIND_DRAIN,
-        Msg::Drained { ops, allocs, frees, live } => {
-            w[1] = *ops;
-            w[2] = *allocs;
-            w[3] = *frees;
-            w[4] = *live;
-            KIND_DRAINED
         }
         Msg::FreeBlock { home, key, offset } => {
             w[1] = *home as u64;
@@ -548,21 +516,8 @@ pub fn decode(w: &[u64; 8], seq: u64) -> Result<Msg, FrameError> {
             target_ops: w[4],
         }),
         KIND_STOP => Ok(Msg::Stop),
-        KIND_PROGRESS => Ok(Msg::Progress { ops: w[1], live: w[2] }),
-        KIND_FINISHED => Ok(Msg::Finished {
-            ops: w[1],
-            allocs: w[2],
-            frees: w[3],
-            live: w[4],
-        }),
+        KIND_EXITED => Ok(Msg::Exited { drained: w[1] != 0, ops: w[2], live: w[3] }),
         KIND_STOLEN => Ok(Msg::Stolen { tid: w[1] as u16 }),
-        KIND_DRAIN => Ok(Msg::Drain),
-        KIND_DRAINED => Ok(Msg::Drained {
-            ops: w[1],
-            allocs: w[2],
-            frees: w[3],
-            live: w[4],
-        }),
         KIND_FREE_BLOCK => Ok(Msg::FreeBlock {
             home: w[1] as u32,
             key: w[2],
@@ -817,11 +772,12 @@ mod tests {
         let plane = plane();
         let ring = plane.worker(0).cmd_ring();
         assert!(ring.is_empty());
+        let exited = Msg::Exited { drained: true, ops: 7, live: 3 };
         ring.push(Msg::Stop).unwrap();
-        ring.push(Msg::Progress { ops: 7, live: 3 }).unwrap();
+        ring.push(exited).unwrap();
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.pop().unwrap(), Some(Msg::Stop));
-        assert_eq!(ring.pop().unwrap(), Some(Msg::Progress { ops: 7, live: 3 }));
+        assert_eq!(ring.pop().unwrap(), Some(exited));
         assert_eq!(ring.pop().unwrap(), None);
     }
 
@@ -833,14 +789,15 @@ mod tests {
         // mapping onto the 32 physical slots.
         for round in 0..4 {
             for i in 0..RING_SLOTS {
-                ring.push(Msg::Progress { ops: round * 100 + i, live: i }).unwrap();
+                ring.push(Msg::Exited { drained: false, ops: round * 100 + i, live: i })
+                    .unwrap();
             }
             // One more: full.
             assert!(ring.push(Msg::Stop).is_err());
             for i in 0..RING_SLOTS {
                 assert_eq!(
                     ring.pop().unwrap(),
-                    Some(Msg::Progress { ops: round * 100 + i, live: i })
+                    Some(Msg::Exited { drained: false, ops: round * 100 + i, live: i })
                 );
             }
         }
@@ -991,15 +948,9 @@ mod tests {
                 }
             ),
             Just(Msg::Stop),
-            (any::<u64>(), any::<u64>()).prop_map(|(ops, live)| Msg::Progress { ops, live }),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-                |(ops, allocs, frees, live)| Msg::Finished { ops, allocs, frees, live }
-            ),
+            (any::<bool>(), any::<u64>(), any::<u64>())
+                .prop_map(|(drained, ops, live)| Msg::Exited { drained, ops, live }),
             any::<u16>().prop_map(|tid| Msg::Stolen { tid }),
-            Just(Msg::Drain),
-            (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(
-                |(ops, allocs, frees, live)| Msg::Drained { ops, allocs, frees, live }
-            ),
             (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
                 |(home, key, offset)| Msg::FreeBlock { home, key, offset }
             ),

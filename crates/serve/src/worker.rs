@@ -19,13 +19,18 @@
 //! `remote_buf` lines) — so crashes land in the middle of cross-process
 //! free traffic, which is exactly what the chaos audit must survive.
 //!
-//! A worker can also *drain*: on SIGTERM, a [`Msg::Drain`] command, or
-//! a scheduled `--drain-after-ops` boundary it finishes the current op,
+//! A worker can also *drain*: on SIGTERM it finishes the current op,
 //! executes the forwarded frees already queued to it, flushes
 //! remote-free buffers, freezes its lease
 //! ([`ThreadHandle::freeze_lease`]), and exits with
 //! [`exit::DRAINED`] — leaving a heap so settled that its replacement
-//! registers fresh instead of running recovery.
+//! registers fresh instead of running recovery. A clean stop takes the
+//! same exit path and differs only in the exit code.
+//!
+//! Op-exact chaos (`--at OPS:KIND`) makes the worker raise the kind's
+//! signal on itself at a completed-op boundary, so a kill, drain or
+//! stall flows through the same signal delivery as a coordinator-sent
+//! one and replays exactly.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -38,6 +43,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use workloads::{KvOp, OpStream, WorkloadSpec, Zipfian};
 
 use crate::rpc::{self, state, status, ControlPlane, Msg, WorkerPlane};
+use crate::Chaos;
 
 /// Process exit codes a worker can produce (the coordinator keys off
 /// these to tell clean exits, race losses, and steals apart).
@@ -102,15 +108,9 @@ pub struct WorkerArgs {
     pub index: u32,
     /// Raw thread id of a crashed incarnation to adopt.
     pub adopt: Option<u16>,
-    /// SIGKILL our own process just before completing this op count.
-    pub kill_after_ops: Option<u64>,
-    /// Drain gracefully just before completing this op count (the
-    /// deterministic, ops-mode twin of SIGTERM).
-    pub drain_after_ops: Option<u64>,
-    /// SIGSTOP our own process at this op count (the deterministic
-    /// twin of a scheduler stall); the coordinator's watchdog SIGCONT
-    /// probe — or its SIGKILL escalation — is the only way forward.
-    pub stall_after_ops: Option<u64>,
+    /// Op-exact chaos, sorted: at each `(ops, kind)` the worker raises
+    /// the kind's signal on itself once `ops` ops have completed.
+    pub chaos: Vec<(u64, Chaos)>,
     /// Percentage (0–100) of each worker's key range that is *shared*:
     /// frees of keys below the cut are forwarded to a peer worker so
     /// they land as remote frees. 0 = fully partitioned (PR 6 mode).
@@ -139,9 +139,7 @@ impl WorkerArgs {
         let mut ledger_cap = 0u64;
         let mut index = None;
         let mut adopt = None;
-        let mut kill_after_ops = None;
-        let mut drain_after_ops = None;
-        let mut stall_after_ops = None;
+        let mut chaos = Vec::new();
         let mut shared_pct = 0u8;
         let mut remote_batch = 1u32;
         let mut shared_skew = None;
@@ -157,15 +155,20 @@ impl WorkerArgs {
                 "--ledger-cap" => ledger_cap = parse_num(flag, &val()?)?,
                 "--index" => index = Some(parse_num(flag, &val()?)?),
                 "--adopt" => adopt = Some(parse_num(flag, &val()?)?),
-                "--kill-after-ops" => kill_after_ops = Some(parse_num(flag, &val()?)?),
-                "--drain-after-ops" => drain_after_ops = Some(parse_num(flag, &val()?)?),
-                "--stall-after-ops" => stall_after_ops = Some(parse_num(flag, &val()?)?),
+                "--at" => {
+                    let v = val()?;
+                    let (ops, kind) = v
+                        .split_once(':')
+                        .ok_or_else(|| format!("--at wants OPS:KIND, got {v:?}"))?;
+                    chaos.push((parse_num(flag, ops)?, kind.parse()?));
+                }
                 "--shared-pct" => shared_pct = parse_num(flag, &val()?)?,
                 "--remote-batch" => remote_batch = parse_num(flag, &val()?)?,
                 "--shared-skew" => shared_skew = Some(parse_num(flag, &val()?)?),
                 other => return Err(format!("unknown worker flag {other}")),
             }
         }
+        chaos.sort_unstable();
         Ok(WorkerArgs {
             file: file.ok_or("--file is required")?,
             config: config.ok_or("--config is required")?,
@@ -177,9 +180,7 @@ impl WorkerArgs {
             },
             index: index.ok_or("--index is required")?,
             adopt,
-            kill_after_ops,
-            drain_after_ops,
-            stall_after_ops,
+            chaos,
             shared_pct: if shared_pct > 100 {
                 return Err("--shared-pct must be 0-100".into());
             } else {
@@ -213,17 +214,9 @@ impl WorkerArgs {
             v.push("--adopt".into());
             v.push(tid.to_string());
         }
-        if let Some(n) = self.kill_after_ops {
-            v.push("--kill-after-ops".into());
-            v.push(n.to_string());
-        }
-        if let Some(n) = self.drain_after_ops {
-            v.push("--drain-after-ops".into());
-            v.push(n.to_string());
-        }
-        if let Some(n) = self.stall_after_ops {
-            v.push("--stall-after-ops".into());
-            v.push(n.to_string());
+        for (ops, kind) in &self.chaos {
+            v.push("--at".into());
+            v.push(format!("{ops}:{}", kind.name()));
         }
         if self.shared_pct > 0 {
             v.push("--shared-pct".into());
@@ -286,7 +279,7 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
     let forwards = Forwards::new(&plane, args);
 
     // Claim the slot: register fresh, or adopt the dead incarnation.
-    let handle = match args.adopt {
+    let mut handle = match args.adopt {
         None => heap.register_thread().map_err(|e| format!("register: {e}"))?,
         Some(raw) => {
             let victim = ThreadId::new(raw).ok_or("--adopt 0 is not a thread id")?;
@@ -330,22 +323,12 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
             Some(Msg::Start { seed, spec, hb_every, target_ops }) => {
                 break (seed, spec, hb_every, target_ops)
             }
-            Some(Msg::Stop) => {
-                let mut handle = handle;
-                drain_inbound(&mut handle, &me, &forwards)?;
-                finish(&me, &evt, &handle, 0);
-                return Ok(exit::OK);
-            }
-            Some(Msg::Drain) => {
-                let mut handle = handle;
-                return drain_exit(&mut handle, &me, &evt, &forwards, 0);
-            }
+            Some(Msg::Stop) => return leave(&mut handle, &me, &evt, &forwards, 0, false),
             Some(other) => return Err(format!("unexpected command {other:?}")),
             None => {}
         }
         if DRAIN_SIGNAL.load(Ordering::Relaxed) {
-            let mut handle = handle;
-            return drain_exit(&mut handle, &me, &evt, &forwards, 0);
+            return leave(&mut handle, &me, &evt, &forwards, 0, true);
         }
         if let Err(code) = beat(&handle, &me, &evt) {
             return Ok(code);
@@ -359,7 +342,7 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
     };
 
     me.set_status(status::STATE, state::RUNNING);
-    let code = serve(ServeLoop {
+    serve(ServeLoop {
         handle,
         me: &me,
         evt: &evt,
@@ -369,12 +352,9 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         spec,
         hb_every: hb_every.max(1),
         target_ops,
-        kill_after_ops: args.kill_after_ops,
-        drain_after_ops: args.drain_after_ops,
-        stall_after_ops: args.stall_after_ops,
+        chaos: &args.chaos,
         shared_skew: args.shared_skew,
-    })?;
-    Ok(code)
+    })
 }
 
 /// Set by the SIGTERM handler; polled at op boundaries so the drain
@@ -392,9 +372,8 @@ fn install_sigterm_handler() {
     extern "C" {
         fn signal(signum: i32, handler: usize) -> usize;
     }
-    const SIGTERM: i32 = 15;
     unsafe {
-        signal(SIGTERM, on_sigterm as *const () as usize);
+        signal(Chaos::Drain.signal(), on_sigterm as *const () as usize);
     }
 }
 
@@ -583,42 +562,36 @@ fn drain_inbound(
     drain_inbound_burst(handle, me, forwards, usize::MAX)
 }
 
-/// The graceful-drain exit path (SIGTERM / `Msg::Drain` /
-/// `--drain-after-ops`): publish the DRAINED state first so the
-/// watchdog stops expecting heartbeats, execute the forwarded frees
-/// already queued here, flush remote-free buffers + the core's cache
-/// ([`ThreadHandle::flush_cache`]), freeze the lease, report, and exit
-/// with the dedicated code.
+/// The one exit path, for a clean stop and a SIGTERM drain alike:
+/// publish the final state first so the watchdog stops expecting
+/// heartbeats, execute the forwarded frees already queued here (their
+/// possibly buffered remote decrements then publish; whatever producers
+/// enqueue later is reaped by the coordinator's audit), flush
+/// remote-free buffers + the core's cache
+/// ([`ThreadHandle::flush_cache`]), freeze the lease so no detector
+/// mistakes the silence for a crash, report, and return the exit code.
 #[cfg(unix)]
-fn drain_exit(
+fn leave(
     handle: &mut ThreadHandle,
     me: &WorkerPlane,
     evt: &crate::rpc::Ring,
     forwards: &Forwards,
     ops: u64,
+    drained: bool,
 ) -> Result<i32, String> {
-    me.set_status(status::STATE, state::DRAINED);
+    me.set_status(status::STATE, if drained { state::DRAINED } else { state::DONE });
     drain_inbound(handle, me, forwards)?;
     handle.flush_cache();
     handle.freeze_lease();
     let live = me.ledger_live().len() as u64;
     if evt
-        .push_wait(
-            Msg::Drained {
-                ops,
-                allocs: me.status(status::ALLOCS),
-                frees: me.status(status::FREES),
-                live,
-            },
-            "drained",
-            Duration::from_secs(2),
-        )
+        .push_wait(Msg::Exited { drained, ops, live }, "exited", Duration::from_secs(2))
         .is_err()
     {
         // Best-effort: the coordinator also keys off the exit code.
         me.bump_status(status::TIMEOUTS, 1);
     }
-    Ok(exit::DRAINED)
+    Ok(if drained { exit::DRAINED } else { exit::OK })
 }
 
 #[cfg(unix)]
@@ -632,9 +605,7 @@ struct ServeLoop<'a> {
     spec: u8,
     hb_every: u64,
     target_ops: u64,
-    kill_after_ops: Option<u64>,
-    drain_after_ops: Option<u64>,
-    stall_after_ops: Option<u64>,
+    chaos: &'a [(u64, Chaos)],
     shared_skew: Option<f64>,
 }
 
@@ -662,28 +633,23 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         .shared_skew
         .map(|theta| (Zipfian::new(cap, theta), StdRng::seed_from_u64(s.seed ^ SKEW_SEED_SALT)));
     let mut ops = 0u64;
+    let mut chaos = s.chaos.iter().peekable();
     loop {
-        if s.kill_after_ops == Some(ops) {
-            // Simulate a host crash at an exact, replayable op
-            // boundary: no destructors, no flushes, no goodbyes.
-            self_sigkill();
-        }
-        if s.drain_after_ops == Some(ops) && !DRAIN_SIGNAL.load(Ordering::Relaxed) {
-            // The deterministic twin raises a *real* SIGTERM at the op
-            // boundary, so the drain still flows through the genuine
-            // signal-delivery path.
-            self_sigterm();
+        // Op-exact chaos: each due event fires once, through the real
+        // signal path. A kill vanishes here with no destructors, flushes
+        // or goodbyes; a stall resumes here on SIGCONT, already
+        // consumed, so it cannot re-fire; a drain waits until the
+        // handler's flag is visible, and no later event fires after it.
+        while let Some(&(_, kind)) = chaos.next_if(|(at, _)| {
+            *at == ops && !DRAIN_SIGNAL.load(Ordering::Relaxed)
+        }) {
+            crate::send_signal(std::process::id(), kind.signal());
+            while kind == Chaos::Drain && !DRAIN_SIGNAL.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
         }
         if DRAIN_SIGNAL.load(Ordering::Relaxed) {
-            return drain_exit(&mut s.handle, s.me, s.evt, s.forwards, ops);
-        }
-        if s.stall_after_ops == Some(ops) {
-            // The deterministic twin of a scheduler stall: stop dead at
-            // the op boundary. Only the watchdog's SIGCONT (or SIGKILL)
-            // moves us again; `ops` hasn't advanced, so after a SIGCONT
-            // revival this branch would re-fire — clear it first.
-            s.stall_after_ops = None;
-            self_sigstop();
+            return leave(&mut s.handle, s.me, s.evt, s.forwards, ops, true);
         }
         if s.target_ops != 0 && ops >= s.target_ops {
             break;
@@ -691,9 +657,6 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         if ops.is_multiple_of(256) {
             match s.cmd.pop().map_err(|e| format!("cmd ring: {e}"))? {
                 Some(Msg::Stop) => break,
-                Some(Msg::Drain) => {
-                    return drain_exit(&mut s.handle, s.me, s.evt, s.forwards, ops)
-                }
                 Some(other) => return Err(format!("unexpected command {other:?}")),
                 None => {}
             }
@@ -716,13 +679,7 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         ops += 1;
         s.me.set_status(status::OPS, ops);
     }
-    // Final sweep: forwarded frees already queued here are executed
-    // before the flush so their (possibly buffered) remote decrements
-    // publish. Whatever producers enqueue after this sweep is reaped by
-    // the coordinator's audit drain.
-    drain_inbound(&mut s.handle, s.me, s.forwards)?;
-    finish(s.me, s.evt, &s.handle, ops);
-    Ok(exit::OK)
+    leave(&mut s.handle, s.me, s.evt, s.forwards, ops, false)
 }
 
 /// Applies one KV op to the worker's ledger slice.
@@ -823,75 +780,6 @@ fn beat(handle: &ThreadHandle, me: &WorkerPlane, evt: &crate::rpc::Ring) -> Resu
     }
 }
 
-#[cfg(unix)]
-fn finish(me: &WorkerPlane, evt: &crate::rpc::Ring, handle: &ThreadHandle, ops: u64) {
-    handle.flush_cache();
-    // A finished worker never beats again; freeze the lease so no
-    // detector mistakes the silence for a crash during a long teardown.
-    handle.freeze_lease();
-    let live = me.ledger_live().len() as u64;
-    me.set_status(status::STATE, state::DONE);
-    if evt
-        .push_wait(
-            Msg::Finished {
-                ops,
-                allocs: me.status(status::ALLOCS),
-                frees: me.status(status::FREES),
-                live,
-            },
-            "finished",
-            Duration::from_secs(2),
-        )
-        .is_err()
-    {
-        me.bump_status(status::TIMEOUTS, 1);
-    }
-}
-
-/// `kill(getpid(), SIGKILL)` — the process vanishes mid-instruction,
-/// exactly like a crashed pod host.
-#[cfg(unix)]
-fn self_sigkill() -> ! {
-    extern "C" {
-        fn getpid() -> i32;
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe {
-        kill(getpid(), 9);
-    }
-    unreachable!("survived SIGKILL");
-}
-
-/// `kill(getpid(), SIGTERM)`, then spin until the handler's flag is
-/// visible — the deterministic drain flows through the same signal
-/// delivery as a coordinator-sent SIGTERM.
-#[cfg(unix)]
-fn self_sigterm() {
-    extern "C" {
-        fn getpid() -> i32;
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe {
-        kill(getpid(), 15);
-    }
-    while !DRAIN_SIGNAL.load(Ordering::Relaxed) {
-        std::hint::spin_loop();
-    }
-}
-
-/// `kill(getpid(), SIGSTOP)` — the process stops dead, as if the
-/// scheduler wedged it; execution resumes here only on SIGCONT.
-#[cfg(unix)]
-fn self_sigstop() {
-    extern "C" {
-        fn getpid() -> i32;
-        fn kill(pid: i32, sig: i32) -> i32;
-    }
-    unsafe {
-        kill(getpid(), 19);
-    }
-}
-
 /// Replaces an op's key with the skew-sampled Zipf rank: rank 0 is the
 /// hottest key and maps to key 0 — the head of the shared cut — so
 /// `--shared-skew` concentrates traffic exactly where frees forward.
@@ -945,9 +833,7 @@ mod tests {
             ledger_cap: 512,
             index: 2,
             adopt: Some(7),
-            kill_after_ops: Some(1000),
-            drain_after_ops: Some(2000),
-            stall_after_ops: Some(1500),
+            chaos: vec![(1000, Chaos::Kill), (1500, Chaos::Stall), (2000, Chaos::Drain)],
             shared_pct: 50,
             remote_batch: 8,
             shared_skew: Some(0.9),
@@ -956,9 +842,7 @@ mod tests {
         let parsed = WorkerArgs::parse(&rendered).unwrap();
         assert_eq!(parsed.to_args(), rendered);
         assert_eq!(parsed.adopt, Some(7));
-        assert_eq!(parsed.kill_after_ops, Some(1000));
-        assert_eq!(parsed.drain_after_ops, Some(2000));
-        assert_eq!(parsed.stall_after_ops, Some(1500));
+        assert_eq!(parsed.chaos, args.chaos);
         assert_eq!(parsed.shared_pct, 50);
         assert_eq!(parsed.remote_batch, 8);
         assert_eq!(parsed.shared_skew, Some(0.9));
@@ -974,6 +858,29 @@ mod tests {
         assert!(WorkerArgs::parse(&theta).is_err(), "--shared-skew is open (0,1)");
         theta[sk + 1] = "0".into();
         assert!(WorkerArgs::parse(&theta).is_err(), "--shared-skew is open (0,1)");
+
+        // `--at` parses in any order and comes back sorted by op count
+        // (kill before drain before stall at the same op).
+        let mut at = rendered.clone();
+        for event in ["900:stall", "40:drain", "900:kill"] {
+            at.extend(["--at".to_string(), event.into()]);
+        }
+        assert_eq!(
+            WorkerArgs::parse(&at).unwrap().chaos,
+            vec![
+                (40, Chaos::Drain),
+                (900, Chaos::Kill),
+                (900, Chaos::Stall),
+                (1000, Chaos::Kill),
+                (1500, Chaos::Stall),
+                (2000, Chaos::Drain),
+            ]
+        );
+        for bad in ["900:nap", "900", "kill:900"] {
+            let mut v = rendered.clone();
+            v.extend(["--at".to_string(), bad.into()]);
+            assert!(WorkerArgs::parse(&v).is_err(), "--at {bad} must be rejected");
+        }
     }
 
     #[test]

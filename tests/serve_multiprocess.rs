@@ -18,6 +18,7 @@ use cxlalloc::pod::{CoreId, Pod};
 use cxlalloc::serve::coordinator::{self, RunArgs};
 use cxlalloc::serve::rpc::{self, status, ControlPlane, Msg};
 use cxlalloc::serve::worker::{self, WorkerArgs};
+use cxlalloc::serve::Chaos;
 
 /// The serve binary built alongside this test; workers are spawned
 /// from it so every worker is a genuinely separate OS process.
@@ -130,7 +131,7 @@ fn self_kill_census_matches_pure_replay() {
         workers: 2,
         secs: 0.0,
         target_ops: TARGET_OPS,
-        self_kills: vec![(0, KILL_AT)],
+        self_events: vec![(Chaos::Kill, 0, KILL_AT)],
         seed: SEED,
         spec: 0,
         ..base_args("replay")
@@ -197,9 +198,7 @@ fn stolen_heartbeat_kills_worker_across_processes() {
         ledger_cap: cap,
         index: 0,
         adopt: None,
-        kill_after_ops: None,
-        drain_after_ops: None,
-        stall_after_ops: None,
+        chaos: Vec::new(),
         shared_pct: 0,
         remote_batch: 1,
         shared_skew: None,
@@ -295,7 +294,7 @@ fn stalled_worker_is_stolen_after_escalation() {
         workers: 2,
         secs: 0.0,
         target_ops: 2000,
-        self_stalls: vec![(0, 800)],
+        self_events: vec![(Chaos::Stall, 0, 800)],
         stall_ms: 400,
         probe_grace_ms: 200,
         max_probes: 0,
@@ -329,7 +328,7 @@ fn shared_key_crash_mid_batch_stays_exact() {
         target_ops: 2500,
         shared_pct: 50,
         remote_batch: 8,
-        self_kills: vec![(1, 900)],
+        self_events: vec![(Chaos::Kill, 1, 900)],
         seed: 23,
         ..base_args("shared")
     };
@@ -363,7 +362,7 @@ fn kill_mid_batch_with_skew_stays_exact() {
         shared_pct: 50,
         remote_batch: 8,
         shared_skew: Some(0.9),
-        self_kills: vec![(1, 900), (2, 1300)],
+        self_events: vec![(Chaos::Kill, 1, 900), (Chaos::Kill, 2, 1300)],
         seed: 31,
         ..base_args("skew-batch")
     };
@@ -401,7 +400,7 @@ fn skewed_census_matches_pure_replay() {
         secs: 0.0,
         target_ops: TARGET_OPS,
         shared_skew: Some(THETA),
-        self_kills: vec![(0, KILL_AT)],
+        self_events: vec![(Chaos::Kill, 0, KILL_AT)],
         seed: SEED,
         spec: 0,
         ..base_args("skew-replay")
@@ -452,11 +451,16 @@ fn chaos_mix_is_clean_and_replayable() {
             target_ops: 2500,
             shared_pct: 50,
             remote_batch: 8,
-            self_kills: vec![(0, 500), (1, 900)],
-            self_drains: vec![(2, 700), (3, 1100)],
             // Stalls land *before* the slots' kill/drain ops so every
             // event fires; the watchdog's SIGCONT probes revive them.
-            self_stalls: vec![(0, 300), (2, 400)],
+            self_events: vec![
+                (Chaos::Kill, 0, 500),
+                (Chaos::Kill, 1, 900),
+                (Chaos::Drain, 2, 700),
+                (Chaos::Drain, 3, 1100),
+                (Chaos::Stall, 0, 300),
+                (Chaos::Stall, 2, 400),
+            ],
             stall_ms: 400,
             probe_grace_ms: 300,
             max_probes: 3,
