@@ -208,7 +208,10 @@ fn main() {
     let _ = write!(
         out,
         "];\n\n/// Trace-stream fingerprint of the scripted crash/recovery schedule in\n\
-         /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42).\n\
+         /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42). Both trace\n\
+         /// pins last moved when `sched`'s end-of-run check became the one\n\
+         /// whole-heap walk (`audit::census`): it runs inside the traced window,\n\
+         /// so its flushes, fences and loads are part of both streams.\n\
          #[allow(dead_code)]\n\
          pub const TRACE_SCRIPTED: u64 = {trace:#018x};\n\n\
          /// Trace-stream fingerprint of the same scripted schedule on a pod with\n\

@@ -420,7 +420,7 @@ impl Cxlalloc {
     /// a thread inside a scope must not touch another core's cache
     /// (`cxl_pod::coherence`). If the "dead" thread is in fact mid-op
     /// on another OS thread, this waits for that op to return.
-    fn discard_dead_cache(&self, tid: ThreadId) {
+    pub(crate) fn discard_dead_cache(&self, tid: ThreadId) {
         if let Some(sim) = self.mem().as_any().downcast_ref::<cxl_pod::SimMemory>() {
             sim.cache().discard_all(tid.slot() as usize);
         }
@@ -641,25 +641,26 @@ impl Cxlalloc {
         }
     }
 
-    /// Runs the heap-wide invariant checks of §5.1. Call only while the
-    /// heap is quiescent (no concurrent operations); concurrent
-    /// transitions can look momentarily inconsistent to the checker.
+    /// Runs the heap-wide invariant checks of §5.1: [`Cxlalloc::census`]
+    /// with its block list dropped. Call only while the heap is
+    /// quiescent.
     ///
     /// # Errors
     ///
     /// Returns a description of the first violated invariant.
     pub fn check_invariants(&self, via: CoreId) -> Result<(), String> {
-        crate::invariants::check(self.mem(), via)
+        self.census(via).map(drop)
     }
 
-    /// Walks the whole heap and enumerates every allocated block (the
-    /// end-of-run zero-lost-blocks audit — see [`crate::audit`]). Call
-    /// only while the heap is quiescent, like
-    /// [`Cxlalloc::check_invariants`].
+    /// Walks the whole heap, checking every invariant, and enumerates
+    /// every allocated block (the end-of-run zero-lost-blocks audit —
+    /// see [`crate::audit`]). Call only while the heap is quiescent (no
+    /// concurrent operations); concurrent transitions can look
+    /// momentarily inconsistent to the walk.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first inconsistency found.
+    /// Returns a description of the first violated invariant.
     pub fn census(&self, via: CoreId) -> Result<crate::audit::BlockCensus, String> {
         crate::audit::census(self.mem(), via)
     }

@@ -1,18 +1,37 @@
-//! Full-heap block census: the end-of-run "zero lost blocks" audit.
+//! The whole-heap audit: every runtime invariant of §5.1 and the
+//! end-of-run "zero lost blocks" census, in one walk.
 //!
-//! [`census`] walks every slab of the small and large heaps plus every
-//! huge descriptor and enumerates the exact set of allocated block
-//! offsets, alongside per-heap counts and a counter-credit check
-//! (`free_count` vs bitset population for every sized slab). The serve
-//! harness compares the census against its workers' ledgers: a block
-//! the heap thinks is allocated but no ledger names is a *lost* block —
-//! memory leaked by a crash — and a ledger entry the heap thinks is
-//! free is a *phantom* (double-free / lost allocation record).
+//! "We compile cxlalloc with a host of runtime invariant checks, for
+//! example: SWccDesc.owner is null when popping a slab from the global
+//! free list, all slabs in thread-local sized free lists are non-full,
+//! all free lists are acyclic."
 //!
-//! Like [`crate::invariants::check`], the walk must run on a quiescent
-//! heap: concurrent allocation makes the bitsets a moving target. It
-//! reads durable state (flushing the auditing core's view first), so on
-//! software-coherent pods the owners must have flushed or crashed.
+//! [`census`] checks, in order:
+//! - every thread-registry cell holds a legal state;
+//! - per slab heap, its length is within capacity; every free list is
+//!   acyclic and names only mapped slabs; the global list's slabs are
+//!   unowned and unsized, a thread's lists hold only its own slabs, and
+//!   its sized list of class `c` only non-full slabs sized for `c`;
+//! - per mapped sized slab, a valid class, `free_count` equal to its
+//!   bitset population (counter credit), and an HWcc payload that
+//!   accounts for at most its open blocks (below);
+//! - every huge descriptor lies in the descriptor pool, no thread's
+//!   descriptor list cycles, every extent lies inside the huge data
+//!   region, and every reservation names a real thread slot.
+//!
+//! On the way it enumerates the exact set of allocated block offsets.
+//! [`Cxlalloc::check_invariants`](crate::Cxlalloc::check_invariants)
+//! is the same walk with the block list dropped. The serve harness
+//! compares the census against its workers' ledgers: a block the heap
+//! thinks is allocated but no ledger names is a *lost* block — memory
+//! leaked by a crash — and a ledger entry the heap thinks is free is a
+//! *phantom* (double-free / lost allocation record).
+//!
+//! The walk must run on a quiescent heap: concurrent transitions look
+//! momentarily inconsistent, and concurrent allocation makes the bitsets
+//! a moving target. It reads durable state (flushing the auditing
+//! core's view first), so on software-coherent pods the owners must
+//! have flushed or crashed.
 //! Remote frees that were published to a slab's HWcc counter but not
 //! yet applied to its bitset by the owner still count as allocated —
 //! the block's bit is the ground truth the next owner recovers from.
@@ -30,9 +49,11 @@
 //! lands mid-batch. A ledger-vs-census audit that credits both terms
 //! stays exact under any mix of remote frees and kills.
 
+use std::fmt;
+
 use crate::cell::{flags, Detect, SwccHeader};
 use crate::slab::SlabHeap;
-use cxl_pod::{CoreId, PodMemory};
+use cxl_pod::{CoreId, HeapLayout, PodMemory};
 
 /// Per-slab detail of one sized slab the census walked: where its
 /// blocks live and how many of its census-"allocated" blocks are in
@@ -157,9 +178,7 @@ pub fn block_state(mem: &dyn PodMemory, core: CoreId, offset: u64) -> Result<Blo
         let Some(slab) = hl.slab_of(offset) else {
             return Err(format!("{}: offset {offset:#x} maps to no slab", heap.kind));
         };
-        mem.flush(core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
-        mem.fence(core);
-        let header = SwccHeader::unpack(mem.load_u64(core, hl.swcc_desc_at(slab)));
+        let header = durable_header(mem, core, hl, slab);
         if header.flags & flags::SIZED == 0 {
             return Ok(BlockState::Free);
         }
@@ -177,62 +196,66 @@ pub fn block_state(mem: &dyn PodMemory, core: CoreId, offset: u64) -> Result<Blo
         });
     }
     if layout.huge.data.contains(offset) {
-        let hl = &layout.huge;
-        for slot in 0..layout.max_threads {
-            mem.flush(core, hl.local_descs_at(slot), 8);
-            mem.fence(core);
-            let mut cursor = mem.load_u64(core, hl.local_descs_at(slot));
-            let mut hops = 0;
-            while cursor != 0 {
-                hops += 1;
-                if hops > hl.descs_per_thread {
-                    return Err(format!("huge: descriptor list of slot {slot} cycles"));
-                }
-                mem.flush(core, cursor, 32);
-                if mem.load_u64(core, cursor + 8) == offset {
-                    return Ok(if mem.load_u64(core, cursor + 24) == 0 {
-                        BlockState::Allocated
-                    } else {
-                        BlockState::Free
-                    });
-                }
-                cursor = mem.load_u64(core, cursor);
-            }
-        }
-        return Ok(BlockState::Free);
+        let found = walk_huge(mem, core, |base, freed| (base == offset).then_some(freed))?;
+        return Ok(match found {
+            Some(false) => BlockState::Allocated,
+            _ => BlockState::Free,
+        });
     }
     Err(format!("offset {offset:#x} is outside every heap"))
 }
 
-/// Walks the whole heap and enumerates every allocated block.
-///
-/// Also validates counter credit on the way: for every sized slab, the
-/// durable `free_count` must equal its bitset population.
+/// Walks the whole heap, checking every invariant the module doc
+/// lists, and enumerates every allocated block.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first inconsistency found.
+/// A human-readable description of the first violation found.
 pub fn census(mem: &dyn PodMemory, core: CoreId) -> Result<BlockCensus, String> {
     let _scope = mem.op_scope(core);
-    let mut out = BlockCensus::default();
-    for heap in [SlabHeap::small(), SlabHeap::large()] {
-        let offsets = match heap.kind {
-            crate::HeapKind::Small => &mut out.small,
-            _ => &mut out.large,
-        };
-        let walked = census_slab_heap(mem, core, &heap, offsets, &mut out.slabs)?;
-        match heap.kind {
-            crate::HeapKind::Small => out.small_slabs = walked,
-            _ => out.large_slabs = walked,
+    let layout = mem.layout();
+    // Every registry cell holds a legal state. ADOPTING is legal but, in
+    // a quiescent heap, suspicious: it means an adopter died mid-recovery.
+    for slot in 0..layout.max_threads {
+        let state = mem.load_u64(core, layout.registry_at(slot));
+        if state > crate::liveness::registry::MAX {
+            return Err(format!("registry: slot {slot} holds invalid state {state}"));
         }
     }
-    census_huge(mem, core, &mut out.huge)?;
+    let mut out = BlockCensus::default();
+    for heap in [SlabHeap::small(), SlabHeap::large()] {
+        let (offsets, walked) = match heap.kind {
+            crate::HeapKind::Small => (&mut out.small, &mut out.small_slabs),
+            _ => (&mut out.large, &mut out.large_slabs),
+        };
+        *walked = census_slab_heap(mem, core, &heap, offsets, &mut out.slabs)?;
+    }
+    // Freed descriptors linger on the list until a cleanup pass
+    // recycles them; the free bit says the block is gone.
+    walk_huge(mem, core, |offset, freed| {
+        if !freed {
+            out.huge.push(offset);
+        }
+        None::<()>
+    })?;
+    let hl = &layout.huge;
+    for region in 0..hl.num_regions {
+        let owner = Detect::unpack(mem.load_u64(core, hl.reservation_at(region))).payload;
+        if owner > layout.max_threads {
+            return Err(format!(
+                "huge: region {region} owned by bogus thread {owner}"
+            ));
+        }
+    }
     out.small.sort_unstable();
     out.large.sort_unstable();
     out.huge.sort_unstable();
     Ok(out)
 }
 
+/// Checks one slab heap: its length, its free lists, then every mapped
+/// slab, appending each allocated block to `offsets` and each sized slab
+/// that matters to an audit to `slabs`. Returns the number of slabs walked.
 fn census_slab_heap(
     mem: &dyn PodMemory,
     core: CoreId,
@@ -243,12 +266,15 @@ fn census_slab_heap(
     let hl = heap.hl(mem);
     let kind = heap.kind;
     let len = heap.len(mem, core);
+    if len > hl.max_slabs {
+        return Err(format!(
+            "{kind}: heap length {len} exceeds capacity {}",
+            hl.max_slabs
+        ));
+    }
+    check_lists(mem, core, heap, len)?;
     for slab in 0..len {
-        // The auditor may run on any core; flush its (possibly stale)
-        // view of the whole descriptor before reading.
-        mem.flush(core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
-        mem.fence(core);
-        let header = SwccHeader::unpack(mem.load_u64(core, hl.swcc_desc_at(slab)));
+        let header = durable_header(mem, core, hl, slab);
         if header.flags & flags::SIZED == 0 {
             // Unsized (or never-initialized): no block structure, no
             // allocated blocks. Its memory is wholly available.
@@ -309,6 +335,133 @@ fn census_slab_heap(
     Ok(len)
 }
 
+/// Slab `slab`'s SWcc header as the durable image holds it. The auditor
+/// may run on any core, so it first flushes its (possibly stale) view
+/// of the whole descriptor — header, free count and bitset — and fences.
+fn durable_header(mem: &dyn PodMemory, core: CoreId, hl: &HeapLayout, slab: u32) -> SwccHeader {
+    mem.flush(core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
+    mem.fence(core);
+    SwccHeader::unpack(mem.load_u64(core, hl.swcc_desc_at(slab)))
+}
+
+/// Walks one slab list from `head` (slab index + 1; 0 is the end),
+/// refusing an unmapped slab or a cycle, and fails with the first
+/// complaint `check` makes about a slab's durable header.
+fn walk_list(
+    mem: &dyn PodMemory,
+    core: CoreId,
+    heap: &SlabHeap,
+    len: u32,
+    head: u32,
+    list: fmt::Arguments<'_>,
+    mut check: impl FnMut(u32, SwccHeader) -> Option<String>,
+) -> Result<(), String> {
+    let kind = heap.kind;
+    let mut cursor = head.checked_sub(1);
+    let mut hops = 0;
+    while let Some(slab) = cursor {
+        if slab >= len {
+            return Err(format!("{kind}: {list} has unmapped slab {slab}"));
+        }
+        // More hops than mapped slabs means some slab came round twice.
+        hops += 1;
+        if hops > len {
+            return Err(format!("{kind}: {list} cycles"));
+        }
+        let header = durable_header(mem, core, heap.hl(mem), slab);
+        if let Some(problem) = check(slab, header) {
+            return Err(format!("{kind}: slab {slab} on {list} {problem}"));
+        }
+        cursor = header.next.checked_sub(1);
+    }
+    Ok(())
+}
+
+/// Checks every free list of `heap`, whose first `len` slabs are mapped.
+fn check_lists(mem: &dyn PodMemory, core: CoreId, heap: &SlabHeap, len: u32) -> Result<(), String> {
+    let hl = heap.hl(mem);
+    let global = Detect::unpack(mem.load_u64(core, hl.global_free)).payload;
+    let list = format_args!("global list");
+    walk_list(mem, core, heap, len, global, list, |_, header| {
+        if header.owner != 0 {
+            Some(format!("has owner {}", header.owner))
+        } else {
+            (header.flags & flags::SIZED != 0).then(|| "is sized".into())
+        }
+    })?;
+    for slot in 0..mem.layout().max_threads {
+        let owner = (slot + 1) as u16;
+        let owned = |header: &SwccHeader| {
+            (header.owner != owner).then(|| format!("is owned by {}", header.owner))
+        };
+        mem.flush(core, hl.local_unsized_at(slot), hl.local_stride);
+        mem.fence(core);
+        let head = mem.load_u64(core, hl.local_unsized_at(slot)) as u32;
+        let list = format_args!("slot {slot}'s unsized list");
+        walk_list(mem, core, heap, len, head, list, |_, header| owned(&header))?;
+        for class in 0..hl.num_classes {
+            let head = mem.load_u64(core, hl.local_sized_at(slot, class)) as u32;
+            let list = format_args!("slot {slot}'s sized list {class}");
+            walk_list(mem, core, heap, len, head, list, |slab, header| {
+                owned(&header).or_else(|| {
+                    if header.flags & flags::SIZED == 0 || header.class as u32 != class {
+                        Some(format!(
+                            "has class {} flags {:#x}",
+                            header.class, header.flags
+                        ))
+                    } else {
+                        (mem.load_u64(core, hl.free_count_at(slab)) == 0).then(|| "is full".into())
+                    }
+                })
+            })?;
+        }
+    }
+    Ok(())
+}
+
+/// Walks every thread's huge-descriptor list, refusing a descriptor
+/// outside the descriptor pool, a cycle, or an extent outside the huge
+/// data region, and hands each descriptor's block offset and free bit
+/// to `visit`. The first `Some` that `visit` returns ends the walk.
+fn walk_huge<T>(
+    mem: &dyn PodMemory,
+    core: CoreId,
+    mut visit: impl FnMut(u64, bool) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let layout = mem.layout();
+    let hl = &layout.huge;
+    for slot in 0..layout.max_threads {
+        mem.flush(core, hl.local_descs_at(slot), 8);
+        mem.fence(core);
+        let mut cursor = mem.load_u64(core, hl.local_descs_at(slot));
+        let mut hops = 0;
+        while cursor != 0 {
+            hops += 1;
+            if hops > hl.descs_per_thread {
+                return Err(format!("huge: descriptor list of slot {slot} cycles"));
+            }
+            if hl.desc_owner(cursor).is_none() {
+                return Err(format!(
+                    "huge: slot {slot} links descriptor at bad offset {cursor:#x}"
+                ));
+            }
+            mem.flush(core, cursor, 32);
+            let offset = mem.load_u64(core, cursor + 8);
+            let size = mem.load_u64(core, cursor + 16);
+            if size == 0 || !hl.data.contains(offset) || size > hl.data.end() - offset {
+                return Err(format!(
+                    "huge: descriptor {cursor:#x} covers bad range [{offset:#x}, +{size})"
+                ));
+            }
+            if let Some(found) = visit(offset, mem.load_u64(core, cursor + 24) != 0) {
+                return Ok(Some(found));
+            }
+            cursor = mem.load_u64(core, cursor);
+        }
+    }
+    Ok(None)
+}
+
 /// Scans every thread slot's durable remote-free line and returns the
 /// batches recorded there: frees buffered against a slab but never
 /// published to its HWcc counter. On a quiesced heap of *live* threads
@@ -338,38 +491,6 @@ pub fn remote_buffered(mem: &dyn PodMemory, core: CoreId) -> Vec<BufferedBatch> 
         }
     }
     out
-}
-
-fn census_huge(mem: &dyn PodMemory, core: CoreId, offsets: &mut Vec<u64>) -> Result<(), String> {
-    let layout = mem.layout();
-    let hl = &layout.huge;
-    for slot in 0..layout.max_threads {
-        mem.flush(core, hl.local_descs_at(slot), 8);
-        mem.fence(core);
-        let mut cursor = mem.load_u64(core, hl.local_descs_at(slot));
-        let mut hops = 0;
-        while cursor != 0 {
-            hops += 1;
-            if hops > hl.descs_per_thread {
-                return Err(format!("huge: descriptor list of slot {slot} cycles"));
-            }
-            mem.flush(core, cursor, 32);
-            let offset = mem.load_u64(core, cursor + 8);
-            let size = mem.load_u64(core, cursor + 16);
-            if size == 0 || !hl.data.contains(offset) {
-                return Err(format!(
-                    "huge: descriptor {cursor:#x} covers bad range [{offset:#x}, +{size})"
-                ));
-            }
-            // Freed descriptors linger on the list until a cleanup pass
-            // recycles them; the free bit says the block is gone.
-            if mem.load_u64(core, cursor + 24) == 0 {
-                offsets.push(offset);
-            }
-            cursor = mem.load_u64(core, cursor);
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! The [`Explorer`] turns the deterministic driver of [`crate::sched`]
 //! into a property harness: it enumerates seeds, runs the canonical
 //! random schedule of each, and requires every run to survive its
-//! crashes, recover every host, and pass
-//! [`crate::invariants::check`]. Because the driver is deterministic,
+//! crashes, recover every host, and pass the whole-heap audit
+//! ([`crate::audit::census`]). Because the driver is deterministic,
 //! a failing seed *is* the bug report — `run_seed(seed)` reproduces it
 //! byte-identically — and [`Explorer::shrink`] reduces the failing
 //! schedule to a minimal reproducer by greedy chunked delta-debugging

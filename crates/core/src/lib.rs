@@ -72,7 +72,6 @@ mod error;
 pub mod explore;
 pub mod huge;
 pub mod interval;
-pub mod invariants;
 pub mod liveness;
 pub mod oplog;
 mod ptr;

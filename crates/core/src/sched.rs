@@ -21,9 +21,9 @@
 //! [`cxl_pod::fault::FaultRule`]s.
 //!
 //! The driver is the substrate for the schedule-exploration harness in
-//! [`crate::explore`], which randomizes seeds, checks
-//! [`crate::invariants::check`] plus full recovery after every run,
-//! and shrinks failing schedules to minimal reproducers.
+//! [`crate::explore`], which randomizes seeds, checks full recovery and
+//! the whole-heap audit ([`crate::audit::census`]) after every run, and
+//! shrinks failing schedules to minimal reproducers.
 
 use crate::crash::{self, CrashPlan};
 use crate::error::AllocError;
@@ -438,8 +438,8 @@ struct Host {
 
 /// Runs `schedule` under `plan` on a fresh pod, then performs full
 /// end-of-run validation: every crashed host is recovered and adopted,
-/// all remaining allocations are freed, caches are quiesced, and
-/// [`crate::invariants::check`] must pass.
+/// all remaining allocations are freed, caches are quiesced, and the
+/// whole-heap audit ([`Cxlalloc::check_invariants`]) must pass.
 ///
 /// # Errors
 ///
@@ -800,15 +800,7 @@ fn exec_step(
             // nothing flips its registry slot — only a detector's lease
             // scan can discover this.
             drop(handle);
-            if let Some(sim) = host
-                .heap
-                .process()
-                .memory()
-                .as_any()
-                .downcast_ref::<SimMemory>()
-            {
-                sim.cache().discard_all(host.tid.slot() as usize);
-            }
+            host.heap.discard_dead_cache(host.tid);
             host.hung = true;
             fp.tag("hang");
             // Same reasoning as a crash: unflushed metadata will be

@@ -1,8 +1,9 @@
 //! The §5.1 invariant checker must actually *detect* corruption — these
-//! tests sabotage heap metadata directly and assert the checker reports
-//! each class of violation.
+//! tests sabotage heap metadata directly and assert the audit reports
+//! each class of violation, through both of its entry points.
 
 use cxl_core::cell::{flags, Detect, SwccHeader};
+use cxl_core::class::SMALL_CLASSES_TABLE;
 use cxl_core::{AttachOptions, Cxlalloc};
 use cxl_pod::{CoreId, Pod, PodConfig};
 
@@ -17,6 +18,34 @@ fn setup() -> (Pod, Cxlalloc, cxl_core::ThreadHandle) {
     t.dealloc(free).unwrap();
     let _ = keep;
     (pod, heap, t)
+}
+
+/// Allocates the rest of slab 0's 64 B blocks: a full slab is detached
+/// from its sized list, so it sits on no list at all. Returns its block
+/// count.
+fn fill_slab0(pod: &Pod, heap: &Cxlalloc, t: &mut cxl_core::ThreadHandle) -> u32 {
+    let class = SMALL_CLASSES_TABLE.class_of(64).unwrap();
+    let blocks = SMALL_CLASSES_TABLE.blocks_per_slab(class);
+    for _ in 1..blocks {
+        t.alloc(64).unwrap();
+    }
+    let layout = pod.layout();
+    let head = layout.small.local_sized_at(t.tid().slot(), class as u32);
+    assert_eq!(
+        pod.memory().load_u64(CoreId(0), head),
+        0,
+        "slab 0 is detached"
+    );
+    heap.check_invariants(t.core()).unwrap();
+    blocks
+}
+
+/// The refusal of a corrupted heap: `check_invariants` and `census` are
+/// one walk, so both must fail, with the same message.
+fn refusal(heap: &Cxlalloc, via: CoreId) -> String {
+    let err = heap.check_invariants(via).unwrap_err();
+    assert_eq!(heap.census(via).unwrap_err(), err);
+    err
 }
 
 #[test]
@@ -41,7 +70,7 @@ fn detects_owned_slab_on_global_list() {
         }
         .pack(),
     );
-    let err = heap.check_invariants(t.core()).unwrap_err();
+    let err = refusal(&heap, t.core());
     assert!(err.contains("global list"), "{err}");
 }
 
@@ -52,11 +81,8 @@ fn detects_full_slab_on_sized_list() {
     // Slab 0 is on thread 1's sized list; zero its free count.
     pod.memory()
         .store_u64(CoreId(0), layout.small.free_count_at(0), 0);
-    let err = heap.check_invariants(t.core()).unwrap_err();
-    assert!(
-        err.contains("full slab") || err.contains("population"),
-        "{err}"
-    );
+    let err = refusal(&heap, t.core());
+    assert!(err.contains("is full"), "{err}");
 }
 
 #[test]
@@ -69,8 +95,39 @@ fn detects_free_count_bitset_mismatch() {
         .load_u64(CoreId(0), layout.small.free_count_at(0));
     pod.memory()
         .store_u64(CoreId(0), layout.small.free_count_at(0), real - 1);
-    let err = heap.check_invariants(t.core()).unwrap_err();
+    let err = refusal(&heap, t.core());
     assert!(err.contains("population"), "{err}");
+}
+
+#[test]
+fn detects_free_count_mismatch_on_detached_slab() {
+    let (pod, heap, mut t) = setup();
+    fill_slab0(&pod, &heap, &mut t);
+    // The full slab's bitset has no bit set; claim one free block.
+    pod.memory()
+        .store_u64(CoreId(0), pod.layout().small.free_count_at(0), 1);
+    let err = refusal(&heap, t.core());
+    assert_eq!(err, "small: slab 0 free count 1 != bitset population 0");
+}
+
+#[test]
+fn detects_hwcc_payload_beyond_block_count() {
+    let (pod, heap, mut t) = setup();
+    let blocks = fill_slab0(&pod, &heap, &mut t);
+    let over = blocks + 1;
+    let payload = Detect {
+        version: 0,
+        tid: 0,
+        payload: over,
+    };
+    pod.memory().store_u64(
+        CoreId(0),
+        pod.layout().small.hwcc_desc_at(0),
+        payload.pack(),
+    );
+    let err = refusal(&heap, t.core());
+    let want = format!("small: slab 0 HWcc payload {over} exceeds {blocks} blocks");
+    assert_eq!(err, want);
 }
 
 #[test]
@@ -82,8 +139,8 @@ fn detects_sized_list_cycle() {
     let mut header = SwccHeader::unpack(pod.memory().load_u64(CoreId(0), header_off));
     header.next = 1; // slab 0 again (self loop)
     pod.memory().store_u64(CoreId(0), header_off, header.pack());
-    let err = heap.check_invariants(t.core()).unwrap_err();
-    assert!(err.contains("cycle") || err.contains("cycles"), "{err}");
+    let err = refusal(&heap, t.core());
+    assert!(err.contains("cycles"), "{err}");
 }
 
 #[test]
@@ -95,7 +152,7 @@ fn detects_wrong_class_on_sized_list() {
     assert_eq!(header.flags & flags::SIZED, flags::SIZED);
     header.class = header.class.wrapping_add(1);
     pod.memory().store_u64(CoreId(0), header_off, header.pack());
-    let err = heap.check_invariants(t.core()).unwrap_err();
+    let err = refusal(&heap, t.core());
     assert!(err.contains("class"), "{err}");
 }
 
@@ -111,7 +168,7 @@ fn detects_bogus_huge_descriptor() {
     assert_ne!(head, 0);
     pod.memory()
         .store_u64(CoreId(0), head + 16, layout.huge.data.len * 2);
-    let err = heap.check_invariants(t.core()).unwrap_err();
+    let err = refusal(&heap, t.core());
     assert!(err.contains("huge"), "{err}");
     let _ = big;
 }
@@ -130,6 +187,6 @@ fn detects_bogus_reservation_owner() {
         }
         .pack(),
     );
-    let err = heap.check_invariants(t.core()).unwrap_err();
+    let err = refusal(&heap, t.core());
     assert!(err.contains("region"), "{err}");
 }

@@ -64,7 +64,7 @@ fn adoption_race_has_exactly_one_winner() {
         });
         assert_eq!(wins.load(Ordering::Relaxed), 1, "round {round}");
         assert_eq!(raced.load(Ordering::Relaxed), 1, "round {round}");
-        cxl_core::invariants::check(pod.memory().as_ref(), CoreId(0)).unwrap();
+        heap.check_invariants(CoreId(0)).unwrap();
     }
 }
 
@@ -113,7 +113,7 @@ fn lease_detection_end_to_end() {
 
     let (adopted, _report) = heap.try_adopt(victim_tid, CoreId(3)).unwrap();
     assert_eq!(unsafe { *adopted.resolve(ptr, 256).unwrap() }, 0xAB);
-    cxl_core::invariants::check(pod.memory().as_ref(), CoreId(0)).unwrap();
+    heap.check_invariants(CoreId(0)).unwrap();
 }
 
 /// A hung thread's slot is stolen (declared dead and adopted) while the
@@ -196,7 +196,7 @@ fn breaker_degrades_and_heals_under_persistent_faults() {
     let after = pod.memory().stats().since(&before);
     assert!(after.breaker_heals >= 1, "breaker never healed after the outage");
     assert_eq!(sim(&pod).nmp().device_mode(), DeviceMode::Nmp);
-    cxl_core::invariants::check(pod.memory().as_ref(), CoreId(0)).unwrap();
+    heap.check_invariants(CoreId(0)).unwrap();
 }
 
 /// Satellite: when the breaker is configured to never trip within the

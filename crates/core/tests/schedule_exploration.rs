@@ -9,7 +9,7 @@ use cxl_pod::fault::{FaultKind, FaultRule};
 use cxl_pod::HwccMode;
 
 /// Acceptance: with no injected faults, at least 100 random schedules
-/// over at least 2 simulated hosts all pass `invariants::check` and
+/// over at least 2 simulated hosts all pass the whole-heap audit and
 /// recover every crashed host.
 #[test]
 fn hundred_random_schedules_pass_without_faults() {

@@ -318,12 +318,6 @@ impl FaultInjector {
         fired
     }
 
-    /// Records a cache abandonment triggered directly (host-crash
-    /// simulation outside a rule, e.g. `SimMemory::inject_host_crash`).
-    pub fn note_abandon(&self) {
-        self.cache_abandons.fetch_add(1, Ordering::Relaxed);
-    }
-
     fn note(&self, kind: FaultKind) {
         let counter = match kind {
             FaultKind::DropFlush => &self.dropped_flushes,

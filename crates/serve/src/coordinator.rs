@@ -431,7 +431,8 @@ pub struct AuditOutcome {
     /// `sum(allocs) - sum(frees) - effective_live` (0 when every kill
     /// hit an op boundary).
     pub counter_delta: i64,
-    /// `Cxlalloc::check_invariants` outcome (`"ok"` or the failure).
+    /// The heap walk's invariant verdict: `"ok"`, or the first violation
+    /// (the census is then empty).
     pub invariants: String,
 }
 
@@ -1292,10 +1293,12 @@ fn audit(pod: &Pod, plane: &ControlPlane) -> Result<AuditOutcome, String> {
     }
     reaper.flush_cache();
 
-    let census = heap.census(CoreId(0))?;
-    let invariants = match heap.check_invariants(CoreId(0)) {
-        Ok(()) => "ok".to_string(),
-        Err(e) => e,
+    // One walk checks every heap invariant and lists the blocks. A heap
+    // it refuses has no block list to trust, so every ledger entry then
+    // reads as unconfirmed (phantom) beside the refusal.
+    let (census, invariants) = match heap.census(CoreId(0)) {
+        Ok(census) => (census, "ok".to_string()),
+        Err(e) => (cxl_core::BlockCensus::default(), e),
     };
     let buffered = cxl_core::audit::remote_buffered(pod.memory().as_ref(), CoreId(0));
     let buffered_total: u64 = buffered.iter().map(|b| b.pending as u64).sum();
