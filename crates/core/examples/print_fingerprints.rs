@@ -209,9 +209,10 @@ fn main() {
         out,
         "];\n\n/// Trace-stream fingerprint of the scripted crash/recovery schedule in\n\
          /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42). Both trace\n\
-         /// pins last moved when `sched`'s end-of-run check became the one\n\
-         /// whole-heap walk (`audit::census`): it runs inside the traced window,\n\
-         /// so its flushes, fences and loads are part of both streams.\n\
+         /// pins last moved when the owner began marking its dirty-list mask\n\
+         /// (a store to its log line on a list's first edit after a flush\n\
+         /// point) and recovery stopped walking the lists the mask leaves out:\n\
+         /// both change charged accesses, not outcomes.\n\
          #[allow(dead_code)]\n\
          pub const TRACE_SCRIPTED: u64 = {trace:#018x};\n\n\
          /// Trace-stream fingerprint of the same scripted schedule on a pod with\n\

@@ -382,14 +382,22 @@ impl Cxlalloc {
         // Huge-heap state is always derived from the segment: for a fresh
         // slot this yields the full descriptor pool and no owned regions;
         // for an adopted slot it is the §3.4.2 reconstruction.
-        let huge = self.inner.huge.reconstruct(&self.ctx(mem, tid, core));
+        let ctx = self.ctx(mem, tid, core);
+        let huge = self.inner.huge.reconstruct(&ctx);
+        // The dirty-list mirror starts as the durable mask (0 after a
+        // recovery), so the owner's first mark never drops a bit.
+        let dirty = if ctx.recoverable {
+            mem.load_u64(core, mem.layout().log_aux_at(tid.slot(), crate::oplog::DIRTY_WORD))
+        } else {
+            0
+        };
         ThreadHandle {
             heap: self.clone(),
             tid,
             core,
             lease_epoch: lease::epoch(fresh),
             huge,
-            rovers: Rovers::new(),
+            rovers: Rovers::new(dirty),
             remote: RemoteFreeBuffer::new(),
         }
     }
@@ -509,13 +517,16 @@ impl Cxlalloc {
     /// rights (slot observed DEAD, or held in ADOPTING by the caller).
     fn recover_inner(&self, tid: ThreadId, via: CoreId) -> RecoveryReport {
         on_backend!(self, via, |mem| {
-            let report = recovery::recover(&self.ctx(mem, tid, via));
+            let ctx = self.ctx(mem, tid, via);
+            let report = recovery::recover(&ctx);
             // Recovery repairs the dead thread's structures through
             // `via`'s cache, but the thread may resume on a different
             // core (adopt hands the heap back to the original slot).
             // Every repair must be durable before anyone else reads it.
             mem.flush_all(via);
             mem.fence(via);
+            // Every list is now durable and consistent: a flush point.
+            ctx.log().clear_dirty(via);
             report
         })
     }
@@ -949,14 +960,23 @@ impl ThreadHandle {
     /// quiesce point, required before another core validates the heap
     /// with [`Cxlalloc::check_invariants`] on software-coherent pods
     /// (the checker reads durable memory, which otherwise lags owners'
-    /// caches).
+    /// caches). It is also a flush point for the thread's dirty-list
+    /// mask, which it clears, so a recovery after it walks only the
+    /// lists edited since.
     pub fn flush_cache(&self) {
         // Buffered remote frees publish first (they are invisible to
         // every other thread until their counter decrements land), so
         // the cache-wide writeback covers their stores too.
         on_backend!(self.heap, self.core, |mem| {
-            self.drain_remote_frees(&self.ctx(mem));
+            let ctx = self.ctx(mem);
+            self.drain_remote_frees(&ctx);
             mem.flush_all(self.core);
+            // A flush point: every list edit the dirty-list mask covered
+            // is durable now.
+            if self.rovers.dirty() != 0 {
+                ctx.log().clear_dirty(self.core);
+                self.rovers.set_dirty(0);
+            }
         })
     }
 

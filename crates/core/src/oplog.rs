@@ -11,19 +11,31 @@
 //! ```text
 //! word 0: the LogWord (op, operands, dcas version low bits)
 //! word 1: the thread's full 64-bit dcas version counter
-//! words 2–7: auxiliary operands (huge-heap offsets are 64-bit)
+//! words 2–6: auxiliary operands (huge-heap offsets are 64-bit)
+//! word 7: the dirty-list mask (DIRTY_WORD)
 //! ```
 //!
 //! The log is single-writer. Writes are flushed and fenced before the
 //! operation proceeds so the log in CXL memory is always at least as new
 //! as any visible effect of the operation; a crashed thread's unflushed
 //! cache contents are lost, but then so are the operation's effects.
+//!
+//! The dirty-list mask has one bit per private free list of the thread
+//! ([`SlabHeap::list_bit`](crate::slab::SlabHeap::list_bit)). The owner
+//! sets a sized list's bit before the first op that edits the list since
+//! its last flush point, and the bit rides to CXL memory on that op's
+//! `begin` writeback. Recovery sanitizes only the lists the mask names
+//! (plus the ones it always walks); the mask is cleared where the
+//! thread's whole cache was just made durable (DESIGN.md §6).
 
 use crate::cell::LogWord;
 use cxl_pod::{CoreId, PodMemory};
 
 /// Number of auxiliary operand words available per entry.
-pub const AUX_WORDS: usize = 6;
+pub const AUX_WORDS: usize = 5;
+
+/// The log-line word that holds the thread's dirty-list mask.
+pub const DIRTY_WORD: u32 = 7;
 
 /// Handle to one thread's recovery log line.
 pub struct OpLog<'m, M: PodMemory + ?Sized> {
@@ -66,6 +78,8 @@ pub struct LogEntry {
     pub version_counter: u64,
     /// Auxiliary operands.
     pub aux: [u64; AUX_WORDS],
+    /// The dirty-list mask.
+    pub dirty: u64,
 }
 
 impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
@@ -158,6 +172,28 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
         next as u16
     }
 
+    /// Stores the dirty-list mask. A plain store: it becomes durable with
+    /// the next [`OpLog::begin`]'s writeback of the line, which precedes
+    /// the op's first list edit.
+    pub fn set_dirty(&self, core: CoreId, mask: u64) {
+        if self.enabled {
+            let off = self.mem.layout().log_aux_at(self.slot, DIRTY_WORD);
+            self.mem.store_u64(core, off, mask);
+        }
+    }
+
+    /// Clears the dirty-list mask durably. Call only once every list edit
+    /// the mask covered is durable (after a whole-cache flush + fence):
+    /// the clear must not reach CXL memory before them.
+    pub fn clear_dirty(&self, core: CoreId) {
+        if self.enabled {
+            let off = self.mem.layout().log_aux_at(self.slot, DIRTY_WORD);
+            self.mem.store_u64(core, off, 0);
+            self.mem.flush(core, off, 8);
+            self.mem.fence(core);
+        }
+    }
+
     /// Reads the current entry. The reader flushes its own cache first so
     /// a *recovering* core (different from the crashed one) sees the
     /// durable state, not a stale cached line.
@@ -176,6 +212,7 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
             word,
             version_counter,
             aux,
+            dirty: self.mem.load_u64(core, layout.log_aux_at(self.slot, DIRTY_WORD)),
         }
     }
 }
@@ -265,6 +302,26 @@ mod tests {
         log.clear_relaxed(CoreId(0));
         sim.cache().discard_all(0);
         assert_eq!(log.read(CoreId(1)).word, LogWord::IDLE);
+    }
+
+    #[test]
+    fn dirty_mask_rides_on_the_next_begin_and_clears_durably() {
+        let pod = Pod::with_simulation(PodConfig::small_for_tests(), HwccMode::Limited).unwrap();
+        let mem = pod.memory().as_ref();
+        let sim = mem.as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
+        let log = OpLog::new(mem, 0);
+        let word = LogWord { op: 5, a: 1, b: 2, c: 3 };
+        log.set_dirty(CoreId(0), 0b101);
+        sim.cache().discard_all(0);
+        assert_eq!(log.read(CoreId(1)).dirty, 0, "a plain store until the next begin");
+        log.set_dirty(CoreId(0), 0b101);
+        log.begin(CoreId(0), word, &[9; AUX_WORDS]);
+        sim.cache().discard_all(0);
+        let entry = log.read(CoreId(1));
+        assert_eq!((entry.word, entry.dirty), (word, 0b101), "the widest aux leaves the mask alone");
+        log.clear_dirty(CoreId(0));
+        sim.cache().discard_all(0);
+        assert_eq!(log.read(CoreId(1)).dirty, 0);
     }
 
     #[test]

@@ -23,9 +23,11 @@
 //! idempotent, so a crashed recovery can simply be re-run
 //! ([`CRASH_POINTS`] lets tests crash it).
 //!
-//! Each of the dead thread's private lists is walked once per recovery,
-//! by the sanitize pass; the redo finds the logged slab where that walk
-//! recorded it.
+//! The sanitize pass walks, once each, only the dead thread's private
+//! lists the crash could have torn: those its durable dirty-list mask
+//! names (`oplog::DIRTY_WORD`), both unsized lists, and the logged op's
+//! class list. The redo finds the logged slab where that walk recorded
+//! it.
 
 use crate::crash;
 use crate::ctx::Ctx;
@@ -144,16 +146,13 @@ pub struct RecoveryReport {
     /// — reclaim only what the application does not reference. `None`
     /// when recovery rolled the allocation back itself.
     pub lost_block: Option<u64>,
-}
-
-impl RecoveryReport {
-    fn clean(outcome: &'static str) -> Self {
-        RecoveryReport {
-            interrupted: None,
-            outcome,
-            lost_block: None,
-        }
-    }
+    /// Private lists of the dead thread that sanitize walked: both
+    /// unsized lists, the logged op's class list and every list the
+    /// durable dirty-list mask names (all 49 without recovery state).
+    pub lists_walked: u32,
+    /// Walked lists on which sanitize unlinked a node, rewrote a free
+    /// count or finished a full transition.
+    pub lists_repaired: u32,
 }
 
 /// Runs recovery for the thread owning `ctx.tid` (a *dead* thread; the
@@ -166,10 +165,11 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
     // a head may still name a slab whose flushed descriptor says full
     // or disowned, and links may run into foreign chains. The redo log
     // cannot help — it covers only the one interrupted operation —
-    // so the lists are validated wholesale against the flushed
-    // descriptors and bitmaps (the durable ground truth). The log is
-    // read first (sanitize never writes it) so the same walk records
-    // where the logged slab sits, and the redo needs no walk of its own.
+    // so the lists are validated against the flushed descriptors and
+    // bitmaps (the durable ground truth): every list the crash could have
+    // torn (`walk_set`). The log is read first (sanitize never writes it)
+    // so the same walk records where the logged slab sits, and the redo
+    // needs no walk of its own.
     let log = ctx.log();
     let entry = log.read(ctx.core);
     let decoded = Op::decode(entry.word.op);
@@ -177,21 +177,34 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
         Some((op, kind)) if op != Op::Idle && kind == heap => Some(entry.word.a),
         _ => None,
     };
+    let walk = walk_set(ctx, &entry);
+    let mut report = RecoveryReport {
+        interrupted: None,
+        outcome: "",
+        lost_block: None,
+        lists_walked: 0,
+        lists_repaired: 0,
+    };
     let mut visited = Visited::default();
-    let small = sanitize_slab_lists(ctx, &SlabHeap::small(), &mut visited, logged_in(HeapKind::Small));
-    let large = sanitize_slab_lists(ctx, &SlabHeap::large(), &mut visited, logged_in(HeapKind::Large));
+    let mut sanitize = |heap: &SlabHeap| {
+        sanitize_slab_lists(ctx, heap, walk, &mut visited, logged_in(heap.kind), &mut report)
+    };
+    let small = sanitize(&SlabHeap::small());
+    let large = sanitize(&SlabHeap::large());
     let place = small.or(large);
     crash::point("recovery::after_sanitize");
     let Some((op, kind)) = decoded else {
         log.clear(ctx.core);
         republish_remote_buffer(ctx, None);
         flush_thread_lines(ctx);
-        return RecoveryReport::clean("unknown op cleared");
+        report.outcome = "unknown op cleared";
+        return report;
     };
     if op == Op::Idle {
         republish_remote_buffer(ctx, None);
         flush_thread_lines(ctx);
-        return RecoveryReport::clean("idle");
+        report.outcome = "idle";
+        return report;
     }
     // The durable-buffer scan must skip the batch a logged
     // `RemoteFree*` record already covers: a record whose CAS never
@@ -206,11 +219,8 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
             scan_skip = Some((kind, entry.word.a));
         }
     }
-    let mut report = RecoveryReport {
-        interrupted: Some((op, kind)),
-        outcome: "redone",
-        lost_block: None,
-    };
+    report.interrupted = Some((op, kind));
+    report.outcome = "redone";
     match kind {
         HeapKind::Small | HeapKind::Large => {
             recover_slab(ctx, &SlabHeap::of(kind), op, &entry, place, &mut report);
@@ -335,15 +345,41 @@ struct Place {
     prev: Option<u32>,
 }
 
-/// Restores the dead thread's private free lists of `heap` to a state
-/// satisfying the list invariants, using only durable data. Returns
-/// the [`Place`] of `logged` (the slab the log names, when it names
-/// one in this heap), or `None` if no list keeps it.
+/// The dead thread's lists the crash could have torn, as a dirty-list
+/// mask ([`SlabHeap::list_bit`]): every list the durable mask names,
+/// both unsized lists, and the logged op's class list.
+///
+/// A sized list outside that set has had no owner write since the last
+/// point where the thread's whole cache was durable, and nobody else
+/// writes an owned list or an owned slab's SWcc descriptor, so its
+/// durable image is the consistent one from that point. The unsized
+/// lists are edited outside a logged `begin` (overflow releases, steals,
+/// the redo). The logged class list is the one the redo pushes onto, so
+/// a rerun of a crashed recovery must find the slab there. Without
+/// recovery state the mask is inert and every list is walked.
+fn walk_set<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, entry: &crate::oplog::LogEntry) -> u64 {
+    if !ctx.recoverable {
+        return !0;
+    }
+    let logged_class = match Op::decode(entry.word.op) {
+        Some((Op::InitSlab | Op::AllocBlock | Op::FreeLocal, kind)) => SlabHeap::of(kind).list_bit(Some(entry.word.b)),
+        _ => 0,
+    };
+    entry.dirty | SlabHeap::small().list_bit(None) | SlabHeap::large().list_bit(None) | logged_class
+}
+
+/// Restores the dead thread's private free lists of `heap` that `walk`
+/// names to a state satisfying the list invariants, using only durable
+/// data, and counts them into `report`. Returns the [`Place`] of
+/// `logged` (the slab the log names, when it names one in this heap),
+/// or `None` if no walked list keeps it.
 fn sanitize_slab_lists<M: PodMemory + ?Sized>(
     ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
+    walk: u64,
     visited: &mut Visited,
     logged: Option<u32>,
+    report: &mut RecoveryReport,
 ) -> Option<Place> {
     let hl = heap.hl(ctx.mem);
     // Drop any lines the recoverer itself may hold over the thread's
@@ -354,13 +390,19 @@ fn sanitize_slab_lists<M: PodMemory + ?Sized>(
         hl.local_stride,
     );
     ctx.mem.fence(ctx.core);
-    let classes = hl.num_classes as u8;
-    let mut place = sanitize_list(ctx, heap, heap.unsized_head_off(ctx), None, visited, logged);
-    for class in 0..classes {
-        let head_off = heap.sized_head_off(ctx, class);
-        if let Some(found) = sanitize_list(ctx, heap, head_off, Some(class), visited, logged) {
+    let lists = std::iter::once(None).chain((0..hl.num_classes as u8).map(Some));
+    let mut place = None;
+    for class in lists.filter(|&class| walk & heap.list_bit(class) != 0) {
+        let head_off = match class {
+            None => heap.unsized_head_off(ctx),
+            Some(c) => heap.sized_head_off(ctx, c),
+        };
+        let (found, repaired) = sanitize_list(ctx, heap, head_off, class, visited, logged);
+        report.lists_walked += 1;
+        report.lists_repaired += u32::from(repaired);
+        if found.is_some() {
             debug_assert!(place.is_none(), "slab kept on two lists");
-            place = Some(found);
+            place = found;
         }
     }
     place
@@ -375,7 +417,8 @@ fn sanitize_slab_lists<M: PodMemory + ?Sized>(
 /// list's slabs drain without corrupting that list. Unmapped indices
 /// and revisits within this list (stale links can tie cycles) truncate
 /// the remainder. Returns the [`Place`] of `logged` if this list keeps
-/// it.
+/// it, and whether the list needed a repair: an unlink, a rewritten free
+/// count or a finished full transition.
 fn sanitize_list<M: PodMemory + ?Sized>(
     ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
@@ -383,7 +426,7 @@ fn sanitize_list<M: PodMemory + ?Sized>(
     class: Option<u8>,
     visited: &mut Visited,
     logged: Option<u32>,
-) -> Option<Place> {
+) -> (Option<Place>, bool) {
     let hl = heap.hl(ctx.mem);
     // Read per list, not per recovery: a live thread may extend the heap
     // meanwhile, and the load is part of the simulated op stream.
@@ -392,11 +435,12 @@ fn sanitize_list<M: PodMemory + ?Sized>(
     let tid_raw = ctx.tid.raw();
     let mut prev: Option<u32> = None;
     let mut place = None;
+    let mut repaired = false;
     let mut cursor = (ctx.mem.load_u64(ctx.core, head_off) as u32).checked_sub(1);
     while let Some(slab) = cursor {
         if slab >= len || visited.revisit(slab) {
             unlink_after(ctx, heap, head_off, prev, 0);
-            return place;
+            return (place, true);
         }
         ctx.mem
             .flush(ctx.core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
@@ -411,7 +455,10 @@ fn sanitize_list<M: PodMemory + ?Sized>(
         if keep {
             if let Some(c) = class {
                 let free = heap.bits(ctx, slab, c).count_set(ctx.core);
-                heap.set_free_count(ctx, slab, free);
+                if heap.free_count(ctx, slab) != free {
+                    heap.set_free_count(ctx, slab, free);
+                    repaired = true;
+                }
                 if free == 0 {
                     // Durably full: the owner's unlink + detach never
                     // became durable. Finish it.
@@ -429,10 +476,11 @@ fn sanitize_list<M: PodMemory + ?Sized>(
             prev = Some(slab);
         } else {
             unlink_after(ctx, heap, head_off, prev, header.next);
+            repaired = true;
         }
         cursor = header.next.checked_sub(1);
     }
-    place
+    (place, repaired)
 }
 
 /// Points the list at `head_off` past an unlinked node: rewrites the

@@ -10,6 +10,10 @@
 //! an absent rover reads 0. A slab's rover is also forgotten where its
 //! descriptor is flushed for an ownership transition and where a
 //! global-list pop re-reads it.
+//!
+//! The same per-thread table keeps the DRAM mirror of the thread's
+//! durable dirty-list mask (`oplog::DIRTY_WORD`), so an owner whose
+//! list is already marked tests one bit instead of storing the word.
 
 use crate::error::HeapKind;
 use std::cell::Cell;
@@ -35,13 +39,28 @@ fn key_slot(kind: HeapKind, slab: u32) -> (u64, usize) {
 pub(crate) struct Rovers {
     /// `(key, rover)`; key 0 marks an empty slot.
     slots: [Cell<(u64, u32)>; SLOTS],
+    /// The dirty-list mask this thread last stored into its log line.
+    dirty: Cell<u64>,
 }
 
 impl Rovers {
-    pub fn new() -> Self {
+    /// A cold table whose dirty-list mirror starts at `dirty`, the
+    /// thread's durable mask.
+    pub fn new(dirty: u64) -> Self {
         Rovers {
             slots: [const { Cell::new((0, 0)) }; SLOTS],
+            dirty: Cell::new(dirty),
         }
+    }
+
+    /// The dirty-list mirror.
+    pub fn dirty(&self) -> u64 {
+        self.dirty.get()
+    }
+
+    /// Records the mask just stored into the log line.
+    pub fn set_dirty(&self, mask: u64) {
+        self.dirty.set(mask);
     }
 
     /// The rover of `(kind, slab)`; 0 when absent.
@@ -86,7 +105,7 @@ mod tests {
 
     #[test]
     fn small_and_large_do_not_collide() {
-        let rovers = Rovers::new();
+        let rovers = Rovers::new(0);
         for slab in [0, 7, 31] {
             rovers.set(Small, slab, 11);
             rovers.set(Large, slab, 22);
@@ -96,7 +115,7 @@ mod tests {
 
     #[test]
     fn rover_is_volatile_and_dies_with_the_slot() {
-        let rovers = Rovers::new();
+        let rovers = Rovers::new(0);
         let conflicting = 9 + (SLOTS / 2) as u32;
         assert_eq!(rovers.get(Small, 9), 0, "a cold table scans from 0");
         rovers.set(Small, 9, 137);

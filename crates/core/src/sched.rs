@@ -367,6 +367,14 @@ pub struct RunReport {
     pub crashes_missed: u64,
     /// Adoptions performed (in-schedule and end-of-run).
     pub recoveries: u64,
+    /// Private lists those adoptions' recoveries sanitized
+    /// ([`RecoveryReport::lists_walked`](crate::RecoveryReport::lists_walked)),
+    /// summed. Not folded into the fingerprint.
+    pub lists_walked: u64,
+    /// Of those, lists that needed a repair
+    /// ([`RecoveryReport::lists_repaired`](crate::RecoveryReport::lists_repaired)),
+    /// summed. Not folded into the fingerprint.
+    pub lists_repaired: u64,
     /// Hosts that silently stopped heartbeating ([`Step::StopHeartbeat`]
     /// on a live host).
     pub hangs: u64,
@@ -376,6 +384,15 @@ pub struct RunReport {
     pub degrades: u64,
     /// Faults the pod injector reported injecting during the run.
     pub faults_injected: u64,
+}
+
+impl RunReport {
+    /// Counts one adoption and its recovery's list walk.
+    fn note_recovery(&mut self, rep: &crate::RecoveryReport) {
+        self.recoveries += 1;
+        self.lists_walked += u64::from(rep.lists_walked);
+        self.lists_repaired += u64::from(rep.lists_repaired);
+    }
 }
 
 /// Why a run failed: the failing step (if attributable) and the
@@ -557,6 +574,8 @@ pub fn run_on(
         crashes_fired: 0,
         crashes_missed: 0,
         recoveries: 0,
+        lists_walked: 0,
+        lists_repaired: 0,
         hangs: 0,
         detections: 0,
         degrades: 0,
@@ -788,7 +807,7 @@ fn exec_step(
             fp.tag(rep.outcome);
             hosts[host_index].handle = Some(handle);
             hosts[host_index].hung = false;
-            report.recoveries += 1;
+            report.note_recovery(&rep);
         }
         Step::StopHeartbeat { .. } => {
             let host = &mut hosts[host_index];
@@ -849,7 +868,7 @@ fn exec_step(
                         fp.tag(rep.outcome);
                         other.handle = Some(handle);
                         other.hung = false;
-                        report.recoveries += 1;
+                        report.note_recovery(&rep);
                     }
                     // Impossible single-threaded, but the typed loser
                     // path must not fail the run.
@@ -982,7 +1001,7 @@ fn finish(hosts: &mut [Host], fp: &mut Fingerprint, report: &mut RunReport) -> R
         fp.tag("final-recover");
         fp.tag(rep.outcome);
         host.handle = Some(handle);
-        report.recoveries += 1;
+        report.note_recovery(&rep);
     }
     for (i, host) in hosts.iter_mut().enumerate() {
         let handle = host.handle.as_mut().expect("all hosts recovered");

@@ -32,7 +32,10 @@
 //! four-case argument in the paper, reproduced in this crate's tests).
 //!
 //! Every structural step first updates the thread's 8-byte recovery log
-//! (§3.4.2); `recovery.rs` redoes interrupted steps idempotently.
+//! (§3.4.2); `recovery.rs` redoes interrupted steps idempotently. Before
+//! that, `alloc` and `free_local` mark their class's list in the log
+//! line's dirty-list mask (`oplog.rs`), which limits recovery's list
+//! walk to the lists the thread edited since its last flush point.
 
 use crate::bitset::BlockBits;
 use crate::cell::{flags, Detect, LogWord, SwccHeader};
@@ -127,6 +130,37 @@ impl SlabHeap {
 
     fn op(&self, op: Op) -> u8 {
         op.encode(self.kind)
+    }
+
+    // ---- the dirty-list mask --------------------------------------------
+
+    /// This heap's bit in a thread's dirty-list mask (`oplog::DIRTY_WORD`)
+    /// for its private list of `class` (`None`: the unsized list). The
+    /// small heap's 29 lists take bits 0–28 and the large heap's 20 take
+    /// bits 29–48, each heap's unsized list first.
+    pub fn list_bit(&self, class: Option<u8>) -> u64 {
+        let base = match self.kind {
+            HeapKind::Small => 0,
+            HeapKind::Large => 1 + crate::class::SMALL_CLASSES_TABLE.len(),
+            HeapKind::Huge => unreachable!("huge heap is not a slab heap"),
+        };
+        1 << (base + class.map_or(0, |c| 1 + c as u32))
+    }
+
+    /// Marks the caller's sized list of `class` dirty before its op's
+    /// first `begin`, whose writeback makes the mark durable ahead of any
+    /// list or descriptor write. Only the owner marks (its context
+    /// carries the mirror), and only a list the mirror lacks: once set,
+    /// a bit costs one test per op until the next flush point clears it.
+    fn mark_dirty<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, class: u8) {
+        let Some(rovers) = ctx.rovers.filter(|_| ctx.recoverable) else {
+            return;
+        };
+        let mask = rovers.dirty() | self.list_bit(Some(class));
+        if mask != rovers.dirty() {
+            rovers.set_dirty(mask);
+            ctx.log().set_dirty(ctx.core, mask);
+        }
     }
 
     // ---- descriptor accessors ------------------------------------------
@@ -543,6 +577,7 @@ impl SlabHeap {
             .classes
             .class_of(size)
             .ok_or(AllocError::InvalidSize { size })?;
+        self.mark_dirty(ctx, class);
         loop {
             let Some(slab) = self.head_of(ctx, self.sized_head_off(ctx, class)) else {
                 self.acquire(ctx, class)?;
@@ -697,6 +732,7 @@ impl SlabHeap {
         if bits.get(ctx.core, bit) {
             return Err(AllocError::NotAllocated { offset }); // double free
         }
+        self.mark_dirty(ctx, class);
         ctx.log().begin(
             ctx.core,
             LogWord {

@@ -13,6 +13,10 @@
 //!   `SimMemory`) — where the simulator's own output must match too:
 //!   every counter, every core's virtual clock and the fingerprint of
 //!   the whole event stream.
+//!
+//! The simulated pods also run the script with every adoption walking
+//! all of the dead thread's lists (`!0` in its durable dirty-list mask):
+//! the same events, audits and metadata, and the same pinned refusal.
 
 use cxl_core::crash::{self, CrashPlan};
 use cxl_core::{AttachOptions, BlockCensus, Cxlalloc, OffsetPtr, ThreadHandle};
@@ -21,8 +25,11 @@ use cxl_pod::stats::MemStatsSnapshot;
 use cxl_pod::{CoreId, HwccMode, Layout, Pod, PodConfig, Segment, SimMemory};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
+
+include!("common/walks.rs");
 
 const SEED: u64 = 0x00D1_FF15;
 const STEPS: usize = 6000;
@@ -50,6 +57,8 @@ struct Outcome {
     invariants: Result<(), String>,
     census: Result<BlockCensus, String>,
     slabs: (u32, u32),
+    /// A hash of the segment's metadata at the end.
+    metadata: u64,
     /// What the backend itself recorded: counters, each core's virtual
     /// clock, and the trace stream's fingerprint on backends that trace.
     stats: MemStatsSnapshot,
@@ -57,7 +66,9 @@ struct Outcome {
     trace: Option<u64>,
 }
 
-fn run(pod: &Pod, expect_static: bool) -> Outcome {
+/// Runs the script on `pod`; with `full_walk` every adoption walks all
+/// of the dead thread's lists.
+fn run(pod: &Pod, expect_static: bool, full_walk: bool) -> Outcome {
     let process = pod.spawn_process();
     assert_eq!(process.raw_memory().is_some(), expect_static);
     if let Some(tracer) = pod.memory().tracer() {
@@ -138,6 +149,9 @@ fn run(pod: &Pod, expect_static: bool) -> Outcome {
                 let tid = handles[by].tid();
                 let via = handles[1 - by].core();
                 heap.mark_crashed(tid).unwrap();
+                if full_walk {
+                    force_full_walk(pod, tid.slot());
+                }
                 let (adopted, report) = heap.adopt(tid, via).unwrap();
                 handles[by] = adopted;
                 // An interrupted alloc that recovery could not roll back
@@ -183,11 +197,14 @@ fn run(pod: &Pod, expect_static: bool) -> Outcome {
         );
     }
     let stats = heap.stats();
+    let mut metadata = std::collections::hash_map::DefaultHasher::new();
+    metadata_image(pod).hash(&mut metadata);
     Outcome {
         events,
         invariants,
         census,
         slabs: (stats.small_slabs, stats.large_slabs),
+        metadata: metadata.finish(),
         stats: mem.stats(),
         virtual_ns: (0..pod.config().max_threads)
             .map(|core| mem.virtual_ns(CoreId(core as u16)))
@@ -206,8 +223,8 @@ fn config() -> PodConfig {
 
 #[test]
 fn static_and_dyn_instantiations_agree() {
-    let raw = run(&Pod::new(config()).unwrap(), true);
-    let sim = run(&Pod::with_simulation(config(), HwccMode::Full).unwrap(), false);
+    let raw = run(&Pod::new(config()).unwrap(), true, false);
+    let sim = run(&Pod::with_simulation(config(), HwccMode::Full).unwrap(), false, false);
 
     assert_eq!(raw.events.len(), sim.events.len());
     for (step, (a, b)) in raw.events.iter().zip(&sim.events).enumerate() {
@@ -242,13 +259,24 @@ fn hand_built_sim_pod(mode: HwccMode) -> Pod {
 #[test]
 fn simulated_pods_agree_on_every_counter_and_clock() {
     for mode in [HwccMode::Limited, HwccMode::None] {
-        let built = run(&Pod::with_simulation(config(), mode).unwrap(), false);
-        let handed = run(&hand_built_sim_pod(mode), false);
+        let built = run(&Pod::with_simulation(config(), mode).unwrap(), false, false);
+        let handed = run(&hand_built_sim_pod(mode), false, false);
 
         for (step, (a, b)) in built.events.iter().zip(&handed.events).enumerate() {
             assert_eq!(a, b, "{mode}: step {step} differs between the two pods");
         }
         assert_eq!(built, handed, "{mode}");
+
+        // Not exact on either mode (ROADMAP item 1), and the same under
+        // the full walk: its counters and clocks differ, nothing else.
+        let refusal = "small: slab 13 has 23 pending remote frees but only 19 open blocks";
+        assert_eq!(built.invariants, Err(refusal.to_string()), "{mode}");
+        let full = run(&Pod::with_simulation(config(), mode).unwrap(), false, true);
+        assert_eq!(
+            (&full.events, &full.invariants, &full.census, full.slabs, full.metadata),
+            (&built.events, &built.invariants, &built.census, built.slabs, built.metadata),
+            "{mode}: the full walk diverged"
+        );
 
         // The comparison is of a simulation that did something.
         assert!(built.trace.is_some());

@@ -46,15 +46,16 @@ pub const BATCHED: &[(u64, u64)] = &[
 
 /// Trace-stream fingerprint of the scripted crash/recovery schedule in
 /// `trace_determinism.rs` (tracer armed, 3 hosts, seed 42). Both trace
-/// pins last moved when `sched`'s end-of-run check became the one
-/// whole-heap walk (`audit::census`): it runs inside the traced window,
-/// so its flushes, fences and loads are part of both streams.
+/// pins last moved when the owner began marking its dirty-list mask
+/// (a store to its log line on a list's first edit after a flush
+/// point) and recovery stopped walking the lists the mask leaves out:
+/// both change charged accesses, not outcomes.
 #[allow(dead_code)]
-pub const TRACE_SCRIPTED: u64 = 0x0eccd1cf7e9fd94b;
+pub const TRACE_SCRIPTED: u64 = 0x26a007e2722700fc;
 
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
 /// cost determinism of the fabric layer, which schedule fingerprints
 /// (outcomes and offsets only) cannot see.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0x18eec3263a3aea62;
+pub const TRACE_CONGESTED: u64 = 0xba222c17bae476d4;

@@ -45,92 +45,108 @@ fn crash_thread(
     })
 }
 
+include!("common/walks.rs");
+
+/// One cell of `every_slab_crash_point_recovers`: crashes a churning
+/// victim at `point`, keeps a live thread working, and recovers the
+/// victim through it, walking every list when `full`. `None` when the
+/// point needs a second thread's blocks and never fired.
+fn slab_crash_cell(point: &'static str, mode: Option<HwccMode>, full: bool) -> Option<Recovered> {
+    let pod = pod(mode);
+    // A tight unsized limit makes the workload overflow to (and pop
+    // from) the global free list quickly.
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions {
+        unsized_limit: 1,
+        ..AttachOptions::default()
+    })
+    .unwrap();
+
+    // A workload guaranteed to traverse all slab paths: local churn,
+    // slab fills (detach), remote frees (disown + steal), unsized
+    // overflow to the global list, pops from it.
+    let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip: 0 }, |t| {
+        let mut helper_ptrs = Vec::new();
+        for round in 0..3 {
+            let ptrs: Vec<OffsetPtr> = (0..1200).map(|_| t.alloc(64).unwrap()).collect();
+            for (i, p) in ptrs.into_iter().enumerate() {
+                if i % 7 == round {
+                    helper_ptrs.push(p);
+                } else {
+                    t.dealloc(p).unwrap();
+                }
+            }
+        }
+        for p in helper_ptrs {
+            t.dealloc(p).unwrap();
+        }
+        // Everything is free now: surplus slabs went to the global
+        // list. Allocate a big batch to exercise unsized pops and then
+        // global-list pops.
+        let again: Vec<OffsetPtr> = (0..2400).map(|_| t.alloc(64).unwrap()).collect();
+        for p in again {
+            t.dealloc(p).unwrap();
+        }
+        // A detectable alloc reaches the delivery crash point.
+        let cell = t.alloc(8).unwrap();
+        let p = t.alloc_detectable(64, cell).unwrap();
+        t.dealloc(p).unwrap();
+        t.dealloc(cell).unwrap();
+    });
+
+    // Remote-free points need a second thread; they are retried there.
+    if !crashed && point.starts_with("slab::remote_free") {
+        return None;
+    }
+    assert!(crashed, "workload never reached {point}");
+    heap.mark_crashed(tid).unwrap();
+
+    // A live thread keeps working while the victim is dead —
+    // non-blocking crash (paper §3.4.1).
+    let mut live = heap.register_thread().unwrap();
+    for _ in 0..200 {
+        let p = live.alloc(64).unwrap();
+        live.dealloc(p).unwrap();
+    }
+
+    if full {
+        force_full_walk(&pod, tid.slot());
+    }
+    let report = heap.recover(tid, live.core()).unwrap();
+    Some(Recovered::after(&pod, &heap, live.core(), &report))
+}
+
 /// Exercises every slab-heap crash point with a workload that passes it,
-/// recovering and validating after each.
+/// recovering and validating after each, once with the targeted and
+/// once with the full sanitize walk.
 #[test]
 fn every_slab_crash_point_recovers() {
+    let mut rows = Vec::new();
     for point in cxl_core::slab::CRASH_POINTS {
         for mode in [None, Some(HwccMode::Limited), Some(HwccMode::None)] {
-            let pod = pod(mode);
-            // A tight unsized limit makes the workload overflow to (and
-            // pop from) the global free list quickly.
-            let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions {
-                unsized_limit: 1,
-                ..AttachOptions::default()
-            })
-            .unwrap();
-
-            // A workload guaranteed to traverse all slab paths: local
-            // churn, slab fills (detach), remote frees (disown + steal),
-            // unsized overflow to the global list, pops from it.
-            let (tid, crashed) = crash_thread(&heap, CrashPlan {
-                at: point,
-                skip: 0,
-            }, |t| {
-                let mut helper_ptrs = Vec::new();
-                for round in 0..3 {
-                    let ptrs: Vec<OffsetPtr> =
-                        (0..1200).map(|_| t.alloc(64).unwrap()).collect();
-                    for (i, p) in ptrs.into_iter().enumerate() {
-                        if i % 7 == round {
-                            helper_ptrs.push(p);
-                        } else {
-                            t.dealloc(p).unwrap();
-                        }
-                    }
-                }
-                for p in helper_ptrs {
-                    t.dealloc(p).unwrap();
-                }
-                // Everything is free now: surplus slabs went to the
-                // global list. Allocate a big batch to exercise unsized
-                // pops and then global-list pops.
-                let again: Vec<OffsetPtr> = (0..2400).map(|_| t.alloc(64).unwrap()).collect();
-                for p in again {
-                    t.dealloc(p).unwrap();
-                }
-                // A detectable alloc reaches the delivery crash point.
-                let cell = t.alloc(8).unwrap();
-                let p = t.alloc_detectable(64, cell).unwrap();
-                t.dealloc(p).unwrap();
-                t.dealloc(cell).unwrap();
-            });
-
-            // Remote-free points need a second thread; retry there below.
-            if !crashed && point.starts_with("slab::remote_free") {
+            let cell = format!("{point} ({mode:?})");
+            let Some(targeted) = slab_crash_cell(point, mode, false) else {
                 continue;
-            }
-            assert!(
-                crashed || point.starts_with("slab::remote_free"),
-                "workload never reached {point}"
-            );
-            heap.mark_crashed(tid).unwrap();
-
-            // A live thread keeps working while the victim is dead —
-            // non-blocking crash (paper §3.4.1).
-            let mut live = heap.register_thread().unwrap();
-            for _ in 0..200 {
-                let p = live.alloc(64).unwrap();
-                live.dealloc(p).unwrap();
-            }
-
-            let report = heap.recover(tid, live.core()).unwrap();
-            assert!(!report.outcome.is_empty());
-            let audit = heap.check_invariants(live.core());
-            // One cell is not exact on simulated pods. The victim had just
-            // re-initialised slab 3 for its 8-byte detect cell: the HWcc
-            // payload (4096, the 8 B class's block count) reached the
-            // device, but the SWcc header and free count died in its
+            };
+            let full = slab_crash_cell(point, mode, true).expect("the same script");
+            rows.push(compare_walks(cell.clone(), &targeted, &full));
+            assert!(!targeted.outcome.is_empty());
+            // One cell is not exact on simulated pods. The victim had
+            // just re-initialised slab 3 for its 8-byte detect cell: the
+            // HWcc payload (4096, the 8 B class's block count) reached
+            // the device, but the SWcc header and free count died in its
             // cache, so the durable header still names the 64 B class
             // with 512 blocks (ROADMAP item 1, the *lost* semantics).
             if *point == "slab::alloc_block::after_deliver" && mode.is_some() {
                 let refusal = "small: slab 3 HWcc payload 4096 exceeds 512 blocks";
-                assert_eq!(audit, Err(refusal.to_string()), "{point} ({mode:?})");
+                assert_eq!(targeted.census, Err(refusal.to_string()), "{cell}");
                 continue;
             }
-            audit.unwrap_or_else(|e| panic!("invariants after {point} ({mode:?}): {e}"));
+            if let Err(e) = targeted.census {
+                panic!("invariants after {cell}: {e}");
+            }
         }
     }
+    check_walks("every_slab_crash_point_recovers", &rows);
 }
 
 /// A thread that dies inside the first allocation from its retained
@@ -424,8 +440,14 @@ fn crash_point_matrix_via_schedule_driver() {
     // replay: two runs of the same (config, schedule) produce identical
     // fingerprints. Recovery's own labels are never passed by a
     // victim's churn; `crashed_recovery_is_rerun_exactly` fires them.
+    //
+    // Each cell also runs with the victim's durable dirty-list mask set
+    // to `!0` before the run: its handle starts with every list marked,
+    // so its recoveries walk all of them. The run must end with the same
+    // fingerprint (outcomes and offsets), census audit and metadata.
     use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
 
+    let mut rows = Vec::new();
     for mode in [HwccMode::Limited, HwccMode::None] {
         let config = SimConfig { mode, ..SimConfig::default() };
         for (module, points) in crash::known_points() {
@@ -449,8 +471,17 @@ fn crash_point_matrix_via_schedule_driver() {
                         ],
                     };
                     let cell = format!("{mode:?} {module}::{at} skip {skip}");
-                    let report = sched::run(&config, &schedule, &FaultPlan::none())
-                        .unwrap_or_else(|e| panic!("{cell}: {e}"));
+                    let run = |full: bool| {
+                        let pod = Pod::with_simulation(config.pod_config(), mode).unwrap();
+                        if full {
+                            // Host 1 registers second, in slot 1.
+                            force_full_walk(&pod, 1);
+                        }
+                        let report = sched::run_on(&pod, &config, &schedule, &FaultPlan::none())
+                            .unwrap_or_else(|e| panic!("{cell} (full walk: {full}): {e}"));
+                        (report, metadata_image(&pod))
+                    };
+                    let (report, image) = run(false);
                     // Whether the point fired depends on the label and
                     // skip (some are only reached once per churn; the
                     // companion test below holds every label to fire);
@@ -461,10 +492,21 @@ fn crash_point_matrix_via_schedule_driver() {
                             .unwrap_or_else(|e| panic!("{cell} (replay): {e}"));
                         assert_eq!(report.fingerprint, replay.fingerprint, "{cell}: replay diverged");
                     }
+                    let (full, full_image) = run(true);
+                    assert_eq!(report.fingerprint, full.fingerprint, "{cell}: the full walk diverged");
+                    assert_same_image(&cell, &image, &full_image);
+                    if report.recoveries > 0 {
+                        rows.push(WalkRow {
+                            cell,
+                            targeted: (report.lists_walked, report.lists_repaired),
+                            full: (full.lists_walked, full.lists_repaired),
+                        });
+                    }
                 }
             }
         }
     }
+    check_walks("crash_point_matrix_via_schedule_driver", &rows);
 }
 
 #[test]
@@ -584,10 +626,10 @@ fn large_heap_crash_points_recover() {
 /// recovery's own labels; the second runs through. The adopter then
 /// finds clean invariants, a census of exactly the blocks the victim
 /// held, and a heap that still serves every class. (Adoption through
-/// `try_adopt`'s ADOPTING state is not crashed here.)
+/// `try_adopt`'s ADOPTING state is not crashed here.) Each cell runs
+/// with the targeted and with the full sanitize walk.
 #[test]
 fn crashed_recovery_is_rerun_exactly() {
-    use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASS_SIZES};
     use std::collections::BTreeSet;
     const VICTIM_LABELS: [&str; 4] = [
         "slab::alloc_block::after_clear",
@@ -595,107 +637,131 @@ fn crashed_recovery_is_rerun_exactly() {
         "slab::init::mid",
         "slab::push_global::after_pop",
     ];
-    // 64-byte blocks per 32 KiB small slab.
-    const PER_SLAB: usize = 512;
     let mut fired = BTreeSet::new();
-    for mode in [None, Some(HwccMode::Limited)] {
+    let mut rows = Vec::new();
+    for mode in [None, Some(HwccMode::Limited), Some(HwccMode::None)] {
         for victim_at in VICTIM_LABELS {
             for &recovery_at in cxl_core::recovery::CRASH_POINTS {
                 let cell = format!("{victim_at} then {recovery_at} ({mode:?})");
-                // Room for one (retained) slab per large class.
-                let config = PodConfig { small_max_slabs: 256, large_max_slabs: 32, ..PodConfig::small_for_tests() };
-                let pod = match mode {
-                    None => Pod::new(config).unwrap(),
-                    Some(mode) => Pod::with_simulation(config, mode).unwrap(),
-                };
-                // Every slab a thread gives up goes to the global list.
-                let options = AttachOptions { unsized_limit: 0, ..AttachOptions::default() };
-                let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
-                let survivor = heap.register_thread().unwrap();
-                let via = survivor.core();
-
-                // Two 64 B slabs: the first emptied (and retained), the
-                // second down to one block, `last`. Freeing `last`
-                // empties it and overflows the unsized list; allocating
-                // takes a block from it; a 256 B allocation initializes
-                // a fresh slab.
-                let (tid, mut held, last) = std::thread::scope(|s| {
-                    s.spawn(|| {
-                        let mut t = heap.register_thread().unwrap();
-                        let held: Vec<OffsetPtr> = [8, 128, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
-                        let mut filled: Vec<OffsetPtr> = (0..2 * PER_SLAB).map(|_| t.alloc(64).unwrap()).collect();
-                        let last = filled.pop().unwrap();
-                        for p in filled {
-                            t.dealloc(p).unwrap();
-                        }
-                        // Quiesce: the crashing op is then the only one
-                        // the victim's cache can take with it.
-                        t.flush_cache();
-                        crash::arm(CrashPlan { at: victim_at, skip: 0 });
-                        let crashed = crash::catch(std::panic::AssertUnwindSafe(|| match victim_at {
-                            "slab::alloc_block::after_clear" => drop(t.alloc_detectable(64, held[0])),
-                            "slab::init::mid" => drop(t.alloc(256)),
-                            _ => t.dealloc(last).unwrap(),
-                        }))
-                        .is_err();
-                        crash::disarm();
-                        assert!(crashed, "{cell}: the victim never crashed");
-                        (t.tid(), held, last)
-                    })
-                    .join()
-                    .unwrap()
-                });
-                // `last` is still held unless the crash was in its free.
-                // On `Limited` the free that crashed at `after_pop` had
-                // cleared its log with the freed bit still in the
-                // victim's cache, so the block reads allocated (the
-                // `crash_labels.rs` cell of the same name).
-                let freed = match victim_at {
-                    "slab::free_local::after_set" => true,
-                    "slab::push_global::after_pop" => mode.is_none(),
-                    _ => false,
-                };
-                if !freed {
-                    held.push(last);
-                }
-                heap.mark_crashed(tid).unwrap();
-
-                crash::arm(CrashPlan { at: recovery_at, skip: 0 });
-                let first = crash::catch(std::panic::AssertUnwindSafe(|| heap.recover(tid, via)));
-                crash::disarm();
-                // An idle log (the `after_pop` victim) ends recovery
-                // after sanitize, before any redo label.
-                let expect_crash =
-                    recovery_at == "recovery::after_sanitize" || victim_at != "slab::push_global::after_pop";
-                assert_eq!(first.is_err(), expect_crash, "{cell}");
-                if first.is_err() {
+                let (targeted, crashed) = rerun_cell(&cell, mode, victim_at, recovery_at, false);
+                let (full, _) = rerun_cell(&cell, mode, victim_at, recovery_at, true);
+                rows.push(compare_walks(cell, &targeted, &full));
+                if crashed {
                     fired.insert(recovery_at);
                 }
-                let report = heap.recover(tid, via).unwrap();
-                assert_eq!(report.lost_block, None, "{cell}");
-
-                heap.check_invariants(via)
-                    .unwrap_or_else(|e| panic!("{cell}: invariants: {e}"));
-                let mut expected: Vec<u64> = held.iter().map(|p| p.offset()).collect();
-                expected.sort_unstable();
-                assert_eq!(heap.census(via).unwrap().all_offsets(), expected, "{cell}");
-
-                let (mut adopted, _report) = heap.adopt(tid, via).unwrap();
-                for &size in SMALL_CLASS_SIZES.iter().chain(&LARGE_CLASS_SIZES) {
-                    let p = adopted.alloc(size as usize).unwrap();
-                    adopted.flush_cache();
-                    assert_eq!(heap.census(via).unwrap().total(), expected.len() + 1, "{cell}");
-                    adopted.dealloc(p).unwrap();
-                }
-                for p in held {
-                    adopted.dealloc(p).unwrap();
-                }
-                adopted.flush_cache();
-                heap.check_invariants(via).unwrap();
-                assert_eq!(heap.census(via).unwrap().total(), 0, "{cell}");
             }
         }
     }
+    check_walks("crashed_recovery_is_rerun_exactly", &rows);
     let all: BTreeSet<&str> = cxl_core::recovery::CRASH_POINTS.iter().copied().collect();
     assert_eq!(fired, all);
+}
+
+/// One cell of `crashed_recovery_is_rerun_exactly`, walking every list
+/// when `full`: what the second recovery left, with the walk of the
+/// first recovery that completed, and whether the first one crashed.
+fn rerun_cell(
+    cell: &str,
+    mode: Option<HwccMode>,
+    victim_at: &'static str,
+    recovery_at: &'static str,
+    full: bool,
+) -> (Recovered, bool) {
+    use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASS_SIZES};
+    // 64-byte blocks per 32 KiB small slab.
+    const PER_SLAB: usize = 512;
+    // Room for one (retained) slab per large class.
+    let config = PodConfig { small_max_slabs: 256, large_max_slabs: 32, ..PodConfig::small_for_tests() };
+    let pod = match mode {
+        None => Pod::new(config).unwrap(),
+        Some(mode) => Pod::with_simulation(config, mode).unwrap(),
+    };
+    // Every slab a thread gives up goes to the global list.
+    let options = AttachOptions { unsized_limit: 0, ..AttachOptions::default() };
+    let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let via = survivor.core();
+
+    // Two 64 B slabs: the first emptied (and retained), the second down
+    // to one block, `last`. Freeing `last` empties it and overflows the
+    // unsized list; allocating takes a block from it; a 256 B
+    // allocation initializes a fresh slab.
+    let (tid, mut held, last) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut t = heap.register_thread().unwrap();
+            let held: Vec<OffsetPtr> = [8, 128, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
+            let mut filled: Vec<OffsetPtr> = (0..2 * PER_SLAB).map(|_| t.alloc(64).unwrap()).collect();
+            let last = filled.pop().unwrap();
+            for p in filled {
+                t.dealloc(p).unwrap();
+            }
+            // Quiesce: the crashing op is then the only one the victim's
+            // cache can take with it.
+            t.flush_cache();
+            crash::arm(CrashPlan { at: victim_at, skip: 0 });
+            let crashed = crash::catch(std::panic::AssertUnwindSafe(|| match victim_at {
+                "slab::alloc_block::after_clear" => drop(t.alloc_detectable(64, held[0])),
+                "slab::init::mid" => drop(t.alloc(256)),
+                _ => t.dealloc(last).unwrap(),
+            }))
+            .is_err();
+            crash::disarm();
+            assert!(crashed, "{cell}: the victim never crashed");
+            (t.tid(), held, last)
+        })
+        .join()
+        .unwrap()
+    });
+    // `last` is still held unless the crash was in its free. On a
+    // simulated pod the free that crashed at `after_pop` had cleared its
+    // log with the freed bit still in the victim's cache, so the block
+    // reads allocated (the `crash_labels.rs` cell of the same name).
+    let freed = match victim_at {
+        "slab::free_local::after_set" => true,
+        "slab::push_global::after_pop" => mode.is_none(),
+        _ => false,
+    };
+    if !freed {
+        held.push(last);
+    }
+    heap.mark_crashed(tid).unwrap();
+    if full {
+        force_full_walk(&pod, tid.slot());
+    }
+
+    crash::arm(CrashPlan { at: recovery_at, skip: 0 });
+    let first = crash::catch(std::panic::AssertUnwindSafe(|| heap.recover(tid, via)));
+    crash::disarm();
+    // An idle log (the `after_pop` victim) ends recovery after sanitize,
+    // before any redo label.
+    let expect_crash = recovery_at == "recovery::after_sanitize" || victim_at != "slab::push_global::after_pop";
+    assert_eq!(first.is_err(), expect_crash, "{cell}");
+    let report = heap.recover(tid, via).unwrap();
+    assert_eq!(report.lost_block, None, "{cell}");
+    let mut recovered = Recovered::after(&pod, &heap, via, &report);
+    // The walk to tabulate is the first one that ran to completion.
+    if let Ok(Ok(first)) = &first {
+        recovered.walks = (first.lists_walked.into(), first.lists_repaired.into());
+    }
+
+    heap.check_invariants(via)
+        .unwrap_or_else(|e| panic!("{cell}: invariants: {e}"));
+    let mut expected: Vec<u64> = held.iter().map(|p| p.offset()).collect();
+    expected.sort_unstable();
+    assert_eq!(recovered.census, Ok(expected.clone()), "{cell}");
+
+    let (mut adopted, _report) = heap.adopt(tid, via).unwrap();
+    for &size in SMALL_CLASS_SIZES.iter().chain(&LARGE_CLASS_SIZES) {
+        let p = adopted.alloc(size as usize).unwrap();
+        adopted.flush_cache();
+        assert_eq!(heap.census(via).unwrap().total(), expected.len() + 1, "{cell}");
+        adopted.dealloc(p).unwrap();
+    }
+    for p in held {
+        adopted.dealloc(p).unwrap();
+    }
+    adopted.flush_cache();
+    heap.check_invariants(via).unwrap();
+    assert_eq!(heap.census(via).unwrap().total(), 0, "{cell}");
+    (recovered, first.is_err())
 }

@@ -10,15 +10,35 @@
 //! `next` link flushed by one operation, the head that made it reachable
 //! lost with the cache). A raw pod is used so the test can write the
 //! durable image directly.
+//!
+//! Recovery sanitizes only the lists the dead thread's durable
+//! dirty-list mask names (plus both unsized lists and the logged class),
+//! so every hand edit below also sets its list's bit, as the owner's own
+//! edit of that list would have. The last tests hold the mask to its
+//! lifecycle and its cost.
 
 use cxl_core::cell::{LogWord, SwccHeader};
 use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASSES_TABLE, SMALL_CLASS_SIZES};
-use cxl_core::oplog::OpLog;
-use cxl_core::{AttachOptions, Cxlalloc, HeapKind, Op, OffsetPtr, ThreadId};
+use cxl_core::oplog::{OpLog, DIRTY_WORD};
+use cxl_core::slab::SlabHeap;
+use cxl_core::{AttachOptions, Cxlalloc, HeapKind, Op, OffsetPtr, RecoveryReport, ThreadId};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
+use std::sync::atomic::Ordering;
 
 const CLASS_A_SIZE: usize = 64;
 const CLASS_B_SIZE: usize = 128;
+
+/// Sets the bit of `tid`'s small-heap `class` list in its durable
+/// dirty-list mask, as the owner's first edit of that list would have.
+fn mark_dirty(pod: &Pod, tid: ThreadId, class: u8) {
+    let bit = SlabHeap::small().list_bit(Some(class));
+    let off = pod.layout().log_aux_at(tid.slot(), DIRTY_WORD);
+    pod.memory().segment().atomic_u64(off).fetch_or(bit, Ordering::SeqCst);
+}
+
+fn class_of(size: usize) -> u8 {
+    SMALL_CLASSES_TABLE.class_of(size).unwrap()
+}
 
 /// A dead thread's heap just before it is marked crashed: two non-full
 /// slabs on its 64 B list (`a1` → `a2`), one on its 128 B list (`b`).
@@ -107,13 +127,15 @@ impl Victim {
             next,
             ..self.header(slab)
         };
+        mark_dirty(&self.pod, self.tid, header.class);
         self.pod.memory().store_u64(CoreId(0), off, header.pack());
     }
 
     /// Overwrites the 128 B list's durable head (raw: index + 1, 0 null).
     fn set_head_b(&self, head: u32) {
-        let class = SMALL_CLASSES_TABLE.class_of(CLASS_B_SIZE).unwrap() as u32;
-        let off = self.pod.layout().small.local_sized_at(self.tid.slot(), class);
+        let class = class_of(CLASS_B_SIZE);
+        let off = self.pod.layout().small.local_sized_at(self.tid.slot(), class as u32);
+        mark_dirty(&self.pod, self.tid, class);
         self.pod.memory().store_u64(CoreId(0), off, head as u64);
     }
 
@@ -125,7 +147,9 @@ impl Victim {
     /// live block to overwrite.
     fn empty(&mut self, slab: u32, size: usize) {
         let hl = self.pod.layout().small.clone();
-        let blocks = SMALL_CLASSES_TABLE.blocks_per_slab(SMALL_CLASSES_TABLE.class_of(size).unwrap());
+        let blocks = SMALL_CLASSES_TABLE.blocks_per_slab(class_of(size));
+        mark_dirty(&self.pod, self.tid, self.header(slab).class);
+        mark_dirty(&self.pod, self.tid, class_of(size));
         for word in 0..u64::from(blocks.div_ceil(64)) {
             self.pod.memory().store_u64(CoreId(0), hl.bitset_at(slab) + 8 * word, u64::MAX);
         }
@@ -140,9 +164,10 @@ impl Victim {
         let word = LogWord {
             op: op.encode(HeapKind::Small),
             a: slab,
-            b: SMALL_CLASSES_TABLE.class_of(size).unwrap(),
+            b: class_of(size),
             c: 0,
         };
+        mark_dirty(&self.pod, self.tid, word.b);
         OpLog::new(self.pod.memory().as_ref(), self.tid.slot()).begin(CoreId(0), word, &[0]);
     }
 
@@ -176,11 +201,12 @@ impl Victim {
     /// still allocates from every class. The invariants and the orphan
     /// check also run between `recover` and `adopt`, whose own recovery
     /// pass would otherwise re-sanitize a list the redo left wrong.
-    fn recover_and_check(self) {
+    /// Returns the number of lists the recovery repaired.
+    fn recover_and_check(self) -> u32 {
         let survivor = self.heap.register_thread().unwrap();
         let via = survivor.core();
         self.heap.mark_crashed(self.tid).unwrap();
-        self.heap.recover(self.tid, via).unwrap();
+        let repaired = self.heap.recover(self.tid, via).unwrap().lists_repaired;
         self.heap.check_invariants(via).unwrap();
         assert_eq!(self.orphans(), Vec::<u32>::new(), "owned, open and on no list");
         let (mut adopted, _report) = self.heap.adopt(self.tid, via).unwrap();
@@ -210,12 +236,13 @@ impl Victim {
         }
         self.heap.check_invariants(via).unwrap();
         assert_eq!(self.heap.census(via).unwrap().total(), 0);
+        repaired
     }
 }
 
 #[test]
 fn uncorrupted_lists_are_the_control() {
-    Victim::new().recover_and_check();
+    assert_eq!(Victim::new().recover_and_check(), 0, "nothing to repair");
 }
 
 #[test]
@@ -224,7 +251,7 @@ fn cycle_is_cut_after_its_last_new_node() {
     // a1 → a2 → a1 → …, and a self-loop on the other list.
     v.set_next(v.a2, v.a1 + 1);
     v.set_next(v.b, v.b + 1);
-    v.recover_and_check();
+    assert_eq!(v.recover_and_check(), 2, "both lists are cut");
 }
 
 #[test]
@@ -232,7 +259,7 @@ fn chain_that_strays_into_another_class_is_unlinked() {
     let v = Victim::new();
     // The 64 B list runs on into the 128 B list's slab.
     v.set_next(v.a2, v.b + 1);
-    v.recover_and_check();
+    assert_eq!(v.recover_and_check(), 1, "the 64 B list drops its stray");
 }
 
 #[test]
@@ -243,7 +270,7 @@ fn next_past_the_heap_length_truncates() {
     // One past the last slab, and far past it.
     v.set_next(v.a2, len + 1);
     v.set_next(v.b, u32::MAX);
-    v.recover_and_check();
+    assert_eq!(v.recover_and_check(), 2, "both lists are truncated");
 }
 
 #[test]
@@ -322,13 +349,24 @@ fn redo_for_a_new_class_unlinks_the_slab_from_its_stale_class_list() {
     }
 }
 
+/// How the `recovery_traffic` victim dies, after filling its 64 B list
+/// and quiescing with `flush_cache`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Death {
+    /// Idle log, with the 64 B list marked dirty by hand.
+    Idle,
+    /// Inside a `FreeLocal` on the tail slab, logged and marked by hand.
+    FreeTail,
+    /// Idle log after one 128 B allocation of its own.
+    After128,
+}
+
 /// Cache traffic of one recovery, as `[loads, stores, cached_hits,
-/// line_fills, writebacks, flushes]`, of a victim on a `Limited` pod
-/// whose 64 B list holds `slabs` non-full slabs. With `logged` the
-/// victim died inside a `FreeLocal` on the tail slab; otherwise its log
-/// is idle. The counts are summed over cores, and only the recovering
-/// core runs in between.
-fn recovery_traffic(slabs: usize, logged: bool) -> [u64; 6] {
+/// line_fills, writebacks, flushes]`, and its report, of a victim on a
+/// `Limited` pod whose 64 B list holds `slabs` non-full slabs and that
+/// dies as `death` says. The counts are summed over cores, and only the
+/// recovering core runs in between.
+fn recovery_traffic(slabs: usize, death: Death) -> ([u64; 6], RecoveryReport) {
     let pod = Pod::with_simulation(
         PodConfig {
             small_max_slabs: 64,
@@ -341,7 +379,7 @@ fn recovery_traffic(slabs: usize, logged: bool) -> [u64; 6] {
     let survivor = heap.register_thread().unwrap();
     let mut t = heap.register_thread().unwrap();
     let (tid, core) = (t.tid(), t.core());
-    let class = SMALL_CLASSES_TABLE.class_of(CLASS_A_SIZE).unwrap();
+    let class = class_of(CLASS_A_SIZE);
     let per_slab = SMALL_CLASSES_TABLE.blocks_per_slab(class) as usize;
     // Fill the slabs (each detaches full), then free block 0 of each in
     // fill order: each relinks at the head, so the first is the tail.
@@ -349,42 +387,54 @@ fn recovery_traffic(slabs: usize, logged: bool) -> [u64; 6] {
     for s in 0..slabs {
         t.dealloc(blocks[s * per_slab]).unwrap();
     }
+    let durable_mask = || pod.memory().segment().peek_u64(pod.layout().log_aux_at(tid.slot(), DIRTY_WORD));
+    assert_ne!(durable_mask(), 0, "the victim's edits marked its lists");
     t.flush_cache();
+    assert_eq!(durable_mask(), 0, "flush_cache clears the mask durably");
+    if death == Death::After128 {
+        t.alloc(CLASS_B_SIZE).unwrap();
+    }
     drop(t);
     let hl = &pod.layout().small;
     let tail = hl.slab_of(blocks[0].offset()).unwrap();
     let head_off = hl.local_sized_at(tid.slot(), class as u32);
     let head = hl.slab_of(blocks[(slabs - 1) * per_slab].offset()).unwrap();
     assert_eq!(pod.memory().load_u64(core, head_off), (head + 1) as u64);
-    if logged {
-        // Block 0 is already free: the redo's set is a no-op and the
-        // normalization moves the tail slab to the head.
-        let word = LogWord {
-            op: Op::FreeLocal.encode(HeapKind::Small),
-            a: tail,
-            b: class,
-            c: 0,
-        };
-        OpLog::new(pod.memory().as_ref(), tid.slot()).begin(core, word, &[]);
+    match death {
+        Death::Idle => mark_dirty(&pod, tid, class),
+        Death::FreeTail => {
+            // Block 0 is already free: the redo's set is a no-op and the
+            // normalization moves the tail slab to the head.
+            mark_dirty(&pod, tid, class);
+            let word = LogWord {
+                op: Op::FreeLocal.encode(HeapKind::Small),
+                a: tail,
+                b: class,
+                c: 0,
+            };
+            OpLog::new(pod.memory().as_ref(), tid.slot()).begin(core, word, &[]);
+        }
+        Death::After128 => {}
     }
     heap.mark_crashed(tid).unwrap();
 
     let sim = pod.memory().as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
     let before = sim.cache().counts();
-    heap.recover(tid, survivor.core()).unwrap();
+    let report = heap.recover(tid, survivor.core()).unwrap();
     let after = sim.cache().counts();
     heap.check_invariants(survivor.core()).unwrap();
-    if logged {
+    if death == Death::FreeTail {
         assert_eq!(pod.memory().load_u64(survivor.core(), head_off), (tail + 1) as u64);
     }
-    [
+    let counts = [
         after.loads - before.loads,
         after.stores - before.stores,
         after.cached_hits - before.cached_hits,
         after.line_fills - before.line_fills,
         after.writebacks - before.writebacks,
         after.flushes - before.flushes,
-    ]
+    ];
+    (counts, report)
 }
 
 #[test]
@@ -393,10 +443,41 @@ fn redo_cost_does_not_grow_with_the_list() {
     // sanitize walk, which grows with the list; what is left is the
     // redo, which finds the tail slab where sanitize recorded it.
     let redo = |slabs| {
-        let (logged, idle) = (recovery_traffic(slabs, true), recovery_traffic(slabs, false));
+        let (logged, idle) = (recovery_traffic(slabs, Death::FreeTail).0, recovery_traffic(slabs, Death::Idle).0);
         std::array::from_fn::<i64, 6, _>(|i| logged[i] as i64 - idle[i] as i64)
     };
     let (short, long) = (redo(4), redo(32));
     assert!(short[0] > 0, "the redo loads something: {short:?}");
     assert_eq!(short, long, "[loads, stores, hits, fills, writebacks, flushes]");
+}
+
+#[test]
+fn sanitize_cost_does_not_grow_with_untouched_lists() {
+    // After its quiesce the victim touched only the 128 B list, so the
+    // 64 B list's 4 or 32 slabs are never walked: recovery walks the two
+    // unsized lists and the 128 B list, at the same cost either way.
+    let (short, short_report) = recovery_traffic(4, Death::After128);
+    let (long, long_report) = recovery_traffic(32, Death::After128);
+    assert_eq!(short_report.lists_walked, 3, "{short_report:?}");
+    assert_eq!(short_report, long_report);
+    assert_eq!(short, long, "[loads, stores, hits, fills, writebacks, flushes]");
+}
+
+#[test]
+fn without_recovery_state_the_mask_is_inert_and_every_list_is_walked() {
+    let pod = Pod::new(PodConfig::small_for_tests()).unwrap();
+    let options = AttachOptions { recoverable: false, ..AttachOptions::default() };
+    let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let mut t = heap.register_thread().unwrap();
+    let tid = t.tid();
+    let live: Vec<OffsetPtr> = [8, 64, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
+    drop(t);
+    assert_eq!(pod.memory().segment().peek_u64(pod.layout().log_aux_at(tid.slot(), DIRTY_WORD)), 0);
+    heap.mark_crashed(tid).unwrap();
+    let report = heap.recover(tid, survivor.core()).unwrap();
+    assert_eq!(report.lists_walked, 2 + SMALL_CLASS_SIZES.len() as u32 + LARGE_CLASS_SIZES.len() as u32);
+    let mut expected: Vec<u64> = live.iter().map(|p| p.offset()).collect();
+    expected.sort_unstable();
+    assert_eq!(heap.census(survivor.core()).unwrap().all_offsets(), expected);
 }
