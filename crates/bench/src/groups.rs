@@ -16,7 +16,7 @@ use cxl_core::dcas::Dcas;
 use cxl_core::{AttachOptions, OffsetPtr, ThreadId};
 use cxl_pod::latency::{Clocks, LatencyModel};
 use cxl_pod::nmp::NmpDevice;
-use cxl_pod::stats::{MemStats, MemStatsSnapshot};
+use cxl_pod::stats::MemStatsSnapshot;
 use cxl_pod::{CoreId, FabricConfig, HwccMode, Pod, PodConfig, Segment};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -307,8 +307,7 @@ pub fn bench_nmp(c: &mut Criterion) {
     let mut group = c.benchmark_group("nmp_mcas");
     group.throughput(Throughput::Elements(1));
     let segment = Arc::new(Segment::zeroed(64 << 10).unwrap());
-    let stats = Arc::new(MemStats::new());
-    let nmp = NmpDevice::new(segment.clone(), 4, stats);
+    let nmp = NmpDevice::new(segment.clone(), 4);
     let clocks = Clocks::new(4);
     let model = LatencyModel::paper_calibrated();
     group.bench_function("spwr_sprd_pair", |b| {
@@ -548,7 +547,7 @@ fn kvstore_kernel(alloc: &CxlallocAdapter, hosts: usize) -> Round {
 /// normalized per block op / per 1k block ops: the makespan
 /// (`sim_ns_per_op`) and the mean modeled latency of one op
 /// (`sim_latency_ns_per_op`, Σ of the hosts' clock advances over ops),
-/// CAS retries with per-site attribution, line-contention traffic, and
+/// CAS retries, line-contention traffic, and
 /// the fabric's queueing / service split (zero on an uncongested pod).
 fn annotate_host_scaling(
     group: &mut criterion::BenchmarkGroup<'_>,
@@ -562,8 +561,6 @@ fn annotate_host_scaling(
         ("sim_ns_per_op", per_op(span.makespan_ns)),
         ("sim_latency_ns_per_op", per_op(span.sum_ns)),
         ("cas_retries_per_kop", per_kop(delta.cas_retries)),
-        ("pop_global_retries_per_kop", per_kop(delta.cas_retries_pop_global)),
-        ("publish_retries_per_kop", per_kop(delta.cas_retries_remote_publish)),
         ("line_transfers_per_kop", per_kop(delta.line_fills + delta.writebacks)),
         ("fabric_queue_ns_per_op", per_op(delta.fabric_queue_ns)),
         ("fabric_service_ns_per_op", per_op(delta.fabric_service_ns)),
@@ -579,7 +576,7 @@ fn annotate_host_scaling(
 /// the clock-ordered [`driver`] on one OS thread: on the wall-clock
 /// backend a CI box's scheduler would drown the coherence signal, while
 /// here every cross-host line transfer and publish CAS is modeled work
-/// and also shows up in the `MemStats` counters attached to each record.
+/// and also shows up in the event counts attached to each record.
 pub fn bench_host_scaling(c: &mut Criterion) {
     host_scaling_sweep(c, &[1, 2, 4, 8, 16, 32, 64], true, None);
 }

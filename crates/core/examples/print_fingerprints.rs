@@ -218,7 +218,10 @@ fn main() {
          /// Trace-stream fingerprint of the same scripted schedule on a pod with\n\
          /// the congested fabric preset (`FabricConfig::congested()`): pins the\n\
          /// cost determinism of the fabric layer, which schedule fingerprints\n\
-         /// (outcomes and offsets only) cannot see.\n\
+         /// (outcomes and offsets only) cannot see. It last moved when a\n\
+         /// crossing that sees the saturation knee began to record a zero-cost\n\
+         /// `fabric_saturated` marker after its `fabric_service` event: no\n\
+         /// charged nanosecond and no other event moved.\n\
          #[allow(dead_code)]\n\
          pub const TRACE_CONGESTED: u64 = {trace_congested:#018x};\n"
     );

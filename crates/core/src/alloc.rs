@@ -77,8 +77,7 @@ fn registry_cas(
         match mem.cas_u64(core, offset, current, new) {
             Ok(_) => return Ok(()),
             Err(actual) if actual == current => {
-                mem.note_cas_retry_at(cxl_pod::stats::CasRetrySite::Lease);
-                mem.trace_op(core, TraceKind::CasRetry, offset);
+                mem.event(core, TraceKind::CasRetry, offset);
                 match backoff.step() {
                     Some(spins) => Backoff::pause(spins),
                     None => {
@@ -108,7 +107,7 @@ impl RegistryError {
 /// the one place a call picks its instantiation of the backend-generic
 /// internals ([`Ctx`] and everything that takes one); below it, a raw
 /// pod's `load_u64`/`store_u64`/`layout()` inline to loads and stores
-/// and its empty `flush`/`fence`/`writeback`/`trace_op` vanish. A macro
+/// and its empty `flush`/`fence`/`writeback` and uncounted `event`s vanish. A macro
 /// rather than a closure so `$body` can borrow the caller's fields
 /// disjointly and is compiled once per backend from one source.
 ///
@@ -625,8 +624,7 @@ impl Cxlalloc {
                         registry::ADOPTING,
                         "slot {tid} changed under its adopter"
                     );
-                    mem.note_cas_retry_at(cxl_pod::stats::CasRetrySite::Fallback);
-                    mem.trace_op(via, TraceKind::CasRetry, off);
+                    mem.event(via, TraceKind::CasRetry, off);
                     Backoff::pause(backoff.step_saturating());
                 }
             }
@@ -799,7 +797,7 @@ impl ThreadHandle {
             } else {
                 inner.huge.alloc(&ctx, &mut self.huge, size)
             }?;
-            mem.trace_op(self.core, TraceKind::SlabAlloc, offset);
+            mem.event(self.core, TraceKind::SlabAlloc, offset);
             Ok(OffsetPtr::new(offset).expect("data offsets are nonzero"))
         })
     }
@@ -828,7 +826,7 @@ impl ThreadHandle {
                 Err(AllocError::WildPointer { offset })
             };
             if result.is_ok() {
-                mem.trace_op(self.core, TraceKind::SlabFree, offset);
+                mem.event(self.core, TraceKind::SlabFree, offset);
             }
             result
         })
@@ -894,7 +892,7 @@ impl ThreadHandle {
         }
         registry_cas(mem, self.core, off, word, lease::renew(word))
             .map_err(|e| e.map_conflict(stolen))?;
-        mem.trace_op(self.core, TraceKind::LeaseRenew, off);
+        mem.event(self.core, TraceKind::LeaseRenew, off);
         Ok(())
     }
 

@@ -156,9 +156,8 @@ impl<'m, M: PodMemory + ?Sized> Dcas<'m, M> {
                 Err(actual) if actual == cur => {
                     // The cell is unchanged: a device bounce, not a
                     // competing writer. Back off before re-issuing.
-                    self.mem.note_cas_retry();
                     self.mem
-                        .trace_op(core, cxl_pod::trace::TraceKind::CasRetry, offset);
+                        .event(core, cxl_pod::trace::TraceKind::CasRetry, offset);
                     let b = backoff.get_or_insert_with(|| {
                         Backoff::new(
                             BackoffPolicy::default(),

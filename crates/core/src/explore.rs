@@ -11,7 +11,6 @@
 //! (re-running the schedule after each tentative cut).
 
 use crate::sched::{self, FaultPlan, RunReport, Schedule, ScheduleFailure, SimConfig};
-use cxl_pod::FabricConfig;
 
 /// Configuration of an exploration campaign.
 #[derive(Debug, Clone)]
@@ -26,12 +25,6 @@ pub struct Explorer {
     /// ([`Schedule::generate_liveness`]): heartbeat stops, detector
     /// ticks, and device-outage bursts join the step mix.
     pub liveness: bool,
-    /// Run every schedule on a congested fabric
-    /// ([`FabricConfig::congested`]) unless `config.fabric` already
-    /// picks one: campaigns then prove that fabric queueing delays —
-    /// which reorder nothing, only reprice it — cannot change any step
-    /// outcome, recovery decision, or invariant.
-    pub congested: bool,
 }
 
 impl Default for Explorer {
@@ -41,7 +34,6 @@ impl Default for Explorer {
             steps_per_run: 40,
             plan: FaultPlan::none(),
             liveness: false,
-            congested: false,
         }
     }
 }
@@ -85,24 +77,13 @@ impl Explorer {
         }
     }
 
-    /// The driver configuration actually run: `config`, with the
-    /// congested-fabric preset overlaid when [`Explorer::congested`] is
-    /// set and `config.fabric` is `None`.
-    pub fn effective_config(&self) -> SimConfig {
-        let mut config = self.config.clone();
-        if self.congested && config.fabric.is_none() {
-            config.fabric = Some(FabricConfig::congested());
-        }
-        config
-    }
-
     /// Runs the canonical schedule of `seed`.
     ///
     /// # Errors
     ///
     /// Propagates the driver's [`ScheduleFailure`].
     pub fn run_seed(&self, seed: u64) -> Result<RunReport, ScheduleFailure> {
-        sched::run(&self.effective_config(), &self.schedule_for(seed), &self.plan)
+        sched::run(&self.config, &self.schedule_for(seed), &self.plan)
     }
 
     /// Runs `runs` schedules for seeds `base_seed..base_seed + runs`,
@@ -138,7 +119,7 @@ impl Explorer {
 
     /// Whether `schedule` fails under this explorer's plan.
     pub fn fails(&self, schedule: &Schedule) -> bool {
-        sched::run(&self.effective_config(), schedule, &self.plan).is_err()
+        sched::run(&self.config, schedule, &self.plan).is_err()
     }
 
     /// Shrinks a failing schedule to a locally minimal reproducer:
@@ -235,11 +216,8 @@ mod tests {
             steps_per_run: 25,
             ..Explorer::default()
         };
-        let congested = Explorer {
-            congested: true,
-            ..base.clone()
-        };
-        assert!(congested.effective_config().fabric.is_some());
+        let mut congested = base.clone();
+        congested.config.fabric = Some(cxl_pod::FabricConfig::congested());
         for seed in 3000..3006u64 {
             let a = base.run_seed(seed).expect("uncongested seed passes");
             let b = congested.run_seed(seed).expect("congested seed passes");

@@ -434,9 +434,7 @@ impl SlabHeap {
                 return Some(slab);
             }
             ctx.log().clear_relaxed(ctx.core);
-            ctx.mem
-                .note_cas_retry_at(cxl_pod::stats::CasRetrySite::PopGlobal);
-            ctx.mem.trace_op(ctx.core, TraceKind::CasRetry, head_cell);
+            ctx.mem.event(ctx.core, TraceKind::CasRetry, head_cell);
         }
     }
 
@@ -478,9 +476,7 @@ impl SlabHeap {
                 return;
             }
             ctx.log().clear_relaxed(ctx.core);
-            ctx.mem
-                .note_cas_retry_at(cxl_pod::stats::CasRetrySite::PopGlobal);
-            ctx.mem.trace_op(ctx.core, TraceKind::CasRetry, head_cell);
+            ctx.mem.event(ctx.core, TraceKind::CasRetry, head_cell);
         }
     }
 
@@ -862,7 +858,7 @@ impl SlabHeap {
                 .is_ok()
             {
                 crash::point("slab::remote_free::after_cas");
-                ctx.mem.trace_op(ctx.core, TraceKind::RemoteFreePublish, 1);
+                ctx.mem.event(ctx.core, TraceKind::RemoteFreePublish, 1);
                 if last {
                     self.steal(ctx, slab);
                 }
@@ -874,9 +870,7 @@ impl SlabHeap {
             }
             ctx.log().clear_relaxed(ctx.core);
             ctx.mem
-                .note_cas_retry_at(cxl_pod::stats::CasRetrySite::RemotePublish);
-            ctx.mem
-                .trace_op(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
+                .event(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
         }
     }
 
@@ -979,9 +973,8 @@ impl SlabHeap {
                 .is_ok()
             {
                 crash::point("slab::remote_free::publish_after_cas");
-                ctx.mem.note_remote_free_batched(k_eff as u64);
                 ctx.mem
-                    .trace_op(ctx.core, TraceKind::RemoteFreePublish, k_eff as u64);
+                    .event(ctx.core, TraceKind::RemoteFreePublish, k_eff as u64);
                 if last {
                     self.steal(ctx, slab);
                 }
@@ -993,9 +986,7 @@ impl SlabHeap {
             }
             ctx.log().clear_relaxed(ctx.core);
             ctx.mem
-                .note_cas_retry_at(cxl_pod::stats::CasRetrySite::RemotePublish);
-            ctx.mem
-                .trace_op(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
+                .event(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
         }
     }
 

@@ -56,6 +56,9 @@ pub const TRACE_SCRIPTED: u64 = 0x26a007e2722700fc;
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
 /// cost determinism of the fabric layer, which schedule fingerprints
-/// (outcomes and offsets only) cannot see.
+/// (outcomes and offsets only) cannot see. It last moved when a
+/// crossing that sees the saturation knee began to record a zero-cost
+/// `fabric_saturated` marker after its `fabric_service` event: no
+/// charged nanosecond and no other event moved.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0xba222c17bae476d4;
+pub const TRACE_CONGESTED: u64 = 0xf66087293fbe280b;

@@ -1,7 +1,10 @@
 //! Pinned event counts: every `MemStatsSnapshot` field and the tracer's
 //! per-kind attribution for five fixed deterministic scenarios. A change
 //! to how the pod *counts* must leave every number here where it is; a
-//! change to what the allocator *does* moves them on purpose.
+//! change to what the allocator *does* moves them on purpose. The marker
+//! kinds (`BreakerTrip`, `BreakerHeal`, `FabricSaturated`) are the only
+//! rows pinned after the others: each equals the snapshot field of the
+//! same event.
 //!
 //! Run with `CXL_DUMP_COUNTS=1 cargo test -p cxl-core --test count_pins
 //! -- --nocapture` to print the observed values in the form pinned below.
@@ -131,12 +134,6 @@ fn scripted_two_host_run_on_limited() {
         breaker_trips: 0,
         breaker_heals: 0,
         fallback_cas: 0,
-        fences_elided: 0,
-        remote_free_batched: 0,
-        cas_retries_pop_global: 0,
-        cas_retries_remote_publish: 0,
-        cas_retries_lease: 0,
-        cas_retries_fallback: 0,
         fabric_requests: 0,
         fabric_queue_ns: 0,
         fabric_service_ns: 0,
@@ -195,12 +192,6 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     breaker_trips: 2,
                     breaker_heals: 1,
                     fallback_cas: 21,
-                    fences_elided: 0,
-                    remote_free_batched: 0,
-                    cas_retries_pop_global: 0,
-                    cas_retries_remote_publish: 0,
-                    cas_retries_lease: 18,
-                    cas_retries_fallback: 2,
                     fabric_requests: 0,
                     fabric_queue_ns: 0,
                     fabric_service_ns: 0,
@@ -227,6 +218,8 @@ fn liveness_seeds_on_none_with_device_degrade() {
                         (TraceKind::SlabFree, 3, 0),
                         (TraceKind::LeaseRenew, 103, 0),
                         (TraceKind::WritebackKept, 56, 6137),
+                        (TraceKind::BreakerTrip, 2, 0),
+                        (TraceKind::BreakerHeal, 1, 0),
                     ],
                 );
             }
@@ -249,12 +242,6 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     breaker_trips: 1,
                     breaker_heals: 1,
                     fallback_cas: 12,
-                    fences_elided: 0,
-                    remote_free_batched: 0,
-                    cas_retries_pop_global: 0,
-                    cas_retries_remote_publish: 0,
-                    cas_retries_lease: 9,
-                    cas_retries_fallback: 0,
                     fabric_requests: 0,
                     fabric_queue_ns: 0,
                     fabric_service_ns: 0,
@@ -281,6 +268,8 @@ fn liveness_seeds_on_none_with_device_degrade() {
                         (TraceKind::SlabFree, 7, 0),
                         (TraceKind::LeaseRenew, 79, 0),
                         (TraceKind::WritebackKept, 80, 8923),
+                        (TraceKind::BreakerTrip, 1, 0),
+                        (TraceKind::BreakerHeal, 1, 0),
                     ],
                 );
             }
@@ -320,12 +309,6 @@ fn drop_flush_and_delay_writeback_plan() {
         breaker_trips: 0,
         breaker_heals: 0,
         fallback_cas: 0,
-        fences_elided: 0,
-        remote_free_batched: 0,
-        cas_retries_pop_global: 0,
-        cas_retries_remote_publish: 0,
-        cas_retries_lease: 0,
-        cas_retries_fallback: 0,
         fabric_requests: 0,
         fabric_queue_ns: 0,
         fabric_service_ns: 0,
@@ -384,12 +367,6 @@ fn congested_fabric_run() {
         breaker_trips: 0,
         breaker_heals: 0,
         fallback_cas: 0,
-        fences_elided: 0,
-        remote_free_batched: 0,
-        cas_retries_pop_global: 0,
-        cas_retries_remote_publish: 0,
-        cas_retries_lease: 0,
-        cas_retries_fallback: 0,
         fabric_requests: 544,
         fabric_queue_ns: 115331,
         fabric_service_ns: 59296,
@@ -415,6 +392,7 @@ fn congested_fabric_run() {
             (TraceKind::WritebackKept, 134, 14604),
             (TraceKind::FabricQueue, 509, 115331),
             (TraceKind::FabricService, 544, 59296),
+            (TraceKind::FabricSaturated, 112, 0),
         ],
     );
 }
@@ -464,15 +442,76 @@ fn two_thread_remote_free_on_a_raw_pod() {
         breaker_trips: 0,
         breaker_heals: 0,
         fallback_cas: 0,
-        fences_elided: 0,
-        remote_free_batched: 280,
-        cas_retries_pop_global: 0,
-        cas_retries_remote_publish: 0,
-        cas_retries_lease: 0,
-        cas_retries_fallback: 0,
         fabric_requests: 0,
         fabric_queue_ns: 0,
         fabric_service_ns: 0,
         fabric_saturated: 0,
     });
+}
+
+/// Eight OS threads on eight registered slots of a raw pod, each
+/// remote-freeing half the blocks its neighbour slot allocated: every
+/// thread charges its own core, and the CAS and publish totals equal
+/// those of the same frees made one thread at a time.
+#[test]
+fn per_core_counts_are_exact_under_real_threads() {
+    const THREADS: usize = 8;
+    const BLOCKS: usize = 200;
+    let run = |concurrent: bool| {
+        let pod = Pod::new(PodConfig::small_for_tests()).unwrap();
+        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+        let mut handles: Vec<_> = (0..THREADS)
+            .map(|_| heap.register_thread().unwrap())
+            .collect();
+        let blocks: Vec<Vec<OffsetPtr>> = handles
+            .iter_mut()
+            .map(|h| (0..BLOCKS).map(|_| h.alloc(64).unwrap()).collect())
+            .collect();
+        let before = pod.memory().stats();
+        let free = |(i, mut handle): (usize, cxl_core::ThreadHandle)| {
+            for &ptr in blocks[(i + 1) % THREADS].iter().step_by(2) {
+                handle.dealloc(ptr).unwrap();
+            }
+        };
+        if concurrent {
+            std::thread::scope(|s| {
+                for job in handles.into_iter().enumerate() {
+                    s.spawn(move || free(job));
+                }
+            });
+        } else {
+            handles.into_iter().enumerate().for_each(free);
+        }
+        pod.memory().stats().since(&before)
+    };
+    let (one_by_one, together) = (run(false), run(true));
+    assert_eq!(one_by_one.remote_publishes, (THREADS * BLOCKS / 2) as u64);
+    assert!(one_by_one.cas_ok >= one_by_one.remote_publishes);
+    assert_eq!(together, one_by_one, "a count was lost or doubled");
+}
+
+/// `register_thread`, `Cxlalloc::stats` and `mark_crashed` charge
+/// `CoreId(0)` from whichever thread calls them: on a raw pod their
+/// registry CASes are still counted exactly.
+#[test]
+fn shared_core_zero_charges_are_exact_under_real_threads() {
+    const THREADS: u64 = 8;
+    let pod = Pod::new(PodConfig::small_for_tests()).unwrap();
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let before = pod.memory().stats();
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                let handle = heap.register_thread().unwrap();
+                let _ = heap.stats();
+                heap.mark_crashed(handle.tid()).unwrap();
+            });
+        }
+    });
+    let delta = pod.memory().stats().since(&before);
+    // One successful registry CAS to claim each slot, one to mark it
+    // dead; a registration that lost its slot to another thread's is a
+    // failed CAS and moves on.
+    assert_eq!(delta.cas_ok, 2 * THREADS);
+    assert_eq!(delta.cas_retries, 0);
 }

@@ -361,7 +361,7 @@ enum Death {
     After128,
 }
 
-/// Cache traffic of one recovery, as `[loads, stores, cached_hits,
+/// Memory traffic of one recovery, as `[loads, stores, cached_hits,
 /// line_fills, writebacks, flushes]`, and its report, of a victim on a
 /// `Limited` pod whose 64 B list holds `slabs` non-full slabs and that
 /// dies as `death` says. The counts are summed over cores, and only the
@@ -418,10 +418,9 @@ fn recovery_traffic(slabs: usize, death: Death) -> ([u64; 6], RecoveryReport) {
     }
     heap.mark_crashed(tid).unwrap();
 
-    let sim = pod.memory().as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
-    let before = sim.cache().counts();
+    let before = pod.memory().stats();
     let report = heap.recover(tid, survivor.core()).unwrap();
-    let after = sim.cache().counts();
+    let after = pod.memory().stats();
     heap.check_invariants(survivor.core()).unwrap();
     if death == Death::FreeTail {
         assert_eq!(pod.memory().load_u64(survivor.core(), head_off), (tail + 1) as u64);

@@ -27,10 +27,12 @@
 //! state load/store/flush allocates nothing and touches no `HashMap`.
 //! (The previous map-based implementation survives in
 //! `tests/cache_differential.rs` as the reference model of the
-//! differential property test.) For the same reason the traffic of the
-//! cached region is counted here, as plain per-core fields under the
-//! lock an access already holds ([`CacheCounts`]), not as atomic bumps
-//! on the backend's shared counters.
+//! differential property test.) For the same reason its line fills and
+//! writebacks are charged to the pod's one count table with the
+//! one-writer load and store (`crate::stats`), under the lock the access
+//! already holds: no counting adds a locked instruction. The accesses
+//! themselves (hits, fills, stores, flushes) are charged by the backend
+//! that makes them.
 //!
 //! # The per-core lock and the op scope
 //!
@@ -40,8 +42,8 @@
 //! ([`CacheModel::scope`]): then the access is one compare of the lock's
 //! owner token against the thread's own and no locked instruction. An
 //! allocator op opens one scope on its core, so its ~9 cached accesses
-//! pay for the lock once. Everything else — a foreign `discard_all`,
-//! `counts()`, an unscoped access from any thread — goes through the
+//! pay for the lock once. Everything else — a foreign `discard_all`, an
+//! unscoped access from any thread — goes through the
 //! same lock and simply waits for the op in flight, so no thread ever
 //! sees another's half-applied cache update.
 //!
@@ -51,8 +53,8 @@
 //! assert the rule at both places a thread can block (`scope` and the
 //! unscoped path of `enter`); a nested scope on the *same* core is a
 //! no-op and the outer one keeps holding. The cross-core calls the
-//! allocator makes (`discard_all` of a dead thread's core, `counts()`)
-//! therefore run outside any scope.
+//! allocator makes (`discard_all` of a dead thread's core) therefore run
+//! outside any scope.
 
 use crate::config::CACHELINE;
 use crate::segment::Segment;
@@ -84,37 +86,6 @@ const EMPTY: Slot = Slot {
     words: [0; WORDS],
 };
 
-/// Traffic through the cache model, summed over cores by
-/// [`CacheModel::counts`]. The fields mean what the fields of the same
-/// names in [`MemStatsSnapshot`](crate::stats::MemStatsSnapshot) mean.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounts {
-    /// Cached loads, hit or miss.
-    pub loads: u64,
-    /// Cached stores, hit or miss.
-    pub stores: u64,
-    /// Loads served from the cache.
-    pub cached_hits: u64,
-    /// Lines filled from the segment (load or store misses).
-    pub line_fills: u64,
-    /// Dirty lines written back: by a flush, a writeback, a full flush
-    /// or a silent eviction.
-    pub writebacks: u64,
-    /// Ranged flush and writeback calls.
-    pub flushes: u64,
-}
-
-impl std::ops::AddAssign for CacheCounts {
-    fn add_assign(&mut self, other: Self) {
-        self.loads += other.loads;
-        self.stores += other.stores;
-        self.cached_hits += other.cached_hits;
-        self.line_fills += other.line_fills;
-        self.writebacks += other.writebacks;
-        self.flushes += other.flushes;
-    }
-}
-
 /// A single core's private cache: an open-addressed table of lines.
 #[derive(Debug)]
 struct CoreCache {
@@ -127,7 +98,6 @@ struct CoreCache {
     len: usize,
     /// Xorshift state for pseudo-random eviction.
     seed: u64,
-    counts: CacheCounts,
 }
 
 impl CoreCache {
@@ -139,7 +109,6 @@ impl CoreCache {
             generation: 1,
             len: 0,
             seed: 0x2545_F491_4F6C_DD1D ^ (core as u64 + 1),
-            counts: CacheCounts::default(),
         }
     }
 
@@ -394,8 +363,8 @@ pub struct CacheModel {
     caches: Vec<CoreLock>,
     /// Maximum lines per core (0 = unbounded).
     capacity: usize,
-    /// Event tracer shared with the owning backend. Disarmed unless
-    /// the backend arms it; every emission guards on one relaxed load.
+    /// The count table and ring shared with the owning backend: line
+    /// fills and writebacks are charged through it.
     tracer: Arc<Tracer>,
 }
 
@@ -451,10 +420,9 @@ impl CacheModel {
         if line.dirty != 0 {
             let line_addr = line.tag & !1;
             Self::write_back(segment, line_addr, &line);
-            cache.counts.writebacks += 1;
             // A *silent* eviction: the software never requested this
             // writeback — exactly the event worth seeing in a trace.
-            self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
+            self.tracer.charge_here(core, TraceKind::Writeback, line_addr);
         }
         cache.remove_at(victim);
     }
@@ -508,8 +476,7 @@ impl CacheModel {
                 .atomic_u64(line_addr + i as u64 * 8)
                 .load(Ordering::Acquire);
         }
-        cache.counts.line_fills += 1;
-        self.tracer.emit_here(core, TraceKind::LineFill, line_addr);
+        self.tracer.charge_here(core, TraceKind::LineFill, line_addr);
         let tag = line_addr | 1;
         let i = cache.insert_slot(tag);
         cache.slots[i] = Slot {
@@ -542,9 +509,7 @@ impl CacheModel {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
         let mut cache = self.caches[core].enter();
-        cache.counts.loads += 1;
         if let Some(i) = cache.find(line_addr | 1) {
-            cache.counts.cached_hits += 1;
             return (cache.slots[i].words[word], true);
         }
         let i = self.fill(core, &mut cache, segment, line_addr);
@@ -560,7 +525,6 @@ impl CacheModel {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = Self::split(offset);
         let mut cache = self.caches[core].enter();
-        cache.counts.stores += 1;
         let (i, hit) = match cache.find(line_addr | 1) {
             Some(i) => (i, true),
             None => (self.fill(core, &mut cache, segment, line_addr), false),
@@ -614,8 +578,7 @@ impl CacheModel {
             if cache.slots[i].dirty != 0 {
                 let slot = cache.slots[i];
                 Self::write_back(segment, line_addr, &slot);
-                cache.counts.writebacks += 1;
-                self.tracer.emit_here(core, TraceKind::Writeback, line_addr);
+                self.tracer.charge_here(core, TraceKind::Writeback, line_addr);
                 cache.slots[i].dirty = 0;
                 written += 1;
             }
@@ -623,7 +586,6 @@ impl CacheModel {
                 cache.remove_at(i);
             }
         }
-        cache.counts.flushes += 1;
         written
     }
 
@@ -639,8 +601,7 @@ impl CacheModel {
                 let slot = cache.slots[i];
                 if slot.dirty != 0 {
                     Self::write_back(segment, slot.tag & !1, &slot);
-                    cache.counts.writebacks += 1;
-                    self.tracer.emit_here(core, TraceKind::Writeback, slot.tag & !1);
+                    self.tracer.charge_here(core, TraceKind::Writeback, slot.tag & !1);
                 }
             }
         }
@@ -658,14 +619,11 @@ impl CacheModel {
         cache.len = 0;
     }
 
-    /// Traffic counted so far, summed over cores. Discarding a cache
-    /// loses its lines, not its counts.
-    pub fn counts(&self) -> CacheCounts {
-        let mut total = CacheCounts::default();
-        for cache in &self.caches {
-            total += cache.enter().counts;
-        }
-        total
+    /// The tracer whose count table this model charges its line fills
+    /// and writebacks to (discarding a cache loses its lines, not its
+    /// counts).
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
     }
 
     /// Test hook: whether `core` currently caches the line containing
@@ -793,7 +751,7 @@ mod tests {
         for i in 0..n {
             assert_eq!(cache.load(0, &seg, i * 64).0, i + 1);
         }
-        assert_eq!(cache.counts().writebacks, 0, "unbounded never evicts");
+        assert_eq!(cache.tracer().counts().totals().count(TraceKind::Writeback), 0, "unbounded never evicts");
         cache.flush_all(0, &seg);
         for i in 0..n {
             assert_eq!(seg.peek_u64(i * 64), i + 1);
@@ -841,8 +799,8 @@ mod eviction_tests {
         for i in 0..10u64 {
             cache.store(0, &seg, i * 64, i + 1);
         }
-        let snap = cache.counts();
-        assert!(snap.writebacks >= 6, "writebacks={}", snap.writebacks);
+        let writebacks = cache.tracer().counts().totals().count(TraceKind::Writeback);
+        assert!(writebacks >= 6, "writebacks={writebacks}");
         // Everything evicted is durable; everything cached is not yet.
         let mut durable = 0;
         for i in 0..10u64 {
@@ -865,7 +823,7 @@ mod eviction_tests {
         for i in 0..100u64 {
             cache.store(0, &seg, i * 64, 1);
         }
-        assert_eq!(cache.counts().writebacks, 0);
+        assert_eq!(cache.tracer().counts().totals().count(TraceKind::Writeback), 0);
     }
 
     #[test]

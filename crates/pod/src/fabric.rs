@@ -60,9 +60,10 @@
 //! service / window), the extra delay is `service × ρ / (2(1-ρ))` — the
 //! Pollaczek–Khinchine mean wait for deterministic service — clamped at
 //! `ρ = `[`UTIL_CAP_PCT`]`%`. Requests that observe `ρ ≥`
-//! [`FabricConfig::knee_pct`] are counted as **saturated**
-//! ([`MemStats`] counter `fabric_saturated`), which is how experiments
-//! detect the knee without parsing latency curves.
+//! [`FabricConfig::knee_pct`] are counted as **saturated** (a
+//! [`TraceKind::FabricSaturated`] marker, the snapshot's
+//! `fabric_saturated`), which is how experiments detect the knee
+//! without parsing latency curves.
 //!
 //! # Determinism
 //!
@@ -77,15 +78,11 @@
 //!
 //! # Accounting
 //!
-//! Every charge is triple-witnessed, and the three views must agree
-//! exactly (the `trace_report` binary asserts this):
-//!
-//! * trace events [`TraceKind::FabricQueue`] / [`TraceKind::FabricService`]
-//!   carry the exact charged nanoseconds;
-//! * [`MemStats`] counters `fabric_requests`, `fabric_queue_ns`,
-//!   `fabric_service_ns`, `fabric_saturated`;
-//! * the fabric's own cumulative clock ([`Fabric::clock_ns`]), which by
-//!   construction equals queue + service totals.
+//! A crossing is counted once, where the backend charges it
+//! (`Fabric::apply`): a [`TraceKind::FabricQueue`] event carrying the
+//! queue wait (when nonzero) and a [`TraceKind::FabricService`] event
+//! carrying the service time, each the exact nanoseconds the core's
+//! clock advanced by. The fabric keeps no totals of its own.
 //!
 //! ```
 //! use cxl_pod::fabric::{Fabric, FabricConfig};
@@ -96,11 +93,9 @@
 //! let waits: Vec<u64> = (0..32).map(|c| fabric.charge(c, 0, 64).queue_ns).collect();
 //! assert_eq!(waits[0], 0);
 //! assert!(waits[31] > waits[1]);
-//! assert_eq!(fabric.clock_ns(), fabric.queue_ns() + fabric.service_ns());
 //! ```
 
 use crate::latency::Clocks;
-use crate::stats::MemStats;
 use crate::trace::{TraceKind, Tracer};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -239,8 +234,8 @@ impl Station {
     }
 }
 
-/// Runtime state of the fabric model: per-station backlog servers, the
-/// arrival window, and cumulative accounting.
+/// Runtime state of the fabric model: per-station backlog servers and
+/// the arrival window.
 ///
 /// Shared by [`SimMemory`](crate::SimMemory) and its
 /// [`NmpDevice`](crate::nmp::NmpDevice) so host-side line traffic and
@@ -261,14 +256,6 @@ pub struct Fabric {
     window_start: AtomicU64,
     /// Arrivals observed in the current window.
     window_arrivals: AtomicU64,
-    /// Cumulative queue-wait nanoseconds charged.
-    queue_ns: AtomicU64,
-    /// Cumulative service nanoseconds charged.
-    service_ns: AtomicU64,
-    /// Requests charged.
-    requests: AtomicU64,
-    /// Requests that observed utilization ≥ the knee.
-    saturated: AtomicU64,
 }
 
 impl Fabric {
@@ -283,10 +270,6 @@ impl Fabric {
             device: Station::default(),
             window_start: AtomicU64::new(0),
             window_arrivals: AtomicU64::new(0),
-            queue_ns: AtomicU64::new(0),
-            service_ns: AtomicU64::new(0),
-            requests: AtomicU64::new(0),
-            saturated: AtomicU64::new(0),
         }
     }
 
@@ -352,9 +335,8 @@ impl Fabric {
     ///
     /// The caller is responsible for advancing the core's virtual clock
     /// by the returned nanoseconds (jitter-free, via
-    /// [`Clocks::advance_exact`]) and for witnessing the charge in
-    /// MemStats and the trace — the internal hooks the `mem`/`nmp`
-    /// backends use do all three.
+    /// [`Clocks::advance_exact`]) and for counting the crossing — the
+    /// internal hook the `mem`/`nmp` backends use does both.
     pub fn charge(&self, core: usize, now: u64, bytes: u64) -> FabricCharge {
         if !self.enabled {
             return FabricCharge {
@@ -390,12 +372,6 @@ impl Fabric {
         let queue_ns = wait_port + wait_switch + wait_device + window_wait;
         let service_ns = cfg.port_service_ns + cfg.switch_service_ns + device_service;
         let saturated = util_pct >= cfg.knee_pct;
-        self.queue_ns.fetch_add(queue_ns, Ordering::Relaxed);
-        self.service_ns.fetch_add(service_ns, Ordering::Relaxed);
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        if saturated {
-            self.saturated.fetch_add(1, Ordering::Relaxed);
-        }
         FabricCharge {
             queue_ns,
             service_ns,
@@ -403,84 +379,46 @@ impl Fabric {
         }
     }
 
-    /// The full backend hook: charges the crossing, advances `core`'s
-    /// virtual clock by exactly the charged nanoseconds (no jitter
-    /// draw), bumps the `fabric_*` MemStats counters, and emits the
-    /// queue-wait and service trace events with their exact costs —
-    /// preserving both reconciliation oracles (trace total == clocks;
-    /// fabric events == fabric clock). One branch when disabled.
+    /// The backend hook: charges the crossing, advances `core`'s virtual
+    /// clock by exactly the charged nanoseconds (no jitter draw), and
+    /// charges `tracer` the queue wait (when nonzero) and the service
+    /// time as [`TraceKind::FabricQueue`] / [`TraceKind::FabricService`]
+    /// events with those costs, then a [`TraceKind::FabricSaturated`]
+    /// marker if the crossing saw the knee. One branch when disabled.
     #[inline]
-    pub(crate) fn apply(
-        &self,
-        core: usize,
-        bytes: u64,
-        clocks: &Clocks,
-        stats: &MemStats,
-        tracer: &Tracer,
-    ) {
+    pub(crate) fn apply(&self, core: usize, bytes: u64, clocks: &Clocks, tracer: &Tracer) {
         if !self.enabled {
             return;
         }
         let charge = self.charge(core, clocks.now(core), bytes);
-        stats.fabric(charge.queue_ns, charge.service_ns, charge.saturated);
         if charge.queue_ns > 0 {
             clocks.advance_exact(core, charge.queue_ns);
-            if tracer.enabled() {
-                tracer.emit(
-                    core,
-                    TraceKind::FabricQueue,
-                    bytes,
-                    charge.queue_ns,
-                    clocks.now(core),
-                );
-            }
-        }
-        clocks.advance_exact(core, charge.service_ns);
-        if tracer.enabled() {
-            tracer.emit(
+            tracer.charge(
                 core,
-                TraceKind::FabricService,
+                TraceKind::FabricQueue,
                 bytes,
-                charge.service_ns,
+                charge.queue_ns,
                 clocks.now(core),
             );
         }
-    }
-
-    /// Cumulative queue-wait nanoseconds charged since construction.
-    pub fn queue_ns(&self) -> u64 {
-        self.queue_ns.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative service nanoseconds charged since construction.
-    pub fn service_ns(&self) -> u64 {
-        self.service_ns.load(Ordering::Relaxed)
-    }
-
-    /// The fabric clock: every nanosecond this fabric has charged
-    /// (queue + service). The reconciliation oracle checks that the
-    /// costs of all `FabricQueue`/`FabricService` trace events sum to
-    /// exactly this value.
-    pub fn clock_ns(&self) -> u64 {
-        self.queue_ns() + self.service_ns()
-    }
-
-    /// Requests charged since construction.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Requests that observed utilization at or past the knee.
-    pub fn saturated_requests(&self) -> u64 {
-        self.saturated.load(Ordering::Relaxed)
+        clocks.advance_exact(core, charge.service_ns);
+        tracer.charge(
+            core,
+            TraceKind::FabricService,
+            bytes,
+            charge.service_ns,
+            clocks.now(core),
+        );
+        if charge.saturated {
+            tracer.charge(core, TraceKind::FabricSaturated, bytes, 0, clocks.now(core));
+        }
     }
 
     /// Resets the station backlogs and the arrival window to time zero
     /// — called by [`reset_clocks`](crate::PodMemory::reset_clocks)
     /// alongside the core and NMP clocks, so between-run resets do not
-    /// leave the stations with backlog no core will ever drain.
-    /// Cumulative accounting (the fabric clock and counters) is *not*
-    /// reset, mirroring MemStats.
+    /// leave the stations with backlog no core will ever drain. Counts
+    /// are not reset.
     pub fn reset(&self) {
         for port in &self.ports {
             port.reset();
@@ -502,8 +440,6 @@ mod tests {
         assert!(!fabric.enabled());
         let charge = fabric.charge(0, 123, 64);
         assert_eq!(charge, FabricCharge { queue_ns: 0, service_ns: 0, saturated: false });
-        assert_eq!(fabric.clock_ns(), 0);
-        assert_eq!(fabric.requests(), 0);
     }
 
     #[test]
@@ -535,19 +471,18 @@ mod tests {
     }
 
     #[test]
-    fn accounting_totals_match_charges() {
+    fn apply_charges_the_clock_and_the_count_table_alike() {
         let fabric = Fabric::new(FabricConfig::congested_flat());
-        let mut queue = 0;
-        let mut service = 0;
+        let clocks = Clocks::new(16);
+        let tracer = Tracer::new(16);
         for core in 0..16 {
-            let c = fabric.charge(core, 10 * core as u64, 64);
-            queue += c.queue_ns;
-            service += c.service_ns;
+            clocks.advance_exact(core, 10 * core as u64);
+            fabric.apply(core, 64, &clocks, &tracer);
         }
-        assert_eq!(fabric.queue_ns(), queue);
-        assert_eq!(fabric.service_ns(), service);
-        assert_eq!(fabric.clock_ns(), queue + service);
-        assert_eq!(fabric.requests(), 16);
+        let totals = tracer.counts().totals();
+        let charged: u64 = (0..16).map(|core| clocks.now(core) - 10 * core as u64).sum();
+        assert_eq!(totals.ns(TraceKind::FabricQueue) + totals.ns(TraceKind::FabricService), charged);
+        assert_eq!(totals.count(TraceKind::FabricService), 16);
     }
 
     #[test]
@@ -564,21 +499,17 @@ mod tests {
             saw_saturated |= fabric.charge(core % 8, 0, 64).saturated;
         }
         assert!(saw_saturated, "a burst at one instant must cross the knee");
-        assert!(fabric.saturated_requests() > 0);
     }
 
     #[test]
-    fn reset_clears_stations_but_keeps_accounting() {
+    fn reset_clears_stations() {
         let fabric = Fabric::new(FabricConfig::congested());
         for core in 0..8 {
             fabric.charge(core, 0, 64);
         }
-        let clock_before = fabric.clock_ns();
-        assert!(clock_before > 0);
+        assert!(fabric.charge(0, 0, 64).queue_ns > 0);
         fabric.reset();
         // Stations idle again: a fresh request at t=0 has no queue.
-        let charge = fabric.charge(0, 0, 64);
-        assert_eq!(charge.queue_ns, 0);
-        assert!(fabric.clock_ns() > clock_before, "accounting is cumulative");
+        assert_eq!(fabric.charge(0, 0, 64).queue_ns, 0);
     }
 }

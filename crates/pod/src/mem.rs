@@ -6,8 +6,8 @@
 //! decides what kind of pod the allocator is running on:
 //!
 //! * [`RawMemory`] — full hardware cache coherence (or a single host):
-//!   direct atomics, flush/fence are counters. Used for the wall-clock
-//!   experiments (Figures 8–10).
+//!   direct atomics, flush/fence compile to nothing. Used for the
+//!   wall-clock experiments (Figures 8–10).
 //! * [`SimMemory`] — a simulated pod with a chosen [`HwccMode`]:
 //!   SWcc-region accesses go through the per-core [`CacheModel`], and in
 //!   [`HwccMode::None`] CAS on the HWcc region becomes an
@@ -22,7 +22,7 @@ use crate::latency::{Clocks, LatencyModel};
 use crate::layout::Layout;
 use crate::nmp::NmpDevice;
 use crate::segment::Segment;
-use crate::stats::{MemStats, MemStatsSnapshot};
+use crate::stats::{Counts, MemStatsSnapshot};
 use crate::trace::{TraceKind, Tracer};
 use crate::CoreId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,26 +77,13 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     /// Returns `Err(actual)` with the observed value when the compare
     /// fails.
     fn cas_u64(&self, core: CoreId, offset: u64, current: u64, new: u64) -> Result<u64, u64>;
-    /// Records that the caller is about to re-issue a CAS after a
-    /// transient contention result (statistics only; see
-    /// [`MemStatsSnapshot::cas_retries`](crate::stats::MemStatsSnapshot::cas_retries)).
-    fn note_cas_retry(&self) {}
-    /// Records a CAS retry attributed to `site` (per-site contention
-    /// attribution; also counts toward the aggregate `cas_retries`).
-    fn note_cas_retry_at(&self, _site: crate::stats::CasRetrySite) {
-        self.note_cas_retry();
-    }
-    /// Records a fence elided by epoch coalescing (statistics only).
-    fn note_fence_elided(&self) {}
-    /// Records `k` remote frees delivered through one batched decrement
-    /// (statistics only).
-    fn note_remote_free_batched(&self, _k: u64) {}
-    /// Records an allocator-level structural event (slab alloc/free,
-    /// remote-free publish, lease renewal, CAS retry) in the backend's
-    /// event trace. Zero-cost by default and on [`RawMemory`];
-    /// [`SimMemory`] forwards to its [`Tracer`] behind one relaxed
-    /// load, so allocator hot paths may call this unconditionally.
-    fn trace_op(&self, _core: CoreId, _kind: TraceKind, _arg: u64) {}
+    /// Counts one allocator-level event — a slab alloc or free, a
+    /// remote-free publish, a lease renewal, a CAS about to be re-issued
+    /// after a transient contention result — charged zero simulated
+    /// time. [`SimMemory`] counts every kind (and records it while its
+    /// [`Tracer`] is armed); [`RawMemory`] counts only CAS retries and
+    /// remote-free publishes, and the other kinds compile to nothing.
+    fn event(&self, core: CoreId, kind: TraceKind, arg: u64);
     /// The backend's event tracer, when it has one. Arm it (and read
     /// traces back) through this accessor; `None` on backends without
     /// tracing ([`RawMemory`] keeps its fast path observer-free).
@@ -132,7 +119,7 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
     fn op_scope(&self, _core: CoreId) -> OpScope<'_> {
         OpScope::default()
     }
-    /// Counter snapshot.
+    /// The backend's event counts under the figures' names.
     fn stats(&self) -> MemStatsSnapshot;
     /// Virtual time accumulated by `core` in nanoseconds (zero for
     /// backends without a latency model).
@@ -145,22 +132,27 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
 
 /// Direct-atomics backend: a pod with full HWcc, or a single host.
 ///
-/// Loads and stores are *not* counted in [`MemStats`] (they would
-/// dominate wall-clock benchmarks); CAS, flush, and fence are counted.
+/// It counts four things in its [`Counts`] table and nothing else, so a
+/// load, a store, a flush, a fence, a slab alloc or free and a lease
+/// renewal compile to their access alone: a successful CAS
+/// ([`TraceKind::CasAttempt`]), a failed one ([`TraceKind::CasFail`]
+/// only — a raw pod charges no attempt cost), a CAS retry, each with
+/// one relaxed `fetch_add`, and a remote-free publish, with the
+/// one-writer load and store (`crate::stats` module docs).
 #[derive(Debug)]
 pub struct RawMemory {
     segment: Arc<Segment>,
     layout: Layout,
-    stats: Arc<MemStats>,
+    counts: Counts,
 }
 
 impl RawMemory {
     /// Creates a raw backend over `segment`.
     pub fn new(segment: Arc<Segment>, layout: Layout) -> Self {
         RawMemory {
+            counts: Counts::new(layout.max_threads as usize),
             segment,
             layout,
-            stats: Arc::new(MemStats::new()),
         }
     }
 }
@@ -189,36 +181,32 @@ impl PodMemory for RawMemory {
     }
 
     #[inline]
-    fn cas_u64(&self, _core: CoreId, offset: u64, current: u64, new: u64) -> Result<u64, u64> {
+    fn cas_u64(&self, core: CoreId, offset: u64, current: u64, new: u64) -> Result<u64, u64> {
         let result = self
             .segment
             .atomic_u64(offset)
             .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
-        self.stats.cas(result.is_ok());
+        let kind = if result.is_ok() {
+            TraceKind::CasAttempt
+        } else {
+            TraceKind::CasFail
+        };
+        self.counts.charge_shared(core.index(), kind);
         result
     }
 
     #[inline]
-    fn note_cas_retry(&self) {
-        self.stats.cas_retry();
-    }
-
-    #[inline]
-    fn note_cas_retry_at(&self, site: crate::stats::CasRetrySite) {
-        self.stats.cas_retry_at(site);
-    }
-
-    // note_fence_elided stays a no-op here for the same reason
-    // `flush`/`fence` are empty: it would fire per
-    // allocator op and put a shared counter on the fast path of a
-    // backend whose flushes are free anyway. Use SimMemory when the
-    // traffic counters matter.
-
-    #[inline]
-    fn note_remote_free_batched(&self, k: u64) {
-        // Rare (once per published batch), so counting is affordable
-        // even on the wall-clock backend.
-        self.stats.remote_free_batched(k);
+    fn event(&self, core: CoreId, kind: TraceKind, _arg: u64) {
+        match kind {
+            // Any thread retries a registry CAS as `CoreId(0)`.
+            TraceKind::CasRetry => self.counts.charge_shared(core.index(), kind),
+            // Only the publishing thread's own core publishes.
+            TraceKind::RemoteFreePublish => self.counts.charge(core.index(), kind, 0),
+            // Counting slab ops or lease renewals would put a shared
+            // cacheline on the allocator's fast path; use SimMemory when
+            // they matter.
+            _ => {}
+        }
     }
 
     #[inline]
@@ -237,7 +225,14 @@ impl PodMemory for RawMemory {
     }
 
     fn stats(&self) -> MemStatsSnapshot {
-        self.stats.snapshot()
+        let totals = self.counts.totals();
+        MemStatsSnapshot {
+            cas_ok: totals.count(TraceKind::CasAttempt),
+            cas_fail: totals.count(TraceKind::CasFail),
+            cas_retries: totals.count(TraceKind::CasRetry),
+            remote_publishes: totals.count(TraceKind::RemoteFreePublish),
+            ..MemStatsSnapshot::default()
+        }
     }
 
     fn virtual_ns(&self, _core: CoreId) -> u64 {
@@ -262,12 +257,10 @@ pub struct SimMemory {
     nmp: NmpDevice,
     clocks: Clocks,
     model: LatencyModel,
-    /// Every counter but the cached region's traffic, which `cache`
-    /// keeps under its own lock; [`PodMemory::stats`] adds the two.
-    stats: Arc<MemStats>,
     faults: Arc<FaultInjector>,
-    /// Latency-attribution event tracer, shared with the NMP device and
-    /// the cache model. Disarmed by default; see [`crate::trace`].
+    /// The pod's event count and optional ring, shared with the NMP
+    /// device and the cache model; every event of this backend is
+    /// charged through it. Disarmed by default; see [`crate::trace`].
     tracer: Arc<Tracer>,
     /// One resource clock per line of the HWcc region, indexed by line
     /// number from the region's first line: models exclusive-line
@@ -352,7 +345,6 @@ impl SimMemory {
         cache_lines: usize,
         fabric: Arc<Fabric>,
     ) -> Self {
-        let stats = Arc::new(MemStats::new());
         let faults = Arc::new(FaultInjector::new());
         let tracer = Arc::new(Tracer::new(cores as usize));
         let lines = layout.hwcc.end().div_ceil(CACHELINE) - layout.hwcc.start / CACHELINE;
@@ -360,7 +352,6 @@ impl SimMemory {
             nmp: NmpDevice::with_observers(
                 segment.clone(),
                 cores as usize,
-                stats.clone(),
                 faults.clone(),
                 tracer.clone(),
             )
@@ -371,7 +362,6 @@ impl SimMemory {
             layout,
             mode,
             model,
-            stats,
             faults,
             tracer,
             line_clocks: (0..lines).map(|_| AtomicU64::new(0)).collect(),
@@ -412,6 +402,13 @@ impl SimMemory {
     /// relaxed load.
     pub fn faults(&self) -> &Arc<FaultInjector> {
         &self.faults
+    }
+
+    /// Charges one event of `core`'s, stamped with its clock.
+    #[inline]
+    fn charge(&self, core: CoreId, kind: TraceKind, arg: u64, cost: u64) {
+        let core = core.index();
+        self.tracer.charge(core, kind, arg, cost, self.clocks.now(core));
     }
 
     /// Whether `offset` goes through the per-core cache in this mode.
@@ -456,7 +453,7 @@ impl SimMemory {
             match lock.compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed) {
                 Ok(_) => break,
                 Err(holder) => {
-                    self.stats.cas_retry();
+                    self.charge(core, TraceKind::CasRetry, self.layout.fallback_lock, 0);
                     if holder != observed_holder {
                         // New holder: restart the patience budget.
                         observed_holder = holder;
@@ -499,19 +496,12 @@ impl SimMemory {
             Err(previous)
         };
         lock.store(0, Ordering::Release);
-        self.stats.fallback();
-        self.stats.cas(result.is_ok());
         let cost = self
             .clocks
             .advance(core.index(), 3 * self.model.uncached_op_ns, &self.model);
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                core.index(),
-                TraceKind::CasFallback,
-                offset,
-                cost,
-                self.clocks.now(core.index()),
-            );
+        self.charge(core, TraceKind::CasFallback, offset, cost);
+        if result.is_err() {
+            self.charge(core, TraceKind::CasFail, offset, 0);
         }
         result
     }
@@ -528,15 +518,9 @@ impl SimMemory {
             .segment
             .atomic_u64(offset)
             .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
-        self.stats.cas(result.is_ok());
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                core.index(),
-                TraceKind::CasAttempt,
-                offset,
-                cost,
-                self.clocks.now(core.index()),
-            );
+        self.charge(core, TraceKind::CasAttempt, offset, cost);
+        if result.is_err() {
+            self.charge(core, TraceKind::CasFail, offset, 0);
         }
         result
     }
@@ -547,6 +531,10 @@ impl SimMemory {
     /// the fabric crossing; they differ in the cache call and the trace
     /// kind.
     fn write_out(&self, core: CoreId, offset: u64, len: u64, evict: bool) {
+        let cached = self.is_cached_region(offset);
+        // A flush of the cached region is charged under the core's cache
+        // lock, which the access takes anyway (or its op scope holds).
+        let _scope = cached.then(|| self.cache.scope(core.index()));
         // Extra charges from injected faults fold into the event's cost
         // so the trace reconciles with the virtual clock.
         let mut extra = 0u64;
@@ -556,39 +544,28 @@ impl SimMemory {
                     // The CPU retires the clflush / clwb but the device
                     // loses it: the line stays dirty and cached, and the
                     // store never reaches shared memory.
-                    self.stats.fault();
                     let cost = self
                         .clocks
                         .advance(core.index(), self.model.flush_ns, &self.model);
-                    if self.tracer.enabled() {
-                        self.tracer.emit(
-                            core.index(),
-                            TraceKind::FlushDropped,
-                            offset,
-                            cost,
-                            self.clocks.now(core.index()),
-                        );
-                    }
+                    self.charge(core, TraceKind::FlushDropped, offset, cost);
                     return;
                 }
                 Some(FaultKind::DelayFlush(ns)) => {
-                    self.stats.fault();
                     extra += self.clocks.advance(core.index(), ns, &self.model);
                 }
                 Some(FaultKind::AbandonCache) => {
                     // Host crash at this flush point: the whole cache
                     // dies unwritten.
                     self.cache.discard_all(core.index());
-                    self.stats.fault();
                     self.tracer
-                        .emit_here(core.index(), TraceKind::CacheAbandon, offset);
+                        .charge_here(core.index(), TraceKind::CacheAbandon, offset);
                     return;
                 }
                 _ => {}
             }
         }
         let mut written = 0;
-        if self.is_cached_region(offset) {
+        if cached {
             written = self
                 .cache
                 .write_out(core.index(), &self.segment, offset, len, evict);
@@ -596,40 +573,28 @@ impl SimMemory {
                 if let Some(FaultKind::DelayWriteback(ns)) =
                     self.faults.check(FaultSite::Writeback, core.index(), offset, len)
                 {
-                    self.stats.fault();
                     extra += self
                         .clocks
                         .advance(core.index(), ns * written as u64, &self.model);
                 }
             }
-        } else {
-            self.stats.flush();
         }
         let cost = extra
             + self
                 .clocks
                 .advance(core.index(), self.model.flush_ns, &self.model);
-        if self.tracer.enabled() {
-            let kind = if evict {
-                TraceKind::Flush
-            } else {
-                TraceKind::WritebackKept
-            };
-            self.tracer.emit(
-                core.index(),
-                kind,
-                written as u64,
-                cost,
-                self.clocks.now(core.index()),
-            );
-        }
+        let kind = if evict {
+            TraceKind::Flush
+        } else {
+            TraceKind::WritebackKept
+        };
+        self.charge(core, kind, written as u64, cost);
         if written > 0 {
             // The written-back lines cross the fabric as one payload.
             self.fabric.apply(
                 core.index(),
                 written as u64 * CACHELINE,
                 &self.clocks,
-                &self.stats,
                 &self.tracer,
             );
         }
@@ -651,6 +616,9 @@ impl PodMemory for SimMemory {
 
     fn load_u64(&self, core: CoreId, offset: u64) -> u64 {
         if self.is_cached_region(offset) {
+            // Charged under the core's cache lock, which the access takes
+            // anyway (or its op scope holds).
+            let _scope = self.cache.scope(core.index());
             let (value, hit) = self.cache.load(core.index(), &self.segment, offset);
             let ns = if hit {
                 self.model.cache_hit_ns
@@ -658,43 +626,33 @@ impl PodMemory for SimMemory {
                 self.model.cxl_load_ns
             };
             let cost = self.clocks.advance(core.index(), ns, &self.model);
-            if self.tracer.enabled() {
-                let kind = if hit {
-                    TraceKind::LoadHit
-                } else {
-                    TraceKind::LoadFill
-                };
-                self.tracer
-                    .emit(core.index(), kind, offset, cost, self.clocks.now(core.index()));
-            }
+            let kind = if hit {
+                TraceKind::LoadHit
+            } else {
+                TraceKind::LoadFill
+            };
+            self.charge(core, kind, offset, cost);
             if !hit {
                 // A miss pulls one line across the fabric; hits stay on
                 // the core and never touch it.
                 self.fabric
-                    .apply(core.index(), CACHELINE, &self.clocks, &self.stats, &self.tracer);
+                    .apply(core.index(), CACHELINE, &self.clocks, &self.tracer);
             }
             value
         } else {
             // HWcc region: cacheable-and-coherent (Full/Limited) or
             // device-biased uncachable (None).
-            self.stats.load();
             let (kind, ns) = match self.mode {
-                HwccMode::None => {
-                    self.stats.uncached();
-                    (TraceKind::LoadUncached, self.model.uncached_op_ns)
-                }
+                HwccMode::None => (TraceKind::LoadUncached, self.model.uncached_op_ns),
                 _ => (TraceKind::LoadHwcc, self.model.hwcc_load_ns),
             };
             let cost = self.clocks.advance(core.index(), ns, &self.model);
-            if self.tracer.enabled() {
-                self.tracer
-                    .emit(core.index(), kind, offset, cost, self.clocks.now(core.index()));
-            }
+            self.charge(core, kind, offset, cost);
             if kind == TraceKind::LoadUncached {
                 // Device-biased loads cross the fabric on every access;
                 // HWcc loads are cacheable and stay off it.
                 self.fabric
-                    .apply(core.index(), CACHELINE, &self.clocks, &self.stats, &self.tracer);
+                    .apply(core.index(), CACHELINE, &self.clocks, &self.tracer);
             }
             self.segment.atomic_u64(offset).load(Ordering::Acquire)
         }
@@ -702,37 +660,23 @@ impl PodMemory for SimMemory {
 
     fn store_u64(&self, core: CoreId, offset: u64, value: u64) {
         if self.is_cached_region(offset) {
+            let _scope = self.cache.scope(core.index());
             self.cache.store(core.index(), &self.segment, offset, value);
             let cost = self
                 .clocks
                 .advance(core.index(), self.model.cache_store_ns, &self.model);
-            if self.tracer.enabled() {
-                self.tracer.emit(
-                    core.index(),
-                    TraceKind::StoreDirty,
-                    offset,
-                    cost,
-                    self.clocks.now(core.index()),
-                );
-            }
+            self.charge(core, TraceKind::StoreDirty, offset, cost);
         } else {
-            self.stats.store();
             let (kind, ns) = match self.mode {
-                HwccMode::None => {
-                    self.stats.uncached();
-                    (TraceKind::StoreUncached, self.model.uncached_op_ns)
-                }
+                HwccMode::None => (TraceKind::StoreUncached, self.model.uncached_op_ns),
                 _ => (TraceKind::StoreHwcc, self.model.hwcc_load_ns),
             };
             let cost = self.clocks.advance(core.index(), ns, &self.model);
-            if self.tracer.enabled() {
-                self.tracer
-                    .emit(core.index(), kind, offset, cost, self.clocks.now(core.index()));
-            }
+            self.charge(core, kind, offset, cost);
             if kind == TraceKind::StoreUncached {
                 // Device-biased stores cross the fabric on every access.
                 self.fabric
-                    .apply(core.index(), CACHELINE, &self.clocks, &self.stats, &self.tracer);
+                    .apply(core.index(), CACHELINE, &self.clocks, &self.tracer);
             }
             self.segment.atomic_u64(offset).store(value, Ordering::Release);
         }
@@ -776,17 +720,8 @@ impl PodMemory for SimMemory {
     }
 
     fn fence(&self, core: CoreId) {
-        self.stats.fence();
         let cost = self.clocks.advance(core.index(), self.model.fence_ns, &self.model);
-        if self.tracer.enabled() {
-            self.tracer.emit(
-                core.index(),
-                TraceKind::Fence,
-                0,
-                cost,
-                self.clocks.now(core.index()),
-            );
-        }
+        self.charge(core, TraceKind::Fence, 0, cost);
         std::sync::atomic::fence(Ordering::SeqCst);
     }
 
@@ -798,45 +733,19 @@ impl PodMemory for SimMemory {
         self.cache.scope(core.index())
     }
 
-    fn note_cas_retry(&self) {
-        self.stats.cas_retry();
-    }
-
-    fn note_cas_retry_at(&self, site: crate::stats::CasRetrySite) {
-        self.stats.cas_retry_at(site);
-    }
-
-    fn trace_op(&self, core: CoreId, kind: TraceKind, arg: u64) {
-        if self.tracer.enabled() {
-            self.tracer
-                .emit(core.index(), kind, arg, 0, self.clocks.now(core.index()));
-        }
+    fn event(&self, core: CoreId, kind: TraceKind, arg: u64) {
+        self.charge(core, kind, arg, 0);
     }
 
     fn tracer(&self) -> Option<&Tracer> {
         Some(&self.tracer)
     }
 
-    fn note_fence_elided(&self) {
-        self.stats.fence_elided();
-    }
-
-    fn note_remote_free_batched(&self, k: u64) {
-        self.stats.remote_free_batched(k);
-    }
-
     fn stats(&self) -> MemStatsSnapshot {
-        // The cached region's traffic is counted by the cache model,
-        // everything else by `MemStats`.
-        let mut snapshot = self.stats.snapshot();
-        let cached = self.cache.counts();
-        snapshot.loads += cached.loads;
-        snapshot.stores += cached.stores;
-        snapshot.cached_hits += cached.cached_hits;
-        snapshot.line_fills += cached.line_fills;
-        snapshot.writebacks += cached.writebacks;
-        snapshot.flushes += cached.flushes;
-        snapshot
+        MemStatsSnapshot::from_totals(
+            &self.tracer.counts().totals(),
+            self.faults.stats().total(),
+        )
     }
 
     fn virtual_ns(&self, core: CoreId) -> u64 {

@@ -40,7 +40,6 @@ use crate::fabric::Fabric;
 use crate::fault::{FaultInjector, FaultKind, FaultSite};
 use crate::latency::{Clocks, LatencyModel};
 use crate::segment::Segment;
-use crate::stats::MemStats;
 use crate::trace::{TraceKind, Tracer};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,14 +136,17 @@ impl SpwrSlot {
 ///
 /// All state mutation happens under one device mutex — the hardware unit
 /// likewise processes one request at a time, which is exactly what gives
-/// mCAS its atomicity without coherence.
+/// mCAS its atomicity without coherence. A full round trip
+/// ([`NmpDevice::mcas`]) is counted once, as an `McasAttempt` or an
+/// `McasRetry` event with its charged latency; a bare `spwr`/`sprd`
+/// pair is not counted.
 ///
 /// ```
 /// use std::sync::Arc;
-/// use cxl_pod::{Segment, nmp::NmpDevice, stats::MemStats};
+/// use cxl_pod::{Segment, nmp::NmpDevice};
 ///
 /// let segment = Arc::new(Segment::zeroed(4096)?);
-/// let nmp = NmpDevice::new(segment.clone(), 2, Arc::new(MemStats::new()));
+/// let nmp = NmpDevice::new(segment.clone(), 2);
 /// nmp.spwr(0, 64, 0, 42);      // register: swap 0 -> 42 at offset 64
 /// let reply = nmp.sprd(0);     // trigger and read the response
 /// assert!(reply.success);
@@ -157,10 +159,9 @@ pub struct NmpDevice {
     slots: Mutex<Vec<SpwrSlot>>,
     /// Device service clock for latency modeling.
     service_clock: AtomicU64,
-    stats: Arc<MemStats>,
     faults: Arc<FaultInjector>,
-    /// Event tracer shared with the owning backend (disarmed when the
-    /// device is constructed stand-alone).
+    /// The count table and ring shared with the owning backend (a
+    /// private, disarmed one when the device is constructed stand-alone).
     tracer: Arc<Tracer>,
     /// Fabric contention model shared with the owning backend, so mCAS
     /// round trips queue at the same ports as host line traffic.
@@ -173,28 +174,22 @@ pub struct NmpDevice {
 impl NmpDevice {
     /// Creates a device with one spwr/sprd register pair per core (and a
     /// private, disarmed fault injector).
-    pub fn new(segment: Arc<Segment>, cores: usize, stats: Arc<MemStats>) -> Self {
-        Self::with_faults(segment, cores, stats, Arc::new(FaultInjector::new()))
+    pub fn new(segment: Arc<Segment>, cores: usize) -> Self {
+        Self::with_faults(segment, cores, Arc::new(FaultInjector::new()))
     }
 
     /// Creates a device sharing `faults` with its owning backend, so
     /// mCAS rules armed on the backend reach the device.
-    pub fn with_faults(
-        segment: Arc<Segment>,
-        cores: usize,
-        stats: Arc<MemStats>,
-        faults: Arc<FaultInjector>,
-    ) -> Self {
-        Self::with_observers(segment, cores, stats, faults, Arc::new(Tracer::new(cores)))
+    pub fn with_faults(segment: Arc<Segment>, cores: usize, faults: Arc<FaultInjector>) -> Self {
+        Self::with_observers(segment, cores, faults, Arc::new(Tracer::new(cores)))
     }
 
-    /// Creates a device sharing both the fault injector and the event
-    /// tracer with its owning backend, so mCAS round trips appear in
-    /// the backend's trace stream with their exact charged latency.
+    /// Creates a device sharing both the fault injector and the tracer
+    /// with its owning backend, so mCAS round trips are counted in the
+    /// backend's table with their exact charged latency.
     pub fn with_observers(
         segment: Arc<Segment>,
         cores: usize,
-        stats: Arc<MemStats>,
         faults: Arc<FaultInjector>,
         tracer: Arc<Tracer>,
     ) -> Self {
@@ -202,7 +197,6 @@ impl NmpDevice {
             segment,
             slots: Mutex::new(vec![SpwrSlot::EMPTY; cores]),
             service_clock: AtomicU64::new(0),
-            stats,
             faults,
             tracer,
             fabric: Arc::new(Fabric::disabled()),
@@ -251,11 +245,12 @@ impl NmpDevice {
         }
     }
 
-    /// Feeds one operation outcome into the breaker. `contention` is
-    /// true for results that signal device trouble (injected contention
-    /// faults, doomed competing pairs); genuine value mismatches and
-    /// successful swaps count as healthy.
-    fn note_result(&self, contention: bool) {
+    /// Feeds one outcome of `core`'s operation into the breaker.
+    /// `contention` is true for results that signal device trouble
+    /// (injected contention faults, doomed competing pairs); genuine
+    /// value mismatches and successful swaps count as healthy. A trip
+    /// or a heal is charged to `core` as a marker.
+    fn note_result(&self, core: usize, contention: bool) {
         let mut breaker = self.breaker.lock();
         if contention {
             match breaker.mode {
@@ -265,7 +260,7 @@ impl NmpDevice {
                         breaker.mode = DeviceMode::Fallback;
                         breaker.contention_run = 0;
                         breaker.fallback_ops = 0;
-                        self.stats.breaker_trip();
+                        self.tracer.charge_here(core, TraceKind::BreakerTrip, 0);
                     }
                 }
                 DeviceMode::Probing => {
@@ -281,7 +276,7 @@ impl NmpDevice {
                 DeviceMode::Probing => {
                     breaker.mode = DeviceMode::Nmp;
                     breaker.contention_run = 0;
-                    self.stats.breaker_heal();
+                    self.tracer.charge_here(core, TraceKind::BreakerHeal, 0);
                 }
                 DeviceMode::Fallback => {}
             }
@@ -332,8 +327,7 @@ impl NmpDevice {
         if slot.doomed {
             // A competing pair on this address completed first; the
             // device already decided this operation fails.
-            self.stats.mcas(false);
-            self.note_result(true);
+            self.note_result(core, true);
             return McasResult {
                 success: false,
                 previous,
@@ -351,10 +345,9 @@ impl NmpDevice {
                 }
             }
         }
-        self.stats.mcas(success);
         // Both a successful swap and a genuine value mismatch mean the
         // device serviced the pair — healthy from the breaker's view.
-        self.note_result(false);
+        self.note_result(core, false);
         McasResult { success, previous }
     }
 
@@ -373,13 +366,8 @@ impl NmpDevice {
         // The spwr+sprd pair crosses the fabric (two line-sized
         // messages) on every round trip, including bounced ones — the
         // wire is paid whether or not the device accepts the pair.
-        self.fabric.apply(
-            core,
-            2 * crate::config::CACHELINE,
-            clocks,
-            &self.stats,
-            &self.tracer,
-        );
+        self.fabric
+            .apply(core, 2 * crate::config::CACHELINE, clocks, &self.tracer);
         if self.faults.enabled() {
             match self.faults.check(FaultSite::Mcas, core, target, 8) {
                 Some(FaultKind::McasContention) => {
@@ -388,9 +376,7 @@ impl NmpDevice {
                     // untouched, the pair fails, the round trip is still
                     // paid. The caller's retry loop re-reads and retries
                     // exactly as under genuine contention.
-                    self.stats.mcas(false);
-                    self.stats.fault();
-                    self.note_result(true);
+                    self.note_result(core, true);
                     let mut cost = clocks.serialize_through(
                         core,
                         &self.service_clock,
@@ -398,10 +384,8 @@ impl NmpDevice {
                         model,
                     );
                     cost += clocks.advance(core, model.mcas_round_trip_ns, model);
-                    if self.tracer.enabled() {
-                        self.tracer
-                            .emit(core, TraceKind::McasRetry, target, cost, clocks.now(core));
-                    }
+                    self.tracer
+                        .charge(core, TraceKind::McasRetry, target, cost, clocks.now(core));
                     let previous = self.segment.atomic_u64(target).load(Ordering::SeqCst);
                     return McasResult {
                         success: false,
@@ -411,12 +395,9 @@ impl NmpDevice {
                 Some(FaultKind::McasDelay(ns)) => {
                     // Extra queueing ahead of the device — virtual time
                     // only, so schedules stay deterministic.
-                    self.stats.fault();
                     let cost = clocks.advance(core, ns, model);
-                    if self.tracer.enabled() {
-                        self.tracer
-                            .emit(core, TraceKind::McasDelay, target, cost, clocks.now(core));
-                    }
+                    self.tracer
+                        .charge(core, TraceKind::McasDelay, target, cost, clocks.now(core));
                 }
                 _ => {}
             }
@@ -427,16 +408,14 @@ impl NmpDevice {
         let mut cost =
             clocks.serialize_through(core, &self.service_clock, model.nmp_service_ns, model);
         cost += clocks.advance(core, model.mcas_round_trip_ns, model);
-        if self.tracer.enabled() {
-            // A device-failed pair (doomed competitor or genuine value
-            // mismatch) is the retry the caller will re-issue.
-            let kind = if result.success {
-                TraceKind::McasAttempt
-            } else {
-                TraceKind::McasRetry
-            };
-            self.tracer.emit(core, kind, target, cost, clocks.now(core));
-        }
+        // A device-failed pair (doomed competitor or genuine value
+        // mismatch) is the retry the caller will re-issue.
+        let kind = if result.success {
+            TraceKind::McasAttempt
+        } else {
+            TraceKind::McasRetry
+        };
+        self.tracer.charge(core, kind, target, cost, clocks.now(core));
         result
     }
 
@@ -452,8 +431,7 @@ mod tests {
 
     fn device() -> (Arc<Segment>, NmpDevice) {
         let segment = Arc::new(Segment::zeroed(4096).unwrap());
-        let stats = Arc::new(MemStats::new());
-        let nmp = NmpDevice::new(segment.clone(), 4, stats);
+        let nmp = NmpDevice::new(segment.clone(), 4);
         (segment, nmp)
     }
 

@@ -1,299 +1,171 @@
-//! Operation counters for memory backends.
+//! The pod's one event count.
 //!
 //! The evaluation needs more than wall-clock time: the §5.2.1 HWcc-memory
 //! comparison and the Figure 12 mCAS experiments are phrased in terms of
 //! *how many* coherent operations, flushes, and mCASes each design
-//! issues. Every [`PodMemory`](crate::PodMemory) backend keeps one
-//! [`MemStats`] and exposes snapshots.
+//! issues. The pod counts every event once, in one table: per core, per
+//! [`TraceKind`], the number of events and the simulated nanoseconds
+//! they were charged ([`Counts`]). The tracer's attribution is a window
+//! of that table, and [`MemStatsSnapshot`] is the same table under the
+//! names the figures use.
+//!
+//! # Two ways to charge a cell
+//!
+//! * [`Counts::charge`] — a relaxed load and a relaxed store, no locked
+//!   instruction. Sound under the simulator's one-writer-per-core rule
+//!   ([`crate::latency`]): a core's row is written by the thread driving
+//!   that core, as its clock is, and the known exceptions on `CoreId(0)`
+//!   that can roll a clock back can lose a count the same way. Every
+//!   charge of a [`SimMemory`](crate::SimMemory) and a raw pod's
+//!   remote-free publishes (made only by the publishing thread's own
+//!   core) use it.
+//! * [`Counts::charge_shared`] — a relaxed `fetch_add` on the count,
+//!   exact from any number of threads. A raw pod counts its CAS outcomes
+//!   and retries this way, because any thread charges `CoreId(0)` for the
+//!   registry CASes of `register_thread` and `mark_crashed`.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use crate::trace::{TraceKind, ALL_KINDS, KIND_COUNT};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counter shards per [`MemStats`]. Threads are spread round-robin over
-/// shards, so with up to this many concurrently-counting threads no two
-/// ever contend on (or false-share) a counter cache line.
-const SHARDS: usize = 16;
-
-/// One shard's counters, padded to its own cache lines so bumps from
-/// different threads never false-share.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-struct Shard {
-    loads: AtomicU64,
-    stores: AtomicU64,
-    cas_ok: AtomicU64,
-    cas_fail: AtomicU64,
-    mcas_ok: AtomicU64,
-    mcas_fail: AtomicU64,
-    flushes: AtomicU64,
-    fences: AtomicU64,
-    line_fills: AtomicU64,
-    writebacks: AtomicU64,
-    cached_hits: AtomicU64,
-    uncached_ops: AtomicU64,
-    faults_injected: AtomicU64,
-    cas_retries: AtomicU64,
-    breaker_trips: AtomicU64,
-    breaker_heals: AtomicU64,
-    fallback_cas: AtomicU64,
-    fences_elided: AtomicU64,
-    remote_free_batched: AtomicU64,
-    cas_retries_pop_global: AtomicU64,
-    cas_retries_remote_publish: AtomicU64,
-    cas_retries_lease: AtomicU64,
-    cas_retries_fallback: AtomicU64,
-    fabric_requests: AtomicU64,
-    fabric_queue_ns: AtomicU64,
-    fabric_service_ns: AtomicU64,
-    fabric_saturated: AtomicU64,
-}
-
-/// Call site of a contention-driven CAS retry, for per-site attribution
-/// of the aggregate [`MemStatsSnapshot::cas_retries`] counter.
+/// `(count, ns)` per kind id: one core's row, or a sum of rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CasRetrySite {
-    /// Global free-list head CAS, push or pop.
-    PopGlobal,
-    /// Remote-free counter publish (eager or batched).
-    RemotePublish,
-    /// Registry / lease heartbeat CAS.
-    Lease,
-    /// Software-fallback CAS path (NMP breaker open).
-    Fallback,
+pub struct Totals([(u64, u64); KIND_COUNT]);
+
+impl Default for Totals {
+    fn default() -> Self {
+        Totals([(0, 0); KIND_COUNT])
+    }
 }
 
-/// Round-robin shard assignment, fixed per thread on first use. A
-/// process-wide counter (not per-`MemStats`) keeps the assignment
-/// stable across every backend a thread touches.
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-thread_local! {
-    static MY_SHARD: Cell<usize> = const { Cell::new(usize::MAX) };
+impl Totals {
+    /// Events of `kind`.
+    pub fn count(&self, kind: TraceKind) -> u64 {
+        self.0[kind as usize].0
+    }
+
+    /// Simulated nanoseconds charged to events of `kind`.
+    pub fn ns(&self, kind: TraceKind) -> u64 {
+        self.0[kind as usize].1
+    }
+
+    /// `(kind, count, ns)` for every kind with at least one event, in
+    /// kind order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (TraceKind, u64, u64)> + '_ {
+        ALL_KINDS
+            .iter()
+            .map(|&kind| (kind, self.count(kind), self.ns(kind)))
+            .filter(|&(_, count, _)| count > 0)
+    }
+
+    /// Per-kind difference `self - earlier` (wrapping, as the cells do).
+    pub fn since(&self, earlier: &Totals) -> Totals {
+        let mut out = *self;
+        for (cell, &(count, ns)) in out.0.iter_mut().zip(&earlier.0) {
+            cell.0 = cell.0.wrapping_sub(count);
+            cell.1 = cell.1.wrapping_sub(ns);
+        }
+        out
+    }
+}
+
+impl std::ops::AddAssign for Totals {
+    fn add_assign(&mut self, other: Self) {
+        for (cell, &(count, ns)) in self.0.iter_mut().zip(&other.0) {
+            cell.0 = cell.0.wrapping_add(count);
+            cell.1 = cell.1.wrapping_add(ns);
+        }
+    }
+}
+
+/// One core's cells, padded to their own cache lines so two cores'
+/// charges never false-share.
+#[repr(align(128))]
+#[derive(Debug)]
+struct Row {
+    count: [AtomicU64; KIND_COUNT],
+    ns: [AtomicU64; KIND_COUNT],
+}
+
+impl Row {
+    fn new() -> Self {
+        Row {
+            count: std::array::from_fn(|_| AtomicU64::new(0)),
+            ns: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
+
+    fn totals(&self) -> Totals {
+        Totals(std::array::from_fn(|i| {
+            (
+                self.count[i].load(Ordering::Relaxed),
+                self.ns[i].load(Ordering::Relaxed),
+            )
+        }))
+    }
 }
 
 #[inline]
-fn my_shard() -> usize {
-    MY_SHARD.with(|s| {
-        let v = s.get();
-        if v != usize::MAX {
-            return v;
-        }
-        let v = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
-        s.set(v);
-        v
-    })
+fn add(cell: &AtomicU64, n: u64) {
+    cell.store(
+        cell.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
 }
 
-/// Live atomic counters (shared, updated relaxed — they are statistics,
-/// not synchronization).
-///
-/// Counters are sharded per thread (cache-line-aligned shards, threads
-/// assigned round-robin) so the stats layer itself never serializes
-/// multi-threaded figure runs through false sharing;
-/// [`MemStats::snapshot`] sums the shards.
+/// The per-core, per-kind event table (module docs). Charges to a core
+/// the table has no row for are dropped.
 #[derive(Debug)]
-pub struct MemStats {
-    shards: Box<[Shard]>,
+pub struct Counts {
+    rows: Box<[Row]>,
 }
 
-impl Default for MemStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-macro_rules! bump {
-    ($self:ident . $field:ident) => {
-        $self.shard().$field.fetch_add(1, Ordering::Relaxed)
-    };
-}
-
-macro_rules! sum {
-    ($self:ident . $field:ident) => {
-        $self
-            .shards
-            .iter()
-            .map(|s| s.$field.load(Ordering::Relaxed))
-            .sum::<u64>()
-    };
-}
-
-impl MemStats {
-    /// Creates zeroed counters.
-    pub fn new() -> Self {
-        MemStats {
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+impl Counts {
+    /// A zeroed table for `cores` cores.
+    pub fn new(cores: usize) -> Self {
+        Counts {
+            rows: (0..cores).map(|_| Row::new()).collect(),
         }
     }
 
-    /// This thread's counter shard.
+    /// Counts one `kind` event on `core`, charged `ns` simulated
+    /// nanoseconds, with the one-writer discipline (module docs).
     #[inline]
-    fn shard(&self) -> &Shard {
-        &self.shards[my_shard()]
+    pub fn charge(&self, core: usize, kind: TraceKind, ns: u64) {
+        if let Some(row) = self.rows.get(core) {
+            add(&row.count[kind as usize], 1);
+            if ns > 0 {
+                add(&row.ns[kind as usize], ns);
+            }
+        }
     }
 
-    /// Records a load.
+    /// Counts one zero-cost `kind` event on `core` with a `fetch_add`,
+    /// exact under any number of charging threads (module docs).
     #[inline]
-    pub fn load(&self) {
-        bump!(self.loads);
-    }
-    /// Records a store.
-    #[inline]
-    pub fn store(&self) {
-        bump!(self.stores);
-    }
-    /// Records a CAS outcome.
-    #[inline]
-    pub fn cas(&self, ok: bool) {
-        if ok {
-            bump!(self.cas_ok);
-        } else {
-            bump!(self.cas_fail);
+    pub fn charge_shared(&self, core: usize, kind: TraceKind) {
+        if let Some(row) = self.rows.get(core) {
+            row.count[kind as usize].fetch_add(1, Ordering::Relaxed);
         }
-    }
-    /// Records an mCAS outcome.
-    #[inline]
-    pub fn mcas(&self, ok: bool) {
-        if ok {
-            bump!(self.mcas_ok);
-        } else {
-            bump!(self.mcas_fail);
-        }
-    }
-    /// Records a flush.
-    #[inline]
-    pub fn flush(&self) {
-        bump!(self.flushes);
-    }
-    /// Records a fence.
-    #[inline]
-    pub fn fence(&self) {
-        bump!(self.fences);
-    }
-    /// Records a simulated line fill.
-    #[inline]
-    pub fn line_fill(&self) {
-        bump!(self.line_fills);
-    }
-    /// Records a simulated writeback.
-    #[inline]
-    pub fn writeback(&self) {
-        bump!(self.writebacks);
-    }
-    /// Records a cached hit.
-    #[inline]
-    pub fn cached_hit(&self) {
-        bump!(self.cached_hits);
-    }
-    /// Records an uncached (device-biased) access.
-    #[inline]
-    pub fn uncached(&self) {
-        bump!(self.uncached_ops);
-    }
-    /// Records an injected fault.
-    #[inline]
-    pub fn fault(&self) {
-        bump!(self.faults_injected);
-    }
-    /// Records a contention-driven CAS retry.
-    #[inline]
-    pub fn cas_retry(&self) {
-        bump!(self.cas_retries);
-    }
-    /// Records a contention-driven CAS retry attributed to `site`. The
-    /// aggregate `cas_retries` counter is bumped too, so the per-site
-    /// counters partition (a subset of) the aggregate.
-    #[inline]
-    pub fn cas_retry_at(&self, site: CasRetrySite) {
-        let shard = self.shard();
-        shard.cas_retries.fetch_add(1, Ordering::Relaxed);
-        let counter = match site {
-            CasRetrySite::PopGlobal => &shard.cas_retries_pop_global,
-            CasRetrySite::RemotePublish => &shard.cas_retries_remote_publish,
-            CasRetrySite::Lease => &shard.cas_retries_lease,
-            CasRetrySite::Fallback => &shard.cas_retries_fallback,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-    /// Records a breaker trip into fallback mode.
-    #[inline]
-    pub fn breaker_trip(&self) {
-        bump!(self.breaker_trips);
-    }
-    /// Records a breaker heal back to NMP mode.
-    #[inline]
-    pub fn breaker_heal(&self) {
-        bump!(self.breaker_heals);
-    }
-    /// Records a software-fallback CAS.
-    #[inline]
-    pub fn fallback(&self) {
-        bump!(self.fallback_cas);
-    }
-    /// Records a fence elided by epoch coalescing.
-    #[inline]
-    pub fn fence_elided(&self) {
-        bump!(self.fences_elided);
-    }
-    /// Records `k` remote frees delivered by one batched decrement.
-    #[inline]
-    pub fn remote_free_batched(&self, k: u64) {
-        self.shard()
-            .remote_free_batched
-            .fetch_add(k, Ordering::Relaxed);
-    }
-    /// Records one fabric crossing: its queue-wait and service
-    /// nanoseconds, and whether it observed utilization past the knee
-    /// (see [`crate::fabric`]). Never called on a disabled fabric, so
-    /// all four `fabric_*` counters stay exactly zero on uncongested
-    /// configurations.
-    #[inline]
-    pub fn fabric(&self, queue_ns: u64, service_ns: u64, saturated: bool) {
-        let shard = self.shard();
-        shard.fabric_requests.fetch_add(1, Ordering::Relaxed);
-        shard.fabric_queue_ns.fetch_add(queue_ns, Ordering::Relaxed);
-        shard
-            .fabric_service_ns
-            .fetch_add(service_ns, Ordering::Relaxed);
-        shard
-            .fabric_saturated
-            .fetch_add(saturated as u64, Ordering::Relaxed);
     }
 
-    /// Snapshot of the current counter values (summed over shards).
-    pub fn snapshot(&self) -> MemStatsSnapshot {
-        MemStatsSnapshot {
-            loads: sum!(self.loads),
-            stores: sum!(self.stores),
-            cas_ok: sum!(self.cas_ok),
-            cas_fail: sum!(self.cas_fail),
-            mcas_ok: sum!(self.mcas_ok),
-            mcas_fail: sum!(self.mcas_fail),
-            flushes: sum!(self.flushes),
-            fences: sum!(self.fences),
-            line_fills: sum!(self.line_fills),
-            writebacks: sum!(self.writebacks),
-            cached_hits: sum!(self.cached_hits),
-            uncached_ops: sum!(self.uncached_ops),
-            faults_injected: sum!(self.faults_injected),
-            cas_retries: sum!(self.cas_retries),
-            breaker_trips: sum!(self.breaker_trips),
-            breaker_heals: sum!(self.breaker_heals),
-            fallback_cas: sum!(self.fallback_cas),
-            fences_elided: sum!(self.fences_elided),
-            remote_free_batched: sum!(self.remote_free_batched),
-            cas_retries_pop_global: sum!(self.cas_retries_pop_global),
-            cas_retries_remote_publish: sum!(self.cas_retries_remote_publish),
-            cas_retries_lease: sum!(self.cas_retries_lease),
-            cas_retries_fallback: sum!(self.cas_retries_fallback),
-            fabric_requests: sum!(self.fabric_requests),
-            fabric_queue_ns: sum!(self.fabric_queue_ns),
-            fabric_service_ns: sum!(self.fabric_service_ns),
-            fabric_saturated: sum!(self.fabric_saturated),
+    /// `core`'s row (zero for a core the table has no row for).
+    pub fn row(&self, core: usize) -> Totals {
+        self.rows.get(core).map(Row::totals).unwrap_or_default()
+    }
+
+    /// Every core's row, summed.
+    pub fn totals(&self) -> Totals {
+        let mut sum = Totals::default();
+        for row in self.rows.iter() {
+            sum += row.totals();
         }
+        sum
     }
 }
 
-/// A point-in-time copy of [`MemStats`].
+/// A backend's event counts under the names the figures use: each field
+/// is one kind's count (or ns), or a sum or difference of a few
+/// (DESIGN.md, "Cost model at a glance").
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemStatsSnapshot {
     /// Metadata loads.
@@ -320,7 +192,7 @@ pub struct MemStatsSnapshot {
     pub cached_hits: u64,
     /// Uncached ops.
     pub uncached_ops: u64,
-    /// Injected faults.
+    /// Injected faults (the fault injector's own count, all kinds).
     pub faults_injected: u64,
     /// Contention-driven CAS retries.
     pub cas_retries: u64,
@@ -330,19 +202,9 @@ pub struct MemStatsSnapshot {
     pub breaker_heals: u64,
     /// Software-fallback CAS operations.
     pub fallback_cas: u64,
-    /// Fences elided by epoch coalescing: one per coalesced log clear,
-    /// whose flush also rides on the next `begin`'s flush of the line.
-    pub fences_elided: u64,
-    /// Remote frees delivered through batched decrements.
-    pub remote_free_batched: u64,
-    /// CAS retries attributed to global free-list pops.
-    pub cas_retries_pop_global: u64,
-    /// CAS retries attributed to remote-free counter publishes.
-    pub cas_retries_remote_publish: u64,
-    /// CAS retries attributed to registry / lease heartbeats.
-    pub cas_retries_lease: u64,
-    /// CAS retries attributed to the software-fallback CAS path.
-    pub cas_retries_fallback: u64,
+    /// Remote-free publishes: decrements of a slab's remote-free
+    /// counter, one per free (eager) or one per batch (batched).
+    pub remote_publishes: u64,
     /// Fabric crossings charged (line fills, writebacks, uncached ops,
     /// NMP round trips on a fabric-enabled pod).
     pub fabric_requests: u64,
@@ -358,6 +220,37 @@ pub struct MemStatsSnapshot {
 }
 
 impl MemStatsSnapshot {
+    /// A simulated pod's snapshot: every field read off `t`, except
+    /// `faults_injected`, which the fault injector counts.
+    pub fn from_totals(t: &Totals, faults_injected: u64) -> Self {
+        use TraceKind as K;
+        let sum = |kinds: &[TraceKind]| kinds.iter().map(|&k| t.count(k)).sum::<u64>();
+        MemStatsSnapshot {
+            loads: sum(&[K::LoadHit, K::LoadFill, K::LoadHwcc, K::LoadUncached]),
+            stores: sum(&[K::StoreDirty, K::StoreHwcc, K::StoreUncached]),
+            cas_ok: sum(&[K::CasAttempt, K::CasFallback]).saturating_sub(t.count(K::CasFail)),
+            cas_fail: t.count(K::CasFail),
+            mcas_ok: t.count(K::McasAttempt),
+            mcas_fail: t.count(K::McasRetry),
+            flushes: sum(&[K::Flush, K::WritebackKept]),
+            fences: t.count(K::Fence),
+            line_fills: t.count(K::LineFill),
+            writebacks: t.count(K::Writeback),
+            cached_hits: t.count(K::LoadHit),
+            uncached_ops: sum(&[K::LoadUncached, K::StoreUncached]),
+            faults_injected,
+            cas_retries: t.count(K::CasRetry),
+            breaker_trips: t.count(K::BreakerTrip),
+            breaker_heals: t.count(K::BreakerHeal),
+            fallback_cas: t.count(K::CasFallback),
+            remote_publishes: t.count(K::RemoteFreePublish),
+            fabric_requests: t.count(K::FabricService),
+            fabric_queue_ns: t.ns(K::FabricQueue),
+            fabric_service_ns: t.ns(K::FabricService),
+            fabric_saturated: t.count(K::FabricSaturated),
+        }
+    }
+
     /// Total CAS attempts (coherent + mCAS).
     pub fn cas_total(&self) -> u64 {
         self.cas_ok + self.cas_fail + self.mcas_ok + self.mcas_fail
@@ -383,28 +276,17 @@ impl MemStatsSnapshot {
             breaker_trips: self.breaker_trips.saturating_sub(earlier.breaker_trips),
             breaker_heals: self.breaker_heals.saturating_sub(earlier.breaker_heals),
             fallback_cas: self.fallback_cas.saturating_sub(earlier.fallback_cas),
-            fences_elided: self.fences_elided.saturating_sub(earlier.fences_elided),
-            remote_free_batched: self
-                .remote_free_batched
-                .saturating_sub(earlier.remote_free_batched),
-            cas_retries_pop_global: self
-                .cas_retries_pop_global
-                .saturating_sub(earlier.cas_retries_pop_global),
-            cas_retries_remote_publish: self
-                .cas_retries_remote_publish
-                .saturating_sub(earlier.cas_retries_remote_publish),
-            cas_retries_lease: self
-                .cas_retries_lease
-                .saturating_sub(earlier.cas_retries_lease),
-            cas_retries_fallback: self
-                .cas_retries_fallback
-                .saturating_sub(earlier.cas_retries_fallback),
+            remote_publishes: self
+                .remote_publishes
+                .saturating_sub(earlier.remote_publishes),
             fabric_requests: self.fabric_requests.saturating_sub(earlier.fabric_requests),
             fabric_queue_ns: self.fabric_queue_ns.saturating_sub(earlier.fabric_queue_ns),
             fabric_service_ns: self
                 .fabric_service_ns
                 .saturating_sub(earlier.fabric_service_ns),
-            fabric_saturated: self.fabric_saturated.saturating_sub(earlier.fabric_saturated),
+            fabric_saturated: self
+                .fabric_saturated
+                .saturating_sub(earlier.fabric_saturated),
         }
     }
 }
@@ -414,124 +296,81 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_accumulate() {
-        let stats = MemStats::new();
-        stats.load();
-        stats.load();
-        stats.store();
-        stats.cas(true);
-        stats.cas(false);
-        stats.mcas(true);
-        stats.flush();
-        stats.fence();
-        let snap = stats.snapshot();
-        assert_eq!(snap.loads, 2);
-        assert_eq!(snap.stores, 1);
-        assert_eq!(snap.cas_ok, 1);
-        assert_eq!(snap.cas_fail, 1);
-        assert_eq!(snap.mcas_ok, 1);
-        assert_eq!(snap.cas_total(), 3);
-        assert_eq!(snap.flushes, 1);
-        assert_eq!(snap.fences, 1);
-    }
-
-    #[test]
-    fn liveness_counters_accumulate() {
-        let stats = MemStats::new();
-        stats.cas_retry();
-        stats.cas_retry();
-        stats.breaker_trip();
-        stats.fallback();
-        stats.fallback();
-        stats.fallback();
-        stats.breaker_heal();
-        let snap = stats.snapshot();
-        assert_eq!(snap.cas_retries, 2);
-        assert_eq!(snap.breaker_trips, 1);
-        assert_eq!(snap.breaker_heals, 1);
-        assert_eq!(snap.fallback_cas, 3);
-    }
-
-    #[test]
-    fn traffic_reduction_counters_accumulate() {
-        let stats = MemStats::new();
-        stats.fence_elided();
-        stats.fence_elided();
-        stats.remote_free_batched(7);
-        stats.remote_free_batched(3);
-        let snap = stats.snapshot();
-        assert_eq!(snap.fences_elided, 2);
-        assert_eq!(snap.remote_free_batched, 10);
-    }
-
-    #[test]
-    fn per_site_retries_partition_the_aggregate() {
-        let stats = MemStats::new();
-        stats.cas_retry_at(CasRetrySite::PopGlobal);
-        stats.cas_retry_at(CasRetrySite::PopGlobal);
-        stats.cas_retry_at(CasRetrySite::RemotePublish);
-        stats.cas_retry_at(CasRetrySite::Lease);
-        stats.cas_retry_at(CasRetrySite::Fallback);
-        stats.cas_retry(); // unattributed
-        let snap = stats.snapshot();
-        assert_eq!(snap.cas_retries, 6);
-        assert_eq!(snap.cas_retries_pop_global, 2);
-        assert_eq!(snap.cas_retries_remote_publish, 1);
-        assert_eq!(snap.cas_retries_lease, 1);
-        assert_eq!(snap.cas_retries_fallback, 1);
-        assert!(
-            snap.cas_retries_pop_global
-                + snap.cas_retries_remote_publish
-                + snap.cas_retries_lease
-                + snap.cas_retries_fallback
-                <= snap.cas_retries
+    fn charges_accumulate_per_core_and_kind() {
+        let counts = Counts::new(2);
+        counts.charge(0, TraceKind::LoadFill, 357);
+        counts.charge(0, TraceKind::LoadFill, 360);
+        counts.charge(1, TraceKind::Fence, 25);
+        counts.charge_shared(1, TraceKind::CasRetry);
+        counts.charge(7, TraceKind::Fence, 25); // no such core: dropped
+        let row = counts.row(0);
+        assert_eq!(
+            (row.count(TraceKind::LoadFill), row.ns(TraceKind::LoadFill)),
+            (2, 717)
         );
+        let totals = counts.totals();
+        assert_eq!(totals.count(TraceKind::Fence), 1);
+        assert_eq!(totals.count(TraceKind::CasRetry), 1);
+        let kinds: Vec<_> = totals.nonzero().collect();
+        assert_eq!(
+            kinds,
+            [
+                (TraceKind::LoadFill, 2, 717),
+                (TraceKind::CasRetry, 1, 0),
+                (TraceKind::Fence, 1, 25)
+            ]
+        );
+        assert_eq!(totals.since(&totals), Totals::default());
     }
 
     #[test]
-    fn fabric_counters_accumulate() {
-        let stats = MemStats::new();
-        stats.fabric(0, 100, false);
-        stats.fabric(40, 100, true);
-        stats.fabric(360, 104, true);
-        let snap = stats.snapshot();
-        assert_eq!(snap.fabric_requests, 3);
-        assert_eq!(snap.fabric_queue_ns, 400);
-        assert_eq!(snap.fabric_service_ns, 304);
-        assert_eq!(snap.fabric_saturated, 2);
-    }
-
-    #[test]
-    fn shards_sum_across_threads() {
-        use std::sync::Arc;
-        let stats = Arc::new(MemStats::new());
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let stats = stats.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..1000 {
-                        stats.load();
-                        stats.cas(true);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn snapshot_derives_every_field_from_kinds() {
+        let counts = Counts::new(1);
+        for kind in [
+            TraceKind::LoadHit,
+            TraceKind::LoadFill,
+            TraceKind::LoadUncached,
+            TraceKind::StoreDirty,
+            TraceKind::CasAttempt,
+            TraceKind::CasAttempt,
+            TraceKind::CasFail,
+            TraceKind::CasFallback,
+            TraceKind::WritebackKept,
+        ] {
+            counts.charge(0, kind, 1);
         }
-        let snap = stats.snapshot();
-        assert_eq!(snap.loads, 8000);
-        assert_eq!(snap.cas_ok, 8000);
+        counts.charge(0, TraceKind::FabricQueue, 40);
+        counts.charge(0, TraceKind::FabricService, 100);
+        counts.charge(0, TraceKind::FabricSaturated, 0);
+        let snap = MemStatsSnapshot::from_totals(&counts.totals(), 3);
+        assert_eq!((snap.loads, snap.stores, snap.cached_hits), (3, 1, 1));
+        assert_eq!((snap.cas_ok, snap.cas_fail, snap.fallback_cas), (2, 1, 1));
+        assert_eq!(
+            (snap.uncached_ops, snap.flushes, snap.faults_injected),
+            (1, 1, 3)
+        );
+        assert_eq!(snap.cas_total(), 3);
+        assert_eq!(
+            (
+                snap.fabric_requests,
+                snap.fabric_queue_ns,
+                snap.fabric_service_ns
+            ),
+            (1, 40, 100)
+        );
+        assert_eq!(snap.fabric_saturated, 1);
     }
 
     #[test]
     fn since_subtracts() {
-        let stats = MemStats::new();
-        stats.load();
-        let a = stats.snapshot();
-        stats.load();
-        stats.load();
-        let b = stats.snapshot();
+        let a = MemStatsSnapshot {
+            loads: 1,
+            ..MemStatsSnapshot::default()
+        };
+        let b = MemStatsSnapshot {
+            loads: 3,
+            ..MemStatsSnapshot::default()
+        };
         let diff = b.since(&a);
         assert_eq!(diff.loads, 2);
         assert_eq!(diff.stores, 0);

@@ -1,23 +1,26 @@
 //! Latency-attribution event tracing (the observability layer).
 //!
 //! Every simulated-latency charge the pod substrate makes — coherence
-//! fills, writebacks, flush/fence stalls, NMP mCAS round trips — is
-//! recorded here as a typed [`Event`] carrying the exact nanosecond
-//! cost the [`latency`](crate::latency) model charged for it. The
-//! allocator layers on top emit zero-cost *structural* events (slab
-//! alloc/free, remote-free publishes, lease renewals, CAS retries)
-//! through the same stream, so a trace answers both "where did the
-//! time go" and "what was the allocator doing when it went there".
+//! fills, writebacks, flush/fence stalls, NMP mCAS round trips — is a
+//! typed event carrying the exact nanosecond cost the
+//! [`latency`](crate::latency) model charged for it. The allocator
+//! layers on top add zero-cost *structural* events (slab alloc/free,
+//! remote-free publishes, lease renewals, CAS retries) through the same
+//! call, so the events answer both "where did the time go" and "what was
+//! the allocator doing when it went there".
 //!
-//! # Discipline: a true no-op when disarmed
+//! # One count, an optional ring
 //!
-//! Like [`fault`](crate::fault), the tracer follows the
-//! armed-[`AtomicBool`] discipline: every emission site guards on
-//! [`Tracer::enabled`] — a single relaxed load — before computing
-//! anything else (including the timestamp). Disarmed, tracing adds
-//! one predictable branch per substrate operation and allocates
-//! nothing; the repo benchmark (`pod-bench`, `benchmark/`) and the CI
-//! gates (`bench-gates`) run with the tracer disarmed and must not move.
+//! Every event site makes one call, [`Tracer::charge`]: it counts the
+//! event and its cost in the pod's one table
+//! ([`stats::Counts`](crate::stats::Counts), per core and per kind),
+//! always, and — only while the tracer is armed — also records it in
+//! the core's ring and folds it into the core's fingerprint. Disarmed,
+//! that second half is one relaxed load ([`Tracer::enabled`]) and
+//! allocates nothing; the repo benchmark (`pod-bench`, `benchmark/`)
+//! and the CI gates (`bench-gates`) run disarmed.
+//! [`Tracer::attribution`] reads the table over the armed windows, cut
+//! at phase switches, so it covers every event, ring overflow or not.
 //!
 //! # Determinism: the tracer is a correctness oracle
 //!
@@ -31,14 +34,14 @@
 //!
 //! # Cost accounting invariant
 //!
-//! Cost-bearing events are emitted *only* at clock-advance sites, with
-//! the charged duration the clock actually advanced by. Therefore for
-//! every core, `Σ event.cost_ns == PodMemory::virtual_ns(core)`
-//! exactly — [`attribution::Attribution::total_ns`] reconciles against
-//! the run's `MemStats`-adjacent totals with no rounding slack. The
-//! attribution table is folded *incrementally at emit time*, so ring
-//! overflow (which drops the oldest retained events) never loses
-//! attribution or fingerprint coverage — only exportable event detail.
+//! Cost-bearing events are charged *only* at clock-advance sites, with
+//! the duration the clock actually advanced by. Therefore for every
+//! core, `Σ event.cost_ns == PodMemory::virtual_ns(core)` exactly —
+//! [`attribution::Attribution::total_ns`] equals the sum of the cores'
+//! clock advances over the window with no rounding slack. The ring
+//! folds its fingerprint at record time, before retention, so overflow
+//! (which drops the oldest retained events) loses only exportable
+//! event detail.
 //!
 //! # Example
 //!
@@ -50,8 +53,8 @@
 //! tracer.arm();
 //! let phase = tracer.phase_id("warmup");
 //! tracer.set_phase(0, phase);
-//! tracer.emit(0, TraceKind::LoadFill, 0x40, 357, 357);
-//! tracer.emit(0, TraceKind::Fence, 0, 25, 382);
+//! tracer.charge(0, TraceKind::LoadFill, 0x40, 357, 357);
+//! tracer.charge(0, TraceKind::Fence, 0, 25, 382);
 //! let attr = tracer.attribution();
 //! assert_eq!(attr.total_ns(), 382);
 //! let trace = tracer.snapshot();
@@ -59,6 +62,7 @@
 //! assert_eq!(trace.cores[0].events[0].kind, TraceKind::LoadFill);
 //! ```
 
+use crate::stats::{Counts, Totals};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 
@@ -130,18 +134,29 @@ pub enum TraceKind {
     /// payload bytes). Emitted only when the wait is nonzero.
     FabricQueue = 28,
     /// Fabric service: port + switch + device occupancy plus link
-    /// serialization for one crossing (`arg` = payload bytes). Emitted
-    /// once per fabric request, so its count equals `fabric_requests`.
+    /// serialization for one crossing (`arg` = payload bytes). Charged
+    /// once per fabric request, so its count is `fabric_requests`.
     FabricService = 29,
+    /// Marker: the CAS just charged (a coherent `CasAttempt` or a
+    /// `CasFallback`) failed its compare (`arg` = offset). On a raw pod,
+    /// which charges no `CasAttempt` for a failed CAS, the only count of it.
+    CasFail = 30,
+    /// Marker: the NMP health breaker tripped into fallback mode.
+    BreakerTrip = 31,
+    /// Marker: a half-open probe healed the breaker back to NMP mode.
+    BreakerHeal = 32,
+    /// Marker: the `FabricService` crossing just charged observed device
+    /// utilization at or past the knee (`arg` = payload bytes).
+    FabricSaturated = 33,
 }
 
 /// Size of the event-kind id space (one past the highest
 /// discriminant, retired ids included): per-kind tables are indexed by
 /// id.
-pub const KIND_COUNT: usize = 30;
+pub const KIND_COUNT: usize = 34;
 
 /// All kinds, in discriminant order.
-pub const ALL_KINDS: [TraceKind; 26] = [
+pub const ALL_KINDS: [TraceKind; 30] = [
     TraceKind::LoadHit,
     TraceKind::LoadFill,
     TraceKind::LoadHwcc,
@@ -168,6 +183,10 @@ pub const ALL_KINDS: [TraceKind; 26] = [
     TraceKind::WritebackKept,
     TraceKind::FabricQueue,
     TraceKind::FabricService,
+    TraceKind::CasFail,
+    TraceKind::BreakerTrip,
+    TraceKind::BreakerHeal,
+    TraceKind::FabricSaturated,
 ];
 
 impl TraceKind {
@@ -205,6 +224,10 @@ impl TraceKind {
             TraceKind::WritebackKept => "clwb",
             TraceKind::FabricQueue => "fabric_queue",
             TraceKind::FabricService => "fabric_service",
+            TraceKind::CasFail => "cas_fail",
+            TraceKind::BreakerTrip => "breaker_trip",
+            TraceKind::BreakerHeal => "breaker_heal",
+            TraceKind::FabricSaturated => "fabric_saturated",
         }
     }
 
@@ -217,8 +240,15 @@ impl TraceKind {
             | TraceKind::LoadHwcc
             | TraceKind::LoadUncached => "load",
             TraceKind::StoreDirty | TraceKind::StoreHwcc | TraceKind::StoreUncached => "store",
-            TraceKind::CasAttempt | TraceKind::CasRetry | TraceKind::CasFallback => "cas",
-            TraceKind::McasAttempt | TraceKind::McasRetry | TraceKind::McasDelay => "nmp",
+            TraceKind::CasAttempt
+            | TraceKind::CasRetry
+            | TraceKind::CasFallback
+            | TraceKind::CasFail => "cas",
+            TraceKind::McasAttempt
+            | TraceKind::McasRetry
+            | TraceKind::McasDelay
+            | TraceKind::BreakerTrip
+            | TraceKind::BreakerHeal => "nmp",
             TraceKind::LineFill | TraceKind::Writeback | TraceKind::CacheAbandon => "cache",
             TraceKind::Flush
             | TraceKind::FlushDropped
@@ -228,8 +258,25 @@ impl TraceKind {
             | TraceKind::SlabFree
             | TraceKind::RemoteFreePublish
             | TraceKind::LeaseRenew => "alloc",
-            TraceKind::FabricQueue | TraceKind::FabricService => "fabric",
+            TraceKind::FabricQueue | TraceKind::FabricService | TraceKind::FabricSaturated => {
+                "fabric"
+            }
         }
+    }
+
+    /// Whether this kind is a zero-cost *marker*: an outcome of an event
+    /// already counted under its own kind (a failed CAS, a saturated
+    /// crossing, a breaker transition), not an event of its own. The
+    /// rendered attribution table leaves markers out, so its rows and
+    /// its TOTAL count each event once.
+    pub fn is_marker(self) -> bool {
+        matches!(
+            self,
+            TraceKind::CasFail
+                | TraceKind::BreakerTrip
+                | TraceKind::BreakerHeal
+                | TraceKind::FabricSaturated
+        )
     }
 }
 
@@ -287,9 +334,9 @@ fn fnv_mix(fp: u64, word: u64) -> u64 {
 }
 
 /// Per-core ring state. Events beyond `capacity` overwrite the oldest
-/// retained event; the fingerprint and attribution accumulators are
-/// folded at emit time, before retention, so they cover the *full*
-/// stream regardless of overflow.
+/// retained event; the fingerprint is folded at record time, before
+/// retention, so it covers the *full* recorded stream regardless of
+/// overflow.
 #[derive(Debug)]
 struct CoreRing {
     events: Vec<[u64; 3]>,
@@ -298,10 +345,8 @@ struct CoreRing {
     dropped: u64,
     fingerprint: u64,
     /// Timestamp of the most recent stamped event; structural events
-    /// emitted below the clock layer ([`Tracer::emit_here`]) reuse it.
+    /// charged below the clock layer ([`Tracer::charge_here`]) reuse it.
     last_stamp: u64,
-    /// `(count, total_ns)` per `[phase][kind]`; phases grow on demand.
-    attribution: Vec<[(u64, u64); KIND_COUNT]>,
 }
 
 impl CoreRing {
@@ -313,21 +358,14 @@ impl CoreRing {
             dropped: 0,
             fingerprint: FNV_OFFSET,
             last_stamp: 0,
-            attribution: Vec::new(),
         }
     }
 
-    fn push(&mut self, capacity: usize, words: [u64; 3], phase: u8, kind: u8, cost: u64) {
+    fn push(&mut self, capacity: usize, words: [u64; 3]) {
         self.emitted += 1;
         for w in words {
             self.fingerprint = fnv_mix(self.fingerprint, w);
         }
-        while self.attribution.len() <= phase as usize {
-            self.attribution.push([(0, 0); KIND_COUNT]);
-        }
-        let cell = &mut self.attribution[phase as usize][kind as usize];
-        cell.0 += 1;
-        cell.1 += cost;
         if self.events.len() < capacity {
             self.events.push(words);
         } else {
@@ -345,25 +383,41 @@ impl CoreRing {
     }
 }
 
+/// The armed windows of the count table, per core: what was folded at
+/// each phase switch and disarm, and the row as of the last cut.
+#[derive(Debug, Default)]
+struct Windows {
+    /// Per core, per phase id: the table's growth over that phase's
+    /// armed windows, up to the last cut.
+    folded: Vec<Vec<Totals>>,
+    /// Per core: its row at the last cut (arm, phase switch, reset).
+    /// Meaningful only while armed.
+    base: Vec<Totals>,
+}
+
 /// Default per-core ring capacity (events retained for export).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
-/// Per-core, lock-free-when-disarmed event tracer.
+/// The pod's event counter with an optional per-core event ring.
 ///
-/// Construction allocates only empty rings; arming it does not
-/// allocate either — rings grow as events arrive. Each core's ring is
+/// Construction allocates the count table and empty rings; arming does
+/// not allocate — rings grow as events arrive. Each core's ring is
 /// behind its own mutex, uncontended by construction (a core id is
 /// used by one OS thread at a time, and deterministic schedules are
 /// single-threaded).
 #[derive(Debug)]
 pub struct Tracer {
+    counts: Counts,
     armed: AtomicBool,
     capacity: usize,
     rings: Vec<Mutex<CoreRing>>,
-    /// Current phase per core, read at emit time.
+    /// Current phase per core, read at record time.
     phase: Vec<AtomicU8>,
     /// Interned phase names; index = `PhaseId`.
     names: Mutex<Vec<String>>,
+    /// Held across every arm / disarm / phase switch / reset, so a cut
+    /// and the armed flag move together.
+    windows: Mutex<Windows>,
 }
 
 impl Tracer {
@@ -375,36 +429,81 @@ impl Tracer {
     /// Tracer retaining at most `capacity` events per core.
     pub fn with_capacity(cores: usize, capacity: usize) -> Self {
         Tracer {
+            counts: Counts::new(cores),
             armed: AtomicBool::new(false),
             capacity: capacity.max(1),
             rings: (0..cores).map(|_| Mutex::new(CoreRing::new())).collect(),
             phase: (0..cores).map(|_| AtomicU8::new(0)).collect(),
             names: Mutex::new(vec!["run".to_string()]),
+            windows: Mutex::new(Windows {
+                folded: vec![Vec::new(); cores],
+                base: vec![Totals::default(); cores],
+            }),
         }
     }
 
-    /// Whether tracing is armed. One relaxed load; every emission
-    /// site checks this before doing any other work.
+    /// The pod's count table: every event charged through this tracer,
+    /// armed or not.
+    pub fn counts(&self) -> &Counts {
+        &self.counts
+    }
+
+    /// Whether recording is armed. One relaxed load; the charge of every
+    /// event checks it before touching the ring.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.armed.load(Ordering::Relaxed)
     }
 
-    /// Starts recording.
+    /// Starts recording and opens an attribution window.
     pub fn arm(&self) {
-        self.armed.store(true, Ordering::Release);
+        let mut windows = self.windows.lock();
+        if !self.enabled() {
+            for (core, base) in windows.base.iter_mut().enumerate() {
+                *base = self.counts.row(core);
+            }
+            self.armed.store(true, Ordering::Release);
+        }
     }
 
-    /// Stops recording (retained events stay readable).
+    /// Stops recording and closes the attribution window: what
+    /// [`attribution`](Self::attribution) reports is frozen here.
+    /// Retained events stay readable.
     pub fn disarm(&self) {
-        self.armed.store(false, Ordering::Release);
+        let mut windows = self.windows.lock();
+        if self.enabled() {
+            for core in 0..self.rings.len() {
+                self.cut(&mut windows, core);
+            }
+            self.armed.store(false, Ordering::Release);
+        }
     }
 
-    /// Clears all rings, counters, and attribution (armed state and
-    /// interned phase names are kept).
+    /// Folds `core`'s growth since its last cut into its current phase
+    /// and moves the cut to now. Callers hold `windows` and are armed.
+    fn cut(&self, windows: &mut Windows, core: usize) {
+        let now = self.counts.row(core);
+        let grown = now.since(&windows.base[core]);
+        windows.base[core] = now;
+        let phase = self.phase[core].load(Ordering::Relaxed) as usize;
+        let folded = &mut windows.folded[core];
+        if folded.len() <= phase {
+            folded.resize(phase + 1, Totals::default());
+        }
+        folded[phase] += grown;
+    }
+
+    /// Clears all rings and attribution (armed state and interned phase
+    /// names are kept; the count table is not touched).
     pub fn reset(&self) {
+        let mut windows = self.windows.lock();
+        let windows = &mut *windows;
         for ring in &self.rings {
             *ring.lock() = CoreRing::new();
+        }
+        for (core, (folded, base)) in windows.folded.iter_mut().zip(&mut windows.base).enumerate() {
+            folded.clear();
+            *base = self.counts.row(core);
         }
     }
 
@@ -423,25 +522,55 @@ impl Tracer {
         (names.len() - 1) as PhaseId
     }
 
-    /// Moves `core` into `phase`; subsequent events from that core are
-    /// attributed there.
+    /// Moves `core` into `phase`; its subsequent events are attributed
+    /// there.
     pub fn set_phase(&self, core: usize, phase: PhaseId) {
-        if let Some(p) = self.phase.get(core) {
-            p.store(phase, Ordering::Relaxed);
+        let Some(p) = self.phase.get(core) else {
+            return;
+        };
+        let mut windows = self.windows.lock();
+        if self.enabled() {
+            self.cut(&mut windows, core);
+        }
+        p.store(phase, Ordering::Relaxed);
+    }
+
+    /// Charges one event: counts it and its `cost_ns` in `core`'s row of
+    /// the table and, while armed, records it in `core`'s ring stamped
+    /// `stamp_ns` (the core's clock after the charge landed).
+    #[inline]
+    pub fn charge(&self, core: usize, kind: TraceKind, arg: u64, cost_ns: u64, stamp_ns: u64) {
+        self.counts.charge(core, kind, cost_ns);
+        if self.enabled() {
+            self.record(core, kind, arg, cost_ns, Some(stamp_ns));
         }
     }
 
-    /// Records one event. Callers on hot paths must guard with
-    /// [`enabled`](Self::enabled) *before* computing `stamp_ns`; this
-    /// method re-checks and drops the event when disarmed.
-    pub fn emit(&self, core: usize, kind: TraceKind, arg: u64, cost_ns: u64, stamp_ns: u64) {
-        if !self.enabled() {
-            return;
+    /// Charges a zero-cost structural event stamped at the core's most
+    /// recent recorded event. For sites *below* the clock layer (the
+    /// coherence model's line fills and writebacks, the NMP breaker),
+    /// which have no access to the core's virtual clock.
+    #[inline]
+    pub fn charge_here(&self, core: usize, kind: TraceKind, arg: u64) {
+        self.counts.charge(core, kind, 0);
+        if self.enabled() {
+            self.record(core, kind, arg, 0, None);
         }
+    }
+
+    fn record(&self, core: usize, kind: TraceKind, arg: u64, cost_ns: u64, stamp: Option<u64>) {
         let Some(ring) = self.rings.get(core) else {
             return;
         };
         let phase = self.phase[core].load(Ordering::Relaxed);
+        let mut r = ring.lock();
+        let stamp_ns = match stamp {
+            Some(stamp) => {
+                r.last_stamp = stamp;
+                stamp
+            }
+            None => r.last_stamp,
+        };
         let event = Event {
             kind,
             phase,
@@ -450,36 +579,10 @@ impl Tracer {
             arg,
             stamp_ns,
         };
-        let mut r = ring.lock();
-        r.last_stamp = stamp_ns;
-        r.push(self.capacity, event.pack(), phase, kind as u8, cost_ns);
+        r.push(self.capacity, event.pack());
     }
 
-    /// Records a zero-cost structural event stamped at the core's most
-    /// recent event's timestamp. For emission sites *below* the clock
-    /// layer (the coherence model's line fills and writebacks), which
-    /// have no access to the core's virtual clock.
-    pub fn emit_here(&self, core: usize, kind: TraceKind, arg: u64) {
-        if !self.enabled() {
-            return;
-        }
-        let Some(ring) = self.rings.get(core) else {
-            return;
-        };
-        let phase = self.phase[core].load(Ordering::Relaxed);
-        let mut r = ring.lock();
-        let event = Event {
-            kind,
-            phase,
-            core: core as u16,
-            cost_ns: 0,
-            arg,
-            stamp_ns: r.last_stamp,
-        };
-        r.push(self.capacity, event.pack(), phase, kind as u8, 0);
-    }
-
-    /// FNV-1a fingerprint over the *entire* emitted stream (overflow-
+    /// FNV-1a fingerprint over the *entire* recorded stream (overflow-
     /// immune), mixing per-core fingerprints and counts in core order.
     /// Equal seeds must produce equal fingerprints.
     pub fn fingerprint(&self) -> u64 {
@@ -513,19 +616,25 @@ impl Tracer {
         Trace { cores }
     }
 
-    /// Folds the per-core accumulators into an attribution table.
-    /// Covers every emitted event, including ones the rings dropped.
+    /// The count table over the armed windows since the last reset, by
+    /// phase and kind: everything charged while armed, including events
+    /// the rings dropped, and nothing charged after the last disarm.
     pub fn attribution(&self) -> attribution::Attribution {
         let names = self.names.lock().clone();
+        let windows = self.windows.lock();
         let mut rows = Vec::new();
-        for ring in &self.rings {
-            let r = ring.lock();
-            for (phase, kinds) in r.attribution.iter().enumerate() {
-                for (kind_idx, &(count, total)) in kinds.iter().enumerate() {
-                    if count == 0 {
-                        continue;
-                    }
-                    rows.push((phase as u8, kind_idx as u8, count, total));
+        for (core, folded) in windows.folded.iter().enumerate() {
+            let mut phases = folded.clone();
+            if self.enabled() {
+                let phase = self.phase[core].load(Ordering::Relaxed) as usize;
+                if phases.len() <= phase {
+                    phases.resize(phase + 1, Totals::default());
+                }
+                phases[phase] += self.counts.row(core).since(&windows.base[core]);
+            }
+            for (phase, totals) in phases.iter().enumerate() {
+                for (kind, count, total) in totals.nonzero() {
+                    rows.push((phase as u8, kind, count, total));
                 }
             }
         }
@@ -608,19 +717,19 @@ pub mod attribution {
     }
 
     /// Per-phase, per-event-class latency attribution. Because
-    /// cost-bearing events are emitted exactly at clock-advance
+    /// cost-bearing events are charged exactly at clock-advance
     /// sites, [`total_ns`](Attribution::total_ns) equals the sum of
-    /// all cores' virtual clocks.
+    /// all cores' virtual clock advances over the window.
     #[derive(Debug, Clone, Default)]
     pub struct Attribution {
         rows: Vec<Row>,
     }
 
     impl Attribution {
-        pub(super) fn fold(names: Vec<String>, raw: Vec<(u8, u8, u64, u64)>) -> Attribution {
+        pub(super) fn fold(names: Vec<String>, raw: Vec<(u8, TraceKind, u64, u64)>) -> Attribution {
             // Merge across cores: key on (phase, kind), keep table
             // order deterministic (phase id, then kind id).
-            let mut merged: Vec<((u8, u8), (u64, u64))> = Vec::new();
+            let mut merged: Vec<((u8, TraceKind), (u64, u64))> = Vec::new();
             for (phase, kind, count, total) in raw {
                 match merged.iter_mut().find(|(k, _)| *k == (phase, kind)) {
                     Some((_, cell)) => {
@@ -638,7 +747,7 @@ pub mod attribution {
                         .get(phase as usize)
                         .cloned()
                         .unwrap_or_else(|| format!("phase{phase}")),
-                    kind: TraceKind::from_u8(kind).expect("attribution rows carry live kind ids"),
+                    kind,
                     count,
                     total_ns,
                 })
@@ -683,15 +792,18 @@ pub mod attribution {
         }
 
         /// Renders a fixed-width text table (phase, class, category,
-        /// count, total ns, share of the grand total).
+        /// count, total ns, share of the grand total). Marker kinds
+        /// ([`TraceKind::is_marker`]) are left out: each qualifies an
+        /// event another row already counts.
         pub fn render(&self) -> String {
             let total = self.total_ns().max(1);
+            let events = || self.rows.iter().filter(|r| !r.kind.is_marker());
             let mut out = String::new();
             out.push_str(&format!(
                 "{:<14} {:<20} {:<9} {:>10} {:>14} {:>7}\n",
                 "phase", "event", "category", "count", "total ns", "share"
             ));
-            for row in &self.rows {
+            for row in events() {
                 out.push_str(&format!(
                     "{:<14} {:<20} {:<9} {:>10} {:>14} {:>6.1}%\n",
                     row.phase,
@@ -707,7 +819,7 @@ pub mod attribution {
                 "TOTAL",
                 "",
                 "",
-                self.rows.iter().map(|r| r.count).sum::<u64>(),
+                events().map(|r| r.count).sum::<u64>(),
                 self.total_ns(),
                 100.0
             ));
@@ -763,11 +875,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disarmed_tracer_records_nothing() {
+    fn disarmed_tracer_counts_but_records_nothing() {
         let t = Tracer::new(2);
-        t.emit(0, TraceKind::LoadFill, 1, 357, 357);
+        t.charge(0, TraceKind::LoadFill, 1, 357, 357);
         assert!(t.snapshot().is_empty());
         assert_eq!(t.attribution().total_ns(), 0);
+        assert_eq!(t.counts().totals().ns(TraceKind::LoadFill), 357);
+    }
+
+    #[test]
+    fn attribution_freezes_at_disarm_and_spans_windows() {
+        let t = Tracer::new(1);
+        t.arm();
+        t.charge(0, TraceKind::Fence, 0, 25, 25);
+        t.disarm();
+        t.charge(0, TraceKind::Fence, 0, 25, 50);
+        assert_eq!(t.attribution().count_of(TraceKind::Fence), 1);
+        t.arm();
+        t.charge(0, TraceKind::Fence, 0, 25, 75);
+        assert_eq!(t.attribution().total_ns(), 50);
+        t.reset();
+        assert_eq!(t.attribution().total_ns(), 0);
+        t.charge_here(0, TraceKind::CasFail, 8);
+        assert_eq!(t.attribution().by_kind(), [(TraceKind::CasFail, 1, 0)]);
+        assert!(
+            !t.attribution().render().contains("cas_fail"),
+            "markers stay out of the table"
+        );
     }
 
     #[test]
@@ -790,7 +924,7 @@ mod tests {
         for t in [&a, &b] {
             t.arm();
             for i in 0..100u64 {
-                t.emit(0, TraceKind::Fence, i, 25, (i + 1) * 25);
+                t.charge(0, TraceKind::Fence, i, 25, (i + 1) * 25);
             }
         }
         // Same stream, different retention: fingerprints and
@@ -814,16 +948,16 @@ mod tests {
             t.arm();
             let p = t.phase_id("fill");
             t.set_phase(1, p);
-            t.emit(0, TraceKind::LoadFill, 64, 357, 357);
-            t.emit(1, TraceKind::McasAttempt, 7, 2160, 2160);
-            t.emit(1, TraceKind::SlabAlloc, 4096, 0, 2160);
+            t.charge(0, TraceKind::LoadFill, 64, 357, 357);
+            t.charge(1, TraceKind::McasAttempt, 7, 2160, 2160);
+            t.charge(1, TraceKind::SlabAlloc, 4096, 0, 2160);
             t
         };
         let (a, b) = (make(), make());
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a.snapshot().to_bytes(), b.snapshot().to_bytes());
         // And a differing stream diverges.
-        b.emit(0, TraceKind::Fence, 0, 25, 382);
+        b.charge(0, TraceKind::Fence, 0, 25, 382);
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
 
@@ -834,11 +968,11 @@ mod tests {
         let warm = t.phase_id("warmup");
         let bench = t.phase_id("bench");
         t.set_phase(0, warm);
-        t.emit(0, TraceKind::LoadFill, 0, 300, 300);
-        t.emit(0, TraceKind::LoadFill, 0, 300, 600);
+        t.charge(0, TraceKind::LoadFill, 0, 300, 300);
+        t.charge(0, TraceKind::LoadFill, 0, 300, 600);
         t.set_phase(0, bench);
-        t.emit(0, TraceKind::LoadFill, 0, 400, 1000);
-        t.emit(1, TraceKind::Fence, 0, 25, 25);
+        t.charge(0, TraceKind::LoadFill, 0, 400, 1000);
+        t.charge(1, TraceKind::Fence, 0, 25, 25);
         let attr = t.attribution();
         assert_eq!(attr.total_ns(), 1025);
         assert_eq!(attr.count_of(TraceKind::LoadFill), 3);
@@ -856,8 +990,8 @@ mod tests {
     fn chrome_export_emits_slices_and_instants() {
         let t = Tracer::new(1);
         t.arm();
-        t.emit(0, TraceKind::LoadFill, 64, 357, 357);
-        t.emit(0, TraceKind::LineFill, 64, 0, 357);
+        t.charge(0, TraceKind::LoadFill, 64, 357, 357);
+        t.charge(0, TraceKind::LineFill, 64, 0, 357);
         let json = chrome_trace_json(&t.snapshot());
         assert!(json.starts_with('[') && json.ends_with(']'));
         assert!(json.contains("\"ph\":\"X\""));

@@ -25,7 +25,8 @@
 //!   quiesce. That convergence is the property the bounded test checks,
 //!   against both the oracle and an independent last-write model.
 
-use cxl_pod::coherence::{CacheCounts, CacheModel};
+use cxl_pod::coherence::CacheModel;
+use cxl_pod::trace::TraceKind;
 use cxl_pod::{Segment, CACHELINE as LINE};
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -34,6 +35,23 @@ use std::sync::atomic::Ordering;
 
 /// 8-byte words in a cache line.
 const WORDS_PER_LINE: usize = (LINE / 8) as usize;
+
+/// Line traffic: what [`CacheModel`] charges to its tracer's count
+/// table, and what the reference counts by hand.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Traffic {
+    line_fills: u64,
+    writebacks: u64,
+}
+
+/// `model`'s line traffic, read off its count table.
+fn traffic(model: &CacheModel) -> Traffic {
+    let totals = model.tracer().counts().totals();
+    Traffic {
+        line_fills: totals.count(TraceKind::LineFill),
+        writebacks: totals.count(TraceKind::Writeback),
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct CacheLine {
@@ -45,12 +63,12 @@ struct CacheLine {
 struct CoreCache {
     lines: HashMap<u64, CacheLine>,
     seed: u64,
-    counts: CacheCounts,
+    counts: Traffic,
 }
 
 /// The previous `HashMap`-based cache model, kept as the *reference
 /// semantics* of [`CacheModel`]: same operations, same return values,
-/// its traffic counted into its own [`CacheCounts`].
+/// its line traffic counted by hand.
 #[derive(Debug)]
 struct MapCacheModel {
     caches: Vec<Mutex<CoreCache>>,
@@ -71,7 +89,7 @@ impl MapCacheModel {
                     Mutex::new(CoreCache {
                         lines: HashMap::new(),
                         seed: 0x2545_F491_4F6C_DD1D ^ (i as u64 + 1),
-                        counts: CacheCounts::default(),
+                        counts: Traffic::default(),
                     })
                 })
                 .collect(),
@@ -108,9 +126,7 @@ impl MapCacheModel {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = split(offset);
         let mut cache = self.caches[core].lock();
-        cache.counts.loads += 1;
         if let Some(&line) = cache.lines.get(&line_addr) {
-            cache.counts.cached_hits += 1;
             return (line.words[word], true);
         }
         self.maybe_evict(&mut cache, segment);
@@ -131,7 +147,6 @@ impl MapCacheModel {
         debug_assert_eq!(offset % 8, 0);
         let (line_addr, word) = split(offset);
         let mut cache = self.caches[core].lock();
-        cache.counts.stores += 1;
         let hit = cache.lines.contains_key(&line_addr);
         if !hit {
             self.maybe_evict(&mut cache, segment);
@@ -178,7 +193,6 @@ impl MapCacheModel {
             }
             line_addr += LINE;
         }
-        cache.counts.flushes += 1;
         written
     }
 
@@ -210,7 +224,6 @@ impl MapCacheModel {
             }
             line_addr += LINE;
         }
-        cache.counts.flushes += 1;
         written
     }
 
@@ -232,10 +245,12 @@ impl MapCacheModel {
     }
 
     /// Traffic counted so far, summed over cores.
-    fn counts(&self) -> CacheCounts {
-        let mut total = CacheCounts::default();
+    fn counts(&self) -> Traffic {
+        let mut total = Traffic::default();
         for cache in &self.caches {
-            total += cache.lock().counts;
+            let counts = cache.lock().counts;
+            total.line_fills += counts.line_fills;
+            total.writebacks += counts.writebacks;
         }
         total
     }
@@ -407,16 +422,16 @@ fn lockstep(ops: &[Op], init: &[u64], scoping: Scoping) {
             }
         }
         drop(access);
-        // `counts()` visits every core, so not from inside a scope.
+        // `MapCacheModel::counts()` locks every core, so not from inside a scope.
         if whole.is_none() {
             prop_assert_eq!(
-                model_new.counts(), model_old.counts(),
+                traffic(&model_new), model_old.counts(),
                 "counters diverged at step {} ({:?})", step, op
             );
         }
     }
     drop(whole);
-    prop_assert_eq!(model_new.counts(), model_old.counts(), "counters diverged ({:?})", scoping);
+    prop_assert_eq!(traffic(&model_new), model_old.counts(), "counters diverged ({:?})", scoping);
 
     // After the sequence: identical residency and identical durable
     // memory, word for word.

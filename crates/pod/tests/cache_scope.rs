@@ -61,7 +61,7 @@ fn foreign_accesses_wait_for_the_scope_and_see_whole_ops() {
             returned.store(true, Ordering::SeqCst);
             while !done.load(Ordering::SeqCst) {
                 mem.cache().discard_all(CORE.index());
-                let _ = mem.cache().counts();
+                let _ = mem.stats();
                 let _ = mem.cache().is_cached(CORE.index(), at(3));
                 let word = foreign_rounds.load(Ordering::Relaxed) % WORDS;
                 check(mem.load_u64(CORE, at(word)), word);
@@ -114,7 +114,7 @@ fn foreign_accesses_wait_for_the_scope_and_see_whole_ops() {
     });
 
     assert_eq!(
-        mem.cache().counts().loads,
+        mem.stats().loads,
         owner_loads + foreign_loads.load(Ordering::SeqCst),
         "a load was lost or counted twice"
     );

@@ -5,13 +5,12 @@
 use cxl_pod::fault::{FaultInjector, FaultKind, FaultRule};
 use cxl_pod::latency::{Clocks, LatencyModel};
 use cxl_pod::nmp::NmpDevice;
-use cxl_pod::stats::MemStats;
 use cxl_pod::Segment;
 use std::sync::Arc;
 
 fn device(cores: usize) -> (Arc<Segment>, NmpDevice) {
     let segment = Arc::new(Segment::zeroed(4096).unwrap());
-    let nmp = NmpDevice::new(segment.clone(), cores, Arc::new(MemStats::new()));
+    let nmp = NmpDevice::new(segment.clone(), cores);
     (segment, nmp)
 }
 
