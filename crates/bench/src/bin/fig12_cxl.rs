@@ -16,18 +16,19 @@
 //! from uncachable memory, and shared partial slabs whose batch refills
 //! contend on mCAS as threads grow.
 //!
-//! Every variant runs on the clock-ordered [`driver`]: one OS thread
-//! issues each host's operations, the next one always to the host whose
-//! simulated core clock is earliest, so the figure is a pure function of
-//! the code. Throughput is *modeled*: total operations over the run's
+//! Every variant runs on the clock-ordered driver ([`cxl_drive::clock`]):
+//! one OS thread issues each host's operations, the next one always to
+//! the host whose simulated core clock is earliest, so the figure is a
+//! pure function of the code. Throughput is *modeled*: total operations over the run's
 //! makespan in virtual time.
 
 use baselines::{CxlallocAdapter, PodAlloc};
 use cxl_bench::allocators::cxlalloc_pod_with_mode;
-use cxl_bench::driver::{self, MicroHost, Span};
+use cxl_bench::driver::{self, MicroHost};
 use cxl_bench::report::{human_rate, NdjsonSink, Table};
 use cxl_bench::Options;
 use cxl_core::AttachOptions;
+use cxl_drive::clock::Span;
 use cxl_pod::{CoreId, HwccMode, Layout, Pod, PodMemory};
 use std::sync::Arc;
 use workloads::MicroSpec;

@@ -9,11 +9,12 @@
 //! across commits is a `pod-bench` A/B (`benchmark/`).
 
 use crate::allocators::{cxlalloc_pod, cxlalloc_pod_fabric};
-use crate::driver::{self, Span, Turn};
+use crate::driver::core_of;
 use baselines::{CxlallocAdapter, PodAlloc, PodAllocThread};
 use criterion::{Criterion, Throughput};
 use cxl_core::dcas::Dcas;
 use cxl_core::{AttachOptions, OffsetPtr, ThreadId};
+use cxl_drive::clock::{self, Span, Turn};
 use cxl_pod::latency::{Clocks, LatencyModel};
 use cxl_pod::nmp::NmpDevice;
 use cxl_pod::stats::MemStatsSnapshot;
@@ -480,12 +481,12 @@ type Kernel = fn(&CxlallocAdapter, usize) -> Round;
 pub fn remote_free_kernel(alloc: &CxlallocAdapter, hosts: usize) -> Round {
     let mem = alloc.pod().memory().clone();
     let mut team: Vec<_> = (0..hosts).map(|_| alloc.thread().unwrap()).collect();
-    let cores: Vec<CoreId> = team.iter().map(|t| driver::core_of(t.as_ref())).collect();
+    let cores: Vec<CoreId> = team.iter().map(|t| core_of(t.as_ref())).collect();
     let mut routed: Vec<VecDeque<OffsetPtr>> = vec![VecDeque::new(); hosts];
     let mut allocated = vec![0; hosts];
     Box::new(move || {
         allocated.fill(0);
-        let mut span = driver::run(mem.as_ref(), &cores, |i| {
+        let mut span = clock::run(mem.as_ref(), &cores, |i| {
             let j = allocated[i];
             if j == HOST_SCALING_BLOCKS {
                 return Turn::Done;
@@ -495,7 +496,7 @@ pub fn remote_free_kernel(alloc: &CxlallocAdapter, hosts: usize) -> Round {
             allocated[i] += 1;
             Turn::Ran
         });
-        span += driver::run(mem.as_ref(), &cores, |i| match routed[i].pop_front() {
+        span += clock::run(mem.as_ref(), &cores, |i| match routed[i].pop_front() {
             Some(p) => {
                 team[i].dealloc(p).unwrap();
                 Turn::Ran
@@ -522,12 +523,12 @@ fn kvstore_kernel(alloc: &CxlallocAdapter, hosts: usize) -> Round {
     for key in 0..KV_KEYS {
         workers[0].insert(key, 8, 64).unwrap();
     }
-    let cores: Vec<CoreId> = workers.iter_mut().map(|w| driver::core_of(w.allocator())).collect();
+    let cores: Vec<CoreId> = workers.iter_mut().map(|w| core_of(w.allocator())).collect();
     let mut cursor = 0u64;
     let mut done = vec![0; hosts];
     Box::new(move || {
         done.fill(0);
-        driver::run(mem.as_ref(), &cores, |i| {
+        clock::run(mem.as_ref(), &cores, |i| {
             if done[i] == HOST_SCALING_KV_OPS {
                 return Turn::Done;
             }
@@ -573,7 +574,7 @@ fn annotate_host_scaling(
 /// Host-scaling sweep: 1–64 simulated hosts over the remote-free
 /// and kvstore paths, eager vs batched. Hosts are registered threads on
 /// distinct simulated cores of one `HwccMode::Limited` pod, issued by
-/// the clock-ordered [`driver`] on one OS thread: on the wall-clock
+/// the clock-ordered [`clock::run`] on one OS thread: on the wall-clock
 /// backend a CI box's scheduler would drown the coherence signal, while
 /// here every cross-host line transfer and publish CAS is modeled work
 /// and also shows up in the event counts attached to each record.

@@ -422,12 +422,15 @@ impl Cxlalloc {
         Ok(())
     }
 
-    /// On a simulated pod, drops dead thread `tid`'s cache unwritten.
+    /// On a simulated pod, drops dead thread `tid`'s cache unwritten: the
+    /// one place a dead core's cache is dropped. [`Cxlalloc::mark_crashed`]
+    /// and [`Cxlalloc::declare_dead`] call it after their registry flip; a
+    /// harness calls it alone for a thread that dies with its slot LIVE.
     /// Call outside any op scope: the dead core is not the caller's, and
     /// a thread inside a scope must not touch another core's cache
     /// (`cxl_pod::coherence`). If the "dead" thread is in fact mid-op
     /// on another OS thread, this waits for that op to return.
-    pub(crate) fn discard_dead_cache(&self, tid: ThreadId) {
+    pub fn discard_dead_cache(&self, tid: ThreadId) {
         if let Some(sim) = self.mem().as_any().downcast_ref::<cxl_pod::SimMemory>() {
             sim.cache().discard_all(tid.slot() as usize);
         }
@@ -530,23 +533,15 @@ impl Cxlalloc {
         })
     }
 
-    /// Recovers `tid` and re-registers it as a live thread owned by the
-    /// caller, reconstructing its volatile huge-heap state from the
-    /// segment (paper §3.4.2). Alias for [`Cxlalloc::try_adopt`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Cxlalloc::try_adopt`].
-    pub fn adopt(&self, tid: ThreadId, via: CoreId) -> Result<(ThreadHandle, RecoveryReport), AllocError> {
-        self.try_adopt(tid, via)
-    }
-
-    /// Races to adopt crashed thread `tid`: the DEAD→ADOPTING registry
-    /// CAS is the linearization point, so when several survivors call
-    /// this concurrently exactly one wins, runs recovery while holding
-    /// the slot in ADOPTING, and commits it back to LIVE. Losers return
-    /// immediately with [`AllocError::AdoptionRaced`] and must not touch
-    /// the dead thread's structures.
+    /// Races to adopt crashed thread `tid`: recovers it and re-registers
+    /// it as a live thread owned by the caller, reconstructing its
+    /// volatile huge-heap state from the segment (paper §3.4.2). The
+    /// DEAD→ADOPTING registry CAS is the linearization point, so when
+    /// several survivors call this concurrently exactly one wins, runs
+    /// recovery while holding the slot in ADOPTING, and commits it back
+    /// to LIVE. Losers return immediately with
+    /// [`AllocError::AdoptionRaced`] and must not touch the dead
+    /// thread's structures.
     ///
     /// # Errors
     ///
@@ -574,23 +569,19 @@ impl Cxlalloc {
     /// drop(victim);
     /// heap.mark_crashed(tid)?;
     ///
-    /// let (mut adopted, _report) = heap.try_adopt(tid, survivor.core())?;
+    /// let (mut adopted, _report) = heap.adopt(tid, survivor.core())?;
     /// assert_eq!(adopted.tid(), tid); // the winner now owns the slot
     /// let ptr = adopted.alloc(64)?;
     /// adopted.dealloc(ptr)?;
     ///
     /// // The slot is LIVE again, so a late adopter gets the race error.
     /// assert!(matches!(
-    ///     heap.try_adopt(tid, survivor.core()),
+    ///     heap.adopt(tid, survivor.core()),
     ///     Err(AllocError::AdoptionRaced { .. })
     /// ));
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
-    pub fn try_adopt(
-        &self,
-        tid: ThreadId,
-        via: CoreId,
-    ) -> Result<(ThreadHandle, RecoveryReport), AllocError> {
+    pub fn adopt(&self, tid: ThreadId, via: CoreId) -> Result<(ThreadHandle, RecoveryReport), AllocError> {
         let mem = self.mem();
         let off = mem.layout().registry_at(tid.slot());
         match registry_cas(mem, via, off, registry::DEAD, registry::ADOPTING) {

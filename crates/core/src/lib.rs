@@ -26,6 +26,12 @@
 //! slabs), large (1 KiB–512 KiB blocks, 512 KiB slabs), and huge
 //! (512 KiB+, backed by individual memory mappings).
 //!
+//! Partial-failure safety is checked from outside this crate: [`crash`]
+//! compiles labelled crash points into the allocator, and the
+//! `cxl-drive` crate runs seeded schedules of allocations, crashes and
+//! recoveries across simulated hosts into them, ending every run with
+//! [`Cxlalloc::check_invariants`].
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -69,7 +75,6 @@ pub mod crash;
 mod ctx;
 pub mod dcas;
 mod error;
-pub mod explore;
 pub mod huge;
 pub mod interval;
 pub mod liveness;
@@ -78,7 +83,6 @@ mod ptr;
 pub mod recovery;
 mod remote;
 mod rover;
-pub mod sched;
 pub mod slab;
 
 pub use alloc::{AttachOptions, Cxlalloc, HeapStats, ThreadHandle};

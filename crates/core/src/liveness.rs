@@ -20,14 +20,14 @@
 //!   [`Cxlalloc::declare_dead`](crate::Cxlalloc::declare_dead) (an mCAS
 //!   on non-HWcc pods), after which any survivor may adopt it.
 //! * **Raced adoption** — survivors race through
-//!   [`Cxlalloc::try_adopt`](crate::Cxlalloc::try_adopt); the
+//!   [`Cxlalloc::adopt`](crate::Cxlalloc::adopt); the
 //!   DEAD→[`ADOPTING`](registry::ADOPTING) registry CAS is the
 //!   linearization point, so exactly one wins and runs recovery while
 //!   losers get a typed
 //!   [`AllocError::AdoptionRaced`].
 //!
-//! Ticks are logical, driven by the schedule driver's `DetectorTick`
-//! steps — no wall clock is involved, so exploration campaigns replay
+//! Ticks are logical, driven by `cxl-drive`'s `DetectorTick` steps —
+//! no wall clock is involved, so exploration campaigns replay
 //! byte-identically.
 
 use crate::alloc::Cxlalloc;

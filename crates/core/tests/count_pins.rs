@@ -3,14 +3,20 @@
 //! to how the pod *counts* must leave every number here where it is; a
 //! change to what the allocator *does* moves them on purpose. The marker
 //! kinds (`BreakerTrip`, `BreakerHeal`, `FabricSaturated`) are the only
-//! rows pinned after the others: each equals the snapshot field of the
-//! same event.
+//! rows pinned after the others.
+//!
+//! The snapshot counts the whole run. The attribution stops where
+//! `sched::run_on` closes the traced window, after the final quiesce and
+//! before the end-of-run audit, so a checker change moves no row. A
+//! kind's row is therefore its snapshot field less the audit's share:
+//! `FabricSaturated` reads 79 of the congested run's 112 saturated
+//! crossings, 33 of them the audit's.
 //!
 //! Run with `CXL_DUMP_COUNTS=1 cargo test -p cxl-core --test count_pins
 //! -- --nocapture` to print the observed values in the form pinned below.
 
-use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
 use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr};
+use cxl_drive::sched::{self, Schedule, SimConfig, Step};
 use cxl_pod::fault::{FaultKind, FaultRule};
 use cxl_pod::stats::MemStatsSnapshot;
 use cxl_pod::trace::TraceKind;
@@ -22,23 +28,19 @@ fn dumping() -> bool {
     std::env::var("CXL_DUMP_COUNTS").is_ok_and(|v| v == "1")
 }
 
-/// Runs `schedule` under `plan` on a fresh simulated pod shaped by
-/// `config`, with the tracer armed for the whole run. The run's own
-/// outcome (a fault plan may make it fail its checks) is not pinned
+/// Runs `schedule` with `faults` armed on a fresh simulated pod shaped
+/// by `config`, with the tracer armed from its first step. The run's own
+/// outcome (fault rules may make it fail its checks) is not pinned
 /// here; the schedule fingerprints pin behaviour.
 fn traced_run(
     config: &SimConfig,
     schedule: &Schedule,
-    plan: &FaultPlan,
+    faults: &[FaultRule],
 ) -> (MemStatsSnapshot, ByKind) {
-    let pod = match config.fabric {
-        Some(fabric) => Pod::with_simulation_fabric(config.pod_config(), config.mode, fabric),
-        None => Pod::with_simulation(config.pod_config(), config.mode),
-    }
-    .unwrap();
+    let pod = config.pod();
     let tracer = pod.memory().tracer().expect("sim pods carry a tracer");
     tracer.arm();
-    let _ = sched::run_on(&pod, config, schedule, plan);
+    let _ = sched::run_on(&pod, config, schedule, faults);
     tracer.disarm();
     (pod.memory().stats(), tracer.attribution().by_kind())
 }
@@ -111,11 +113,7 @@ fn scripted_schedule() -> Schedule {
 
 #[test]
 fn scripted_two_host_run_on_limited() {
-    let (stats, kinds) = traced_run(
-        &SimConfig::default(),
-        &scripted_schedule(),
-        &FaultPlan::none(),
-    );
+    let (stats, kinds) = traced_run(&SimConfig::default(), &scripted_schedule(), &[]);
     pin!("scripted", stats, {
         loads: 4169,
         stores: 428,
@@ -143,16 +141,16 @@ fn scripted_two_host_run_on_limited() {
         "scripted",
         &kinds,
         &[
-            (TraceKind::LoadHit, 3451, 14646),
-            (TraceKind::LoadFill, 404, 161416),
-            (TraceKind::LoadHwcc, 314, 14011),
+            (TraceKind::LoadHit, 306, 1299),
+            (TraceKind::LoadFill, 247, 98639),
+            (TraceKind::LoadHwcc, 249, 11053),
             (TraceKind::StoreDirty, 411, 2182),
             (TraceKind::StoreHwcc, 17, 703),
             (TraceKind::CasAttempt, 127, 118877),
-            (TraceKind::LineFill, 437, 0),
+            (TraceKind::LineFill, 280, 0),
             (TraceKind::Writeback, 191, 0),
-            (TraceKind::Flush, 282, 31523),
-            (TraceKind::Fence, 236, 6617),
+            (TraceKind::Flush, 207, 23241),
+            (TraceKind::Fence, 161, 4544),
             (TraceKind::SlabAlloc, 26, 0),
             (TraceKind::SlabFree, 16, 0),
             (TraceKind::LeaseRenew, 95, 0),
@@ -170,7 +168,7 @@ fn liveness_seeds_on_none_with_device_degrade() {
     };
     for seed in [14u64, 40] {
         let schedule = Schedule::generate_liveness(seed, 3, 48);
-        let (stats, kinds) = traced_run(&config, &schedule, &FaultPlan::none());
+        let (stats, kinds) = traced_run(&config, &schedule, &[]);
         let label = format!("liveness seed {seed}");
         match seed {
             14 => {
@@ -201,19 +199,19 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     &label,
                     &kinds,
                     &[
-                        (TraceKind::LoadHit, 1006, 4252),
-                        (TraceKind::LoadFill, 246, 98076),
-                        (TraceKind::LoadUncached, 467, 233616),
+                        (TraceKind::LoadHit, 161, 686),
+                        (TraceKind::LoadFill, 106, 42324),
+                        (TraceKind::LoadUncached, 412, 206220),
                         (TraceKind::StoreDirty, 179, 961),
                         (TraceKind::StoreUncached, 14, 7393),
                         (TraceKind::CasRetry, 20, 0),
                         (TraceKind::CasFallback, 21, 30818),
                         (TraceKind::McasAttempt, 108, 496977),
                         (TraceKind::McasRetry, 20, 82752),
-                        (TraceKind::LineFill, 263, 0),
+                        (TraceKind::LineFill, 123, 0),
                         (TraceKind::Writeback, 69, 0),
-                        (TraceKind::Flush, 159, 18028),
-                        (TraceKind::Fence, 141, 4017),
+                        (TraceKind::Flush, 99, 11179),
+                        (TraceKind::Fence, 82, 2309),
                         (TraceKind::SlabAlloc, 8, 0),
                         (TraceKind::SlabFree, 3, 0),
                         (TraceKind::LeaseRenew, 103, 0),
@@ -251,19 +249,19 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     &label,
                     &kinds,
                     &[
-                        (TraceKind::LoadHit, 2052, 8699),
-                        (TraceKind::LoadFill, 238, 95580),
-                        (TraceKind::LoadUncached, 418, 210072),
+                        (TraceKind::LoadHit, 197, 837),
+                        (TraceKind::LoadFill, 89, 36254),
+                        (TraceKind::LoadUncached, 359, 179836),
                         (TraceKind::StoreDirty, 258, 1378),
                         (TraceKind::StoreUncached, 17, 8998),
                         (TraceKind::CasRetry, 10, 0),
                         (TraceKind::CasFallback, 12, 18278),
                         (TraceKind::McasAttempt, 93, 672830),
                         (TraceKind::McasRetry, 10, 24548),
-                        (TraceKind::LineFill, 259, 0),
+                        (TraceKind::LineFill, 110, 0),
                         (TraceKind::Writeback, 105, 0),
-                        (TraceKind::Flush, 136, 15189),
-                        (TraceKind::Fence, 164, 4515),
+                        (TraceKind::Flush, 68, 7633),
+                        (TraceKind::Fence, 97, 2666),
                         (TraceKind::SlabAlloc, 13, 0),
                         (TraceKind::SlabFree, 7, 0),
                         (TraceKind::LeaseRenew, 79, 0),
@@ -280,7 +278,7 @@ fn liveness_seeds_on_none_with_device_degrade() {
 
 #[test]
 fn drop_flush_and_delay_writeback_plan() {
-    let plan = FaultPlan::of(vec![
+    let faults = [
         FaultRule::new(FaultKind::DropFlush)
             .on_core(1)
             .after(5)
@@ -288,9 +286,9 @@ fn drop_flush_and_delay_writeback_plan() {
         FaultRule::new(FaultKind::DelayWriteback(700))
             .after(3)
             .times(4),
-    ]);
+    ];
     let schedule = Schedule::generate(17, 2, 40);
-    let (stats, kinds) = traced_run(&SimConfig::default(), &schedule, &plan);
+    let (stats, kinds) = traced_run(&SimConfig::default(), &schedule, &faults);
     pin!("faults", stats, {
         loads: 105843,
         stores: 90021,
@@ -318,17 +316,17 @@ fn drop_flush_and_delay_writeback_plan() {
         "faults",
         &kinds,
         &[
-            (TraceKind::LoadHit, 105036, 446013),
-            (TraceKind::LoadFill, 414, 166121),
-            (TraceKind::LoadHwcc, 393, 17389),
+            (TraceKind::LoadHit, 102284, 434350),
+            (TraceKind::LoadFill, 244, 97872),
+            (TraceKind::LoadHwcc, 337, 14958),
             (TraceKind::StoreDirty, 89968, 480782),
             (TraceKind::StoreHwcc, 53, 2364),
             (TraceKind::CasAttempt, 110, 3434460),
-            (TraceKind::LineFill, 490, 0),
+            (TraceKind::LineFill, 320, 0),
             (TraceKind::Writeback, 39256, 0),
-            (TraceKind::Flush, 325, 36659),
+            (TraceKind::Flush, 239, 27147),
             (TraceKind::FlushDropped, 2, 209),
-            (TraceKind::Fence, 39329, 1094103),
+            (TraceKind::Fence, 39243, 1091739),
             (TraceKind::SlabAlloc, 10959, 0),
             (TraceKind::SlabFree, 8550, 0),
             (TraceKind::LeaseRenew, 39, 0),
@@ -348,7 +346,7 @@ fn congested_fabric_run() {
         ..SimConfig::default()
     };
     let schedule = Schedule::generate(5, 4, 40);
-    let (stats, kinds) = traced_run(&config, &schedule, &FaultPlan::none());
+    let (stats, kinds) = traced_run(&config, &schedule, &[]);
     pin!("congested", stats, {
         loads: 4556,
         stores: 417,
@@ -376,23 +374,23 @@ fn congested_fabric_run() {
         "congested",
         &kinds,
         &[
-            (TraceKind::LoadHit, 3738, 15841),
-            (TraceKind::LoadFill, 399, 159965),
-            (TraceKind::LoadHwcc, 419, 18726),
+            (TraceKind::LoadHit, 315, 1337),
+            (TraceKind::LoadFill, 237, 94887),
+            (TraceKind::LoadHwcc, 351, 15694),
             (TraceKind::StoreDirty, 397, 2112),
             (TraceKind::StoreHwcc, 20, 880),
             (TraceKind::CasAttempt, 193, 263731),
-            (TraceKind::LineFill, 426, 0),
+            (TraceKind::LineFill, 264, 0),
             (TraceKind::Writeback, 179, 0),
-            (TraceKind::Flush, 302, 33645),
-            (TraceKind::Fence, 225, 6319),
+            (TraceKind::Flush, 222, 24839),
+            (TraceKind::Fence, 145, 4066),
             (TraceKind::SlabAlloc, 20, 0),
             (TraceKind::SlabFree, 20, 0),
             (TraceKind::LeaseRenew, 160, 0),
             (TraceKind::WritebackKept, 134, 14604),
-            (TraceKind::FabricQueue, 509, 115331),
-            (TraceKind::FabricService, 544, 59296),
-            (TraceKind::FabricSaturated, 112, 0),
+            (TraceKind::FabricQueue, 358, 39699),
+            (TraceKind::FabricService, 382, 41638),
+            (TraceKind::FabricSaturated, 79, 0),
         ],
     );
 }

@@ -445,7 +445,7 @@ fn crash_point_matrix_via_schedule_driver() {
     // to `!0` before the run: its handle starts with every list marked,
     // so its recoveries walk all of them. The run must end with the same
     // fingerprint (outcomes and offsets), census audit and metadata.
-    use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
+    use cxl_drive::sched::{self, Schedule, SimConfig, Step};
 
     let mut rows = Vec::new();
     for mode in [HwccMode::Limited, HwccMode::None] {
@@ -472,12 +472,12 @@ fn crash_point_matrix_via_schedule_driver() {
                     };
                     let cell = format!("{mode:?} {module}::{at} skip {skip}");
                     let run = |full: bool| {
-                        let pod = Pod::with_simulation(config.pod_config(), mode).unwrap();
+                        let pod = config.pod();
                         if full {
                             // Host 1 registers second, in slot 1.
                             force_full_walk(&pod, 1);
                         }
-                        let report = sched::run_on(&pod, &config, &schedule, &FaultPlan::none())
+                        let report = sched::run_on(&pod, &config, &schedule, &[])
                             .unwrap_or_else(|e| panic!("{cell} (full walk: {full}): {e}"));
                         (report, metadata_image(&pod))
                     };
@@ -488,7 +488,7 @@ fn crash_point_matrix_via_schedule_driver() {
                     // either way the run must validate.
                     assert_eq!(report.steps, 6, "{cell}");
                     if mode == HwccMode::None {
-                        let replay = sched::run(&config, &schedule, &FaultPlan::none())
+                        let replay = sched::run(&config, &schedule, &[])
                             .unwrap_or_else(|e| panic!("{cell} (replay): {e}"));
                         assert_eq!(report.fingerprint, replay.fingerprint, "{cell}: replay diverged");
                     }
@@ -517,7 +517,7 @@ fn crash_point_matrix_fires_for_every_label_at_skip_zero() {
     // are covered by `remote_free_crash_points_recover`; recovery's
     // labels need a recovery and are covered by
     // `crashed_recovery_is_rerun_exactly`.
-    use cxl_core::sched::{self, FaultPlan, Schedule, SimConfig, Step};
+    use cxl_drive::sched::{self, Schedule, SimConfig, Step};
 
     let config = SimConfig::default();
     for (module, points) in crash::known_points() {
@@ -536,7 +536,7 @@ fn crash_point_matrix_fires_for_every_label_at_skip_zero() {
                     via: 1,
                 }],
             };
-            let report = sched::run(&config, &schedule, &FaultPlan::none())
+            let report = sched::run(&config, &schedule, &[])
                 .unwrap_or_else(|e| panic!("{module}::{at}: {e}"));
             assert_eq!(
                 report.crashes_fired, 1,
@@ -626,7 +626,7 @@ fn large_heap_crash_points_recover() {
 /// recovery's own labels; the second runs through. The adopter then
 /// finds clean invariants, a census of exactly the blocks the victim
 /// held, and a heap that still serves every class. (Adoption through
-/// `try_adopt`'s ADOPTING state is not crashed here.) Each cell runs
+/// `adopt`'s ADOPTING state is not crashed here.) Each cell runs
 /// with the targeted and with the full sanitize walk.
 #[test]
 fn crashed_recovery_is_rerun_exactly() {

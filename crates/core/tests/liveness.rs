@@ -4,10 +4,10 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use cxl_core::explore::Explorer;
 use cxl_core::liveness::LivenessDetector;
-use cxl_core::sched::SimConfig;
 use cxl_core::{AllocError, AttachOptions, Cxlalloc};
+use cxl_drive::explore::Explorer;
+use cxl_drive::sched::SimConfig;
 use cxl_pod::fault::FaultRule;
 use cxl_pod::{BreakerConfig, CoreId, DeviceMode, HwccMode, Pod, PodConfig, SimMemory};
 
@@ -46,7 +46,7 @@ fn adoption_race_has_exactly_one_winner() {
             for core in [2u16, 3u16] {
                 let heap = heap.clone();
                 let (wins, raced) = (&wins, &raced);
-                s.spawn(move || match heap.try_adopt(tid, CoreId(core)) {
+                s.spawn(move || match heap.adopt(tid, CoreId(core)) {
                     Ok((handle, _report)) => {
                         // The winner owns the slot and can use it.
                         let mut handle = handle;
@@ -77,12 +77,12 @@ fn adopting_non_dead_slots_is_rejected() {
     let pod = Pod::new(PodConfig::small_for_tests()).unwrap();
     let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
     let t = heap.register_thread().unwrap();
-    match heap.try_adopt(t.tid(), CoreId(1)) {
+    match heap.adopt(t.tid(), CoreId(1)) {
         Err(AllocError::AdoptionRaced { thread }) => assert_eq!(thread, t.tid()),
         other => panic!("expected AdoptionRaced, got {other:?}"),
     }
     let free = cxl_core::ThreadId::new(pod.layout().max_threads as u16).unwrap();
-    match heap.try_adopt(free, CoreId(1)) {
+    match heap.adopt(free, CoreId(1)) {
         Err(AllocError::BadThreadState { .. }) => {}
         other => panic!("expected BadThreadState, got {other:?}"),
     }
@@ -111,7 +111,7 @@ fn lease_detection_end_to_end() {
     }
     assert_eq!(expired, vec![victim_tid], "the silent thread, and only it");
 
-    let (adopted, _report) = heap.try_adopt(victim_tid, CoreId(3)).unwrap();
+    let (adopted, _report) = heap.adopt(victim_tid, CoreId(3)).unwrap();
     assert_eq!(unsafe { *adopted.resolve(ptr, 256).unwrap() }, 0xAB);
     heap.check_invariants(CoreId(0)).unwrap();
 }
@@ -133,7 +133,7 @@ fn heartbeat_after_steal_is_rejected() {
     // The victim "hangs" (keeps its handle, stops heartbeating); a
     // detector declares it dead and a survivor adopts the slot.
     assert!(heap.declare_dead(tid).unwrap());
-    let (adopted, _) = heap.try_adopt(tid, CoreId(3)).unwrap();
+    let (adopted, _) = heap.adopt(tid, CoreId(3)).unwrap();
 
     // The stale incarnation wakes up and heartbeats: typed rejection.
     match victim.heartbeat() {

@@ -315,8 +315,8 @@ proptest! {
 
 mod faults {
     use super::*;
-    use cxl_core::explore::Explorer;
-    use cxl_core::sched::{FaultPlan, Schedule, SimConfig};
+    use cxl_drive::explore::Explorer;
+    use cxl_drive::sched::{self, Schedule, SimConfig};
     use cxl_pod::fault::{FaultKind, FaultRule};
     use cxl_pod::HwccMode;
 
@@ -351,8 +351,8 @@ mod faults {
             })
     }
 
-    fn benign_plan() -> impl Strategy<Value = FaultPlan> {
-        proptest::collection::vec(benign_rule(), 0..4).prop_map(FaultPlan::of)
+    fn benign_plan() -> impl Strategy<Value = Vec<FaultRule>> {
+        proptest::collection::vec(benign_rule(), 0..4)
     }
 
     /// A schedule drawn through the canonical generator, so failures
@@ -377,7 +377,7 @@ mod faults {
                 plan,
                 ..Explorer::default()
             };
-            let run = cxl_core::sched::run(&explorer.config, &schedule, &explorer.plan);
+            let run = sched::run(&explorer.config, &schedule, &explorer.plan);
             prop_assert!(
                 run.is_ok(),
                 "seed {} failed: {:?} (plan {:?})",
@@ -397,12 +397,12 @@ mod faults {
                 mode: HwccMode::None,
                 ..SimConfig::default()
             };
-            let plan = FaultPlan::of(vec![
+            let faults = [
                 FaultRule::new(FaultKind::McasDelay(delay)).times(16),
                 FaultRule::new(FaultKind::McasContention).times(contended),
-            ]);
+            ];
             let schedule = Schedule::generate(seed, 2, 15);
-            let run = cxl_core::sched::run(&config, &schedule, &plan);
+            let run = sched::run(&config, &schedule, &faults);
             prop_assert!(run.is_ok(), "seed {seed} failed: {:?}", run.err());
         }
 

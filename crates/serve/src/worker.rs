@@ -406,7 +406,7 @@ fn adopt(
             || report.expired.contains(&victim)
             || started.elapsed() > Duration::from_secs(5);
         if probe {
-            match heap.try_adopt(victim, via) {
+            match heap.adopt(victim, via) {
                 Ok((handle, _report)) => {
                     let (phantoms, inherited) = reconcile_ledger(heap, me, &handle)?;
                     let _ = me.evt_ring().push(Msg::AdoptReport {
@@ -421,7 +421,7 @@ fn adopt(
                 }
                 Err(AllocError::AdoptionRaced { .. }) => return Ok(None),
                 Err(AllocError::BadThreadState { .. }) => {} // not DEAD yet
-                Err(e) => return Err(format!("try_adopt: {e}")),
+                Err(e) => return Err(format!("adopt: {e}")),
             }
         }
         if started.elapsed() > Duration::from_secs(30) {

@@ -8,8 +8,7 @@
 //!
 //! Run with: `cargo run --release --example fault_exploration`
 
-use cxlalloc::core::explore::Explorer;
-use cxlalloc::core::sched::FaultPlan;
+use cxlalloc::drive::explore::Explorer;
 use cxlalloc::pod::fault::{FaultKind, FaultRule};
 
 fn main() {
@@ -30,7 +29,7 @@ fn main() {
     //       demand. The explorer hunts for seeds whose schedules expose
     //       it, then shrinks the first one. -----------------------------
     let lossy = Explorer {
-        plan: FaultPlan::of(vec![FaultRule::new(FaultKind::DropFlush).on_core(0)]),
+        plan: vec![FaultRule::new(FaultKind::DropFlush).on_core(0)],
         ..Explorer::default()
     };
     let report = lossy.explore(0, 100);

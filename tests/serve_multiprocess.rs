@@ -232,7 +232,7 @@ fn stolen_heartbeat_kills_worker_across_processes() {
     let victim = ThreadId::new(victim_tid).expect("worker tid");
     assert!(heap.declare_dead(victim).expect("declare_dead"));
     let (_stolen_handle, _report) =
-        heap.try_adopt(victim, CoreId(0)).expect("adopt the live worker's slot");
+        heap.adopt(victim, CoreId(0)).expect("adopt the live worker's slot");
 
     // The worker's next beat must observe the foreign epoch and exit
     // with the dedicated STOLEN code.
