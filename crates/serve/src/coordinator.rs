@@ -5,7 +5,7 @@
 //! worker processes, drives them through the ring control plane, and —
 //! mid-run — throws the full scheduler repertoire at them. Each
 //! [`Chaos`] kind is one signal, injected either from one seeded timed
-//! schedule (`timed_chaos`) or op-exact by the victim itself
+//! schedule or op-exact by the victim itself
 //! (`--self-kill/--self-drain/--self-stall INDEX:OPS`):
 //!
 //! - **`kill -9`** (`--kills`): the victim vanishes mid-traffic; a
@@ -14,7 +14,7 @@
 //! - **SIGTERM drains** (`--drains`, rolling `--rolling N:PERIOD`): the
 //!   victim finishes its in-flight op, executes queued forwarded frees,
 //!   flushes every buffer, freezes its lease, and exits
-//!   [`exit::DRAINED`]; the coordinator spawns a *fresh* replacement —
+//!   [`DRAINED`](crate::worker::exit::DRAINED); the coordinator spawns a *fresh* replacement —
 //!   no adoption, no recovery.
 //! - **SIGSTOP stalls** (`--stalls`): the victim simply stops
 //!   scheduling. The coordinator's watchdog notices the frozen lease
@@ -22,11 +22,16 @@
 //!   wedged past the probe ladder — escalates to SIGKILL and lets the
 //!   adoption machinery take over.
 //!
+//! Every one of those decisions is made by the sans-IO state machine
+//! in `machine` (`Coordinator::step(now_ns, event) -> actions`); [`run`]
+//! is the shell around it, the one poll loop that turns rings, exits,
+//! lease words and the clock into events and actions into syscalls.
+//!
 //! When traffic stops and every child is reaped, the heap is quiescent
 //! by construction, and the coordinator runs the zero-lost-blocks
 //! audit: a full-heap [`census`](cxl_core::audit::census) must name
 //! *exactly* the blocks the workers' ledgers name — and where
-//! `--shared-keys` cross-process frees are in flight, the audit credits
+//! `--shared-pct` cross-process frees are in flight, the audit credits
 //! each slab's remote-pending counter and the durable remote-free
 //! buffer lines, so the books balance even when a kill lands mid-batch.
 
@@ -36,14 +41,16 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use cxl_core::liveness::lease;
 use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr, ThreadId};
 use cxl_pod::{CoreId, Pod, PodConfig};
-use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::rpc::{self, run_state, state, status, ControlPlane, Msg, HIST_BUCKETS};
-use crate::worker::{exit, WorkerArgs};
+use crate::rpc::{self, status, ControlPlane, Msg, HIST_BUCKETS};
+use crate::worker::WorkerArgs;
 use crate::{send_signal, Chaos};
+
+mod machine;
+
+use machine::{Action, Coordinator, Event};
 
 /// A pod config sized for serving runs: plenty of small/large slabs,
 /// a token huge heap (the serve workload never allocates huge).
@@ -205,7 +212,6 @@ impl RunArgs {
                 "--stall-ms" => out.stall_ms = num(flag, &val()?)?,
                 "--probe-grace-ms" => out.probe_grace_ms = num(flag, &val()?)?,
                 "--max-probes" => out.max_probes = num(flag, &val()?)?,
-                "--shared-keys" => out.shared_pct = 50,
                 "--shared-pct" => out.shared_pct = num(flag, &val()?)?,
                 "--remote-batch" => out.remote_batch = num(flag, &val()?)?,
                 "--shared-skew" => out.shared_skew = Some(num(flag, &val()?)?),
@@ -290,35 +296,6 @@ pub fn incarnation_seed(base: u64, index: u32, incarnation: u32) -> u64 {
         ^ ((incarnation as u64) << 48)
 }
 
-/// The timed chaos schedule of a time-mode run: every `(at, kind,
-/// victim)` event, in firing order. Each kind streams from its own
-/// tagged seed inside its own window `secs × [start, start + width)`, so
-/// adding events of one kind never moves another's; `--rolling N:PERIOD`
-/// adds drains at `period × (i + 1)`, round-robin over the slots.
-fn timed_chaos(args: &RunArgs) -> Vec<(Duration, Chaos, u32)> {
-    let mut events = Vec::new();
-    for (kind, count, tag, start, width) in [
-        (Chaos::Kill, args.kills, 0x6b69_6c6c, 0.25, 0.4),     // "kill"
-        (Chaos::Drain, args.drains, 0x64_7261_696e, 0.20, 0.45), // "drain"
-        (Chaos::Stall, args.stalls, 0x73_7461_6c6c, 0.15, 0.5),  // "stall"
-    ] {
-        let mut rng = StdRng::seed_from_u64(args.seed ^ tag);
-        for _ in 0..count {
-            let at = args.secs * (start + width * rng.gen::<f64>());
-            events.push((Duration::from_secs_f64(at), kind, rng.gen_range(0..args.workers)));
-        }
-    }
-    if let Some((n, period)) = args.rolling {
-        for i in 0..n {
-            let at = Duration::from_secs_f64(period * (i + 1) as f64);
-            events.push((at, Chaos::Drain, i % args.workers));
-        }
-    }
-    // Stable: same-instant events keep their per-kind order.
-    events.sort_by_key(|&(at, ..)| at);
-    events
-}
-
 /// Per-worker results in the final report.
 #[derive(Debug, Clone)]
 pub struct WorkerStats {
@@ -346,7 +323,7 @@ pub struct WorkerStats {
 }
 
 /// One crash + adoption episode.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AdoptionRecord {
     /// Worker slot.
     pub index: u32,
@@ -354,13 +331,12 @@ pub struct AdoptionRecord {
     pub victim_tid: u16,
     /// Replacements reporting a won adoption race (must end at 1).
     pub winners: u32,
-    /// `(pid, installed lease epoch)` of every reported winner, in
-    /// report order. When `winners` is not 1 this says which failure it
-    /// is: two pids mean two processes won DEAD→ADOPTING; one pid
-    /// twice, or epochs of two different episodes, mean the coordinator
-    /// matched two reports to this one record.
+    /// `(pid, installed lease epoch)` of the reported winner. A second
+    /// report for a closed episode fails the run, naming its own pid
+    /// and epoch: two pids mean two processes won DEAD→ADOPTING.
     pub winner_ids: Vec<(u64, u16)>,
-    /// Replacements reporting a lost race.
+    /// Replacements that exited `RACED`: lost the race, or bowed out
+    /// because the run was stopping.
     pub losers: u32,
     /// Phantom ledger cells the winner reconciled away.
     pub phantoms: u64,
@@ -534,67 +510,27 @@ impl RunReport {
 
     /// Renders the report as JSON (schema `serve-run-v2`).
     pub fn to_json(&self) -> String {
-        let workers: Vec<String> = self
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"index\":{},\"tid\":{},\"ops\":{},\"allocs\":{},\"frees\":{},\
-                     \"live\":{},\"forwarded\":{},\"timeouts\":{},\"hist\":{:?}}}",
-                    w.index,
-                    w.tid,
-                    w.ops,
-                    w.allocs,
-                    w.frees,
-                    w.live,
-                    w.forwarded,
-                    w.timeouts,
-                    w.hist.to_vec()
-                )
-            })
-            .collect();
-        let adoptions: Vec<String> = self
-            .adoptions
-            .iter()
-            .map(|a| {
-                let winner_ids: Vec<String> = a
-                    .winner_ids
-                    .iter()
-                    .map(|(pid, epoch)| format!("[{pid},{epoch}]"))
-                    .collect();
-                format!(
-                    "{{\"index\":{},\"victim_tid\":{},\"winners\":{},\"winner_ids\":[{}],\
-                     \"losers\":{},\"phantoms\":{},\"inherited\":{}}}",
-                    a.index,
-                    a.victim_tid,
-                    a.winners,
-                    winner_ids.join(","),
-                    a.losers,
-                    a.phantoms,
-                    a.inherited
-                )
-            })
-            .collect();
-        let drains: Vec<String> = self
-            .drains
-            .iter()
-            .map(|d| {
-                format!(
-                    "{{\"index\":{},\"tid\":{},\"ops\":{},\"live\":{}}}",
-                    d.index, d.tid, d.ops, d.live
-                )
-            })
-            .collect();
-        let stalls: Vec<String> = self
-            .stalls
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"index\":{},\"probes\":{},\"escalated\":{}}}",
-                    s.index, s.probes, s.escalated
-                )
-            })
-            .collect();
+        let workers = list(&self.workers, |w| {
+            format!(
+                "{{\"index\":{},\"tid\":{},\"ops\":{},\"allocs\":{},\"frees\":{},\
+                 \"live\":{},\"forwarded\":{},\"timeouts\":{},\"hist\":{:?}}}",
+                w.index, w.tid, w.ops, w.allocs, w.frees, w.live, w.forwarded, w.timeouts, w.hist
+            )
+        });
+        let adoptions = list(&self.adoptions, |a| {
+            let ids = list(&a.winner_ids, |(pid, epoch)| format!("[{pid},{epoch}]"));
+            format!(
+                "{{\"index\":{},\"victim_tid\":{},\"winners\":{},\"winner_ids\":[{ids}],\
+                 \"losers\":{},\"phantoms\":{},\"inherited\":{}}}",
+                a.index, a.victim_tid, a.winners, a.losers, a.phantoms, a.inherited
+            )
+        });
+        let drains = list(&self.drains, |d| {
+            format!("{{\"index\":{},\"tid\":{},\"ops\":{},\"live\":{}}}", d.index, d.tid, d.ops, d.live)
+        });
+        let stalls = list(&self.stalls, |s| {
+            format!("{{\"index\":{},\"probes\":{},\"escalated\":{}}}", s.index, s.probes, s.escalated)
+        });
         format!(
             "{{\n  \"schema\": \"serve-run-v2\",\n  \"elapsed_secs\": {:.3},\n  \
              \"total_ops\": {},\n  \"ops_per_sec\": {:.0},\n  \"p50_ns\": {},\n  \
@@ -617,10 +553,10 @@ impl RunReport {
             self.timeouts,
             self.stolen,
             self.digest(),
-            workers.join(","),
-            adoptions.join(","),
-            drains.join(","),
-            stalls.join(","),
+            workers,
+            adoptions,
+            drains,
+            stalls,
             self.audit.census_live,
             self.audit.ledger_live,
             self.audit.effective_live,
@@ -638,207 +574,83 @@ impl RunReport {
     }
 }
 
-/// One worker slot's bookkeeping during the run.
-struct Slot {
-    child: Option<Child>,
-    /// Racing replacement children not yet identified as the winner.
-    racers: Vec<Child>,
-    tid: Option<u16>,
-    incarnation: u32,
-    started: bool,
-    finished: bool,
-    /// Index into the adoptions vec of the episode in flight.
-    adopting: Option<usize>,
+/// One JSON object per item, comma-joined.
+fn list<T>(items: &[T], object: impl Fn(&T) -> String) -> String {
+    items.iter().map(object).collect::<Vec<_>>().join(",")
 }
 
-/// RAII guard over the whole fleet: when dropped — on success, error,
-/// or panic alike — it SIGKILLs and reaps every child still attached,
+/// One spawned worker process. `reaped` once its exit was reported.
+struct Worker {
+    index: u32,
+    child: Child,
+    reaped: bool,
+}
+
+/// RAII guard over every worker the run spawned: when dropped — on
+/// success, error, or panic alike — it SIGKILLs and reaps every child,
 /// so no exit path can leak orphan worker processes. (Already-reaped
 /// children are no-ops: `kill` fails harmlessly and `wait` returns the
 /// cached status.)
-struct Fleet {
-    slots: Vec<Slot>,
-}
+struct Fleet(Vec<Worker>);
 
 impl Drop for Fleet {
     fn drop(&mut self) {
-        for slot in self.slots.iter_mut() {
-            for child in slot.child.iter_mut().chain(slot.racers.iter_mut()) {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+        for w in self.0.iter_mut() {
+            let _ = w.child.kill();
+            let _ = w.child.wait();
         }
     }
 }
 
-/// Per-slot queues of op-exact chaos events in flag order, armed one of
-/// each kind per *fresh* spawn (initial worker or post-drain
-/// replacement). Adoption replacements never arm events: an adopter
-/// continues a crashed incarnation, it doesn't open a new chapter of
-/// the schedule.
-struct SelfEvents(Vec<Vec<(Chaos, u64)>>);
-
-impl SelfEvents {
-    fn new(args: &RunArgs) -> SelfEvents {
-        let mut queues = vec![Vec::new(); args.workers as usize];
-        for &(kind, index, ops) in &args.self_events {
-            queues[index as usize].push((kind, ops));
-        }
-        SelfEvents(queues)
-    }
-
-    /// Takes the slot's next event of each kind, sorted by op count.
-    fn arm(&mut self, index: u32) -> Vec<(u64, Chaos)> {
-        let queue = &mut self.0[index as usize];
-        let mut armed: Vec<(u64, Chaos)> = Chaos::ALL
-            .into_iter()
-            .filter_map(|kind| {
-                let at = queue.iter().position(|(k, _)| *k == kind)?;
-                Some((queue.remove(at).1, kind))
-            })
-            .collect();
-        armed.sort_unstable();
-        armed
-    }
+/// The IO half of the coordinator: turns rings, exits, lease words and
+/// the clock into [`Event`]s and the machine's [`Action`]s into
+/// syscalls and ring pushes.
+struct Shell<'a> {
+    args: &'a RunArgs,
+    pod: &'a Pod,
+    plane: &'a ControlPlane,
+    machine: Coordinator<'a>,
+    fleet: Fleet,
+    clock: Instant,
 }
 
-const SIGCONT: i32 = 18;
-
-/// Whether a slot is a healthy chaos target: started, not
-/// mid-adoption, its worker past Start and not draining (state
-/// RUNNING), and its child alive.
-fn healthy(plane: &ControlPlane, index: u32, slot: &mut Slot) -> bool {
-    slot.started
-        && slot.adopting.is_none()
-        && plane.worker(index).status(status::STATE) == state::RUNNING
-        && slot
-            .child
-            .as_mut()
-            .is_some_and(|c| matches!(c.try_wait(), Ok(None)))
-}
-
-/// Per-slot lease-movement tracking for the watchdog.
-struct Lane {
-    last_word: u64,
-    moved_at: Instant,
-    probes: u32,
-    probe_at: Instant,
-    /// Index into the run's stall records of the episode in flight.
-    /// The record is created at *detection* time and updated in place —
-    /// a revived worker may exit (self-kill, drain) before the next
-    /// tick can observe its lease moving, so resolution can't be the
-    /// moment the episode is recorded.
-    episode: Option<usize>,
-}
-
-impl Lane {
-    fn reset(&mut self, word: u64, now: Instant) {
-        self.last_word = word;
-        self.moved_at = now;
-        self.probes = 0;
-        self.probe_at = now;
-        self.episode = None;
-    }
-}
-
-/// The stuck-worker watchdog: reads each monitored worker's lease word
-/// straight from pod memory (leases move on every heartbeat, so a
-/// static counter means the process isn't scheduling). On a stall it
-/// climbs a ladder — SIGCONT probe, exponentially-backed-off re-probes,
-/// then SIGKILL — so a SIGSTOPped worker is revived in one rung while a
-/// truly wedged one is fed to the adoption machinery.
-struct Watchdog {
-    stall: Duration,
-    grace: Duration,
-    max_probes: u32,
-    lanes: Vec<Lane>,
-}
-
-impl Watchdog {
-    fn new(args: &RunArgs) -> Watchdog {
-        let now = Instant::now();
-        Watchdog {
-            stall: Duration::from_millis(args.stall_ms.max(1)),
-            grace: Duration::from_millis(args.probe_grace_ms.max(1)),
-            max_probes: args.max_probes,
-            lanes: (0..args.workers)
-                .map(|_| Lane {
-                    last_word: 0,
-                    moved_at: now,
-                    probes: 0,
-                    probe_at: now,
-                    episode: None,
-                })
-                .collect(),
-        }
-    }
-
-    fn tick(
-        &mut self,
-        pod: &Pod,
-        plane: &ControlPlane,
-        slots: &mut [Slot],
-        stalls: &mut Vec<StallRecord>,
-    ) {
-        let now = Instant::now();
-        for (index, slot) in slots.iter_mut().enumerate() {
-            let lane = &mut self.lanes[index];
-            if slot.finished || !healthy(plane, index as u32, slot) {
-                lane.reset(0, now);
-                continue;
-            }
-            let Some(tslot) = slot.tid.and_then(ThreadId::new).map(|t| t.slot()) else {
-                lane.reset(0, now);
-                continue;
-            };
-            let word = pod
-                .memory()
-                .load_u64(CoreId(0), pod.layout().lease_at(tslot));
-            if lease::is_frozen(word) {
-                // Draining (or drained): silence is the protocol here.
-                lane.reset(word, now);
-                continue;
-            }
-            if word != lane.last_word {
-                lane.reset(word, now);
-                continue;
-            }
-            if now.duration_since(lane.moved_at) < self.stall {
-                continue;
-            }
-            if lane.episode.is_none() {
-                lane.episode = Some(stalls.len());
-                stalls.push(StallRecord {
-                    index: index as u32,
-                    probes: 0,
-                    escalated: false,
-                });
-                lane.probes = 0;
-                lane.probe_at = now;
-            }
-            if now < lane.probe_at {
-                continue;
-            }
-            let episode = lane.episode.expect("episode opened above");
-            if lane.probes >= self.max_probes {
-                // Ladder exhausted. SIGKILL works on stopped processes
-                // too; reap_and_replace turns the corpse into an
-                // adoption.
-                if let Some(child) = slot.child.as_mut() {
-                    let _ = child.kill();
-                    let _ = child.wait();
+impl Shell<'_> {
+    fn step(&mut self, event: Event) -> Result<(), String> {
+        let now = self.clock.elapsed().as_nanos() as u64;
+        for action in self.machine.step(now, event)? {
+            match action {
+                Action::Spawn { index, adopt, chaos } => {
+                    let child = spawn_worker(self.args, index, adopt, chaos)?;
+                    let pid = child.id();
+                    self.fleet.0.push(Worker { index, child, reaped: false });
+                    self.step(Event::Spawned { index, pid })?;
                 }
-                stalls[episode].escalated = true;
-                lane.reset(word, now);
-            } else {
-                if let Some(child) = slot.child.as_ref() {
-                    send_signal(child.id(), SIGCONT);
+                Action::Signal { pid, sig } => {
+                    let live = self.fleet.0.iter_mut().find(|w| !w.reaped && w.child.id() == pid);
+                    if let Some(w) = live {
+                        send_signal(pid, sig);
+                        if sig == Chaos::Kill.signal() {
+                            let _ = w.child.wait(); // the next pass reaps the corpse
+                        }
+                    }
                 }
-                lane.probes += 1;
-                stalls[episode].probes = lane.probes;
-                lane.probe_at = now + self.grace * (1u32 << (lane.probes - 1).min(6));
+                Action::Push { index, msg } => {
+                    let pushed = self.plane.worker(index).cmd_ring().push(msg);
+                    if matches!(msg, Msg::Start { .. }) {
+                        pushed.map_err(|_| format!("cmd ring of worker {index} full at start"))?;
+                    }
+                }
+                Action::RunState(run_state) => self.plane.set_run_state(run_state),
             }
         }
+        Ok(())
+    }
+
+    /// The lease word of the thread slot `index` last said hello with.
+    fn lease(&self, index: u32) -> u64 {
+        self.machine.tid(index).and_then(ThreadId::new).map_or(0, |t| {
+            self.pod.memory().load_u64(CoreId(0), self.pod.layout().lease_at(t.slot()))
+        })
     }
 }
 
@@ -869,149 +681,63 @@ pub fn run(args: &RunArgs) -> Result<RunReport, String> {
     result
 }
 
+/// The one poll loop: each pass drains every event ring, then reaps
+/// exits, then ticks the machine with every slot's lease word and
+/// worker `STATE`, until the machine is done; then the audit.
 fn drive(args: &RunArgs, pod: &Pod, plane: &ControlPlane) -> Result<RunReport, String> {
-    // The Fleet guard reaps every child on *any* exit — including a
-    // panic inside the drive loop, which an error-path-only cleanup
-    // would miss.
-    let mut fleet = Fleet { slots: Vec::new() };
-    drive_slots(args, pod, plane, &mut fleet.slots)
-}
-
-fn drive_slots(
-    args: &RunArgs,
-    pod: &Pod,
-    plane: &ControlPlane,
-    slots: &mut Vec<Slot>,
-) -> Result<RunReport, String> {
-    let mut events = SelfEvents::new(args);
-    for index in 0..args.workers {
-        slots.push(Slot {
-            child: Some(spawn_worker(args, index, None, &mut events)?),
-            racers: Vec::new(),
-            tid: None,
-            incarnation: 0,
-            started: false,
-            finished: false,
-            adopting: None,
-        });
-    }
-    let mut adoptions: Vec<AdoptionRecord> = Vec::new();
-    let mut drains: Vec<DrainRecord> = Vec::new();
-    let mut stalls: Vec<StallRecord> = Vec::new();
-    let mut stolen: Vec<u16> = Vec::new();
-    let mut kills = 0u32;
-    let mut watchdog = Watchdog::new(args);
-    let mut schedule = timed_chaos(args);
-
-    // Phase 1: wait for every initial Hello, then start traffic.
-    let setup_deadline = Instant::now() + Duration::from_secs(60);
-    while slots.iter().any(|s| s.tid.is_none()) {
-        pump(plane, slots, &mut adoptions, &mut drains, &mut stolen, args)?;
-        if Instant::now() > setup_deadline {
-            return Err("workers never all said hello".into());
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    plane.set_run_state(run_state::RUNNING);
-    let traffic_start = Instant::now();
-    for (index, slot) in slots.iter_mut().enumerate() {
-        start_slot(plane, args, index as u32, slot)?;
-    }
-
-    // Phase 2: traffic, chaos, replacements.
-    let hard_deadline = traffic_start
-        + Duration::from_secs_f64(args.secs)
-        + if args.target_ops > 0 { Duration::from_secs(120) } else { Duration::ZERO };
+    let mut shell = Shell {
+        args,
+        pod,
+        plane,
+        machine: Coordinator::new(args),
+        fleet: Fleet(Vec::new()),
+        clock: Instant::now(),
+    };
     let mut soak_log = Instant::now();
     loop {
-        pump(plane, slots, &mut adoptions, &mut drains, &mut stolen, args)?;
-        kills += reap_and_replace(args, pod, slots, &mut adoptions, &mut events)?;
-        watchdog.tick(pod, plane, slots, &mut stalls);
-        // The injector. A due event whose slot is mid-replacement waits,
-        // and holds back the later events of its kind. A stall is never
-        // CONTed here: the watchdog's probe is the only revival path, so
-        // every episode exercises it.
-        let now = traffic_start.elapsed();
-        let mut held: Vec<Chaos> = Vec::new();
-        schedule.retain(|&(at, kind, victim)| {
-            if at > now || held.contains(&kind) {
-                return true;
+        // Rings before exits: a draining worker's `Exited` is matched
+        // while its slot still names it.
+        for index in 0..args.workers {
+            let evt = plane.worker(index).evt_ring();
+            while let Some(msg) = evt.pop().map_err(|e| format!("evt ring {index}: {e}"))? {
+                shell.step(Event::Msg { index, msg })?;
             }
-            let slot = &mut slots[victim as usize];
-            if !healthy(plane, victim, slot) {
-                held.push(kind);
-                return true;
+        }
+        if shell.machine.done() {
+            break;
+        }
+        let mut exits = Vec::new();
+        for w in shell.fleet.0.iter_mut().filter(|w| !w.reaped) {
+            if let Ok(Some(status)) = w.child.try_wait() {
+                w.reaped = true;
+                exits.push((w.index, w.child.id(), status.code()));
             }
-            let child = slot.child.as_mut().expect("a healthy slot has a child");
-            send_signal(child.id(), kind.signal());
-            if kind == Chaos::Kill {
-                let _ = child.wait(); // reap_and_replace sees the corpse
-            }
-            false
-        });
+        }
+        for (index, pid, code) in exits {
+            let lease = shell.lease(index);
+            shell.step(Event::Reaped { index, pid, code, lease })?;
+        }
+        let probes = (0..args.workers)
+            .map(|i| (shell.lease(i), plane.worker(i).status(status::STATE)))
+            .collect();
+        shell.step(Event::Tick(probes))?;
         if args.soak && soak_log.elapsed() >= Duration::from_secs(5) {
-            let ops: u64 =
-                (0..args.workers).map(|i| plane.worker(i).status(status::OPS)).sum();
+            let m = &shell.machine;
+            let ops: u64 = (0..args.workers).map(|i| plane.worker(i).status(status::OPS)).sum();
             eprintln!(
-                "soak {:>6.0}s: ops {ops}, kills {kills}, drains {}, stalls {}, adoptions {}",
-                traffic_start.elapsed().as_secs_f64(),
-                drains.len(),
-                stalls.len(),
-                adoptions.len(),
+                "soak {:>6.0}s: ops {ops}, kills {}, drains {}, stalls {}, adoptions {}",
+                shell.clock.elapsed().as_secs_f64(),
+                m.kills,
+                m.drains.len(),
+                m.stalls.len(),
+                m.adoptions.len(),
             );
             soak_log = Instant::now();
         }
-        let done = if args.target_ops > 0 {
-            slots.iter().all(|s| s.finished)
-        } else {
-            traffic_start.elapsed() >= Duration::from_secs_f64(args.secs)
-        };
-        if done {
-            break;
-        }
-        if Instant::now() > hard_deadline {
-            return Err("run overshot its hard deadline".into());
-        }
-        std::thread::sleep(Duration::from_millis(1));
+        std::thread::sleep(Duration::from_millis(shell.machine.poll_ms()));
     }
-    let elapsed = traffic_start.elapsed().as_secs_f64();
 
-    // Phase 3: stop and reap everything.
-    plane.set_run_state(run_state::STOPPING);
-    for (index, slot) in slots.iter_mut().enumerate() {
-        // Also slots whose replacement is still mid-adoption: the Stop
-        // waits in the ring and the adoption winner drains it.
-        if (slot.child.is_some() || !slot.racers.is_empty()) && !slot.finished {
-            let _ = plane.worker(index as u32).cmd_ring().push(Msg::Stop);
-        }
-    }
-    let stop_deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        pump(plane, slots, &mut adoptions, &mut drains, &mut stolen, args)?;
-        // Keep the watchdog running: a worker stalled moments before
-        // STOPPING still needs its SIGCONT to ever see the Stop.
-        watchdog.tick(pod, plane, slots, &mut stalls);
-        let mut all_reaped = true;
-        for slot in slots.iter_mut() {
-            for child in slot.child.iter_mut().chain(slot.racers.iter_mut()) {
-                match child.try_wait() {
-                    Ok(Some(_)) => {}
-                    _ => all_reaped = false,
-                }
-            }
-        }
-        if all_reaped {
-            break;
-        }
-        if Instant::now() > stop_deadline {
-            return Err("workers did not stop in time".into());
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    // Drain any Exited events that raced the final reap.
-    pump(plane, slots, &mut adoptions, &mut drains, &mut stolen, args)?;
-
-    // Phase 4: the heap is quiescent — audit it.
+    // The heap is quiescent — audit it.
     let audit = audit(pod, plane)?;
     let workers: Vec<WorkerStats> = (0..args.workers)
         .map(|index| {
@@ -1036,17 +762,18 @@ fn drive_slots(
     let total_ops = workers.iter().map(|w| w.ops).sum();
     let forwarded = workers.iter().map(|w| w.forwarded).sum();
     let timeouts = workers.iter().map(|w| w.timeouts).sum();
+    let m = shell.machine;
     let report = RunReport {
         workers,
-        adoptions,
-        drains,
-        stalls,
+        adoptions: m.adoptions,
+        drains: m.drains,
+        stalls: m.stalls,
         audit,
-        stolen,
-        kills,
+        stolen: m.stolen,
+        kills: m.kills,
         forwarded,
         timeouts,
-        elapsed_secs: elapsed,
+        elapsed_secs: m.elapsed_ns as f64 / 1e9,
         total_ops,
     };
     if let Some(path) = &args.json_out {
@@ -1055,182 +782,11 @@ fn drive_slots(
     Ok(report)
 }
 
-/// Sends `Start` to a slot's current incarnation.
-fn start_slot(
-    plane: &ControlPlane,
-    args: &RunArgs,
-    index: u32,
-    slot: &mut Slot,
-) -> Result<(), String> {
-    plane
-        .worker(index)
-        .cmd_ring()
-        .push(Msg::Start {
-            seed: incarnation_seed(args.seed, index, slot.incarnation),
-            spec: args.spec,
-            hb_every: args.hb_every,
-            target_ops: args.target_ops,
-        })
-        .map_err(|_| format!("cmd ring of worker {index} full at start"))?;
-    slot.started = true;
-    Ok(())
-}
-
-/// Drains every event ring once.
-fn pump(
-    plane: &ControlPlane,
-    slots: &mut [Slot],
-    adoptions: &mut [AdoptionRecord],
-    drains: &mut Vec<DrainRecord>,
-    stolen: &mut Vec<u16>,
-    args: &RunArgs,
-) -> Result<(), String> {
-    for (index, slot) in slots.iter_mut().enumerate() {
-        let index = index as u32;
-        let evt = plane.worker(index).evt_ring();
-        while let Some(msg) = evt.pop().map_err(|e| format!("evt ring {index}: {e}"))? {
-            match msg {
-                Msg::Hello { pid, tid } => {
-                    slot.tid = Some(tid);
-                    // A replacement's hello: promote the matching racer
-                    // to slot ownership and start it serving.
-                    if let Some(pos) =
-                        slot.racers.iter().position(|c| c.id() as u64 == pid)
-                    {
-                        slot.child = Some(slot.racers.remove(pos));
-                    }
-                    if plane.run_state() == run_state::RUNNING && !slot.started {
-                        start_slot(plane, args, index, slot)?;
-                    } else if plane.run_state() == run_state::STOPPING && !slot.started {
-                        // A straggler (late replacement) checking in
-                        // mid-shutdown: send it straight to Stop.
-                        let _ = plane.worker(index).cmd_ring().push(Msg::Stop);
-                    }
-                }
-                Msg::AdoptReport { victim, winner, phantoms, inherited, pid, epoch } => {
-                    // The loser of a raced adoption may report after the
-                    // winner already resolved the episode — match by
-                    // victim, not only by the in-flight marker.
-                    let at = slot.adopting.or_else(|| {
-                        adoptions
-                            .iter()
-                            .rposition(|a| a.index == index && a.victim_tid == victim)
-                    });
-                    let rec = at
-                        .and_then(|i| adoptions.get_mut(i))
-                        .ok_or_else(|| format!("unexpected adopt report for {victim}"))?;
-                    if winner {
-                        rec.winners += 1;
-                        rec.winner_ids.push((pid, epoch));
-                        rec.phantoms = phantoms;
-                        rec.inherited = inherited;
-                        slot.adopting = None;
-                    } else {
-                        rec.losers += 1;
-                    }
-                }
-                Msg::Exited { drained: true, ops, live } => {
-                    // pump() always runs before reap_and_replace() in
-                    // the same pass, so `slot.tid` is still the
-                    // draining incarnation's — its replacement can't
-                    // have said hello yet.
-                    drains.push(DrainRecord {
-                        index,
-                        tid: slot.tid.unwrap_or(0),
-                        ops,
-                        live,
-                    });
-                }
-                Msg::Exited { drained: false, .. } => slot.finished = true,
-                Msg::Stolen { tid } => stolen.push(tid),
-                other => return Err(format!("unexpected event {other:?}")),
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Notices dead children and spawns replacements — adopters for
-/// crashes, fresh registrations for completed drains. Returns the
-/// number of SIGKILL-style deaths handled this pass.
-fn reap_and_replace(
-    args: &RunArgs,
-    pod: &Pod,
-    slots: &mut [Slot],
-    adoptions: &mut Vec<AdoptionRecord>,
-    events: &mut SelfEvents,
-) -> Result<u32, String> {
-    let mut crashes = 0;
-    for (index, slot) in slots.iter_mut().enumerate() {
-        let index = index as u32;
-        // Reap racers that lost (exit code RACED) — expected deaths.
-        slot.racers.retain_mut(|racer| {
-            !matches!(racer.try_wait(), Ok(Some(code)) if code.code() == Some(exit::RACED))
-        });
-        let Some(child) = slot.child.as_mut() else { continue };
-        let Ok(Some(exit_status)) = child.try_wait() else { continue };
-        if exit_status.success() {
-            continue; // clean exit (its Exited event may still be in flight)
-        }
-        if !slot.started || slot.adopting.is_some() {
-            continue; // not a traffic-phase death we can attribute yet
-        }
-        let victim_tid = slot.tid.ok_or("dead worker never said hello")?;
-        let drained = exit_status.code() == Some(exit::DRAINED);
-        // A kill can land *after* the victim froze its lease (the last
-        // instants of a drain). The frozen lease is the durable truth:
-        // the flush completed, so nothing is adoptable — or needs to be.
-        let froze = drained || {
-            let tslot = ThreadId::new(victim_tid)
-                .ok_or("worker reported tid 0")?
-                .slot();
-            lease::is_frozen(
-                pod.memory().load_u64(CoreId(0), pod.layout().lease_at(tslot)),
-            )
-        };
-        if froze {
-            if !drained {
-                crashes += 1; // a SIGKILL did land, just too late to matter
-            }
-            // Graceful drain: frozen lease, flushed buffers. The slot's
-            // traffic share restarts in a *fresh* registration.
-            slot.child = None;
-            slot.tid = None;
-            slot.started = false;
-            slot.finished = false;
-            slot.incarnation += 1;
-            slot.child = Some(spawn_worker(args, index, None, events)?);
-            continue;
-        }
-        // A crash (SIGKILL, steal, or fatal): replace and adopt.
-        crashes += 1;
-        slot.child = None;
-        slot.started = false;
-        slot.finished = false;
-        slot.incarnation += 1;
-        slot.adopting = Some(adoptions.len());
-        adoptions.push(AdoptionRecord {
-            index,
-            victim_tid,
-            winners: 0,
-            winner_ids: Vec::new(),
-            losers: 0,
-            phantoms: 0,
-            inherited: 0,
-        });
-        let replacements = if args.race_adopt { 2 } else { 1 };
-        for _ in 0..replacements {
-            slot.racers.push(spawn_worker(args, index, Some(victim_tid), events)?);
-        }
-    }
-    Ok(crashes)
-}
-
 fn spawn_worker(
     args: &RunArgs,
     index: u32,
     adopt: Option<u16>,
-    events: &mut SelfEvents,
+    chaos: Vec<(u64, Chaos)>,
 ) -> Result<Child, String> {
     let worker_args = WorkerArgs {
         file: args.file.clone(),
@@ -1239,8 +795,7 @@ fn spawn_worker(
         ledger_cap: args.ledger_cap,
         index,
         adopt,
-        // Adopters never re-arm the deterministic schedule.
-        chaos: if adopt.is_none() { events.arm(index) } else { Vec::new() },
+        chaos,
         shared_pct: args.shared_pct,
         remote_batch: args.remote_batch,
         shared_skew: args.shared_skew,
@@ -1366,21 +921,12 @@ fn audit(pod: &Pod, plane: &ControlPlane) -> Result<AuditOutcome, String> {
 
 /// Elements of sorted `a` missing from sorted `b` (set difference).
 fn diff_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut j = 0;
-    for &x in a {
-        while j < b.len() && b[j] < x {
-            j += 1;
-        }
-        if j >= b.len() || b[j] != x {
-            out.push(x);
-        }
-    }
-    out
+    a.iter().copied().filter(|x| b.binary_search(x).is_err()).collect()
 }
 
 #[cfg(test)]
 mod tests {
+    use super::machine::{secs_ns, timed_chaos, SelfEvents};
     use super::*;
 
     #[test]
@@ -1418,7 +964,8 @@ mod tests {
             "1".into(),
             "--stalls".into(),
             "2".into(),
-            "--shared-keys".into(),
+            "--shared-pct".into(),
+            "50".into(),
             "--remote-batch".into(),
             "8".into(),
             "--shared-skew".into(),
@@ -1527,7 +1074,7 @@ mod tests {
                 Chaos::Drain => (0.20, 0.45),
                 Chaos::Stall => (0.15, 0.5),
             };
-            let s = at.as_secs_f64();
+            let s = at as f64 / 1e9;
             assert!(
                 s >= args.secs * start && s < args.secs * (start + width),
                 "{kind:?} at {s}s outside its window"
@@ -1536,7 +1083,7 @@ mod tests {
         }
 
         // More drains, or a rolling restart, never move a kill.
-        let kills = |a: &RunArgs| -> Vec<(Duration, u32)> {
+        let kills = |a: &RunArgs| -> Vec<(u64, u32)> {
             timed_chaos(a)
                 .into_iter()
                 .filter(|(_, k, _)| *k == Chaos::Kill)
@@ -1550,10 +1097,7 @@ mod tests {
         // Rolling drains land at period × (i + 1), round-robin.
         let rolling = RunArgs { rolling: Some((6, 1.5)), ..RunArgs::default() };
         let expect: Vec<_> = (0..6u32)
-            .map(|i| {
-                let at = Duration::from_secs_f64(1.5 * (i + 1) as f64);
-                (at, Chaos::Drain, i % rolling.workers)
-            })
+            .map(|i| (secs_ns(1.5 * (i + 1) as f64), Chaos::Drain, i % rolling.workers))
             .collect();
         assert_eq!(timed_chaos(&rolling), expect);
     }

@@ -1,0 +1,757 @@
+//! The coordinator's decisions, sans IO.
+//!
+//! A [`Coordinator`] is driven only through [`Coordinator::step`]:
+//! events are what the shell observed, actions are what it must do.
+//! Every death, adoption, drain, stall and chaos decision is made here,
+//! at a virtual `now_ns` the shell supplies, so a scripted event list
+//! replays any run without a process, a clock or a shared segment.
+//!
+//! DESIGN.md §11 has the events → actions table.
+
+use std::time::Duration;
+
+use cxl_core::liveness::lease;
+use rand::{rngs::StdRng, Rng, SeedableRng};
+
+use super::{incarnation_seed, AdoptionRecord, DrainRecord, RunArgs, StallRecord};
+use crate::rpc::{run_state, state, Msg};
+use crate::worker::exit;
+use crate::Chaos;
+
+const SIGCONT: i32 = 18;
+const MS: u64 = 1_000_000;
+const SEC: u64 = 1_000 * MS;
+
+/// What the shell observed.
+#[derive(Debug)]
+pub(super) enum Event {
+    /// The shell spawned the worker a [`Action::Spawn`] asked for.
+    Spawned { index: u32, pid: u32 },
+    /// A message popped from slot `index`'s event ring.
+    Msg { index: u32, msg: Msg },
+    /// A child of slot `index` exited with `code` (`None`: a signal
+    /// killed it); `lease` is the slot's lease word read at reap time.
+    Reaped { index: u32, pid: u32, code: Option<i32>, lease: u64 },
+    /// The poll timer: each slot's `(lease word, worker STATE)`.
+    Tick(Vec<(u64, u64)>),
+}
+
+/// What the shell must do, in order.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) enum Action {
+    /// Spawn a worker for slot `index`: an adopter of `adopt`, or a
+    /// fresh registration with `chaos` armed.
+    Spawn { index: u32, adopt: Option<u16>, chaos: Vec<(u64, Chaos)> },
+    /// Send `sig` to `pid`; after a SIGKILL, wait for the corpse so the
+    /// next pass reaps it.
+    Signal { pid: u32, sig: i32 },
+    /// Push `Start` or `Stop` into slot `index`'s command ring.
+    Push { index: u32, msg: Msg },
+    /// Set the control plane's run state.
+    RunState(u64),
+}
+
+/// The timed chaos schedule of a time-mode run: every `(ns into
+/// traffic, kind, victim)` event, in firing order. Each kind streams
+/// from its own tagged seed inside its own window `secs × [start,
+/// start + width)`, so adding events of one kind never moves another's;
+/// `--rolling N:PERIOD` adds drains at `period × (i + 1)`, round-robin.
+pub(super) fn timed_chaos(args: &RunArgs) -> Vec<(u64, Chaos, u32)> {
+    let mut events = Vec::new();
+    for (kind, count, tag, start, width) in [
+        (Chaos::Kill, args.kills, 0x6b69_6c6c, 0.25, 0.4),     // "kill"
+        (Chaos::Drain, args.drains, 0x64_7261_696e, 0.20, 0.45), // "drain"
+        (Chaos::Stall, args.stalls, 0x73_7461_6c6c, 0.15, 0.5),  // "stall"
+    ] {
+        let mut rng = StdRng::seed_from_u64(args.seed ^ tag);
+        for _ in 0..count {
+            let at = args.secs * (start + width * rng.gen::<f64>());
+            events.push((secs_ns(at), kind, rng.gen_range(0..args.workers)));
+        }
+    }
+    if let Some((n, period)) = args.rolling {
+        for i in 0..n {
+            events.push((secs_ns(period * (i + 1) as f64), Chaos::Drain, i % args.workers));
+        }
+    }
+    // Stable: same-instant events keep their per-kind order.
+    events.sort_by_key(|&(at, ..)| at);
+    events
+}
+
+/// Per-slot queues of op-exact chaos events in flag order, armed one of
+/// each kind per *fresh* spawn (initial worker or post-drain
+/// replacement). Adoption replacements never arm events: an adopter
+/// continues a crashed incarnation, it doesn't open a new chapter of
+/// the schedule.
+pub(super) struct SelfEvents(Vec<Vec<(Chaos, u64)>>);
+
+impl SelfEvents {
+    pub(super) fn new(args: &RunArgs) -> SelfEvents {
+        let mut queues = vec![Vec::new(); args.workers as usize];
+        for &(kind, index, ops) in &args.self_events {
+            queues[index as usize].push((kind, ops));
+        }
+        SelfEvents(queues)
+    }
+
+    /// Takes the slot's next event of each kind, sorted by op count.
+    pub(super) fn arm(&mut self, index: u32) -> Vec<(u64, Chaos)> {
+        let queue = &mut self.0[index as usize];
+        let mut armed: Vec<(u64, Chaos)> = Chaos::ALL
+            .into_iter()
+            .filter_map(|kind| {
+                let at = queue.iter().position(|(k, _)| *k == kind)?;
+                Some((queue.remove(at).1, kind))
+            })
+            .collect();
+        armed.sort_unstable();
+        armed
+    }
+}
+
+/// One worker process as the machine knows it.
+#[derive(Debug, Clone, Copy)]
+struct Proc {
+    pid: u32,
+    /// `(exit code, lease word)` once reaped.
+    exit: Option<(Option<i32>, u64)>,
+    /// A SIGKILL is on its way: no longer a chaos or watchdog target.
+    killed: bool,
+}
+
+/// One worker slot's bookkeeping.
+#[derive(Debug, Default)]
+struct Slot {
+    child: Option<Proc>,
+    /// Adopters not yet identified as the winner, each with the index
+    /// of its adoption episode.
+    racers: Vec<(Proc, usize)>,
+    tid: Option<u16>,
+    incarnation: u32,
+    started: bool,
+    finished: bool,
+    /// Index into the adoptions of the episode in flight.
+    adopting: Option<usize>,
+}
+
+impl Slot {
+    /// A healthy chaos target: started, not mid-adoption, its worker
+    /// past Start and not draining (`STATE` RUNNING), and its child
+    /// alive.
+    fn healthy(&self, worker_state: u64) -> bool {
+        self.started
+            && self.adopting.is_none()
+            && worker_state == state::RUNNING
+            && self.child.is_some_and(|c| c.exit.is_none() && !c.killed)
+    }
+}
+
+/// Per-slot lease-movement tracking for the watchdog.
+#[derive(Debug, Default)]
+struct Lane {
+    last_word: u64,
+    moved_at: u64,
+    probes: u32,
+    probe_at: u64,
+    /// Index into the stall records of the episode in flight. The record
+    /// is created at *detection* time and updated in place — a revived
+    /// worker may exit (self-kill, drain) before the next tick can
+    /// observe its lease moving, so resolution can't be the moment the
+    /// episode is recorded.
+    episode: Option<usize>,
+}
+
+impl Lane {
+    fn reset(&mut self, word: u64, now: u64) {
+        *self = Lane { last_word: word, moved_at: now, probe_at: now, ..Lane::default() };
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Phase {
+    /// Nothing spawned yet.
+    Init,
+    /// Waiting for every initial Hello.
+    Setup { deadline: u64 },
+    Traffic { start: u64, deadline: u64 },
+    Stopping { deadline: u64 },
+    Done,
+}
+
+/// The coordinator's state: slots, watchdog lanes, chaos schedules, run
+/// phase and the episode records the report carries.
+pub(super) struct Coordinator<'a> {
+    args: &'a RunArgs,
+    phase: Phase,
+    slots: Vec<Slot>,
+    lanes: Vec<Lane>,
+    self_events: SelfEvents,
+    /// Timed chaos not yet fired.
+    schedule: Vec<(u64, Chaos, u32)>,
+    pub(super) adoptions: Vec<AdoptionRecord>,
+    pub(super) drains: Vec<DrainRecord>,
+    pub(super) stalls: Vec<StallRecord>,
+    /// Threads that observed a stolen lease (raw tids).
+    pub(super) stolen: Vec<u16>,
+    /// SIGKILL deaths handled.
+    pub(super) kills: u32,
+    /// Traffic-phase length, set when stopping begins.
+    pub(super) elapsed_ns: u64,
+}
+
+impl<'a> Coordinator<'a> {
+    pub(super) fn new(args: &'a RunArgs) -> Coordinator<'a> {
+        Coordinator {
+            args,
+            phase: Phase::Init,
+            slots: (0..args.workers).map(|_| Slot::default()).collect(),
+            lanes: (0..args.workers).map(|_| Lane::default()).collect(),
+            self_events: SelfEvents::new(args),
+            schedule: timed_chaos(args),
+            adoptions: Vec::new(),
+            drains: Vec::new(),
+            stalls: Vec::new(),
+            stolen: Vec::new(),
+            kills: 0,
+            elapsed_ns: 0,
+        }
+    }
+
+    /// The thread id slot `index` last said hello with: the shell reads
+    /// the lease word of its thread slot.
+    pub(super) fn tid(&self, index: u32) -> Option<u16> {
+        self.slots[index as usize].tid
+    }
+
+    /// Whether the run is over: stopping saw every child reaped.
+    pub(super) fn done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    /// Milliseconds the shell sleeps between passes.
+    pub(super) fn poll_ms(&self) -> u64 {
+        match self.phase {
+            Phase::Stopping { .. } => 2,
+            Phase::Done => 0,
+            _ => 1,
+        }
+    }
+
+    /// Applies one observation and returns what the shell must do.
+    ///
+    /// # Errors
+    ///
+    /// A missed deadline or a protocol violation; the run is over.
+    pub(super) fn step(&mut self, now_ns: u64, event: Event) -> Result<Vec<Action>, String> {
+        let mut out = Vec::new();
+        match event {
+            Event::Spawned { index, pid } => {
+                let slot = &mut self.slots[index as usize];
+                let proc = Proc { pid, exit: None, killed: false };
+                match slot.adopting {
+                    Some(episode) if slot.child.is_none() => slot.racers.push((proc, episode)),
+                    _ => slot.child = Some(proc),
+                }
+            }
+            Event::Msg { index, msg } => self.message(index, msg, &mut out)?,
+            Event::Reaped { index, pid, code, lease } => {
+                let slot = &mut self.slots[index as usize];
+                if let Some(at) = slot.racers.iter().position(|(r, _)| r.pid == pid) {
+                    if code == Some(exit::RACED) {
+                        // Lost the adoption race, or bowed out at STOPPING.
+                        let (_, episode) = slot.racers.remove(at);
+                        self.adoptions[episode].losers += 1;
+                    } else {
+                        slot.racers[at].0.exit = Some((code, lease));
+                    }
+                } else if let Some(child) = slot.child.as_mut().filter(|c| c.pid == pid) {
+                    child.exit = Some((code, lease));
+                }
+            }
+            Event::Tick(probes) => self.tick(now_ns, &probes, &mut out)?,
+        }
+        Ok(out)
+    }
+
+    fn message(&mut self, index: u32, msg: Msg, out: &mut Vec<Action>) -> Result<(), String> {
+        let slot = &mut self.slots[index as usize];
+        match msg {
+            Msg::Hello { pid, tid } => {
+                slot.tid = Some(tid);
+                // A replacement's hello: promote the matching racer to
+                // slot ownership.
+                if let Some(at) = slot.racers.iter().position(|(r, _)| r.pid as u64 == pid) {
+                    slot.child = Some(slot.racers.remove(at).0);
+                }
+                match self.phase {
+                    Phase::Traffic { .. } if !slot.started => out.push(self.start(index)),
+                    // A straggler (late replacement) checking in
+                    // mid-shutdown: send it straight to Stop.
+                    Phase::Stopping { .. } | Phase::Done if !slot.started => {
+                        out.push(Action::Push { index, msg: Msg::Stop })
+                    }
+                    _ => {}
+                }
+            }
+            Msg::AdoptReport { victim, phantoms, inherited, pid, epoch } => {
+                let rec = slot
+                    .adopting
+                    .take()
+                    .and_then(|at| self.adoptions.get_mut(at))
+                    .ok_or_else(|| {
+                        format!(
+                            "adopt report from pid {pid} (epoch {epoch}, victim {victim}) \
+                             with no adoption in flight on slot {index}"
+                        )
+                    })?;
+                rec.winners += 1;
+                rec.winner_ids.push((pid, epoch));
+                rec.phantoms = phantoms;
+                rec.inherited = inherited;
+            }
+            // Rings drain before exits are reaped, so `slot.tid` still
+            // names the draining incarnation: its replacement is not
+            // spawned until the corpse is settled.
+            Msg::Exited { drained: true, ops, live } => {
+                self.drains.push(DrainRecord { index, tid: slot.tid.unwrap_or(0), ops, live })
+            }
+            Msg::Exited { drained: false, .. } => slot.finished = true,
+            Msg::Stolen { tid } => self.stolen.push(tid),
+            other => return Err(format!("unexpected event {other:?}")),
+        }
+        Ok(())
+    }
+
+    /// `Start` for slot `index`'s current incarnation.
+    fn start(&mut self, index: u32) -> Action {
+        let (args, slot) = (self.args, &mut self.slots[index as usize]);
+        slot.started = true;
+        let seed = incarnation_seed(args.seed, index, slot.incarnation);
+        let msg = Msg::Start { seed, spec: args.spec, hb_every: args.hb_every, target_ops: args.target_ops };
+        Action::Push { index, msg }
+    }
+
+    fn tick(&mut self, now: u64, probes: &[(u64, u64)], out: &mut Vec<Action>) -> Result<(), String> {
+        let args = self.args;
+        match self.phase {
+            Phase::Init => {
+                for index in 0..args.workers {
+                    out.push(Action::Spawn { index, adopt: None, chaos: self.self_events.arm(index) });
+                }
+                self.phase = Phase::Setup { deadline: now + 60 * SEC };
+            }
+            Phase::Setup { deadline } => {
+                if self.slots.iter().all(|s| s.tid.is_some()) {
+                    out.push(Action::RunState(run_state::RUNNING));
+                    for index in 0..args.workers {
+                        out.push(self.start(index));
+                    }
+                    let grace = if args.target_ops > 0 { 120 * SEC } else { 0 };
+                    let deadline = now + secs_ns(args.secs) + grace;
+                    self.phase = Phase::Traffic { start: now, deadline };
+                } else if now > deadline {
+                    return Err("workers never all said hello".into());
+                }
+            }
+            Phase::Traffic { start, deadline } => {
+                for index in 0..args.workers {
+                    self.settle(index, out)?;
+                }
+                self.watch(now, probes, out);
+                self.inject(now - start, probes, out);
+                let done = if args.target_ops > 0 {
+                    self.slots.iter().all(|s| s.finished)
+                } else {
+                    now - start >= secs_ns(args.secs)
+                };
+                if done {
+                    self.elapsed_ns = now - start;
+                    out.push(Action::RunState(run_state::STOPPING));
+                    for (index, slot) in self.slots.iter().enumerate() {
+                        // Also slots whose replacement is still
+                        // mid-adoption: the Stop waits in the ring and
+                        // the adoption winner drains it.
+                        if (slot.child.is_some() || !slot.racers.is_empty()) && !slot.finished {
+                            out.push(Action::Push { index: index as u32, msg: Msg::Stop });
+                        }
+                    }
+                    self.phase = Phase::Stopping { deadline: now + 30 * SEC };
+                } else if now > deadline {
+                    return Err("run overshot its hard deadline".into());
+                }
+            }
+            // Keep the watchdog running: a worker stalled moments before
+            // STOPPING still needs its SIGCONT to see the Stop.
+            Phase::Stopping { .. } => self.watch(now, probes, out),
+            Phase::Done => {}
+        }
+        // Also on the tick that began stopping: children reaped before
+        // it need no further pass.
+        if let Phase::Stopping { deadline } = self.phase {
+            let reaped = self.slots.iter().all(|s| {
+                s.child.iter().chain(s.racers.iter().map(|(r, _)| r)).all(|p| p.exit.is_some())
+            });
+            if reaped {
+                self.phase = Phase::Done;
+            } else if now > deadline {
+                return Err("workers did not stop in time".into());
+            }
+        }
+        Ok(())
+    }
+
+    /// Replaces slot `index`'s dead child — an adopter (two with
+    /// `race_adopt`) for a crash, a fresh registration for a drain.
+    fn settle(&mut self, index: u32, out: &mut Vec<Action>) -> Result<(), String> {
+        let slot = &mut self.slots[index as usize];
+        let Some((code, lease)) = slot.child.and_then(|c| c.exit) else { return Ok(()) };
+        if code == Some(exit::OK) || !slot.started || slot.adopting.is_some() {
+            // A clean exit, or not a traffic-phase death we can
+            // attribute yet: a late Hello may still start the slot.
+            return Ok(());
+        }
+        let victim = slot.tid.ok_or("dead worker never said hello")?;
+        let drained = code == Some(exit::DRAINED);
+        if !drained {
+            self.kills += 1;
+        }
+        slot.child = None;
+        slot.started = false;
+        slot.finished = false;
+        slot.incarnation += 1;
+        // A kill can land *after* the victim froze its lease (the last
+        // instants of a drain). The frozen lease is the durable truth:
+        // the flush completed, so nothing is adoptable — or needs to be.
+        if drained || lease::is_frozen(lease) {
+            slot.tid = None;
+            out.push(Action::Spawn { index, adopt: None, chaos: self.self_events.arm(index) });
+            return Ok(());
+        }
+        slot.adopting = Some(self.adoptions.len());
+        self.adoptions.push(AdoptionRecord { index, victim_tid: victim, ..AdoptionRecord::default() });
+        for _ in 0..1 + self.args.race_adopt as u32 {
+            out.push(Action::Spawn { index, adopt: Some(victim), chaos: Vec::new() });
+        }
+        Ok(())
+    }
+
+    /// The stuck-worker watchdog. A healthy worker's lease word moves on
+    /// every heartbeat, so a static word means the process isn't
+    /// scheduling. On a stall it climbs a ladder — SIGCONT probe,
+    /// doubling re-probes, then SIGKILL — so a SIGSTOPped worker is
+    /// revived in one rung while a truly wedged one is fed to the
+    /// adoption machinery.
+    fn watch(&mut self, now: u64, probes: &[(u64, u64)], out: &mut Vec<Action>) {
+        let args = self.args;
+        let stall = args.stall_ms.max(1) * MS;
+        let grace = args.probe_grace_ms.max(1) * MS;
+        for (index, slot) in self.slots.iter_mut().enumerate() {
+            let lane = &mut self.lanes[index];
+            let (word, worker_state) = probes[index];
+            if slot.finished || !slot.healthy(worker_state) {
+                lane.reset(0, now);
+                continue;
+            }
+            // Frozen: draining (or drained), silence is the protocol.
+            if lease::is_frozen(word) || word != lane.last_word {
+                lane.reset(word, now);
+                continue;
+            }
+            if now - lane.moved_at < stall || now < lane.probe_at {
+                continue;
+            }
+            let episode = *lane.episode.get_or_insert_with(|| {
+                self.stalls.push(StallRecord { index: index as u32, probes: 0, escalated: false });
+                self.stalls.len() - 1
+            });
+            let child = slot.child.as_mut().expect("a healthy slot has a child");
+            if lane.probes >= args.max_probes {
+                // Ladder exhausted. SIGKILL works on stopped processes
+                // too; the corpse settles into an adoption.
+                out.push(Action::Signal { pid: child.pid, sig: Chaos::Kill.signal() });
+                child.killed = true;
+                self.stalls[episode].escalated = true;
+                lane.reset(word, now);
+            } else {
+                out.push(Action::Signal { pid: child.pid, sig: SIGCONT });
+                lane.probes += 1;
+                self.stalls[episode].probes = lane.probes;
+                lane.probe_at = now + (grace << (lane.probes - 1).min(6));
+            }
+        }
+    }
+
+    /// The injector. A due event whose slot is unhealthy (mid-replacement)
+    /// waits, and holds back the later events of its kind. A stall is
+    /// never CONTed here: the watchdog's probe is the only revival path,
+    /// so every episode exercises it.
+    fn inject(&mut self, elapsed: u64, probes: &[(u64, u64)], out: &mut Vec<Action>) {
+        let mut held: Vec<Chaos> = Vec::new();
+        let slots = &mut self.slots;
+        self.schedule.retain(|&(at, kind, victim)| {
+            if at > elapsed || held.contains(&kind) {
+                return true;
+            }
+            let slot = &mut slots[victim as usize];
+            if !slot.healthy(probes[victim as usize].1) {
+                held.push(kind);
+                return true;
+            }
+            let child = slot.child.as_mut().expect("a healthy slot has a child");
+            out.push(Action::Signal { pid: child.pid, sig: kind.signal() });
+            child.killed |= kind == Chaos::Kill;
+            false
+        });
+    }
+}
+
+pub(super) fn secs_ns(secs: f64) -> u64 {
+    Duration::from_secs_f64(secs).as_nanos() as u64
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const RUNNING: u64 = state::RUNNING;
+    const KILL: i32 = 9;
+    const TERM: i32 = 15;
+
+    /// Drives a machine at a virtual clock, answering every `Spawn`
+    /// with the next pid (the initial workers get pids `1..=workers`).
+    struct Sim<'a> {
+        m: Coordinator<'a>,
+        now: u64,
+        pid: u32,
+    }
+
+    impl<'a> Sim<'a> {
+        /// A machine whose slot `i` said hello as tid `i + 1` and was
+        /// started at time 0.
+        fn running(args: &'a RunArgs) -> Sim<'a> {
+            let mut sim = Sim { m: Coordinator::new(args), now: 0, pid: 0 };
+            sim.tick(0);
+            for index in 0..args.workers {
+                sim.msg(index, Msg::Hello { pid: index as u64 + 1, tid: index as u16 + 1 });
+            }
+            let acts = sim.tick(1);
+            assert_eq!(acts[0], Action::RunState(run_state::RUNNING));
+            assert_eq!(acts.len(), 1 + args.workers as usize);
+            sim
+        }
+
+        fn step(&mut self, event: Event) -> Vec<Action> {
+            let acts = self.m.step(self.now, event).unwrap();
+            for act in &acts {
+                if let Action::Spawn { index, .. } = *act {
+                    self.pid += 1;
+                    let spawned = Event::Spawned { index, pid: self.pid };
+                    assert_eq!(self.m.step(self.now, spawned).unwrap(), vec![]);
+                }
+            }
+            acts
+        }
+
+        fn msg(&mut self, index: u32, msg: Msg) -> Vec<Action> {
+            self.step(Event::Msg { index, msg })
+        }
+
+        fn reap(&mut self, index: u32, pid: u32, code: Option<i32>, lease: u64) {
+            assert_eq!(self.step(Event::Reaped { index, pid, code, lease }), vec![]);
+        }
+
+        /// Ticks at `ms` with every slot's lease at `word` and RUNNING.
+        fn tick(&mut self, ms: u64) -> Vec<Action> {
+            let slots = self.m.slots.len();
+            self.tick_with(ms, vec![(ms, RUNNING); slots])
+        }
+
+        fn tick_with(&mut self, ms: u64, probes: Vec<(u64, u64)>) -> Vec<Action> {
+            self.now = ms * MS;
+            self.step(Event::Tick(probes))
+        }
+
+        fn winner(&mut self, index: u32, pid: u32, victim: u16) {
+            let report = Msg::AdoptReport { victim, phantoms: 1, inherited: 9, pid: pid as u64, epoch: 2 };
+            assert_eq!(self.msg(index, report), vec![]);
+        }
+    }
+
+    fn adopter(index: u32, victim: u16) -> Action {
+        Action::Spawn { index, adopt: Some(victim), chaos: Vec::new() }
+    }
+
+    fn start(args: &RunArgs, index: u32, incarnation: u32) -> Action {
+        let seed = incarnation_seed(args.seed, index, incarnation);
+        let msg = Msg::Start { seed, spec: args.spec, hb_every: args.hb_every, target_ops: 0 };
+        Action::Push { index, msg }
+    }
+
+    fn stop(index: u32) -> Action {
+        Action::Push { index, msg: Msg::Stop }
+    }
+
+    #[test]
+    fn crash_opens_one_episode_and_the_winner_report_closes_it() {
+        let args = RunArgs { workers: 2, secs: 100.0, ..RunArgs::default() };
+        let mut sim = Sim::running(&args);
+        sim.reap(0, 1, None, 77);
+        assert_eq!(sim.tick(10), vec![adopter(0, 1)]);
+        assert_eq!((sim.m.kills, sim.m.adoptions.len()), (1, 1));
+        // Still mid-adoption: the next tick opens nothing new.
+        assert_eq!(sim.tick(11), vec![]);
+        sim.winner(0, 3, 1);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![start(&args, 0, 1)]);
+        let rec = &sim.m.adoptions[0];
+        assert_eq!((rec.winners, rec.losers, rec.inherited), (1, 0, 9));
+        assert_eq!(rec.winner_ids, vec![(3, 2)]);
+        // A second winner for a closed episode names itself.
+        let late = Msg::AdoptReport { victim: 1, phantoms: 0, inherited: 0, pid: 8, epoch: 5 };
+        let err = sim.m.step(sim.now, Event::Msg { index: 0, msg: late }).unwrap_err();
+        assert!(err.contains("pid 8") && err.contains("epoch 5"), "{err}");
+    }
+
+    #[test]
+    fn raced_adoption_counts_raced_exits_as_losers_also_while_stopping() {
+        let args = RunArgs { workers: 2, secs: 1.0, race_adopt: true, ..RunArgs::default() };
+        let mut sim = Sim::running(&args);
+        sim.reap(0, 1, None, 77);
+        assert_eq!(sim.tick(10), vec![adopter(0, 1), adopter(0, 1)]);
+        sim.winner(0, 3, 1);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![start(&args, 0, 1)]);
+        sim.reap(0, 4, Some(exit::RACED), 0);
+        assert_eq!((sim.m.adoptions[0].winners, sim.m.adoptions[0].losers), (1, 1));
+
+        // Slot 1's loser is still adopting when the run stops.
+        sim.reap(1, 2, None, 78);
+        assert_eq!(sim.tick(20), vec![adopter(1, 2), adopter(1, 2)]);
+        sim.winner(1, 5, 2);
+        sim.msg(1, Msg::Hello { pid: 5, tid: 2 });
+        let stopping = sim.tick(1002);
+        assert_eq!(stopping, vec![Action::RunState(run_state::STOPPING), stop(0), stop(1)]);
+        assert_eq!(sim.m.elapsed_ns, 1001 * MS);
+        sim.reap(1, 6, Some(exit::RACED), 0);
+        assert_eq!((sim.m.adoptions[1].winners, sim.m.adoptions[1].losers), (1, 1));
+        sim.reap(0, 3, Some(exit::OK), 0);
+        assert_eq!(sim.tick(1004), vec![]);
+        assert!(!sim.m.done(), "pid 5 still runs");
+        sim.reap(1, 5, Some(exit::OK), 0);
+        sim.tick(1006);
+        assert!(sim.m.done());
+        assert_eq!(sim.m.kills, 2);
+    }
+
+    #[test]
+    fn drain_respawns_fresh_and_arms_the_next_self_events_adopters_arm_none() {
+        let argv = "--workers 1 --secs 100 --self-drain 0:50 --self-kill 0:100 \
+                    --self-drain 0:75 --self-kill 0:200 --self-drain 0:90";
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        let args = RunArgs::parse(&argv).unwrap();
+        let mut sim = Sim { m: Coordinator::new(&args), now: 0, pid: 0 };
+        let first = vec![(50, Chaos::Drain), (100, Chaos::Kill)];
+        assert_eq!(sim.tick(0), vec![Action::Spawn { index: 0, adopt: None, chaos: first }]);
+        sim.msg(0, Msg::Hello { pid: 1, tid: 1 });
+        sim.tick(1);
+
+        let exited = Msg::Exited { drained: true, ops: 50, live: 7 };
+        assert_eq!(sim.msg(0, exited), vec![]);
+        sim.reap(0, 1, Some(exit::DRAINED), lease::FROZEN);
+        let next = vec![(75, Chaos::Drain), (200, Chaos::Kill)];
+        assert_eq!(sim.tick(10), vec![Action::Spawn { index: 0, adopt: None, chaos: next }]);
+        let d = &sim.m.drains[0];
+        assert_eq!((d.index, d.tid, d.ops, d.live), (0, 1, 50, 7));
+        assert_eq!((sim.m.kills, sim.m.adoptions.len()), (0, 0));
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 2, tid: 5 }), vec![start(&args, 0, 1)]);
+
+        // The fresh worker crashes: its adopter arms nothing, though a
+        // drain is still queued for the slot's next fresh spawn.
+        sim.reap(0, 2, None, 1234);
+        assert_eq!(sim.tick(20), vec![adopter(0, 5)]);
+    }
+
+    #[test]
+    fn kill_after_the_lease_froze_is_a_kill_with_a_fresh_spawn() {
+        let args = RunArgs { workers: 1, secs: 100.0, ..RunArgs::default() };
+        let mut sim = Sim::running(&args);
+        sim.reap(0, 1, None, lease::FROZEN);
+        assert_eq!(sim.tick(10), vec![Action::Spawn { index: 0, adopt: None, chaos: vec![] }]);
+        assert_eq!(sim.m.kills, 1);
+        assert!(sim.m.adoptions.is_empty());
+        assert_eq!(sim.m.tid(0), None);
+    }
+
+    #[test]
+    fn silent_lease_is_probed_at_doubling_grace_then_killed() {
+        let args = RunArgs {
+            workers: 1,
+            secs: 100.0,
+            stall_ms: 100,
+            probe_grace_ms: 50,
+            max_probes: 2,
+            ..RunArgs::default()
+        };
+        let cont = Action::Signal { pid: 1, sig: SIGCONT };
+        let mut sim = Sim::running(&args);
+        let silent = |sim: &mut Sim, ms| sim.tick_with(ms, vec![(7, RUNNING)]);
+        assert_eq!(silent(&mut sim, 2), vec![]); // the word moved to 7
+        assert_eq!(silent(&mut sim, 101), vec![]);
+        assert_eq!(silent(&mut sim, 102), vec![cont.clone()]);
+        assert_eq!(silent(&mut sim, 151), vec![]);
+        assert_eq!(silent(&mut sim, 152), vec![cont.clone()]);
+        assert_eq!(silent(&mut sim, 251), vec![], "the second grace is doubled");
+        assert_eq!(silent(&mut sim, 252), vec![Action::Signal { pid: 1, sig: KILL }]);
+        let rec = &sim.m.stalls[0];
+        assert_eq!((rec.probes, rec.escalated), (2, true));
+        // The killed child is no target while its corpse is reaped.
+        assert_eq!(silent(&mut sim, 900), vec![]);
+        sim.reap(0, 1, None, 7);
+        assert_eq!(silent(&mut sim, 901), vec![adopter(0, 1)]);
+    }
+
+    #[test]
+    fn moving_or_frozen_lease_resets_the_watchdog_lane() {
+        let args = RunArgs { workers: 1, secs: 100.0, stall_ms: 100, ..RunArgs::default() };
+        let cont = Action::Signal { pid: 1, sig: SIGCONT };
+        let mut sim = Sim::running(&args);
+        sim.tick_with(2, vec![(7, RUNNING)]);
+        assert_eq!(sim.tick_with(102, vec![(7, RUNNING)]), vec![cont.clone()]);
+        // Revived: the word moves, the episode ends with one probe.
+        assert_eq!(sim.tick_with(103, vec![(8, RUNNING)]), vec![]);
+        assert_eq!(sim.tick_with(202, vec![(8, RUNNING)]), vec![]);
+        assert_eq!(sim.tick_with(203, vec![(8, RUNNING)]), vec![cont], "a new episode");
+        assert_eq!(sim.m.stalls.len(), 2);
+        assert_eq!((sim.m.stalls[0].probes, sim.m.stalls[0].escalated), (1, false));
+        // A frozen lease is draining: silence is never a stall.
+        for ms in [300, 1000, 5000] {
+            assert_eq!(sim.tick_with(ms, vec![(lease::FROZEN, RUNNING)]), vec![]);
+        }
+        assert_eq!(sim.m.stalls.len(), 2);
+    }
+
+    #[test]
+    fn due_event_on_unhealthy_slot_waits_and_holds_back_its_kind() {
+        // Rolling drains: slot 0 at 1 s, slot 1 at 2 s.
+        let args = RunArgs { workers: 2, secs: 100.0, rolling: Some((2, 1.0)), ..RunArgs::default() };
+        let mut sim = Sim::running(&args);
+        let draining = state::DRAINED;
+        assert_eq!(sim.tick_with(2500, vec![(2500, draining), (2500, RUNNING)]), vec![]);
+        assert_eq!(
+            sim.tick(2600),
+            vec![Action::Signal { pid: 1, sig: TERM }, Action::Signal { pid: 2, sig: TERM }]
+        );
+        assert_eq!(sim.tick(2700), vec![], "each event fires once");
+    }
+
+    #[test]
+    fn late_hello_while_stopping_gets_stop_not_start() {
+        let args = RunArgs { workers: 2, secs: 1.0, ..RunArgs::default() };
+        let mut sim = Sim::running(&args);
+        sim.reap(0, 1, None, 77);
+        assert_eq!(sim.tick(10), vec![adopter(0, 1)]);
+        let stopping = sim.tick(1002);
+        assert_eq!(stopping, vec![Action::RunState(run_state::STOPPING), stop(0), stop(1)]);
+        sim.winner(0, 3, 1);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![stop(0)]);
+    }
+}

@@ -143,7 +143,7 @@ pub fn main_from_args(argv: &[String]) -> i32 {
                 "usage: serve run [--workers N] [--secs S | --ops N | --soak S] \
                  [--kills K] [--drains D] [--stalls T] [--rolling N:PERIOD] \
                  [--self-kill I:OPS] [--self-drain I:OPS] [--self-stall I:OPS] \
-                 [--shared-keys | --shared-pct P] [--remote-batch B] [--shared-skew THETA] \
+                 [--shared-pct P] [--remote-batch B] [--shared-skew THETA] \
                  [--stall-ms MS] [--probe-grace-ms MS] [--max-probes N] \
                  [--race-adopt] [--seed S] [--spec ID] [--ledger-cap CELLS] \
                  [--hb-every OPS] [--file PATH] [--keep-file] [--config CFG] \

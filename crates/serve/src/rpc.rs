@@ -338,22 +338,19 @@ pub enum Msg {
         /// Registered thread id (raw).
         tid: u16,
     },
-    /// A replacement worker finished its adoption attempt.
+    /// A replacement worker won the DEAD→ADOPTING race. Only the winner
+    /// reports: a loser exits `RACED` without touching the ring.
     AdoptReport {
         /// The dead incarnation's thread id (raw).
         victim: u16,
-        /// Whether this process won the DEAD→ADOPTING race.
-        winner: bool,
         /// Phantom ledger cells cleared during reconciliation.
         phantoms: u64,
         /// Live blocks inherited through the ledger.
         inherited: u64,
         /// The reporting process's OS pid.
         pid: u64,
-        /// The lease epoch the adoption installed (0 from a loser, which
-        /// installed none). With `pid` it tells two winners — two pids,
-        /// the slot's epoch lineage forked — from one winner counted
-        /// twice.
+        /// The lease epoch the adoption installed. With `pid` it names
+        /// the reporter when a second report reaches a closed episode.
         epoch: u16,
     },
     /// Coordinator: begin serving.
@@ -451,13 +448,12 @@ pub fn encode(msg: &Msg, seq: u64) -> [u64; 8] {
             w[2] = *tid as u64;
             KIND_HELLO
         }
-        Msg::AdoptReport { victim, winner, phantoms, inherited, pid, epoch } => {
+        Msg::AdoptReport { victim, phantoms, inherited, pid, epoch } => {
             w[1] = *victim as u64;
-            w[2] = *winner as u64;
-            w[3] = *phantoms;
-            w[4] = *inherited;
-            w[5] = *pid;
-            w[6] = *epoch as u64;
+            w[2] = *phantoms;
+            w[3] = *inherited;
+            w[4] = *pid;
+            w[5] = *epoch as u64;
             KIND_ADOPT
         }
         Msg::Start { seed, spec, hb_every, target_ops } => {
@@ -503,11 +499,10 @@ pub fn decode(w: &[u64; 8], seq: u64) -> Result<Msg, FrameError> {
         KIND_HELLO => Ok(Msg::Hello { pid: w[1], tid: w[2] as u16 }),
         KIND_ADOPT => Ok(Msg::AdoptReport {
             victim: w[1] as u16,
-            winner: w[2] != 0,
-            phantoms: w[3],
-            inherited: w[4],
-            pid: w[5],
-            epoch: w[6] as u16,
+            phantoms: w[2],
+            inherited: w[3],
+            pid: w[4],
+            epoch: w[5] as u16,
         }),
         KIND_START => Ok(Msg::Start {
             seed: w[1],
@@ -641,30 +636,6 @@ impl Ring {
             std::thread::sleep(Duration::from_micros(100));
         }
     }
-
-    /// Consumer: takes the oldest message, waiting up to `timeout` for
-    /// one to arrive. The deadline-bounded dual of [`Ring::push_wait`].
-    ///
-    /// # Errors
-    ///
-    /// [`WaitError::Timeout`] naming `op` if nothing arrived by the
-    /// deadline; [`WaitError::Frame`] if the slot that arrived fails
-    /// validation (the poisoned slot is dropped, as with [`Ring::pop`]).
-    pub fn pop_wait(&self, op: &'static str, timeout: Duration) -> Result<Msg, WaitError> {
-        let start = Instant::now();
-        loop {
-            match self.pop() {
-                Ok(Some(msg)) => return Ok(msg),
-                Ok(None) => {}
-                Err(e) => return Err(WaitError::Frame(e)),
-            }
-            let waited = start.elapsed();
-            if waited >= timeout {
-                return Err(WaitError::Timeout(ControlPlaneTimeout { op, waited }));
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-    }
 }
 
 /// A deadline-bounded control-plane wait expired: the peer did not
@@ -686,26 +657,6 @@ impl std::fmt::Display for ControlPlaneTimeout {
 }
 
 impl std::error::Error for ControlPlaneTimeout {}
-
-/// Why a [`Ring::pop_wait`] failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitError {
-    /// Nothing arrived before the deadline.
-    Timeout(ControlPlaneTimeout),
-    /// A slot arrived but failed framing validation.
-    Frame(FrameError),
-}
-
-impl std::fmt::Display for WaitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WaitError::Timeout(t) => t.fmt(f),
-            WaitError::Frame(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for WaitError {}
 
 /// Merges per-worker histograms and extracts a quantile (0.0–1.0) as
 /// the upper latency bound (in ns) of the bucket containing it.
@@ -871,16 +822,6 @@ mod tests {
     fn waits_carry_deadlines_not_spins() {
         let plane = plane();
         let ring = plane.worker(0).cmd_ring();
-        // Empty ring: pop_wait must give up with the typed error.
-        let err = ring.pop_wait("unit-pop", Duration::from_millis(5)).unwrap_err();
-        match err {
-            WaitError::Timeout(t) => {
-                assert_eq!(t.op, "unit-pop");
-                assert!(t.waited >= Duration::from_millis(5));
-                assert!(t.to_string().contains("unit-pop"), "{t}");
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
         // Full ring with no consumer: push_wait must give up too.
         for _ in 0..RING_SLOTS {
             ring.push(Msg::Stop).unwrap();
@@ -889,14 +830,11 @@ mod tests {
             .push_wait(Msg::Stop, "unit-push", Duration::from_millis(5))
             .unwrap_err();
         assert_eq!(err.op, "unit-push");
+        assert!(err.waited >= Duration::from_millis(5));
+        assert!(err.to_string().contains("unit-push"), "{err}");
         // A draining consumer unblocks the producer within the deadline.
         ring.pop().unwrap();
         ring.push_wait(Msg::Stop, "unit-push", Duration::from_millis(100)).unwrap();
-        // And pop_wait returns promptly when data is already there.
-        assert_eq!(
-            ring.pop_wait("unit-pop", Duration::from_secs(1)).unwrap(),
-            Msg::Stop
-        );
     }
 
     #[test]
@@ -932,13 +870,11 @@ mod tests {
     fn arb_msg() -> impl Strategy<Value = Msg> {
         prop_oneof![
             (any::<u64>(), any::<u16>()).prop_map(|(pid, tid)| Msg::Hello { pid, tid }),
-            (
-                (any::<u16>(), any::<bool>(), any::<u64>(), any::<u64>()),
-                (any::<u64>(), any::<u16>())
-            )
-                .prop_map(|((victim, winner, phantoms, inherited), (pid, epoch))| {
-                    Msg::AdoptReport { victim, winner, phantoms, inherited, pid, epoch }
-                }),
+            (any::<u16>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u16>()).prop_map(
+                |(victim, phantoms, inherited, pid, epoch)| {
+                    Msg::AdoptReport { victim, phantoms, inherited, pid, epoch }
+                }
+            ),
             (any::<u64>(), any::<u8>(), any::<u64>(), any::<u64>()).prop_map(
                 |(seed, spec, hb_every, target_ops)| Msg::Start {
                     seed,

@@ -12,7 +12,7 @@
 //! Keys are partitioned per worker by default (each worker owns its
 //! ledger and never frees another worker's blocks), which keeps every
 //! slab's bitset single-writer and makes the end-of-run census exact.
-//! In `--shared-keys` mode the Zipf-hot head of every worker's key
+//! With `--shared-pct P` the Zipf-hot head of every worker's key
 //! range is *shared*: frees of those keys are forwarded over per-pair
 //! SPSC rings to a peer worker, whose `dealloc` then takes the
 //! allocator's remote-free path (batched through the durable
@@ -283,21 +283,12 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         None => heap.register_thread().map_err(|e| format!("register: {e}"))?,
         Some(raw) => {
             let victim = ThreadId::new(raw).ok_or("--adopt 0 is not a thread id")?;
+            // Lost the race: bow out without a word. The event ring is
+            // single-producer and belongs to the winner; the coordinator
+            // counts the loser from the `RACED` exit.
             match adopt(&heap, &plane, &me, victim)? {
                 Some(handle) => handle,
-                None => {
-                    // Lost the race: report and bow out; the winner
-                    // serves this slot.
-                    let _ = evt.push(Msg::AdoptReport {
-                        victim: raw,
-                        winner: false,
-                        phantoms: 0,
-                        inherited: 0,
-                        pid: std::process::id() as u64,
-                        epoch: 0,
-                    });
-                    return Ok(exit::RACED);
-                }
+                None => return Ok(exit::RACED),
             }
         }
     };
@@ -315,8 +306,8 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
     }
 
     // Wait for Start (heartbeating so detectors trust us), then serve.
-    // The poll stays manual rather than a single `pop_wait` so beats
-    // interleave, but the overall wait carries the same typed deadline.
+    // The poll interleaves beats, under the same typed deadline as
+    // every other control-plane wait.
     let started = Instant::now();
     let (seed, spec, hb_every, target_ops) = loop {
         match cmd.pop().map_err(|e| format!("cmd ring: {e}"))? {
@@ -411,7 +402,6 @@ fn adopt(
                     let (phantoms, inherited) = reconcile_ledger(heap, me, &handle)?;
                     let _ = me.evt_ring().push(Msg::AdoptReport {
                         victim: victim.raw(),
-                        winner: true,
                         phantoms,
                         inherited,
                         pid: std::process::id() as u64,
@@ -550,18 +540,6 @@ fn drain_inbound_burst(
     Ok(())
 }
 
-/// Fully drains every inbound forward lane (bounded by ring capacity —
-/// the producers may refill behind us, but each call clears what was
-/// visible, which is all a drain boundary needs).
-#[cfg(unix)]
-fn drain_inbound(
-    handle: &mut ThreadHandle,
-    me: &WorkerPlane,
-    forwards: &Forwards,
-) -> Result<(), String> {
-    drain_inbound_burst(handle, me, forwards, usize::MAX)
-}
-
 /// The one exit path, for a clean stop and a SIGTERM drain alike:
 /// publish the final state first so the watchdog stops expecting
 /// heartbeats, execute the forwarded frees already queued here (their
@@ -580,7 +558,9 @@ fn leave(
     drained: bool,
 ) -> Result<i32, String> {
     me.set_status(status::STATE, if drained { state::DRAINED } else { state::DONE });
-    drain_inbound(handle, me, forwards)?;
+    // Every visible entry: producers may refill behind us, but what was
+    // queued at the drain boundary is all the boundary needs.
+    drain_inbound_burst(handle, me, forwards, usize::MAX)?;
     handle.flush_cache();
     handle.freeze_lease();
     let live = me.ledger_live().len() as u64;
@@ -609,7 +589,7 @@ struct ServeLoop<'a> {
     shared_skew: Option<f64>,
 }
 
-/// How often (in ops) a shared-keys worker sweeps its inbound forward
+/// How often (in ops) a worker with shared keys sweeps its inbound forward
 /// lanes, and how many entries one sweep may consume. Consumption
 /// capacity (16 per 8 ops) comfortably exceeds the worst-case forward
 /// production rate (< 1 per producer op), so lanes never back up in
