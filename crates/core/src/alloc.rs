@@ -401,45 +401,11 @@ impl Cxlalloc {
         }
     }
 
-    /// Marks `tid` as crashed. In simulated-coherence pods this also
-    /// discards the dead core's cache — dirty lines die with the thread,
-    /// exactly as on real hardware.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::BadThreadState`] if the slot is not live.
-    pub fn mark_crashed(&self, tid: ThreadId) -> Result<(), AllocError> {
-        let mem = self.mem();
-        let off = mem.layout().registry_at(tid.slot());
-        // `CoreId(0)` from any thread: see `register_thread`.
-        registry_cas(mem, CoreId(0), off, registry::LIVE, registry::DEAD).map_err(|e| {
-            e.map_conflict(|_| AllocError::BadThreadState {
-                thread: tid,
-                state: "not live",
-            })
-        })?;
-        self.discard_dead_cache(tid);
-        Ok(())
-    }
-
-    /// On a simulated pod, drops dead thread `tid`'s cache unwritten: the
-    /// one place a dead core's cache is dropped. [`Cxlalloc::mark_crashed`]
-    /// and [`Cxlalloc::declare_dead`] call it after their registry flip; a
-    /// harness calls it alone for a thread that dies with its slot LIVE.
-    /// Call outside any op scope: the dead core is not the caller's, and
-    /// a thread inside a scope must not touch another core's cache
-    /// (`cxl_pod::coherence`). If the "dead" thread is in fact mid-op
-    /// on another OS thread, this waits for that op to return.
-    pub fn discard_dead_cache(&self, tid: ThreadId) {
-        if let Some(sim) = self.mem().as_any().downcast_ref::<cxl_pod::SimMemory>() {
-            sim.cache().discard_all(tid.slot() as usize);
-        }
-    }
-
-    /// Declares `tid` dead on behalf of a liveness detector whose lease
-    /// budget expired: flips the registry LIVE→DEAD and (on simulated
-    /// pods) discards the dead core's cache, exactly like
-    /// [`Cxlalloc::mark_crashed`].
+    /// Marks `tid` dead: flips its registry cell LIVE→DEAD and, on a
+    /// simulated-coherence pod, discards the dead core's cache — dirty
+    /// lines die with the thread, exactly as on real hardware. A harness
+    /// calls it for a thread it crashed, a liveness detector for one
+    /// whose lease expired.
     ///
     /// Returns `Ok(true)` if this call performed the flip, `Ok(false)`
     /// if the slot was already DEAD or mid-adoption (another detector
@@ -448,9 +414,9 @@ impl Cxlalloc {
     /// # Errors
     ///
     /// [`AllocError::BadThreadState`] if the slot is FREE (nothing to
-    /// declare dead), [`AllocError::DeviceContention`] on retry-budget
+    /// mark), [`AllocError::DeviceContention`] on retry-budget
     /// exhaustion.
-    pub fn declare_dead(&self, tid: ThreadId) -> Result<bool, AllocError> {
+    pub fn mark_crashed(&self, tid: ThreadId) -> Result<bool, AllocError> {
         let mem = self.mem();
         let off = mem.layout().registry_at(tid.slot());
         // `CoreId(0)` from any thread: see `register_thread`.
@@ -460,13 +426,24 @@ impl Cxlalloc {
                 Ok(true)
             }
             Err(RegistryError::Conflict(registry::DEAD | registry::ADOPTING)) => Ok(false),
-            Err(RegistryError::Conflict(_)) => Err(AllocError::BadThreadState {
+            Err(e) => Err(e.map_conflict(|_| AllocError::BadThreadState {
                 thread: tid,
                 state: "not live",
-            }),
-            Err(RegistryError::Contention { retries }) => {
-                Err(AllocError::DeviceContention { retries })
-            }
+            })),
+        }
+    }
+
+    /// On a simulated pod, drops dead thread `tid`'s cache unwritten: the
+    /// one place a dead core's cache is dropped. [`Cxlalloc::mark_crashed`]
+    /// calls it after its registry flip; a harness calls it alone for a
+    /// thread that dies with its slot LIVE.
+    /// Call outside any op scope: the dead core is not the caller's, and
+    /// a thread inside a scope must not touch another core's cache
+    /// (`cxl_pod::coherence`). If the "dead" thread is in fact mid-op
+    /// on another OS thread, this waits for that op to return.
+    pub fn discard_dead_cache(&self, tid: ThreadId) {
+        if let Some(sim) = self.mem().as_any().downcast_ref::<cxl_pod::SimMemory>() {
+            sim.cache().discard_all(tid.slot() as usize);
         }
     }
 

@@ -17,7 +17,7 @@
 //!   change for [`expiry_ticks`](LivenessDetector::new) consecutive
 //!   ticks is declared dead: the detector flips its registry cell
 //!   LIVE→DEAD through
-//!   [`Cxlalloc::declare_dead`](crate::Cxlalloc::declare_dead) (an mCAS
+//!   [`Cxlalloc::mark_crashed`](crate::Cxlalloc::mark_crashed) (an mCAS
 //!   on non-HWcc pods), after which any survivor may adopt it.
 //! * **Raced adoption** — survivors race through
 //!   [`Cxlalloc::adopt`](crate::Cxlalloc::adopt); the
@@ -119,7 +119,7 @@ pub struct DetectorReport {
 ///
 /// Purely local state — the shared segment holds only the lease words
 /// themselves, so any number of hosts may run detectors concurrently;
-/// the registry CAS inside [`Cxlalloc::declare_dead`] arbitrates
+/// the registry CAS inside [`Cxlalloc::mark_crashed`] arbitrates
 /// double-detection.
 #[derive(Debug)]
 pub struct LivenessDetector {
@@ -189,7 +189,7 @@ impl LivenessDetector {
             }
             self.stale[slot as usize] = 0;
             let tid = ThreadId::from_slot(slot);
-            match heap.declare_dead(tid) {
+            match heap.mark_crashed(tid) {
                 Ok(true) => report.expired.push(tid),
                 // Another host flipped it first, or the slot was freed
                 // or re-registered under us — either way, not ours.

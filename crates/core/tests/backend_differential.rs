@@ -29,7 +29,7 @@ use std::hash::{Hash, Hasher};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
-include!("common/walks.rs");
+include!("common/crash.rs");
 
 const SEED: u64 = 0x00D1_FF15;
 const STEPS: usize = 6000;

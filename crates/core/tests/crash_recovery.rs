@@ -1,21 +1,28 @@
-//! Partial-failure tests (paper §3.4 and §5.1): white-box tests with
-//! defined crash points, and black-box tests with random crashes.
+//! Partial-failure tests (paper §3.4 and §5.1): the white-box crash
+//! matrix over every crash point compiled into the allocator, a few
+//! single-point scenarios it does not spell out, and black-box tests
+//! with random crashes.
 //!
-//! The harness crashes a victim thread at a named point inside the
-//! allocator (the thread unwinds, leaving shared state exactly as a real
-//! crash would — and in simulated-coherence pods, losing its dirty cache
-//! lines), then recovers the thread and re-validates every heap
-//! invariant. Live threads never block on the dead one.
+//! A crash is an unwinding panic at a named point inside the allocator
+//! (`crash::point`). It leaves shared state exactly as a real crash
+//! would and, on simulated-coherence pods, `mark_crashed` drops the
+//! victim's dirty cache lines. A survivor then recovers the victim; live
+//! threads never block on the dead one.
 
-use cxl_core::crash::{self, CrashPlan};
-use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr, ThreadId};
+use cxl_core::class::{LARGE_CLASSES_TABLE, LARGE_CLASS_SIZES, SMALL_CLASSES_TABLE, SMALL_CLASS_SIZES};
+use cxl_core::crash;
+use cxl_core::{AttachOptions, BlockCensus, Cxlalloc, HeapKind, OffsetPtr, ThreadHandle, ThreadId};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
+use std::collections::BTreeSet;
+use std::sync::atomic::Ordering;
 
 const MIB: usize = 1 << 20;
 
 fn pod(mode: Option<HwccMode>) -> Pod {
     let config = PodConfig {
         small_max_slabs: 256,
+        // A slab for every large class (the matrix's adopter sweep).
+        large_max_slabs: 32,
         ..PodConfig::small_for_tests()
     };
     match mode {
@@ -24,130 +31,7 @@ fn pod(mode: Option<HwccMode>) -> Pod {
     }
 }
 
-/// Runs `victim` on a fresh thread with a crash plan armed; returns the
-/// victim's tid after marking it crashed, plus whether the crash fired.
-fn crash_thread(
-    heap: &Cxlalloc,
-    plan: CrashPlan,
-    victim: impl FnOnce(&mut cxl_core::ThreadHandle) + Send,
-) -> (ThreadId, bool) {
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut t = heap.register_thread().unwrap();
-            let tid = t.tid();
-            crash::arm(plan);
-            let crashed = crash::catch(std::panic::AssertUnwindSafe(|| victim(&mut t))).is_err();
-            crash::disarm();
-            (tid, crashed)
-        })
-        .join()
-        .unwrap()
-    })
-}
-
-include!("common/walks.rs");
-
-/// One cell of `every_slab_crash_point_recovers`: crashes a churning
-/// victim at `point`, keeps a live thread working, and recovers the
-/// victim through it, walking every list when `full`. `None` when the
-/// point needs a second thread's blocks and never fired.
-fn slab_crash_cell(point: &'static str, mode: Option<HwccMode>, full: bool) -> Option<Recovered> {
-    let pod = pod(mode);
-    // A tight unsized limit makes the workload overflow to (and pop
-    // from) the global free list quickly.
-    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions {
-        unsized_limit: 1,
-        ..AttachOptions::default()
-    })
-    .unwrap();
-
-    // A workload guaranteed to traverse all slab paths: local churn,
-    // slab fills (detach), remote frees (disown + steal), unsized
-    // overflow to the global list, pops from it.
-    let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip: 0 }, |t| {
-        let mut helper_ptrs = Vec::new();
-        for round in 0..3 {
-            let ptrs: Vec<OffsetPtr> = (0..1200).map(|_| t.alloc(64).unwrap()).collect();
-            for (i, p) in ptrs.into_iter().enumerate() {
-                if i % 7 == round {
-                    helper_ptrs.push(p);
-                } else {
-                    t.dealloc(p).unwrap();
-                }
-            }
-        }
-        for p in helper_ptrs {
-            t.dealloc(p).unwrap();
-        }
-        // Everything is free now: surplus slabs went to the global
-        // list. Allocate a big batch to exercise unsized pops and then
-        // global-list pops.
-        let again: Vec<OffsetPtr> = (0..2400).map(|_| t.alloc(64).unwrap()).collect();
-        for p in again {
-            t.dealloc(p).unwrap();
-        }
-        // A detectable alloc reaches the delivery crash point.
-        let cell = t.alloc(8).unwrap();
-        let p = t.alloc_detectable(64, cell).unwrap();
-        t.dealloc(p).unwrap();
-        t.dealloc(cell).unwrap();
-    });
-
-    // Remote-free points need a second thread; they are retried there.
-    if !crashed && point.starts_with("slab::remote_free") {
-        return None;
-    }
-    assert!(crashed, "workload never reached {point}");
-    heap.mark_crashed(tid).unwrap();
-
-    // A live thread keeps working while the victim is dead —
-    // non-blocking crash (paper §3.4.1).
-    let mut live = heap.register_thread().unwrap();
-    for _ in 0..200 {
-        let p = live.alloc(64).unwrap();
-        live.dealloc(p).unwrap();
-    }
-
-    if full {
-        force_full_walk(&pod, tid.slot());
-    }
-    let report = heap.recover(tid, live.core()).unwrap();
-    Some(Recovered::after(&pod, &heap, live.core(), &report))
-}
-
-/// Exercises every slab-heap crash point with a workload that passes it,
-/// recovering and validating after each, once with the targeted and
-/// once with the full sanitize walk.
-#[test]
-fn every_slab_crash_point_recovers() {
-    let mut rows = Vec::new();
-    for point in cxl_core::slab::CRASH_POINTS {
-        for mode in [None, Some(HwccMode::Limited), Some(HwccMode::None)] {
-            let cell = format!("{point} ({mode:?})");
-            let Some(targeted) = slab_crash_cell(point, mode, false) else {
-                continue;
-            };
-            let full = slab_crash_cell(point, mode, true).expect("the same script");
-            rows.push(compare_walks(cell.clone(), &targeted, &full));
-            assert!(!targeted.outcome.is_empty());
-            // One cell is not exact on simulated pods. The victim had
-            // just re-initialised slab 3 for its 8-byte detect cell: the
-            // HWcc payload (4096, the 8 B class's block count) reached
-            // the device, but the SWcc header and free count died in its
-            // cache, so the durable header still names the 64 B class
-            // with 512 blocks (ROADMAP item 1, the *lost* semantics).
-            if *point == "slab::alloc_block::after_deliver" && mode.is_some() {
-                let refusal = "small: slab 3 HWcc payload 4096 exceeds 512 blocks";
-                assert_eq!(targeted.census, Err(refusal.to_string()), "{cell}");
-                continue;
-            }
-            if let Err(e) = targeted.census {
-                panic!("invariants after {cell}: {e}");
-            }
-        }
-    }
-    check_walks("every_slab_crash_point_recovers", &rows);
-}
+include!("common/crash.rs");
 
 /// A thread that dies inside the first allocation from its retained
 /// empty slab: recovery undoes the allocation and `normalize_slab` moves
@@ -157,43 +41,29 @@ fn every_slab_crash_point_recovers() {
 #[test]
 fn retained_empty_slab_is_normalized_by_recovery() {
     use cxl_core::cell::{flags, SwccHeader};
-    use cxl_core::class::SMALL_CLASSES_TABLE;
     let class = SMALL_CLASSES_TABLE.class_of(64).unwrap();
     let blocks = SMALL_CLASSES_TABLE.blocks_per_slab(class);
     for mode in [None, Some(HwccMode::Limited)] {
         let pod = pod(mode);
         let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
-        let (tid, slab, mut kept) = std::thread::scope(|s| {
-            s.spawn(|| {
-                let mut t = heap.register_thread().unwrap();
-                // Blocks of other classes stay live across the crash;
-                // the first doubles as the detect destination.
-                let kept: Vec<OffsetPtr> = [8, 128, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
-                let cycle: Vec<OffsetPtr> = (0..blocks).map(|_| t.alloc(64).unwrap()).collect();
-                let slab = pod.layout().small.slab_of(cycle[0].offset()).unwrap();
-                for p in cycle {
-                    t.dealloc(p).unwrap();
-                }
-                // Quiesce, so the interrupted allocation is the only
-                // thing the crash can take with the victim's cache.
-                t.flush_cache();
-                crash::arm(CrashPlan {
-                    at: "slab::alloc_block::after_clear",
-                    skip: 0,
-                });
-                let crashed = crash::catch(std::panic::AssertUnwindSafe(|| {
-                    t.alloc_detectable(64, kept[0]).unwrap();
-                }))
-                .is_err();
-                crash::disarm();
-                assert!(crashed, "the allocation passes after_clear");
-                (t.tid(), slab, kept)
-            })
-            .join()
-            .unwrap()
-        });
-        heap.mark_crashed(tid).unwrap();
         let survivor = heap.register_thread().unwrap();
+        let mut t = heap.register_thread().unwrap();
+        // Blocks of other classes stay live across the crash; the first
+        // doubles as the detect destination.
+        let mut kept: Vec<OffsetPtr> = [8, 128, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
+        let cycle: Vec<OffsetPtr> = (0..blocks).map(|_| t.alloc(64).unwrap()).collect();
+        let slab = pod.layout().small.slab_of(cycle[0].offset()).unwrap();
+        for p in cycle {
+            t.dealloc(p).unwrap();
+        }
+        // Quiesce, so the interrupted allocation is the only thing the
+        // crash can take with the victim's cache.
+        t.flush_cache();
+        let crashed = crash_at("slab::alloc_block::after_clear", 0, || t.alloc_detectable(64, kept[0]));
+        assert!(crashed.is_err(), "the allocation passes after_clear");
+        let tid = t.tid();
+        drop(t);
+        heap.mark_crashed(tid).unwrap();
         let via = survivor.core();
         heap.recover(tid, via).unwrap();
 
@@ -231,50 +101,6 @@ fn retained_empty_slab_is_normalized_by_recovery() {
 }
 
 #[test]
-fn remote_free_crash_points_recover() {
-    for point in [
-        "slab::remote_free::after_log",
-        "slab::remote_free::after_cas",
-        "slab::remote_free::before_steal_push",
-    ] {
-        let pod = pod(Some(HwccMode::Limited));
-        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
-        let mut producer = heap.register_thread().unwrap();
-        let ptrs: Vec<OffsetPtr> = (0..512).map(|_| producer.alloc(64).unwrap()).collect();
-
-        // The steal point fires exactly once per drained slab, the other
-        // points fire per free: pick the skip accordingly.
-        let skip = if point.ends_with("before_steal_push") { 0 } else { 100 };
-        let (tid, crashed) = crash_thread(&heap, CrashPlan {
-            at: point,
-            skip,
-        }, |t| {
-            for p in &ptrs {
-                t.dealloc(*p).unwrap();
-            }
-        });
-        assert!(crashed, "never reached {point}");
-        heap.mark_crashed(tid).unwrap();
-        let report = heap.recover(tid, producer.core()).unwrap();
-        assert!(report.interrupted.is_some());
-        heap.check_invariants(producer.core())
-            .unwrap_or_else(|e| panic!("invariants after {point}: {e}"));
-
-        // The adopted thread (and the heap as a whole) remain fully
-        // usable. (We do not re-free the remaining pointers: freeing a
-        // block twice is an application bug, and which of the victim's
-        // frees landed is exactly what the log + counter already
-        // reconciled.)
-        let (mut adopted, _) = heap.adopt(tid, producer.core()).unwrap();
-        let fresh: Vec<OffsetPtr> = (0..256).map(|_| adopted.alloc(64).unwrap()).collect();
-        for p in fresh {
-            adopted.dealloc(p).unwrap();
-        }
-        heap.check_invariants(adopted.core()).unwrap();
-    }
-}
-
-#[test]
 fn steal_crash_point_recovers_slab() {
     // Crash exactly between the final decrement and the steal push: the
     // slab would be orphaned without recovery.
@@ -283,18 +109,16 @@ fn steal_crash_point_recovers_slab() {
     let mut producer = heap.register_thread().unwrap();
     let ptrs: Vec<OffsetPtr> = (0..512).map(|_| producer.alloc(64).unwrap()).collect();
 
-    let (tid, crashed) = crash_thread(&heap, CrashPlan {
-        at: "slab::remote_free::before_steal_push",
-        skip: 0,
-    }, |t| {
+    let mut t = heap.register_thread().unwrap();
+    let crashed = crash_at("slab::remote_free::before_steal_push", 0, || {
         for p in &ptrs {
             t.dealloc(*p).unwrap();
         }
     });
-    assert!(crashed);
-    heap.mark_crashed(tid).unwrap();
+    assert!(crashed.is_err());
+    heap.mark_crashed(t.tid()).unwrap();
     let slabs_before = heap.stats().small_slabs;
-    let (mut adopted, report) = heap.adopt(tid, CoreId(5)).unwrap();
+    let (mut adopted, report) = heap.adopt(t.tid(), CoreId(5)).unwrap();
     assert!(report.outcome.contains("stolen") || report.outcome.contains("redone"),
         "unexpected outcome: {}", report.outcome);
     // The stolen slab is on the adopted thread's unsized list: new
@@ -316,17 +140,11 @@ fn interrupted_alloc_is_rolled_back_without_delivery() {
     let mut owner = heap.register_thread().unwrap();
     let dst = owner.alloc(8).unwrap();
 
-    let dst_copy = dst;
-    let (tid, crashed) = crash_thread(&heap, CrashPlan {
-        at: "slab::alloc_block::after_clear",
-        skip: 0,
-    }, move |t| {
-        let _ = t.alloc_detectable(64, dst_copy);
-        unreachable!("crash point must fire");
-    });
-    assert!(crashed);
-    heap.mark_crashed(tid).unwrap();
-    let report = heap.recover(tid, owner.core()).unwrap();
+    let mut t = heap.register_thread().unwrap();
+    let crashed = crash_at("slab::alloc_block::after_clear", 0, || t.alloc_detectable(64, dst));
+    assert!(crashed.is_err(), "crash point must fire");
+    heap.mark_crashed(t.tid()).unwrap();
+    let report = heap.recover(t.tid(), owner.core()).unwrap();
     assert_eq!(report.outcome, "allocation rolled back");
     assert_eq!(report.lost_block, None);
     heap.check_invariants(owner.core()).unwrap();
@@ -336,54 +154,16 @@ fn interrupted_alloc_is_rolled_back_without_delivery() {
 fn interrupted_alloc_without_destination_is_reported() {
     let pod = pod(None);
     let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
-    let (tid, crashed) = crash_thread(&heap, CrashPlan {
-        at: "slab::alloc_block::after_clear",
-        skip: 0,
-    }, |t| {
-        let _ = t.alloc(64);
-        unreachable!();
-    });
-    assert!(crashed);
-    heap.mark_crashed(tid).unwrap();
-    let report = heap.recover(tid, CoreId(3)).unwrap();
+    let mut t = heap.register_thread().unwrap();
+    assert!(crash_at("slab::alloc_block::after_clear", 0, || t.alloc(64)).is_err());
+    heap.mark_crashed(t.tid()).unwrap();
+    let report = heap.recover(t.tid(), CoreId(3)).unwrap();
     assert_eq!(report.outcome, "allocation kept; reported as lost");
     let lost = report.lost_block.expect("lost block must be reported");
     // The harness can reclaim it through the adopted thread.
-    let (mut adopted, _) = heap.adopt(tid, CoreId(3)).unwrap();
+    let (mut adopted, _) = heap.adopt(t.tid(), CoreId(3)).unwrap();
     adopted.dealloc(OffsetPtr::new(lost).unwrap()).unwrap();
     heap.check_invariants(adopted.core()).unwrap();
-}
-
-#[test]
-fn every_huge_crash_point_recovers() {
-    for point in cxl_core::huge::CRASH_POINTS {
-        let pod = pod(None);
-        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
-        let (tid, crashed) = crash_thread(&heap, CrashPlan {
-            at: point,
-            skip: 0,
-        }, |t| {
-            let a = t.alloc(MIB).unwrap();
-            let b = t.alloc(2 * MIB).unwrap();
-            t.dealloc(a).unwrap();
-            t.cleanup();
-            t.dealloc(b).unwrap();
-            t.cleanup();
-        });
-        assert!(crashed, "workload never reached {point}");
-        heap.mark_crashed(tid).unwrap();
-        let (mut adopted, report) = heap.adopt(tid, CoreId(7)).unwrap();
-        assert!(!report.outcome.is_empty());
-        // The adopted thread's reconstructed state is fully usable:
-        // allocate the entire huge capacity's worth over a few rounds.
-        for _ in 0..3 {
-            let p = adopted.alloc(4 * MIB).unwrap();
-            adopted.dealloc(p).unwrap();
-            adopted.cleanup();
-        }
-        heap.check_invariants(adopted.core())
-            .unwrap_or_else(|e| panic!("invariants after {point}: {e}"));
-    }
 }
 
 #[test]
@@ -400,10 +180,8 @@ fn random_blackbox_crashes() {
         let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
         // Use op-count-based crashes at the log point (reached by every
         // structural operation).
-        let (tid, crashed) = crash_thread(&heap, CrashPlan {
-            at: "slab::alloc_block::after_log",
-            skip: 17 * seed + 3,
-        }, |t| {
+        let mut t = heap.register_thread().unwrap();
+        let crashed = crash_at("slab::alloc_block::after_log", 17 * seed + 3, || {
             let mut live = Vec::new();
             for op in 0..2000usize {
                 live.push(t.alloc(8 + (op * 13) % 1000).unwrap());
@@ -416,134 +194,15 @@ fn random_blackbox_crashes() {
                 t.dealloc(p).unwrap();
             }
         });
-        assert!(crashed, "seed {seed} never crashed");
-        heap.mark_crashed(tid).unwrap();
-        let (mut adopted, _) = heap.adopt(tid, CoreId(9)).unwrap();
+        assert!(crashed.is_err(), "seed {seed} never crashed");
+        heap.mark_crashed(t.tid()).unwrap();
+        let (mut adopted, _) = heap.adopt(t.tid(), CoreId(9)).unwrap();
         for _ in 0..100 {
             let p = adopted.alloc(64).unwrap();
             adopted.dealloc(p).unwrap();
         }
         heap.check_invariants(adopted.core())
             .unwrap_or_else(|e| panic!("seed {seed} ({mode:?}): {e}"));
-    }
-}
-
-#[test]
-fn crash_point_matrix_via_schedule_driver() {
-    // The full crash-point matrix: every label the allocator compiles
-    // in (`crash::known_points`), at first and third encounter, driven
-    // through the deterministic schedule driver on a `Limited` pod and
-    // on an mCAS pod (`HwccMode::None`). Each cell crashes the victim
-    // host at the label mid-churn, keeps a second host working,
-    // recovers the victim cross-host, and ends with a full
-    // invariant-checked drain. On the mCAS pod each cell must also
-    // replay: two runs of the same (config, schedule) produce identical
-    // fingerprints. Recovery's own labels are never passed by a
-    // victim's churn; `crashed_recovery_is_rerun_exactly` fires them.
-    //
-    // Each cell also runs with the victim's durable dirty-list mask set
-    // to `!0` before the run: its handle starts with every list marked,
-    // so its recoveries walk all of them. The run must end with the same
-    // fingerprint (outcomes and offsets), census audit and metadata.
-    use cxl_drive::sched::{self, Schedule, SimConfig, Step};
-
-    let mut rows = Vec::new();
-    for mode in [HwccMode::Limited, HwccMode::None] {
-        let config = SimConfig { mode, ..SimConfig::default() };
-        for (module, points) in crash::known_points() {
-            if module == "recovery" {
-                continue;
-            }
-            for &at in points {
-                for skip in [0u32, 2] {
-                    let schedule = Schedule {
-                        seed: 0,
-                        hosts: 2,
-                        steps: vec![
-                            Step::Alloc { host: 0, size: 64 },
-                            Step::Crash { host: 1, at, skip },
-                            // The survivor keeps allocating while host 1
-                            // is dead (non-blocking crash, paper §3.4.1).
-                            Step::Alloc { host: 0, size: 256 },
-                            Step::Alloc { host: 0, size: 4096 },
-                            Step::Recover { host: 1, via: 0 },
-                            Step::Alloc { host: 1, size: 64 },
-                        ],
-                    };
-                    let cell = format!("{mode:?} {module}::{at} skip {skip}");
-                    let run = |full: bool| {
-                        let pod = config.pod();
-                        if full {
-                            // Host 1 registers second, in slot 1.
-                            force_full_walk(&pod, 1);
-                        }
-                        let report = sched::run_on(&pod, &config, &schedule, &[])
-                            .unwrap_or_else(|e| panic!("{cell} (full walk: {full}): {e}"));
-                        (report, metadata_image(&pod))
-                    };
-                    let (report, image) = run(false);
-                    // Whether the point fired depends on the label and
-                    // skip (some are only reached once per churn; the
-                    // companion test below holds every label to fire);
-                    // either way the run must validate.
-                    assert_eq!(report.steps, 6, "{cell}");
-                    if mode == HwccMode::None {
-                        let replay = sched::run(&config, &schedule, &[])
-                            .unwrap_or_else(|e| panic!("{cell} (replay): {e}"));
-                        assert_eq!(report.fingerprint, replay.fingerprint, "{cell}: replay diverged");
-                    }
-                    let (full, full_image) = run(true);
-                    assert_eq!(report.fingerprint, full.fingerprint, "{cell}: the full walk diverged");
-                    assert_same_image(&cell, &image, &full_image);
-                    if report.recoveries > 0 {
-                        rows.push(WalkRow {
-                            cell,
-                            targeted: (report.lists_walked, report.lists_repaired),
-                            full: (full.lists_walked, full.lists_repaired),
-                        });
-                    }
-                }
-            }
-        }
-    }
-    check_walks("crash_point_matrix_via_schedule_driver", &rows);
-}
-
-#[test]
-fn crash_point_matrix_fires_for_every_label_at_skip_zero() {
-    // Companion to the matrix above: at skip 0 the churn workload must
-    // actually reach every label (otherwise the matrix silently tests
-    // nothing). Remote-free labels need a second thread's blocks and
-    // are covered by `remote_free_crash_points_recover`; recovery's
-    // labels need a recovery and are covered by
-    // `crashed_recovery_is_rerun_exactly`.
-    use cxl_drive::sched::{self, Schedule, SimConfig, Step};
-
-    let config = SimConfig::default();
-    for (module, points) in crash::known_points() {
-        if module == "recovery" {
-            continue;
-        }
-        for &at in points {
-            if at.starts_with("slab::remote_free") {
-                continue;
-            }
-            let schedule = Schedule {
-                seed: 0,
-                hosts: 2,
-                steps: vec![Step::Crash { host: 0, at, skip: 0 }, Step::Recover {
-                    host: 0,
-                    via: 1,
-                }],
-            };
-            let report = sched::run(&config, &schedule, &[])
-                .unwrap_or_else(|e| panic!("{module}::{at}: {e}"));
-            assert_eq!(
-                report.crashes_fired, 1,
-                "churn never reached {module}::{at}"
-            );
-            assert_eq!(report.recoveries, 1, "{module}::{at}");
-        }
     }
 }
 
@@ -562,206 +221,654 @@ fn recovery_requires_crashed_state() {
 fn double_recovery_is_idempotent() {
     let pod = pod(None);
     let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
-    let (tid, crashed) = crash_thread(&heap, CrashPlan {
-        at: "slab::free_local::after_set",
-        skip: 5,
-    }, |t| {
+    let mut t = heap.register_thread().unwrap();
+    let crashed = crash_at("slab::free_local::after_set", 5, || {
         let ptrs: Vec<_> = (0..100).map(|_| t.alloc(64).unwrap()).collect();
         for p in ptrs {
             t.dealloc(p).unwrap();
         }
     });
-    assert!(crashed);
-    heap.mark_crashed(tid).unwrap();
-    let r1 = heap.recover(tid, CoreId(2)).unwrap();
+    assert!(crashed.is_err());
+    heap.mark_crashed(t.tid()).unwrap();
+    let r1 = heap.recover(t.tid(), CoreId(2)).unwrap();
     // Recovery itself can crash; re-running must be safe.
-    let r2 = heap.recover(tid, CoreId(2)).unwrap();
+    let r2 = heap.recover(t.tid(), CoreId(2)).unwrap();
     assert!(r1.interrupted.is_some());
     assert_eq!(r2.interrupted, None, "second pass sees a clean log");
     heap.check_invariants(CoreId(2)).unwrap();
 }
 
-#[test]
-fn large_heap_crash_points_recover() {
-    // The large heap shares the slab machinery; make sure its ops are
-    // logged with the Large tag and recover correctly too.
-    for point in [
-        "slab::alloc_block::after_clear",
-        "slab::free_local::after_set",
-        "slab::extend::after_cas",
-    ] {
-        let pod = pod(None);
-        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
-        let skip = if point.contains("extend") { 1 } else { 3 };
-        let (tid, crashed) = crash_thread(&heap, CrashPlan {
-            at: point,
-            skip,
-        }, |t| {
-            let mut live = Vec::new();
-            for i in 0..64 {
-                live.push(t.alloc(4096 + (i % 4) * 1024).unwrap());
-                if live.len() > 8 {
-                    t.dealloc(live.remove(0)).unwrap();
-                }
-            }
-            for p in live {
-                t.dealloc(p).unwrap();
-            }
-        });
-        assert!(crashed, "never reached {point} in the large heap");
-        heap.mark_crashed(tid).unwrap();
-        let (mut adopted, report) = heap.adopt(tid, CoreId(4)).unwrap();
-        if let Some((_, kind)) = report.interrupted {
-            assert_eq!(kind, cxl_core::HeapKind::Large, "{point}");
+
+// ---- The crash matrix -----------------------------------------------------
+
+/// The one victim op that reaches a crash label.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    /// Allocates the last free block of the victim's slab, which goes
+    /// full.
+    AllocLast,
+    /// Allocates a class the victim has no slab for, re-initializing an
+    /// empty slab on its unsized list (last sized for another class).
+    AllocReinit,
+    /// The same with no unsized slab: pops the global free list.
+    AllocPop,
+    /// The same with the global free list empty: extends the heap.
+    AllocExtend,
+    /// Frees a block of the victim's partly used slab.
+    Free,
+    /// Frees the last block of a slab that is not alone on its list: the
+    /// slab overflows to the global free list.
+    FreeOverflow,
+    /// Frees one block of the survivor's full slab.
+    FreeRemote,
+    /// Frees the last block of the survivor's full slab that the victim
+    /// has not freed yet: the victim steals the slab.
+    FreeRemoteLast,
+    /// The remote free that fills a batch of [`BATCH`] and publishes it.
+    Publish,
+    /// The victim's first huge allocation, which claims a region.
+    HugeAlloc,
+    /// Frees the victim's huge allocation.
+    HugeFree,
+    /// The cleanup pass that reclaims the victim's freed huge allocation.
+    HugeCleanup,
+}
+
+/// The op each crash label is reached by: the first entry whose prefix
+/// the label starts with. Re-initializing a slab reaches every
+/// `alloc_block` label but the two of a slab going full.
+const OPS: [(&str, Op); 14] = [
+    ("slab::alloc_block::after_unlink", Op::AllocLast),
+    ("slab::alloc_block::after_transition", Op::AllocLast),
+    ("slab::alloc_block::", Op::AllocReinit),
+    ("slab::init::", Op::AllocReinit),
+    ("slab::pop_global::", Op::AllocPop),
+    ("slab::extend::", Op::AllocExtend),
+    ("slab::free_local::", Op::Free),
+    ("slab::push_global::", Op::FreeOverflow),
+    ("slab::remote_free::publish_", Op::Publish),
+    ("slab::remote_free::before_steal_push", Op::FreeRemoteLast),
+    ("slab::remote_free::", Op::FreeRemote),
+    ("huge::free::", Op::HugeFree),
+    ("huge::cleanup::", Op::HugeCleanup),
+    ("huge::", Op::HugeAlloc),
+];
+
+/// Remote frees per publish in the `Publish` cells.
+const BATCH: u32 = 8;
+
+impl Op {
+    fn of(label: &str) -> Op {
+        let found = OPS.iter().find(|(prefix, _)| label.starts_with(prefix));
+        found.unwrap_or_else(|| panic!("no op reaches {label}")).1
+    }
+
+    fn heaps(self) -> &'static [HeapKind] {
+        match self {
+            Op::HugeAlloc | Op::HugeFree | Op::HugeCleanup => &[HeapKind::Huge],
+            _ => &[HeapKind::Small, HeapKind::Large],
         }
-        let p = adopted.alloc(8192).unwrap();
-        adopted.dealloc(p).unwrap();
-        heap.check_invariants(adopted.core())
-            .unwrap_or_else(|e| panic!("invariants after {point}: {e}"));
+    }
+
+    fn allocates(self) -> bool {
+        matches!(self, Op::AllocLast | Op::AllocReinit | Op::AllocPop | Op::AllocExtend | Op::HugeAlloc)
+    }
+
+    fn options(self) -> AttachOptions {
+        AttachOptions {
+            // Every slab a thread gives up goes to the global list, but
+            // for the two `AllocReinit` parks on its unsized list.
+            unsized_limit: if self == Op::AllocReinit { 2 } else { 0 },
+            remote_free_batch: if self == Op::Publish { BATCH } else { 1 },
+            coalesce_fences: self == Op::Publish,
+            ..AttachOptions::default()
+        }
     }
 }
 
-/// A recovery that crashes is run again, and is exact. The victim dies
-/// at a slab label; the first `Cxlalloc::recover` dies at each of
-/// recovery's own labels; the second runs through. The adopter then
-/// finds clean invariants, a census of exactly the blocks the victim
-/// held, and a heap that still serves every class. (Adoption through
-/// `adopt`'s ADOPTING state is not crashed here.) Each cell runs
-/// with the targeted and with the full sanitize walk.
-#[test]
-fn crashed_recovery_is_rerun_exactly() {
-    use std::collections::BTreeSet;
-    const VICTIM_LABELS: [&str; 4] = [
-        "slab::alloc_block::after_clear",
-        "slab::free_local::after_set",
-        "slab::init::mid",
-        "slab::push_global::after_pop",
-    ];
-    let mut fired = BTreeSet::new();
-    let mut rows = Vec::new();
-    for mode in [None, Some(HwccMode::Limited), Some(HwccMode::None)] {
-        for victim_at in VICTIM_LABELS {
-            for &recovery_at in cxl_core::recovery::CRASH_POINTS {
-                let cell = format!("{victim_at} then {recovery_at} ({mode:?})");
-                let (targeted, crashed) = rerun_cell(&cell, mode, victim_at, recovery_at, false);
-                let (full, _) = rerun_cell(&cell, mode, victim_at, recovery_at, true);
-                rows.push(compare_walks(cell, &targeted, &full));
-                if crashed {
-                    fired.insert(recovery_at);
-                }
-            }
-        }
+/// The block size a cell's op uses on `heap`, and the size `AllocReinit`
+/// last sized its unsized slabs for. Few blocks per slab keep setups
+/// short.
+fn sizes(heap: HeapKind) -> (usize, usize) {
+    match heap {
+        HeapKind::Small => (256, 1024),
+        HeapKind::Large => (64 << 10, 128 << 10),
+        HeapKind::Huge => (MIB, MIB),
     }
-    check_walks("crashed_recovery_is_rerun_exactly", &rows);
-    let all: BTreeSet<&str> = cxl_core::recovery::CRASH_POINTS.iter().copied().collect();
-    assert_eq!(fired, all);
 }
 
-/// One cell of `crashed_recovery_is_rerun_exactly`, walking every list
-/// when `full`: what the second recovery left, with the walk of the
-/// first recovery that completed, and whether the first one crashed.
-fn rerun_cell(
-    cell: &str,
+fn blocks_per_slab(size: usize) -> usize {
+    let table = if size <= 1024 { SMALL_CLASSES_TABLE } else { LARGE_CLASSES_TABLE };
+    table.blocks_per_slab(table.class_of(size).unwrap()) as usize
+}
+
+/// What the driver knows is allocated: the blocks it holds, and its
+/// remote frees that the slab's owner has not applied (the census lists
+/// those and counts them in `remote_pending`).
+#[derive(Default)]
+struct Ledger {
+    held: BTreeSet<u64>,
+    pending: BTreeSet<u64>,
+    /// The survivor's full slab the victim frees into remotely.
+    remote_slab: Vec<u64>,
+}
+
+impl Ledger {
+    fn alloc(&mut self, t: &mut ThreadHandle, size: usize, count: usize) -> Vec<OffsetPtr> {
+        let ptrs: Vec<OffsetPtr> = (0..count).map(|_| t.alloc(size).unwrap()).collect();
+        self.held.extend(ptrs.iter().map(|p| p.offset()));
+        ptrs
+    }
+
+    fn free(&mut self, t: &mut ThreadHandle, ptrs: &[OffsetPtr]) {
+        for &p in ptrs {
+            t.dealloc(p).unwrap();
+            self.freed(p);
+        }
+    }
+
+    /// Books the free of `p`, done or redone by recovery.
+    fn freed(&mut self, p: OffsetPtr) {
+        let p = p.offset();
+        self.held.remove(&p);
+        if self.remote_slab.contains(&p) {
+            self.pending.insert(p);
+        }
+        // The free that drains the slab steals it: every block is free.
+        if !self.remote_slab.is_empty() && self.remote_slab.iter().all(|b| self.pending.contains(b)) {
+            self.pending.clear();
+        }
+    }
+
+    /// How `census` differs from this ledger with `more` blocks held.
+    fn judge(&self, census: &BlockCensus, more: &[OffsetPtr]) -> Verdict {
+        let mut want: BTreeSet<u64> = self.held.union(&self.pending).copied().collect();
+        let reused = more.iter().filter(|p| !want.insert(p.offset())).count();
+        let got: BTreeSet<u64> = census.all_offsets().into_iter().collect();
+        Verdict {
+            extra: got.difference(&want).count(),
+            missing: want.difference(&got).count() + reused,
+            pending: census.remote_pending_total() as i64 - self.pending.len() as i64,
+            reused,
+            ..Verdict::default()
+        }
+    }
+}
+
+/// How a cell's heap differs from the ledger: the census's refusal of a
+/// torn heap (nothing else is judged then), blocks the census lists
+/// that nobody holds, held blocks it does not list, remote frees it
+/// counts beyond the ledger's, held blocks the adopter's sweep hands out
+/// again, and slabs the heap has after the sweep beyond the crash-free
+/// baseline's. All empty: exact.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct Verdict {
+    refusal: Option<String>,
+    extra: usize,
+    missing: usize,
+    pending: i64,
+    reused: usize,
+    grown: u32,
+}
+
+/// The cells whose heap is not exact, and what each shows instead: the
+/// one list of pinned exceptions (ROADMAP items 1 and 2). `sim`: a
+/// simulated pod, where the victim's dirty cache lines die with it.
+fn pinned(cell: &Cell) -> Verdict {
+    let sim = cell.mode.is_some();
+    let (size, other) = sizes(cell.heap);
+    let n = || blocks_per_slab(size);
+    let verdict = |extra, missing, pending, reused, grown| Verdict { refusal: None, extra, missing, pending, reused, grown };
+    let torn = |refusal: &str| Verdict { refusal: Some(refusal.to_string()), ..Verdict::default() };
+    let label = cell.label.unwrap_or_default();
+    if !cell.quiesced {
+        // An unquiesced victim loses what it did since its last flush.
+        // Its destination's allocation, the last, extended the small
+        // heap by a fresh 8 B slab whose header dies in the cache: the
+        // destination reads free (`missing` 1) and the slab is nobody's,
+        // so the sweep extends the heap once more (`grown` 1; more where
+        // the setup's slabs are lost too). A fresh slab the setup
+        // allocated from loses its bitset, so its blocks nobody holds
+        // read allocated (`extra`).
+        return match (cell.op, cell.heap, label) {
+            // The destination's allocation re-initialized slab 3 (sized
+            // for 1 KiB, 32 blocks) for 8 B: its HWcc payload, 4096
+            // blocks, reached the device, its SWcc header did not. Past
+            // `rover` the op's own re-init of slab 2 is torn the same
+            // way, and the census names the first torn slab.
+            (Op::AllocReinit, HeapKind::Small, "slab::alloc_block::after_deliver" | "slab::alloc_block::rover") => {
+                torn("small: slab 2 HWcc payload 128 exceeds 32 blocks")
+            }
+            (Op::AllocReinit, HeapKind::Small, _) => torn("small: slab 3 HWcc payload 4096 exceeds 32 blocks"),
+            (Op::AllocReinit, HeapKind::Large, "slab::alloc_block::after_deliver" | "slab::alloc_block::rover") => {
+                torn("large: slab 2 HWcc payload 8 exceeds 4 blocks")
+            }
+            (Op::AllocReinit, HeapKind::Large, "slab::init::after_log" | "slab::init::mid") => verdict(n(), 1, 0, 0, 3),
+            (Op::AllocReinit, HeapKind::Large, _) => verdict(2 * n() - 1, 1, 0, 0, 3),
+            // The op's rolled-back block serves the sweep's block of its
+            // class, for which the crash-free run extends the heap: on
+            // the small heap that cancels the lost slab.
+            (Op::AllocLast, HeapKind::Small, _) => verdict(0, 1, 0, 0, 0),
+            (Op::Free, ..) => verdict(n() - 2, 1, 0, 0, 1),
+            (Op::FreeOverflow, _, "slab::push_global::after_pop") => verdict(2 * n(), 1, 0, 0, 3),
+            (Op::FreeOverflow, ..) => verdict(n(), 1, 0, 0, 2),
+            _ => verdict(0, 1, 0, 0, 1),
+        };
+    }
+    match (label, cell.recovery) {
+        // The free that empties the slab has cleared its log and the pop
+        // off the unsized list is not logged: on a raw pod the slab is on
+        // no list. On a simulated pod the pop dies in the cache, but so
+        // does the freed bit, so the block reads allocated and holds it.
+        ("slab::push_global::after_pop", _) if sim => verdict(1, 0, 0, 0, 1),
+        ("slab::push_global::after_pop", _) => verdict(0, 0, 0, 0, 1),
+        // The slab's unlink from its sized list dies in the cache, but its
+        // header, flushed for the push with the global head as `next`,
+        // does not: sanitize drops it from the sized list, and the slab
+        // behind it on that list is on no list.
+        ("slab::push_global::after_log" | "slab::push_global::after_cas", _) if sim => verdict(0, 0, 0, 0, 1),
+        // A recovery that dies after redoing a remote free redoes it
+        // again: the redo's new version hides the first one from the
+        // logged version's detect. A batch that drains the slab is safe:
+        // the second redo finds the counter at zero.
+        ("slab::remote_free::after_log", Some("recovery::after_redo")) => verdict(0, 0, 1, 0, 0),
+        ("slab::remote_free::publish_after_log", Some("recovery::after_redo")) if cell.heap == HeapKind::Small => {
+            verdict(0, 0, BATCH.into(), 0, 0)
+        }
+        // The re-initialized slab's full bitset dies in the cache: the
+        // blocks beyond the old class's count read allocated. The block
+        // delivered to the detect destination reads free, and the
+        // adopter hands it out again.
+        ("slab::alloc_block::after_log" | "slab::alloc_block::after_clear", _) if sim => {
+            verdict(n() - blocks_per_slab(other), 0, 0, 0, 0)
+        }
+        ("slab::alloc_block::after_deliver", _) if sim => {
+            verdict(n() - blocks_per_slab(other), 1, 0, 1, 0)
+        }
+        _ => Verdict::default(),
+    }
+}
+
+/// One cell: `label` fired by `op` on `heap` on a pod of `mode`, with the
+/// first recovery crashed at `recovery`. No label: the crash-free
+/// baseline of the op.
+#[derive(Clone, Copy, Debug)]
+struct Cell {
+    label: Option<&'static str>,
+    op: Op,
+    heap: HeapKind,
     mode: Option<HwccMode>,
-    victim_at: &'static str,
-    recovery_at: &'static str,
-    full: bool,
-) -> (Recovered, bool) {
-    use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASS_SIZES};
-    // 64-byte blocks per 32 KiB small slab.
-    const PER_SLAB: usize = 512;
-    // Room for one (retained) slab per large class.
-    let config = PodConfig { small_max_slabs: 256, large_max_slabs: 32, ..PodConfig::small_for_tests() };
-    let pod = match mode {
-        None => Pod::new(config).unwrap(),
-        Some(mode) => Pod::with_simulation(config, mode).unwrap(),
-    };
-    // Every slab a thread gives up goes to the global list.
-    let options = AttachOptions { unsized_limit: 0, ..AttachOptions::default() };
-    let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
-    let survivor = heap.register_thread().unwrap();
-    let via = survivor.core();
+    /// The victim's setup ends with `flush_cache`, so the op is all that
+    /// a crash can take with its cache. An unquiesced victim flushes
+    /// nothing, and its last setup op allocates its detect destination:
+    /// the crash can take two ops' lines.
+    quiesced: bool,
+    recovery: Option<&'static str>,
+}
 
-    // Two 64 B slabs: the first emptied (and retained), the second down
-    // to one block, `last`. Freeing `last` empties it and overflows the
-    // unsized list; allocating takes a block from it; a 256 B
-    // allocation initializes a fresh slab.
-    let (tid, mut held, last) = std::thread::scope(|s| {
-        s.spawn(|| {
-            let mut t = heap.register_thread().unwrap();
-            let held: Vec<OffsetPtr> = [8, 128, 4096].map(|size| t.alloc(size).unwrap()).to_vec();
-            let mut filled: Vec<OffsetPtr> = (0..2 * PER_SLAB).map(|_| t.alloc(64).unwrap()).collect();
-            let last = filled.pop().unwrap();
-            for p in filled {
-                t.dealloc(p).unwrap();
+/// What one run of a cell left: its recovery, the census right after it
+/// and how it differs from the ledger, the metadata image, and the
+/// heap's length after the adopter's sweep.
+struct Run {
+    outcome: &'static str,
+    /// `(lists_walked, lists_repaired)`.
+    walks: (u32, u32),
+    census: (Vec<u64>, u64),
+    verdict: Verdict,
+    image: Vec<u8>,
+    slabs: (u32, u32),
+}
+
+/// Runs `cell`, walking every list of the victim when `full`. A
+/// survivor and a victim register, the victim sets up (and quiesces,
+/// when the cell says so), and it runs the cell's op with the crash
+/// armed (or, for a baseline, to completion and a flush). The survivor
+/// recovers it, crashed once at `cell.recovery` first. The census is
+/// then judged against the ledger. After the targeted walk an adopter
+/// allocates one block of every class and a huge block: the census must
+/// then differ from the ledger plus those blocks exactly as before, and
+/// an exact heap must drain. `None` when `cell.recovery` never fired.
+fn run_cell(cell: &Cell, full: bool) -> Option<Run> {
+    let pod = pod(cell.mode);
+    let heap = Cxlalloc::attach(pod.spawn_process(), cell.op.options()).unwrap();
+    let mut survivor = heap.register_thread().unwrap();
+    let mut victim = heap.register_thread().unwrap();
+    let (size, other) = sizes(cell.heap);
+    let n = || blocks_per_slab(size);
+    let mut ledger = Ledger::default();
+    ledger.alloc(&mut survivor, 128, 1);
+    // The detect destination: a quiesced victim's first block, an
+    // unquiesced victim's last setup op (below).
+    let first = cell.quiesced.then(|| ledger.alloc(&mut victim, 8, 1)[0]);
+    // The block a freeing op frees.
+    let mut target = None;
+    // Remote frees the victim buffers after quiescing: each is durable
+    // on its own, and a flush would publish them.
+    let mut buffered = Vec::new();
+    match cell.op {
+        Op::AllocLast => drop(ledger.alloc(&mut victim, size, n() - 1)),
+        Op::AllocReinit => {
+            // One emptied slab stays sized for `other`; the next two go
+            // to the unsized list: one for the op, one for an unquiesced
+            // victim's destination.
+            let ptrs = ledger.alloc(&mut victim, other, 3 * blocks_per_slab(other));
+            ledger.free(&mut victim, &ptrs);
+        }
+        Op::AllocPop => {
+            // The survivor keeps one emptied slab and gives up two: one
+            // for the op, one for an unquiesced victim's destination.
+            let ptrs = ledger.alloc(&mut survivor, size, 3 * n());
+            ledger.free(&mut survivor, &ptrs);
+        }
+        Op::AllocExtend | Op::HugeAlloc => {}
+        Op::Free => target = Some(ledger.alloc(&mut victim, size, 2)[0]),
+        Op::FreeOverflow => {
+            let mut ptrs = ledger.alloc(&mut victim, size, 2 * n());
+            target = ptrs.pop();
+            ledger.free(&mut victim, &ptrs);
+        }
+        Op::FreeRemote | Op::FreeRemoteLast | Op::Publish => {
+            let mut ptrs = ledger.alloc(&mut survivor, size, n());
+            ledger.remote_slab = ptrs.iter().map(|p| p.offset()).collect();
+            target = ptrs.pop();
+            // The victim's earlier frees into the slab: all of it before
+            // the last; half of it, in whole batches, mid-stream when
+            // unquiesced.
+            let earlier = match cell.op {
+                Op::FreeRemoteLast => ptrs.len(),
+                _ if cell.quiesced => 0,
+                Op::Publish => (ptrs.len() + 1 - BATCH as usize) / 2 / BATCH as usize * BATCH as usize,
+                _ => ptrs.len() / 2,
+            };
+            ledger.free(&mut victim, &ptrs[..earlier]);
+            if cell.op == Op::Publish {
+                buffered = ptrs[earlier..][..BATCH as usize - 1].to_vec();
             }
-            // Quiesce: the crashing op is then the only one the victim's
-            // cache can take with it.
-            t.flush_cache();
-            crash::arm(CrashPlan { at: victim_at, skip: 0 });
-            let crashed = crash::catch(std::panic::AssertUnwindSafe(|| match victim_at {
-                "slab::alloc_block::after_clear" => drop(t.alloc_detectable(64, held[0])),
-                "slab::init::mid" => drop(t.alloc(256)),
-                _ => t.dealloc(last).unwrap(),
-            }))
-            .is_err();
-            crash::disarm();
-            assert!(crashed, "{cell}: the victim never crashed");
-            (t.tid(), held, last)
-        })
-        .join()
-        .unwrap()
-    });
-    // `last` is still held unless the crash was in its free. On a
-    // simulated pod the free that crashed at `after_pop` had cleared its
-    // log with the freed bit still in the victim's cache, so the block
-    // reads allocated (the `crash_labels.rs` cell of the same name).
-    let freed = match victim_at {
-        "slab::free_local::after_set" => true,
-        "slab::push_global::after_pop" => mode.is_none(),
-        _ => false,
-    };
-    if !freed {
-        held.push(last);
+        }
+        Op::HugeFree => target = Some(ledger.alloc(&mut victim, MIB, 1)[0]),
+        Op::HugeCleanup => {
+            let ptrs = ledger.alloc(&mut victim, MIB, 1);
+            ledger.free(&mut victim, &ptrs);
+        }
     }
+    survivor.flush_cache();
+    if cell.quiesced {
+        victim.flush_cache();
+    }
+    ledger.free(&mut victim, &buffered);
+    let dst = first.unwrap_or_else(|| ledger.alloc(&mut victim, 8, 1)[0]);
+
+    let mut op = || match cell.op {
+        op if op.allocates() => victim.alloc_detectable(size, dst).map(Some),
+        Op::HugeCleanup => {
+            victim.cleanup();
+            Ok(None)
+        }
+        _ => victim.dealloc(target.unwrap()).map(|()| None),
+    };
+    let returned = match cell.label {
+        Some(at) => match crash_at(at, 0, op) {
+            Err(signal) => {
+                assert_eq!(signal.at, at);
+                None
+            }
+            Ok(_) => panic!("{cell:?}: the op never reached its label"),
+        },
+        None => {
+            let returned = op().unwrap();
+            // A clean death: the op's effects are durable.
+            victim.flush_cache();
+            returned
+        }
+    };
+    let tid = victim.tid();
+    drop(victim);
     heap.mark_crashed(tid).unwrap();
     if full {
         force_full_walk(&pod, tid.slot());
     }
-
-    crash::arm(CrashPlan { at: recovery_at, skip: 0 });
-    let first = crash::catch(std::panic::AssertUnwindSafe(|| heap.recover(tid, via)));
-    crash::disarm();
-    // An idle log (the `after_pop` victim) ends recovery after sanitize,
-    // before any redo label.
-    let expect_crash = recovery_at == "recovery::after_sanitize" || victim_at != "slab::push_global::after_pop";
-    assert_eq!(first.is_err(), expect_crash, "{cell}");
+    // The survivor keeps working while the victim is dead (paper §3.4.1).
+    let p = survivor.alloc(size).unwrap();
+    survivor.dealloc(p).unwrap();
+    survivor.flush_cache();
+    let via = survivor.core();
+    if let Some(at) = cell.recovery {
+        if crash_at(at, 0, || heap.recover(tid, via)).is_ok() {
+            return None;
+        }
+    }
     let report = heap.recover(tid, via).unwrap();
-    assert_eq!(report.lost_block, None, "{cell}");
-    let mut recovered = Recovered::after(&pod, &heap, via, &report);
-    // The walk to tabulate is the first one that ran to completion.
-    if let Ok(Ok(first)) = &first {
-        recovered.walks = (first.lists_walked.into(), first.lists_repaired.into());
+    if let Some((_, kind)) = report.interrupted {
+        assert_eq!(kind, cell.heap, "{cell:?}: recovery redid another heap's op");
+    }
+    // Every allocation names a detect destination (a huge one is rolled
+    // back), so recovery can always tell whether it was delivered.
+    assert_eq!(report.lost_block, None, "{cell:?}");
+    let outcome = report.outcome;
+    let walks = (report.lists_walked, report.lists_repaired);
+    let image = metadata_image(&pod);
+    let census = match heap.census(via) {
+        Ok(census) => census,
+        Err(e) => {
+            let verdict = Verdict { refusal: Some(e.to_string()), ..Verdict::default() };
+            let stats = heap.stats();
+            let slabs = (stats.small_slabs, stats.large_slabs);
+            return Some(Run { outcome, walks, census: (Vec::new(), 0), verdict, image, slabs });
+        }
+    };
+
+    // Book the op: an allocation is held if it returned or reached its
+    // detect destination; a free is done or redone.
+    if cell.op.allocates() {
+        let delivered = pod.memory().segment().atomic_u64(dst.offset()).load(Ordering::SeqCst);
+        let got = [returned.map(|p| p.offset()), Some(delivered)];
+        ledger.held.extend(got.into_iter().flatten().filter(|&p| p != 0));
+    } else if cell.op != Op::HugeCleanup {
+        ledger.freed(target.unwrap());
+    }
+    let mut verdict = ledger.judge(&census, &[]);
+    let census_list = (census.all_offsets(), census.remote_pending_total());
+    if full {
+        // The full walk is judged by its image and census, which must
+        // equal the targeted walk's; only the targeted heap goes on.
+        return Some(Run { outcome, walks, census: census_list, verdict, image, slabs: (0, 0) });
     }
 
-    heap.check_invariants(via)
-        .unwrap_or_else(|e| panic!("{cell}: invariants: {e}"));
-    let mut expected: Vec<u64> = held.iter().map(|p| p.offset()).collect();
-    expected.sort_unstable();
-    assert_eq!(recovered.census, Ok(expected.clone()), "{cell}");
+    // The adopter serves every class, without handing out a held block.
+    let (mut adopter, _report) = heap.adopt(tid, via).unwrap();
+    let sizes = SMALL_CLASS_SIZES.iter().chain(&LARGE_CLASS_SIZES).map(|&s| s as usize);
+    let sweep: Vec<OffsetPtr> = sizes.chain([4 * MIB]).map(|s| adopter.alloc(s).unwrap()).collect();
+    adopter.flush_cache();
+    let stats = heap.stats();
+    let swept = heap.census(via).unwrap_or_else(|e| panic!("{cell:?}: after the sweep: {e}"));
+    // A held block the sweep hands out again no longer reads free.
+    let after = ledger.judge(&swept, &sweep);
+    assert_eq!(Verdict { reused: 0, ..after.clone() }, verdict, "{cell:?}: the sweep");
+    verdict.reused = after.reused;
+    if verdict == Verdict::default() {
+        // An exact heap drains: once every block is freed, the census
+        // lists only remote frees the slabs' owners have not applied.
+        let held = ledger.held.iter().copied().chain(sweep.iter().map(|p| p.offset()));
+        for p in held.collect::<BTreeSet<u64>>() {
+            adopter.dealloc(OffsetPtr::new(p).unwrap()).unwrap();
+        }
+        adopter.flush_cache();
+        let drained = heap.census(via).unwrap_or_else(|e| panic!("{cell:?}: drained: {e}"));
+        assert_eq!(drained.total() as u64, drained.remote_pending_total(), "{cell:?}: drained");
+    }
+    Some(Run { outcome, walks, census: census_list, verdict, image, slabs: (stats.small_slabs, stats.large_slabs) })
+}
 
-    let (mut adopted, _report) = heap.adopt(tid, via).unwrap();
-    for &size in SMALL_CLASS_SIZES.iter().chain(&LARGE_CLASS_SIZES) {
-        let p = adopted.alloc(size as usize).unwrap();
-        adopted.flush_cache();
-        assert_eq!(heap.census(via).unwrap().total(), expected.len() + 1, "{cell}");
-        adopted.dealloc(p).unwrap();
+/// A churn cell, on a simulated pod: the victim host of a `cxl-drive`
+/// schedule crashes at `at` inside `sched`'s churn (`Step::Crash`,
+/// nothing flushed, after `skip` earlier passes), the survivor keeps
+/// allocating and recovers it, and `sched`'s audited drain ends the run.
+/// These are the states a quiesced victim does not reach: a crash that
+/// takes a whole churn's unflushed lines, at a label's first and third
+/// pass. Both walks must end with the same fingerprint and metadata; on
+/// `None` the run must also replay. Returns the crashes fired and
+/// `(lists_walked, lists_repaired)` of both walks.
+fn churn_cell(mode: HwccMode, at: &'static str, skip: u32) -> (u64, [(u64, u64); 2]) {
+    use cxl_drive::sched::{self, Schedule, SimConfig, Step};
+    let config = SimConfig { mode, ..SimConfig::default() };
+    let schedule = Schedule {
+        seed: 0,
+        hosts: 2,
+        steps: vec![
+            Step::Alloc { host: 0, size: 64 },
+            Step::Crash { host: 1, at, skip },
+            Step::Alloc { host: 0, size: 256 },
+            Step::Alloc { host: 0, size: 4096 },
+            Step::Recover { host: 1, via: 0 },
+            Step::Alloc { host: 1, size: 64 },
+        ],
+    };
+    let run = |full: bool| {
+        let pod = config.pod();
+        if full {
+            // Host 1 registers second, in slot 1.
+            force_full_walk(&pod, 1);
+        }
+        let report = sched::run_on(&pod, &config, &schedule, &[])
+            .unwrap_or_else(|e| panic!("churn {mode:?} {at} skip {skip} (full walk: {full}): {e}"));
+        (report, metadata_image(&pod))
+    };
+    let ((targeted, image), (full, full_image)) = (run(false), run(true));
+    assert_eq!(targeted.fingerprint, full.fingerprint, "churn {mode:?} {at} skip {skip}: the full walk diverged");
+    assert!(image == full_image, "churn {mode:?} {at} skip {skip}: the walks leave different metadata");
+    if mode == HwccMode::None {
+        let replay = sched::run(&config, &schedule, &[]).unwrap();
+        assert_eq!(targeted.fingerprint, replay.fingerprint, "churn {mode:?} {at} skip {skip}: replay diverged");
     }
-    for p in held {
-        adopted.dealloc(p).unwrap();
+    let walks = [&targeted, &full].map(|r| (r.lists_walked, r.lists_repaired));
+    assert_eq!(walks[0].1, walks[1].1, "churn {mode:?} {at} skip {skip}: the full walk repaired a list the targeted one skipped");
+    (targeted.crashes_fired, walks)
+}
+
+/// The crash matrix on one pod (paper §5.1's white-box crash points).
+/// Every label in `crash::known_points()` but recovery's own is fired by
+/// the one op of `OPS` that reaches it, on each heap the op serves,
+/// under the targeted and the forced-full sanitize walk, by a quiesced
+/// victim and, on a simulated pod, by an unquiesced one; each quiesced
+/// cell runs again with the first recovery crashed at each of
+/// recovery's labels. `run_cell` is the one oracle; the two walks of a
+/// cell must also leave byte-identical metadata, the same census and
+/// outcome, and repair the same lists. A cell passes only if its crashes
+/// fired and its verdict is exact or exactly its pin. Every label must
+/// fire in some cell. On a simulated pod the churn column (`churn_cell`)
+/// then crashes `sched`'s churn at every label it passes, at the first
+/// pass and, where it passes again, the third; every such cell must
+/// fire. Its one thread never passes the remote-free labels.
+/// `--nocapture` prints the table.
+fn matrix(mode: Option<HwccMode>) {
+    let pod_name = mode.map_or("raw".to_string(), |m| format!("{m:?}"));
+    let mut known: Vec<(&str, &[&str])> = crash::known_points().into_iter().collect();
+    known.sort();
+    let recovery = crash::known_points()["recovery"];
+    let victim_labels = known.iter().filter(|(list, _)| *list != "recovery").flat_map(|(_, labels)| labels.iter().copied());
+    let mut cells = Vec::new();
+    for label in victim_labels.clone() {
+        let op = Op::of(label);
+        for &heap in op.heaps() {
+            let cell = Cell { label: Some(label), op, heap, mode, quiesced: true, recovery: None };
+            cells.push(cell);
+            cells.extend(recovery.iter().map(|&at| Cell { recovery: Some(at), ..cell }));
+            // A raw pod has no cache for an unflushed setup to die in.
+            if mode.is_some() {
+                cells.push(Cell { quiesced: false, ..cell });
+            }
+        }
     }
-    adopted.flush_cache();
-    heap.check_invariants(via).unwrap();
-    assert_eq!(heap.census(via).unwrap().total(), 0, "{cell}");
-    (recovered, first.is_err())
+    let key = |c: &Cell| (c.op, c.heap, c.quiesced);
+    let mut baselines: Vec<(Cell, (u32, u32))> = Vec::new();
+    for cell in &cells {
+        if !baselines.iter().any(|(b, _)| key(b) == key(cell)) {
+            let baseline = Cell { label: None, recovery: None, ..*cell };
+            baselines.push((baseline, run_cell(&baseline, false).unwrap().slabs));
+        }
+    }
+
+    println!(
+        "crash matrix on {pod_name}: label | heap | victim | recovery crashed at | outcome | verdict | \
+         walked/repaired targeted, full"
+    );
+    let (mut fired, mut exact) = (0, 0);
+    let mut labels_fired = BTreeSet::new();
+    for cell in &cells {
+        let Some(mut targeted) = run_cell(cell, false) else {
+            assert_ne!(cell.recovery, Some("recovery::after_sanitize"), "{cell:?}: every recovery passes it");
+            continue;
+        };
+        let full = run_cell(cell, true).unwrap_or_else(|| panic!("{cell:?}: the full walk never fired"));
+        if let Some(at) = targeted.image.iter().zip(&full.image).position(|(a, b)| a != b) {
+            panic!("{cell:?}: targeted and full walks leave different metadata at byte {at:#x}");
+        }
+        assert_eq!((targeted.outcome, &targeted.census), (full.outcome, &full.census), "{cell:?}");
+        assert_eq!(targeted.walks.1, full.walks.1, "{cell:?}: the full walk repaired a list the targeted one skipped");
+        assert!(targeted.walks.0 <= full.walks.0, "{cell:?}");
+        let base = baselines.iter().find(|(b, _)| key(b) == key(cell)).unwrap().1;
+        if targeted.verdict.refusal.is_none() {
+            targeted.verdict.grown = targeted.slabs.0.saturating_sub(base.0) + targeted.slabs.1.saturating_sub(base.1);
+        }
+        assert_eq!(targeted.verdict, pinned(cell), "{cell:?}");
+        fired += 2;
+        labels_fired.extend(cell.label.into_iter().chain(cell.recovery));
+        let verdict = if targeted.verdict == Verdict::default() {
+            exact += 2;
+            "exact".to_string()
+        } else {
+            format!("pinned {:?}", targeted.verdict)
+        };
+        println!(
+            "  {} | {:?} | {} | {} | {} | {verdict} | {}/{}, {}/{}",
+            cell.label.unwrap(),
+            cell.heap,
+            if cell.quiesced { "quiesced" } else { "unquiesced" },
+            cell.recovery.unwrap_or("-"),
+            targeted.outcome,
+            targeted.walks.0,
+            targeted.walks.1,
+            full.walks.0,
+            full.walks.1
+        );
+    }
+    println!(
+        "crash matrix on {pod_name}: {} cells run, {fired} fired, {exact} with an exact heap, {} pinned",
+        2 * cells.len(),
+        fired - exact
+    );
+    let all: BTreeSet<&str> = known.iter().flat_map(|(_, labels)| labels.iter().copied()).collect();
+    let missing: Vec<&&str> = all.difference(&labels_fired).collect();
+    assert!(missing.is_empty(), "labels no cell fired on {pod_name}: {missing:?}");
+
+    let Some(mode) = mode else { return };
+    println!("churn column on {pod_name}: label | skip | walked/repaired targeted, full");
+    let mut churned = 0;
+    for label in victim_labels.filter(|label| !label.starts_with("slab::remote_free::")) {
+        // The churn passes these once: one huge round, one detectable
+        // allocation.
+        let once = label.starts_with("huge::") || label == "slab::alloc_block::after_deliver";
+        for skip in if once { &[0][..] } else { &[0, 2] } {
+            let (crashes, [targeted, full]) = churn_cell(mode, label, *skip);
+            assert_eq!(crashes, 1, "churn on {pod_name} never reached {label} at skip {skip}");
+            churned += 2;
+            println!("  {label} | {skip} | {}/{}, {}/{}", targeted.0, targeted.1, full.0, full.1);
+        }
+    }
+    println!("churn column on {pod_name}: {churned} cells fired");
+}
+
+#[test]
+fn crash_matrix_raw() {
+    matrix(None);
+}
+
+#[test]
+fn crash_matrix_limited() {
+    matrix(Some(HwccMode::Limited));
+}
+
+#[test]
+fn crash_matrix_none() {
+    matrix(Some(HwccMode::None));
 }

@@ -34,7 +34,7 @@ fn adoption_race_has_exactly_one_winner() {
         let tid = victim.tid();
         let ptr = victim.alloc(128).unwrap();
         drop(victim);
-        assert!(heap.declare_dead(tid).unwrap());
+        assert!(heap.mark_crashed(tid).unwrap());
 
         // A transient burst of device contention hits the racers' CASes
         // (seeded differently per round; short of the breaker trip).
@@ -132,7 +132,7 @@ fn heartbeat_after_steal_is_rejected() {
 
     // The victim "hangs" (keeps its handle, stops heartbeating); a
     // detector declares it dead and a survivor adopts the slot.
-    assert!(heap.declare_dead(tid).unwrap());
+    assert!(heap.mark_crashed(tid).unwrap());
     let (adopted, _) = heap.adopt(tid, CoreId(3)).unwrap();
 
     // The stale incarnation wakes up and heartbeats: typed rejection.

@@ -1,7 +1,8 @@
-//! PR 4 acceptance tests: batched remote frees and fence coalescing.
+//! Batched remote frees and fence coalescing.
 //!
-//! * Crash matrix over the batched publish path
-//!   ([`cxl_core::slab::BATCH_CRASH_POINTS`]): a decrement-by-k must be
+//! * The batched publish path's crash points
+//!   ([`cxl_core::slab::BATCH_CRASH_POINTS`]; every cell of them is in
+//!   `crash_recovery.rs`'s matrix): a decrement-by-k must be
 //!   crash-equivalent to k delayed decrements-by-1 — the logged batch
 //!   width lets recovery redo exactly the undelivered decrement, and
 //!   detect prevents a double decrement when the CAS already landed.
@@ -15,8 +16,7 @@
 
 use cxl_core::bitset::BlockBits;
 use cxl_core::cell::{flags, Detect, SwccHeader};
-use cxl_core::crash::{self, CrashPlan};
-use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr, ThreadId};
+use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -42,76 +42,12 @@ fn batched_options(batch: u32) -> AttachOptions {
     }
 }
 
-/// Runs `victim` on a fresh thread with a crash plan armed; returns the
-/// victim's tid plus whether the crash fired.
-fn crash_thread(
-    heap: &Cxlalloc,
-    plan: CrashPlan,
-    victim: impl FnOnce(&mut cxl_core::ThreadHandle) + Send,
-) -> (ThreadId, bool) {
-    std::thread::scope(|s| {
-        s.spawn(move || {
-            let mut t = heap.register_thread().unwrap();
-            let tid = t.tid();
-            crash::arm(plan);
-            let crashed = crash::catch(std::panic::AssertUnwindSafe(|| victim(&mut t))).is_err();
-            crash::disarm();
-            (tid, crashed)
-        })
-        .join()
-        .unwrap()
-    })
-}
+include!("common/crash.rs");
 
 /// Reads a small-heap slab's HWcc remote counter from durable memory.
 fn remote_counter(pod: &Pod, slab: u32) -> u32 {
     let mem = pod.memory().as_ref();
     Detect::unpack(mem.load_u64(CoreId(13), mem.layout().small.hwcc_desc_at(slab))).payload
-}
-
-/// Crash matrix: every label between buffering and publish, at several
-/// skips, with a live survivor and cross-thread recovery + invariants.
-#[test]
-fn batched_publish_crash_points_recover() {
-    for &point in cxl_core::slab::BATCH_CRASH_POINTS {
-        for skip in [0u32, 10] {
-            let pod = pod();
-            let heap = Cxlalloc::attach(pod.spawn_process(), batched_options(8)).unwrap();
-            let mut producer = heap.register_thread().unwrap();
-            let ptrs: Vec<OffsetPtr> = (0..512).map(|_| producer.alloc(64).unwrap()).collect();
-
-            let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip }, |t| {
-                for p in &ptrs {
-                    t.dealloc(*p).unwrap();
-                }
-            });
-            assert!(crashed, "never reached {point} (skip {skip})");
-            heap.mark_crashed(tid).unwrap();
-
-            // The producer keeps working while the victim is dead.
-            for _ in 0..100 {
-                let p = producer.alloc(64).unwrap();
-                producer.dealloc(p).unwrap();
-            }
-
-            let report = heap.recover(tid, producer.core()).unwrap();
-            assert!(report.interrupted.is_some(), "{point} skip {skip}");
-            heap.check_invariants(producer.core())
-                .unwrap_or_else(|e| panic!("invariants after {point} skip {skip}: {e}"));
-
-            // The adopted slot is fully usable; frees that were still
-            // buffered at the crash were republished from the victim's
-            // durable header line during recovery (see
-            // `buffered_frees_republished_after_crash` for the direct
-            // counter assertion).
-            let (mut adopted, _) = heap.adopt(tid, producer.core()).unwrap();
-            let fresh: Vec<OffsetPtr> = (0..256).map(|_| adopted.alloc(64).unwrap()).collect();
-            for p in fresh {
-                adopted.dealloc(p).unwrap();
-            }
-            heap.check_invariants(adopted.core()).unwrap();
-        }
-    }
 }
 
 /// The batched final publish steals the slab; crashing between the
@@ -123,19 +59,14 @@ fn batched_steal_crash_point_recovers() {
     let mut producer = heap.register_thread().unwrap();
     let ptrs: Vec<OffsetPtr> = (0..512).map(|_| producer.alloc(64).unwrap()).collect();
 
-    let (tid, crashed) = crash_thread(
-        &heap,
-        CrashPlan {
-            at: "slab::remote_free::before_steal_push",
-            skip: 0,
-        },
-        |t| {
-            for p in &ptrs {
-                t.dealloc(*p).unwrap();
-            }
-        },
-    );
-    assert!(crashed, "batched drain never reached the steal");
+    let mut t = heap.register_thread().unwrap();
+    let tid = t.tid();
+    let crashed = crash_at("slab::remote_free::before_steal_push", 0, || {
+        for p in &ptrs {
+            t.dealloc(*p).unwrap();
+        }
+    });
+    assert!(crashed.is_err(), "batched drain never reached the steal");
     heap.mark_crashed(tid).unwrap();
     let slabs_before = heap.stats().small_slabs;
     let (mut adopted, report) = heap.adopt(tid, CoreId(5)).unwrap();
@@ -175,14 +106,16 @@ fn publish_crash_counter_equivalence() {
         let slab = pod.layout().small.slab_of(ptrs[0].offset()).unwrap();
         assert_eq!(remote_counter(&pod, slab), 512);
 
-        let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip: 0 }, |t| {
+        let mut t = heap.register_thread().unwrap();
+        let tid = t.tid();
+        let crashed = crash_at(point, 0, || {
             // The BATCH-th free fills the slab's buffer entry and
             // triggers the publish this plan crashes.
             for p in &ptrs[..BATCH as usize] {
                 t.dealloc(*p).unwrap();
             }
         });
-        assert!(crashed, "never reached {point}");
+        assert!(crashed.is_err(), "never reached {point}");
         assert_eq!(remote_counter(&pod, slab), at_crash, "{point}: counter at crash");
         heap.mark_crashed(tid).unwrap();
         let report = heap.recover(tid, producer.core()).unwrap();
@@ -222,7 +155,9 @@ fn buffered_frees_republished_after_crash() {
         let slab_b = pod.layout().small.slab_of(ptrs[512].offset()).unwrap();
         assert_ne!(slab_a, slab_b);
 
-        let (tid, crashed) = crash_thread(&heap, CrashPlan { at: point, skip: 0 }, |t| {
+        let mut t = heap.register_thread().unwrap();
+        let tid = t.tid();
+        let crashed = crash_at(point, 0, || {
             // 5 buffered frees against A (durably recorded, unpublished)…
             for p in &ptrs[..5] {
                 t.dealloc(*p).unwrap();
@@ -233,7 +168,7 @@ fn buffered_frees_republished_after_crash() {
                 t.dealloc(*p).unwrap();
             }
         });
-        assert!(crashed, "never reached {point}");
+        assert!(crashed.is_err(), "never reached {point}");
         assert_eq!(remote_counter(&pod, slab_a), 512, "{point}: A untouched at crash");
         assert_eq!(remote_counter(&pod, slab_b), b_at_crash, "{point}: B at crash");
 

@@ -943,7 +943,7 @@ fn finish(hosts: &mut [Host], fp: &mut Fingerprint, report: &mut RunReport) -> R
         if !host.hung || host.handle.is_some() {
             continue;
         }
-        let flipped = guard(|| host.heap.declare_dead(host.tid))
+        let flipped = guard(|| host.heap.mark_crashed(host.tid))
             .map_err(|m| format!("declaring hung host {i} dead panicked: {m}"))?
             .map_err(|e| format!("declaring hung host {i} dead: {e}"))?;
         fp.tag("final-declare");

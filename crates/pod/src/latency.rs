@@ -37,10 +37,9 @@
 //! preempted there), and the jitter sequence forks the same way.
 //!
 //! Known exceptions, all in `cxl-core`, all on `CoreId(0)`:
-//! `register_thread`, `mark_crashed`, `declare_dead` and
-//! `Cxlalloc::stats` charge core 0 from whichever thread calls them
-//! (workers register from their own threads while worker 0 may already
-//! be running); the fault handler charges core 0 when it runs on a
+//! `register_thread`, `mark_crashed` and `Cxlalloc::stats` charge
+//! core 0 from whichever thread calls them (workers register from their
+//! own threads while worker 0 may already be running); the fault handler charges core 0 when it runs on a
 //! thread that holds no `ThreadHandle`; and `recover`/`adopt` charge
 //! whatever `via` core the caller names, which some callers
 //! (`fig7_recovery`) give as a literal `CoreId(0)`. A run whose modeled

@@ -1,6 +1,4 @@
-//! Allocation guard for the substrate hot path (sole test in this
-//! binary: the counting allocator below is process-global, so no other
-//! test may run alongside and muddy the count).
+//! Allocation guard for the substrate hot path.
 //!
 //! The perf claim behind the open-addressed cache and the lock-free line
 //! clocks is that a *steady-state* simulated memory operation — cached
@@ -13,27 +11,47 @@
 
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig, PodMemory};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-/// Counts every allocation (alloc, alloc_zeroed, realloc) in the
-/// process. Frees are not counted: releasing memory on the hot path is
-/// as disallowed as acquiring it, but every release implies an earlier
+/// Counts the allocations (alloc, alloc_zeroed, realloc) a thread makes
+/// while it is armed. Only the measuring thread arms itself, so
+/// libtest's own threads, which allocate when the box is loaded, never
+/// reach the count. Frees are not counted: releasing memory on the hot path is as
+/// disallowed as acquiring it, but every release implies an earlier
 /// acquire, so counting acquisitions alone is sufficient.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// `Some(count)` while this thread is measured. A const-initialized
+    /// `Cell` of a `Copy` value: reading it allocates nothing and needs
+    /// no destructor, so the allocator may touch it.
+    static ARMED: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn count() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ARMED.try_with(|armed| armed.set(armed.get().map(|n| n + 1)));
+}
+
+/// Runs `f` with the calling thread armed; returns how many allocations
+/// it made.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    ARMED.with(|armed| armed.set(Some(0)));
+    f();
+    ARMED.with(|armed| armed.replace(None)).unwrap()
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -79,11 +97,16 @@ fn steady_state_substrate_ops_allocate_nothing() {
     // parking_lot set up whatever it sets up lazily.
     churn(mem.as_ref(), core, swcc, hwcc, 64);
 
-    let before = ALLOCS.load(Ordering::SeqCst);
-    churn(mem.as_ref(), core, swcc, hwcc, 4096);
-    let delta = ALLOCS.load(Ordering::SeqCst) - before;
+    let delta = allocations_in(|| churn(mem.as_ref(), core, swcc, hwcc, 4096));
     assert_eq!(
         delta, 0,
         "steady-state load/store/cas/flush path allocated {delta} time(s)"
     );
+}
+
+/// The guard itself: an allocation made by the measured thread counts.
+#[test]
+fn an_allocation_on_the_measured_thread_is_counted() {
+    let delta = allocations_in(|| drop(std::hint::black_box(vec![0u8; 64])));
+    assert_eq!(delta, 1);
 }

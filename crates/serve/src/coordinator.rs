@@ -434,6 +434,10 @@ pub struct RunReport {
     pub drains: Vec<DrainRecord>,
     /// Watchdog stall episodes (revivals and escalations).
     pub stalls: Vec<StallRecord>,
+    /// Timed chaos events that never fired, `(kind, victim slot)`:
+    /// traffic ended while each was due later or held back. Every other
+    /// planned event was signalled.
+    pub unfired: Vec<(Chaos, u32)>,
     /// The final audit.
     pub audit: AuditOutcome,
     /// Threads that observed a stolen lease (raw tids).
@@ -531,13 +535,14 @@ impl RunReport {
         let stalls = list(&self.stalls, |s| {
             format!("{{\"index\":{},\"probes\":{},\"escalated\":{}}}", s.index, s.probes, s.escalated)
         });
+        let unfired = list(&self.unfired, |(kind, slot)| format!("{{\"kind\":\"{}\",\"slot\":{slot}}}", kind.name()));
         format!(
             "{{\n  \"schema\": \"serve-run-v2\",\n  \"elapsed_secs\": {:.3},\n  \
              \"total_ops\": {},\n  \"ops_per_sec\": {:.0},\n  \"p50_ns\": {},\n  \
              \"p99_ns\": {},\n  \"kills\": {},\n  \"forwarded\": {},\n  \
              \"timeouts\": {},\n  \"stolen\": {:?},\n  \"digest\": \"{:016x}\",\n  \
              \"workers\": [{}],\n  \"adoptions\": [{}],\n  \"drains\": [{}],\n  \
-             \"stalls\": [{}],\n  \"audit\": {{\"census_live\": {}, \
+             \"stalls\": [{}],\n  \"unfired\": [{}],\n  \"audit\": {{\"census_live\": {}, \
              \"ledger_live\": {}, \"effective_live\": {}, \"remote_pending\": {}, \
              \"remote_buffered\": {}, \"stranded_forwards\": {}, \
              \"credit_excess\": {}, \
@@ -557,6 +562,7 @@ impl RunReport {
             adoptions,
             drains,
             stalls,
+            unfired,
             self.audit.census_live,
             self.audit.ledger_live,
             self.audit.effective_live,
@@ -768,6 +774,7 @@ fn drive(args: &RunArgs, pod: &Pod, plane: &ControlPlane) -> Result<RunReport, S
         adoptions: m.adoptions,
         drains: m.drains,
         stalls: m.stalls,
+        unfired: m.schedule.into_iter().map(|(_, kind, victim)| (kind, victim)).collect(),
         audit,
         stolen: m.stolen,
         kills: m.kills,
@@ -1119,6 +1126,7 @@ mod tests {
             adoptions: Vec::new(),
             drains: vec![DrainRecord { index: 0, tid: 1, ops: 60, live: 7 }],
             stalls: vec![StallRecord { index: 0, probes: 1, escalated: false }],
+            unfired: vec![(Chaos::Drain, 0)],
             audit: AuditOutcome {
                 census_live: 12,
                 ledger_live: 10,
@@ -1182,6 +1190,7 @@ mod tests {
             "\"schema\": \"serve-run-v2\"",
             "\"drains\": [",
             "\"stalls\": [",
+            "\"unfired\": [{\"kind\":\"drain\",\"slot\":0}]",
             "\"remote_pending\": 2",
             "\"effective_live\": 10",
             "\"stranded_forwards\": 1",

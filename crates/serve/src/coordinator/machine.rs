@@ -116,8 +116,14 @@ struct Proc {
     pid: u32,
     /// `(exit code, lease word)` once reaped.
     exit: Option<(Option<i32>, u64)>,
-    /// A SIGKILL is on its way: no longer a chaos or watchdog target.
-    killed: bool,
+    /// The chaos signal sent to it (by the injector, or the watchdog's
+    /// SIGKILL), while it is still in effect: no chaos target then. A
+    /// stall lasts until the watchdog's SIGCONT, a drain or a kill for
+    /// good (the replacement is the next target). A stopped or draining
+    /// worker still reads RUNNING for a while, and a second SIGTERM would
+    /// merge with the first. After a SIGKILL it is no watchdog target
+    /// either.
+    signalled: Option<Chaos>,
 }
 
 /// One worker slot's bookkeeping.
@@ -136,14 +142,15 @@ struct Slot {
 }
 
 impl Slot {
-    /// A healthy chaos target: started, not mid-adoption, its worker
-    /// past Start and not draining (`STATE` RUNNING), and its child
-    /// alive.
+    /// A healthy slot: started, not mid-adoption, its worker past Start
+    /// and not draining (`STATE` RUNNING), and its child alive and not
+    /// sent a SIGKILL. The watchdog watches it; the injector targets it
+    /// unless an earlier chaos signal is still in effect.
     fn healthy(&self, worker_state: u64) -> bool {
         self.started
             && self.adopting.is_none()
             && worker_state == state::RUNNING
-            && self.child.is_some_and(|c| c.exit.is_none() && !c.killed)
+            && self.child.is_some_and(|c| c.exit.is_none() && c.signalled != Some(Chaos::Kill))
     }
 }
 
@@ -188,7 +195,7 @@ pub(super) struct Coordinator<'a> {
     lanes: Vec<Lane>,
     self_events: SelfEvents,
     /// Timed chaos not yet fired.
-    schedule: Vec<(u64, Chaos, u32)>,
+    pub(super) schedule: Vec<(u64, Chaos, u32)>,
     pub(super) adoptions: Vec<AdoptionRecord>,
     pub(super) drains: Vec<DrainRecord>,
     pub(super) stalls: Vec<StallRecord>,
@@ -248,7 +255,7 @@ impl<'a> Coordinator<'a> {
         match event {
             Event::Spawned { index, pid } => {
                 let slot = &mut self.slots[index as usize];
-                let proc = Proc { pid, exit: None, killed: false };
+                let proc = Proc { pid, exit: None, signalled: None };
                 match slot.adopting {
                     Some(episode) if slot.child.is_none() => slot.racers.push((proc, episode)),
                     _ => slot.child = Some(proc),
@@ -470,11 +477,12 @@ impl<'a> Coordinator<'a> {
                 // Ladder exhausted. SIGKILL works on stopped processes
                 // too; the corpse settles into an adoption.
                 out.push(Action::Signal { pid: child.pid, sig: Chaos::Kill.signal() });
-                child.killed = true;
+                child.signalled = Some(Chaos::Kill);
                 self.stalls[episode].escalated = true;
                 lane.reset(word, now);
             } else {
                 out.push(Action::Signal { pid: child.pid, sig: SIGCONT });
+                child.signalled = child.signalled.filter(|&kind| kind != Chaos::Stall);
                 lane.probes += 1;
                 self.stalls[episode].probes = lane.probes;
                 lane.probe_at = now + (grace << (lane.probes - 1).min(6));
@@ -483,9 +491,9 @@ impl<'a> Coordinator<'a> {
     }
 
     /// The injector. A due event whose slot is unhealthy (mid-replacement)
-    /// waits, and holds back the later events of its kind. A stall is
-    /// never CONTed here: the watchdog's probe is the only revival path,
-    /// so every episode exercises it.
+    /// or still under an earlier event waits, and holds back the later
+    /// events of its kind. A stall is never CONTed here: the watchdog's
+    /// probe is the only revival path, so every episode exercises it.
     fn inject(&mut self, elapsed: u64, probes: &[(u64, u64)], out: &mut Vec<Action>) {
         let mut held: Vec<Chaos> = Vec::new();
         let slots = &mut self.slots;
@@ -494,13 +502,13 @@ impl<'a> Coordinator<'a> {
                 return true;
             }
             let slot = &mut slots[victim as usize];
-            if !slot.healthy(probes[victim as usize].1) {
+            if !slot.healthy(probes[victim as usize].1) || slot.child.is_some_and(|c| c.signalled.is_some()) {
                 held.push(kind);
                 return true;
             }
             let child = slot.child.as_mut().expect("a healthy slot has a child");
             out.push(Action::Signal { pid: child.pid, sig: kind.signal() });
-            child.killed |= kind == Chaos::Kill;
+            child.signalled = Some(kind);
             false
         });
     }
@@ -741,6 +749,34 @@ mod tests {
             vec![Action::Signal { pid: 1, sig: TERM }, Action::Signal { pid: 2, sig: TERM }]
         );
         assert_eq!(sim.tick(2700), vec![], "each event fires once");
+    }
+
+    #[test]
+    fn stalled_slot_is_no_chaos_target_until_its_sigcont() {
+        let args = RunArgs { workers: 1, secs: 100.0, stall_ms: 1000, ..RunArgs::default() };
+        let mut sim = Sim::running(&args);
+        // A stall, then two drains due on slot 0 while it is stopped.
+        sim.m.schedule = vec![(100 * MS, Chaos::Stall, 0), (200 * MS, Chaos::Drain, 0), (300 * MS, Chaos::Drain, 0)];
+        let signal = |pid, kind: Chaos| Action::Signal { pid, sig: kind.signal() };
+        assert_eq!(sim.tick_with(102, vec![(102, RUNNING)]), vec![signal(1, Chaos::Stall)]);
+        // Stopped: the lease stands still, the worker still reads RUNNING.
+        for ms in [150, 250, 350] {
+            assert_eq!(sim.tick_with(ms, vec![(7, RUNNING)]), vec![], "{ms} ms");
+        }
+        // Held, both drains are what the report would call unfired.
+        assert_eq!(sim.m.schedule.len(), 2);
+        // The watchdog's SIGCONT frees the first drain; the second waits
+        // for the drained worker's replacement instead of merging.
+        let cont = Action::Signal { pid: 1, sig: SIGCONT };
+        assert_eq!(sim.tick_with(1150, vec![(7, RUNNING)]), vec![cont, signal(1, Chaos::Drain)]);
+        assert_eq!(sim.tick_with(1160, vec![(lease::FROZEN, state::DRAINED)]), vec![]);
+        sim.msg(0, Msg::Exited { drained: true, ops: 10, live: 0 });
+        sim.reap(0, 1, Some(exit::DRAINED), lease::FROZEN);
+        assert_eq!(sim.tick(1170), vec![Action::Spawn { index: 0, adopt: None, chaos: vec![] }]);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 2, tid: 4 }), vec![start(&args, 0, 1)]);
+        assert_eq!(sim.tick(1180), vec![signal(2, Chaos::Drain)]);
+        assert_eq!(sim.m.drains.len(), 1);
+        assert!(sim.m.schedule.is_empty(), "every planned event fired");
     }
 
     #[test]

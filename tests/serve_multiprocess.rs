@@ -230,7 +230,7 @@ fn stolen_heartbeat_kills_worker_across_processes() {
     // worker dead and win the adoption, which bumps the lease epoch.
     let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).expect("attach");
     let victim = ThreadId::new(victim_tid).expect("worker tid");
-    assert!(heap.declare_dead(victim).expect("declare_dead"));
+    assert!(heap.mark_crashed(victim).expect("mark_crashed"));
     let (_stolen_handle, _report) =
         heap.adopt(victim, CoreId(0)).expect("adopt the live worker's slot");
 
