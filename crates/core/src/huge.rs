@@ -610,6 +610,12 @@ impl HugeHeap {
     pub(crate) fn reconstruct<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> HugeThread {
         let hl = self.hl(ctx.mem);
         let mut st = HugeThread::default();
+        // Descriptor pool: every slot, in descending order so pops hand
+        // out low indices first, built in one allocation; the descriptor
+        // walk below strikes out the linked ones.
+        const LINKED: u32 = u32::MAX;
+        let last = hl.descs_per_thread - 1;
+        st.desc_slots = (0..=last).rev().collect();
         // Free space: all owned regions...
         for r in 0..hl.num_regions {
             if self.region_owner(ctx.mem, ctx.core, r) == ctx.tid.raw() {
@@ -618,25 +624,18 @@ impl HugeHeap {
         }
         // ...minus every linked descriptor's range (free-but-unreclaimed
         // descriptors still hold their space until cleanup).
-        let mut linked = vec![false; hl.descs_per_thread as usize];
         let mut cursor = self.descs_head(ctx, ctx.tid.slot());
         while cursor != 0 {
             let desc = self.read_desc(ctx, cursor);
             st.free.subtract(desc.offset, desc.size);
             if let Some((slot, index)) = hl.desc_owner(cursor) {
                 if slot == ctx.tid.slot() {
-                    linked[index as usize] = true;
+                    st.desc_slots[(last - index) as usize] = LINKED;
                 }
             }
             cursor = desc.next;
         }
-        // Descriptor pool: every unlinked slot, in descending order so
-        // pops hand out low indices first.
-        for index in (0..hl.descs_per_thread).rev() {
-            if !linked[index as usize] {
-                st.desc_slots.push(index);
-            }
-        }
+        st.desc_slots.retain(|&index| index != LINKED);
         st
     }
 }

@@ -26,7 +26,9 @@
 //! its last flush point, and the bit rides to CXL memory on that op's
 //! `begin` writeback. Recovery sanitizes only the lists the mask names
 //! (plus the ones it always walks); the mask is cleared where the
-//! thread's whole cache was just made durable (DESIGN.md §6).
+//! thread's whole cache was just made durable (DESIGN.md §6). The mask
+//! stays 0 on a coherent pod (`HwccMode::Full`), where every store is
+//! durable as it is made.
 
 use crate::cell::LogWord;
 use cxl_pod::{CoreId, PodMemory};
@@ -34,7 +36,8 @@ use cxl_pod::{CoreId, PodMemory};
 /// Number of auxiliary operand words available per entry.
 pub const AUX_WORDS: usize = 5;
 
-/// The log-line word that holds the thread's dirty-list mask.
+/// The log-line word that holds the thread's dirty-list mask (always 0
+/// on a coherent pod).
 pub const DIRTY_WORD: u32 = 7;
 
 /// Handle to one thread's recovery log line.

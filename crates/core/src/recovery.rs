@@ -25,9 +25,9 @@
 //!
 //! The sanitize pass walks, once each, only the dead thread's private
 //! lists the crash could have torn: those its durable dirty-list mask
-//! names (`oplog::DIRTY_WORD`), both unsized lists, and the logged op's
-//! class list. The redo finds the logged slab where that walk recorded
-//! it.
+//! names (`oplog::DIRTY_WORD`; none on a coherent pod), both unsized
+//! lists, and the logged op's class list. The redo finds the logged slab
+//! where that walk recorded it.
 
 use crate::crash;
 use crate::ctx::Ctx;
@@ -149,6 +149,7 @@ pub struct RecoveryReport {
     /// Private lists of the dead thread that sanitize walked: both
     /// unsized lists, the logged op's class list and every list the
     /// durable dirty-list mask names (all 49 without recovery state).
+    /// On a fully coherent pod the mask stays 0, so at most 3.
     pub lists_walked: u32,
     /// Walked lists on which sanitize unlinked a node, rewrote a free
     /// count or finished a full transition.
@@ -300,30 +301,37 @@ fn flush_thread_lines<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) {
 }
 
 /// Visited marks for [`sanitize_list`], one scratch for all the lists of
-/// one recovery: `marks[slab] == stamp` means the list now being walked
-/// has already visited `slab`. Each list walks under its own stamp, so
-/// marks left by earlier lists (of either heap) never match and nothing
-/// is zeroed between lists.
+/// one recovery: one bit per slab, set once the list now being walked
+/// has visited it. `touched` names the bits the current list set, so the
+/// next list clears just those instead of the whole bitmap.
 #[derive(Default)]
 struct Visited {
-    marks: Vec<u8>,
-    stamp: u8,
+    bits: Vec<u64>,
+    touched: Vec<u32>,
 }
 
 impl Visited {
     /// Starts a new list over a heap of `len` slabs.
     fn next_list(&mut self, len: u32) {
-        // 0 is "never visited"; a thread has one list per class and heap.
-        self.stamp = self.stamp.checked_add(1).expect("fewer than 256 private lists");
-        if self.marks.len() < len as usize {
-            self.marks.resize(len as usize, 0);
+        for slab in self.touched.drain(..) {
+            self.bits[slab as usize / 64] &= !(1 << (slab % 64));
+        }
+        let words = len.div_ceil(64) as usize;
+        if self.bits.len() < words {
+            self.bits.resize(words, 0);
         }
     }
 
     /// Marks `slab` (below the `len` given to [`Visited::next_list`]);
     /// returns whether the current list had already visited it.
     fn revisit(&mut self, slab: u32) -> bool {
-        std::mem::replace(&mut self.marks[slab as usize], self.stamp) == self.stamp
+        let (word, bit) = (&mut self.bits[slab as usize / 64], 1 << (slab % 64));
+        let seen = *word & bit != 0;
+        if !seen {
+            *word |= bit;
+            self.touched.push(slab);
+        }
+        seen
     }
 }
 
@@ -347,7 +355,10 @@ struct Place {
 
 /// The dead thread's lists the crash could have torn, as a dirty-list
 /// mask ([`SlabHeap::list_bit`]): every list the durable mask names,
-/// both unsized lists, and the logged op's class list.
+/// both unsized lists, and the logged op's class list. On a fully
+/// coherent pod the mask stays 0 (no store can die with its thread), so
+/// the set is just the lists the in-flight op or an unlogged unsized
+/// edit can have torn.
 ///
 /// A sized list outside that set has had no owner write since the last
 /// point where the thread's whole cache was durable, and nobody else
@@ -628,9 +639,19 @@ fn recover_slab<M: PodMemory + ?Sized>(
                     report.outcome = "remote free completed";
                 }
             } else {
-                // The decrement never landed: redo it, by the logged
-                // batch width (eager records carry b = 0, meaning 1).
-                redo_remote_free(ctx, heap, slab, (entry.word.b as u32).max(1));
+                // The decrement never landed: redo it through the live
+                // publish, by the logged batch width (eager records carry
+                // b = 0, meaning 1). The publish logs the redo under its
+                // own version and retires the slab's durable buffer word
+                // before its CAS, so a rerun of a recovery that dies
+                // after the CAS detects the redo instead of redoing it
+                // again; a rerun after a crash at one of the publish's own
+                // labels finds the redo's record the same way. The view
+                // refresh and the descriptor flush bracket a steal the
+                // publish may do.
+                refresh_slab_view(ctx, heap, slab);
+                heap.publish_remote_frees(ctx, slab, (entry.word.b as u32).max(1));
+                heap.flush_desc(ctx, slab);
                 report.outcome = "remote free redone";
             }
         }
@@ -704,40 +725,6 @@ fn normalize_slab<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab
     heap.set_header(ctx, slab, header);
     heap.push_local(ctx, head_off, slab);
     heap.flush_desc(ctx, slab);
-}
-
-/// Redoes an undelivered remote-free decrement of `width` blocks (the
-/// batch width logged in the record's `b` byte; 1 for eager frees).
-fn redo_remote_free<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, heap: &SlabHeap, slab: u32, width: u32) {
-    let hl = heap.hl(ctx.mem);
-    let dcas = ctx.dcas();
-    loop {
-        let remote = dcas.read(ctx.core, hl.hwcc_desc_at(slab));
-        if remote.payload == 0 {
-            return; // cannot happen for a pending free, but be safe
-        }
-        let k = width.min(remote.payload);
-        let last = remote.payload == k;
-        let version = ctx.log().bump_version(ctx.core);
-        if dcas
-            .attempt(
-                ctx.core,
-                hl.hwcc_desc_at(slab),
-                remote,
-                remote.payload - k,
-                ctx.tid,
-                version,
-            )
-            .is_ok()
-        {
-            if last {
-                refresh_slab_view(ctx, heap, slab);
-                heap.steal(ctx, slab);
-                heap.flush_desc(ctx, slab);
-            }
-            return;
-        }
-    }
 }
 
 fn recover_huge<M: PodMemory + ?Sized>(

@@ -35,7 +35,8 @@
 //! (§3.4.2); `recovery.rs` redoes interrupted steps idempotently. Before
 //! that, `alloc` and `free_local` mark their class's list in the log
 //! line's dirty-list mask (`oplog.rs`), which limits recovery's list
-//! walk to the lists the thread edited since its last flush point.
+//! walk to the lists the thread edited since its last flush point (on a
+//! coherent pod nothing is marked: no edit can die with the thread).
 
 use crate::bitset::BlockBits;
 use crate::cell::{flags, Detect, LogWord, SwccHeader};
@@ -47,7 +48,7 @@ use crate::recovery::Op;
 use crate::remote;
 use crate::remote::RemoteFreeBuffer;
 use cxl_pod::trace::TraceKind;
-use cxl_pod::{CoreId, HeapLayout, PodMemory};
+use cxl_pod::{CoreId, HeapLayout, HwccMode, PodMemory};
 
 /// Crash-point labels compiled into this module (white-box failure
 /// tests iterate these).
@@ -152,12 +153,18 @@ impl SlabHeap {
     /// list or descriptor write. Only the owner marks (its context
     /// carries the mirror), and only a list the mirror lacks: once set,
     /// a bit costs one test per op until the next flush point clears it.
+    ///
+    /// On a fully coherent pod nothing is marked and the mask stays 0:
+    /// no store dies with its thread there, so every list but the ones
+    /// recovery always walks is durably the owner's view at death
+    /// (DESIGN.md §6). On `RawMemory` the mode test is a constant; on a
+    /// simulated pod it is asked only when a bit would be set.
     fn mark_dirty<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, class: u8) {
         let Some(rovers) = ctx.rovers.filter(|_| ctx.recoverable) else {
             return;
         };
         let mask = rovers.dirty() | self.list_bit(Some(class));
-        if mask != rovers.dirty() {
+        if mask != rovers.dirty() && ctx.mem.hwcc_mode() != HwccMode::Full {
             rovers.set_dirty(mask);
             ctx.log().set_dirty(ctx.core, mask);
         }
@@ -921,7 +928,9 @@ impl SlabHeap {
     /// undelivered decrement. `k` is capped at the live payload as a
     /// defense against application double-frees that were never
     /// buffered; a zero payload drops the batch the same way the eager
-    /// path would have rejected each free.
+    /// path would have rejected each free. Recovery redoes an undelivered
+    /// decrement through this same function, so the live publish and the
+    /// redo share one log, retire and CAS order.
     pub(crate) fn publish_remote_frees<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, k: u32) {
         let hl = self.hl(ctx.mem);
         let dcas = ctx.dcas();

@@ -412,7 +412,7 @@ struct Verdict {
 }
 
 /// The cells whose heap is not exact, and what each shows instead: the
-/// one list of pinned exceptions (ROADMAP items 1 and 2). `sim`: a
+/// one list of pinned exceptions (ROADMAP item 1). `sim`: a
 /// simulated pod, where the victim's dirty cache lines die with it.
 fn pinned(cell: &Cell) -> Verdict {
     let sim = cell.mode.is_some();
@@ -421,8 +421,9 @@ fn pinned(cell: &Cell) -> Verdict {
     let verdict = |extra, missing, pending, reused, grown| Verdict { refusal: None, extra, missing, pending, reused, grown };
     let torn = |refusal: &str| Verdict { refusal: Some(refusal.to_string()), ..Verdict::default() };
     let label = cell.label.unwrap_or_default();
-    if !cell.quiesced {
-        // An unquiesced victim loses what it did since its last flush.
+    if !cell.quiesced && sim {
+        // An unquiesced victim on a simulated pod loses what it did
+        // since its last flush.
         // Its destination's allocation, the last, extended the small
         // heap by a fresh 8 B slab whose header dies in the cache: the
         // destination reads free (`missing` 1) and the slab is nobody's,
@@ -467,14 +468,6 @@ fn pinned(cell: &Cell) -> Verdict {
         // does not: sanitize drops it from the sized list, and the slab
         // behind it on that list is on no list.
         ("slab::push_global::after_log" | "slab::push_global::after_cas", _) if sim => verdict(0, 0, 0, 0, 1),
-        // A recovery that dies after redoing a remote free redoes it
-        // again: the redo's new version hides the first one from the
-        // logged version's detect. A batch that drains the slab is safe:
-        // the second redo finds the counter at zero.
-        ("slab::remote_free::after_log", Some("recovery::after_redo")) => verdict(0, 0, 1, 0, 0),
-        ("slab::remote_free::publish_after_log", Some("recovery::after_redo")) if cell.heap == HeapKind::Small => {
-            verdict(0, 0, BATCH.into(), 0, 0)
-        }
         // The re-initialized slab's full bitset dies in the cache: the
         // blocks beyond the old class's count read allocated. The block
         // delivered to the detect destination reads free, and the
@@ -501,7 +494,10 @@ struct Cell {
     /// The victim's setup ends with `flush_cache`, so the op is all that
     /// a crash can take with its cache. An unquiesced victim flushes
     /// nothing, and its last setup op allocates its detect destination:
-    /// the crash can take two ops' lines.
+    /// on a simulated pod the crash can take two ops' lines. On a raw pod
+    /// nothing dies with the victim, but its setup's list edits are not
+    /// behind a flush point: only the coherent-pod rule keeps them out of
+    /// the targeted walk, which these cells compare with the full one.
     quiesced: bool,
     recovery: Option<&'static str>,
 }
@@ -749,8 +745,7 @@ fn churn_cell(mode: HwccMode, at: &'static str, skip: u32) -> (u64, [(u64, u64);
 /// Every label in `crash::known_points()` but recovery's own is fired by
 /// the one op of `OPS` that reaches it, on each heap the op serves,
 /// under the targeted and the forced-full sanitize walk, by a quiesced
-/// victim and, on a simulated pod, by an unquiesced one; each quiesced
-/// cell runs again with the first recovery crashed at each of
+/// victim and by an unquiesced one; each quiesced cell runs again with the first recovery crashed at each of
 /// recovery's labels. `run_cell` is the one oracle; the two walks of a
 /// cell must also leave byte-identical metadata, the same census and
 /// outcome, and repair the same lists. A cell passes only if its crashes
@@ -773,10 +768,7 @@ fn matrix(mode: Option<HwccMode>) {
             let cell = Cell { label: Some(label), op, heap, mode, quiesced: true, recovery: None };
             cells.push(cell);
             cells.extend(recovery.iter().map(|&at| Cell { recovery: Some(at), ..cell }));
-            // A raw pod has no cache for an unflushed setup to die in.
-            if mode.is_some() {
-                cells.push(Cell { quiesced: false, ..cell });
-            }
+            cells.push(Cell { quiesced: false, ..cell });
         }
     }
     let key = |c: &Cell| (c.op, c.heap, c.quiesced);

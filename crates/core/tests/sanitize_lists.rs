@@ -14,8 +14,9 @@
 //! Recovery sanitizes only the lists the dead thread's durable
 //! dirty-list mask names (plus both unsized lists and the logged class),
 //! so every hand edit below also sets its list's bit, as the owner's own
-//! edit of that list would have. The last tests hold the mask to its
-//! lifecycle and its cost.
+//! edit of that list would have on a software-coherent pod (a raw pod's
+//! owner marks nothing). The last tests hold the mask to its
+//! lifecycle, its cost, and its absence on a coherent pod.
 
 use cxl_core::cell::{LogWord, SwccHeader};
 use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASSES_TABLE, SMALL_CLASS_SIZES};
@@ -24,6 +25,8 @@ use cxl_core::slab::SlabHeap;
 use cxl_core::{AttachOptions, Cxlalloc, HeapKind, Op, OffsetPtr, RecoveryReport, ThreadId};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
 use std::sync::atomic::Ordering;
+
+include!("common/crash.rs");
 
 const CLASS_A_SIZE: usize = 64;
 const CLASS_B_SIZE: usize = 128;
@@ -479,4 +482,56 @@ fn without_recovery_state_the_mask_is_inert_and_every_list_is_walked() {
     let mut expected: Vec<u64> = live.iter().map(|p| p.offset()).collect();
     expected.sort_unstable();
     assert_eq!(heap.census(survivor.core()).unwrap().all_offsets(), expected);
+}
+
+/// The lists an adopter walks after a victim that allocated from
+/// `TOUCHED` small classes since it registered (no flush point) dies
+/// inside an allocation of one more class, on a pod of `mode` (`None`:
+/// raw). The adopted heap must pass its checks and, on a coherent pod,
+/// where nothing dies with the victim, hold exactly the victim's blocks.
+fn lists_walked_after_a_wide_victim(mode: Option<HwccMode>) -> u32 {
+    const TOUCHED: usize = 12;
+    let config = PodConfig::small_for_tests();
+    let pod = match mode {
+        None => Pod::new(config),
+        Some(mode) => Pod::with_simulation(config, mode),
+    }
+    .unwrap();
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let mut t = heap.register_thread().unwrap();
+    let mut live: Vec<u64> = SMALL_CLASS_SIZES[..TOUCHED]
+        .iter()
+        .map(|&size| t.alloc(size as usize).unwrap().offset())
+        .collect();
+    let size = SMALL_CLASS_SIZES[TOUCHED] as usize;
+    let crashed = crash_at("slab::alloc_block::after_log", 0, || t.alloc(size));
+    assert!(crashed.is_err(), "{mode:?}: the op passes after_log");
+    let tid = t.tid();
+    drop(t);
+    heap.mark_crashed(tid).unwrap();
+    let (_adopted, report) = heap.adopt(tid, survivor.core()).unwrap();
+    let interrupted = Some((Op::AllocBlock, HeapKind::Small));
+    assert_eq!(report.interrupted, interrupted, "{mode:?}");
+    heap.check_invariants(survivor.core()).unwrap();
+    if pod.memory().hwcc_mode() == HwccMode::Full {
+        live.extend(report.lost_block);
+        live.sort_unstable();
+        let census = heap.census(survivor.core()).unwrap();
+        assert_eq!(census.all_offsets(), live, "{mode:?}");
+    }
+    report.lists_walked
+}
+
+#[test]
+fn a_coherent_pod_walks_only_what_the_in_flight_op_can_have_torn() {
+    // No store dies with its thread, so nothing is marked: both unsized
+    // lists and the logged class, however many classes the victim used.
+    for mode in [None, Some(HwccMode::Full)] {
+        assert_eq!(lists_walked_after_a_wide_victim(mode), 3, "{mode:?}");
+    }
+    // On a software-coherent pod every list the victim edited is marked
+    // and walked: the 12 classes it allocated from and the logged one.
+    let limited = lists_walked_after_a_wide_victim(Some(HwccMode::Limited));
+    assert_eq!(limited, 2 + 12 + 1);
 }

@@ -166,6 +166,7 @@ impl PodMemory for RawMemory {
         &self.segment
     }
 
+    #[inline]
     fn hwcc_mode(&self) -> HwccMode {
         HwccMode::Full
     }
