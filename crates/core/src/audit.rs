@@ -182,14 +182,12 @@ pub fn block_state(mem: &dyn PodMemory, core: CoreId, offset: u64) -> Result<Blo
         if header.flags & flags::SIZED == 0 {
             return Ok(BlockState::Free);
         }
-        let blocks = heap.classes.blocks_per_slab(header.class);
-        let size = heap.classes.block_size(header.class) as u64;
-        let within = offset - hl.slab_data_at(slab);
-        if !within.is_multiple_of(size) || (within / size) as u32 >= blocks {
+        let Some(bit) = heap.classes.index_of(header.class, offset - hl.slab_data_at(slab)) else {
             return Ok(BlockState::Free);
-        }
+        };
+        let blocks = heap.classes.blocks_per_slab(header.class);
         let bits = crate::bitset::BlockBits::new(mem, hl.bitset_at(slab), blocks);
-        return Ok(if bits.get(core, (within / size) as u32) {
+        return Ok(if bits.get(core, bit) {
             BlockState::Free
         } else {
             BlockState::Allocated

@@ -9,6 +9,40 @@
 
 use cxl_pod::{CoreId, PodMemory};
 
+/// One bitset word as a single load read it, and the bit of it an op
+/// tests or flips. The owner's free sets the bit in the word its
+/// double-free test loaded, and its alloc clears the bit in the word
+/// its scan loaded: the bitset is single-writer, so the word cannot
+/// have changed in between, and neither op loads it twice.
+#[derive(Debug, Clone, Copy)]
+pub struct BitWord {
+    /// Segment offset of the word.
+    off: u64,
+    /// The word's value at the load.
+    word: u64,
+    /// The bit's index in the slab.
+    bit: u32,
+}
+
+impl BitWord {
+    /// The bit's index in the slab (its block's index).
+    #[inline]
+    pub fn bit(&self) -> u32 {
+        self.bit
+    }
+
+    /// Whether the bit read set (the block free) at the load.
+    #[inline]
+    pub fn is_set(&self) -> bool {
+        self.word & self.mask() != 0
+    }
+
+    #[inline]
+    fn mask(&self) -> u64 {
+        1 << (self.bit & 63)
+    }
+}
+
 /// A view of one slab's free-block bitset inside the segment.
 pub struct BlockBits<'m, M: PodMemory + ?Sized> {
     mem: &'m M,
@@ -63,7 +97,7 @@ impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
 
     #[inline]
     fn words(&self) -> u32 {
-        self.nbits.div_ceil(64)
+        (self.nbits + 63) >> 6
     }
 
     #[inline]
@@ -71,31 +105,61 @@ impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
         self.base + word as u64 * 8
     }
 
+    /// Loads the word holding bit `bit`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if `bit` is out of range.
+    #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
+    pub fn load(&self, core: CoreId, bit: u32) -> BitWord {
+        debug_assert!(bit < self.nbits);
+        let off = self.word_offset(bit >> 6);
+        BitWord {
+            off,
+            word: self.mem.load_u64(core, off),
+            bit,
+        }
+    }
+
+    /// Stores `loaded`'s word with its bit set (the block freed), without
+    /// loading it again. `loaded` must come from this view, and no store
+    /// to its word may have come between.
+    #[inline]
+    pub fn store_set(&self, core: CoreId, loaded: BitWord) {
+        self.mem.store_u64(core, loaded.off, loaded.word | loaded.mask());
+    }
+
+    /// Stores `loaded`'s word with its bit clear (the block allocated),
+    /// under [`BlockBits::store_set`]'s terms.
+    #[inline]
+    pub fn store_clear(&self, core: CoreId, loaded: BitWord) {
+        self.mem.store_u64(core, loaded.off, loaded.word & !loaded.mask());
+    }
+
     /// Reads bit `bit`.
     ///
     /// # Panics
     ///
     /// Panics (debug) if `bit` is out of range.
+    #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
     pub fn get(&self, core: CoreId, bit: u32) -> bool {
-        debug_assert!(bit < self.nbits);
-        let word = self.mem.load_u64(core, self.word_offset(bit / 64));
-        word & (1 << (bit % 64)) != 0
+        self.load(core, bit).is_set()
     }
 
     /// Sets bit `bit` (marks the block free).
+    #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
     pub fn set(&self, core: CoreId, bit: u32) {
-        debug_assert!(bit < self.nbits);
-        let off = self.word_offset(bit / 64);
-        let word = self.mem.load_u64(core, off);
-        self.mem.store_u64(core, off, word | 1 << (bit % 64));
+        self.store_set(core, self.load(core, bit));
     }
 
     /// Clears bit `bit` (marks the block allocated).
+    #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
     pub fn clear(&self, core: CoreId, bit: u32) {
-        debug_assert!(bit < self.nbits);
-        let off = self.word_offset(bit / 64);
-        let word = self.mem.load_u64(core, off);
-        self.mem.store_u64(core, off, word & !(1 << (bit % 64)));
+        self.store_clear(core, self.load(core, bit));
     }
 
     /// Finds the lowest set (free) bit, if any.
@@ -103,33 +167,47 @@ impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
         self.find_set_from(core, 0)
     }
 
+    /// The bit [`BlockBits::find_from`] finds.
+    #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
+    pub fn find_set_from(&self, core: CoreId, start: u32) -> Option<u32> {
+        self.find_from(core, start).map(|found| found.bit)
+    }
+
     /// Finds the next set (free) bit at or after `start`, wrapping to the
-    /// bits below `start` when the tail holds none — the rover scan. `start` is a *hint*: any value (even out of range, which is
-    /// treated as 0) yields a correct answer, because every candidate
-    /// word is re-read from the durable bitset; only the scan order —
-    /// never the result's validity — depends on it.
+    /// bits below `start` when the tail holds none — the rover scan — and
+    /// returns it with its word as loaded, for
+    /// [`BlockBits::store_clear`]. `start` is a *hint*: any value (even
+    /// out of range, which is treated as 0) yields a correct answer,
+    /// because every candidate word is re-read from the durable bitset;
+    /// only the scan order — never the result's validity — depends on
+    /// it.
     ///
     /// With `start == 0` the word loads are exactly those of the classic
     /// scan-from-zero, so paths that do not carry a rover are
     /// byte-identical in the simulated-traffic model.
-    pub fn find_set_from(&self, core: CoreId, start: u32) -> Option<u32> {
+    #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
+    pub fn find_from(&self, core: CoreId, start: u32) -> Option<BitWord> {
         let words = self.words();
         if words == 0 {
             return None;
         }
-        let (w0, bit0) = if start < self.nbits {
-            (start / 64, start % 64)
+        let (mut w, bit0) = if start < self.nbits {
+            (start >> 6, start & 63)
         } else {
             (0, 0)
         };
+        let tail = self.nbits & 63;
         // When the scan starts mid-word, the first word is visited twice:
         // high bits first, then (after a full wrap) its low bits.
         let extra = (bit0 != 0) as u32;
         for i in 0..words + extra {
-            let w = (w0 + i) % words;
-            let mut word = self.mem.load_u64(core, self.word_offset(w));
-            if w == words - 1 && !self.nbits.is_multiple_of(64) {
-                word &= (1u64 << (self.nbits % 64)) - 1;
+            let off = self.word_offset(w);
+            let loaded = self.mem.load_u64(core, off);
+            let mut word = loaded;
+            if w == words - 1 && tail != 0 {
+                word &= (1u64 << tail) - 1;
             }
             if i == 0 {
                 word &= !0u64 << bit0;
@@ -137,7 +215,15 @@ impl<'m, M: PodMemory + ?Sized> BlockBits<'m, M> {
                 word &= (1u64 << bit0) - 1;
             }
             if word != 0 {
-                return Some(w * 64 + word.trailing_zeros());
+                return Some(BitWord {
+                    off,
+                    word: loaded,
+                    bit: (w << 6) + word.trailing_zeros(),
+                });
+            }
+            w += 1;
+            if w == words {
+                w = 0;
             }
         }
         None

@@ -43,22 +43,62 @@ pub const LARGE_CLASS_SIZES: [u32; LARGE_CLASSES as usize] = [
     512 << 10,
 ];
 
+/// Shift of the block-index reciprocals: `index_of` is exact for
+/// offsets and block sizes below `2^19` (every slab of both heaps).
+const RECIP_SHIFT: u32 = 40;
+
+/// Each class's block count per `slab` bytes, computed at compile time.
+const fn blocks_of<const N: usize>(sizes: [u32; N], slab: u64) -> [u32; N] {
+    let mut out = [0; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = (slab / sizes[i] as u64) as u32;
+        i += 1;
+    }
+    out
+}
+
+/// Each class's reciprocal `ceil(2^RECIP_SHIFT / size)`.
+const fn recips_of<const N: usize>(sizes: [u32; N]) -> [u64; N] {
+    let mut out = [0; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = (1u64 << RECIP_SHIFT).div_ceil(sizes[i] as u64);
+        i += 1;
+    }
+    out
+}
+
+const SMALL_BLOCKS: [u32; SMALL_CLASSES as usize] = blocks_of(SMALL_CLASS_SIZES, SMALL_SLAB_SIZE);
+const LARGE_BLOCKS: [u32; LARGE_CLASSES as usize] = blocks_of(LARGE_CLASS_SIZES, LARGE_SLAB_SIZE);
+const SMALL_RECIPS: [u64; SMALL_CLASSES as usize] = recips_of(SMALL_CLASS_SIZES);
+const LARGE_RECIPS: [u64; LARGE_CLASSES as usize] = recips_of(LARGE_CLASS_SIZES);
+
 /// A size-class table: maps request sizes to classes and back.
+///
+/// The per-class block counts and reciprocals are precomputed, so the
+/// owner's alloc and free paths divide nowhere (`index_of`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClassTable {
     sizes: &'static [u32],
+    blocks: &'static [u32],
+    recips: &'static [u64],
     slab_size: u64,
 }
 
 /// The small heap's class table.
 pub const SMALL_CLASSES_TABLE: ClassTable = ClassTable {
     sizes: &SMALL_CLASS_SIZES,
+    blocks: &SMALL_BLOCKS,
+    recips: &SMALL_RECIPS,
     slab_size: SMALL_SLAB_SIZE,
 };
 
 /// The large heap's class table.
 pub const LARGE_CLASSES_TABLE: ClassTable = ClassTable {
     sizes: &LARGE_CLASS_SIZES,
+    blocks: &LARGE_BLOCKS,
+    recips: &LARGE_RECIPS,
     slab_size: LARGE_SLAB_SIZE,
 };
 
@@ -106,8 +146,33 @@ impl ClassTable {
 
     /// Number of blocks a slab of this heap holds at `class`.
     #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
     pub fn blocks_per_slab(&self, class: u8) -> u32 {
-        (self.slab_size / self.block_size(class) as u64) as u32
+        self.blocks[class as usize]
+    }
+
+    /// The block of `class` that starts `within` bytes into its slab's
+    /// data: `Some(within / size)` when `within` is a multiple of the
+    /// block size and names one of the slab's blocks, `None` for an
+    /// interior pointer or one into the slab's trailing waste.
+    ///
+    /// One multiply by the class's reciprocal `r = ceil(2^40 / size)`
+    /// gives both answers: the high bits of `within * r` are the
+    /// quotient, and the low 40 bits are below `r` exactly when the
+    /// remainder is zero. Both are exact for `within` and `size` below
+    /// `2^19` (Lemire, Kaser and Kurz, *Faster Remainder by Direct
+    /// Computation*, 2019), which every slab offset of both heaps is;
+    /// `index_of_matches_division_everywhere` checks every class at
+    /// every 8-aligned offset.
+    #[inline]
+    #[deny(clippy::integer_division_remainder_used)]
+    pub fn index_of(&self, class: u8, within: u64) -> Option<u32> {
+        debug_assert!(within < self.slab_size);
+        let recip = self.recips[class as usize];
+        let product = within * recip;
+        let index = (product >> RECIP_SHIFT) as u32;
+        let aligned = product & ((1 << RECIP_SHIFT) - 1) < recip;
+        (aligned && index < self.blocks[class as usize]).then_some(index)
     }
 
     /// Internal fragmentation of serving `size` from its class, in bytes.
@@ -171,6 +236,26 @@ mod tests {
         assert_eq!(SMALL_CLASSES_TABLE.blocks_per_slab(27), 32); // 32 KiB / 1 KiB
         assert_eq!(LARGE_CLASSES_TABLE.blocks_per_slab(0), 512); // 512 KiB / 1 KiB
         assert_eq!(LARGE_CLASSES_TABLE.blocks_per_slab(18), 1); // 512 KiB / 512 KiB
+    }
+
+    #[test]
+    fn index_of_matches_division_everywhere() {
+        for table in [&SMALL_CLASSES_TABLE, &LARGE_CLASSES_TABLE] {
+            for class in 0..table.len() as u8 {
+                let size = table.block_size(class) as u64;
+                let blocks = table.blocks_per_slab(class) as u64;
+                assert_eq!(blocks, table.slab_size / size);
+                for within in (0..table.slab_size).step_by(8) {
+                    let expected = (within.is_multiple_of(size) && within / size < blocks)
+                        .then_some((within / size) as u32);
+                    assert_eq!(
+                        table.index_of(class, within),
+                        expected,
+                        "size {size} within {within}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

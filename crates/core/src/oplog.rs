@@ -110,6 +110,7 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     /// Publishes a log entry: auxiliary words first, the operation word
     /// last, then flush + fence so the entry is durable in CXL memory
     /// before the operation's first shared-state effect.
+    #[inline]
     pub fn begin(&self, core: CoreId, word: LogWord, aux: &[u64]) {
         debug_assert!(aux.len() <= AUX_WORDS);
         if !self.enabled {
@@ -130,6 +131,7 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     }
 
     /// Clears the log to idle (operation completed), durably.
+    #[inline]
     pub fn clear(&self, core: CoreId) {
         if !self.enabled {
             return;
@@ -148,6 +150,7 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     /// (DESIGN.md §9.3). Huge-heap ops keep the eager [`OpLog::clear`]:
     /// redoing a completed `HugeAlloc` would roll back a delivered
     /// allocation.
+    #[inline]
     pub fn clear_relaxed(&self, core: CoreId) {
         if !self.coalesce {
             return self.clear(core);

@@ -176,34 +176,40 @@ impl SlabHeap {
     // stay hits until an ownership transition flushes them (§3.2.2). An
     // owner's access also claims the slab's rover slot (`rover.rs`).
 
+    #[inline]
     fn claim_rover<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
         if let Some(rovers) = ctx.rovers {
             rovers.claim(self.kind, slab);
         }
     }
 
+    #[inline]
     pub(crate) fn header<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> SwccHeader {
         self.claim_rover(ctx, slab);
         SwccHeader::unpack(ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab)))
     }
 
+    #[inline]
     pub(crate) fn set_header<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, header: SwccHeader) {
         self.claim_rover(ctx, slab);
         ctx.mem
             .store_u64(ctx.core, self.hl(ctx.mem).swcc_desc_at(slab), header.pack());
     }
 
+    #[inline]
     pub(crate) fn free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> u32 {
         self.claim_rover(ctx, slab);
         ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab)) as u32
     }
 
+    #[inline]
     pub(crate) fn set_free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, count: u32) {
         self.claim_rover(ctx, slab);
         ctx.mem
             .store_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab), count as u64);
     }
 
+    #[inline]
     pub(crate) fn bits<'m, M: PodMemory + ?Sized>(&self, ctx: &Ctx<'m, M>, slab: u32, class: u8) -> BlockBits<'m, M> {
         BlockBits::new(
             ctx.mem,
@@ -575,6 +581,7 @@ impl SlabHeap {
     /// caller will store the resulting pointer into; recovery uses it to
     /// decide whether an interrupted allocation reached the application
     /// (see `recovery.rs`).
+    #[deny(clippy::integer_division_remainder_used)]
     pub(crate) fn alloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, size: usize, detect_dst: u64) -> Result<u64, AllocError> {
         let class = self
             .classes
@@ -592,6 +599,7 @@ impl SlabHeap {
 
     /// Allocates one block from `slab` (the head of the caller's sized
     /// list for `class`), handling the full-slab transition.
+    #[deny(clippy::integer_division_remainder_used)]
     fn alloc_block<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8, detect_dst: u64) -> u64 {
         let bits = self.bits(ctx, slab, class);
         // Next-fit: start the scan at the volatile per-slab rover hint.
@@ -600,9 +608,10 @@ impl SlabHeap {
         // the *chosen* bit, so recovery never depends on scan order. A
         // crash here loses only the hint.
         let hint = ctx.rovers.map_or(0, |rovers| rovers.get(self.kind, slab));
-        let bit = bits
-            .find_set_from(ctx.core, hint)
+        let found = bits
+            .find_from(ctx.core, hint)
             .expect("sized-list invariant: slabs on sized lists are non-full");
+        let bit = found.bit();
         crash::point("slab::alloc_block::rover");
         if let Some(rovers) = ctx.rovers {
             rovers.set(self.kind, slab, bit + 1);
@@ -618,7 +627,8 @@ impl SlabHeap {
             &[detect_dst],
         );
         crash::point("slab::alloc_block::after_log");
-        bits.clear(ctx.core, bit);
+        // The word the scan loaded: only the owner writes it.
+        bits.store_clear(ctx.core, found);
         let remaining = self.free_count(ctx, slab) - 1;
         self.set_free_count(ctx, slab, remaining);
         crash::point("slab::alloc_block::after_clear");
@@ -645,6 +655,7 @@ impl SlabHeap {
     /// store would leak the block. The store goes straight to the
     /// segment: `detect_dst` is application data, written exactly as the
     /// caller would have written it.
+    #[deny(clippy::integer_division_remainder_used)]
     fn finish_alloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, class: u8, bit: u32, detect_dst: u64) -> u64 {
         let block =
             self.hl(ctx.mem).slab_data_at(slab) + bit as u64 * self.classes.block_size(class) as u64;
@@ -689,6 +700,7 @@ impl SlabHeap {
     /// Returns [`AllocError::NotAllocated`] for misaligned interior
     /// pointers, blocks that are already free, or slabs past the heap
     /// length.
+    #[deny(clippy::integer_division_remainder_used)]
     pub(crate) fn dealloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Result<(), AllocError> {
         let hl = self.hl(ctx.mem);
         let slab = hl
@@ -716,6 +728,7 @@ impl SlabHeap {
     /// empty sized slab is a valid Figure-4 state for every checker, and
     /// the policy is live-path only — crash recovery still moves empty
     /// slabs to the unsized list (the paper's transition).
+    #[deny(clippy::integer_division_remainder_used)]
     fn free_local<M: PodMemory + ?Sized>(
         &self,
         ctx: &Ctx<'_, M>,
@@ -723,16 +736,17 @@ impl SlabHeap {
         header: SwccHeader,
         offset: u64,
     ) -> Result<(), AllocError> {
-        let hl = self.hl(ctx.mem);
         let class = header.class;
-        let block_size = self.classes.block_size(class) as u64;
-        let within = offset - hl.slab_data_at(slab);
-        if !within.is_multiple_of(block_size) {
-            return Err(AllocError::NotAllocated { offset });
-        }
-        let bit = (within / block_size) as u32;
+        let within = offset - self.hl(ctx.mem).slab_data_at(slab);
+        let bit = self
+            .classes
+            .index_of(class, within)
+            .ok_or(AllocError::NotAllocated { offset })?;
         let bits = self.bits(ctx, slab, class);
-        if bits.get(ctx.core, bit) {
+        // The word tested here is the word set below: only the owner
+        // writes it.
+        let word = bits.load(ctx.core, bit);
+        if word.is_set() {
             return Err(AllocError::NotAllocated { offset }); // double free
         }
         self.mark_dirty(ctx, class);
@@ -747,12 +761,12 @@ impl SlabHeap {
             &[],
         );
         crash::point("slab::free_local::after_log");
-        let was_full = self.free_count(ctx, slab) == 0;
-        bits.set(ctx.core, bit);
-        let now_free = self.free_count(ctx, slab) + 1;
+        let free = self.free_count(ctx, slab);
+        bits.store_set(ctx.core, word);
+        let now_free = free + 1;
         self.set_free_count(ctx, slab, now_free);
         crash::point("slab::free_local::after_set");
-        if was_full {
+        if free == 0 {
             // It was detached (full + owned + unlinked): re-link it.
             self.push_local(ctx, self.sized_head_off(ctx, class), slab);
         }
@@ -801,13 +815,25 @@ impl SlabHeap {
                     rovers.set(self.kind, slab, bit);
                 }
             }
+        } else {
+            // Only an op that pushed onto the unsized list can have taken
+            // it past the limit.
+            self.release_overflow(ctx);
         }
-        self.release_overflow(ctx);
         Ok(())
     }
 
     /// Releases unsized slabs beyond the configured threshold to the
     /// global free list.
+    ///
+    /// It runs only after an op that pushed onto the caller's unsized
+    /// list — the owner's empty-slab move in `free_local` and the steal
+    /// at the end of a remote free — so the list never exceeds
+    /// `unsized_limit` after a live op, and no other free walks it. The
+    /// one way past the limit is adoption: the slabs recovery parks on
+    /// a dead thread's unsized list stay there, over the limit if there
+    /// are more, until the adopter's next unsized push (or
+    /// `ThreadHandle::flush_local_caches`) releases the surplus.
     pub(crate) fn release_overflow<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) {
         let head_off = self.unsized_head_off(ctx);
         while self.list_len(ctx, head_off, ctx.unsized_limit + 1) > ctx.unsized_limit {

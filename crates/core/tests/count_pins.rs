@@ -9,8 +9,8 @@
 //! `sched::run_on` closes the traced window, after the final quiesce and
 //! before the end-of-run audit, so a checker change moves no row. A
 //! kind's row is therefore its snapshot field less the audit's share:
-//! `FabricSaturated` reads 79 of the congested run's 112 saturated
-//! crossings, 33 of them the audit's.
+//! `FabricSaturated` reads 79 of the congested run's 113 saturated
+//! crossings, 34 of them the audit's.
 //!
 //! Run with `CXL_DUMP_COUNTS=1 cargo test -p cxl-core --test count_pins
 //! -- --nocapture` to print the observed values in the form pinned below.
@@ -115,7 +115,7 @@ fn scripted_schedule() -> Schedule {
 fn scripted_two_host_run_on_limited() {
     let (stats, kinds) = traced_run(&SimConfig::default(), &scripted_schedule(), &[]);
     pin!("scripted", stats, {
-        loads: 4169,
+        loads: 4099,
         stores: 428,
         cas_ok: 127,
         cas_fail: 0,
@@ -123,9 +123,9 @@ fn scripted_two_host_run_on_limited() {
         mcas_fail: 0,
         flushes: 416,
         fences: 236,
-        line_fills: 437,
+        line_fills: 435,
         writebacks: 191,
-        cached_hits: 3451,
+        cached_hits: 3383,
         uncached_ops: 0,
         faults_injected: 0,
         cas_retries: 0,
@@ -141,20 +141,20 @@ fn scripted_two_host_run_on_limited() {
         "scripted",
         &kinds,
         &[
-            (TraceKind::LoadHit, 306, 1299),
-            (TraceKind::LoadFill, 247, 98639),
-            (TraceKind::LoadHwcc, 249, 11053),
-            (TraceKind::StoreDirty, 411, 2182),
-            (TraceKind::StoreHwcc, 17, 703),
-            (TraceKind::CasAttempt, 127, 118877),
-            (TraceKind::LineFill, 280, 0),
+            (TraceKind::LoadHit, 238, 1009),
+            (TraceKind::LoadFill, 245, 98685),
+            (TraceKind::LoadHwcc, 249, 11181),
+            (TraceKind::StoreDirty, 411, 2179),
+            (TraceKind::StoreHwcc, 17, 757),
+            (TraceKind::CasAttempt, 127, 116500),
+            (TraceKind::LineFill, 278, 0),
             (TraceKind::Writeback, 191, 0),
-            (TraceKind::Flush, 207, 23241),
-            (TraceKind::Fence, 161, 4544),
+            (TraceKind::Flush, 207, 23206),
+            (TraceKind::Fence, 161, 4486),
             (TraceKind::SlabAlloc, 26, 0),
             (TraceKind::SlabFree, 16, 0),
             (TraceKind::LeaseRenew, 95, 0),
-            (TraceKind::WritebackKept, 134, 15075),
+            (TraceKind::WritebackKept, 134, 14978),
         ],
     );
 }
@@ -173,7 +173,7 @@ fn liveness_seeds_on_none_with_device_degrade() {
         match seed {
             14 => {
                 pin!(label, stats, {
-                    loads: 1719,
+                    loads: 1702,
                     stores: 193,
                     cas_ok: 21,
                     cas_fail: 0,
@@ -183,7 +183,7 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     fences: 141,
                     line_fills: 263,
                     writebacks: 69,
-                    cached_hits: 1006,
+                    cached_hits: 989,
                     uncached_ops: 481,
                     faults_injected: 20,
                     cas_retries: 20,
@@ -199,23 +199,23 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     &label,
                     &kinds,
                     &[
-                        (TraceKind::LoadHit, 161, 686),
-                        (TraceKind::LoadFill, 106, 42324),
-                        (TraceKind::LoadUncached, 412, 206220),
-                        (TraceKind::StoreDirty, 179, 961),
-                        (TraceKind::StoreUncached, 14, 7393),
+                        (TraceKind::LoadHit, 144, 611),
+                        (TraceKind::LoadFill, 106, 42029),
+                        (TraceKind::LoadUncached, 412, 206893),
+                        (TraceKind::StoreDirty, 179, 953),
+                        (TraceKind::StoreUncached, 14, 7046),
                         (TraceKind::CasRetry, 20, 0),
-                        (TraceKind::CasFallback, 21, 30818),
-                        (TraceKind::McasAttempt, 108, 496977),
-                        (TraceKind::McasRetry, 20, 82752),
+                        (TraceKind::CasFallback, 21, 30547),
+                        (TraceKind::McasAttempt, 108, 503941),
+                        (TraceKind::McasRetry, 20, 80380),
                         (TraceKind::LineFill, 123, 0),
                         (TraceKind::Writeback, 69, 0),
-                        (TraceKind::Flush, 99, 11179),
-                        (TraceKind::Fence, 82, 2309),
+                        (TraceKind::Flush, 99, 11146),
+                        (TraceKind::Fence, 82, 2291),
                         (TraceKind::SlabAlloc, 8, 0),
                         (TraceKind::SlabFree, 3, 0),
                         (TraceKind::LeaseRenew, 103, 0),
-                        (TraceKind::WritebackKept, 56, 6137),
+                        (TraceKind::WritebackKept, 56, 6338),
                         (TraceKind::BreakerTrip, 2, 0),
                         (TraceKind::BreakerHeal, 1, 0),
                     ],
@@ -223,7 +223,7 @@ fn liveness_seeds_on_none_with_device_degrade() {
             }
             40 => {
                 pin!(label, stats, {
-                    loads: 2708,
+                    loads: 2675,
                     stores: 275,
                     cas_ok: 12,
                     cas_fail: 0,
@@ -233,7 +233,7 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     fences: 164,
                     line_fills: 259,
                     writebacks: 105,
-                    cached_hits: 2052,
+                    cached_hits: 2019,
                     uncached_ops: 435,
                     faults_injected: 10,
                     cas_retries: 10,
@@ -249,23 +249,23 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     &label,
                     &kinds,
                     &[
-                        (TraceKind::LoadHit, 197, 837),
-                        (TraceKind::LoadFill, 89, 36254),
-                        (TraceKind::LoadUncached, 359, 179836),
-                        (TraceKind::StoreDirty, 258, 1378),
-                        (TraceKind::StoreUncached, 17, 8998),
+                        (TraceKind::LoadHit, 164, 697),
+                        (TraceKind::LoadFill, 89, 35822),
+                        (TraceKind::LoadUncached, 359, 179568),
+                        (TraceKind::StoreDirty, 258, 1382),
+                        (TraceKind::StoreUncached, 17, 8396),
                         (TraceKind::CasRetry, 10, 0),
-                        (TraceKind::CasFallback, 12, 18278),
-                        (TraceKind::McasAttempt, 93, 672830),
-                        (TraceKind::McasRetry, 10, 24548),
+                        (TraceKind::CasFallback, 12, 17670),
+                        (TraceKind::McasAttempt, 93, 678067),
+                        (TraceKind::McasRetry, 10, 22086),
                         (TraceKind::LineFill, 110, 0),
                         (TraceKind::Writeback, 105, 0),
-                        (TraceKind::Flush, 68, 7633),
-                        (TraceKind::Fence, 97, 2666),
+                        (TraceKind::Flush, 68, 7695),
+                        (TraceKind::Fence, 97, 2728),
                         (TraceKind::SlabAlloc, 13, 0),
                         (TraceKind::SlabFree, 7, 0),
                         (TraceKind::LeaseRenew, 79, 0),
-                        (TraceKind::WritebackKept, 80, 8923),
+                        (TraceKind::WritebackKept, 80, 8717),
                         (TraceKind::BreakerTrip, 1, 0),
                         (TraceKind::BreakerHeal, 1, 0),
                     ],
@@ -290,7 +290,7 @@ fn drop_flush_and_delay_writeback_plan() {
     let schedule = Schedule::generate(17, 2, 40);
     let (stats, kinds) = traced_run(&SimConfig::default(), &schedule, &faults);
     pin!("faults", stats, {
-        loads: 105843,
+        loads: 62758,
         stores: 90021,
         cas_ok: 110,
         cas_fail: 0,
@@ -300,7 +300,7 @@ fn drop_flush_and_delay_writeback_plan() {
         fences: 39329,
         line_fills: 490,
         writebacks: 39256,
-        cached_hits: 105036,
+        cached_hits: 61951,
         uncached_ops: 0,
         faults_injected: 6,
         cas_retries: 0,
@@ -316,21 +316,21 @@ fn drop_flush_and_delay_writeback_plan() {
         "faults",
         &kinds,
         &[
-            (TraceKind::LoadHit, 102284, 434350),
-            (TraceKind::LoadFill, 244, 97872),
-            (TraceKind::LoadHwcc, 337, 14958),
-            (TraceKind::StoreDirty, 89968, 480782),
-            (TraceKind::StoreHwcc, 53, 2364),
-            (TraceKind::CasAttempt, 110, 3434460),
+            (TraceKind::LoadHit, 59199, 251210),
+            (TraceKind::LoadFill, 244, 98059),
+            (TraceKind::LoadHwcc, 337, 14879),
+            (TraceKind::StoreDirty, 89968, 480902),
+            (TraceKind::StoreHwcc, 53, 2339),
+            (TraceKind::CasAttempt, 110, 3334721),
             (TraceKind::LineFill, 320, 0),
             (TraceKind::Writeback, 39256, 0),
-            (TraceKind::Flush, 239, 27147),
-            (TraceKind::FlushDropped, 2, 209),
-            (TraceKind::Fence, 39243, 1091739),
+            (TraceKind::Flush, 239, 27057),
+            (TraceKind::FlushDropped, 2, 207),
+            (TraceKind::Fence, 39243, 1092239),
             (TraceKind::SlabAlloc, 10959, 0),
             (TraceKind::SlabFree, 8550, 0),
             (TraceKind::LeaseRenew, 39, 0),
-            (TraceKind::WritebackKept, 39192, 4390460),
+            (TraceKind::WritebackKept, 39192, 4390857),
         ],
     );
 }
@@ -348,7 +348,7 @@ fn congested_fabric_run() {
     let schedule = Schedule::generate(5, 4, 40);
     let (stats, kinds) = traced_run(&config, &schedule, &[]);
     pin!("congested", stats, {
-        loads: 4556,
+        loads: 4480,
         stores: 417,
         cas_ok: 193,
         cas_fail: 0,
@@ -358,7 +358,7 @@ fn congested_fabric_run() {
         fences: 225,
         line_fills: 426,
         writebacks: 179,
-        cached_hits: 3738,
+        cached_hits: 3662,
         uncached_ops: 0,
         faults_injected: 0,
         cas_retries: 0,
@@ -366,29 +366,29 @@ fn congested_fabric_run() {
         breaker_heals: 0,
         fallback_cas: 0,
         fabric_requests: 544,
-        fabric_queue_ns: 115331,
+        fabric_queue_ns: 115111,
         fabric_service_ns: 59296,
-        fabric_saturated: 112,
+        fabric_saturated: 113,
     });
     pin_kinds(
         "congested",
         &kinds,
         &[
-            (TraceKind::LoadHit, 315, 1337),
-            (TraceKind::LoadFill, 237, 94887),
-            (TraceKind::LoadHwcc, 351, 15694),
+            (TraceKind::LoadHit, 239, 1007),
+            (TraceKind::LoadFill, 237, 95442),
+            (TraceKind::LoadHwcc, 351, 15598),
             (TraceKind::StoreDirty, 397, 2112),
-            (TraceKind::StoreHwcc, 20, 880),
-            (TraceKind::CasAttempt, 193, 263731),
+            (TraceKind::StoreHwcc, 20, 881),
+            (TraceKind::CasAttempt, 193, 264555),
             (TraceKind::LineFill, 264, 0),
             (TraceKind::Writeback, 179, 0),
-            (TraceKind::Flush, 222, 24839),
-            (TraceKind::Fence, 145, 4066),
+            (TraceKind::Flush, 222, 24903),
+            (TraceKind::Fence, 145, 4013),
             (TraceKind::SlabAlloc, 20, 0),
             (TraceKind::SlabFree, 20, 0),
             (TraceKind::LeaseRenew, 160, 0),
-            (TraceKind::WritebackKept, 134, 14604),
-            (TraceKind::FabricQueue, 358, 39699),
+            (TraceKind::WritebackKept, 134, 14883),
+            (TraceKind::FabricQueue, 358, 39580),
             (TraceKind::FabricService, 382, 41638),
             (TraceKind::FabricSaturated, 79, 0),
         ],

@@ -142,7 +142,68 @@ fn empty_slabs_overflow_to_global_list_and_are_reused() {
     heap.check_invariants(b.core()).unwrap();
 }
 
-/// The sized small-heap slabs `tid` owns, as `(class, free blocks)`,
+/// The small-heap slabs on the list whose head holds `raw` (`slab + 1`,
+/// 0: empty), read from the descriptors of a raw pod.
+fn small_list(pod: &Pod, mut raw: u32) -> Vec<u32> {
+    use cxl_core::cell::SwccHeader;
+    let hl = &pod.layout().small;
+    let mut slabs = Vec::new();
+    while let Some(slab) = raw.checked_sub(1) {
+        assert!(slabs.len() <= hl.max_slabs as usize, "cycle in a slab list");
+        slabs.push(slab);
+        raw = SwccHeader::unpack(pod.memory().load_u64(CoreId(0), hl.swcc_desc_at(slab))).next;
+    }
+    slabs
+}
+
+/// Lengths of `tid`'s small unsized list and of the small global list.
+fn unsized_and_global(pod: &Pod, tid: cxl_core::ThreadId) -> (usize, usize) {
+    use cxl_core::cell::Detect;
+    let hl = &pod.layout().small;
+    let mem = pod.memory();
+    let unsized_head = mem.load_u64(CoreId(0), hl.local_unsized_at(tid.slot())) as u32;
+    let global_head = Detect::unpack(mem.load_u64(CoreId(0), hl.global_free)).payload;
+    (small_list(pod, unsized_head).len(), small_list(pod, global_head).len())
+}
+
+#[test]
+fn unsized_list_stays_within_its_limit_after_every_op() {
+    // `release_overflow` runs only after an op pushed onto the unsized
+    // list (a local free's empty-slab move, a steal); the list must
+    // still never exceed `unsized_limit` after a live op, and the
+    // surplus must reach the global list.
+    let (pod, heap) = setup();
+    let limit = AttachOptions::default().unsized_limit as usize;
+    let mut a = heap.register_thread().unwrap();
+    let mut b = heap.register_thread().unwrap();
+    // Nine 512-block slabs of the 64-byte class.
+    let ptrs: Vec<_> = (0..4608).map(|_| a.alloc(64).unwrap()).collect();
+    let slabs = heap.stats().small_slabs;
+    let mut peak = 0;
+    for p in ptrs {
+        a.dealloc(p).unwrap();
+        let (unsized_len, _) = unsized_and_global(&pod, a.tid());
+        assert!(unsized_len <= limit, "a's unsized list holds {unsized_len}");
+        peak = peak.max(unsized_len);
+    }
+    // Hysteresis keeps one emptied slab sized; `limit` stay unsized.
+    assert_eq!(peak, limit);
+    assert_eq!(unsized_and_global(&pod, a.tid()), (limit, 9 - 1 - limit));
+    // Refill all nine (they detach full), then let `b` free every block
+    // remotely: each slab's last free steals it onto `b`'s unsized list.
+    let ptrs: Vec<_> = (0..4608).map(|_| a.alloc(64).unwrap()).collect();
+    assert_eq!(heap.stats().small_slabs, slabs, "the nine slabs are reused");
+    assert_eq!(unsized_and_global(&pod, a.tid()), (0, 0));
+    for p in ptrs {
+        b.dealloc(p).unwrap();
+        let (unsized_len, _) = unsized_and_global(&pod, b.tid());
+        assert!(unsized_len <= limit, "b's unsized list holds {unsized_len}");
+    }
+    assert_eq!(unsized_and_global(&pod, b.tid()), (limit, 9 - limit));
+    heap.check_invariants(b.core()).unwrap();
+}
+
+/// The sized small-heap slabs `tid` owns, as `(class, free blocks)`,/// The sized small-heap slabs `tid` owns, as `(class, free blocks)`,
 /// read from the descriptors of a raw pod (which are always current).
 fn owned_sized_slabs(pod: &Pod, heap: &Cxlalloc, tid: cxl_core::ThreadId) -> Vec<(u8, u32)> {
     use cxl_core::cell::{flags, SwccHeader};
@@ -279,6 +340,50 @@ fn interior_pointer_rejected() {
         Err(AllocError::NotAllocated { .. })
     ));
     t.dealloc(p).unwrap();
+}
+
+#[test]
+fn bad_owner_frees_are_rejected_in_every_class() {
+    // The owner's free finds the block index and rejects a misaligned
+    // pointer with one multiply (`ClassTable::index_of`); check it
+    // rejects an interior pointer, a pointer into the slab's trailing
+    // waste (classes whose size does not divide the slab) and a double
+    // free in every class of both heaps.
+    use cxl_core::class::{LARGE_CLASSES_TABLE, SMALL_CLASSES_TABLE};
+    let pod = Pod::new(PodConfig {
+        large_max_slabs: 32,
+        ..PodConfig::small_for_tests()
+    })
+    .unwrap();
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let mut t = heap.register_thread().unwrap();
+    let rejected = |t: &mut cxl_core::ThreadHandle, offset: u64| {
+        matches!(
+            t.dealloc(OffsetPtr::new(offset).unwrap()),
+            Err(AllocError::NotAllocated { .. })
+        )
+    };
+    // The large heap's first class (1 KiB) is never used: the small
+    // heap serves 1 KiB.
+    for (table, hl, first) in [
+        (SMALL_CLASSES_TABLE, &pod.layout().small, 0),
+        (LARGE_CLASSES_TABLE, &pod.layout().large, 1),
+    ] {
+        for class in first..table.len() as u8 {
+            let size = table.block_size(class) as u64;
+            let p = t.alloc(size as usize).unwrap();
+            assert!(hl.data.contains(p.offset()), "size {size}");
+            assert!(rejected(&mut t, p.offset() + size / 2), "interior, size {size}");
+            let data = hl.slab_data_at(hl.slab_of(p.offset()).unwrap());
+            let end = data + table.blocks_per_slab(class) as u64 * size;
+            if end < data + hl.slab_size {
+                assert!(rejected(&mut t, end), "trailing waste, size {size}");
+            }
+            t.dealloc(p).unwrap();
+            assert!(rejected(&mut t, p.offset()), "double free, size {size}");
+        }
+    }
+    heap.check_invariants(t.core()).unwrap();
 }
 
 #[test]

@@ -144,19 +144,18 @@ fn main() {
         out,
         "\n/// Trace-stream fingerprint of the scripted crash/recovery schedule\n\
          /// (`scenarios::trace_schedule`: tracer armed, 3 hosts, seed 42). Both\n\
-         /// trace pins last moved when the end-of-run audit left the traced\n\
-         /// window: `sched::run_on` disarms the tracer after the final quiesce\n\
-         /// and before `check_invariants`, so the census walk's loads, fills,\n\
-         /// flushes and fences are no longer in the stream. No allocator\n\
-         /// access moved.\n\
+         /// trace pins last moved when the owner's free and alloc stopped\n\
+         /// loading a descriptor word twice and a local free stopped walking\n\
+         /// the unsized list unless it had pushed onto it: loads, hits and\n\
+         /// fills left the stream, and every charge after them shifted; no\n\
+         /// store, CAS, flush, fence or writeback came or went.\n\
          #[allow(dead_code)]\n\
          pub const TRACE_SCRIPTED: u64 = {trace:#018x};\n\n\
          /// Trace-stream fingerprint of the same scripted schedule on a pod with\n\
          /// the congested fabric preset (`FabricConfig::congested()`): pins the\n\
          /// cost determinism of the fabric layer, which schedule fingerprints\n\
          /// (outcomes and offsets only) cannot see. It last moved with\n\
-         /// `TRACE_SCRIPTED`, when the audit's accesses and their fabric\n\
-         /// crossings left the traced window.\n\
+         /// `TRACE_SCRIPTED`, for the same loads.\n\
          #[allow(dead_code)]\n\
          pub const TRACE_CONGESTED: u64 = {trace_congested:#018x};\n"
     );

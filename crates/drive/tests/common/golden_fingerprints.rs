@@ -49,19 +49,18 @@ pub const BATCHED: &[(u64, u64)] = &[
 
 /// Trace-stream fingerprint of the scripted crash/recovery schedule
 /// (`scenarios::trace_schedule`: tracer armed, 3 hosts, seed 42). Both
-/// trace pins last moved when the end-of-run audit left the traced
-/// window: `sched::run_on` disarms the tracer after the final quiesce
-/// and before `check_invariants`, so the census walk's loads, fills,
-/// flushes and fences are no longer in the stream. No allocator
-/// access moved.
+/// trace pins last moved when the owner's free and alloc stopped
+/// loading a descriptor word twice and a local free stopped walking
+/// the unsized list unless it had pushed onto it: loads, hits and
+/// fills left the stream, and every charge after them shifted; no
+/// store, CAS, flush, fence or writeback came or went.
 #[allow(dead_code)]
-pub const TRACE_SCRIPTED: u64 = 0xdf7de983f50dee04;
+pub const TRACE_SCRIPTED: u64 = 0x4896282168027ef6;
 
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
 /// cost determinism of the fabric layer, which schedule fingerprints
 /// (outcomes and offsets only) cannot see. It last moved with
-/// `TRACE_SCRIPTED`, when the audit's accesses and their fabric
-/// crossings left the traced window.
+/// `TRACE_SCRIPTED`, for the same loads.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0x5f839518ad9c5433;
+pub const TRACE_CONGESTED: u64 = 0x1c98a63fd5bf2f02;

@@ -21,7 +21,7 @@ use crate::fault::{FaultInjector, FaultKind, FaultSite};
 use crate::latency::{Clocks, LatencyModel};
 use crate::layout::Layout;
 use crate::nmp::NmpDevice;
-use crate::segment::Segment;
+use crate::segment::{Segment, Span};
 use crate::stats::{Counts, MemStatsSnapshot};
 use crate::trace::{TraceKind, Tracer};
 use crate::CoreId;
@@ -141,7 +141,11 @@ pub trait PodMemory: Send + Sync + std::fmt::Debug {
 /// one-writer load and store (`crate::stats` module docs).
 #[derive(Debug)]
 pub struct RawMemory {
+    /// Keeps `span` valid for as long as the backend exists.
     segment: Arc<Segment>,
+    /// The segment's base and length, cached so an access is one load
+    /// of this field, not a hop through the `Arc`.
+    span: Span,
     layout: Layout,
     counts: Counts,
 }
@@ -151,6 +155,7 @@ impl RawMemory {
     pub fn new(segment: Arc<Segment>, layout: Layout) -> Self {
         RawMemory {
             counts: Counts::new(layout.max_threads as usize),
+            span: segment.span(),
             segment,
             layout,
         }
@@ -173,18 +178,18 @@ impl PodMemory for RawMemory {
 
     #[inline]
     fn load_u64(&self, _core: CoreId, offset: u64) -> u64 {
-        self.segment.atomic_u64(offset).load(Ordering::Acquire)
+        self.span.atomic_u64(offset).load(Ordering::Acquire)
     }
 
     #[inline]
     fn store_u64(&self, _core: CoreId, offset: u64, value: u64) {
-        self.segment.atomic_u64(offset).store(value, Ordering::Release)
+        self.span.atomic_u64(offset).store(value, Ordering::Release)
     }
 
     #[inline]
     fn cas_u64(&self, core: CoreId, offset: u64, current: u64, new: u64) -> Result<u64, u64> {
         let result = self
-            .segment
+            .span
             .atomic_u64(offset)
             .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire);
         let kind = if result.is_ok() {

@@ -33,7 +33,7 @@
 use crate::error::Fault;
 use crate::layout::{HeapLayout, Region};
 use crate::mem::{PodMemory, RawMemory};
-use crate::segment::Segment;
+use crate::segment::{Segment, Span};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,17 +194,6 @@ impl HeapWindow {
     }
 }
 
-/// The segment's base address, cached so a hit does not go through
-/// `dyn PodMemory`.
-struct SegmentBase(*mut u8);
-
-// SAFETY: the pointer names the segment's byte arena, which `Segment`
-// itself shares between threads under the same contract (raw access is
-// the caller's to synchronize). `Process` keeps the `Arc<Segment>` it
-// was taken from alive in the same struct.
-unsafe impl Send for SegmentBase {}
-unsafe impl Sync for SegmentBase {}
-
 /// A simulated process: a private mapping view over the pod's shared
 /// segment.
 pub struct Process {
@@ -212,9 +201,11 @@ pub struct Process {
     memory: Arc<dyn PodMemory>,
     /// `memory` by its concrete type when the pod is a raw one.
     raw: Option<Arc<RawMemory>>,
-    /// Keeps `base` valid for as long as the process exists.
+    /// Keeps `span` valid for as long as the process exists.
     segment: Arc<Segment>,
-    base: SegmentBase,
+    /// The segment's base, cached so a hit does not go through
+    /// `dyn PodMemory`.
+    span: Span,
     small: HeapWindow,
     large: HeapWindow,
     /// Huge-heap mapped ranges (data offsets).
@@ -251,7 +242,7 @@ impl Process {
             "slab heaps extend past the {}-byte segment",
             segment.len()
         );
-        let base = SegmentBase(segment.data_ptr(0, segment.len()));
+        let span = segment.span();
         let small = HeapWindow::new(&layout.small);
         let large = HeapWindow::new(&layout.large);
         Process {
@@ -259,7 +250,7 @@ impl Process {
             memory,
             raw,
             segment,
-            base,
+            span,
             small,
             large,
             huge_maps: RwLock::new(MapSet::new()),
@@ -402,7 +393,7 @@ impl Process {
             // SAFETY: `end <= mapped_end <= limit <= segment.len()` (the
             // last step asserted in `new`), so `base + offset` stays
             // inside the arena `self.segment` keeps alive.
-            return Some(unsafe { self.base.0.add(offset as usize) });
+            return Some(unsafe { self.span.base().add(offset as usize) });
         }
         None
     }

@@ -34,9 +34,55 @@ const SEGMENT_ALIGN: usize = 4096;
 /// device memory every host in the pod maps.
 pub struct Segment {
     backing: Backing,
-    /// Page-aligned base of the usable range.
+    span: Span,
+}
+
+/// A segment's usable range: its page-aligned base and its length. A
+/// copy lets a backend reach a cell with one load of its own field
+/// instead of a hop through the `Arc<Segment>`; whoever holds one must
+/// keep the segment alive.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Span {
     base: *mut u8,
     len: u64,
+}
+
+// SAFETY: the pointer names the segment's byte arena, which `Segment`
+// shares between threads under the same contract (all mutation goes
+// through atomics, or through raw pointers the caller synchronizes).
+unsafe impl Send for Span {}
+unsafe impl Sync for Span {}
+
+impl Span {
+    /// The base address.
+    #[inline]
+    pub(crate) fn base(&self) -> *mut u8 {
+        self.base
+    }
+
+    #[inline]
+    fn check(&self, offset: u64, bytes: u64) {
+        assert!(
+            offset.checked_add(bytes).is_some_and(|end| end <= self.len),
+            "segment access out of bounds: offset {offset} + {bytes} > len {}",
+            self.len
+        );
+    }
+
+    /// Returns the `AtomicU64` cell at `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` is not 8-byte aligned or out of bounds.
+    #[inline]
+    pub(crate) fn atomic_u64(&self, offset: u64) -> &AtomicU64 {
+        self.check(offset, 8);
+        assert_eq!(offset % 8, 0, "unaligned u64 access at offset {offset}");
+        // SAFETY: in-bounds (checked), aligned (checked), and AtomicU64
+        // has the same layout as u64; the holder keeps the segment, and
+        // so the backing memory, alive.
+        unsafe { &*(self.base.add(offset as usize) as *const AtomicU64) }
+    }
 }
 
 /// How the segment's bytes are owned (and therefore released on drop).
@@ -94,8 +140,7 @@ impl Segment {
         let base = unsafe { raw.add(adjust) };
         Ok(Segment {
             backing: Backing::Heap { raw },
-            base,
-            len,
+            span: Span { base, len },
         })
     }
 
@@ -179,31 +224,30 @@ impl Segment {
         }
         Ok(Segment {
             backing: Backing::SharedFile,
-            base: addr as *mut u8,
-            len,
+            span: Span {
+                base: addr as *mut u8,
+                len,
+            },
         })
     }
 
     /// Segment length in bytes.
     #[inline]
     pub fn len(&self) -> u64 {
-        self.len
+        self.span.len
     }
 
     /// Whether the segment is empty (never true for a constructed
     /// segment, provided for API completeness).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.span.len == 0
     }
 
+    /// The segment's base and length, for a holder that keeps it alive.
     #[inline]
-    fn check(&self, offset: u64, bytes: u64) {
-        assert!(
-            offset.checked_add(bytes).is_some_and(|end| end <= self.len),
-            "segment access out of bounds: offset {offset} + {bytes} > len {}",
-            self.len
-        );
+    pub(crate) fn span(&self) -> Span {
+        self.span
     }
 
     /// Returns the `AtomicU64` cell at `offset`.
@@ -213,12 +257,7 @@ impl Segment {
     /// Panics if `offset` is not 8-byte aligned or out of bounds.
     #[inline]
     pub fn atomic_u64(&self, offset: u64) -> &AtomicU64 {
-        self.check(offset, 8);
-        assert_eq!(offset % 8, 0, "unaligned u64 access at offset {offset}");
-        // SAFETY: in-bounds (checked), aligned (checked), and AtomicU64
-        // has the same layout as u64; the backing memory lives as long as
-        // `self`.
-        unsafe { &*(self.base.add(offset as usize) as *const AtomicU64) }
+        self.span.atomic_u64(offset)
     }
 
     /// Relaxed-load convenience used by diagnostics.
@@ -239,9 +278,9 @@ impl Segment {
     /// caller's responsibility (as with real shared memory).
     #[inline]
     pub fn data_ptr(&self, offset: u64, len: u64) -> *mut u8 {
-        self.check(offset, len);
+        self.span.check(offset, len);
         // SAFETY: in-bounds per check above.
-        unsafe { self.base.add(offset as usize) }
+        unsafe { self.span.base.add(offset as usize) }
     }
 
     /// Copies bytes out of the segment.
@@ -272,7 +311,7 @@ impl Drop for Segment {
     fn drop(&mut self) {
         match self.backing {
             Backing::Heap { raw } => {
-                let layout = AllocLayout::from_size_align(self.len as usize + SEGMENT_ALIGN, 8)
+                let layout = AllocLayout::from_size_align(self.span.len as usize + SEGMENT_ALIGN, 8)
                     .expect("layout validated at construction");
                 // SAFETY: `raw` was allocated with the identical layout
                 // in `zeroed`.
@@ -281,7 +320,7 @@ impl Drop for Segment {
             #[cfg(unix)]
             Backing::SharedFile => {
                 // SAFETY: `base`/`len` are exactly the mmap arguments.
-                unsafe { sys::munmap(self.base as *mut std::ffi::c_void, self.len as usize) };
+                unsafe { sys::munmap(self.span.base as *mut std::ffi::c_void, self.span.len as usize) };
             }
         }
     }
@@ -313,7 +352,7 @@ mod sys {
 
 impl std::fmt::Debug for Segment {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Segment").field("len", &self.len).finish()
+        f.debug_struct("Segment").field("len", &self.span.len).finish()
     }
 }
 

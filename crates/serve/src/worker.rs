@@ -527,7 +527,7 @@ fn drain_inbound_burst(
                     let ptr = OffsetPtr::new(offset)
                         .ok_or_else(|| format!("forwarded null offset (home {home} key {key})"))?;
                     handle.dealloc(ptr).map_err(|e| {
-                        format!("forwarded dealloc (home {home} key {key}): {e}")
+                        dealloc_failure(handle, &format!("forwarded dealloc (home {home} key {key})"), offset, e)
                     })?;
                     me.bump_status(status::FORWARDED, 1);
                     budget -= 1;
@@ -737,10 +737,24 @@ fn free_cell(
             return Ok(());
         }
     }
-    handle.dealloc(ptr).map_err(|e| format!("dealloc: {e}"))?;
+    handle
+        .dealloc(ptr)
+        .map_err(|e| dealloc_failure(handle, &format!("dealloc (key {k})"), ptr.offset(), e))?;
     me.bump_status(status::FREES, 1);
     me.ledger_set(k, 0);
     Ok(())
+}
+
+/// A failed dealloc's error line: `what` (the ledger cell's key, and
+/// the home worker of a forwarded free), the error, and what the heap
+/// image says of the block now (`audit::block_state`), so a dying
+/// worker's message tells a block the heap already holds free from a
+/// torn descriptor.
+#[cfg(unix)]
+fn dealloc_failure(handle: &ThreadHandle, what: &str, offset: u64, e: AllocError) -> String {
+    let state = block_state(handle.heap().process().memory().as_ref(), handle.core(), offset)
+        .map_or_else(|probe| format!("unprobeable: {probe}"), |state| format!("{state:?}"));
+    format!("{what}: {e}; block_state {state}")
 }
 
 /// One heartbeat; on a stolen lease, publishes the steal and returns
