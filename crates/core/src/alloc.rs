@@ -369,27 +369,29 @@ impl Cxlalloc {
     fn make_handle(&self, tid: ThreadId) -> ThreadHandle {
         let core = CoreId(tid.slot() as u16);
         CURRENT.with(|c| c.set(Some((tid.raw(), core.0))));
-        // New incarnation: bump the lease epoch so renewals from the
-        // previous owner of this slot can never read as fresh
-        // heartbeats. A plain store suffices — slot ownership was just
-        // linearized by the registry CAS.
-        let mem = self.mem();
-        let lease_off = mem.layout().lease_at(tid.slot());
-        let word = mem.load_u64(core, lease_off);
-        let fresh = lease::next_epoch(word);
-        mem.store_u64(core, lease_off, fresh);
-        // Huge-heap state is always derived from the segment: for a fresh
-        // slot this yields the full descriptor pool and no owned regions;
-        // for an adopted slot it is the §3.4.2 reconstruction.
-        let ctx = self.ctx(mem, tid, core);
-        let huge = self.inner.huge.reconstruct(&ctx);
-        // The dirty-list mirror starts as the durable mask (0 after a
-        // recovery), so the owner's first mark never drops a bit.
-        let dirty = if ctx.recoverable {
-            mem.load_u64(core, mem.layout().log_aux_at(tid.slot(), crate::oplog::DIRTY_WORD))
-        } else {
-            0
-        };
+        let (fresh, huge, dirty) = on_backend!(self, core, |mem| {
+            // New incarnation: bump the lease epoch so renewals from the
+            // previous owner of this slot can never read as fresh
+            // heartbeats. A plain store suffices — slot ownership was
+            // just linearized by the registry CAS.
+            let lease_off = mem.layout().lease_at(tid.slot());
+            let fresh = lease::next_epoch(mem.load_u64(core, lease_off));
+            mem.store_u64(core, lease_off, fresh);
+            // Huge-heap state is always derived from the segment: for a
+            // fresh slot this yields the full descriptor pool and no
+            // owned regions; for an adopted slot it is the §3.4.2
+            // reconstruction.
+            let ctx = self.ctx(mem, tid, core);
+            let huge = self.inner.huge.reconstruct(&ctx);
+            // The dirty-list mirror starts as the durable mask (0 after
+            // a recovery), so the owner's first mark never drops a bit.
+            let dirty = if ctx.recoverable {
+                mem.load_u64(core, mem.layout().log_aux_at(tid.slot(), crate::oplog::DIRTY_WORD))
+            } else {
+                0
+            };
+            (fresh, huge, dirty)
+        });
         ThreadHandle {
             heap: self.clone(),
             tid,

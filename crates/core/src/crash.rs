@@ -86,6 +86,7 @@ pub fn known_points() -> HashMap<&'static str, &'static [&'static str]> {
     map.insert("slab", crate::slab::CRASH_POINTS);
     map.insert("slab_batch", crate::slab::BATCH_CRASH_POINTS);
     map.insert("huge", crate::huge::CRASH_POINTS);
+    map.insert("huge_hint", crate::huge::HINT_CRASH_POINTS);
     map.insert("recovery", crate::recovery::CRASH_POINTS);
     map
 }

@@ -32,6 +32,7 @@ use crate::interval::IntervalTree;
 use crate::recovery::Op;
 use crate::ThreadId;
 use cxl_pod::{CoreId, HugeLayout, PodMemory, PAGE_SIZE};
+use std::ops::Range;
 
 /// Crash-point labels compiled into this module.
 pub const CRASH_POINTS: &[&str] = &[
@@ -45,6 +46,12 @@ pub const CRASH_POINTS: &[&str] = &[
     "huge::free::after_flag",
     "huge::cleanup::after_log",
 ];
+
+/// Crash-point labels of the claimed-region hint's store. Kept out of
+/// [`CRASH_POINTS`] so schedule generation (which indexes that list by
+/// RNG draw) is unperturbed; the crash matrix iterates this list
+/// separately.
+pub const HINT_CRASH_POINTS: &[&str] = &["huge::claim::after_hint"];
 
 /// Volatile per-thread huge-heap state (`HugeLocal.free` plus the
 /// descriptor-slot pool). Reconstructible from the segment.
@@ -60,6 +67,21 @@ pub struct HugeThread {
     /// scan from region 0 before reporting exhaustion, so a stale hint
     /// never hides a free run.
     pub region_rover: u32,
+    /// Every region this thread has ever claimed lies in this range:
+    /// the volatile copy of its durable claimed-region hint
+    /// (`HugeLayout::claimed_at`), which only widens.
+    pub claimed: Range<u32>,
+}
+
+/// Packs a claimed-region range into its hint word: `end` in the high
+/// half, `start` in the low one, so the zeroed word of a slot that never
+/// claimed reads as an empty range.
+fn pack_claimed(range: &Range<u32>) -> u64 {
+    (range.end as u64) << 32 | range.start as u64
+}
+
+fn unpack_claimed(word: u64) -> Range<u32> {
+    word as u32..(word >> 32) as u32
 }
 
 /// A decoded `HugeDesc`.
@@ -198,6 +220,17 @@ impl HugeHeap {
                     &[],
                 );
                 crash::point("huge::claim::after_log");
+                // Widen the durable hint before the CAS can make the
+                // region ours, so reconstruction always scans it.
+                if !st.claimed.contains(&r) {
+                    st.claimed = if st.claimed.is_empty() {
+                        r..r + 1
+                    } else {
+                        st.claimed.start.min(r)..st.claimed.end.max(r + 1)
+                    };
+                    self.write_word(ctx, hl.claimed_at(ctx.tid.slot()), pack_claimed(&st.claimed));
+                    crash::point("huge::claim::after_hint");
+                }
                 if dcas
                     .attempt(
                         ctx.core,
@@ -607,9 +640,20 @@ impl HugeHeap {
 
     /// Deterministically reconstructs `tid`'s volatile state from the
     /// reservation array and its descriptor list (paper §3.4.2).
+    ///
+    /// Only the regions in the thread's claimed-region hint are looked
+    /// up: the hint is widened durably before every claim CAS, so it
+    /// covers every region the thread owns, and a slot that never
+    /// claimed one (every fresh slot: slots never return to FREE) reads
+    /// no reservation cell at all. The hint is loaded without a flush,
+    /// like the dirty-list mask beside it in `Cxlalloc::make_handle`:
+    /// `ctx.core` is the thread's own core, which a crash empties and
+    /// no other thread writes through.
     pub(crate) fn reconstruct<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>) -> HugeThread {
         let hl = self.hl(ctx.mem);
         let mut st = HugeThread::default();
+        let hint = unpack_claimed(ctx.mem.load_u64(ctx.core, hl.claimed_at(ctx.tid.slot())));
+        st.claimed = hint.start.min(hl.num_regions)..hint.end.min(hl.num_regions);
         // Descriptor pool: every slot, in descending order so pops hand
         // out low indices first, built in one allocation; the descriptor
         // walk below strikes out the linked ones.
@@ -617,7 +661,7 @@ impl HugeHeap {
         let last = hl.descs_per_thread - 1;
         st.desc_slots = (0..=last).rev().collect();
         // Free space: all owned regions...
-        for r in 0..hl.num_regions {
+        for r in st.claimed.clone() {
             if self.region_owner(ctx.mem, ctx.core, r) == ctx.tid.raw() {
                 st.free.insert(hl.region_data_at(r), hl.region_size);
             }

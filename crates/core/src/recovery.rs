@@ -26,15 +26,17 @@
 //! The sanitize pass walks, once each, only the dead thread's private
 //! lists the crash could have torn: those its durable dirty-list mask
 //! names (`oplog::DIRTY_WORD`; none on a coherent pod), both unsized
-//! lists, and the logged op's class list. The redo finds the logged slab
-//! where that walk recorded it.
+//! lists, and the logged op's class list. On a coherent pod that last
+//! list is read only where the in-flight op can have written it: its
+//! head and the logged slab (`sanitize_logged_list`). The redo finds the
+//! logged slab where sanitize recorded it.
 
 use crate::crash;
 use crate::ctx::Ctx;
 use crate::error::HeapKind;
 use crate::huge::HugeHeap;
 use crate::slab::SlabHeap;
-use cxl_pod::PodMemory;
+use cxl_pod::{HwccMode, PodMemory};
 
 /// Crash-point labels compiled into recovery itself (white-box tests
 /// crash a recovery and run it again).
@@ -146,10 +148,13 @@ pub struct RecoveryReport {
     /// — reclaim only what the application does not reference. `None`
     /// when recovery rolled the allocation back itself.
     pub lost_block: Option<u64>,
-    /// Private lists of the dead thread that sanitize walked: both
-    /// unsized lists, the logged op's class list and every list the
-    /// durable dirty-list mask names (all 49 without recovery state).
-    /// On a fully coherent pod the mask stays 0, so at most 3.
+    /// Private lists of the dead thread that sanitize read: both unsized
+    /// lists, the logged op's class list and every list the durable
+    /// dirty-list mask names (all 49 without recovery state). On a fully
+    /// coherent pod the mask stays 0, so at most 3, and the logged class
+    /// list counts although sanitize reads only its head and the logged
+    /// slab (and, for a local free into a slab further down the list,
+    /// the headers ahead of it).
     pub lists_walked: u32,
     /// Walked lists on which sanitize unlinked a node, rewrote a free
     /// count or finished a full transition.
@@ -179,6 +184,7 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
         _ => None,
     };
     let walk = walk_set(ctx, &entry);
+    let in_flight = InFlight::of(ctx, &entry);
     let mut report = RecoveryReport {
         interrupted: None,
         outcome: "",
@@ -188,7 +194,8 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
     };
     let mut visited = Visited::default();
     let mut sanitize = |heap: &SlabHeap| {
-        sanitize_slab_lists(ctx, heap, walk, &mut visited, logged_in(heap.kind), &mut report)
+        let in_flight = in_flight.filter(|f| f.kind == heap.kind);
+        sanitize_slab_lists(ctx, heap, walk, &mut visited, logged_in(heap.kind), in_flight, &mut report)
     };
     let small = sanitize(&SlabHeap::small());
     let large = sanitize(&SlabHeap::large());
@@ -301,37 +308,61 @@ fn flush_thread_lines<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) {
 }
 
 /// Visited marks for [`sanitize_list`], one scratch for all the lists of
-/// one recovery: one bit per slab, set once the list now being walked
-/// has visited it. `touched` names the bits the current list set, so the
-/// next list clears just those instead of the whole bitmap.
+/// one recovery: `touched` names the slabs the list now being walked has
+/// visited. A list's first [`Visited::LINEAR`] nodes are looked up there
+/// directly, so a recovery whose lists are all short (on a coherent pod,
+/// every list walked in full is an unsized one) never allocates the
+/// bitmap. A longer list spills its marks into `bits`, one bit per slab,
+/// and the next list clears just the bits it set.
 #[derive(Default)]
 struct Visited {
     bits: Vec<u64>,
     touched: Vec<u32>,
+    spilled: bool,
 }
 
 impl Visited {
-    /// Starts a new list over a heap of `len` slabs.
-    fn next_list(&mut self, len: u32) {
-        for slab in self.touched.drain(..) {
-            self.bits[slab as usize / 64] &= !(1 << (slab % 64));
+    /// Nodes of one list looked up without the bitmap.
+    const LINEAR: usize = 16;
+
+    /// Starts a new list.
+    fn next_list(&mut self) {
+        if self.spilled {
+            for &slab in &self.touched {
+                self.bits[slab as usize / 64] &= !(1 << (slab % 64));
+            }
+            self.spilled = false;
         }
-        let words = len.div_ceil(64) as usize;
-        if self.bits.len() < words {
-            self.bits.resize(words, 0);
-        }
+        self.touched.clear();
     }
 
-    /// Marks `slab` (below the `len` given to [`Visited::next_list`]);
-    /// returns whether the current list had already visited it.
-    fn revisit(&mut self, slab: u32) -> bool {
-        let (word, bit) = (&mut self.bits[slab as usize / 64], 1 << (slab % 64));
-        let seen = *word & bit != 0;
-        if !seen {
-            *word |= bit;
-            self.touched.push(slab);
+    /// Marks `slab` of a heap of `len` slabs (`slab < len`); returns
+    /// whether the current list had already visited it.
+    fn revisit(&mut self, slab: u32, len: u32) -> bool {
+        if !self.spilled {
+            if self.touched.contains(&slab) {
+                return true;
+            }
+            if self.touched.len() == Self::LINEAR {
+                let words = len.div_ceil(64) as usize;
+                if self.bits.len() < words {
+                    self.bits.resize(words, 0);
+                }
+                for &seen in &self.touched {
+                    self.bits[seen as usize / 64] |= 1 << (seen % 64);
+                }
+                self.spilled = true;
+            }
         }
-        seen
+        if self.spilled {
+            let (word, bit) = (&mut self.bits[slab as usize / 64], 1 << (slab % 64));
+            if *word & bit != 0 {
+                return true;
+            }
+            *word |= bit;
+        }
+        self.touched.push(slab);
+        false
     }
 }
 
@@ -353,12 +384,44 @@ struct Place {
     prev: Option<u32>,
 }
 
+/// A block-level op (`InitSlab`, `AllocBlock`, `FreeLocal`) in flight on
+/// a coherent pod, whose class list the durable mask does not name: the
+/// list [`sanitize_logged_list`] reads only where the op can have
+/// written it. A forced or marked list is walked in full.
+#[derive(Debug, Clone, Copy)]
+struct InFlight {
+    op: Op,
+    kind: HeapKind,
+    slab: u32,
+    class: u8,
+    /// The logged bit (`AllocBlock`, `FreeLocal`).
+    bit: u32,
+}
+
+impl InFlight {
+    fn of<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, entry: &crate::oplog::LogEntry) -> Option<Self> {
+        let Some((op @ (Op::InitSlab | Op::AllocBlock | Op::FreeLocal), kind)) = Op::decode(entry.word.op) else {
+            return None;
+        };
+        let class = entry.word.b;
+        let marked = entry.dirty & SlabHeap::of(kind).list_bit(Some(class)) != 0;
+        (ctx.mem.hwcc_mode() == HwccMode::Full && !marked).then_some(InFlight {
+            op,
+            kind,
+            slab: entry.word.a,
+            class,
+            bit: u32::from(entry.word.c),
+        })
+    }
+}
+
 /// The dead thread's lists the crash could have torn, as a dirty-list
 /// mask ([`SlabHeap::list_bit`]): every list the durable mask names,
 /// both unsized lists, and the logged op's class list. On a fully
 /// coherent pod the mask stays 0 (no store can die with its thread), so
 /// the set is just the lists the in-flight op or an unlogged unsized
-/// edit can have torn.
+/// edit can have torn, and the logged class list is read only where the
+/// op wrote it ([`sanitize_logged_list`]).
 ///
 /// A sized list outside that set has had no owner write since the last
 /// point where the thread's whole cache was durable, and nobody else
@@ -381,15 +444,17 @@ fn walk_set<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, entry: &crate::oplog::LogEn
 
 /// Restores the dead thread's private free lists of `heap` that `walk`
 /// names to a state satisfying the list invariants, using only durable
-/// data, and counts them into `report`. Returns the [`Place`] of
-/// `logged` (the slab the log names, when it names one in this heap),
-/// or `None` if no walked list keeps it.
+/// data, and counts them into `report`. `in_flight` is this heap's op in
+/// flight on a coherent pod, whose class list is read only where the op
+/// wrote it. Returns the [`Place`] of `logged` (the slab the log names,
+/// when it names one in this heap), or `None` if no walked list keeps it.
 fn sanitize_slab_lists<M: PodMemory + ?Sized>(
     ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
     walk: u64,
     visited: &mut Visited,
     logged: Option<u32>,
+    in_flight: Option<InFlight>,
     report: &mut RecoveryReport,
 ) -> Option<Place> {
     let hl = heap.hl(ctx.mem);
@@ -408,7 +473,11 @@ fn sanitize_slab_lists<M: PodMemory + ?Sized>(
             None => heap.unsized_head_off(ctx),
             Some(c) => heap.sized_head_off(ctx, c),
         };
-        let (found, repaired) = sanitize_list(ctx, heap, head_off, class, visited, logged);
+        let targeted = in_flight
+            .filter(|f| class == Some(f.class))
+            .and_then(|f| sanitize_logged_list(ctx, heap, head_off, f));
+        let (found, repaired) =
+            targeted.unwrap_or_else(|| sanitize_list(ctx, heap, head_off, class, visited, logged));
         report.lists_walked += 1;
         report.lists_repaired += u32::from(repaired);
         if found.is_some() {
@@ -429,7 +498,9 @@ fn sanitize_slab_lists<M: PodMemory + ?Sized>(
 /// and revisits within this list (stale links can tie cycles) truncate
 /// the remainder. Returns the [`Place`] of `logged` if this list keeps
 /// it, and whether the list needed a repair: an unlink, a rewritten free
-/// count or a finished full transition.
+/// count or a finished full transition. On a coherent pod every list it
+/// walks there is an unsized one, a marked one, or a logged class list
+/// [`sanitize_logged_list`] handed back.
 fn sanitize_list<M: PodMemory + ?Sized>(
     ctx: &Ctx<'_, M>,
     heap: &SlabHeap,
@@ -442,14 +513,14 @@ fn sanitize_list<M: PodMemory + ?Sized>(
     // Read per list, not per recovery: a live thread may extend the heap
     // meanwhile, and the load is part of the simulated op stream.
     let len = heap.len(ctx.mem, ctx.core);
-    visited.next_list(len);
+    visited.next_list();
     let tid_raw = ctx.tid.raw();
     let mut prev: Option<u32> = None;
     let mut place = None;
     let mut repaired = false;
     let mut cursor = (ctx.mem.load_u64(ctx.core, head_off) as u32).checked_sub(1);
     while let Some(slab) = cursor {
-        if slab >= len || visited.revisit(slab) {
+        if slab >= len || visited.revisit(slab, len) {
             unlink_after(ctx, heap, head_off, prev, 0);
             return (place, true);
         }
@@ -492,6 +563,98 @@ fn sanitize_list<M: PodMemory + ?Sized>(
         cursor = header.next.checked_sub(1);
     }
     (place, repaired)
+}
+
+/// Sanitizes the logged class list of an op in flight on a coherent
+/// pod, reading it only where that op can have written it. Every store
+/// made before the op is visible there, so only the op's own edits can
+/// be torn, and each edits the list in one place:
+///
+/// * `InitSlab` pushes the slab onto the list (empty: the owner acquires
+///   only for an empty list); `AllocBlock` pops it off the head when it
+///   goes full. The slab is the head or on no list.
+/// * `FreeLocal` relinks a slab that was full at the head, or unlinks the
+///   slab it empties from wherever it sits. A sized slab the owner holds
+///   is on its list unless it is full, so the slab is on the list before
+///   the free unless the freed block was its only free one.
+///
+/// A recovery that crashed at one of its own labels leaves the same
+/// shapes: its redo unlinks the logged slab and pushes it at a head. So
+/// sanitize reads the head and the logged slab, and recounts only that
+/// slab's bitmap. Only for a `FreeLocal` whose slab sits further down the
+/// list does it walk to it, loading headers only: the redo moves the
+/// slab, so it needs the predecessor. Repairs are the ones
+/// [`sanitize_list`] makes to the logged slab, which is every repair it
+/// can make on such a list: no other node was written since the list was
+/// last whole.
+///
+/// Returns `None`, having written nothing, when the logged slab or that
+/// walk meets a shape no coherent pod leaves (an index past the heap, or
+/// more links than slabs); the caller then walks the whole list.
+fn sanitize_logged_list<M: PodMemory + ?Sized>(
+    ctx: &Ctx<'_, M>,
+    heap: &SlabHeap,
+    head_off: u64,
+    f: InFlight,
+) -> Option<(Option<Place>, bool)> {
+    let hl = heap.hl(ctx.mem);
+    let len = heap.len(ctx.mem, ctx.core);
+    let slab = f.slab;
+    if slab >= len {
+        return None;
+    }
+    let head = (ctx.mem.load_u64(ctx.core, head_off) as u32).checked_sub(1);
+    ctx.mem
+        .flush(ctx.core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
+    ctx.mem.fence(ctx.core);
+    let header = heap.header(ctx, slab);
+    let belongs = header.owner == ctx.tid.raw()
+        && header.flags & crate::cell::flags::SIZED != 0
+        && header.class == f.class;
+    let bits = heap.bits(ctx, slab, f.class);
+    let free = bits.count_set(ctx.core);
+    // Listed: `Some(prev)`, `prev` `None` at the head.
+    let listed = if head == Some(slab) {
+        Some(None)
+    } else if f.op == Op::FreeLocal && belongs && free + u32::from(!bits.get(ctx.core, f.bit)) > 1 {
+        let (mut prev, mut cursor, mut hops) = (None, head, 0);
+        loop {
+            match cursor {
+                None => break None,
+                Some(node) if node >= len || hops >= len => return None,
+                Some(node) if node == slab => break Some(prev),
+                Some(node) => {
+                    prev = Some(node);
+                    hops += 1;
+                    cursor = heap.header(ctx, node).next.checked_sub(1);
+                }
+            }
+        }
+    } else {
+        None
+    };
+    let Some(prev) = listed else {
+        return Some((None, false));
+    };
+    // A head whose header names another list is dropped from this one,
+    // as the full walk drops it.
+    if !belongs {
+        unlink_after(ctx, heap, head_off, None, header.next);
+        return Some((None, true));
+    }
+    let mut repaired = false;
+    if heap.free_count(ctx, slab) != free {
+        heap.set_free_count(ctx, slab, free);
+        repaired = true;
+    }
+    if free == 0 {
+        // Durably full: finish the owner's unlink + detach.
+        heap.full_transition(ctx, slab, f.class);
+        unlink_after(ctx, heap, head_off, prev, header.next);
+        return Some((None, true));
+    }
+    heap.flush_desc(ctx, slab);
+    Some((Some(Place { head_off, prev }), repaired))
 }
 
 /// Points the list at `head_off` past an unlinked node: rewrites the
@@ -808,6 +971,24 @@ mod tests {
         }
         assert_eq!(Op::decode(0), Some((Op::Idle, HeapKind::Small)));
         assert_eq!(Op::decode(99), None);
+    }
+
+    #[test]
+    fn visited_marks_hold_past_the_spill_and_clear_per_list() {
+        let mut visited = Visited::default();
+        for _ in 0..2 {
+            visited.next_list();
+            for slab in (0..120).step_by(3) {
+                assert!(!visited.revisit(slab, 200), "{slab} is new");
+            }
+            for slab in (0..120).step_by(3) {
+                assert!(visited.revisit(slab, 200), "{slab} was visited");
+            }
+            assert!(!visited.revisit(1, 200));
+        }
+        visited.next_list();
+        assert!(!visited.revisit(3, 200), "the next list starts clean");
+        assert!(visited.revisit(3, 200));
     }
 
     #[test]

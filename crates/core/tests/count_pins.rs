@@ -9,8 +9,8 @@
 //! `sched::run_on` closes the traced window, after the final quiesce and
 //! before the end-of-run audit, so a checker change moves no row. A
 //! kind's row is therefore its snapshot field less the audit's share:
-//! `FabricSaturated` reads 79 of the congested run's 113 saturated
-//! crossings, 34 of them the audit's.
+//! `FabricSaturated` reads 70 of the congested run's 103 saturated
+//! crossings, 33 of them the audit's.
 //!
 //! Run with `CXL_DUMP_COUNTS=1 cargo test -p cxl-core --test count_pins
 //! -- --nocapture` to print the observed values in the form pinned below.
@@ -115,16 +115,16 @@ fn scripted_schedule() -> Schedule {
 fn scripted_two_host_run_on_limited() {
     let (stats, kinds) = traced_run(&SimConfig::default(), &scripted_schedule(), &[]);
     pin!("scripted", stats, {
-        loads: 4099,
-        stores: 428,
+        loads: 4006,
+        stores: 430,
         cas_ok: 127,
         cas_fail: 0,
         mcas_ok: 0,
         mcas_fail: 0,
-        flushes: 416,
-        fences: 236,
-        line_fills: 435,
-        writebacks: 191,
+        flushes: 418,
+        fences: 238,
+        line_fills: 440,
+        writebacks: 193,
         cached_hits: 3383,
         uncached_ops: 0,
         faults_injected: 0,
@@ -141,20 +141,20 @@ fn scripted_two_host_run_on_limited() {
         "scripted",
         &kinds,
         &[
-            (TraceKind::LoadHit, 238, 1009),
-            (TraceKind::LoadFill, 245, 98685),
-            (TraceKind::LoadHwcc, 249, 11181),
-            (TraceKind::StoreDirty, 411, 2179),
-            (TraceKind::StoreHwcc, 17, 757),
-            (TraceKind::CasAttempt, 127, 116500),
-            (TraceKind::LineFill, 278, 0),
-            (TraceKind::Writeback, 191, 0),
-            (TraceKind::Flush, 207, 23206),
-            (TraceKind::Fence, 161, 4486),
+            (TraceKind::LoadHit, 238, 1007),
+            (TraceKind::LoadFill, 248, 99077),
+            (TraceKind::LoadHwcc, 153, 6865),
+            (TraceKind::StoreDirty, 413, 2207),
+            (TraceKind::StoreHwcc, 17, 707),
+            (TraceKind::CasAttempt, 127, 116711),
+            (TraceKind::LineFill, 283, 0),
+            (TraceKind::Writeback, 193, 0),
+            (TraceKind::Flush, 209, 23714),
+            (TraceKind::Fence, 163, 4583),
             (TraceKind::SlabAlloc, 26, 0),
             (TraceKind::SlabFree, 16, 0),
             (TraceKind::LeaseRenew, 95, 0),
-            (TraceKind::WritebackKept, 134, 14978),
+            (TraceKind::WritebackKept, 134, 15058),
         ],
     );
 }
@@ -173,18 +173,18 @@ fn liveness_seeds_on_none_with_device_degrade() {
         match seed {
             14 => {
                 pin!(label, stats, {
-                    loads: 1702,
-                    stores: 193,
+                    loads: 1520,
+                    stores: 197,
                     cas_ok: 21,
                     cas_fail: 0,
                     mcas_ok: 108,
                     mcas_fail: 20,
-                    flushes: 215,
-                    fences: 141,
-                    line_fills: 263,
-                    writebacks: 69,
+                    flushes: 219,
+                    fences: 145,
+                    line_fills: 273,
+                    writebacks: 73,
                     cached_hits: 989,
-                    uncached_ops: 481,
+                    uncached_ops: 293,
                     faults_injected: 20,
                     cas_retries: 20,
                     breaker_trips: 2,
@@ -200,22 +200,22 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     &kinds,
                     &[
                         (TraceKind::LoadHit, 144, 611),
-                        (TraceKind::LoadFill, 106, 42029),
-                        (TraceKind::LoadUncached, 412, 206893),
-                        (TraceKind::StoreDirty, 179, 953),
-                        (TraceKind::StoreUncached, 14, 7046),
+                        (TraceKind::LoadFill, 112, 45282),
+                        (TraceKind::LoadUncached, 224, 112001),
+                        (TraceKind::StoreDirty, 183, 969),
+                        (TraceKind::StoreUncached, 14, 7325),
                         (TraceKind::CasRetry, 20, 0),
-                        (TraceKind::CasFallback, 21, 30547),
-                        (TraceKind::McasAttempt, 108, 503941),
-                        (TraceKind::McasRetry, 20, 80380),
-                        (TraceKind::LineFill, 123, 0),
-                        (TraceKind::Writeback, 69, 0),
-                        (TraceKind::Flush, 99, 11146),
-                        (TraceKind::Fence, 82, 2291),
+                        (TraceKind::CasFallback, 21, 32330),
+                        (TraceKind::McasAttempt, 108, 498558),
+                        (TraceKind::McasRetry, 20, 77012),
+                        (TraceKind::LineFill, 133, 0),
+                        (TraceKind::Writeback, 73, 0),
+                        (TraceKind::Flush, 103, 11535),
+                        (TraceKind::Fence, 86, 2350),
                         (TraceKind::SlabAlloc, 8, 0),
                         (TraceKind::SlabFree, 3, 0),
                         (TraceKind::LeaseRenew, 103, 0),
-                        (TraceKind::WritebackKept, 56, 6338),
+                        (TraceKind::WritebackKept, 56, 6530),
                         (TraceKind::BreakerTrip, 2, 0),
                         (TraceKind::BreakerHeal, 1, 0),
                     ],
@@ -223,18 +223,18 @@ fn liveness_seeds_on_none_with_device_degrade() {
             }
             40 => {
                 pin!(label, stats, {
-                    loads: 2675,
-                    stores: 275,
+                    loads: 2522,
+                    stores: 277,
                     cas_ok: 12,
                     cas_fail: 0,
                     mcas_ok: 93,
                     mcas_fail: 10,
-                    flushes: 216,
-                    fences: 164,
-                    line_fills: 259,
-                    writebacks: 105,
+                    flushes: 218,
+                    fences: 166,
+                    line_fills: 265,
+                    writebacks: 107,
                     cached_hits: 2019,
-                    uncached_ops: 435,
+                    uncached_ops: 277,
                     faults_injected: 10,
                     cas_retries: 10,
                     breaker_trips: 1,
@@ -249,23 +249,23 @@ fn liveness_seeds_on_none_with_device_degrade() {
                     &label,
                     &kinds,
                     &[
-                        (TraceKind::LoadHit, 164, 697),
-                        (TraceKind::LoadFill, 89, 35822),
-                        (TraceKind::LoadUncached, 359, 179568),
-                        (TraceKind::StoreDirty, 258, 1382),
-                        (TraceKind::StoreUncached, 17, 8396),
+                        (TraceKind::LoadHit, 164, 696),
+                        (TraceKind::LoadFill, 94, 37407),
+                        (TraceKind::LoadUncached, 201, 100291),
+                        (TraceKind::StoreDirty, 260, 1384),
+                        (TraceKind::StoreUncached, 17, 8543),
                         (TraceKind::CasRetry, 10, 0),
-                        (TraceKind::CasFallback, 12, 17670),
-                        (TraceKind::McasAttempt, 93, 678067),
-                        (TraceKind::McasRetry, 10, 22086),
-                        (TraceKind::LineFill, 110, 0),
-                        (TraceKind::Writeback, 105, 0),
-                        (TraceKind::Flush, 68, 7695),
-                        (TraceKind::Fence, 97, 2728),
+                        (TraceKind::CasFallback, 12, 18304),
+                        (TraceKind::McasAttempt, 93, 670351),
+                        (TraceKind::McasRetry, 10, 22871),
+                        (TraceKind::LineFill, 116, 0),
+                        (TraceKind::Writeback, 107, 0),
+                        (TraceKind::Flush, 70, 8003),
+                        (TraceKind::Fence, 99, 2714),
                         (TraceKind::SlabAlloc, 13, 0),
                         (TraceKind::SlabFree, 7, 0),
                         (TraceKind::LeaseRenew, 79, 0),
-                        (TraceKind::WritebackKept, 80, 8717),
+                        (TraceKind::WritebackKept, 80, 9083),
                         (TraceKind::BreakerTrip, 1, 0),
                         (TraceKind::BreakerHeal, 1, 0),
                     ],
@@ -290,16 +290,16 @@ fn drop_flush_and_delay_writeback_plan() {
     let schedule = Schedule::generate(17, 2, 40);
     let (stats, kinds) = traced_run(&SimConfig::default(), &schedule, &faults);
     pin!("faults", stats, {
-        loads: 62758,
-        stores: 90021,
+        loads: 62636,
+        stores: 90023,
         cas_ok: 110,
         cas_fail: 0,
         mcas_ok: 0,
         mcas_fail: 0,
-        flushes: 39517,
-        fences: 39329,
-        line_fills: 490,
-        writebacks: 39256,
+        flushes: 39519,
+        fences: 39331,
+        line_fills: 495,
+        writebacks: 39258,
         cached_hits: 61951,
         uncached_ops: 0,
         faults_injected: 6,
@@ -316,21 +316,21 @@ fn drop_flush_and_delay_writeback_plan() {
         "faults",
         &kinds,
         &[
-            (TraceKind::LoadHit, 59199, 251210),
-            (TraceKind::LoadFill, 244, 98059),
-            (TraceKind::LoadHwcc, 337, 14879),
-            (TraceKind::StoreDirty, 89968, 480902),
-            (TraceKind::StoreHwcc, 53, 2339),
-            (TraceKind::CasAttempt, 110, 3334721),
-            (TraceKind::LineFill, 320, 0),
-            (TraceKind::Writeback, 39256, 0),
-            (TraceKind::Flush, 239, 27057),
-            (TraceKind::FlushDropped, 2, 207),
-            (TraceKind::Fence, 39243, 1092239),
+            (TraceKind::LoadHit, 59199, 251143),
+            (TraceKind::LoadFill, 248, 100304),
+            (TraceKind::LoadHwcc, 211, 9415),
+            (TraceKind::StoreDirty, 89970, 481002),
+            (TraceKind::StoreHwcc, 53, 2408),
+            (TraceKind::CasAttempt, 110, 3334242),
+            (TraceKind::LineFill, 325, 0),
+            (TraceKind::Writeback, 39258, 0),
+            (TraceKind::Flush, 241, 27469),
+            (TraceKind::FlushDropped, 2, 227),
+            (TraceKind::Fence, 39245, 1091618),
             (TraceKind::SlabAlloc, 10959, 0),
             (TraceKind::SlabFree, 8550, 0),
             (TraceKind::LeaseRenew, 39, 0),
-            (TraceKind::WritebackKept, 39192, 4390857),
+            (TraceKind::WritebackKept, 39192, 4391434),
         ],
     );
 }
@@ -348,16 +348,16 @@ fn congested_fabric_run() {
     let schedule = Schedule::generate(5, 4, 40);
     let (stats, kinds) = traced_run(&config, &schedule, &[]);
     pin!("congested", stats, {
-        loads: 4480,
-        stores: 417,
+        loads: 4356,
+        stores: 419,
         cas_ok: 193,
         cas_fail: 0,
         mcas_ok: 0,
         mcas_fail: 0,
-        flushes: 436,
-        fences: 225,
-        line_fills: 426,
-        writebacks: 179,
+        flushes: 438,
+        fences: 227,
+        line_fills: 431,
+        writebacks: 181,
         cached_hits: 3662,
         uncached_ops: 0,
         faults_injected: 0,
@@ -365,32 +365,32 @@ fn congested_fabric_run() {
         breaker_trips: 0,
         breaker_heals: 0,
         fallback_cas: 0,
-        fabric_requests: 544,
-        fabric_queue_ns: 115111,
-        fabric_service_ns: 59296,
-        fabric_saturated: 113,
+        fabric_requests: 550,
+        fabric_queue_ns: 116615,
+        fabric_service_ns: 59950,
+        fabric_saturated: 103,
     });
     pin_kinds(
         "congested",
         &kinds,
         &[
             (TraceKind::LoadHit, 239, 1007),
-            (TraceKind::LoadFill, 237, 95442),
-            (TraceKind::LoadHwcc, 351, 15598),
-            (TraceKind::StoreDirty, 397, 2112),
-            (TraceKind::StoreHwcc, 20, 881),
-            (TraceKind::CasAttempt, 193, 264555),
-            (TraceKind::LineFill, 264, 0),
-            (TraceKind::Writeback, 179, 0),
-            (TraceKind::Flush, 222, 24903),
-            (TraceKind::Fence, 145, 4013),
+            (TraceKind::LoadFill, 241, 95849),
+            (TraceKind::LoadHwcc, 223, 9919),
+            (TraceKind::StoreDirty, 399, 2123),
+            (TraceKind::StoreHwcc, 20, 906),
+            (TraceKind::CasAttempt, 193, 262272),
+            (TraceKind::LineFill, 269, 0),
+            (TraceKind::Writeback, 181, 0),
+            (TraceKind::Flush, 224, 25037),
+            (TraceKind::Fence, 147, 4075),
             (TraceKind::SlabAlloc, 20, 0),
             (TraceKind::SlabFree, 20, 0),
             (TraceKind::LeaseRenew, 160, 0),
-            (TraceKind::WritebackKept, 134, 14883),
-            (TraceKind::FabricQueue, 358, 39580),
-            (TraceKind::FabricService, 382, 41638),
-            (TraceKind::FabricSaturated, 79, 0),
+            (TraceKind::WritebackKept, 134, 14857),
+            (TraceKind::FabricQueue, 365, 40731),
+            (TraceKind::FabricService, 388, 42292),
+            (TraceKind::FabricSaturated, 70, 0),
         ],
     );
 }
@@ -512,4 +512,61 @@ fn shared_core_zero_charges_are_exact_under_real_threads() {
     // failed CAS and moves on.
     assert_eq!(delta.cas_ok, 2 * THREADS);
     assert_eq!(delta.cas_retries, 0);
+}
+
+/// Loads of one adopt on a `mode` pod with `huge_regions` reservation
+/// cells, of a victim whose 1 KiB list holds `slabs` non-full slabs and
+/// that quiesces, then dies inside an allocation from the list's head
+/// (`slab::alloc_block::after_log`). The victim never claimed a huge
+/// region.
+fn adopt_loads(mode: HwccMode, slabs: usize, huge_regions: u32) -> u64 {
+    let config = PodConfig {
+        huge_regions,
+        ..PodConfig::small_for_tests()
+    };
+    let pod = Pod::with_simulation(config, mode).unwrap();
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let mut t = heap.register_thread().unwrap();
+    let class = cxl_core::class::SMALL_CLASSES_TABLE.class_of(1024).unwrap();
+    let per_slab = cxl_core::class::SMALL_CLASSES_TABLE.blocks_per_slab(class) as usize;
+    // Each slab fills and detaches; freeing its block 0 relinks it.
+    let blocks: Vec<OffsetPtr> = (0..slabs * per_slab).map(|_| t.alloc(1024).unwrap()).collect();
+    for s in 0..slabs {
+        t.dealloc(blocks[s * per_slab]).unwrap();
+    }
+    t.flush_cache();
+    cxl_core::crash::arm(cxl_core::crash::CrashPlan { at: "slab::alloc_block::after_log", skip: 0 });
+    let crashed = cxl_core::crash::catch(std::panic::AssertUnwindSafe(|| t.alloc(1024)));
+    cxl_core::crash::disarm();
+    assert!(crashed.is_err(), "the allocation passes after_log");
+    let tid = t.tid();
+    drop(t);
+    heap.mark_crashed(tid).unwrap();
+    let before = pod.memory().stats().loads;
+    let (_adopted, report) = heap.adopt(tid, survivor.core()).unwrap();
+    let interrupted = Some((cxl_core::Op::AllocBlock, cxl_core::HeapKind::Small));
+    assert_eq!(report.interrupted, interrupted);
+    pod.memory().stats().loads - before
+}
+
+/// One adopt, after the same victim op, at 4 and 32 slabs on the logged
+/// list and 32 and 1 024 reservation cells. On a coherent pod it reads
+/// the logged list's head and slab and no reservation cell, whatever the
+/// list's length or the array's (it read 75, 159, 1 067 and 1 151 loads
+/// when it walked the whole list and scanned every cell). On `Limited`
+/// the mask names the logged list, which is walked in full, so its
+/// loads still grow with the list: each is the full walk's less the
+/// reservation scan, plus the claimed-region hint's one load.
+#[test]
+fn a_coherent_adopt_reads_as_much_at_any_heap_size_and_region_count() {
+    let shapes = [(4, 32), (32, 32), (4, 1024), (32, 1024)];
+    let full = shapes.map(|(slabs, regions)| adopt_loads(HwccMode::Full, slabs, regions));
+    let limited = shapes.map(|(slabs, regions)| adopt_loads(HwccMode::Limited, slabs, regions));
+    if dumping() {
+        println!("adopt loads: Full {full:?}, Limited {limited:?}");
+        return;
+    }
+    assert_eq!(full, [35; 4], "Full: [4 slabs, 32 slabs] x [32 regions, 1024 regions]");
+    assert_eq!(limited, [44, 128, 44, 128], "Limited: [4 slabs, 32 slabs] x [32 regions, 1024 regions]");
 }

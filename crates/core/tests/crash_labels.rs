@@ -59,3 +59,55 @@ fn every_crash_label_is_listed_exactly_once_and_every_listed_label_exists() {
     }
     assert!(problems.is_empty(), "{}", problems.join("\n"));
 }
+
+/// `slab::CRASH_POINTS` and `huge::CRASH_POINTS`, in order. The
+/// `crash_recover` benchmark builds its label cycle from the slab list
+/// (`benchmark/src/workloads/crash_recover.rs::labels`), and
+/// `cxl-drive`'s schedule generator draws from both lists by index, so
+/// adding, removing or reordering a label changes the benchmark's script
+/// and every generated schedule, not just the code under test. A new
+/// crash point goes in a list of its own, as
+/// `slab::BATCH_CRASH_POINTS` and `huge::HINT_CRASH_POINTS` do.
+#[test]
+fn the_lists_that_scripts_draw_from_do_not_move() {
+    assert_eq!(
+        cxl_core::slab::CRASH_POINTS,
+        [
+            "slab::alloc_block::rover",
+            "slab::alloc_block::after_log",
+            "slab::alloc_block::after_clear",
+            "slab::alloc_block::after_deliver",
+            "slab::alloc_block::after_unlink",
+            "slab::alloc_block::after_transition",
+            "slab::free_local::after_log",
+            "slab::free_local::after_set",
+            "slab::free_local::after_relink",
+            "slab::remote_free::after_log",
+            "slab::remote_free::after_cas",
+            "slab::remote_free::before_steal_push",
+            "slab::init::after_log",
+            "slab::init::mid",
+            "slab::pop_global::after_log",
+            "slab::pop_global::after_cas",
+            "slab::push_global::after_log",
+            "slab::push_global::after_pop",
+            "slab::push_global::after_cas",
+            "slab::extend::after_log",
+            "slab::extend::after_cas",
+        ]
+    );
+    assert_eq!(
+        cxl_core::huge::CRASH_POINTS,
+        [
+            "huge::claim::after_log",
+            "huge::claim::after_cas",
+            "huge::alloc::after_log",
+            "huge::alloc::after_desc",
+            "huge::alloc::after_hazard",
+            "huge::alloc::after_link",
+            "huge::free::after_log",
+            "huge::free::after_flag",
+            "huge::cleanup::after_log",
+        ]
+    );
+}

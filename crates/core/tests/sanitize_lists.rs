@@ -15,8 +15,11 @@
 //! dirty-list mask names (plus both unsized lists and the logged class),
 //! so every hand edit below also sets its list's bit, as the owner's own
 //! edit of that list would have on a software-coherent pod (a raw pod's
-//! owner marks nothing). The last tests hold the mask to its
-//! lifecycle, its cost, and its absence on a coherent pod.
+//! owner marks nothing). The later tests hold the mask to its
+//! lifecycle, its cost, and its absence on a coherent pod; the last ones
+//! hold a coherent pod's adopt, which reads the logged class list only
+//! where the logged op wrote it, to the forced full walk, and the
+//! claimed-region hint to a scan of every reservation cell.
 
 use cxl_core::cell::{LogWord, SwccHeader};
 use cxl_core::class::{LARGE_CLASS_SIZES, SMALL_CLASSES_TABLE, SMALL_CLASS_SIZES};
@@ -534,4 +537,224 @@ fn a_coherent_pod_walks_only_what_the_in_flight_op_can_have_torn() {
     // and walked: the 12 classes it allocated from and the logged one.
     let limited = lists_walked_after_a_wide_victim(Some(HwccMode::Limited));
     assert_eq!(limited, 2 + 12 + 1);
+}
+
+// ---- A coherent pod's adopt against the forced full walk ------------------
+
+/// Blocks of the differential victims' list: 32 to a slab.
+const MID_SIZE: usize = 1024;
+/// Slabs on that list.
+const MID_SLABS: usize = 16;
+
+/// How a differential victim dies, once its 1 KiB list holds
+/// [`MID_SLABS`] non-full slabs.
+#[derive(Debug, Clone, Copy)]
+enum Dies {
+    /// Freeing the last live block of a slab in the middle of the list.
+    EmptyingMidList,
+    /// Freeing a block of a full slab, which is on no list: the free
+    /// relinks it at the head.
+    FreeingFullSlab,
+    /// Allocating the last free block of its head slab.
+    FillingHead,
+}
+
+/// What one differential run left once its recovery completed.
+struct Left {
+    outcome: &'static str,
+    lost: Option<u64>,
+    repaired: u32,
+    census: Vec<u64>,
+    image: Vec<u8>,
+    /// Loads of the recovery that completed.
+    loads: u64,
+}
+
+/// A victim on a pod of `mode` (`None`: raw) dies at `at` as `dies`
+/// says; the survivor recovers it, first crashed at `recovery`, walking
+/// every list when `full`. The heap must then pass its checks and hold
+/// exactly the victim's blocks.
+fn differential_run(mode: Option<HwccMode>, dies: Dies, at: &'static str, recovery: Option<&'static str>, full: bool) -> Left {
+    let config = PodConfig::small_for_tests();
+    let pod = match mode {
+        None => Pod::new(config),
+        Some(mode) => Pod::with_simulation(config, mode),
+    }
+    .unwrap();
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let mut t = heap.register_thread().unwrap();
+    let per_slab = SMALL_CLASSES_TABLE.blocks_per_slab(class_of(MID_SIZE)) as usize;
+    let hl = pod.layout().small.clone();
+    let slab_of = |p: OffsetPtr| hl.slab_of(p.offset()).unwrap();
+    // Every slab fills and detaches; freeing block 0 of each relinks it
+    // at the head, so the list runs from the last slab filled to the
+    // first. A full slab's victim keeps the middle slab full.
+    let blocks: Vec<OffsetPtr> = (0..MID_SLABS * per_slab).map(|_| t.alloc(MID_SIZE).unwrap()).collect();
+    let mut held: std::collections::BTreeSet<u64> = blocks.iter().map(|p| p.offset()).collect();
+    let mid = &blocks[MID_SLABS / 2 * per_slab..][..per_slab];
+    for s in 0..MID_SLABS {
+        if matches!(dies, Dies::FreeingFullSlab) && s == MID_SLABS / 2 {
+            continue;
+        }
+        t.dealloc(blocks[s * per_slab]).unwrap();
+        held.remove(&blocks[s * per_slab].offset());
+    }
+    let head_off = hl.local_sized_at(t.tid().slot(), class_of(MID_SIZE) as u32);
+    let head = pod.memory().load_u64(t.core(), head_off) as u32 - 1;
+    assert_eq!(head, slab_of(blocks[(MID_SLABS - 1) * per_slab]));
+    assert_ne!(slab_of(mid[0]), head);
+    let crashed = match dies {
+        Dies::EmptyingMidList => {
+            for p in &mid[1..per_slab - 1] {
+                t.dealloc(*p).unwrap();
+                held.remove(&p.offset());
+            }
+            let last = mid[per_slab - 1];
+            // The free is redone.
+            held.remove(&last.offset());
+            crash_at(at, 0, || t.dealloc(last)).map(drop)
+        }
+        Dies::FreeingFullSlab => {
+            held.remove(&mid[0].offset());
+            crash_at(at, 0, || t.dealloc(mid[0])).map(drop)
+        }
+        Dies::FillingHead => crash_at(at, 0, || t.alloc(MID_SIZE)).map(drop),
+    };
+    assert!(crashed.is_err(), "{mode:?} {dies:?}: the op passes {at}");
+    let tid = t.tid();
+    drop(t);
+    heap.mark_crashed(tid).unwrap();
+    if full {
+        force_full_walk(&pod, tid.slot());
+    }
+    let via = survivor.core();
+    if let Some(label) = recovery {
+        assert!(crash_at(label, 0, || heap.recover(tid, via)).is_err(), "{mode:?} {at}: recovery passes {label}");
+    }
+    let before = pod.memory().stats().loads;
+    let report = heap.recover(tid, via).unwrap();
+    let loads = pod.memory().stats().loads - before;
+    let cell = format!("{mode:?} {at} after {recovery:?} (full walk: {full})");
+    heap.check_invariants(via).unwrap_or_else(|e| panic!("{cell}: {e}"));
+    let census = heap.census(via).unwrap().all_offsets();
+    held.extend(report.lost_block);
+    assert_eq!(census, held.into_iter().collect::<Vec<u64>>(), "{cell}");
+    Left {
+        outcome: report.outcome,
+        lost: report.lost_block,
+        repaired: report.lists_repaired,
+        census,
+        image: metadata_image(&pod),
+        loads,
+    }
+}
+
+#[test]
+fn a_coherent_adopt_leaves_what_the_full_walk_leaves() {
+    // The slab a free empties must be unlinked where it sits mid-list,
+    // the full slab a free reopens linked at the head, and the slab an
+    // allocation fills popped off the head; each
+    // recovery, and each rerun after a recovery crashed at one of its
+    // own labels, must leave the metadata, census, outcome and repairs
+    // the full walk leaves.
+    let frees = cxl_core::slab::CRASH_POINTS.iter().filter(|label| label.starts_with("slab::free_local::"));
+    let mut cells: Vec<(Dies, &str)> = frees
+        .flat_map(|&label| [(Dies::EmptyingMidList, label), (Dies::FreeingFullSlab, label)])
+        .collect();
+    cells.extend(["slab::alloc_block::after_clear", "slab::alloc_block::after_unlink"].map(|label| (Dies::FillingHead, label)));
+    let recoveries = std::iter::once(None).chain(cxl_core::recovery::CRASH_POINTS.iter().copied().map(Some));
+    for mode in [None, Some(HwccMode::Full)] {
+        for &(dies, at) in &cells {
+            for recovery in recoveries.clone() {
+                let cell = format!("{mode:?} {at} after {recovery:?}");
+                let targeted = differential_run(mode, dies, at, recovery, false);
+                let full = differential_run(mode, dies, at, recovery, true);
+                assert_eq!(
+                    (targeted.outcome, targeted.lost, targeted.repaired, &targeted.census),
+                    (full.outcome, full.lost, full.repaired, &full.census),
+                    "{cell}"
+                );
+                if let Some(byte) = targeted.image.iter().zip(&full.image).position(|(a, b)| a != b) {
+                    panic!("{cell}: the walks leave different metadata at byte {byte:#x}");
+                }
+                if mode.is_some() {
+                    assert!(targeted.loads < full.loads, "{cell}: {} loads, full walk {}", targeted.loads, full.loads);
+                }
+            }
+        }
+    }
+}
+
+/// The huge-heap state a scan of every reservation cell derives for
+/// `tid`: its free intervals and its free descriptor slots, in the
+/// order `HugeHeap::reconstruct` builds them.
+fn scanned_huge_state(pod: &Pod, tid: ThreadId) -> (Vec<(u64, u64)>, Vec<u32>) {
+    let hl = &pod.layout().huge;
+    let mem = pod.memory().as_ref();
+    let load = |off: u64| mem.load_u64(CoreId(0), off);
+    let mut free = cxl_core::interval::IntervalTree::new();
+    for region in 0..hl.num_regions {
+        if cxl_core::huge::HugeHeap.region_owner(mem, CoreId(0), region) == tid.raw() {
+            free.insert(hl.region_data_at(region), hl.region_size);
+        }
+    }
+    let mut linked = std::collections::BTreeSet::new();
+    let mut cursor = load(hl.local_descs_at(tid.slot()));
+    while cursor != 0 {
+        free.subtract(load(cursor + 8), load(cursor + 16));
+        linked.insert(hl.desc_owner(cursor).unwrap().1);
+        cursor = load(cursor);
+    }
+    let slots = (0..hl.descs_per_thread).rev().filter(|index| !linked.contains(index)).collect();
+    (free.iter().collect(), slots)
+}
+
+#[test]
+fn huge_reconstruction_from_the_claimed_hint_matches_a_full_scan() {
+    // The victim claims region 0, the survivor region 1, and the victim
+    // then the run 2..4: two separated runs. Or it dies at the hint of
+    // its second claim, which then covers region 2 unclaimed.
+    for mode in [None, Some(HwccMode::Full), Some(HwccMode::Limited)] {
+        for dies in [false, true] {
+            let pod = match mode {
+                None => Pod::new(PodConfig::small_for_tests()),
+                Some(mode) => Pod::with_simulation(PodConfig::small_for_tests(), mode),
+            }
+            .unwrap();
+            let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+            let mut survivor = heap.register_thread().unwrap();
+            let mut t = heap.register_thread().unwrap();
+            let region = pod.layout().huge.region_size as usize;
+            let first = t.alloc(region / 2).unwrap();
+            let mut held = vec![survivor.alloc(region / 2).unwrap().offset()];
+            let claimed = if dies {
+                let crashed = crash_at("huge::claim::after_hint", 0, || t.alloc(3 * region / 2));
+                assert!(crashed.is_err(), "{mode:?}: the claim passes after_hint");
+                held.push(first.offset());
+                0..3
+            } else {
+                held.push(t.alloc(3 * region / 2).unwrap().offset());
+                // A freed, unreclaimed descriptor still holds its space.
+                t.dealloc(first).unwrap();
+                0..4
+            };
+            held.sort_unstable();
+            let owned: Vec<u16> = (0..4).map(|r| cxl_core::huge::HugeHeap.region_owner(pod.memory().as_ref(), CoreId(0), r)).collect();
+            let (me, other) = (t.tid().raw(), survivor.tid().raw());
+            let want = if dies { [me, other, 0, 0] } else { [me, other, me, me] };
+            assert_eq!(owned, want, "{mode:?} dies {dies}");
+            let tid = t.tid();
+            drop(t);
+            heap.mark_crashed(tid).unwrap();
+            let (adopted, _report) = heap.adopt(tid, survivor.core()).unwrap();
+            let state = adopted.huge_state();
+            assert_eq!(state.claimed, claimed, "{mode:?} dies {dies}");
+            let (free, slots) = scanned_huge_state(&pod, tid);
+            assert_eq!(state.free.iter().collect::<Vec<_>>(), free, "{mode:?} dies {dies}");
+            assert_eq!(state.desc_slots, slots, "{mode:?} dies {dies}");
+            heap.check_invariants(survivor.core()).unwrap();
+            assert_eq!(heap.census(survivor.core()).unwrap().all_offsets(), held, "{mode:?} dies {dies}");
+        }
+    }
 }

@@ -144,11 +144,11 @@ fn main() {
         out,
         "\n/// Trace-stream fingerprint of the scripted crash/recovery schedule\n\
          /// (`scenarios::trace_schedule`: tracer armed, 3 hosts, seed 42). Both\n\
-         /// trace pins last moved when the owner's free and alloc stopped\n\
-         /// loading a descriptor word twice and a local free stopped walking\n\
-         /// the unsized list unless it had pushed onto it: loads, hits and\n\
-         /// fills left the stream, and every charge after them shifted; no\n\
-         /// store, CAS, flush, fence or writeback came or went.\n\
+         /// trace pins last moved when a registration or adoption stopped\n\
+         /// scanning the whole reservation array (it reads the thread's\n\
+         /// claimed-region hint instead) and each huge claim began to widen\n\
+         /// that hint durably: loads left the stream, one store, flush and\n\
+         /// fence came per widening, and every charge after them shifted.\n\
          #[allow(dead_code)]\n\
          pub const TRACE_SCRIPTED: u64 = {trace:#018x};\n\n\
          /// Trace-stream fingerprint of the same scripted schedule on a pod with\n\

@@ -49,13 +49,13 @@ pub const BATCHED: &[(u64, u64)] = &[
 
 /// Trace-stream fingerprint of the scripted crash/recovery schedule
 /// (`scenarios::trace_schedule`: tracer armed, 3 hosts, seed 42). Both
-/// trace pins last moved when the owner's free and alloc stopped
-/// loading a descriptor word twice and a local free stopped walking
-/// the unsized list unless it had pushed onto it: loads, hits and
-/// fills left the stream, and every charge after them shifted; no
-/// store, CAS, flush, fence or writeback came or went.
+/// trace pins last moved when a registration or adoption stopped
+/// scanning the whole reservation array (it reads the thread's
+/// claimed-region hint instead) and each huge claim began to widen
+/// that hint durably: loads left the stream, one store, flush and
+/// fence came per widening, and every charge after them shifted.
 #[allow(dead_code)]
-pub const TRACE_SCRIPTED: u64 = 0x4896282168027ef6;
+pub const TRACE_SCRIPTED: u64 = 0xae88211fd63c534c;
 
 /// Trace-stream fingerprint of the same scripted schedule on a pod with
 /// the congested fabric preset (`FabricConfig::congested()`): pins the
@@ -63,4 +63,4 @@ pub const TRACE_SCRIPTED: u64 = 0x4896282168027ef6;
 /// (outcomes and offsets only) cannot see. It last moved with
 /// `TRACE_SCRIPTED`, for the same loads.
 #[allow(dead_code)]
-pub const TRACE_CONGESTED: u64 = 0x1c98a63fd5bf2f02;
+pub const TRACE_CONGESTED: u64 = 0x21ce09644446aee1;

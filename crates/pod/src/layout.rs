@@ -158,7 +158,7 @@ pub struct HugeLayout {
     /// Reservation array: one 8-byte detectable-CAS cell per region.
     pub reservations: Region,
     /// Per-thread `HugeLocal`: descriptor-list head followed by the
-    /// hazard-offset slots.
+    /// hazard-offset slots and the claimed-region hint.
     pub local: Region,
     /// Stride between threads' `HugeLocal` records.
     pub local_stride: u64,
@@ -198,6 +198,14 @@ impl HugeLayout {
     pub fn hazard_at(&self, slot: u32, i: u32) -> u64 {
         debug_assert!(i < self.hazards_per_thread);
         self.local.start + slot as u64 * self.local_stride + 8 + i as u64 * 8
+    }
+
+    /// Offset of thread `slot`'s claimed-region hint, the word after its
+    /// hazard slots: every region the thread has ever claimed lies in
+    /// the range it names.
+    #[inline]
+    pub fn claimed_at(&self, slot: u32) -> u64 {
+        self.local.start + slot as u64 * self.local_stride + 8 + self.hazards_per_thread as u64 * 8
     }
 
     /// Offset of descriptor `i` in thread `slot`'s pool.
@@ -363,8 +371,10 @@ impl Layout {
             &mut cursor,
         );
 
-        // Huge heap locals: descriptor-list head + hazard slots.
-        let huge_local_stride = align_up(8 + config.hazards_per_thread as u64 * 8, CACHELINE);
+        // Huge heap locals: descriptor-list head + hazard slots + the
+        // claimed-region hint. The hint takes a word the cacheline
+        // rounding leaves spare unless `hazards_per_thread` is 7 mod 8.
+        let huge_local_stride = align_up(16 + config.hazards_per_thread as u64 * 8, CACHELINE);
         let huge_local = region(threads * huge_local_stride, CACHELINE, &mut cursor);
         let huge_pool = region(
             threads * config.huge_descs_per_thread as u64 * HUGE_DESC_SIZE,
