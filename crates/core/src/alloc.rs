@@ -32,7 +32,7 @@ use crate::liveness::{lease, registry};
 use crate::recovery::{self, RecoveryReport};
 use crate::remote::RemoteFreeBuffer;
 use crate::rover::Rovers;
-use crate::slab::SlabHeap;
+use crate::slab::{Claim, SlabHeap};
 use crate::{OffsetPtr, ThreadId};
 use cxl_pod::trace::TraceKind;
 use cxl_pod::{CoreId, Fault, PodMemory, Process};
@@ -780,6 +780,28 @@ impl ThreadHandle {
     /// [`AllocError::WildPointer`] / [`AllocError::NotAllocated`] for
     /// pointers that do not reference a live allocation.
     pub fn dealloc(&mut self, ptr: OffsetPtr) -> Result<(), AllocError> {
+        self.dealloc_inner(ptr, None)
+    }
+
+    /// Detectable free, the mirror of [`ThreadHandle::alloc_detectable`]:
+    /// frees `ptr`, claiming the 8-byte shared cell `dst` that names it.
+    /// The free's log record names `dst` and the value `seen` it must
+    /// hold, and the op's first store after logging is the claim, a CAS
+    /// of `dst` from `seen` to 0. After a crash, recovery finishes the
+    /// free iff `dst` no longer holds `seen`. So one thread at most may
+    /// claim a given cell: a claimer whose CAS lost and who died before
+    /// recording it would look to recovery like the winner.
+    ///
+    /// # Errors
+    ///
+    /// As [`ThreadHandle::dealloc`]; [`AllocError::ClaimLost`] when `dst`
+    /// does not hold `seen` (nothing is freed);
+    /// [`AllocError::NotDetectable`] for a huge-heap pointer.
+    pub fn dealloc_detectable(&mut self, ptr: OffsetPtr, dst: OffsetPtr, seen: u64) -> Result<(), AllocError> {
+        self.dealloc_inner(ptr, Some(Claim { dst: dst.offset(), seen }))
+    }
+
+    fn dealloc_inner(&mut self, ptr: OffsetPtr, claim: Option<Claim>) -> Result<(), AllocError> {
         CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
         let offset = ptr.offset();
@@ -787,11 +809,14 @@ impl ThreadHandle {
             let layout = mem.layout();
             let ctx = self.ctx(mem);
             let result = if layout.small.data.contains(offset) {
-                inner.small.dealloc(&ctx, offset)
+                inner.small.dealloc(&ctx, offset, claim)
             } else if layout.large.data.contains(offset) {
-                inner.large.dealloc(&ctx, offset)
+                inner.large.dealloc(&ctx, offset, claim)
             } else if layout.huge.data.contains(offset) {
-                inner.huge.dealloc(&ctx, offset)
+                match claim {
+                    None => inner.huge.dealloc(&ctx, offset),
+                    Some(_) => Err(AllocError::NotDetectable { offset }),
+                }
             } else {
                 Err(AllocError::WildPointer { offset })
             };

@@ -156,12 +156,9 @@ pub enum BlockState {
 
 /// Probes whether the durable heap image considers `offset` allocated.
 ///
-/// Used by crash adopters to reconcile an inherited allocation ledger:
-/// a ledger cell naming a [`BlockState::Free`] offset is a phantom left
-/// by a crash between a completed free and the ledger update, and must
-/// be cleared. The probe only reads the slab that owns `offset` (or the
-/// huge descriptor lists), so it is safe while *other* threads run —
-/// the caller must own (or have adopted) the blocks it probes.
+/// A diagnostic: `cxl-serve` names it when a free fails. The probe only
+/// reads the slab that owns `offset` (or the huge descriptor lists), so
+/// it is safe while *other* threads run.
 ///
 /// # Errors
 ///

@@ -85,6 +85,7 @@ pub fn known_points() -> HashMap<&'static str, &'static [&'static str]> {
     let mut map: HashMap<&'static str, &'static [&'static str]> = HashMap::new();
     map.insert("slab", crate::slab::CRASH_POINTS);
     map.insert("slab_batch", crate::slab::BATCH_CRASH_POINTS);
+    map.insert("slab_detect", crate::slab::DETECT_CRASH_POINTS);
     map.insert("huge", crate::huge::CRASH_POINTS);
     map.insert("huge_hint", crate::huge::HINT_CRASH_POINTS);
     map.insert("recovery", crate::recovery::CRASH_POINTS);

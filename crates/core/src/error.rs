@@ -88,6 +88,20 @@ pub enum AllocError {
         /// The epoch found in the lease word.
         found_epoch: u16,
     },
+    /// A detectable free's claim lost, so nothing was freed.
+    ClaimLost {
+        /// Segment offset of the claimed cell.
+        dst: u64,
+        /// The value the claim expected.
+        seen: u64,
+        /// The value the cell held.
+        found: u64,
+    },
+    /// `dealloc_detectable` was given a huge-heap pointer.
+    NotDetectable {
+        /// The offending offset.
+        offset: u64,
+    },
 }
 
 /// Which of the three heaps an error refers to.
@@ -151,6 +165,11 @@ impl fmt::Display for AllocError {
                 f,
                 "lease of {thread} was stolen: held epoch {held_epoch}, found {found_epoch}"
             ),
+            AllocError::ClaimLost { dst, seen, found } => write!(
+                f,
+                "claim of cell {dst:#x} lost: expected {seen:#x}, found {found:#x}"
+            ),
+            AllocError::NotDetectable { offset } => write!(f, "huge block {offset:#x} has no detectable free"),
         }
     }
 }
@@ -194,6 +213,8 @@ mod tests {
                 held_epoch: 1,
                 found_epoch: 2,
             },
+            AllocError::ClaimLost { dst: 8, seen: 16, found: 0 },
+            AllocError::NotDetectable { offset: 1 },
         ];
         for e in errors {
             assert!(!e.to_string().is_empty());

@@ -13,6 +13,9 @@
 //!   `RemoteFree*`, `HugeClaim`) query [`Dcas::detect`](crate::dcas::Dcas::detect) to learn whether
 //!   the crashed CAS took effect, then either complete the operation's
 //!   post-actions or redo it.
+//! * **Detectable frees** (the log word's `DETECT_BIT`) are aborted
+//!   when their destination still holds the value the claim expected,
+//!   and otherwise redone like the plain free the record names.
 //! * **Huge-heap ops** roll back an un-handed-out allocation (by marking
 //!   the descriptor free, letting normal cleanup reclaim it) and roll
 //!   frees and cleanups forward.
@@ -75,6 +78,10 @@ pub enum Op {
     RemoteFreeLast = 8,
     // Codes 9 and 10 are retired (the flat-combined remote-free
     // records); they stay unused so later codes do not move.
+    /// A detectable remote free's claim and durable pending-count record
+    /// (always with `DETECT_BIT`): `a` = slab, `b` = the slab's pending
+    /// count before it.
+    RemoteNote = 11,
     /// Huge allocation: aux = `[desc_off, data_off, size]`.
     HugeAlloc = 13,
     /// Huge free: aux = `[desc_off]`.
@@ -87,6 +94,11 @@ pub enum Op {
 
 /// Bit set in the encoded op byte for large-heap operations.
 const LARGE_BIT: u8 = 0x40;
+
+/// Bit set in the op byte of a detectable free: aux0 = the claimed cell,
+/// aux1 = the value it must hold. A flag, not a nonzero aux word, as
+/// `OpLog::begin` writes only the aux words it is given.
+pub(crate) const DETECT_BIT: u8 = 0x80;
 
 impl Op {
     /// Encodes with the heap tag.
@@ -104,7 +116,7 @@ impl Op {
         } else {
             HeapKind::Small
         };
-        let op = match raw & !LARGE_BIT {
+        let op = match raw & !(LARGE_BIT | DETECT_BIT) {
             0 => Op::Idle,
             1 => Op::Extend,
             2 => Op::PopGlobal,
@@ -114,6 +126,7 @@ impl Op {
             6 => Op::FreeLocal,
             7 => Op::RemoteFree,
             8 => Op::RemoteFreeLast,
+            11 => Op::RemoteNote,
             13 => Op::HugeAlloc,
             14 => Op::HugeFree,
             15 => Op::HugeClaim,
@@ -214,13 +227,18 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
         report.outcome = "idle";
         return report;
     }
+    // A detectable free's claim is its first store after `begin`, so
+    // one whose `dst` still holds `seen` did nothing: it is aborted, not
+    // redone. A lost claim rewrote `seen` to the value it found first.
+    let aborted = entry.word.op & DETECT_BIT != 0
+        && ctx.mem.segment().atomic_u64(entry.aux[0]).load(std::sync::atomic::Ordering::SeqCst) == entry.aux[1];
     // The durable-buffer scan must skip the batch a logged
     // `RemoteFree*` record already covers: a record whose CAS never
     // landed is applied by the logged redo. Evaluated *before* the redo,
     // which reruns the CAS with a newer version (making the logged
     // version undetectable).
     let mut scan_skip = None;
-    if matches!(op, Op::RemoteFree | Op::RemoteFreeLast) && kind != HeapKind::Huge {
+    if !aborted && matches!(op, Op::RemoteFree | Op::RemoteFreeLast) && kind != HeapKind::Huge {
         let heap = SlabHeap::of(kind);
         let cell = heap.hl(ctx.mem).hwcc_desc_at(entry.word.a);
         if !ctx.dcas().detect(ctx.core, cell, ctx.tid, entry.word.c) {
@@ -230,6 +248,7 @@ pub(crate) fn recover<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>) -> RecoveryReport
     report.interrupted = Some((op, kind));
     report.outcome = "redone";
     match kind {
+        _ if aborted => report.outcome = "detectable free aborted",
         HeapKind::Small | HeapKind::Large => {
             recover_slab(ctx, &SlabHeap::of(kind), op, &entry, place, &mut report);
         }
@@ -818,6 +837,12 @@ fn recover_slab<M: PodMemory + ?Sized>(
                 report.outcome = "remote free redone";
             }
         }
+        Op::RemoteNote => {
+            // Claimed: one more free buffered against the slab, which the
+            // scan below republishes.
+            crate::remote::durable::raise(ctx, heap.kind, slab, u32::from(entry.word.b) + 1);
+            report.outcome = "buffered remote free recorded";
+        }
         _ => unreachable!("huge ops dispatched separately"),
     }
 }
@@ -959,10 +984,12 @@ mod tests {
             Op::FreeLocal,
             Op::RemoteFree,
             Op::RemoteFreeLast,
+            Op::RemoteNote,
         ] {
             for kind in [HeapKind::Small, HeapKind::Large] {
                 let raw = op.encode(kind);
                 assert_eq!(Op::decode(raw), Some((op, kind)), "{op:?} {kind:?}");
+                assert_eq!(Op::decode(raw | DETECT_BIT), Some((op, kind)), "detectable {op:?} {kind:?}");
             }
         }
         for op in [Op::HugeAlloc, Op::HugeFree, Op::HugeClaim, Op::HugeCleanup] {

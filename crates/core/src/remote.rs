@@ -123,6 +123,14 @@ impl RemoteFreeBuffer {
         (1, Some((ekind, eslab, evicted.pending)))
     }
 
+    /// Takes back the last [`RemoteFreeBuffer::note`] of `(kind, slab)`
+    /// (a lost claim): the re-notes fill the slot the take emptied.
+    pub fn unnote(&self, kind: HeapKind, slab: u32) {
+        for _ in 1..self.take(kind, slab) {
+            self.note(kind, slab);
+        }
+    }
+
     /// Removes the entry for `(kind, slab)`, returning its pending count
     /// (0 if absent). Called immediately before publishing so a crash
     /// mid-publish cannot double-publish the batch.
@@ -217,6 +225,18 @@ pub(crate) mod durable {
         // reader) flushes its own copy before reading.
         ctx.mem.writeback(ctx.core, off, 8);
         ctx.mem.fence(ctx.core);
+    }
+
+    /// Durably raises `(kind, slab)`'s pending count in `ctx.tid`'s line
+    /// to at least `pending` (recovery of a claimed buffered free, whose
+    /// record store may have died; later unlogged frees only raised it).
+    pub(crate) fn raise<M: PodMemory + ?Sized>(ctx: &Ctx<'_, M>, kind: HeapKind, slab: u32, pending: u32) {
+        ctx.mem.flush(ctx.core, ctx.mem.layout().remote_buf_at(ctx.tid.slot()), CACHELINE);
+        ctx.mem.fence(ctx.core);
+        let off = slot_for(ctx, key_of(kind, slab));
+        if unpack(ctx.mem.load_u64(ctx.core, off)).is_none_or(|(.., have)| have < pending) {
+            record(ctx, kind, slab, pending);
+        }
     }
 
     /// Durably clears the word for `(kind, slab)` in `ctx.tid`'s line;

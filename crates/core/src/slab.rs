@@ -85,6 +85,23 @@ pub const BATCH_CRASH_POINTS: &[&str] = &[
     "slab::remote_free::publish_after_cas",
 ];
 
+/// Crash-point labels of a detectable free's claim, on the local, eager
+/// remote and buffered remote paths alike: a list of its own, so no
+/// script indexing [`CRASH_POINTS`] moves.
+pub const DETECT_CRASH_POINTS: &[&str] = &[
+    "slab::dealloc_detectable::before_claim",
+    "slab::dealloc_detectable::after_claim",
+    "slab::dealloc_detectable::after_lost_claim",
+];
+
+/// A detectable free's claim: a CAS of the cell `dst` (a segment
+/// offset) from `seen` to 0 (`ThreadHandle::dealloc_detectable`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Claim {
+    pub dst: u64,
+    pub seen: u64,
+}
+
 /// One slab heap (instantiated once for small, once for large).
 #[derive(Debug, Clone, Copy)]
 pub struct SlabHeap {
@@ -131,6 +148,39 @@ impl SlabHeap {
 
     fn op(&self, op: Op) -> u8 {
         op.encode(self.kind)
+    }
+
+    /// Logs a free's record `word`: as ever for a plain free; marked
+    /// [`DETECT_BIT`](crate::recovery::DETECT_BIT) and naming a detectable
+    /// free's claim, which it then takes when `take` (the first store
+    /// after `begin`). A lost claim first rewrites the record's `seen` to
+    /// the value it found, so recovery reads the cell as still holding it
+    /// and aborts, then clears the log and fails having freed nothing.
+    #[inline]
+    fn begin_free<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, word: LogWord, claim: Option<Claim>, take: bool) -> Result<(), AllocError> {
+        let Some(Claim { dst, seen }) = claim else {
+            ctx.log().begin(ctx.core, word, &[]);
+            return Ok(());
+        };
+        let word = LogWord { op: word.op | crate::recovery::DETECT_BIT, ..word };
+        ctx.log().begin(ctx.core, word, &[dst, seen]);
+        if !take {
+            return Ok(());
+        }
+        crash::point("slab::dealloc_detectable::before_claim");
+        let cell = ctx.mem.segment().atomic_u64(dst);
+        match cell.compare_exchange(seen, 0, std::sync::atomic::Ordering::SeqCst, std::sync::atomic::Ordering::SeqCst) {
+            Ok(_) => {
+                crash::point("slab::dealloc_detectable::after_claim");
+                Ok(())
+            }
+            Err(found) => {
+                ctx.log().begin(ctx.core, word, &[dst, found]);
+                crash::point("slab::dealloc_detectable::after_lost_claim");
+                ctx.log().clear(ctx.core);
+                Err(AllocError::ClaimLost { dst, seen, found })
+            }
+        }
     }
 
     // ---- the dirty-list mask --------------------------------------------
@@ -693,15 +743,16 @@ impl SlabHeap {
 
     // ---- deallocation ------------------------------------------------------
 
-    /// Frees the block at segment offset `offset`.
+    /// Frees the block at segment offset `offset`, detectably when it
+    /// has a `claim` ([`SlabHeap::begin_free`]).
     ///
     /// # Errors
     ///
     /// Returns [`AllocError::NotAllocated`] for misaligned interior
     /// pointers, blocks that are already free, or slabs past the heap
-    /// length.
+    /// length; [`AllocError::ClaimLost`] for a lost claim.
     #[deny(clippy::integer_division_remainder_used)]
-    pub(crate) fn dealloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64) -> Result<(), AllocError> {
+    pub(crate) fn dealloc<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, offset: u64, claim: Option<Claim>) -> Result<(), AllocError> {
         let hl = self.hl(ctx.mem);
         let slab = hl
             .slab_of(offset)
@@ -714,9 +765,9 @@ impl SlabHeap {
         // the four-case analysis of §3.2.2.
         let header = self.header(ctx, slab);
         if header.owner == ctx.tid.raw() {
-            self.free_local(ctx, slab, header, offset)
+            self.free_local(ctx, slab, header, offset, claim)
         } else {
-            self.free_remote(ctx, slab, offset)
+            self.free_remote(ctx, slab, offset, claim)
         }
     }
 
@@ -735,6 +786,7 @@ impl SlabHeap {
         slab: u32,
         header: SwccHeader,
         offset: u64,
+        claim: Option<Claim>,
     ) -> Result<(), AllocError> {
         let class = header.class;
         let within = offset - self.hl(ctx.mem).slab_data_at(slab);
@@ -750,16 +802,17 @@ impl SlabHeap {
             return Err(AllocError::NotAllocated { offset }); // double free
         }
         self.mark_dirty(ctx, class);
-        ctx.log().begin(
-            ctx.core,
+        self.begin_free(
+            ctx,
             LogWord {
                 op: self.op(Op::FreeLocal),
                 a: slab,
                 b: class,
                 c: bit as u16,
             },
-            &[],
-        );
+            claim,
+            true,
+        )?;
         crash::point("slab::free_local::after_log");
         let free = self.free_count(ctx, slab);
         bits.store_set(ctx.core, word);
@@ -846,26 +899,32 @@ impl SlabHeap {
     }
 
     /// The remote-free path: decrement the HWcc counter with detectable
-    /// (m)CAS; steal the slab if we reach zero.
-    fn free_remote<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, offset: u64) -> Result<(), AllocError> {
+    /// (m)CAS; steal the slab if we reach zero. A detectable free claims
+    /// in its first attempt; a retry logs over the claimed record without
+    /// clearing it, as an idle log would lose the claimed block.
+    fn free_remote<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, offset: u64, claim: Option<Claim>) -> Result<(), AllocError> {
         if ctx.remote_free_batch > 1 {
             if let Some(buf) = ctx.remote {
-                return self.free_remote_buffered(ctx, buf, slab, offset);
+                return self.free_remote_buffered(ctx, buf, slab, offset, claim);
             }
         }
         let hl = self.hl(ctx.mem);
         let dcas = ctx.dcas();
+        let mut take = true;
         loop {
             let remote = dcas.read(ctx.core, hl.hwcc_desc_at(slab));
             if remote.payload == 0 {
                 // Every block was already remotely freed; another free
                 // into this slab is an application bug.
+                if claim.is_some() {
+                    ctx.log().clear(ctx.core);
+                }
                 return Err(AllocError::NotAllocated { offset });
             }
             let last = remote.payload == 1;
             let version = ctx.log().bump_version(ctx.core);
-            ctx.log().begin(
-                ctx.core,
+            self.begin_free(
+                ctx,
                 LogWord {
                     op: self.op(if last {
                         Op::RemoteFreeLast
@@ -876,8 +935,9 @@ impl SlabHeap {
                     b: 0,
                     c: version,
                 },
-                &[],
-            );
+                claim,
+                std::mem::take(&mut take),
+            )?;
             crash::point("slab::remote_free::after_log");
             if dcas
                 .attempt(
@@ -901,7 +961,9 @@ impl SlabHeap {
                 }
                 return Ok(());
             }
-            ctx.log().clear_relaxed(ctx.core);
+            if claim.is_none() {
+                ctx.log().clear_relaxed(ctx.core);
+            }
             ctx.mem
                 .event(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
         }
@@ -914,12 +976,15 @@ impl SlabHeap {
     /// Every buffered free holds one of the counter's remaining credits,
     /// so the payload can never reach zero while frees sit in the buffer
     /// — no steal or slab reinitialization can race the buffered state.
+    /// A detectable free logs its claim and its pending-count record as
+    /// one op, [`Op::RemoteNote`], after any eviction's publish.
     fn free_remote_buffered<M: PodMemory + ?Sized>(
         &self,
         ctx: &Ctx<'_, M>,
         buf: &RemoteFreeBuffer,
         slab: u32,
         offset: u64,
+        claim: Option<Claim>,
     ) -> Result<(), AllocError> {
         let hl = self.hl(ctx.mem);
         let remote = ctx.dcas().read(ctx.core, hl.hwcc_desc_at(slab));
@@ -934,6 +999,13 @@ impl SlabHeap {
         if let Some((vkind, vslab, vpending)) = evicted {
             SlabHeap::of(vkind).publish_remote_frees(ctx, vslab, vpending);
         }
+        if claim.is_some() {
+            let word = LogWord { op: self.op(Op::RemoteNote), a: slab, b: (count - 1) as u8, c: 0 };
+            if let Err(lost) = self.begin_free(ctx, word, claim, true) {
+                buf.unnote(self.kind, slab);
+                return Err(lost);
+            }
+        }
         if count >= ctx.remote_free_batch {
             let k = buf.take(self.kind, slab);
             self.publish_remote_frees(ctx, slab, k);
@@ -943,6 +1015,9 @@ impl SlabHeap {
             // publish. At the threshold the publish immediately clears
             // the word, so recording first would be wasted traffic.
             remote::durable::record(ctx, self.kind, slab, count);
+            if claim.is_some() {
+                ctx.log().clear_relaxed(ctx.core);
+            }
         }
         Ok(())
     }

@@ -11,7 +11,7 @@
 
 use cxl_core::class::{LARGE_CLASSES_TABLE, LARGE_CLASS_SIZES, SMALL_CLASSES_TABLE, SMALL_CLASS_SIZES};
 use cxl_core::crash;
-use cxl_core::{AttachOptions, BlockCensus, Cxlalloc, HeapKind, OffsetPtr, ThreadHandle, ThreadId};
+use cxl_core::{AllocError, AttachOptions, BlockCensus, Cxlalloc, HeapKind, OffsetPtr, ThreadHandle, ThreadId};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
 use std::collections::BTreeSet;
 use std::sync::atomic::Ordering;
@@ -297,10 +297,27 @@ const OPS: [(&str, Op); 14] = [
 /// Remote frees per publish in the `Publish` cells.
 const BATCH: u32 = 8;
 
+/// The ops that pass a detectable free's claim labels: the local, the
+/// eager remote and the buffered remote free.
+const CLAIMING: [Op; 3] = [Op::Free, Op::FreeRemote, Op::Publish];
+
 impl Op {
     fn of(label: &str) -> Op {
         let found = OPS.iter().find(|(prefix, _)| label.starts_with(prefix));
         found.unwrap_or_else(|| panic!("no op reaches {label}")).1
+    }
+
+    /// The `(op, record)` runs that reach `label`: a claim label on every
+    /// claiming path, and any other label of a slab free with a plain and
+    /// with a detectable record.
+    fn runs(label: &str) -> Vec<(Op, Record)> {
+        if label.starts_with("slab::dealloc_detectable::") {
+            let record = if label.ends_with("lost_claim") { Record::Lost } else { Record::Detectable };
+            return CLAIMING.iter().map(|&op| (op, record)).collect();
+        }
+        let op = Op::of(label);
+        let frees = matches!(op, Op::Free | Op::FreeRemote | Op::FreeRemoteLast | Op::Publish);
+        std::iter::once((op, Record::Plain)).chain(frees.then_some((op, Record::Detectable))).collect()
     }
 
     fn heaps(self) -> &'static [HeapKind] {
@@ -450,6 +467,13 @@ fn pinned(cell: &Cell) -> Verdict {
             // class, for which the crash-free run extends the heap: on
             // the small heap that cancels the lost slab.
             (Op::AllocLast, HeapKind::Small, _) => verdict(0, 1, 0, 0, 0),
+            // A detectable free that dies before its claim or loses it is
+            // aborted: recovery leaves the freeing slab alone, so the
+            // setup's fresh slab, whose header died in the cache, stays
+            // nobody's. Both held blocks in it read free (with the
+            // destination, `missing` 3) and the sweep extends the heap
+            // for it too.
+            (Op::Free, ..) if !cell.completes() => verdict(0, 3, 0, 0, 2),
             (Op::Free, ..) => verdict(n() - 2, 1, 0, 0, 1),
             (Op::FreeOverflow, _, "slab::push_global::after_pop") => verdict(2 * n(), 1, 0, 0, 3),
             (Op::FreeOverflow, ..) => verdict(n(), 1, 0, 0, 2),
@@ -482,6 +506,19 @@ fn pinned(cell: &Cell) -> Verdict {
     }
 }
 
+/// How a cell's op frees its target.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Record {
+    /// `dealloc`.
+    Plain,
+    /// `dealloc_detectable`, claiming the detect destination, which
+    /// names the target.
+    Detectable,
+    /// The same, expecting the target's tagged offset, which the
+    /// destination does not hold: the claim loses and nothing is freed.
+    Lost,
+}
+
 /// One cell: `label` fired by `op` on `heap` on a pod of `mode`, with the
 /// first recovery crashed at `recovery`. No label: the crash-free
 /// baseline of the op.
@@ -491,6 +528,7 @@ struct Cell {
     op: Op,
     heap: HeapKind,
     mode: Option<HwccMode>,
+    record: Record,
     /// The victim's setup ends with `flush_cache`, so the op is all that
     /// a crash can take with its cache. An unquiesced victim flushes
     /// nothing, and its last setup op allocates its detect destination:
@@ -500,6 +538,15 @@ struct Cell {
     /// the targeted walk, which these cells compare with the full one.
     quiesced: bool,
     recovery: Option<&'static str>,
+}
+
+impl Cell {
+    /// Whether the cell's op frees or allocates what it set out to: all
+    /// but a detectable free that dies before its claim or loses it. The
+    /// crash-free baseline of one that does not is a lost claim.
+    fn completes(&self) -> bool {
+        self.record != Record::Lost && self.label != Some("slab::dealloc_detectable::before_claim")
+    }
 }
 
 /// What one run of a cell left: its recovery, the census right after it
@@ -593,6 +640,11 @@ fn run_cell(cell: &Cell, full: bool) -> Option<Run> {
     }
     ledger.free(&mut victim, &buffered);
     let dst = first.unwrap_or_else(|| ledger.alloc(&mut victim, 8, 1)[0]);
+    let cell_of = |dst: OffsetPtr| pod.memory().segment().atomic_u64(dst.offset());
+    let seen = target.map(|t| {
+        cell_of(dst).store(t.offset(), Ordering::SeqCst);
+        t.offset() | u64::from(cell.record == Record::Lost)
+    });
 
     let mut op = || match cell.op {
         op if op.allocates() => victim.alloc_detectable(size, dst).map(Some),
@@ -600,6 +652,7 @@ fn run_cell(cell: &Cell, full: bool) -> Option<Run> {
             victim.cleanup();
             Ok(None)
         }
+        _ if cell.record != Record::Plain => victim.dealloc_detectable(target.unwrap(), dst, seen.unwrap()).map(|()| None),
         _ => victim.dealloc(target.unwrap()).map(|()| None),
     };
     let returned = match cell.label {
@@ -611,7 +664,10 @@ fn run_cell(cell: &Cell, full: bool) -> Option<Run> {
             Ok(_) => panic!("{cell:?}: the op never reached its label"),
         },
         None => {
-            let returned = op().unwrap();
+            let returned = match op() {
+                Err(AllocError::ClaimLost { .. }) if cell.record == Record::Lost => None,
+                returned => returned.unwrap(),
+            };
             // A clean death: the op's effects are durable.
             victim.flush_cache();
             returned
@@ -654,12 +710,16 @@ fn run_cell(cell: &Cell, full: bool) -> Option<Run> {
     };
 
     // Book the op: an allocation is held if it returned or reached its
-    // detect destination; a free is done or redone.
+    // detect destination; a plain free is done or redone, and a
+    // detectable one is done iff its destination no longer names the
+    // block.
     if cell.op.allocates() {
-        let delivered = pod.memory().segment().atomic_u64(dst.offset()).load(Ordering::SeqCst);
+        let delivered = cell_of(dst).load(Ordering::SeqCst);
         let got = [returned.map(|p| p.offset()), Some(delivered)];
         ledger.held.extend(got.into_iter().flatten().filter(|&p| p != 0));
-    } else if cell.op != Op::HugeCleanup {
+    } else if cell.op != Op::HugeCleanup
+        && !(cell.record != Record::Plain && cell_of(dst).load(Ordering::SeqCst) == target.unwrap().offset())
+    {
         ledger.freed(target.unwrap());
     }
     let mut verdict = ledger.judge(&census, &[]);
@@ -753,7 +813,7 @@ fn churn_cell(mode: HwccMode, at: &'static str, skip: u32) -> (u64, [(u64, u64);
 /// fire in some cell. On a simulated pod the churn column (`churn_cell`)
 /// then crashes `sched`'s churn at every label it passes, at the first
 /// pass and, where it passes again, the third; every such cell must
-/// fire. Its one thread never passes the remote-free labels.
+/// fire. Its one thread never passes the remote-free or claim labels.
 /// `--nocapture` prints the table.
 fn matrix(mode: Option<HwccMode>) {
     let pod_name = mode.map_or("raw".to_string(), |m| format!("{m:?}"));
@@ -763,25 +823,27 @@ fn matrix(mode: Option<HwccMode>) {
     let victim_labels = known.iter().filter(|(list, _)| *list != "recovery").flat_map(|(_, labels)| labels.iter().copied());
     let mut cells = Vec::new();
     for label in victim_labels.clone() {
-        let op = Op::of(label);
-        for &heap in op.heaps() {
-            let cell = Cell { label: Some(label), op, heap, mode, quiesced: true, recovery: None };
-            cells.push(cell);
-            cells.extend(recovery.iter().map(|&at| Cell { recovery: Some(at), ..cell }));
-            cells.push(Cell { quiesced: false, ..cell });
+        for (op, record) in Op::runs(label) {
+            for &heap in op.heaps() {
+                let cell = Cell { label: Some(label), op, heap, mode, record, quiesced: true, recovery: None };
+                cells.push(cell);
+                cells.extend(recovery.iter().map(|&at| Cell { recovery: Some(at), ..cell }));
+                cells.push(Cell { quiesced: false, ..cell });
+            }
         }
     }
-    let key = |c: &Cell| (c.op, c.heap, c.quiesced);
+    let key = |c: &Cell| (c.op, c.heap, c.quiesced, c.completes());
     let mut baselines: Vec<(Cell, (u32, u32))> = Vec::new();
     for cell in &cells {
         if !baselines.iter().any(|(b, _)| key(b) == key(cell)) {
-            let baseline = Cell { label: None, recovery: None, ..*cell };
+            let record = if cell.completes() { Record::Plain } else { Record::Lost };
+            let baseline = Cell { label: None, recovery: None, record, ..*cell };
             baselines.push((baseline, run_cell(&baseline, false).unwrap().slabs));
         }
     }
 
     println!(
-        "crash matrix on {pod_name}: label | heap | victim | recovery crashed at | outcome | verdict | \
+        "crash matrix on {pod_name}: label | heap | record | victim | recovery crashed at | outcome | verdict | \
          walked/repaired targeted, full"
     );
     let (mut fired, mut exact) = (0, 0);
@@ -812,9 +874,10 @@ fn matrix(mode: Option<HwccMode>) {
             format!("pinned {:?}", targeted.verdict)
         };
         println!(
-            "  {} | {:?} | {} | {} | {} | {verdict} | {}/{}, {}/{}",
+            "  {} | {:?} | {} | {} | {} | {} | {verdict} | {}/{}, {}/{}",
             cell.label.unwrap(),
             cell.heap,
+            format!("{:?}", cell.record).to_lowercase(),
             if cell.quiesced { "quiesced" } else { "unquiesced" },
             cell.recovery.unwrap_or("-"),
             targeted.outcome,
@@ -836,7 +899,7 @@ fn matrix(mode: Option<HwccMode>) {
     let Some(mode) = mode else { return };
     println!("churn column on {pod_name}: label | skip | walked/repaired targeted, full");
     let mut churned = 0;
-    for label in victim_labels.filter(|label| !label.starts_with("slab::remote_free::")) {
+    for label in victim_labels.filter(|label| !label.starts_with("slab::remote_free::") && !label.starts_with("slab::dealloc_detectable::")) {
         // The churn passes these once: one huge round, one detectable
         // allocation.
         let once = label.starts_with("huge::") || label == "slab::alloc_block::after_deliver";

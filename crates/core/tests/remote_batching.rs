@@ -419,3 +419,47 @@ fn relaxed_clear_reports_a_returned_block_as_lost() {
         assert_eq!(report.interrupted.is_some(), coalesce_fences);
     }
 }
+
+/// The ledger round trip a shared-key peer runs: the owner fills each
+/// cell with `alloc_detectable` and then publishes it (bit 0), the peer
+/// claims the published value with `dealloc_detectable`, eager and
+/// batched, on a raw and a `Limited` pod. A claim the owner did not
+/// publish loses and is taken back out of the batch.
+#[test]
+fn detectable_round_trip_through_published_cells() {
+    use std::sync::atomic::Ordering::SeqCst;
+    for (mode, batch) in [(None, 1), (None, 8), (Some(HwccMode::Limited), 1), (Some(HwccMode::Limited), 8)] {
+        let config = PodConfig { small_max_slabs: 256, ..PodConfig::small_for_tests() };
+        let pod = match mode {
+            None => Pod::new(config).unwrap(),
+            Some(mode) => Pod::with_simulation(config, mode).unwrap(),
+        };
+        let options = AttachOptions { remote_free_batch: batch, ..AttachOptions::default() };
+        let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
+        let mut owner = heap.register_thread().unwrap();
+        let mut peer = heap.register_thread().unwrap();
+        let cell = |c: OffsetPtr| pod.memory().segment().atomic_u64(c.offset());
+        let cells: Vec<OffsetPtr> = (0..20).map(|_| owner.alloc(8).unwrap()).collect();
+        let blocks: Vec<OffsetPtr> = cells.iter().map(|&c| owner.alloc_detectable(64, c).unwrap()).collect();
+        for (&c, &b) in cells.iter().zip(&blocks) {
+            assert_eq!(cell(c).load(SeqCst), b.offset(), "{mode:?} batch {batch}: delivered");
+        }
+        // An unpublished cell is not the peer's to claim.
+        let unpublished = peer.dealloc_detectable(blocks[0], cells[0], blocks[0].offset() | 1);
+        assert!(matches!(unpublished, Err(cxl_core::AllocError::ClaimLost { .. })), "{mode:?} batch {batch}");
+        for (&c, &b) in cells.iter().zip(&blocks) {
+            cell(c).fetch_or(1, SeqCst);
+            peer.dealloc_detectable(b, c, b.offset() | 1).unwrap();
+            assert_eq!(cell(c).load(SeqCst), 0, "{mode:?} batch {batch}: claimed");
+        }
+        peer.flush_cache();
+        owner.flush_cache();
+        let census = heap.census(CoreId(0)).unwrap();
+        let held: Vec<u64> = cells.iter().map(|c| c.offset()).collect();
+        let mut live = census.all_offsets();
+        live.retain(|o| !blocks.iter().any(|b| b.offset() == *o));
+        assert_eq!(live, held, "{mode:?} batch {batch}: only the cells stay allocated");
+        assert_eq!(census.total() as u64 - census.remote_pending_total(), held.len() as u64, "{mode:?} batch {batch}");
+        heap.check_invariants(CoreId(0)).unwrap();
+    }
+}

@@ -526,3 +526,81 @@ fn detectable_allocation_stores_destination() {
     t.dealloc(cell).unwrap();
     heap.check_invariants(t.core()).unwrap();
 }
+
+include!("common/crash.rs");
+
+/// The durable metadata image with thread `slot`'s log line zeroed: what
+/// a failed op must leave exactly as it found it.
+fn image_but_log(pod: &Pod, slot: u32) -> Vec<u8> {
+    let mut image = metadata_image(pod);
+    let line = pod.layout().log_at(slot) as usize;
+    image[line..line + 64].fill(0);
+    image
+}
+
+#[test]
+fn lost_claim_is_a_typed_error_and_frees_nothing() {
+    // The owner's free is the local path, a peer's the eager remote one.
+    let (pod, heap) = setup();
+    let mut owner = heap.register_thread().unwrap();
+    let mut peer = heap.register_thread().unwrap();
+    let cell = owner.alloc(8).unwrap();
+    let p = owner.alloc_detectable(100, cell).unwrap();
+    owner.flush_cache();
+    for local in [true, false] {
+        let t = if local { &mut owner } else { &mut peer };
+        let slot = t.tid().slot();
+        let before = (heap.census(CoreId(0)).unwrap().all_offsets(), image_but_log(&pod, slot));
+        let stale = p.offset() | 1;
+        let err = t.dealloc_detectable(p, cell, stale).unwrap_err();
+        assert_eq!(err, AllocError::ClaimLost { dst: cell.offset(), seen: stale, found: p.offset() });
+        t.flush_cache();
+        let after = (heap.census(CoreId(0)).unwrap().all_offsets(), image_but_log(&pod, slot));
+        assert!(before == after, "local {local}: a lost claim changed the census or the metadata");
+        let log = pod.memory().segment().atomic_u64(pod.layout().log_at(slot));
+        assert_eq!(log.load(std::sync::atomic::Ordering::SeqCst), 0, "local {local}: the log is idle");
+        assert_eq!(pod.memory().segment().atomic_u64(cell.offset()).load(std::sync::atomic::Ordering::SeqCst), p.offset());
+    }
+    owner.dealloc_detectable(p, cell, p.offset()).unwrap();
+    assert_eq!(pod.memory().segment().atomic_u64(cell.offset()).load(std::sync::atomic::Ordering::SeqCst), 0);
+    owner.dealloc(cell).unwrap();
+    heap.check_invariants(CoreId(0)).unwrap();
+}
+
+#[test]
+fn huge_pointer_is_not_freed_detectably() {
+    let (pod, heap) = setup();
+    let mut t = heap.register_thread().unwrap();
+    let cell = t.alloc(8).unwrap();
+    let huge = t.alloc(2 << 20).unwrap();
+    assert!(pod.layout().huge.data.contains(huge.offset()));
+    pod.memory().segment().atomic_u64(cell.offset()).store(huge.offset(), std::sync::atomic::Ordering::SeqCst);
+    assert_eq!(
+        t.dealloc_detectable(huge, cell, huge.offset()),
+        Err(AllocError::NotDetectable { offset: huge.offset() })
+    );
+    assert_eq!(pod.memory().segment().atomic_u64(cell.offset()).load(std::sync::atomic::Ordering::SeqCst), huge.offset());
+    t.dealloc(huge).unwrap();
+    t.dealloc(cell).unwrap();
+    heap.check_invariants(t.core()).unwrap();
+}
+
+#[test]
+fn nonrecoverable_detectable_free_still_claims_and_frees() {
+    let pod = Pod::new(PodConfig::small_for_tests()).unwrap();
+    let options = AttachOptions { recoverable: false, ..AttachOptions::default() };
+    let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
+    let mut owner = heap.register_thread().unwrap();
+    let mut peer = heap.register_thread().unwrap();
+    let cells: Vec<OffsetPtr> = (0..2).map(|_| owner.alloc(8).unwrap()).collect();
+    let blocks: Vec<OffsetPtr> = cells.iter().map(|&c| owner.alloc_detectable(64, c).unwrap()).collect();
+    owner.dealloc_detectable(blocks[0], cells[0], blocks[0].offset()).unwrap();
+    peer.dealloc_detectable(blocks[1], cells[1], blocks[1].offset()).unwrap();
+    for c in &cells {
+        assert_eq!(pod.memory().segment().atomic_u64(c.offset()).load(std::sync::atomic::Ordering::SeqCst), 0);
+    }
+    let census = heap.census(CoreId(0)).unwrap();
+    assert!(!census.all_offsets().contains(&blocks[0].offset()), "the local free happened");
+    assert_eq!(census.remote_pending_total(), 1, "the remote free happened");
+    heap.check_invariants(CoreId(0)).unwrap();
+}

@@ -12,8 +12,8 @@
 //!   replacement detects the death by lease expiry and adopts the
 //!   crashed thread slot.
 //! - **SIGTERM drains** (`--drains`, rolling `--rolling N:PERIOD`): the
-//!   victim finishes its in-flight op, executes queued forwarded frees,
-//!   flushes every buffer, freezes its lease, and exits
+//!   victim finishes its in-flight op, flushes every buffer, freezes
+//!   its lease, and exits
 //!   [`DRAINED`](crate::worker::exit::DRAINED); the coordinator spawns a *fresh* replacement —
 //!   no adoption, no recovery.
 //! - **SIGSTOP stalls** (`--stalls`): the victim simply stops
@@ -34,6 +34,8 @@
 //! `--shared-pct` cross-process frees are in flight, the audit credits
 //! each slab's remote-pending counter and the durable remote-free
 //! buffer lines, so the books balance even when a kill lands mid-batch.
+//! Every ledger op is one detectable allocator op, so nothing is left
+//! in flight between processes for the audit or an adopter to repair.
 
 #![cfg(unix)]
 
@@ -41,11 +43,11 @@ use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr, ThreadId};
+use cxl_core::{AttachOptions, Cxlalloc, ThreadId};
 use cxl_pod::{CoreId, Pod, PodConfig};
 
 use crate::rpc::{self, status, ControlPlane, Msg, HIST_BUCKETS};
-use crate::worker::WorkerArgs;
+use crate::worker::{KeySplit, WorkerArgs};
 use crate::{send_signal, Chaos};
 
 mod machine;
@@ -116,15 +118,15 @@ pub struct RunArgs {
     /// Watchdog: SIGCONT probes before escalating to SIGKILL. 0 means
     /// "escalate immediately" (steal-test mode).
     pub max_probes: u32,
-    /// Percentage (0–100) of each worker's key range whose frees are
-    /// forwarded to peer workers (the Zipf-hot head); 0 = partitioned.
+    /// Percentage (0–100) of each worker's key range whose blocks peer
+    /// workers free in place (the Zipf-hot head); 0 = partitioned.
     pub shared_pct: u8,
     /// Remote-free batch width workers attach with (> 1 exercises the
     /// durable `remote_buf` batching under crashes).
     pub remote_batch: u32,
     /// Zipf skew θ ∈ (0,1) workers overlay on their key streams: every
     /// op's key is re-drawn rank-Zipfian over the ledger (rank 0
-    /// hottest), concentrating traffic — and forwarded frees — on the
+    /// hottest), concentrating traffic — and peer frees — on the
     /// shared hot head. `None` keeps each spec's own distribution.
     pub shared_skew: Option<f64>,
     /// Soak mode: progress lines on stderr every few seconds.
@@ -270,13 +272,13 @@ impl RunArgs {
         }
         // Every drain permanently freezes a thread slot and its fresh
         // replacement registers a new one; budget against max_threads
-        // (plus the audit's own registration and one slot of slack).
+        // (plus two spare slots).
         let planned_drains = self.drains as u64
             + self.rolling.map_or(0, |(n, _)| n as u64)
             + self.self_events.iter().filter(|(k, ..)| *k == Chaos::Drain).count() as u64;
         if self.workers as u64 + planned_drains + 2 > self.config.max_threads as u64 {
             return Err(format!(
-                "{} workers + {planned_drains} drains (+2 audit slots) exceed \
+                "{} workers + {planned_drains} drains (+2 spare slots) exceed \
                  max_threads {}",
                 self.workers, self.config.max_threads
             ));
@@ -311,10 +313,12 @@ pub struct WorkerStats {
     pub frees: u64,
     /// Live ledger entries at the end.
     pub live: u64,
-    /// FNV-1a over the sorted live ledger *keys* (offsets are
-    /// placement-dependent; keys are replay-deterministic).
+    /// FNV-1a over the sorted live *partitioned* ledger keys (offsets
+    /// are placement-dependent; keys are replay-deterministic, but a
+    /// shared cell's content is a race between its home and its peer).
     pub ledger_hash: u64,
-    /// Forwarded frees this slot executed for its peers.
+    /// Peer frees: shared-key frees this slot executed on its partners'
+    /// cells (each also counted in `frees`).
     pub forwarded: u64,
     /// Control-plane deadline expiries this slot observed.
     pub timeouts: u64,
@@ -338,8 +342,6 @@ pub struct AdoptionRecord {
     /// Replacements that exited `RACED`: lost the race, or bowed out
     /// because the run was stopping.
     pub losers: u32,
-    /// Phantom ledger cells the winner reconciled away.
-    pub phantoms: u64,
     /// Live blocks the winner inherited.
     pub inherited: u64,
 }
@@ -391,9 +393,6 @@ pub struct AuditOutcome {
     /// published (a kill mid-batch leaves these; recovery republishes
     /// them when the slot is adopted).
     pub remote_buffered: u64,
-    /// Forwarded frees stranded in forward lanes (dead/stopped
-    /// consumers) that the audit executed itself.
-    pub stranded_forwards: u64,
     /// Remote-free credits that matched no unattributed block — must be
     /// zero, or the remote accounting itself is broken.
     pub credit_excess: u64,
@@ -445,7 +444,7 @@ pub struct RunReport {
     /// SIGKILL deaths handled (scheduled, self-kills, and watchdog
     /// escalations observed as crashes).
     pub kills: u32,
-    /// Forwarded frees executed across all workers.
+    /// Peer frees executed across all workers.
     pub forwarded: u64,
     /// Control-plane deadline expiries across all workers.
     pub timeouts: u64,
@@ -487,21 +486,18 @@ impl RunReport {
     }
 
     /// FNV-1a digest of the run's *deterministic projection*: the data
-    /// an identical-seed replay must reproduce bit-for-bit. Ledger
-    /// keys, live counts, audit emptiness, and op-exact event counts
-    /// are in; raw `census_live` (the forward-vs-local-fallback free
-    /// split is timing-dependent — only `effective_live` is invariant),
-    /// placement-dependent offsets, stall episodes (wall-clock), and
-    /// latency are out.
+    /// an identical-seed replay must reproduce bit-for-bit. Partitioned
+    /// ledger keys, audit emptiness, and op-exact event counts are in.
+    /// Out are everything a shared cell moves (its content is a race
+    /// between its home's insert and its peer's free, so live counts,
+    /// census and counters move with it), placement-dependent offsets,
+    /// stall episodes (wall-clock), and latency.
     pub fn digest(&self) -> u64 {
         let mut h = FNV_BASIS;
         for w in &self.workers {
             h = fnv1a(h, w.index as u64);
             h = fnv1a(h, w.ledger_hash);
-            h = fnv1a(h, w.live);
         }
-        h = fnv1a(h, self.audit.ledger_live);
-        h = fnv1a(h, self.audit.effective_live);
         h = fnv1a(h, self.audit.lost.len() as u64);
         h = fnv1a(h, self.audit.phantom.len() as u64);
         h = fnv1a(h, self.audit.duplicates.len() as u64);
@@ -512,7 +508,7 @@ impl RunReport {
         h
     }
 
-    /// Renders the report as JSON (schema `serve-run-v2`).
+    /// Renders the report as JSON (schema `serve-run-v3`).
     pub fn to_json(&self) -> String {
         let workers = list(&self.workers, |w| {
             format!(
@@ -525,8 +521,8 @@ impl RunReport {
             let ids = list(&a.winner_ids, |(pid, epoch)| format!("[{pid},{epoch}]"));
             format!(
                 "{{\"index\":{},\"victim_tid\":{},\"winners\":{},\"winner_ids\":[{ids}],\
-                 \"losers\":{},\"phantoms\":{},\"inherited\":{}}}",
-                a.index, a.victim_tid, a.winners, a.losers, a.phantoms, a.inherited
+                 \"losers\":{},\"inherited\":{}}}",
+                a.index, a.victim_tid, a.winners, a.losers, a.inherited
             )
         });
         let drains = list(&self.drains, |d| {
@@ -537,15 +533,14 @@ impl RunReport {
         });
         let unfired = list(&self.unfired, |(kind, slot)| format!("{{\"kind\":\"{}\",\"slot\":{slot}}}", kind.name()));
         format!(
-            "{{\n  \"schema\": \"serve-run-v2\",\n  \"elapsed_secs\": {:.3},\n  \
+            "{{\n  \"schema\": \"serve-run-v3\",\n  \"elapsed_secs\": {:.3},\n  \
              \"total_ops\": {},\n  \"ops_per_sec\": {:.0},\n  \"p50_ns\": {},\n  \
              \"p99_ns\": {},\n  \"kills\": {},\n  \"forwarded\": {},\n  \
              \"timeouts\": {},\n  \"stolen\": {:?},\n  \"digest\": \"{:016x}\",\n  \
              \"workers\": [{}],\n  \"adoptions\": [{}],\n  \"drains\": [{}],\n  \
              \"stalls\": [{}],\n  \"unfired\": [{}],\n  \"audit\": {{\"census_live\": {}, \
              \"ledger_live\": {}, \"effective_live\": {}, \"remote_pending\": {}, \
-             \"remote_buffered\": {}, \"stranded_forwards\": {}, \
-             \"credit_excess\": {}, \
+             \"remote_buffered\": {}, \"credit_excess\": {}, \
              \"lost\": {}, \"phantom\": {}, \"duplicates\": {}, \
              \"counter_delta\": {}, \"invariants\": {:?}, \"clean\": {}}}\n}}\n",
             self.elapsed_secs,
@@ -568,7 +563,6 @@ impl RunReport {
             self.audit.effective_live,
             self.audit.remote_pending,
             self.audit.remote_buffered,
-            self.audit.stranded_forwards,
             self.audit.credit_excess,
             self.audit.lost.len(),
             self.audit.phantom.len(),
@@ -745,12 +739,13 @@ fn drive(args: &RunArgs, pod: &Pod, plane: &ControlPlane) -> Result<RunReport, S
 
     // The heap is quiescent — audit it.
     let audit = audit(pod, plane)?;
+    let split = KeySplit::new(args.workers, args.ledger_cap, args.shared_pct);
     let workers: Vec<WorkerStats> = (0..args.workers)
         .map(|index| {
             let w = plane.worker(index);
-            let mut keys: Vec<u64> = w.ledger_live().into_iter().map(|(k, _)| k).collect();
-            keys.sort_unstable();
-            let ledger_hash = keys.iter().fold(FNV_BASIS, |h, &k| fnv1a(h, k));
+            let keys: Vec<u64> = w.ledger_live().into_iter().map(|(k, _)| k).collect();
+            let ledger_hash =
+                keys.iter().filter(|&&k| !split.is_shared(k)).fold(FNV_BASIS, |h, &k| fnv1a(h, k));
             WorkerStats {
                 index,
                 tid: w.status(status::TID) as u16,
@@ -817,43 +812,12 @@ fn spawn_worker(
 }
 
 /// The zero-lost-blocks audit over a quiescent heap, extended for
-/// shared-key traffic: forwarded frees stranded in lanes are executed
-/// first, then every unattributed census block must be covered by a
-/// remote-free credit — a slab's executed-but-unstolen `remote_pending`
-/// or a durable-buffered batch a kill left mid-flight.
+/// shared-key traffic: every unattributed census block must be covered
+/// by a remote-free credit — a slab's executed-but-unstolen
+/// `remote_pending` or a durable-buffered batch a kill left mid-flight.
 fn audit(pod: &Pod, plane: &ControlPlane) -> Result<AuditOutcome, String> {
     let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default())
         .map_err(|e| format!("audit attach: {e}"))?;
-
-    // Stranded forwarded frees: a dead or stopped consumer left them
-    // queued. Their home workers already counted the free and cleared
-    // the ledger cell at forward time, so executing them here — through
-    // an audit-owned thread, via the eager remote-free path — is what
-    // makes the books balance. No status counters move.
-    let mut reaper =
-        heap.register_thread().map_err(|e| format!("audit register: {e}"))?;
-    let mut stranded = 0u64;
-    for consumer in 0..plane.workers() {
-        for producer in 0..plane.workers() {
-            if producer == consumer {
-                continue;
-            }
-            let lane = plane.worker(consumer).forward_ring(producer);
-            while let Some(msg) = lane.pop().map_err(|e| format!("forward lane: {e}"))? {
-                let Msg::FreeBlock { offset, home, key } = msg else {
-                    return Err(format!("unexpected forward-lane entry {msg:?}"));
-                };
-                let ptr = OffsetPtr::new(offset).ok_or_else(|| {
-                    format!("stranded null forward (home {home} key {key})")
-                })?;
-                reaper
-                    .dealloc(ptr)
-                    .map_err(|e| format!("stranded dealloc (home {home} key {key}): {e}"))?;
-                stranded += 1;
-            }
-        }
-    }
-    reaper.flush_cache();
 
     // One walk checks every heap invariant and lists the blocks. A heap
     // it refuses has no block list to trust, so every ledger entry then
@@ -916,7 +880,6 @@ fn audit(pod: &Pod, plane: &ControlPlane) -> Result<AuditOutcome, String> {
         effective_live,
         remote_pending,
         remote_buffered: buffered_total,
-        stranded_forwards: stranded,
         credit_excess,
         lost,
         phantom,
@@ -1133,7 +1096,6 @@ mod tests {
                 effective_live: 10,
                 remote_pending: 2,
                 remote_buffered: 0,
-                stranded_forwards: 1,
                 credit_excess: 0,
                 lost: Vec::new(),
                 phantom: Vec::new(),
@@ -1161,6 +1123,19 @@ mod tests {
         b.audit.remote_pending = 4;
         b.elapsed_secs = 2.0;
         assert_eq!(a.digest(), b.digest());
+        // ...nor must one more live shared cell: its block, its insert
+        // and the peer free it raced (the ledger hash covers partitioned
+        // keys only).
+        let mut shared = report_fixture();
+        shared.workers[0].live += 1;
+        shared.workers[0].allocs += 1;
+        shared.workers[0].forwarded += 1;
+        shared.workers[0].frees += 1;
+        shared.audit.census_live += 1;
+        shared.audit.ledger_live += 1;
+        shared.audit.effective_live += 1;
+        shared.forwarded += 1;
+        assert_eq!(a.digest(), shared.digest(), "shared cells are a race outcome");
         // ...while replay-visible ones must.
         b.workers[0].ledger_hash ^= 1;
         assert_ne!(a.digest(), b.digest());
@@ -1173,7 +1148,7 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_v2_with_chaos_fields() {
+    fn report_json_is_v3_with_chaos_fields() {
         let mut report = report_fixture();
         report.adoptions.push(AdoptionRecord {
             index: 0,
@@ -1181,19 +1156,17 @@ mod tests {
             winners: 1,
             winner_ids: vec![(4242, 3)],
             losers: 1,
-            phantoms: 0,
             inherited: 9,
         });
         let json = report.to_json();
         for needle in [
             "\"winner_ids\":[[4242,3]]",
-            "\"schema\": \"serve-run-v2\"",
+            "\"schema\": \"serve-run-v3\"",
             "\"drains\": [",
             "\"stalls\": [",
             "\"unfired\": [{\"kind\":\"drain\",\"slot\":0}]",
             "\"remote_pending\": 2",
             "\"effective_live\": 10",
-            "\"stranded_forwards\": 1",
             "\"digest\": \"",
             "\"forwarded\": 5",
         ] {

@@ -301,7 +301,7 @@ impl<'a> Coordinator<'a> {
                     _ => {}
                 }
             }
-            Msg::AdoptReport { victim, phantoms, inherited, pid, epoch } => {
+            Msg::AdoptReport { victim, inherited, pid, epoch } => {
                 let rec = slot
                     .adopting
                     .take()
@@ -314,7 +314,6 @@ impl<'a> Coordinator<'a> {
                     })?;
                 rec.winners += 1;
                 rec.winner_ids.push((pid, epoch));
-                rec.phantoms = phantoms;
                 rec.inherited = inherited;
             }
             // Rings drain before exits are reaped, so `slot.tid` still
@@ -581,7 +580,7 @@ mod tests {
         }
 
         fn winner(&mut self, index: u32, pid: u32, victim: u16) {
-            let report = Msg::AdoptReport { victim, phantoms: 1, inherited: 9, pid: pid as u64, epoch: 2 };
+            let report = Msg::AdoptReport { victim, inherited: 9, pid: pid as u64, epoch: 2 };
             assert_eq!(self.msg(index, report), vec![]);
         }
     }
@@ -615,7 +614,7 @@ mod tests {
         assert_eq!((rec.winners, rec.losers, rec.inherited), (1, 0, 9));
         assert_eq!(rec.winner_ids, vec![(3, 2)]);
         // A second winner for a closed episode names itself.
-        let late = Msg::AdoptReport { victim: 1, phantoms: 0, inherited: 0, pid: 8, epoch: 5 };
+        let late = Msg::AdoptReport { victim: 1, inherited: 0, pid: 8, epoch: 5 };
         let err = sim.m.step(sim.now, Event::Msg { index: 0, msg: late }).unwrap_err();
         assert!(err.contains("pid 8") && err.contains("epoch 5"), "{err}");
     }

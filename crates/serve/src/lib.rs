@@ -16,11 +16,12 @@
 //!
 //! - [`rpc`] — the shared-memory control plane: per-worker SPSC message
 //!   rings, status blocks, latency histograms, and the allocation
-//!   ledger whose cells double as `alloc_detectable` delivery slots.
+//!   ledger whose cells the allocator itself writes: the destinations
+//!   of `alloc_detectable`, the claimed cells of `dealloc_detectable`.
 //! - [`worker`] — the worker process: attach, register/adopt, serve,
-//!   heartbeat, forward shared-key frees to peers, drain gracefully on
-//!   SIGTERM, and (on request) raise a [`Chaos`] signal on itself at an
-//!   exact op count.
+//!   heartbeat, free its partners' shared keys in place, drain
+//!   gracefully on SIGTERM, and (on request) raise a [`Chaos`] signal on
+//!   itself at an exact op count.
 //! - [`coordinator`] — fleet management, the one seeded chaos schedule
 //!   (kills, drains, stalls, rolling restarts), the stuck-worker
 //!   watchdog, and the zero-lost-blocks audit.

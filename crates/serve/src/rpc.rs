@@ -16,29 +16,29 @@
 //! ctrl+0        header: magic/version, workers, ledger_cap, run_state
 //! per worker w at ctrl + 64 + w*stride:
 //!   +0    status block (128 B): state, pid, tid, ops, allocs, frees,
-//!         stolen, forwarded, timeouts
+//!         stolen, forwarded (peer frees), timeouts
 //!   +128  latency histogram: 64 log2-ns buckets
 //!   +640  cmd ring  (coordinator -> worker): 64 B header + 32 x 64 B slots
 //!   +2752 evt ring  (worker -> coordinator): same shape
-//!   +4864 forward rings (worker p -> worker w), one per producer p:
-//!         shared-key frees routed to w, `workers` rings of the same shape
-//!   +...  allocation ledger: ledger_cap x 8 B cells
+//!   +4864 allocation ledger: ledger_cap x 8 B cells
 //! ```
 //!
 //! The ledger is the crash-audit ground truth: cell `k` of worker `w`
-//! holds the offset of the block backing key `k` (0 = absent), and the
-//! worker passes the *cell itself* as the `detect_dst` of
-//! [`alloc_detectable`](cxl_core::ThreadHandle::alloc_detectable), so
-//! the allocator — not the application — publishes the offset before
-//! retiring its redo log. After any crash, "block allocated" and
-//! "ledger names it" can disagree for at most the one in-flight free,
-//! which adoption reconciles via [`cxl_core::audit::block_state`].
+//! holds the offset of the block backing key `k` (0 = absent). An
+//! insert passes the *cell itself* as the destination of
+//! [`alloc_detectable`](cxl_core::ThreadHandle::alloc_detectable), and
+//! a delete as the claimed cell of
+//! [`dealloc_detectable`](cxl_core::ThreadHandle::dealloc_detectable),
+//! so the allocator — not the application — writes the cell inside the
+//! logged op. After any crash the cell and the heap agree: recovery
+//! finishes or undoes the one in-flight op by what the cell holds.
+//! Bit 0 of a shared key's cell is its *publish tag* (block offsets are
+//! 8-aligned); [`WorkerPlane::ledger_live`] strips it.
 //!
 //! The cmd ring carries [`Msg::Start`] and [`Msg::Stop`]; the evt ring
 //! carries [`Msg::Hello`], [`Msg::AdoptReport`], [`Msg::Stolen`] and one
-//! [`Msg::Exited`] per incarnation, whether it stopped or drained; the
-//! forward rings carry [`Msg::FreeBlock`]. Chaos never travels over the
-//! rings: a drain is triggered by SIGTERM only.
+//! [`Msg::Exited`] per incarnation, whether it stopped or drained. Chaos
+//! never travels over the rings: a drain is triggered by SIGTERM only.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -47,9 +47,10 @@ use std::time::{Duration, Instant};
 use cxl_pod::Segment;
 
 /// Identifies a serve control plane (and its version) in the tail:
-/// ASCII `CXLSRV` plus a format version byte (bumped for the chaos
-/// layer: wider status block, per-producer forward rings).
-pub const MAGIC: u64 = 0x4358_4c53_5256_0002;
+/// ASCII `CXLSRV` plus a format version byte (3: the forward rings are
+/// gone, shared keys are freed in place, and an adoption report carries
+/// no phantom count).
+pub const MAGIC: u64 = 0x4358_4c53_5256_0003;
 /// Ring capacity in slots. Power of two; deep enough that a worker
 /// emitting one event per phase never fills it between coordinator
 /// polls.
@@ -92,13 +93,14 @@ pub mod run_state {
 /// Total control-tail bytes needed for `workers` workers with
 /// `ledger_cap` ledger cells each.
 pub fn tail_bytes(workers: u32, ledger_cap: u64) -> u64 {
-    HEADER_BYTES + workers as u64 * worker_stride(workers, ledger_cap)
+    HEADER_BYTES + workers as u64 * worker_stride(ledger_cap)
 }
 
-fn worker_stride(workers: u32, ledger_cap: u64) -> u64 {
-    let raw =
-        STATUS_BYTES + HIST_BYTES + (2 + workers as u64) * RING_BYTES + ledger_cap * 8;
-    raw.next_multiple_of(64)
+/// Bytes from a worker's status block to its first ledger cell.
+const LEDGER_AT: u64 = STATUS_BYTES + HIST_BYTES + 2 * RING_BYTES;
+
+fn worker_stride(ledger_cap: u64) -> u64 {
+    (LEDGER_AT + ledger_cap * 8).next_multiple_of(64)
 }
 
 /// One process's view of the whole control plane.
@@ -167,10 +169,7 @@ impl ControlPlane {
         assert!(index < self.workers, "worker index out of range");
         WorkerPlane {
             seg: self.seg.clone(),
-            base: self.base
-                + HEADER_BYTES
-                + index as u64 * worker_stride(self.workers, self.ledger_cap),
-            workers: self.workers,
+            base: self.base + HEADER_BYTES + index as u64 * worker_stride(self.ledger_cap),
             ledger_cap: self.ledger_cap,
         }
     }
@@ -178,11 +177,6 @@ impl ControlPlane {
     /// Number of worker slots.
     pub fn workers(&self) -> u32 {
         self.workers
-    }
-
-    /// Ledger cells per worker.
-    pub fn ledger_cap(&self) -> u64 {
-        self.ledger_cap
     }
 
     fn cell(&self, off: u64) -> &std::sync::atomic::AtomicU64 {
@@ -196,7 +190,6 @@ impl ControlPlane {
 pub struct WorkerPlane {
     seg: Arc<Segment>,
     base: u64,
-    workers: u32,
     ledger_cap: u64,
 }
 
@@ -216,9 +209,8 @@ pub mod status {
     pub const FREES: u64 = 40;
     /// Set to 1 when a heartbeat came back [`cxl_core::AllocError::LeaseStolen`].
     pub const STOLEN: u64 = 48;
-    /// Shared-key frees this worker executed *for other workers* —
-    /// entries consumed from its inbound forward rings. (The home
-    /// worker counts the free in its own [`FREES`] when it forwards.)
+    /// Peer frees: shared-key frees this worker executed by claiming
+    /// another worker's ledger cell. Each is also one of its [`FREES`].
     pub const FORWARDED: u64 = 56;
     /// Deadline-bounded control-plane waits that expired
     /// ([`super::ControlPlaneTimeout`]s observed by this worker).
@@ -272,50 +264,29 @@ impl WorkerPlane {
         Ring { seg: self.seg.clone(), base: self.base + STATUS_BYTES + HIST_BYTES + RING_BYTES }
     }
 
-    /// The shared-key forward ring *into* this worker written by worker
-    /// `producer`: an SPSC lane carrying [`Msg::FreeBlock`] requests —
-    /// frees of blocks this worker's slot owns that another worker's
-    /// key routing landed on. Each (producer, consumer) pair gets its
-    /// own ring, so every lane stays single-producer single-consumer.
-    /// The `producer == self` diagonal exists but is never used (a
-    /// worker frees its own keys directly).
-    pub fn forward_ring(&self, producer: u32) -> Ring {
-        assert!(producer < self.workers, "producer index out of range");
-        Ring {
-            seg: self.seg.clone(),
-            base: self.base
-                + STATUS_BYTES
-                + HIST_BYTES
-                + (2 + producer as u64) * RING_BYTES,
-        }
-    }
-
-    /// Number of worker slots (and therefore of forward-ring lanes).
-    pub fn workers(&self) -> u32 {
-        self.workers
-    }
-
-    /// Segment offset of ledger cell `k` — the word passed as
-    /// `detect_dst` so the allocator itself publishes into the ledger.
+    /// Segment offset of ledger cell `k` — the word the allocator
+    /// itself writes: the destination of an insert's detectable
+    /// allocation, the claimed cell of a delete's detectable free.
     pub fn ledger_cell(&self, k: u64) -> u64 {
         assert!(k < self.ledger_cap, "ledger key out of range");
-        self.base + STATUS_BYTES + HIST_BYTES + (2 + self.workers as u64) * RING_BYTES + k * 8
+        self.base + LEDGER_AT + k * 8
     }
 
-    /// Reads ledger cell `k` (0 = no block).
+    /// Reads ledger cell `k` raw, publish tag included (0 = no block).
     pub fn ledger_get(&self, k: u64) -> u64 {
         self.seg.atomic_u64(self.ledger_cell(k)).load(Ordering::SeqCst)
     }
 
     /// Writes ledger cell `k`.
-    pub fn ledger_set(&self, k: u64, offset: u64) {
-        self.seg.atomic_u64(self.ledger_cell(k)).store(offset, Ordering::SeqCst)
+    pub fn ledger_set(&self, k: u64, value: u64) {
+        self.seg.atomic_u64(self.ledger_cell(k)).store(value, Ordering::SeqCst)
     }
 
-    /// All nonzero ledger entries as `(key, offset)` pairs.
+    /// All nonzero ledger entries as `(key, offset)` pairs, the publish
+    /// tag stripped.
     pub fn ledger_live(&self) -> Vec<(u64, u64)> {
         (0..self.ledger_cap)
-            .filter_map(|k| match self.ledger_get(k) {
+            .filter_map(|k| match self.ledger_get(k) & !PUBLISHED {
                 0 => None,
                 off => Some((k, off)),
             })
@@ -327,6 +298,12 @@ impl WorkerPlane {
         self.ledger_cap
     }
 }
+
+/// Bit 0 of a shared key's ledger cell: set by the home worker once its
+/// detectable allocation has returned, and the only state in which the
+/// key's peer may claim the cell (DESIGN.md §12). Block offsets are
+/// 8-aligned, so the bit never belongs to an offset.
+pub const PUBLISHED: u64 = 1;
 
 /// Control-plane messages. Each encodes into one 64-byte ring slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -343,8 +320,6 @@ pub enum Msg {
     AdoptReport {
         /// The dead incarnation's thread id (raw).
         victim: u16,
-        /// Phantom ledger cells cleared during reconciliation.
-        phantoms: u64,
         /// Live blocks inherited through the ledger.
         inherited: u64,
         /// The reporting process's OS pid.
@@ -384,19 +359,6 @@ pub enum Msg {
         /// The stolen thread id (raw).
         tid: u16,
     },
-    /// Worker→worker (forward rings only): free the block backing a
-    /// shared key on behalf of its home worker. The home worker already
-    /// cleared its ledger cell and counted the free; the consumer just
-    /// executes the `dealloc` — which lands as a *remote free* because
-    /// the block's slab belongs to the home worker's thread slot.
-    FreeBlock {
-        /// Worker index that owns the key (for diagnostics).
-        home: u32,
-        /// The shared key being freed (for diagnostics).
-        key: u64,
-        /// Segment offset of the block to free.
-        offset: u64,
-    },
 }
 
 const KIND_HELLO: u8 = 1;
@@ -405,9 +367,9 @@ const KIND_START: u8 = 3;
 const KIND_STOP: u8 = 4;
 const KIND_EXITED: u8 = 6;
 const KIND_STOLEN: u8 = 7;
-const KIND_FREE_BLOCK: u8 = 10;
-// Kinds 5 (progress), 8 (drain command) and 9 (drained) are retired:
-// nothing sent the first two, and 9 folded into `Exited`.
+// Kinds 5 (progress), 8 (drain command), 9 (drained) and 10 (forwarded
+// free) are retired: nothing sent the first two, 9 folded into
+// `Exited`, and shared keys are now freed in place.
 
 /// A malformed ring slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -448,12 +410,11 @@ pub fn encode(msg: &Msg, seq: u64) -> [u64; 8] {
             w[2] = *tid as u64;
             KIND_HELLO
         }
-        Msg::AdoptReport { victim, phantoms, inherited, pid, epoch } => {
+        Msg::AdoptReport { victim, inherited, pid, epoch } => {
             w[1] = *victim as u64;
-            w[2] = *phantoms;
-            w[3] = *inherited;
-            w[4] = *pid;
-            w[5] = *epoch as u64;
+            w[2] = *inherited;
+            w[3] = *pid;
+            w[4] = *epoch as u64;
             KIND_ADOPT
         }
         Msg::Start { seed, spec, hb_every, target_ops } => {
@@ -474,12 +435,6 @@ pub fn encode(msg: &Msg, seq: u64) -> [u64; 8] {
             w[1] = *tid as u64;
             KIND_STOLEN
         }
-        Msg::FreeBlock { home, key, offset } => {
-            w[1] = *home as u64;
-            w[2] = *key;
-            w[3] = *offset;
-            KIND_FREE_BLOCK
-        }
     };
     w[0] = kind as u64 | (seq << 8);
     w
@@ -499,10 +454,9 @@ pub fn decode(w: &[u64; 8], seq: u64) -> Result<Msg, FrameError> {
         KIND_HELLO => Ok(Msg::Hello { pid: w[1], tid: w[2] as u16 }),
         KIND_ADOPT => Ok(Msg::AdoptReport {
             victim: w[1] as u16,
-            phantoms: w[2],
-            inherited: w[3],
-            pid: w[4],
-            epoch: w[5] as u16,
+            inherited: w[2],
+            pid: w[3],
+            epoch: w[4] as u16,
         }),
         KIND_START => Ok(Msg::Start {
             seed: w[1],
@@ -513,11 +467,6 @@ pub fn decode(w: &[u64; 8], seq: u64) -> Result<Msg, FrameError> {
         KIND_STOP => Ok(Msg::Stop),
         KIND_EXITED => Ok(Msg::Exited { drained: w[1] != 0, ops: w[2], live: w[3] }),
         KIND_STOLEN => Ok(Msg::Stolen { tid: w[1] as u16 }),
-        KIND_FREE_BLOCK => Ok(Msg::FreeBlock {
-            home: w[1] as u32,
-            key: w[2],
-            offset: w[3],
-        }),
         k => Err(FrameError::BadKind(k)),
     }
 }
@@ -547,16 +496,6 @@ impl Ring {
 
     fn slot(&self, pos: u64) -> u64 {
         self.base + 64 + (pos % RING_SLOTS) * SLOT_BYTES
-    }
-
-    /// Messages buffered and not yet consumed.
-    pub fn len(&self) -> u64 {
-        self.tail().load(Ordering::SeqCst) - self.head().load(Ordering::SeqCst)
-    }
-
-    /// Whether the ring is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Producer: appends `msg`.
@@ -722,11 +661,10 @@ mod tests {
     fn ring_delivers_in_order() {
         let plane = plane();
         let ring = plane.worker(0).cmd_ring();
-        assert!(ring.is_empty());
+        assert_eq!(ring.pop().unwrap(), None);
         let exited = Msg::Exited { drained: true, ops: 7, live: 3 };
         ring.push(Msg::Stop).unwrap();
         ring.push(exited).unwrap();
-        assert_eq!(ring.len(), 2);
         assert_eq!(ring.pop().unwrap(), Some(Msg::Stop));
         assert_eq!(ring.pop().unwrap(), Some(exited));
         assert_eq!(ring.pop().unwrap(), None);
@@ -752,7 +690,7 @@ mod tests {
                 );
             }
         }
-        assert!(ring.is_empty());
+        assert_eq!(ring.pop().unwrap(), None);
     }
 
     #[test]
@@ -784,38 +722,24 @@ mod tests {
         assert_eq!(a.ledger_get(3), 0xdead0);
         assert_eq!(b.ledger_get(3), 0, "worker ledgers are disjoint");
         assert_eq!(a.ledger_live(), vec![(3, 0xdead0)]);
+        // Rings and ledgers never alias, and the last cell of the last
+        // worker fits the tail.
+        let mut bases = vec![a.cmd_ring().base, a.evt_ring().base, b.cmd_ring().base, b.evt_ring().base];
+        bases.extend([a.ledger_cell(0), b.ledger_cell(0)]);
+        bases.sort_unstable();
+        bases.dedup();
+        assert_eq!(bases.len(), 6, "rings and ledgers must not alias");
+        assert!(b.ledger_cell(7) + 8 <= plane.base + tail_bytes(2, 8));
     }
 
     #[test]
-    fn forward_rings_are_distinct_spsc_lanes() {
+    fn ledger_live_strips_the_publish_tag() {
         let plane = plane();
-        let a = plane.worker(0);
-        let b = plane.worker(1);
-        assert_eq!(a.workers(), 2);
-        // Every (producer, consumer) lane, plus cmd/evt, plus the first
-        // ledger cell: no two bases may alias.
-        let mut bases: Vec<u64> = [&a, &b]
-            .iter()
-            .flat_map(|w| {
-                let mut v: Vec<u64> =
-                    (0..2).map(|p| w.forward_ring(p).base).collect();
-                v.push(w.cmd_ring().base);
-                v.push(w.evt_ring().base);
-                v.push(w.ledger_cell(0));
-                v
-            })
-            .collect();
-        bases.sort_unstable();
-        bases.dedup();
-        assert_eq!(bases.len(), 10, "rings and ledger must not alias");
-
-        // A forward from 0 into 1 is visible only on 1's lane for
-        // producer 0.
-        let msg = Msg::FreeBlock { home: 0, key: 42, offset: 0xbeef00 };
-        b.forward_ring(0).push(msg).unwrap();
-        assert!(b.forward_ring(1).is_empty());
-        assert!(a.forward_ring(0).is_empty());
-        assert_eq!(b.forward_ring(0).pop().unwrap(), Some(msg));
+        let w = plane.worker(1);
+        w.ledger_set(2, 0xbeef00 | PUBLISHED);
+        w.ledger_set(5, 0xcafe00);
+        assert_eq!(w.ledger_get(2), 0xbeef01, "the raw cell keeps its tag");
+        assert_eq!(w.ledger_live(), vec![(2, 0xbeef00), (5, 0xcafe00)]);
     }
 
     #[test]
@@ -870,10 +794,8 @@ mod tests {
     fn arb_msg() -> impl Strategy<Value = Msg> {
         prop_oneof![
             (any::<u64>(), any::<u16>()).prop_map(|(pid, tid)| Msg::Hello { pid, tid }),
-            (any::<u16>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u16>()).prop_map(
-                |(victim, phantoms, inherited, pid, epoch)| {
-                    Msg::AdoptReport { victim, phantoms, inherited, pid, epoch }
-                }
+            (any::<u16>(), any::<u64>(), any::<u64>(), any::<u16>()).prop_map(
+                |(victim, inherited, pid, epoch)| Msg::AdoptReport { victim, inherited, pid, epoch }
             ),
             (any::<u64>(), any::<u8>(), any::<u64>(), any::<u64>()).prop_map(
                 |(seed, spec, hb_every, target_ops)| Msg::Start {
@@ -887,9 +809,6 @@ mod tests {
             (any::<bool>(), any::<u64>(), any::<u64>())
                 .prop_map(|(drained, ops, live)| Msg::Exited { drained, ops, live }),
             any::<u16>().prop_map(|tid| Msg::Stolen { tid }),
-            (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(
-                |(home, key, offset)| Msg::FreeBlock { home, key, offset }
-            ),
         ]
     }
 

@@ -3,25 +3,23 @@
 //! A worker attaches to the coordinator's shared segment, registers a
 //! thread (or adopts a crashed one when spawned as a replacement), and
 //! serves a YCSB-style key-value workload against its slice of the
-//! allocation ledger. Every key maps to one ledger cell; an insert
-//! passes the cell itself as the `detect_dst` of
-//! [`alloc_detectable`](cxl_core::ThreadHandle::alloc_detectable), so
-//! the cell and the heap can disagree by at most the single in-flight
-//! operation no matter where a `kill -9` lands.
+//! allocation ledger. Every key maps to one ledger cell, which an
+//! insert fills with [`alloc_detectable`](cxl_core::ThreadHandle::alloc_detectable)
+//! and a delete claims with [`dealloc_detectable`](cxl_core::ThreadHandle::dealloc_detectable),
+//! so the cell and the heap agree no matter where a `kill -9` lands.
 //!
 //! Keys are partitioned per worker by default (each worker owns its
 //! ledger and never frees another worker's blocks), which keeps every
 //! slab's bitset single-writer and makes the end-of-run census exact.
 //! With `--shared-pct P` the Zipf-hot head of every worker's key
-//! range is *shared*: frees of those keys are forwarded over per-pair
-//! SPSC rings to a peer worker, whose `dealloc` then takes the
-//! allocator's remote-free path (batched through the durable
-//! `remote_buf` lines) — so crashes land in the middle of cross-process
-//! free traffic, which is exactly what the chaos audit must survive.
+//! range is *shared* ([`KeySplit`]): a worker's delete of a shared key
+//! frees its partner's block in place, on the allocator's remote-free
+//! path (batched through the durable `remote_buf` lines) — so crashes
+//! land in the middle of cross-process free traffic, which is exactly
+//! what the chaos audit must survive.
 //!
 //! A worker can also *drain*: on SIGTERM it finishes the current op,
-//! executes the forwarded frees already queued to it, flushes
-//! remote-free buffers, freezes its lease
+//! flushes remote-free buffers, freezes its lease
 //! ([`ThreadHandle::freeze_lease`]), and exits with
 //! [`exit::DRAINED`] — leaving a heap so settled that its replacement
 //! registers fresh instead of running recovery. A clean stop takes the
@@ -35,14 +33,14 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use cxl_core::audit::{block_state, BlockState};
+use cxl_core::audit::block_state;
 use cxl_core::liveness::LivenessDetector;
 use cxl_core::{AllocError, AttachOptions, Cxlalloc, OffsetPtr, ThreadHandle, ThreadId};
 use cxl_pod::{CoreId, Pod, PodConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use workloads::{KvOp, OpStream, WorkloadSpec, Zipfian};
 
-use crate::rpc::{self, state, status, ControlPlane, Msg, WorkerPlane};
+use crate::rpc::{self, state, status, ControlPlane, Msg, WorkerPlane, PUBLISHED};
 use crate::Chaos;
 
 /// Process exit codes a worker can produce (the coordinator keys off
@@ -112,16 +110,16 @@ pub struct WorkerArgs {
     /// the kind's signal on itself once `ops` ops have completed.
     pub chaos: Vec<(u64, Chaos)>,
     /// Percentage (0–100) of each worker's key range that is *shared*:
-    /// frees of keys below the cut are forwarded to a peer worker so
-    /// they land as remote frees. 0 = fully partitioned (PR 6 mode).
+    /// a peer worker frees the blocks of keys below the cut in place, so
+    /// they land as remote frees ([`KeySplit`]). 0 = fully partitioned.
     pub shared_pct: u8,
     /// Remote-free batch width passed to [`AttachOptions`]; widths > 1
-    /// buffer forwarded frees through the durable `remote_buf` lines.
+    /// buffer peer frees through the durable `remote_buf` lines.
     pub remote_batch: u32,
     /// Zipf skew θ ∈ (0,1) re-applied on top of the spec's key choice:
     /// every op's key is re-drawn as a rank-Zipfian over the ledger
     /// (rank 0 hottest), so the *shared hot head* soaks up most of the
-    /// traffic and forwarded frees pile onto a few contended slabs.
+    /// traffic and peer frees pile onto a few contended slabs.
     /// `None` keeps the spec's own distribution.
     pub shared_skew: Option<f64>,
 }
@@ -276,17 +274,17 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
     let me = plane.worker(args.index);
     let evt = me.evt_ring();
     let cmd = me.cmd_ring();
-    let forwards = Forwards::new(&plane, args);
+    let split = KeySplit::new(args.workers, args.ledger_cap, args.shared_pct);
 
     // Claim the slot: register fresh, or adopt the dead incarnation.
-    let mut handle = match args.adopt {
+    let handle = match args.adopt {
         None => heap.register_thread().map_err(|e| format!("register: {e}"))?,
         Some(raw) => {
             let victim = ThreadId::new(raw).ok_or("--adopt 0 is not a thread id")?;
             // Lost the race: bow out without a word. The event ring is
             // single-producer and belongs to the winner; the coordinator
             // counts the loser from the `RACED` exit.
-            match adopt(&heap, &plane, &me, victim)? {
+            match adopt(&heap, &plane, &me, split, victim)? {
                 Some(handle) => handle,
                 None => return Ok(exit::RACED),
             }
@@ -314,12 +312,12 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
             Some(Msg::Start { seed, spec, hb_every, target_ops }) => {
                 break (seed, spec, hb_every, target_ops)
             }
-            Some(Msg::Stop) => return leave(&mut handle, &me, &evt, &forwards, 0, false),
+            Some(Msg::Stop) => return leave(&handle, &me, &evt, 0, false),
             Some(other) => return Err(format!("unexpected command {other:?}")),
             None => {}
         }
         if DRAIN_SIGNAL.load(Ordering::Relaxed) {
-            return leave(&mut handle, &me, &evt, &forwards, 0, true);
+            return leave(&handle, &me, &evt, 0, true);
         }
         if let Err(code) = beat(&handle, &me, &evt) {
             return Ok(code);
@@ -338,7 +336,11 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         me: &me,
         evt: &evt,
         cmd: &cmd,
-        forwards: &forwards,
+        keys: Keys {
+            split,
+            index: args.index,
+            ledgers: (0..args.workers).map(|w| plane.worker(w)).collect(),
+        },
         seed,
         spec,
         hb_every: hb_every.max(1),
@@ -375,6 +377,7 @@ fn adopt(
     heap: &Cxlalloc,
     plane: &ControlPlane,
     me: &WorkerPlane,
+    split: KeySplit,
     victim: ThreadId,
 ) -> Result<Option<ThreadHandle>, String> {
     // Generous expiry: live workers heartbeat every few hundred
@@ -399,10 +402,9 @@ fn adopt(
         if probe {
             match heap.adopt(victim, via) {
                 Ok((handle, _report)) => {
-                    let (phantoms, inherited) = reconcile_ledger(heap, me, &handle)?;
+                    let inherited = inherit_ledger(me, split);
                     let _ = me.evt_ring().push(Msg::AdoptReport {
                         victim: victim.raw(),
-                        phantoms,
                         inherited,
                         pid: std::process::id() as u64,
                         epoch: handle.lease_epoch(),
@@ -421,146 +423,71 @@ fn adopt(
     }
 }
 
-/// Reconciles the inherited ledger against the recovered heap: a cell
-/// naming a block the heap considers free is the phantom left by a
-/// crash between a completed free and the cell clear. At most one per
-/// crash; cleared here so the end-of-run audit sees exact agreement.
+/// Counts the inherited ledger's live cells and publishes any shared
+/// cell the victim filled but died before publishing. Nothing else
+/// needs repair: recovery finished or undid the in-flight ledger op.
 #[cfg(unix)]
-fn reconcile_ledger(
-    heap: &Cxlalloc,
-    me: &WorkerPlane,
-    handle: &ThreadHandle,
-) -> Result<(u64, u64), String> {
-    let mem = heap.process().memory().clone();
-    let mut phantoms = 0;
-    let mut inherited = 0;
-    for (key, offset) in me.ledger_live() {
-        match block_state(mem.as_ref(), handle.core(), offset)? {
-            BlockState::Allocated => inherited += 1,
-            BlockState::Free => {
-                me.ledger_set(key, 0);
-                // The free completed pre-crash but its ledger clear did
-                // not; account it so allocs - frees == live holds.
-                me.bump_status(status::FREES, 1);
-                phantoms += 1;
-            }
+fn inherit_ledger(me: &WorkerPlane, split: KeySplit) -> u64 {
+    for k in (0..me.ledger_cap()).filter(|&k| split.is_shared(k)) {
+        // A published cell is its peer's to claim: never write it.
+        let cell = me.ledger_get(k);
+        if cell != 0 && cell & PUBLISHED == 0 {
+            me.ledger_set(k, cell | PUBLISHED);
         }
     }
-    Ok((phantoms, inherited))
+    me.ledger_live().len() as u64
 }
 
-/// The shared-key forwarding fabric, from one worker's point of view:
-/// its outbound lane into every peer and every peer's lane into it.
+/// Which keys are shared, and whose shared cell a worker frees: pure
+/// arithmetic, so every incarnation and the coordinator agree.
 ///
-/// Key routing is pure arithmetic so replacements (fresh registrations
-/// and adopters alike) route identically: key `k` of home worker `h`
-/// is shared iff `k < shared_keys`, and its frees are executed by peer
-/// `(h + 1 + (k mod (workers-1))) mod workers`. Because the workload's
-/// key distribution is Zipfian with rank 0 hottest, the shared cut is
-/// exactly the Zipf-skewed *hot head* of every worker's key range.
-#[cfg(unix)]
-struct Forwards {
-    index: u32,
+/// Key `k` of every worker is shared iff `k < shared_keys`, the Zipf-hot
+/// head of every key range. Home `h` fills its shared cell `k` and never
+/// frees it; its one freer is peer `(h + 1 + k mod (W-1)) mod W`, whose
+/// shared-key delete claims the cell of its [`KeySplit::partner`]. One
+/// claimer per cell keeps the detectable free safe: a claimer whose CAS
+/// lost and who died before recording it would look like the winner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeySplit {
     workers: u32,
-    /// Keys below this per-worker cut are shared (0 = partitioned).
     shared_keys: u64,
-    /// `outbound[w]` = the lane into worker `w` this worker produces
-    /// into; `None` on the self diagonal.
-    outbound: Vec<Option<crate::rpc::Ring>>,
-    /// Lanes into this worker, one per producing peer.
-    inbound: Vec<crate::rpc::Ring>,
 }
 
-#[cfg(unix)]
-impl Forwards {
-    fn new(plane: &ControlPlane, args: &WorkerArgs) -> Forwards {
-        let shared_keys = if args.workers > 1 {
-            args.ledger_cap * args.shared_pct as u64 / 100
-        } else {
-            0
-        };
-        let outbound = (0..args.workers)
-            .map(|w| (w != args.index).then(|| plane.worker(w).forward_ring(args.index)))
-            .collect();
-        let inbound = (0..args.workers)
-            .filter(|p| *p != args.index)
-            .map(|p| plane.worker(args.index).forward_ring(p))
-            .collect();
-        Forwards { index: args.index, workers: args.workers, shared_keys, outbound, inbound }
+impl KeySplit {
+    /// The split of `workers` ledgers of `ledger_cap` cells with
+    /// `shared_pct` percent shared; a lone worker shares nothing.
+    pub fn new(workers: u32, ledger_cap: u64, shared_pct: u8) -> KeySplit {
+        let shared_keys = if workers > 1 { ledger_cap * shared_pct as u64 / 100 } else { 0 };
+        KeySplit { workers, shared_keys }
     }
 
-    /// Whether any key is shared at all.
-    fn active(&self) -> bool {
-        self.shared_keys > 0
+    /// Whether key `k` is shared.
+    pub fn is_shared(&self, k: u64) -> bool {
+        k < self.shared_keys
     }
 
-    /// The outbound lane that must execute key `k`'s free, or `None`
-    /// when the key is partitioned (freed locally).
-    fn route(&self, k: u64) -> Option<&crate::rpc::Ring> {
-        if k >= self.shared_keys {
-            return None;
-        }
-        let peer = (self.index as u64 + 1 + k % (self.workers as u64 - 1))
-            % self.workers as u64;
-        self.outbound[peer as usize].as_ref()
+    /// The home whose shared cell `k` worker `peer` frees: the one whose
+    /// route lands on `peer`, never `peer` itself.
+    pub fn partner(&self, peer: u32, k: u64) -> u32 {
+        let w = self.workers as u64;
+        ((peer as u64 + w - 1 - k % (w - 1)) % w) as u32
     }
-}
-
-/// Executes forwarded frees queued to this worker, consuming at most
-/// `budget` entries. Each one deallocates a block whose slab belongs to
-/// the *producing* worker's thread slot, so it takes the allocator's
-/// remote-free path — buffered and batched when `--remote-batch` > 1.
-#[cfg(unix)]
-fn drain_inbound_burst(
-    handle: &mut ThreadHandle,
-    me: &WorkerPlane,
-    forwards: &Forwards,
-    mut budget: usize,
-) -> Result<(), String> {
-    for ring in &forwards.inbound {
-        loop {
-            if budget == 0 {
-                return Ok(());
-            }
-            match ring.pop().map_err(|e| format!("forward ring: {e}"))? {
-                Some(Msg::FreeBlock { offset, home, key }) => {
-                    let ptr = OffsetPtr::new(offset)
-                        .ok_or_else(|| format!("forwarded null offset (home {home} key {key})"))?;
-                    handle.dealloc(ptr).map_err(|e| {
-                        dealloc_failure(handle, &format!("forwarded dealloc (home {home} key {key})"), offset, e)
-                    })?;
-                    me.bump_status(status::FORWARDED, 1);
-                    budget -= 1;
-                }
-                Some(other) => return Err(format!("unexpected forward message {other:?}")),
-                None => break,
-            }
-        }
-    }
-    Ok(())
 }
 
 /// The one exit path, for a clean stop and a SIGTERM drain alike:
 /// publish the final state first so the watchdog stops expecting
-/// heartbeats, execute the forwarded frees already queued here (their
-/// possibly buffered remote decrements then publish; whatever producers
-/// enqueue later is reaped by the coordinator's audit), flush
-/// remote-free buffers + the core's cache
+/// heartbeats, flush remote-free buffers + the core's cache
 /// ([`ThreadHandle::flush_cache`]), freeze the lease so no detector
 /// mistakes the silence for a crash, report, and return the exit code.
 #[cfg(unix)]
 fn leave(
-    handle: &mut ThreadHandle,
+    handle: &ThreadHandle,
     me: &WorkerPlane,
     evt: &crate::rpc::Ring,
-    forwards: &Forwards,
     ops: u64,
     drained: bool,
 ) -> Result<i32, String> {
     me.set_status(status::STATE, if drained { state::DRAINED } else { state::DONE });
-    // Every visible entry: producers may refill behind us, but what was
-    // queued at the drain boundary is all the boundary needs.
-    drain_inbound_burst(handle, me, forwards, usize::MAX)?;
     handle.flush_cache();
     handle.freeze_lease();
     let live = me.ledger_live().len() as u64;
@@ -580,7 +507,7 @@ struct ServeLoop<'a> {
     me: &'a WorkerPlane,
     evt: &'a crate::rpc::Ring,
     cmd: &'a crate::rpc::Ring,
-    forwards: &'a Forwards,
+    keys: Keys,
     seed: u64,
     spec: u8,
     hb_every: u64,
@@ -589,16 +516,15 @@ struct ServeLoop<'a> {
     shared_skew: Option<f64>,
 }
 
-/// How often (in ops) a worker with shared keys sweeps its inbound forward
-/// lanes, and how many entries one sweep may consume. Consumption
-/// capacity (16 per 8 ops) comfortably exceeds the worst-case forward
-/// production rate (< 1 per producer op), so lanes never back up in
-/// steady state — the ring-full fallback in [`free_cell`] is for
-/// stalled or dead consumers only.
+/// A worker's view of the ledgers its ops touch: its own, and for a
+/// shared-key delete its partner's.
 #[cfg(unix)]
-const FORWARD_SWEEP_EVERY: u64 = 8;
-#[cfg(unix)]
-const FORWARD_SWEEP_BUDGET: usize = 16;
+struct Keys {
+    split: KeySplit,
+    index: u32,
+    /// Every worker's ledger, by index.
+    ledgers: Vec<WorkerPlane>,
+}
 
 /// Salt mixing the worker seed into the skew RNG so the Zipf overlay
 /// draws independently of the op stream (which consumes the raw seed).
@@ -629,7 +555,7 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
             }
         }
         if DRAIN_SIGNAL.load(Ordering::Relaxed) {
-            return leave(&mut s.handle, s.me, s.evt, s.forwards, ops, true);
+            return leave(&s.handle, s.me, s.evt, ops, true);
         }
         if s.target_ops != 0 && ops >= s.target_ops {
             break;
@@ -646,40 +572,37 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
                 return Ok(code);
             }
         }
-        if s.forwards.active() && ops.is_multiple_of(FORWARD_SWEEP_EVERY) {
-            drain_inbound_burst(&mut s.handle, s.me, s.forwards, FORWARD_SWEEP_BUDGET)?;
-        }
         let mut op = stream.next_op();
         if let Some((zipf, rng)) = skew.as_mut() {
             skew_op(&mut op, zipf.rank(rng.gen::<f64>()));
         }
         let t0 = Instant::now();
-        apply_op(&mut s.handle, s.me, s.forwards, &op, cap)?;
+        apply_op(&mut s.handle, s.me, &s.keys, &op, cap)?;
         s.me.record_latency(t0.elapsed().as_nanos() as u64);
         ops += 1;
         s.me.set_status(status::OPS, ops);
     }
-    leave(&mut s.handle, s.me, s.evt, s.forwards, ops, false)
+    leave(&s.handle, s.me, s.evt, ops, false)
 }
 
 /// Applies one KV op to the worker's ledger slice.
 ///
-/// The update protocol is crash-ordered: a free always clears its cell
-/// *after* the heap operation completes, and an insert's cell is
-/// written *by the allocator* before the redo log retires — so any
-/// crash leaves at most one cell (the in-flight op's) out of sync, in
-/// the phantom direction only.
+/// Each cell write is inside one detectable allocator op (an insert
+/// delivers into the cell, a delete claims it), so any crash leaves the
+/// cell and the heap agreeing. A shared key's insert fills and then
+/// publishes this worker's cell, skipping an occupied one; its delete
+/// claims the partner's published cell ([`KeySplit`]).
 #[cfg(unix)]
 fn apply_op(
     handle: &mut ThreadHandle,
     me: &WorkerPlane,
-    forwards: &Forwards,
+    keys: &Keys,
     op: &KvOp,
     cap: u64,
 ) -> Result<(), String> {
     match *op {
         KvOp::Read { key } => {
-            let cell = me.ledger_get(key % cap);
+            let cell = me.ledger_get(key % cap) & !PUBLISHED;
             if let Some(ptr) = OffsetPtr::new(cell) {
                 let raw = handle.resolve(ptr, 8).map_err(|e| format!("resolve: {e}"))?;
                 // Touch the block so reads exercise PC-T mappings.
@@ -688,7 +611,15 @@ fn apply_op(
         }
         KvOp::Insert { key, key_len, value_len } => {
             let k = key % cap;
-            free_cell(handle, me, forwards, k)?;
+            let shared = keys.split.is_shared(k);
+            let cell = me.ledger_get(k);
+            if cell != 0 {
+                if shared {
+                    // The key's peer frees it; the home never does.
+                    return Ok(());
+                }
+                free_cell(handle, me, me, k, cell)?;
+            }
             let size = (key_len as usize + value_len as usize).clamp(8, 64 << 10);
             let dst = OffsetPtr::new(me.ledger_cell(k)).expect("ledger cells are never offset 0");
             match handle.alloc_detectable(size, dst) {
@@ -697,64 +628,57 @@ fn apply_op(
                     let raw =
                         handle.resolve(ptr, 8).map_err(|e| format!("resolve: {e}"))?;
                     unsafe { (raw as *mut u64).write_volatile(key) };
+                    // Only now may the peer claim the cell: a claim inside
+                    // the allocation would race its recovery's check.
+                    if shared {
+                        me.ledger_set(k, ptr.offset() | PUBLISHED);
+                    }
                 }
                 // Serving must degrade, not die, when a heap fills:
                 // treat the insert as rejected.
-                Err(AllocError::OutOfMemory { .. }) => {
-                    me.ledger_set(k, 0);
-                }
+                Err(AllocError::OutOfMemory { .. }) => {}
                 Err(e) => return Err(format!("alloc: {e}")),
             }
         }
-        KvOp::Delete { key } => free_cell(handle, me, forwards, key % cap)?,
+        KvOp::Delete { key } => {
+            let k = key % cap;
+            let shared = keys.split.is_shared(k);
+            let ledger = if shared { &keys.ledgers[keys.split.partner(keys.index, k) as usize] } else { me };
+            let cell = ledger.ledger_get(k);
+            // A peer claims only a published cell.
+            if cell != 0 && (!shared || cell & PUBLISHED != 0) {
+                free_cell(handle, me, ledger, k, cell)?;
+                if shared {
+                    me.bump_status(status::FORWARDED, 1);
+                }
+            }
+        }
     }
     Ok(())
 }
 
-/// Frees the block backing ledger cell `k`, if any.
-///
-/// Shared keys are *forwarded*: the home worker pushes a
-/// [`Msg::FreeBlock`] to the routed peer, counts the free, and clears
-/// the cell immediately — the block itself stays allocated until the
-/// peer executes the dealloc, a gap the audit's remote-pending
-/// arithmetic accounts for. A full lane (stalled or dead peer) falls
-/// back to a local free, which is always correct — just not remote.
+/// Frees the block cell `k` of `ledger` names, claiming the cell, which
+/// holds `cell` (the block's offset, tagged if published); `me` counts
+/// the free. A failure names what the heap image says of the block now
+/// (`audit::block_state`), telling a block already free from a torn
+/// descriptor.
 #[cfg(unix)]
 fn free_cell(
     handle: &mut ThreadHandle,
     me: &WorkerPlane,
-    forwards: &Forwards,
+    ledger: &WorkerPlane,
     k: u64,
+    cell: u64,
 ) -> Result<(), String> {
-    let Some(ptr) = OffsetPtr::new(me.ledger_get(k)) else {
-        return Ok(());
-    };
-    if let Some(lane) = forwards.route(k) {
-        let msg = Msg::FreeBlock { home: forwards.index, key: k, offset: ptr.offset() };
-        if lane.push(msg).is_ok() {
-            me.bump_status(status::FREES, 1);
-            me.ledger_set(k, 0);
-            return Ok(());
-        }
+    let ptr = OffsetPtr::new(cell & !PUBLISHED).expect("a live cell names a block");
+    let dst = OffsetPtr::new(ledger.ledger_cell(k)).expect("ledger cells are never offset 0");
+    if let Err(e) = handle.dealloc_detectable(ptr, dst, cell) {
+        let state = block_state(handle.heap().process().memory().as_ref(), handle.core(), ptr.offset())
+            .map_or_else(|probe| format!("unprobeable: {probe}"), |state| format!("{state:?}"));
+        return Err(format!("dealloc (cell {:#x} key {k}): {e}; block_state {state}", dst.offset()));
     }
-    handle
-        .dealloc(ptr)
-        .map_err(|e| dealloc_failure(handle, &format!("dealloc (key {k})"), ptr.offset(), e))?;
     me.bump_status(status::FREES, 1);
-    me.ledger_set(k, 0);
     Ok(())
-}
-
-/// A failed dealloc's error line: `what` (the ledger cell's key, and
-/// the home worker of a forwarded free), the error, and what the heap
-/// image says of the block now (`audit::block_state`), so a dying
-/// worker's message tells a block the heap already holds free from a
-/// torn descriptor.
-#[cfg(unix)]
-fn dealloc_failure(handle: &ThreadHandle, what: &str, offset: u64, e: AllocError) -> String {
-    let state = block_state(handle.heap().process().memory().as_ref(), handle.core(), offset)
-        .map_or_else(|probe| format!("unprobeable: {probe}"), |state| format!("{state:?}"));
-    format!("{what}: {e}; block_state {state}")
 }
 
 /// One heartbeat; on a stolen lease, publishes the steal and returns
@@ -776,7 +700,7 @@ fn beat(handle: &ThreadHandle, me: &WorkerPlane, evt: &crate::rpc::Ring) -> Resu
 
 /// Replaces an op's key with the skew-sampled Zipf rank: rank 0 is the
 /// hottest key and maps to key 0 — the head of the shared cut — so
-/// `--shared-skew` concentrates traffic exactly where frees forward.
+/// `--shared-skew` concentrates traffic exactly where peers free.
 fn skew_op(op: &mut KvOp, rank: u64) {
     match op {
         KvOp::Read { key } | KvOp::Delete { key } | KvOp::Insert { key, .. } => *key = rank,
@@ -785,9 +709,9 @@ fn skew_op(op: &mut KvOp, rank: u64) {
 
 /// Pure replay of the ledger effect of `ops` operations: the same
 /// stream, key mapping (including the `--shared-skew` overlay), and
-/// cell protocol as [`run`], minus the heap. Crash-audit tests use it
-/// to predict the exact live-block population a (deterministically
-/// killed) worker leaves behind.
+/// cell protocol as [`run`] for partitioned keys, minus the heap.
+/// Crash-audit tests use it to predict the exact live-block population
+/// a (deterministically killed) worker leaves behind.
 pub fn simulate_ledger(
     spec_id: u8,
     seed: u64,
@@ -878,22 +802,61 @@ mod tests {
     }
 
     #[test]
-    fn shared_routing_is_deterministic_and_never_self() {
-        // Pure arithmetic mirror of Forwards::route — the property the
-        // audit relies on: stable peers, never the home worker.
-        let (workers, cap, pct) = (4u64, 256u64, 50u64);
-        let shared = cap * pct / 100;
-        for home in 0..workers {
-            for k in 0..cap {
-                if k >= shared {
-                    continue;
+    fn partner_inverts_the_route_and_is_never_self() {
+        // One claimer per shared cell: home `h`'s cell `k` is freed only
+        // by the route's peer, and that peer's partner for `k` is `h`.
+        for workers in 2..=8u32 {
+            let split = KeySplit::new(workers, 64, 50);
+            for k in (0..64).filter(|&k| split.is_shared(k)) {
+                for home in 0..workers {
+                    let peer = (home as u64 + 1 + k % (workers as u64 - 1)) % workers as u64;
+                    assert_ne!(peer, home as u64, "W={workers}: key {k} of {home} routed to itself");
+                    assert_eq!(split.partner(peer as u32, k), home, "W={workers} key {k}");
                 }
-                let peer = (home + 1 + k % (workers - 1)) % workers;
-                assert_ne!(peer, home, "key {k} of worker {home} routed to itself");
-                let again = (home + 1 + k % (workers - 1)) % workers;
-                assert_eq!(peer, again);
+                let partners: std::collections::BTreeSet<u32> =
+                    (0..workers).map(|peer| split.partner(peer, k)).collect();
+                assert_eq!(partners.len(), workers as usize, "W={workers} key {k}: one freer per home");
             }
         }
+        assert!(!KeySplit::new(1, 64, 100).is_shared(0), "a lone worker shares nothing");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_freer_never_claims_an_unpublished_cell() {
+        let file = std::env::temp_dir().join(format!("cxl-serve-unit-{}.seg", std::process::id()));
+        let (workers, cap) = (2u32, 8u64);
+        let pod = Pod::create_shared(PodConfig::small_for_tests(), &file, rpc::tail_bytes(workers, cap)).unwrap();
+        let _ = std::fs::remove_file(&file);
+        let plane = ControlPlane::new(pod.memory().segment().clone(), pod.layout().total_len, workers, cap);
+        plane.init();
+        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+        let (mut home, mut peer) = (heap.register_thread().unwrap(), heap.register_thread().unwrap());
+        let keys = |index| Keys {
+            split: KeySplit::new(workers, cap, 50),
+            index,
+            ledgers: (0..workers).map(|w| plane.worker(w)).collect(),
+        };
+        let (ledger, peer_plane) = (plane.worker(0), plane.worker(1));
+        let insert = KvOp::Insert { key: 1, key_len: 8, value_len: 56 };
+        apply_op(&mut home, &ledger, &keys(0), &insert, cap).unwrap();
+        let published = ledger.ledger_get(1);
+        assert_eq!(published & PUBLISHED, PUBLISHED, "a shared insert publishes its cell");
+        // The window between the allocation's return and the publish.
+        ledger.ledger_set(1, published & !PUBLISHED);
+        apply_op(&mut peer, &peer_plane, &keys(1), &KvOp::Delete { key: 1 }, cap).unwrap();
+        assert_eq!(ledger.ledger_get(1), published & !PUBLISHED, "an unpublished cell is not claimed");
+        assert_eq!(peer_plane.status(status::FORWARDED), 0);
+        // The home skips an insert into its occupied cell.
+        apply_op(&mut home, &ledger, &keys(0), &insert, cap).unwrap();
+        assert_eq!(ledger.status(status::ALLOCS), 1);
+        ledger.ledger_set(1, published);
+        apply_op(&mut peer, &peer_plane, &keys(1), &KvOp::Delete { key: 1 }, cap).unwrap();
+        assert_eq!(ledger.ledger_get(1), 0, "a published cell is claimed");
+        assert_eq!((peer_plane.status(status::FORWARDED), peer_plane.status(status::FREES)), (1, 1));
+        peer.flush_cache();
+        let census = heap.census(CoreId(0)).unwrap();
+        assert_eq!(census.total() as u64, census.remote_pending_total(), "the peer freed the home's block");
     }
 
     #[test]
