@@ -2,15 +2,17 @@
 //! the chaos schedule, and the end-of-run crash audit.
 //!
 //! The coordinator creates the shared pod file, spawns N real OS
-//! worker processes, drives them through the ring control plane, and —
-//! mid-run — throws the full scheduler repertoire at them. Each
+//! worker processes, each with its whole run on its command line,
+//! starts and stops them through the control header's run-state word,
+//! and — mid-run — throws the full scheduler repertoire at them. Each
 //! [`Chaos`] kind is one signal, injected either from one seeded timed
 //! schedule or op-exact by the victim itself
 //! (`--self-kill/--self-drain/--self-stall INDEX:OPS`):
 //!
 //! - **`kill -9`** (`--kills`): the victim vanishes mid-traffic; a
-//!   replacement detects the death by lease expiry and adopts the
-//!   crashed thread slot.
+//!   replacement, bound to the lease epoch the victim died with,
+//!   detects the death by lease expiry and adopts the crashed thread
+//!   slot.
 //! - **SIGTERM drains** (`--drains`, rolling `--rolling N:PERIOD`): the
 //!   victim finishes its in-flight op, flushes every buffer, freezes
 //!   its lease, and exits
@@ -46,7 +48,7 @@ use std::time::{Duration, Instant};
 use cxl_core::{AttachOptions, Cxlalloc, ThreadId};
 use cxl_pod::{CoreId, Pod, PodConfig};
 
-use crate::rpc::{self, status, ControlPlane, Msg, HIST_BUCKETS};
+use crate::rpc::{self, status, ControlPlane, HIST_BUCKETS};
 use crate::worker::{KeySplit, WorkerArgs};
 use crate::{send_signal, Chaos};
 
@@ -339,8 +341,7 @@ pub struct AdoptionRecord {
     /// report for a closed episode fails the run, naming its own pid
     /// and epoch: two pids mean two processes won DEAD→ADOPTING.
     pub winner_ids: Vec<(u64, u16)>,
-    /// Replacements that exited `RACED`: lost the race, or bowed out
-    /// because the run was stopping.
+    /// Replacements that exited `RACED`: lost the race.
     pub losers: u32,
     /// Live blocks the winner inherited.
     pub inherited: u64,
@@ -604,7 +605,7 @@ impl Drop for Fleet {
 
 /// The IO half of the coordinator: turns rings, exits, lease words and
 /// the clock into [`Event`]s and the machine's [`Action`]s into
-/// syscalls and ring pushes.
+/// syscalls and run-state stores.
 struct Shell<'a> {
     args: &'a RunArgs,
     pod: &'a Pod,
@@ -619,8 +620,8 @@ impl Shell<'_> {
         let now = self.clock.elapsed().as_nanos() as u64;
         for action in self.machine.step(now, event)? {
             match action {
-                Action::Spawn { index, adopt, chaos } => {
-                    let child = spawn_worker(self.args, index, adopt, chaos)?;
+                Action::Spawn { index, adopt, chaos, seed } => {
+                    let child = spawn_worker(self.args, index, adopt, chaos, seed)?;
                     let pid = child.id();
                     self.fleet.0.push(Worker { index, child, reaped: false });
                     self.step(Event::Spawned { index, pid })?;
@@ -632,12 +633,6 @@ impl Shell<'_> {
                         if sig == Chaos::Kill.signal() {
                             let _ = w.child.wait(); // the next pass reaps the corpse
                         }
-                    }
-                }
-                Action::Push { index, msg } => {
-                    let pushed = self.plane.worker(index).cmd_ring().push(msg);
-                    if matches!(msg, Msg::Start { .. }) {
-                        pushed.map_err(|_| format!("cmd ring of worker {index} full at start"))?;
                     }
                 }
                 Action::RunState(run_state) => self.plane.set_run_state(run_state),
@@ -787,8 +782,9 @@ fn drive(args: &RunArgs, pod: &Pod, plane: &ControlPlane) -> Result<RunReport, S
 fn spawn_worker(
     args: &RunArgs,
     index: u32,
-    adopt: Option<u16>,
+    adopt: Option<(u16, u16)>,
     chaos: Vec<(u64, Chaos)>,
+    seed: u64,
 ) -> Result<Child, String> {
     let worker_args = WorkerArgs {
         file: args.file.clone(),
@@ -796,6 +792,10 @@ fn spawn_worker(
         workers: args.workers,
         ledger_cap: args.ledger_cap,
         index,
+        seed,
+        spec: args.spec,
+        hb_every: args.hb_every,
+        target_ops: args.target_ops,
         adopt,
         chaos,
         shared_pct: args.shared_pct,

@@ -39,14 +39,13 @@ pub(super) enum Event {
 /// What the shell must do, in order.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) enum Action {
-    /// Spawn a worker for slot `index`: an adopter of `adopt`, or a
+    /// Spawn a worker for slot `index` that streams its ops from `seed`:
+    /// an adopter of `adopt` (the victim's raw tid and death epoch), or a
     /// fresh registration with `chaos` armed.
-    Spawn { index: u32, adopt: Option<u16>, chaos: Vec<(u64, Chaos)> },
+    Spawn { index: u32, adopt: Option<(u16, u16)>, chaos: Vec<(u64, Chaos)>, seed: u64 },
     /// Send `sig` to `pid`; after a SIGKILL, wait for the corpse so the
     /// next pass reaps it.
     Signal { pid: u32, sig: i32 },
-    /// Push `Start` or `Stop` into slot `index`'s command ring.
-    Push { index: u32, msg: Msg },
     /// Set the control plane's run state.
     RunState(u64),
 }
@@ -142,8 +141,8 @@ struct Slot {
 }
 
 impl Slot {
-    /// A healthy slot: started, not mid-adoption, its worker past Start
-    /// and not draining (`STATE` RUNNING), and its child alive and not
+    /// A healthy slot: started, not mid-adoption, its worker serving and
+    /// not draining (`STATE` RUNNING), and its child alive and not
     /// sent a SIGKILL. The watchdog watches it; the injector targets it
     /// unless an earlier chaos signal is still in effect.
     fn healthy(&self, worker_state: u64) -> bool {
@@ -261,12 +260,12 @@ impl<'a> Coordinator<'a> {
                     _ => slot.child = Some(proc),
                 }
             }
-            Event::Msg { index, msg } => self.message(index, msg, &mut out)?,
+            Event::Msg { index, msg } => self.message(index, msg)?,
             Event::Reaped { index, pid, code, lease } => {
                 let slot = &mut self.slots[index as usize];
                 if let Some(at) = slot.racers.iter().position(|(r, _)| r.pid == pid) {
                     if code == Some(exit::RACED) {
-                        // Lost the adoption race, or bowed out at STOPPING.
+                        // Lost the adoption race.
                         let (_, episode) = slot.racers.remove(at);
                         self.adoptions[episode].losers += 1;
                     } else {
@@ -281,7 +280,7 @@ impl<'a> Coordinator<'a> {
         Ok(out)
     }
 
-    fn message(&mut self, index: u32, msg: Msg, out: &mut Vec<Action>) -> Result<(), String> {
+    fn message(&mut self, index: u32, msg: Msg) -> Result<(), String> {
         let slot = &mut self.slots[index as usize];
         match msg {
             Msg::Hello { pid, tid } => {
@@ -291,14 +290,12 @@ impl<'a> Coordinator<'a> {
                 if let Some(at) = slot.racers.iter().position(|(r, _)| r.pid as u64 == pid) {
                     slot.child = Some(slot.racers.remove(at).0);
                 }
-                match self.phase {
-                    Phase::Traffic { .. } if !slot.started => out.push(self.start(index)),
-                    // A straggler (late replacement) checking in
-                    // mid-shutdown: send it straight to Stop.
-                    Phase::Stopping { .. } | Phase::Done if !slot.started => {
-                        out.push(Action::Push { index, msg: Msg::Stop })
-                    }
-                    _ => {}
+                // A replacement reads RUNNING and serves. Its Hello is
+                // popped before its exit is reaped, so `settle` never
+                // sees a serving worker's death on an unstarted slot. A
+                // straggler during Stopping reads STOPPING and leaves.
+                if matches!(self.phase, Phase::Traffic { .. }) {
+                    slot.started = true;
                 }
             }
             Msg::AdoptReport { victim, inherited, pid, epoch } => {
@@ -324,18 +321,17 @@ impl<'a> Coordinator<'a> {
             }
             Msg::Exited { drained: false, .. } => slot.finished = true,
             Msg::Stolen { tid } => self.stolen.push(tid),
-            other => return Err(format!("unexpected event {other:?}")),
         }
         Ok(())
     }
 
-    /// `Start` for slot `index`'s current incarnation.
-    fn start(&mut self, index: u32) -> Action {
-        let (args, slot) = (self.args, &mut self.slots[index as usize]);
-        slot.started = true;
-        let seed = incarnation_seed(args.seed, index, slot.incarnation);
-        let msg = Msg::Start { seed, spec: args.spec, hb_every: args.hb_every, target_ops: args.target_ops };
-        Action::Push { index, msg }
+    /// A worker for slot `index`'s current incarnation: an adopter of
+    /// `adopt`, or a fresh registration armed with the slot's next
+    /// self-events.
+    fn spawn(&mut self, index: u32, adopt: Option<(u16, u16)>) -> Action {
+        let chaos = if adopt.is_none() { self.self_events.arm(index) } else { Vec::new() };
+        let seed = incarnation_seed(self.args.seed, index, self.slots[index as usize].incarnation);
+        Action::Spawn { index, adopt, chaos, seed }
     }
 
     fn tick(&mut self, now: u64, probes: &[(u64, u64)], out: &mut Vec<Action>) -> Result<(), String> {
@@ -343,15 +339,15 @@ impl<'a> Coordinator<'a> {
         match self.phase {
             Phase::Init => {
                 for index in 0..args.workers {
-                    out.push(Action::Spawn { index, adopt: None, chaos: self.self_events.arm(index) });
+                    out.push(self.spawn(index, None));
                 }
                 self.phase = Phase::Setup { deadline: now + 60 * SEC };
             }
             Phase::Setup { deadline } => {
                 if self.slots.iter().all(|s| s.tid.is_some()) {
                     out.push(Action::RunState(run_state::RUNNING));
-                    for index in 0..args.workers {
-                        out.push(self.start(index));
+                    for slot in &mut self.slots {
+                        slot.started = true;
                     }
                     let grace = if args.target_ops > 0 { 120 * SEC } else { 0 };
                     let deadline = now + secs_ns(args.secs) + grace;
@@ -374,21 +370,13 @@ impl<'a> Coordinator<'a> {
                 if done {
                     self.elapsed_ns = now - start;
                     out.push(Action::RunState(run_state::STOPPING));
-                    for (index, slot) in self.slots.iter().enumerate() {
-                        // Also slots whose replacement is still
-                        // mid-adoption: the Stop waits in the ring and
-                        // the adoption winner drains it.
-                        if (slot.child.is_some() || !slot.racers.is_empty()) && !slot.finished {
-                            out.push(Action::Push { index: index as u32, msg: Msg::Stop });
-                        }
-                    }
                     self.phase = Phase::Stopping { deadline: now + 30 * SEC };
                 } else if now > deadline {
                     return Err("run overshot its hard deadline".into());
                 }
             }
             // Keep the watchdog running: a worker stalled moments before
-            // STOPPING still needs its SIGCONT to see the Stop.
+            // STOPPING still needs its SIGCONT to read it.
             Phase::Stopping { .. } => self.watch(now, probes, out),
             Phase::Done => {}
         }
@@ -431,13 +419,16 @@ impl<'a> Coordinator<'a> {
         // the flush completed, so nothing is adoptable — or needs to be.
         if drained || lease::is_frozen(lease) {
             slot.tid = None;
-            out.push(Action::Spawn { index, adopt: None, chaos: self.self_events.arm(index) });
+            out.push(self.spawn(index, None));
             return Ok(());
         }
         slot.adopting = Some(self.adoptions.len());
         self.adoptions.push(AdoptionRecord { index, victim_tid: victim, ..AdoptionRecord::default() });
+        // The death epoch binds each adopter to this incarnation: once
+        // the winner's adoption moves it, a loser can never expire the
+        // winner's fresh lease and adopt the slot again.
         for _ in 0..1 + self.args.race_adopt as u32 {
-            out.push(Action::Spawn { index, adopt: Some(victim), chaos: Vec::new() });
+            out.push(self.spawn(index, Some((victim, lease::epoch(lease)))));
         }
         Ok(())
     }
@@ -534,17 +525,18 @@ mod tests {
     }
 
     impl<'a> Sim<'a> {
-        /// A machine whose slot `i` said hello as tid `i + 1` and was
-        /// started at time 0.
+        /// A machine whose slot `i` was spawned with incarnation 0's
+        /// seed, said hello as tid `i + 1`, and was started at 1 ms.
         fn running(args: &'a RunArgs) -> Sim<'a> {
             let mut sim = Sim { m: Coordinator::new(args), now: 0, pid: 0 };
-            sim.tick(0);
+            let spawns: Vec<Action> = (0..args.workers).map(|i| spawn(args, i, None, 0)).collect();
+            assert_eq!(sim.tick(0), spawns);
             for index in 0..args.workers {
-                sim.msg(index, Msg::Hello { pid: index as u64 + 1, tid: index as u16 + 1 });
+                assert_eq!(sim.msg(index, Msg::Hello { pid: index as u64 + 1, tid: index as u16 + 1 }), vec![]);
+                assert!(!sim.m.slots[index as usize].started, "no slot starts during setup");
             }
-            let acts = sim.tick(1);
-            assert_eq!(acts[0], Action::RunState(run_state::RUNNING));
-            assert_eq!(acts.len(), 1 + args.workers as usize);
+            assert_eq!(sim.tick(1), vec![Action::RunState(run_state::RUNNING)]);
+            assert!(sim.m.slots.iter().all(|s| s.started));
             sim
         }
 
@@ -585,31 +577,35 @@ mod tests {
         }
     }
 
-    fn adopter(index: u32, victim: u16) -> Action {
-        Action::Spawn { index, adopt: Some(victim), chaos: Vec::new() }
-    }
-
-    fn start(args: &RunArgs, index: u32, incarnation: u32) -> Action {
+    /// An unarmed spawn for `incarnation` of slot `index`.
+    fn spawn(args: &RunArgs, index: u32, adopt: Option<(u16, u16)>, incarnation: u32) -> Action {
         let seed = incarnation_seed(args.seed, index, incarnation);
-        let msg = Msg::Start { seed, spec: args.spec, hb_every: args.hb_every, target_ops: 0 };
-        Action::Push { index, msg }
+        Action::Spawn { index, adopt, chaos: Vec::new(), seed }
     }
 
-    fn stop(index: u32) -> Action {
-        Action::Push { index, msg: Msg::Stop }
+    /// Slot `index`'s first adopter of `victim`, which died at `epoch`.
+    fn adopter(args: &RunArgs, index: u32, victim: u16, epoch: u16) -> Action {
+        spawn(args, index, Some((victim, epoch)), 1)
+    }
+
+    /// A lease word at `epoch`.
+    fn at_epoch(epoch: u16) -> u64 {
+        lease::pack(epoch, 77)
     }
 
     #[test]
     fn crash_opens_one_episode_and_the_winner_report_closes_it() {
         let args = RunArgs { workers: 2, secs: 100.0, ..RunArgs::default() };
         let mut sim = Sim::running(&args);
-        sim.reap(0, 1, None, 77);
-        assert_eq!(sim.tick(10), vec![adopter(0, 1)]);
+        sim.reap(0, 1, None, at_epoch(3));
+        assert_eq!(sim.tick(10), vec![adopter(&args, 0, 1, 3)]);
         assert_eq!((sim.m.kills, sim.m.adoptions.len()), (1, 1));
         // Still mid-adoption: the next tick opens nothing new.
         assert_eq!(sim.tick(11), vec![]);
         sim.winner(0, 3, 1);
-        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![start(&args, 0, 1)]);
+        assert!(!sim.m.slots[0].started);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![]);
+        assert!(sim.m.slots[0].started, "a hello during traffic starts the slot");
         let rec = &sim.m.adoptions[0];
         assert_eq!((rec.winners, rec.losers, rec.inherited), (1, 0, 9));
         assert_eq!(rec.winner_ids, vec![(3, 2)]);
@@ -623,20 +619,20 @@ mod tests {
     fn raced_adoption_counts_raced_exits_as_losers_also_while_stopping() {
         let args = RunArgs { workers: 2, secs: 1.0, race_adopt: true, ..RunArgs::default() };
         let mut sim = Sim::running(&args);
-        sim.reap(0, 1, None, 77);
-        assert_eq!(sim.tick(10), vec![adopter(0, 1), adopter(0, 1)]);
+        sim.reap(0, 1, None, at_epoch(1));
+        assert_eq!(sim.tick(10), vec![adopter(&args, 0, 1, 1), adopter(&args, 0, 1, 1)]);
         sim.winner(0, 3, 1);
-        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![start(&args, 0, 1)]);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![]);
         sim.reap(0, 4, Some(exit::RACED), 0);
         assert_eq!((sim.m.adoptions[0].winners, sim.m.adoptions[0].losers), (1, 1));
 
         // Slot 1's loser is still adopting when the run stops.
-        sim.reap(1, 2, None, 78);
-        assert_eq!(sim.tick(20), vec![adopter(1, 2), adopter(1, 2)]);
+        sim.reap(1, 2, None, at_epoch(4));
+        assert_eq!(sim.tick(20), vec![adopter(&args, 1, 2, 4), adopter(&args, 1, 2, 4)]);
         sim.winner(1, 5, 2);
         sim.msg(1, Msg::Hello { pid: 5, tid: 2 });
         let stopping = sim.tick(1002);
-        assert_eq!(stopping, vec![Action::RunState(run_state::STOPPING), stop(0), stop(1)]);
+        assert_eq!(stopping, vec![Action::RunState(run_state::STOPPING)]);
         assert_eq!(sim.m.elapsed_ns, 1001 * MS);
         sim.reap(1, 6, Some(exit::RACED), 0);
         assert_eq!((sim.m.adoptions[1].winners, sim.m.adoptions[1].losers), (1, 1));
@@ -656,8 +652,11 @@ mod tests {
         let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
         let args = RunArgs::parse(&argv).unwrap();
         let mut sim = Sim { m: Coordinator::new(&args), now: 0, pid: 0 };
+        let fresh = |chaos, incarnation| {
+            Action::Spawn { index: 0, adopt: None, chaos, seed: incarnation_seed(args.seed, 0, incarnation) }
+        };
         let first = vec![(50, Chaos::Drain), (100, Chaos::Kill)];
-        assert_eq!(sim.tick(0), vec![Action::Spawn { index: 0, adopt: None, chaos: first }]);
+        assert_eq!(sim.tick(0), vec![fresh(first, 0)]);
         sim.msg(0, Msg::Hello { pid: 1, tid: 1 });
         sim.tick(1);
 
@@ -665,16 +664,16 @@ mod tests {
         assert_eq!(sim.msg(0, exited), vec![]);
         sim.reap(0, 1, Some(exit::DRAINED), lease::FROZEN);
         let next = vec![(75, Chaos::Drain), (200, Chaos::Kill)];
-        assert_eq!(sim.tick(10), vec![Action::Spawn { index: 0, adopt: None, chaos: next }]);
+        assert_eq!(sim.tick(10), vec![fresh(next, 1)]);
         let d = &sim.m.drains[0];
         assert_eq!((d.index, d.tid, d.ops, d.live), (0, 1, 50, 7));
         assert_eq!((sim.m.kills, sim.m.adoptions.len()), (0, 0));
-        assert_eq!(sim.msg(0, Msg::Hello { pid: 2, tid: 5 }), vec![start(&args, 0, 1)]);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 2, tid: 5 }), vec![]);
 
         // The fresh worker crashes: its adopter arms nothing, though a
         // drain is still queued for the slot's next fresh spawn.
-        sim.reap(0, 2, None, 1234);
-        assert_eq!(sim.tick(20), vec![adopter(0, 5)]);
+        sim.reap(0, 2, None, at_epoch(2));
+        assert_eq!(sim.tick(20), vec![spawn(&args, 0, Some((5, 2)), 2)]);
     }
 
     #[test]
@@ -682,7 +681,7 @@ mod tests {
         let args = RunArgs { workers: 1, secs: 100.0, ..RunArgs::default() };
         let mut sim = Sim::running(&args);
         sim.reap(0, 1, None, lease::FROZEN);
-        assert_eq!(sim.tick(10), vec![Action::Spawn { index: 0, adopt: None, chaos: vec![] }]);
+        assert_eq!(sim.tick(10), vec![spawn(&args, 0, None, 1)]);
         assert_eq!(sim.m.kills, 1);
         assert!(sim.m.adoptions.is_empty());
         assert_eq!(sim.m.tid(0), None);
@@ -713,7 +712,7 @@ mod tests {
         // The killed child is no target while its corpse is reaped.
         assert_eq!(silent(&mut sim, 900), vec![]);
         sim.reap(0, 1, None, 7);
-        assert_eq!(silent(&mut sim, 901), vec![adopter(0, 1)]);
+        assert_eq!(silent(&mut sim, 901), vec![adopter(&args, 0, 1, 0)]);
     }
 
     #[test]
@@ -771,22 +770,31 @@ mod tests {
         assert_eq!(sim.tick_with(1160, vec![(lease::FROZEN, state::DRAINED)]), vec![]);
         sim.msg(0, Msg::Exited { drained: true, ops: 10, live: 0 });
         sim.reap(0, 1, Some(exit::DRAINED), lease::FROZEN);
-        assert_eq!(sim.tick(1170), vec![Action::Spawn { index: 0, adopt: None, chaos: vec![] }]);
-        assert_eq!(sim.msg(0, Msg::Hello { pid: 2, tid: 4 }), vec![start(&args, 0, 1)]);
+        assert_eq!(sim.tick(1170), vec![spawn(&args, 0, None, 1)]);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 2, tid: 4 }), vec![]);
         assert_eq!(sim.tick(1180), vec![signal(2, Chaos::Drain)]);
         assert_eq!(sim.m.drains.len(), 1);
         assert!(sim.m.schedule.is_empty(), "every planned event fired");
     }
 
     #[test]
-    fn late_hello_while_stopping_gets_stop_not_start() {
+    fn late_winner_after_stopping_closes_its_episode() {
         let args = RunArgs { workers: 2, secs: 1.0, ..RunArgs::default() };
         let mut sim = Sim::running(&args);
-        sim.reap(0, 1, None, 77);
-        assert_eq!(sim.tick(10), vec![adopter(0, 1)]);
-        let stopping = sim.tick(1002);
-        assert_eq!(stopping, vec![Action::RunState(run_state::STOPPING), stop(0), stop(1)]);
+        sim.reap(0, 1, None, at_epoch(6));
+        assert_eq!(sim.tick(10), vec![adopter(&args, 0, 1, 6)]);
+        assert_eq!(sim.tick(1002), vec![Action::RunState(run_state::STOPPING)]);
+        // The winner reports, says hello, reads STOPPING and leaves.
         sim.winner(0, 3, 1);
-        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![stop(0)]);
+        assert_eq!(sim.msg(0, Msg::Hello { pid: 3, tid: 1 }), vec![]);
+        assert!(!sim.m.slots[0].started, "a straggler's hello starts nothing");
+        assert_eq!(sim.msg(0, Msg::Exited { drained: false, ops: 0, live: 4 }), vec![]);
+        sim.reap(0, 3, Some(exit::OK), at_epoch(7));
+        sim.reap(1, 2, Some(exit::OK), at_epoch(1));
+        assert_eq!(sim.tick(1004), vec![]);
+        assert!(sim.m.done());
+        let rec = &sim.m.adoptions[0];
+        assert_eq!((rec.winners, rec.losers, rec.winner_ids.clone()), (1, 0, vec![(3, 2)]));
+        assert_eq!(sim.m.kills, 1);
     }
 }

@@ -14,8 +14,9 @@
 //!
 //! The moving parts:
 //!
-//! - [`rpc`] — the shared-memory control plane: per-worker SPSC message
-//!   rings, status blocks, latency histograms, and the allocation
+//! - [`rpc`] — the shared-memory control plane: the run-state word,
+//!   per-worker SPSC event rings, status blocks, latency histograms,
+//!   and the allocation
 //!   ledger whose cells the allocator itself writes: the destinations
 //!   of `alloc_detectable`, the claimed cells of `dealloc_detectable`.
 //! - [`worker`] — the worker process: attach, register/adopt, serve,

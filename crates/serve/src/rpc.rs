@@ -18,9 +18,8 @@
 //!   +0    status block (128 B): state, pid, tid, ops, allocs, frees,
 //!         stolen, forwarded (peer frees), timeouts
 //!   +128  latency histogram: 64 log2-ns buckets
-//!   +640  cmd ring  (coordinator -> worker): 64 B header + 32 x 64 B slots
-//!   +2752 evt ring  (worker -> coordinator): same shape
-//!   +4864 allocation ledger: ledger_cap x 8 B cells
+//!   +640  evt ring (worker -> coordinator): 64 B header + 32 x 64 B slots
+//!   +2752 allocation ledger: ledger_cap x 8 B cells
 //! ```
 //!
 //! The ledger is the crash-audit ground truth: cell `k` of worker `w`
@@ -35,10 +34,12 @@
 //! Bit 0 of a shared key's cell is its *publish tag* (block offsets are
 //! 8-aligned); [`WorkerPlane::ledger_live`] strips it.
 //!
-//! The cmd ring carries [`Msg::Start`] and [`Msg::Stop`]; the evt ring
-//! carries [`Msg::Hello`], [`Msg::AdoptReport`], [`Msg::Stolen`] and one
+//! The coordinator tells workers nothing over a ring: a worker's run is
+//! fixed by its command line, and it starts and stops on the header's
+//! [`run_state`] word. The one ring, worker → coordinator, carries
+//! [`Msg::Hello`], [`Msg::AdoptReport`], [`Msg::Stolen`] and one
 //! [`Msg::Exited`] per incarnation, whether it stopped or drained. Chaos
-//! never travels over the rings: a drain is triggered by SIGTERM only.
+//! never travels over it: a drain is triggered by SIGTERM only.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -47,10 +48,9 @@ use std::time::{Duration, Instant};
 use cxl_pod::Segment;
 
 /// Identifies a serve control plane (and its version) in the tail:
-/// ASCII `CXLSRV` plus a format version byte (3: the forward rings are
-/// gone, shared keys are freed in place, and an adoption report carries
-/// no phantom count).
-pub const MAGIC: u64 = 0x4358_4c53_5256_0003;
+/// ASCII `CXLSRV` plus a format version byte (4: the command ring is
+/// gone, so the ledger follows the event ring).
+pub const MAGIC: u64 = 0x4358_4c53_5256_0004;
 /// Ring capacity in slots. Power of two; deep enough that a worker
 /// emitting one event per phase never fills it between coordinator
 /// polls.
@@ -82,11 +82,12 @@ pub mod state {
 
 /// Run states published in the control-plane header.
 pub mod run_state {
-    /// Coordinator still wiring up workers.
+    /// Coordinator still wiring up workers; a worker that said hello
+    /// heartbeats until the state moves on.
     pub const SETUP: u64 = 0;
-    /// Traffic phase.
+    /// Traffic phase: a worker that reads it serves.
     pub const RUNNING: u64 = 1;
-    /// Stop requested; workers should drain and exit.
+    /// Stop requested: a worker that reads it exits cleanly.
     pub const STOPPING: u64 = 2;
 }
 
@@ -97,7 +98,7 @@ pub fn tail_bytes(workers: u32, ledger_cap: u64) -> u64 {
 }
 
 /// Bytes from a worker's status block to its first ledger cell.
-const LEDGER_AT: u64 = STATUS_BYTES + HIST_BYTES + 2 * RING_BYTES;
+const LEDGER_AT: u64 = STATUS_BYTES + HIST_BYTES + RING_BYTES;
 
 fn worker_stride(ledger_cap: u64) -> u64 {
     (LEDGER_AT + ledger_cap * 8).next_multiple_of(64)
@@ -184,8 +185,8 @@ impl ControlPlane {
     }
 }
 
-/// One worker's slice of the control plane: status, histogram, the two
-/// rings, and the allocation ledger.
+/// One worker's slice of the control plane: status, histogram, the event
+/// ring, and the allocation ledger.
 #[derive(Debug, Clone)]
 pub struct WorkerPlane {
     seg: Arc<Segment>,
@@ -254,14 +255,9 @@ impl WorkerPlane {
         out
     }
 
-    /// The coordinator→worker command ring.
-    pub fn cmd_ring(&self) -> Ring {
-        Ring { seg: self.seg.clone(), base: self.base + STATUS_BYTES + HIST_BYTES }
-    }
-
     /// The worker→coordinator event ring.
     pub fn evt_ring(&self) -> Ring {
-        Ring { seg: self.seg.clone(), base: self.base + STATUS_BYTES + HIST_BYTES + RING_BYTES }
+        Ring { seg: self.seg.clone(), base: self.base + STATUS_BYTES + HIST_BYTES }
     }
 
     /// Segment offset of ledger cell `k` — the word the allocator
@@ -328,19 +324,6 @@ pub enum Msg {
         /// the reporter when a second report reaches a closed episode.
         epoch: u16,
     },
-    /// Coordinator: begin serving.
-    Start {
-        /// RNG seed for this incarnation's op stream.
-        seed: u64,
-        /// Workload spec id (see [`crate::worker::spec_by_id`]).
-        spec: u8,
-        /// Heartbeat cadence in ops.
-        hb_every: u64,
-        /// Stop after this many ops (0 = run until `Stop`).
-        target_ops: u64,
-    },
-    /// Coordinator: stop serving and exit cleanly.
-    Stop,
     /// Worker: exit summary, sent once buffers are flushed and the lease
     /// is frozen. `drained` marks a SIGTERM drain, after which a
     /// *re-registering* replacement (not an adopter) takes over the
@@ -363,13 +346,12 @@ pub enum Msg {
 
 const KIND_HELLO: u8 = 1;
 const KIND_ADOPT: u8 = 2;
-const KIND_START: u8 = 3;
-const KIND_STOP: u8 = 4;
 const KIND_EXITED: u8 = 6;
 const KIND_STOLEN: u8 = 7;
-// Kinds 5 (progress), 8 (drain command), 9 (drained) and 10 (forwarded
-// free) are retired: nothing sent the first two, 9 folded into
-// `Exited`, and shared keys are now freed in place.
+// Kinds 3 (start), 4 (stop), 5 (progress), 8 (drain command), 9
+// (drained) and 10 (forwarded free) are retired: the run state replaced
+// 3 and 4, nothing sent 5 or 8, 9 folded into `Exited`, and shared keys
+// are now freed in place.
 
 /// A malformed ring slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -417,14 +399,6 @@ pub fn encode(msg: &Msg, seq: u64) -> [u64; 8] {
             w[4] = *epoch as u64;
             KIND_ADOPT
         }
-        Msg::Start { seed, spec, hb_every, target_ops } => {
-            w[1] = *seed;
-            w[2] = *spec as u64;
-            w[3] = *hb_every;
-            w[4] = *target_ops;
-            KIND_START
-        }
-        Msg::Stop => KIND_STOP,
         Msg::Exited { drained, ops, live } => {
             w[1] = *drained as u64;
             w[2] = *ops;
@@ -458,13 +432,6 @@ pub fn decode(w: &[u64; 8], seq: u64) -> Result<Msg, FrameError> {
             pid: w[3],
             epoch: w[4] as u16,
         }),
-        KIND_START => Ok(Msg::Start {
-            seed: w[1],
-            spec: w[2] as u8,
-            hb_every: w[3],
-            target_ops: w[4],
-        }),
-        KIND_STOP => Ok(Msg::Stop),
         KIND_EXITED => Ok(Msg::Exited { drained: w[1] != 0, ops: w[2], live: w[3] }),
         KIND_STOLEN => Ok(Msg::Stolen { tid: w[1] as u16 }),
         k => Err(FrameError::BadKind(k)),
@@ -578,12 +545,12 @@ impl Ring {
 }
 
 /// A deadline-bounded control-plane wait expired: the peer did not
-/// drain (or fill) the ring in time. Carries enough to say *which*
-/// call gave up, so a wedged run reports "start push to worker 3 timed
-/// out" instead of hanging forever.
+/// drain the ring, or move the run state, in time. Carries enough to
+/// say *which* call gave up, so a wedged run reports "control-plane
+/// start-wait timed out" instead of hanging forever.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ControlPlaneTimeout {
-    /// The control-plane call that gave up (e.g. `"hello"`, `"start"`).
+    /// The control-plane call that gave up (e.g. `"hello"`, `"start-wait"`).
     pub op: &'static str,
     /// How long the caller actually waited.
     pub waited: Duration,
@@ -657,15 +624,17 @@ mod tests {
         assert!(other.validate().is_err());
     }
 
+    const STOLEN: Msg = Msg::Stolen { tid: 3 };
+
     #[test]
     fn ring_delivers_in_order() {
         let plane = plane();
-        let ring = plane.worker(0).cmd_ring();
+        let ring = plane.worker(0).evt_ring();
         assert_eq!(ring.pop().unwrap(), None);
         let exited = Msg::Exited { drained: true, ops: 7, live: 3 };
-        ring.push(Msg::Stop).unwrap();
+        ring.push(STOLEN).unwrap();
         ring.push(exited).unwrap();
-        assert_eq!(ring.pop().unwrap(), Some(Msg::Stop));
+        assert_eq!(ring.pop().unwrap(), Some(STOLEN));
         assert_eq!(ring.pop().unwrap(), Some(exited));
         assert_eq!(ring.pop().unwrap(), None);
     }
@@ -682,7 +651,7 @@ mod tests {
                     .unwrap();
             }
             // One more: full.
-            assert!(ring.push(Msg::Stop).is_err());
+            assert!(ring.push(STOLEN).is_err());
             for i in 0..RING_SLOTS {
                 assert_eq!(
                     ring.pop().unwrap(),
@@ -697,15 +666,15 @@ mod tests {
     fn torn_slot_is_a_framing_error() {
         let plane = plane();
         let w = plane.worker(0);
-        let ring = w.cmd_ring();
-        ring.push(Msg::Stop).unwrap();
+        let ring = w.evt_ring();
+        ring.push(STOLEN).unwrap();
         // Corrupt the slot's kind byte in place: decode must fail.
         let slot = ring.slot(0);
         ring.seg.atomic_u64(slot).store(0xff, Ordering::SeqCst);
         assert!(matches!(ring.pop(), Err(FrameError::BadKind(0xff)) | Err(FrameError::BadSeq { .. })));
         // The poisoned slot was skipped; the ring keeps working.
-        ring.push(Msg::Stop).unwrap();
-        assert_eq!(ring.pop().unwrap(), Some(Msg::Stop));
+        ring.push(STOLEN).unwrap();
+        assert_eq!(ring.pop().unwrap(), Some(STOLEN));
     }
 
     #[test]
@@ -724,11 +693,10 @@ mod tests {
         assert_eq!(a.ledger_live(), vec![(3, 0xdead0)]);
         // Rings and ledgers never alias, and the last cell of the last
         // worker fits the tail.
-        let mut bases = vec![a.cmd_ring().base, a.evt_ring().base, b.cmd_ring().base, b.evt_ring().base];
-        bases.extend([a.ledger_cell(0), b.ledger_cell(0)]);
-        bases.sort_unstable();
-        bases.dedup();
-        assert_eq!(bases.len(), 6, "rings and ledgers must not alias");
+        let (ra, rb) = (a.evt_ring().base, b.evt_ring().base);
+        assert!(ra + RING_BYTES <= a.ledger_cell(0), "a's ring runs into its ledger");
+        assert!(a.ledger_cell(7) + 8 <= rb, "a's ledger runs into b's ring");
+        assert!(rb + RING_BYTES <= b.ledger_cell(0), "b's ring runs into its ledger");
         assert!(b.ledger_cell(7) + 8 <= plane.base + tail_bytes(2, 8));
     }
 
@@ -745,20 +713,20 @@ mod tests {
     #[test]
     fn waits_carry_deadlines_not_spins() {
         let plane = plane();
-        let ring = plane.worker(0).cmd_ring();
+        let ring = plane.worker(0).evt_ring();
         // Full ring with no consumer: push_wait must give up too.
         for _ in 0..RING_SLOTS {
-            ring.push(Msg::Stop).unwrap();
+            ring.push(STOLEN).unwrap();
         }
         let err = ring
-            .push_wait(Msg::Stop, "unit-push", Duration::from_millis(5))
+            .push_wait(STOLEN, "unit-push", Duration::from_millis(5))
             .unwrap_err();
         assert_eq!(err.op, "unit-push");
         assert!(err.waited >= Duration::from_millis(5));
         assert!(err.to_string().contains("unit-push"), "{err}");
         // A draining consumer unblocks the producer within the deadline.
         ring.pop().unwrap();
-        ring.push_wait(Msg::Stop, "unit-push", Duration::from_millis(100)).unwrap();
+        ring.push_wait(STOLEN, "unit-push", Duration::from_millis(100)).unwrap();
     }
 
     #[test]
@@ -797,15 +765,6 @@ mod tests {
             (any::<u16>(), any::<u64>(), any::<u64>(), any::<u16>()).prop_map(
                 |(victim, inherited, pid, epoch)| Msg::AdoptReport { victim, inherited, pid, epoch }
             ),
-            (any::<u64>(), any::<u8>(), any::<u64>(), any::<u64>()).prop_map(
-                |(seed, spec, hb_every, target_ops)| Msg::Start {
-                    seed,
-                    spec,
-                    hb_every,
-                    target_ops
-                }
-            ),
-            Just(Msg::Stop),
             (any::<bool>(), any::<u64>(), any::<u64>())
                 .prop_map(|(drained, ops, live)| Msg::Exited { drained, ops, live }),
             any::<u16>().prop_map(|tid| Msg::Stolen { tid }),

@@ -3,7 +3,10 @@
 //! A worker attaches to the coordinator's shared segment, registers a
 //! thread (or adopts a crashed one when spawned as a replacement), and
 //! serves a YCSB-style key-value workload against its slice of the
-//! allocation ledger. Every key maps to one ledger cell, which an
+//! allocation ledger. Its run — seed, spec, heartbeat cadence, op
+//! target — is fixed on its command line; it serves once the control
+//! header's run state reads RUNNING and exits once it reads STOPPING.
+//! Every key maps to one ledger cell, which an
 //! insert fills with [`alloc_detectable`](cxl_core::ThreadHandle::alloc_detectable)
 //! and a delete claims with [`dealloc_detectable`](cxl_core::ThreadHandle::dealloc_detectable),
 //! so the cell and the heap agree no matter where a `kill -9` lands.
@@ -34,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use cxl_core::audit::block_state;
-use cxl_core::liveness::LivenessDetector;
+use cxl_core::liveness::{lease, LivenessDetector};
 use cxl_core::{AllocError, AttachOptions, Cxlalloc, OffsetPtr, ThreadHandle, ThreadId};
 use cxl_pod::{CoreId, Pod, PodConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -59,7 +62,7 @@ pub mod exit {
     pub const DRAINED: i32 = 5;
 }
 
-/// Workload spec ids carried in [`Msg::Start`].
+/// Workload spec ids carried in [`WorkerArgs::spec`].
 ///
 /// The specs are serve-sized variants of the paper's Table 2 rows: the
 /// key space is clamped to the ledger capacity and value sizes stay in
@@ -104,8 +107,18 @@ pub struct WorkerArgs {
     pub ledger_cap: u64,
     /// This worker's slot index.
     pub index: u32,
-    /// Raw thread id of a crashed incarnation to adopt.
-    pub adopt: Option<u16>,
+    /// RNG seed for this incarnation's op stream.
+    pub seed: u64,
+    /// Workload spec id (see [`spec_by_id`]).
+    pub spec: u8,
+    /// Heartbeat cadence in ops.
+    pub hb_every: u64,
+    /// Stop after this many ops (0 = run until the run state reads
+    /// STOPPING).
+    pub target_ops: u64,
+    /// A crashed incarnation to adopt: its raw thread id and the lease
+    /// epoch it died with. A changed epoch means another adopter won.
+    pub adopt: Option<(u16, u16)>,
     /// Op-exact chaos, sorted: at each `(ops, kind)` the worker raises
     /// the kind's signal on itself once `ops` ops have completed.
     pub chaos: Vec<(u64, Chaos)>,
@@ -136,6 +149,7 @@ impl WorkerArgs {
         let mut workers = 0u32;
         let mut ledger_cap = 0u64;
         let mut index = None;
+        let (mut seed, mut spec, mut hb_every, mut target_ops) = (0, 0, 0, 0);
         let mut adopt = None;
         let mut chaos = Vec::new();
         let mut shared_pct = 0u8;
@@ -152,7 +166,17 @@ impl WorkerArgs {
                 "--workers" => workers = parse_num(flag, &val()?)?,
                 "--ledger-cap" => ledger_cap = parse_num(flag, &val()?)?,
                 "--index" => index = Some(parse_num(flag, &val()?)?),
-                "--adopt" => adopt = Some(parse_num(flag, &val()?)?),
+                "--seed" => seed = parse_num(flag, &val()?)?,
+                "--spec" => spec = parse_num(flag, &val()?)?,
+                "--hb-every" => hb_every = parse_num(flag, &val()?)?,
+                "--ops" => target_ops = parse_num(flag, &val()?)?,
+                "--adopt" => {
+                    let v = val()?;
+                    let (tid, epoch) = v
+                        .split_once(':')
+                        .ok_or_else(|| format!("--adopt wants TID:EPOCH, got {v:?}"))?;
+                    adopt = Some((parse_num(flag, tid)?, parse_num(flag, epoch)?));
+                }
                 "--at" => {
                     let v = val()?;
                     let (ops, kind) = v
@@ -177,6 +201,10 @@ impl WorkerArgs {
                 ledger_cap
             },
             index: index.ok_or("--index is required")?,
+            seed,
+            spec,
+            hb_every,
+            target_ops,
             adopt,
             chaos,
             shared_pct: if shared_pct > 100 {
@@ -207,10 +235,18 @@ impl WorkerArgs {
             self.ledger_cap.to_string(),
             "--index".into(),
             self.index.to_string(),
+            "--seed".into(),
+            self.seed.to_string(),
+            "--spec".into(),
+            self.spec.to_string(),
+            "--hb-every".into(),
+            self.hb_every.to_string(),
+            "--ops".into(),
+            self.target_ops.to_string(),
         ];
-        if let Some(tid) = self.adopt {
+        if let Some((tid, epoch)) = self.adopt {
             v.push("--adopt".into());
-            v.push(tid.to_string());
+            v.push(format!("{tid}:{epoch}"));
         }
         for (ops, kind) in &self.chaos {
             v.push("--at".into());
@@ -273,18 +309,17 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
     plane.validate()?;
     let me = plane.worker(args.index);
     let evt = me.evt_ring();
-    let cmd = me.cmd_ring();
     let split = KeySplit::new(args.workers, args.ledger_cap, args.shared_pct);
 
     // Claim the slot: register fresh, or adopt the dead incarnation.
     let handle = match args.adopt {
         None => heap.register_thread().map_err(|e| format!("register: {e}"))?,
-        Some(raw) => {
+        Some((raw, epoch)) => {
             let victim = ThreadId::new(raw).ok_or("--adopt 0 is not a thread id")?;
             // Lost the race: bow out without a word. The event ring is
             // single-producer and belongs to the winner; the coordinator
             // counts the loser from the `RACED` exit.
-            match adopt(&heap, &plane, &me, split, victim)? {
+            match adopt(&heap, &me, split, victim, epoch)? {
                 Some(handle) => handle,
                 None => return Ok(exit::RACED),
             }
@@ -303,18 +338,15 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         return Err(t.to_string());
     }
 
-    // Wait for Start (heartbeating so detectors trust us), then serve.
+    // Wait for RUNNING (heartbeating so detectors trust us), then serve.
     // The poll interleaves beats, under the same typed deadline as
     // every other control-plane wait.
     let started = Instant::now();
-    let (seed, spec, hb_every, target_ops) = loop {
-        match cmd.pop().map_err(|e| format!("cmd ring: {e}"))? {
-            Some(Msg::Start { seed, spec, hb_every, target_ops }) => {
-                break (seed, spec, hb_every, target_ops)
-            }
-            Some(Msg::Stop) => return leave(&handle, &me, &evt, 0, false),
-            Some(other) => return Err(format!("unexpected command {other:?}")),
-            None => {}
+    loop {
+        match plane.run_state() {
+            rpc::run_state::RUNNING => break,
+            rpc::run_state::STOPPING => return leave(&handle, &me, &evt, 0, false),
+            _ => {}
         }
         if DRAIN_SIGNAL.load(Ordering::Relaxed) {
             return leave(&handle, &me, &evt, 0, true);
@@ -328,25 +360,20 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
             return Err(t.to_string());
         }
         std::thread::sleep(Duration::from_millis(1));
-    };
+    }
 
     me.set_status(status::STATE, state::RUNNING);
     serve(ServeLoop {
         handle,
         me: &me,
         evt: &evt,
-        cmd: &cmd,
+        plane: &plane,
         keys: Keys {
             split,
             index: args.index,
             ledgers: (0..args.workers).map(|w| plane.worker(w)).collect(),
         },
-        seed,
-        spec,
-        hb_every: hb_every.max(1),
-        target_ops,
-        chaos: &args.chaos,
-        shared_skew: args.shared_skew,
+        args,
     })
 }
 
@@ -371,26 +398,29 @@ fn install_sigterm_handler() {
 }
 
 /// Detect the victim's death (ticking the lease detector) and race the
-/// DEAD→ADOPTING CAS. Returns `None` on a lost race.
+/// DEAD→ADOPTING CAS for the incarnation that died with lease epoch
+/// `epoch`. Returns `None` on a lost race.
 #[cfg(unix)]
 fn adopt(
     heap: &Cxlalloc,
-    plane: &ControlPlane,
     me: &WorkerPlane,
     split: KeySplit,
     victim: ThreadId,
+    epoch: u16,
 ) -> Result<Option<ThreadHandle>, String> {
     // Generous expiry: live workers heartbeat every few hundred
     // microseconds, so ~50 ticks x 2 ms of silence is unambiguous.
-    let mut detector = LivenessDetector::new(heap.process().memory().layout().max_threads, 50);
+    let memory = heap.process().memory();
+    let mut detector = LivenessDetector::new(memory.layout().max_threads, 50);
     let via = CoreId(victim.slot() as u16);
+    let lease_at = memory.layout().lease_at(victim.slot());
     let started = Instant::now();
     let mut probe = false;
     loop {
-        // The run is winding down: a slot whose winner already exited
-        // cleanly re-freezes its lease, and adopting it now would leave
-        // this process waiting for a Start that never comes. Bow out.
-        if plane.run_state() == rpc::run_state::STOPPING {
+        // An adoption installs a new epoch, so another adopter has won:
+        // its lease is no death of ours to detect, however long it
+        // stays silent.
+        if lease::epoch(memory.load_u64(via, lease_at)) != epoch {
             return Ok(None);
         }
         let report = detector.tick(heap, via).map_err(|e| format!("detector: {e}"))?;
@@ -506,14 +536,9 @@ struct ServeLoop<'a> {
     handle: ThreadHandle,
     me: &'a WorkerPlane,
     evt: &'a crate::rpc::Ring,
-    cmd: &'a crate::rpc::Ring,
+    plane: &'a ControlPlane,
     keys: Keys,
-    seed: u64,
-    spec: u8,
-    hb_every: u64,
-    target_ops: u64,
-    chaos: &'a [(u64, Chaos)],
-    shared_skew: Option<f64>,
+    args: &'a WorkerArgs,
 }
 
 /// A worker's view of the ledgers its ops touch: its own, and for a
@@ -532,14 +557,15 @@ const SKEW_SEED_SALT: u64 = 0x5a1f_5eed_0c0d_e5a1;
 
 #[cfg(unix)]
 fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
-    let cap = s.me.ledger_cap();
-    let spec = spec_by_id(s.spec, cap);
-    let mut stream = OpStream::new(spec, StdRng::seed_from_u64(s.seed));
-    let mut skew = s
+    let (cap, args) = (s.me.ledger_cap(), s.args);
+    let spec = spec_by_id(args.spec, cap);
+    let mut stream = OpStream::new(spec, StdRng::seed_from_u64(args.seed));
+    let mut skew = args
         .shared_skew
-        .map(|theta| (Zipfian::new(cap, theta), StdRng::seed_from_u64(s.seed ^ SKEW_SEED_SALT)));
+        .map(|theta| (Zipfian::new(cap, theta), StdRng::seed_from_u64(args.seed ^ SKEW_SEED_SALT)));
+    let hb_every = args.hb_every.max(1);
     let mut ops = 0u64;
-    let mut chaos = s.chaos.iter().peekable();
+    let mut chaos = args.chaos.iter().peekable();
     loop {
         // Op-exact chaos: each due event fires once, through the real
         // signal path. A kill vanishes here with no destructors, flushes
@@ -557,17 +583,13 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         if DRAIN_SIGNAL.load(Ordering::Relaxed) {
             return leave(&s.handle, s.me, s.evt, ops, true);
         }
-        if s.target_ops != 0 && ops >= s.target_ops {
+        if args.target_ops != 0 && ops >= args.target_ops {
             break;
         }
-        if ops.is_multiple_of(256) {
-            match s.cmd.pop().map_err(|e| format!("cmd ring: {e}"))? {
-                Some(Msg::Stop) => break,
-                Some(other) => return Err(format!("unexpected command {other:?}")),
-                None => {}
-            }
+        if ops.is_multiple_of(256) && s.plane.run_state() == rpc::run_state::STOPPING {
+            break;
         }
-        if ops.is_multiple_of(s.hb_every) {
+        if ops.is_multiple_of(hb_every) {
             if let Err(code) = beat(&s.handle, s.me, s.evt) {
                 return Ok(code);
             }
@@ -750,7 +772,11 @@ mod tests {
             workers: 4,
             ledger_cap: 512,
             index: 2,
-            adopt: Some(7),
+            seed: 0xfeed_beef,
+            spec: 1,
+            hb_every: 64,
+            target_ops: 2500,
+            adopt: Some((7, 3)),
             chaos: vec![(1000, Chaos::Kill), (1500, Chaos::Stall), (2000, Chaos::Drain)],
             shared_pct: 50,
             remote_batch: 8,
@@ -759,7 +785,9 @@ mod tests {
         let rendered = args.to_args();
         let parsed = WorkerArgs::parse(&rendered).unwrap();
         assert_eq!(parsed.to_args(), rendered);
-        assert_eq!(parsed.adopt, Some(7));
+        let run = (parsed.seed, parsed.spec, parsed.hb_every, parsed.target_ops);
+        assert_eq!(run, (0xfeed_beef, 1, 64, 2500));
+        assert_eq!(parsed.adopt, Some((7, 3)));
         assert_eq!(parsed.chaos, args.chaos);
         assert_eq!(parsed.shared_pct, 50);
         assert_eq!(parsed.remote_batch, 8);
@@ -799,6 +827,11 @@ mod tests {
             v.extend(["--at".to_string(), bad.into()]);
             assert!(WorkerArgs::parse(&v).is_err(), "--at {bad} must be rejected");
         }
+        for bad in ["7", "7:", "7:70000"] {
+            let mut v = rendered.clone();
+            v.extend(["--adopt".to_string(), bad.into()]);
+            assert!(WorkerArgs::parse(&v).is_err(), "--adopt {bad} must be rejected");
+        }
     }
 
     #[test]
@@ -821,16 +854,68 @@ mod tests {
         assert!(!KeySplit::new(1, 64, 100).is_shared(0), "a lone worker shares nothing");
     }
 
+    /// A heap on a real shared segment with a two-worker control plane
+    /// of `cap` cells each, the file already unlinked.
+    #[cfg(unix)]
+    fn shared_heap(tag: &str, cap: u64) -> (Pod, ControlPlane, Cxlalloc) {
+        let file = std::env::temp_dir().join(format!("cxl-serve-unit-{}-{tag}.seg", std::process::id()));
+        let pod = Pod::create_shared(PodConfig::small_for_tests(), &file, rpc::tail_bytes(2, cap)).unwrap();
+        let _ = std::fs::remove_file(&file);
+        let plane = ControlPlane::new(pod.memory().segment().clone(), pod.layout().total_len, 2, cap);
+        plane.init();
+        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+        (pod, plane, heap)
+    }
+
+    /// The registry state and lease epoch of `tid`'s slot.
+    #[cfg(unix)]
+    fn slot_word(pod: &Pod, tid: ThreadId) -> (u64, u16) {
+        let (mem, layout) = (pod.memory(), pod.layout());
+        let registry = mem.load_u64(CoreId(0), layout.registry_at(tid.slot()));
+        (registry, lease::epoch(mem.load_u64(CoreId(0), layout.lease_at(tid.slot()))))
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_loser_never_adopts_the_winners_silent_lease() {
+        let (pod, plane, heap) = shared_heap("loser", 8);
+        let victim = heap.register_thread().unwrap();
+        let (tid, death) = (victim.tid(), victim.lease_epoch());
+        drop(victim);
+        assert!(heap.mark_crashed(tid).unwrap());
+        // The winner adopts, then stays silent: its lease never moves.
+        let (winner, _) = heap.adopt(tid, CoreId(1)).unwrap();
+        assert_eq!(winner.lease_epoch(), death.wrapping_add(1));
+        let before = slot_word(&pod, tid);
+        let split = KeySplit::new(2, 8, 0);
+        assert!(adopt(&heap, &plane.worker(0), split, tid, death).unwrap().is_none(), "the loser adopted again");
+        assert_eq!(slot_word(&pod, tid), before, "the loser touched the winner's slot");
+        assert_eq!(plane.worker(0).evt_ring().pop().unwrap(), None, "a loser reports nothing");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn a_late_winner_adopts_while_stopping() {
+        let (pod, plane, heap) = shared_heap("late", 8);
+        plane.set_run_state(rpc::run_state::STOPPING);
+        // A victim that died without a word: its lease stands still.
+        let victim = heap.register_thread().unwrap();
+        let (tid, death) = (victim.tid(), victim.lease_epoch());
+        drop(victim);
+        let me = plane.worker(0);
+        let handle = adopt(&heap, &me, KeySplit::new(2, 8, 0), tid, death).unwrap();
+        let handle = handle.expect("the run's stopping is no reason to leave a victim unadopted");
+        assert_eq!((handle.tid(), handle.lease_epoch()), (tid, death.wrapping_add(1)));
+        assert_eq!(slot_word(&pod, tid).0, cxl_core::liveness::registry::LIVE);
+        let report = me.evt_ring().pop().unwrap();
+        assert!(matches!(report, Some(Msg::AdoptReport { victim, .. }) if victim == tid.raw()), "{report:?}");
+    }
+
     #[cfg(unix)]
     #[test]
     fn a_freer_never_claims_an_unpublished_cell() {
-        let file = std::env::temp_dir().join(format!("cxl-serve-unit-{}.seg", std::process::id()));
         let (workers, cap) = (2u32, 8u64);
-        let pod = Pod::create_shared(PodConfig::small_for_tests(), &file, rpc::tail_bytes(workers, cap)).unwrap();
-        let _ = std::fs::remove_file(&file);
-        let plane = ControlPlane::new(pod.memory().segment().clone(), pod.layout().total_len, workers, cap);
-        plane.init();
-        let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+        let (_pod, plane, heap) = shared_heap("freer", cap);
         let (mut home, mut peer) = (heap.register_thread().unwrap(), heap.register_thread().unwrap());
         let keys = |index| Keys {
             split: KeySplit::new(workers, cap, 50),

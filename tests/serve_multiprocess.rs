@@ -194,6 +194,10 @@ fn stolen_heartbeat_kills_worker_across_processes() {
         workers,
         ledger_cap: cap,
         index: 0,
+        seed: 1,
+        spec: 0,
+        hb_every: 128,
+        target_ops: 0,
         adopt: None,
         chaos: Vec::new(),
         shared_pct: 0,
@@ -208,8 +212,8 @@ fn stolen_heartbeat_kills_worker_across_processes() {
         .spawn()
         .expect("spawn worker");
 
-    // Wait for the worker's Hello; it then sits in its pre-Start loop,
-    // heartbeating every millisecond.
+    // Wait for the worker's Hello; the run state stays SETUP, so it then
+    // sits in its pre-RUNNING loop, heartbeating every millisecond.
     let me = plane.worker(0);
     let evt = me.evt_ring();
     let deadline = Instant::now() + Duration::from_secs(60);
