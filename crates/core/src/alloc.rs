@@ -42,7 +42,10 @@ use std::sync::Arc;
 thread_local! {
     /// The allocator identity of the current OS thread, consulted by the
     /// fault handler (the paper's signal handler runs in the faulting
-    /// thread's context and can use its thread-local state).
+    /// thread's context and can use its thread-local state). Set where a
+    /// handle is made and by [`ThreadHandle::resolve`]'s miss, the one
+    /// handle call that can fault; an alloc or free never faults, so it
+    /// leaves the word alone.
     static CURRENT: Cell<Option<(u16, u16)>> = const { Cell::new(None) };
 }
 
@@ -748,7 +751,6 @@ impl ThreadHandle {
     }
 
     fn alloc_inner(&mut self, size: usize, dst: u64) -> Result<OffsetPtr, AllocError> {
-        CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
         on_backend!(self.heap, self.core, |mem| {
             // Built from fields, not `self.ctx`: the huge path below
@@ -802,7 +804,6 @@ impl ThreadHandle {
     }
 
     fn dealloc_inner(&mut self, ptr: OffsetPtr, claim: Option<Claim>) -> Result<(), AllocError> {
-        CURRENT.with(|c| c.set(Some((self.tid.raw(), self.core.0))));
         let inner = &self.heap.inner;
         let offset = ptr.offset();
         on_backend!(self.heap, self.core, |mem| {

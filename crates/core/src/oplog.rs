@@ -102,7 +102,7 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
         }
     }
 
-    #[inline]
+    #[inline(always)]
     fn word_off(&self) -> u64 {
         self.mem.layout().log_at(self.slot)
     }
@@ -110,7 +110,7 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     /// Publishes a log entry: auxiliary words first, the operation word
     /// last, then flush + fence so the entry is durable in CXL memory
     /// before the operation's first shared-state effect.
-    #[inline]
+    #[inline(always)]
     pub fn begin(&self, core: CoreId, word: LogWord, aux: &[u64]) {
         debug_assert!(aux.len() <= AUX_WORDS);
         if !self.enabled {
@@ -150,7 +150,7 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     /// (DESIGN.md §9.3). Huge-heap ops keep the eager [`OpLog::clear`]:
     /// redoing a completed `HugeAlloc` would roll back a delivered
     /// allocation.
-    #[inline]
+    #[inline(always)]
     pub fn clear_relaxed(&self, core: CoreId) {
         if !self.coalesce {
             return self.clear(core);

@@ -5,11 +5,17 @@
 //! yields a correct scan (`find_set_from` re-validates the durable bitset
 //! and wraps to zero), and the `AllocBlock` oplog word records the chosen
 //! bit, so recovery never depends on scan order. The table is
-//! direct-mapped over `(heap, slab)`: every owner descriptor access
-//! claims its slab's slot, forgetting a conflicting resident's rover, and
-//! an absent rover reads 0. A slab's rover is also forgotten where its
-//! descriptor is flushed for an ownership transition and where a
-//! global-list pop re-reads it.
+//! direct-mapped over `(heap, slab)`, and an absent rover reads 0. An
+//! owner's descriptor access claims its slab's slot, forgetting a
+//! conflicting resident's rover: each header load or store
+//! (`SlabHeap::{header, set_header}`) and each free-count access through
+//! `SlabHeap::{free_count, set_free_count}`. The two fast paths claim
+//! once per op: a local free through `dealloc`'s header load, a block
+//! allocation through its rover store (`Rovers::set`); their count
+//! accesses (`SlabHeap::{count, set_count}`) then skip a claim that could
+//! change nothing. A slab's rover is forgotten where its descriptor is
+//! flushed for an ownership transition and where a global-list pop
+//! re-reads it.
 //!
 //! The same per-thread table keeps the DRAM mirror of the thread's
 //! durable dirty-list mask (`oplog::DIRTY_WORD`), so an owner whose
@@ -24,6 +30,7 @@ const SLOTS: usize = 64;
 
 /// `(key, slot)` of a slab. The key is `(heap_tag << 32) | (slab + 1)`,
 /// never 0; the heaps interleave so small and large slab N never collide.
+#[inline(always)]
 fn key_slot(kind: HeapKind, slab: u32) -> (u64, usize) {
     let tag = match kind {
         HeapKind::Small => 0,
@@ -64,6 +71,7 @@ impl Rovers {
     }
 
     /// The rover of `(kind, slab)`; 0 when absent.
+    #[inline(always)]
     pub fn get(&self, kind: HeapKind, slab: u32) -> u32 {
         let (key, slot) = key_slot(kind, slab);
         let (resident, rover) = self.slots[slot].get();
@@ -76,6 +84,7 @@ impl Rovers {
 
     /// Claims `(kind, slab)`'s slot: a resident keeps its rover, any
     /// other slab's is forgotten.
+    #[inline(always)]
     pub fn claim(&self, kind: HeapKind, slab: u32) {
         let (key, slot) = key_slot(kind, slab);
         if self.slots[slot].get().0 != key {
@@ -84,6 +93,7 @@ impl Rovers {
     }
 
     /// Records the rover of `(kind, slab)`, claiming its slot.
+    #[inline(always)]
     pub fn set(&self, kind: HeapKind, slab: u32, rover: u32) {
         let (key, slot) = key_slot(kind, slab);
         self.slots[slot].set((key, rover));

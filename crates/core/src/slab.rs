@@ -156,7 +156,7 @@ impl SlabHeap {
     /// after `begin`). A lost claim first rewrites the record's `seen` to
     /// the value it found, so recovery reads the cell as still holding it
     /// and aborts, then clears the log and fails having freed nothing.
-    #[inline]
+    #[inline(always)]
     fn begin_free<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, word: LogWord, claim: Option<Claim>, take: bool) -> Result<(), AllocError> {
         let Some(Claim { dst, seen }) = claim else {
             ctx.log().begin(ctx.core, word, &[]);
@@ -224,9 +224,11 @@ impl SlabHeap {
     //
     // Each is one access through the calling core's cache; the owner's
     // stay hits until an ownership transition flushes them (§3.2.2). An
-    // owner's access also claims the slab's rover slot (`rover.rs`).
+    // owner's access also claims the slab's rover slot (`rover.rs`),
+    // except through `count` / `set_count`, whose callers' ops have
+    // claimed it already.
 
-    #[inline]
+    #[inline(always)]
     fn claim_rover<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) {
         if let Some(rovers) = ctx.rovers {
             rovers.claim(self.kind, slab);
@@ -249,12 +251,26 @@ impl SlabHeap {
     #[inline]
     pub(crate) fn free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> u32 {
         self.claim_rover(ctx, slab);
-        ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab)) as u32
+        self.count(ctx, slab)
     }
 
     #[inline]
     pub(crate) fn set_free_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, count: u32) {
         self.claim_rover(ctx, slab);
+        self.set_count(ctx, slab, count);
+    }
+
+    /// The free count, without a claim: for `free_local`, whose slot
+    /// `dealloc`'s header load claimed, and `alloc_block`, whose rover
+    /// store holds it. Nothing between claims another slot.
+    #[inline(always)]
+    fn count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32) -> u32 {
+        ctx.mem.load_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab)) as u32
+    }
+
+    /// Stores the free count, without a claim (see [`SlabHeap::count`]).
+    #[inline(always)]
+    fn set_count<M: PodMemory + ?Sized>(&self, ctx: &Ctx<'_, M>, slab: u32, count: u32) {
         ctx.mem
             .store_u64(ctx.core, self.hl(ctx.mem).free_count_at(slab), count as u64);
     }
@@ -679,8 +695,8 @@ impl SlabHeap {
         crash::point("slab::alloc_block::after_log");
         // The word the scan loaded: only the owner writes it.
         bits.store_clear(ctx.core, found);
-        let remaining = self.free_count(ctx, slab) - 1;
-        self.set_free_count(ctx, slab, remaining);
+        let remaining = self.count(ctx, slab) - 1;
+        self.set_count(ctx, slab, remaining);
         crash::point("slab::alloc_block::after_clear");
         if remaining == 0 {
             // The slab is now full: unlink it so the sized list only
@@ -762,8 +778,12 @@ impl SlabHeap {
         // descriptor (owner 0 -> remote path -> zero counter) and is
         // rejected by the counter check.
         // Loading the owner from our own cache without flushing is safe:
-        // the four-case analysis of §3.2.2.
-        let header = self.header(ctx, slab);
+        // the four-case analysis of §3.2.2. `header`'s claim and load,
+        // written out so they inline here while recovery's many `header`
+        // calls stay out of line (adoption runs cold, its code size is
+        // its time).
+        self.claim_rover(ctx, slab);
+        let header = SwccHeader::unpack(ctx.mem.load_u64(ctx.core, hl.swcc_desc_at(slab)));
         if header.owner == ctx.tid.raw() {
             self.free_local(ctx, slab, header, offset, claim)
         } else {
@@ -814,10 +834,10 @@ impl SlabHeap {
             true,
         )?;
         crash::point("slab::free_local::after_log");
-        let free = self.free_count(ctx, slab);
+        let free = self.count(ctx, slab);
         bits.store_set(ctx.core, word);
         let now_free = free + 1;
-        self.set_free_count(ctx, slab, now_free);
+        self.set_count(ctx, slab, now_free);
         crash::point("slab::free_local::after_set");
         if free == 0 {
             // It was detached (full + owned + unlinked): re-link it.

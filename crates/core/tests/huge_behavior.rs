@@ -173,6 +173,41 @@ fn cross_process_fault_installs_huge_mapping() {
     heap_a.check_invariants(a.core()).unwrap();
 }
 
+/// The hazard offsets `thread` has published, read from the segment.
+fn hazards(pod: &Pod, thread: &cxl_core::ThreadHandle) -> Vec<u64> {
+    let hl = &pod.layout().huge;
+    (0..hl.hazards_per_thread)
+        .map(|i| {
+            pod.memory()
+                .load_u64(thread.core(), hl.hazard_at(thread.tid().slot(), i))
+        })
+        .filter(|&raw| raw != 0)
+        .map(|raw| raw - 1)
+        .collect()
+}
+
+#[test]
+fn a_resolve_fault_is_handled_as_the_resolving_handle() {
+    // The fault handler learns its thread from a thread-local that only
+    // handle creation and `resolve`'s miss set: here another handle made
+    // both the last registration and the last alloc and free on this OS
+    // thread, and the hazard must still be the resolver's.
+    let (pod, _) = setup();
+    let heap_a = Cxlalloc::attach(pod.processes()[0].clone(), AttachOptions::default()).unwrap();
+    let heap_b = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let mut a = heap_a.register_thread().unwrap();
+    let p = a.alloc(2 * MIB).unwrap();
+
+    let resolver = heap_b.register_thread().unwrap();
+    let mut other = heap_b.register_thread().unwrap();
+    let small = other.alloc(64).unwrap();
+    other.dealloc(small).unwrap();
+
+    resolver.resolve(p, 8).unwrap();
+    assert_eq!(hazards(&pod, &resolver), vec![p.offset()]);
+    assert!(hazards(&pod, &other).is_empty());
+}
+
 #[test]
 fn hazard_prevents_premature_reclamation() {
     let (pod, _) = setup();
