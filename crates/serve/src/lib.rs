@@ -14,6 +14,9 @@
 //!
 //! The moving parts:
 //!
+//! - [`clock`] — the worker's per-op clock: the TSC where CPUID reports
+//!   it invariant, `Instant` elsewhere, calibrated over the worker's own
+//!   start-up.
 //! - [`rpc`] — the shared-memory control plane: the run-state word,
 //!   per-worker SPSC event rings, status blocks, latency histograms,
 //!   and the allocation
@@ -38,6 +41,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod clock;
 pub mod codec;
 #[cfg(unix)]
 pub mod coordinator;

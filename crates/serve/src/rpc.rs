@@ -195,6 +195,20 @@ pub struct WorkerPlane {
 }
 
 /// Offsets of the status-block fields, in bytes from the status base.
+///
+/// Every status word and histogram bucket of a slot has one writer: the
+/// slot's current incarnation (the coordinator only reads them).
+/// Incarnations never overlap. The coordinator spawns a replacement,
+/// adopter or fresh, only once it has reaped the process before it: a
+/// killed victim, a worker the watchdog escalated to SIGKILL, a drained
+/// or stopped one. Of the two adopters of a raced adoption, the loser
+/// exits before it writes any status word. So a counter moves by a load
+/// and a store ([`WorkerPlane::bump_status`]), not a locked
+/// read-modify-write: there is no second writer whose increment a plain
+/// store could lose. A `kill -9` between the load and the store loses the
+/// bump, as one between an op and a `fetch_add` would. The coordinator's
+/// `SeqCst` loads pair with the worker's `Release` stores; the end-of-run
+/// reads also follow the worker's reaping.
 pub mod status {
     /// Lifecycle state (see [`super::state`]).
     pub const STATE: u64 = 0;
@@ -202,7 +216,8 @@ pub mod status {
     pub const PID: u64 = 8;
     /// Registered / adopted thread id (raw u16).
     pub const TID: u64 = 16;
-    /// Operations completed by the current incarnation.
+    /// Operations completed by the current incarnation
+    /// ([`super::WorkerPlane::set_ops`]).
     pub const OPS: u64 = 24;
     /// Blocks allocated (all incarnations of this slot).
     pub const ALLOCS: u64 = 32;
@@ -229,18 +244,34 @@ impl WorkerPlane {
         self.seg.atomic_u64(self.base + field).store(value, Ordering::SeqCst);
     }
 
-    /// Adds `n` to a status counter (single-writer; read-modify-write
-    /// through the atomic for cross-process visibility).
-    pub fn bump_status(&self, field: u64, n: u64) {
-        self.seg.atomic_u64(self.base + field).fetch_add(n, Ordering::SeqCst);
+    /// Publishes the current incarnation's op count ([`status::OPS`]):
+    /// one `Release` store per op, where [`WorkerPlane::set_status`]'s
+    /// `SeqCst` store is a locked exchange.
+    #[inline]
+    pub fn set_ops(&self, ops: u64) {
+        self.seg.atomic_u64(self.base + status::OPS).store(ops, Ordering::Release);
     }
 
-    /// Records one latency sample in the log2-ns histogram.
+    /// Adds `n` to a status counter. A load and a store: the status words
+    /// are single-writer ([`status`]).
+    #[inline]
+    pub fn bump_status(&self, field: u64, n: u64) {
+        self.bump(field, n);
+    }
+
+    /// Records one latency sample, in nanoseconds, in the log2-ns
+    /// histogram: bucket 0 holds 0 ns, bucket `b` holds `[2^(b-1), 2^b)`.
+    /// A load and a store, like [`WorkerPlane::bump_status`].
+    #[inline]
     pub fn record_latency(&self, nanos: u64) {
         let bucket = (64 - nanos.leading_zeros()).min(HIST_BUCKETS as u32 - 1) as u64;
-        self.seg
-            .atomic_u64(self.base + STATUS_BYTES + bucket * 8)
-            .fetch_add(1, Ordering::Relaxed);
+        self.bump(STATUS_BYTES + bucket * 8, 1);
+    }
+
+    #[inline]
+    fn bump(&self, off: u64, n: u64) {
+        let word = self.seg.atomic_u64(self.base + off);
+        word.store(word.load(Ordering::Relaxed) + n, Ordering::Release);
     }
 
     /// Snapshot of the 64 histogram buckets.
@@ -745,6 +776,25 @@ mod tests {
         assert_eq!(h[10], 2);
         assert_eq!(h[1], 1);
         assert_eq!(h.iter().sum::<u64>(), 3);
+    }
+
+    #[test]
+    fn single_writer_counts_are_exact() {
+        let plane = plane();
+        let w = plane.worker(1);
+        const N: u64 = 10_000;
+        for i in 0..N {
+            w.record_latency(i % 3 * 100); // 0, 100, 200 ns: buckets 0, 7, 8
+            w.bump_status(status::ALLOCS, 1);
+            w.bump_status(status::FREES, 2);
+            w.set_ops(i + 1);
+        }
+        let h = w.histogram();
+        assert_eq!((h[0], h[7], h[8]), (3334, 3333, 3333));
+        assert_eq!(h.iter().sum::<u64>(), N, "every sample lands once");
+        assert_eq!((w.status(status::ALLOCS), w.status(status::FREES)), (N, 2 * N));
+        assert_eq!(w.status(status::OPS), N);
+        assert_eq!(plane.worker(0).histogram(), [0; HIST_BUCKETS], "worker 0's words are its own");
     }
 
     #[test]

@@ -43,6 +43,7 @@ use cxl_pod::{CoreId, Pod, PodConfig};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use workloads::{KvOp, OpStream, WorkloadSpec, Zipfian};
 
+use crate::clock::{Calibration, OpClock};
 use crate::rpc::{self, state, status, ControlPlane, Msg, WorkerPlane, PUBLISHED};
 use crate::Chaos;
 
@@ -288,6 +289,8 @@ pub fn run(args: &WorkerArgs) -> i32 {
 
 #[cfg(unix)]
 fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
+    // The per-op clock calibrates over start-up, from here to RUNNING.
+    let mut calibration = Calibration::start();
     install_sigterm_handler();
     let tail = rpc::tail_bytes(args.workers, args.ledger_cap);
     let pod = Pod::open_shared(args.config.clone(), &args.file, tail)
@@ -338,11 +341,12 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         return Err(t.to_string());
     }
 
-    // Wait for RUNNING (heartbeating so detectors trust us), then serve.
-    // The poll interleaves beats, under the same typed deadline as
-    // every other control-plane wait.
+    // Wait for RUNNING (heartbeating so detectors trust us, probing the
+    // clock's floor), then serve. The poll interleaves beats, under the
+    // same typed deadline as every other control-plane wait.
     let started = Instant::now();
     loop {
+        calibration.probe_floor();
         match plane.run_state() {
             rpc::run_state::RUNNING => break,
             rpc::run_state::STOPPING => return leave(&handle, &me, &evt, 0, false),
@@ -362,9 +366,11 @@ fn run_inner(args: &WorkerArgs) -> Result<i32, String> {
         std::thread::sleep(Duration::from_millis(1));
     }
 
+    let clock = calibration.finish();
     me.set_status(status::STATE, state::RUNNING);
     serve(ServeLoop {
         handle,
+        clock,
         me: &me,
         evt: &evt,
         plane: &plane,
@@ -534,6 +540,7 @@ fn leave(
 #[cfg(unix)]
 struct ServeLoop<'a> {
     handle: ThreadHandle,
+    clock: OpClock,
     me: &'a WorkerPlane,
     evt: &'a crate::rpc::Ring,
     plane: &'a ControlPlane,
@@ -564,7 +571,7 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         .shared_skew
         .map(|theta| (Zipfian::new(cap, theta), StdRng::seed_from_u64(args.seed ^ SKEW_SEED_SALT)));
     let hb_every = args.hb_every.max(1);
-    let mut ops = 0u64;
+    let (mut ops, mut next_beat) = (0u64, 0u64);
     let mut chaos = args.chaos.iter().peekable();
     loop {
         // Op-exact chaos: each due event fires once, through the real
@@ -589,7 +596,8 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         if ops.is_multiple_of(256) && s.plane.run_state() == rpc::run_state::STOPPING {
             break;
         }
-        if ops.is_multiple_of(hb_every) {
+        if ops == next_beat {
+            next_beat += hb_every;
             if let Err(code) = beat(&s.handle, s.me, s.evt) {
                 return Ok(code);
             }
@@ -598,16 +606,21 @@ fn serve(mut s: ServeLoop<'_>) -> Result<i32, String> {
         if let Some((zipf, rng)) = skew.as_mut() {
             skew_op(&mut op, zipf.rank(rng.gen::<f64>()));
         }
-        let t0 = Instant::now();
-        apply_op(&mut s.handle, s.me, &s.keys, &op, cap)?;
-        s.me.record_latency(t0.elapsed().as_nanos() as u64);
+        let t0 = s.clock.now();
+        apply_op(&mut s.handle, s.me, &s.keys, &op)?;
+        s.me.record_latency(s.clock.since(t0));
         ops += 1;
-        s.me.set_status(status::OPS, ops);
+        s.me.set_ops(ops);
     }
     leave(&s.handle, s.me, s.evt, ops, false)
 }
 
 /// Applies one KV op to the worker's ledger slice.
+///
+/// Key `k` is ledger cell `k`: the op stream draws keys in `0..cap` (the
+/// spec's key space is the ledger's capacity, and a skew rank is below
+/// it too), so no key is reduced modulo the capacity. A key out of range
+/// panics in [`WorkerPlane::ledger_cell`] instead of aliasing a cell.
 ///
 /// Each cell write is inside one detectable allocator op (an insert
 /// delivers into the cell, a delete claims it), so any crash leaves the
@@ -620,19 +633,17 @@ fn apply_op(
     me: &WorkerPlane,
     keys: &Keys,
     op: &KvOp,
-    cap: u64,
 ) -> Result<(), String> {
     match *op {
         KvOp::Read { key } => {
-            let cell = me.ledger_get(key % cap) & !PUBLISHED;
+            let cell = me.ledger_get(key) & !PUBLISHED;
             if let Some(ptr) = OffsetPtr::new(cell) {
                 let raw = handle.resolve(ptr, 8).map_err(|e| format!("resolve: {e}"))?;
                 // Touch the block so reads exercise PC-T mappings.
                 unsafe { std::ptr::read_volatile(raw) };
             }
         }
-        KvOp::Insert { key, key_len, value_len } => {
-            let k = key % cap;
+        KvOp::Insert { key: k, key_len, value_len } => {
             let shared = keys.split.is_shared(k);
             let cell = me.ledger_get(k);
             if cell != 0 {
@@ -649,7 +660,7 @@ fn apply_op(
                     me.bump_status(status::ALLOCS, 1);
                     let raw =
                         handle.resolve(ptr, 8).map_err(|e| format!("resolve: {e}"))?;
-                    unsafe { (raw as *mut u64).write_volatile(key) };
+                    unsafe { (raw as *mut u64).write_volatile(k) };
                     // Only now may the peer claim the cell: a claim inside
                     // the allocation would race its recovery's check.
                     if shared {
@@ -662,8 +673,7 @@ fn apply_op(
                 Err(e) => return Err(format!("alloc: {e}")),
             }
         }
-        KvOp::Delete { key } => {
-            let k = key % cap;
+        KvOp::Delete { key: k } => {
             let shared = keys.split.is_shared(k);
             let ledger = if shared { &keys.ledgers[keys.split.partner(keys.index, k) as usize] } else { me };
             let cell = ledger.ledger_get(k);
@@ -754,8 +764,8 @@ pub fn simulate_ledger(
         }
         match op {
             KvOp::Read { .. } => {}
-            KvOp::Insert { key, .. } => cells[(key % cap) as usize] = true,
-            KvOp::Delete { key } => cells[(key % cap) as usize] = false,
+            KvOp::Insert { key, .. } => cells[key as usize] = true,
+            KvOp::Delete { key } => cells[key as usize] = false,
         }
     }
 }
@@ -924,19 +934,19 @@ mod tests {
         };
         let (ledger, peer_plane) = (plane.worker(0), plane.worker(1));
         let insert = KvOp::Insert { key: 1, key_len: 8, value_len: 56 };
-        apply_op(&mut home, &ledger, &keys(0), &insert, cap).unwrap();
+        apply_op(&mut home, &ledger, &keys(0), &insert).unwrap();
         let published = ledger.ledger_get(1);
         assert_eq!(published & PUBLISHED, PUBLISHED, "a shared insert publishes its cell");
         // The window between the allocation's return and the publish.
         ledger.ledger_set(1, published & !PUBLISHED);
-        apply_op(&mut peer, &peer_plane, &keys(1), &KvOp::Delete { key: 1 }, cap).unwrap();
+        apply_op(&mut peer, &peer_plane, &keys(1), &KvOp::Delete { key: 1 }).unwrap();
         assert_eq!(ledger.ledger_get(1), published & !PUBLISHED, "an unpublished cell is not claimed");
         assert_eq!(peer_plane.status(status::FORWARDED), 0);
         // The home skips an insert into its occupied cell.
-        apply_op(&mut home, &ledger, &keys(0), &insert, cap).unwrap();
+        apply_op(&mut home, &ledger, &keys(0), &insert).unwrap();
         assert_eq!(ledger.status(status::ALLOCS), 1);
         ledger.ledger_set(1, published);
-        apply_op(&mut peer, &peer_plane, &keys(1), &KvOp::Delete { key: 1 }, cap).unwrap();
+        apply_op(&mut peer, &peer_plane, &keys(1), &KvOp::Delete { key: 1 }).unwrap();
         assert_eq!(ledger.ledger_get(1), 0, "a published cell is claimed");
         assert_eq!((peer_plane.status(status::FORWARDED), peer_plane.status(status::FREES)), (1, 1));
         peer.flush_cache();
@@ -952,6 +962,23 @@ mod tests {
             let worst = (spec.key_size.max() + spec.value_size.max()) as usize;
             assert!(worst <= 64 << 10, "spec {id} can reach the huge heap");
         }
+    }
+
+    #[test]
+    fn streams_draw_keys_inside_the_ledger() {
+        // `apply_op` indexes the ledger by key, unreduced: every key the
+        // stream or the skew overlay draws must be a cell.
+        let cap = 97;
+        for id in [0u8, 1] {
+            let mut stream = OpStream::new(spec_by_id(id, cap), StdRng::seed_from_u64(7));
+            for _ in 0..20_000 {
+                let (KvOp::Read { key } | KvOp::Delete { key } | KvOp::Insert { key, .. }) = stream.next_op();
+                assert!(key < cap, "spec {id} drew key {key} of {cap}");
+            }
+        }
+        let (zipf, mut rng) = (Zipfian::new(cap, 0.99), StdRng::seed_from_u64(7));
+        assert!((0..20_000).all(|_| zipf.rank(rng.gen::<f64>()) < cap));
+        assert_eq!(zipf.rank(1.0), cap - 1, "the coldest rank is the last cell");
     }
 
     #[test]

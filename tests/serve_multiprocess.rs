@@ -88,6 +88,28 @@ fn four_workers_two_kills_zero_lost_blocks() {
     assert!(report.quantile_ns(0.5) > 0, "latency histograms must populate");
 }
 
+/// The worker's per-op clock: in a chaos-free run every op lands in the
+/// histogram exactly once, and the median lands in a bucket a served op
+/// can take — a mis-calibrated clock (a wrong tick rate, or a floor
+/// that swallows the op) reads it orders of magnitude off.
+#[test]
+fn one_worker_times_each_op_once() {
+    let args = RunArgs {
+        workers: 1,
+        secs: 0.0,
+        target_ops: 100_000,
+        seed: 3,
+        ..base_args("clock")
+    };
+    let report = coordinator::run(&args).expect("run");
+    assert!(report.is_clean());
+    assert_eq!(report.total_ops, args.target_ops);
+    let hist = report.workers[0].hist;
+    assert_eq!(hist.iter().sum::<u64>(), report.total_ops, "each op is timed once");
+    let p50 = report.quantile_ns(0.5);
+    assert!((16..=64_000).contains(&p50), "p50 bucket {p50} ns: histogram {hist:?}");
+}
+
 /// Raced adoption: two replacements per crash, and the registry CAS
 /// must arbitrate to exactly one winner and one loser — with the heap
 /// still exact afterwards.
