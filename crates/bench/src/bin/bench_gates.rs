@@ -84,18 +84,17 @@ const GATES: [Gate; 7] = [
     // ops, under the clock-ordered driver; wall time on one OS thread
     // cannot express host-count contention). At 4 hosts, where each
     // host frees against fewer peer slabs than `remote::SLOTS`, batched
-    // publishes must keep 2x over eager ones: measured 3.83x; 1.21x at
-    // batch 1. At 32 hosts the buffer overflows and the two rows meet
-    // (1.02x), so that width gates nothing. At 1 host batching must not
-    // tax the case with no remote free to batch: measured 0.57x, all of
-    // it coalescing (1.00x without).
+    // publishes must keep 2x over eager ones: measured 2.86x; 1.00x at
+    // batch 1. At 32 hosts the buffer overflows and batched reads above
+    // eager (0.90x), so that width gates nothing. At 1 host batching must
+    // not tax the case with no remote free to batch: measured 1.00x.
     gate("host scaling, 4-host speedup", (H4_EAGER, LATENCY), (H4_BATCHED, LATENCY), AtLeast(2.0)),
     gate("host scaling, 1-host parity", (H1_BATCHED, LATENCY), (H1_EAGER, LATENCY), AtMost(1.25)),
     // Modeled per-op latency (clock deltas summed over total ops; the
     // makespan-based `sim_ns_per_op` falls with host count), read from
     // the eager row: its line transfers per op are the same at every
     // width, so 32-host over 1-host inflation is the saturation knee,
-    // measured 6.53x (the batched row also doubles its transfers at 16
+    // measured 6.60x (the batched row also doubles its transfers at 16
     // hosts, where a host frees against more slabs than
     // `remote::SLOTS`). And waiting for stations, not being served by
     // them, must carry it: measured 0.70; a share near zero is protocol
@@ -222,8 +221,8 @@ mod tests {
     }
 
     /// A run of the four CI groups at values measured on this tree:
-    /// dereference 1.17x / 1.55x, sparse probe 12.4x, speedup 3.83x,
-    /// parity 0.57x, inflation 6.53x, queue share 0.70.
+    /// dereference 1.17x / 1.55x, sparse probe 12.4x, speedup 2.86x,
+    /// parity 1.00x, inflation 6.60x, queue share 0.70.
     fn measured() -> Vec<BenchRecord> {
         vec![
             record(DEREF_BASELINE, 100.0, &[]),
@@ -231,12 +230,12 @@ mod tests {
             record(DEREF_LARGE, 155.0, &[]),
             record(SPARSE_HINTED, 610.0, &[]),
             record(SPARSE_SCAN0, 7564.0, &[]),
-            record(H1_EAGER, 1e6, &[(LATENCY, 650.5)]),
-            record(H1_BATCHED, 1e6, &[(LATENCY, 372.0)]),
-            record(H4_EAGER, 1e6, &[(LATENCY, 1595.2)]),
-            record(H4_BATCHED, 1e6, &[(LATENCY, 416.9)]),
-            record(CONGESTED_H1, 1e6, &[(LATENCY, 1109.0)]),
-            record(CONGESTED_H32, 1e6, &[(LATENCY, 7238.2), (QUEUE, 5033.0)]),
+            record(H1_EAGER, 1e6, &[(LATENCY, 635.4)]),
+            record(H1_BATCHED, 1e6, &[(LATENCY, 635.4)]),
+            record(H4_EAGER, 1e6, &[(LATENCY, 1590.1)]),
+            record(H4_BATCHED, 1e6, &[(LATENCY, 555.8)]),
+            record(CONGESTED_H1, 1e6, &[(LATENCY, 1094.4)]),
+            record(CONGESTED_H32, 1e6, &[(LATENCY, 7224.5), (QUEUE, 5043.1)]),
         ]
     }
 
@@ -257,10 +256,10 @@ mod tests {
             (0, (DEREF_SMALL, MIN), 530.0), // 5.3x
             (1, (DEREF_LARGE, MIN), 580.0), // 5.8x
             (2, (SPARSE_HINTED, MEDIAN), 7564.0 / 1.5),
-            (3, (H4_BATCHED, LATENCY), 1317.6), // batch 1: 1.21x
-            (4, (H1_BATCHED, LATENCY), 650.5 * 1.4),
-            (5, (CONGESTED_H1, LATENCY), 7238.2 / 1.2),
-            (6, (CONGESTED_H32, QUEUE), 7238.2 * 0.05),
+            (3, (H4_BATCHED, LATENCY), 1590.1), // batch 1: 1.00x
+            (4, (H1_BATCHED, LATENCY), 635.4 * 1.4),
+            (5, (CONGESTED_H1, LATENCY), 7224.5 / 1.2),
+            (6, (CONGESTED_H32, QUEUE), 7224.5 * 0.05),
         ];
         for (row, (path, counter), value) in regressions {
             let mut records = measured();

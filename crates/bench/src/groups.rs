@@ -90,9 +90,9 @@ pub fn bench_local_paths(c: &mut Criterion) {
 
 /// Remote-free (m)CAS path: producer/consumer across threads. The
 /// handoff gates the producer on the consumer's dealloc speed, so the
-/// measured throughput is the remote-free path; the PR-4 amortizations
-/// (batched publishes, coalesced fences) are enabled here — the eager
-/// ablation lives in `remote_free_batched/eager_64B`.
+/// measured throughput is the remote-free path; remote frees publish in
+/// batches of 16 here — the eager ablation lives in
+/// `remote_free_batched/eager_64B`.
 ///
 /// The handoff is a slot-sentinel SPSC ring rather than
 /// `std::sync::mpsc::sync_channel`: the channel's ~95 ns/op cost put a
@@ -127,7 +127,6 @@ pub fn bench_remote_free(c: &mut Criterion) {
     group.bench_function("producer_consumer_64B", |b| {
         let options = AttachOptions {
             remote_free_batch: 16,
-            coalesce_fences: true,
             ..AttachOptions::default()
         };
         let alloc = CxlallocAdapter::new(cxlalloc_pod(1 << 30, 8, None), 1, options);
@@ -193,7 +192,6 @@ pub fn bench_remote_free_batched(c: &mut Criterion) {
             1,
             AttachOptions {
                 remote_free_batch: batch,
-                coalesce_fences: batch > 1,
                 ..AttachOptions::default()
             },
         );
@@ -449,8 +447,7 @@ const HOST_SCALING_ROUNDS: u64 = 4;
 
 /// The two swept configurations, on the same pod: the paper's eager
 /// §3.2.1 publish protocol (every default) vs remote frees published
-/// in batches of up to 64 with the log-clear fence coalesced into the
-/// next op's.
+/// in batches of up to 64.
 fn host_scaling_variants() -> [(&'static str, AttachOptions); 2] {
     [
         ("eager", AttachOptions::default()),
@@ -458,7 +455,6 @@ fn host_scaling_variants() -> [(&'static str, AttachOptions); 2] {
             "batched",
             AttachOptions {
                 remote_free_batch: 64,
-                coalesce_fences: true,
                 ..AttachOptions::default()
             },
         ),

@@ -155,14 +155,6 @@ pub struct AttachOptions {
     /// buffered when a thread dies are republished by recovery from the
     /// thread's durable header line (see DESIGN.md §9.1).
     pub remote_free_batch: u32,
-    /// Defer each completed slab op's log-clear durability to the next
-    /// op's `begin` flush (the two share a cacheline), eliding one
-    /// flush + fence pair per op. The heap stays crash consistent: the
-    /// durable log then names the last *completed* op, whose redo is
-    /// idempotent. The recovery *report* does not: a thread that dies
-    /// between ops has its last returned allocation reported as
-    /// [`RecoveryReport::lost_block`] (DESIGN.md §9.3).
-    pub coalesce_fences: bool,
 }
 
 impl Default for AttachOptions {
@@ -171,7 +163,6 @@ impl Default for AttachOptions {
             unsized_limit: 4,
             recoverable: true,
             remote_free_batch: 1,
-            coalesce_fences: false,
         }
     }
 }
@@ -329,7 +320,6 @@ impl Cxlalloc {
             rovers,
             remote,
             remote_free_batch: self.inner.options.remote_free_batch.clamp(1, 255),
-            coalesce_fences: self.inner.options.coalesce_fences,
         }
     }
 

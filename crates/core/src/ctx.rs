@@ -39,15 +39,12 @@ pub(crate) struct Ctx<'m, M: PodMemory + ?Sized = dyn PodMemory + 'm> {
     /// eager (publish every free individually, the paper's base
     /// protocol).
     pub remote_free_batch: u32,
-    /// Whether log clears may defer their durability to the next
-    /// operation's `begin` flush (fence coalescing).
-    pub coalesce_fences: bool,
 }
 
 impl<'m, M: PodMemory + ?Sized> Ctx<'m, M> {
     /// The thread's recovery log (inert when recovery is disabled).
     pub fn log(&self) -> OpLog<'m, M> {
-        OpLog::with_options(self.mem, self.tid.slot(), self.recoverable, self.coalesce_fences)
+        OpLog::with_options(self.mem, self.tid.slot(), self.recoverable)
     }
 
     /// Detectable-CAS handle (plain CAS when recovery is disabled).

@@ -48,12 +48,6 @@ pub struct OpLog<'m, M: PodMemory + ?Sized> {
     /// `clear` are no-ops; `bump_version` still counts so detectable-CAS
     /// cells stay ABA-safe.
     enabled: bool,
-    /// When true, [`OpLog::clear_relaxed`] stores IDLE without its own
-    /// flush + fence: durability rides on the *next* `begin`'s 64-byte
-    /// flush of the same log cacheline (fence coalescing). `begin`
-    /// itself always flushes eagerly — the durable log must be at least
-    /// as new as any visible effect of the operation.
-    coalesce: bool,
 }
 
 // Not derived: a derive would demand `M: Copy`, and the handle only
@@ -88,18 +82,13 @@ pub struct LogEntry {
 impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
     /// Creates a handle for thread slot `slot`.
     pub fn new(mem: &'m M, slot: u32) -> Self {
-        Self::with_options(mem, slot, true, false)
+        Self::with_options(mem, slot, true)
     }
 
     /// Creates a handle, optionally inert (the `cxlalloc-nonrecoverable`
-    /// ablation), with fence coalescing opted in or out.
-    pub fn with_options(mem: &'m M, slot: u32, enabled: bool, coalesce: bool) -> Self {
-        OpLog {
-            mem,
-            slot,
-            enabled,
-            coalesce,
-        }
+    /// ablation).
+    pub fn with_options(mem: &'m M, slot: u32, enabled: bool) -> Self {
+        OpLog { mem, slot, enabled }
     }
 
     #[inline(always)]
@@ -139,26 +128,6 @@ impl<'m, M: PodMemory + ?Sized> OpLog<'m, M> {
         self.mem.store_u64(core, self.word_off(), LogWord::IDLE.pack());
         self.mem.writeback(core, self.word_off(), 8);
         self.mem.fence(core);
-    }
-
-    /// Clears the log to idle, coalescing the flush + fence when the
-    /// handle opted in: the IDLE store stays in the core's cache and
-    /// becomes durable with the next `begin`'s flush of the same
-    /// cacheline. Until then the durable log still names the *completed*
-    /// operation, so a crash in the window redoes it — safe for every
-    /// slab op, whose redo is idempotent from durable ground truth
-    /// (DESIGN.md §9.3). Huge-heap ops keep the eager [`OpLog::clear`]:
-    /// redoing a completed `HugeAlloc` would roll back a delivered
-    /// allocation.
-    #[inline(always)]
-    pub fn clear_relaxed(&self, core: CoreId) {
-        if !self.coalesce {
-            return self.clear(core);
-        }
-        if !self.enabled {
-            return;
-        }
-        self.mem.store_u64(core, self.word_off(), LogWord::IDLE.pack());
     }
 
     /// Bumps and durably stores the thread's dcas version counter,
@@ -277,34 +246,13 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_clear_defers_durability_to_next_begin() {
+    fn clear_survives_a_discarded_cache() {
         let pod = Pod::with_simulation(PodConfig::small_for_tests(), HwccMode::Limited).unwrap();
         let mem = pod.memory().as_ref();
         let sim = mem.as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
-        let log = OpLog::with_options(mem, 0, true, true);
-        let word = LogWord { op: 5, a: 1, b: 2, c: 3 };
-        log.begin(CoreId(0), word, &[]);
-        log.clear_relaxed(CoreId(0));
-        // A crash in the window re-reads the *completed* op: the IDLE
-        // store died with the cache.
-        sim.cache().discard_all(0);
-        assert_eq!(log.read(CoreId(1)).word, word);
-        // The next begin's flush covers the line; after a crash the
-        // durable log names the new op, never a stale one.
-        let next = LogWord { op: 6, a: 9, b: 0, c: 1 };
-        log.begin(CoreId(0), next, &[]);
-        sim.cache().discard_all(0);
-        assert_eq!(log.read(CoreId(1)).word, next);
-    }
-
-    #[test]
-    fn relaxed_clear_without_optin_is_durable() {
-        let pod = Pod::with_simulation(PodConfig::small_for_tests(), HwccMode::Limited).unwrap();
-        let mem = pod.memory().as_ref();
-        let sim = mem.as_any().downcast_ref::<cxl_pod::SimMemory>().unwrap();
-        let log = OpLog::with_options(mem, 0, true, false);
+        let log = OpLog::new(mem, 0);
         log.begin(CoreId(0), LogWord { op: 5, a: 1, b: 2, c: 3 }, &[]);
-        log.clear_relaxed(CoreId(0));
+        log.clear(CoreId(0));
         sim.cache().discard_all(0);
         assert_eq!(log.read(CoreId(1)).word, LogWord::IDLE);
     }

@@ -150,16 +150,11 @@ pub struct RecoveryReport {
     pub outcome: &'static str,
     /// Offset of a block the durable log says was being allocated with
     /// no detect destination when the thread died: allocated, and
-    /// recovery cannot prove the application got the pointer. With the
-    /// default options the record of a *returned* `alloc` is durably
-    /// cleared before it returns, so the block was never handed out and
-    /// the application (or harness) may reclaim it. With
-    /// [`AttachOptions::coalesce_fences`](crate::AttachOptions::coalesce_fences)
-    /// that does not hold: a thread that dies between ops loses the
-    /// relaxed clear with its cache, and its last returned allocation is
-    /// reported here although the application holds it (DESIGN.md §9.3)
-    /// — reclaim only what the application does not reference. `None`
-    /// when recovery rolled the allocation back itself.
+    /// recovery cannot prove the application got the pointer. The record
+    /// of a *returned* `alloc` is durably cleared before it returns, so
+    /// a block reported here was never handed out and the application
+    /// (or harness) may reclaim it. `None` when recovery rolled the
+    /// allocation back itself.
     pub lost_block: Option<u64>,
     /// Private lists of the dead thread that sanitize read: both unsized
     /// lists, the logged op's class list and every list the durable

@@ -430,7 +430,7 @@ impl SlabHeap {
         );
         crash::point("slab::init::after_log");
         self.init_slab_body(ctx, slab, class);
-        ctx.log().clear_relaxed(ctx.core);
+        ctx.log().clear(ctx.core);
     }
 
     /// The body of slab initialization: the descriptor, then the link
@@ -512,7 +512,7 @@ impl SlabHeap {
                 crash::point("slab::pop_global::after_cas");
                 return Some(slab);
             }
-            ctx.log().clear_relaxed(ctx.core);
+            ctx.log().clear(ctx.core);
             ctx.mem.event(ctx.core, TraceKind::CasRetry, head_cell);
         }
     }
@@ -551,10 +551,10 @@ impl SlabHeap {
                 .is_ok()
             {
                 crash::point("slab::push_global::after_cas");
-                ctx.log().clear_relaxed(ctx.core);
+                ctx.log().clear(ctx.core);
                 return;
             }
-            ctx.log().clear_relaxed(ctx.core);
+            ctx.log().clear(ctx.core);
             ctx.mem.event(ctx.core, TraceKind::CasRetry, head_cell);
         }
     }
@@ -589,7 +589,7 @@ impl SlabHeap {
                 self.map_upto(ctx, slab as u64 + 1);
                 return Some(slab);
             }
-            ctx.log().clear_relaxed(ctx.core);
+            ctx.log().clear(ctx.core);
         }
     }
 
@@ -623,7 +623,7 @@ impl SlabHeap {
             crash::point("slab::init::after_log");
             self.pop_local(ctx, self.unsized_head_off(ctx));
             self.init_slab_body(ctx, slab, class);
-            ctx.log().clear_relaxed(ctx.core);
+            ctx.log().clear(ctx.core);
             return Ok(());
         } else if let Some(slab) = self.pop_global(ctx) {
             slab
@@ -732,7 +732,7 @@ impl SlabHeap {
                 .store(block, std::sync::atomic::Ordering::SeqCst);
             crash::point("slab::alloc_block::after_deliver");
         }
-        ctx.log().clear_relaxed(ctx.core);
+        ctx.log().clear(ctx.core);
         block
     }
 
@@ -870,7 +870,7 @@ impl SlabHeap {
             }
         }
         crash::point("slab::free_local::after_relink");
-        ctx.log().clear_relaxed(ctx.core);
+        ctx.log().clear(ctx.core);
         if stayed_sized {
             // Pull the rover back to the freed bit. Without this the
             // hint is pure next-fit: it marches past freed-behind
@@ -975,14 +975,14 @@ impl SlabHeap {
                 if last {
                     self.steal(ctx, slab);
                 }
-                ctx.log().clear_relaxed(ctx.core);
+                ctx.log().clear(ctx.core);
                 if last {
                     self.release_overflow(ctx);
                 }
                 return Ok(());
             }
             if claim.is_none() {
-                ctx.log().clear_relaxed(ctx.core);
+                ctx.log().clear(ctx.core);
             }
             ctx.mem
                 .event(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
@@ -1036,7 +1036,7 @@ impl SlabHeap {
             // the word, so recording first would be wasted traffic.
             remote::durable::record(ctx, self.kind, slab, count);
             if claim.is_some() {
-                ctx.log().clear_relaxed(ctx.core);
+                ctx.log().clear(ctx.core);
             }
         }
         Ok(())
@@ -1108,13 +1108,13 @@ impl SlabHeap {
                 if last {
                     self.steal(ctx, slab);
                 }
-                ctx.log().clear_relaxed(ctx.core);
+                ctx.log().clear(ctx.core);
                 if last {
                     self.release_overflow(ctx);
                 }
                 return;
             }
-            ctx.log().clear_relaxed(ctx.core);
+            ctx.log().clear(ctx.core);
             ctx.mem
                 .event(ctx.core, TraceKind::CasRetry, hl.hwcc_desc_at(slab));
         }

@@ -337,7 +337,6 @@ impl Op {
             // for the two `AllocReinit` parks on its unsized list.
             unsized_limit: if self == Op::AllocReinit { 2 } else { 0 },
             remote_free_batch: if self == Op::Publish { BATCH } else { 1 },
-            coalesce_fences: self == Op::Publish,
             ..AttachOptions::default()
         }
     }

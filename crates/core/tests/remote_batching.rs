@@ -1,4 +1,4 @@
-//! Batched remote frees and fence coalescing.
+//! Batched remote frees.
 //!
 //! * The batched publish path's crash points
 //!   ([`cxl_core::slab::BATCH_CRASH_POINTS`]; every cell of them is in
@@ -6,19 +6,13 @@
 //!   crash-equivalent to k delayed decrements-by-1 — the logged batch
 //!   width lets recovery redo exactly the undelivered decrement, and
 //!   detect prevents a double decrement when the CAS already landed.
-//! * Differential proptest: fence-coalescing and default heaps driven
-//!   by the same op sequence produce identical post-quiesce slab
-//!   bitsets and identical bitset-visible live bytes at every quiesce
-//!   point.
 //! * Differential (seeded): a producer/consumer run with batch 8 ends
 //!   with exactly the HWcc counters of the eager (batch 1) run once the
 //!   consumer's buffer drains at its quiesce point.
 
-use cxl_core::bitset::BlockBits;
-use cxl_core::cell::{flags, Detect, SwccHeader};
+use cxl_core::cell::Detect;
 use cxl_core::{AttachOptions, Cxlalloc, OffsetPtr};
 use cxl_pod::{CoreId, HwccMode, Pod, PodConfig};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -33,11 +27,10 @@ fn pod() -> Pod {
     .unwrap()
 }
 
-/// Attach options with every PR-4 amortization enabled.
+/// Attach options that publish remote frees in batches of `batch`.
 fn batched_options(batch: u32) -> AttachOptions {
     AttachOptions {
         remote_free_batch: batch,
-        coalesce_fences: true,
         ..AttachOptions::default()
     }
 }
@@ -200,144 +193,6 @@ fn buffered_frees_republished_after_crash() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fence-coalescing differential: same ops, coalescing on vs off.
-// ---------------------------------------------------------------------------
-
-/// Sums live (allocated) bytes of the small heap's sized slabs from the
-/// durable bitsets, and hashes the full durable bitset image. The
-/// reader flushes its own lines first so repeated quiesce reads on the
-/// same core never see stale cache contents.
-fn durable_small_image(pod: &Pod, class: u8) -> (u64, u64) {
-    let mem = pod.memory().as_ref();
-    let core = CoreId(13);
-    let hl = &mem.layout().small;
-    let table = cxl_core::class::SMALL_CLASSES_TABLE;
-    let blocks = table.blocks_per_slab(class);
-    let len = Detect::unpack(mem.load_u64(core, hl.global_len)).payload;
-    let mut live = 0u64;
-    let mut hash = 0xcbf29ce484222325u64; // FNV-1a
-    for slab in 0..len {
-        mem.flush(core, hl.swcc_desc_at(slab), hl.swcc_desc_stride);
-        mem.fence(core);
-        let header = SwccHeader::unpack(mem.load_u64(core, hl.swcc_desc_at(slab)));
-        let sized = header.flags & flags::SIZED != 0;
-        if sized {
-            assert_eq!(header.class, class, "single-class workload");
-            let bits = BlockBits::new(mem, hl.bitset_at(slab), blocks);
-            live += (blocks - bits.count_set(core)) as u64 * table.block_size(class) as u64;
-        }
-        for w in 0..(blocks as u64).div_ceil(64) {
-            let word = mem.load_u64(core, hl.bitset_at(slab) + w * 8);
-            hash = (hash ^ word).wrapping_mul(0x100000001b3);
-        }
-    }
-    (live, hash)
-}
-
-#[derive(Debug, Clone)]
-enum DiffOp {
-    Alloc,
-    FreeOldest,
-    FreeNewest,
-    Quiesce,
-}
-
-fn diff_op() -> impl Strategy<Value = DiffOp> {
-    prop_oneof![
-        4 => Just(DiffOp::Alloc),
-        2 => Just(DiffOp::FreeOldest),
-        2 => Just(DiffOp::FreeNewest),
-        1 => Just(DiffOp::Quiesce),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 24,
-        ..ProptestConfig::default()
-    })]
-
-    /// Fence coalescing is semantically invisible: the same
-    /// single-class op sequence on a coalescing and a default heap
-    /// yields, at every quiesce point and after a full drain, identical
-    /// bitset-visible live bytes (== the model's) and an identical
-    /// durable bitset image.
-    #[test]
-    fn fence_coalescing_differential_identical_quiesce_state(
-        ops in proptest::collection::vec(diff_op(), 1..250)
-    ) {
-        let class = cxl_core::class::SMALL_CLASSES_TABLE.class_of(64).unwrap();
-        let pod_off = pod();
-        let pod_on = pod();
-        let heap_off =
-            Cxlalloc::attach(pod_off.spawn_process(), AttachOptions::default()).unwrap();
-        let heap_on = Cxlalloc::attach(pod_on.spawn_process(), AttachOptions {
-            coalesce_fences: true,
-            ..AttachOptions::default()
-        })
-        .unwrap();
-        let mut t_off = heap_off.register_thread().unwrap();
-        let mut t_on = heap_on.register_thread().unwrap();
-
-        let mut live_off: Vec<OffsetPtr> = Vec::new();
-        let mut live_on: Vec<OffsetPtr> = Vec::new();
-        for op in &ops {
-            match op {
-                DiffOp::Alloc => {
-                    live_off.push(t_off.alloc(64).unwrap());
-                    live_on.push(t_on.alloc(64).unwrap());
-                }
-                DiffOp::FreeOldest => {
-                    if !live_off.is_empty() {
-                        t_off.dealloc(live_off.remove(0)).unwrap();
-                        t_on.dealloc(live_on.remove(0)).unwrap();
-                    }
-                }
-                DiffOp::FreeNewest => {
-                    if let Some(p) = live_off.pop() {
-                        t_off.dealloc(p).unwrap();
-                        t_on.dealloc(live_on.pop().unwrap()).unwrap();
-                    }
-                }
-                DiffOp::Quiesce => {
-                    t_off.flush_cache();
-                    t_on.flush_cache();
-                    let (bytes_off, _) = durable_small_image(&pod_off, class);
-                    let (bytes_on, _) = durable_small_image(&pod_on, class);
-                    prop_assert_eq!(bytes_off, live_off.len() as u64 * 64);
-                    prop_assert_eq!(bytes_on, bytes_off, "live bytes diverged mid-run");
-                }
-            }
-        }
-
-        // Full drain, then quiesce: the durable images must be equal
-        // word for word (same slabs, all blocks free in both).
-        for p in live_off.drain(..) {
-            t_off.dealloc(p).unwrap();
-        }
-        for p in live_on.drain(..) {
-            t_on.dealloc(p).unwrap();
-        }
-        t_off.flush_local_caches();
-        t_on.flush_local_caches();
-        t_off.flush_cache();
-        t_on.flush_cache();
-        let (bytes_off, hash_off) = durable_small_image(&pod_off, class);
-        let (bytes_on, hash_on) = durable_small_image(&pod_on, class);
-        prop_assert_eq!(bytes_off, 0);
-        prop_assert_eq!(bytes_on, 0);
-        prop_assert_eq!(
-            heap_off.stats().small_slabs,
-            heap_on.stats().small_slabs,
-            "fence coalescing changed slab consumption"
-        );
-        prop_assert_eq!(hash_off, hash_on, "post-quiesce bitsets diverged");
-        heap_off.check_invariants(t_off.core()).unwrap();
-        heap_on.check_invariants(t_on.core()).unwrap();
-    }
-}
-
 /// Batching differential: a producer/consumer run with batch 8 must end
 /// (after the consumer's drain point publishes its buffer) with exactly
 /// the per-slab HWcc counters of the eager run, for the same seeded
@@ -352,7 +207,6 @@ fn batched_remote_free_differential_matches_eager() {
                 pod.spawn_process(),
                 AttachOptions {
                     remote_free_batch: batch,
-                    coalesce_fences: batch > 1,
                     ..AttachOptions::default()
                 },
             )
@@ -392,32 +246,23 @@ fn batched_remote_free_differential_matches_eager() {
     }
 }
 
-/// Known deviation of `coalesce_fences` (DESIGN.md §9.3): the relaxed
-/// clear of a completed op's log record lives only in the owner's cache
-/// until the next op's `begin` flush carries it out. A thread that dies
-/// *between* ops takes it along, the durable log still names the
-/// completed `AllocBlock`, and recovery — which cannot tell a completed
-/// record from an interrupted one — reports a block the application
-/// holds as `lost_block`. The heap is exact either way (the redo is
-/// idempotent); the report is not. The default options clear durably
-/// and report nothing.
+/// A completed op's log record is durably cleared before the op
+/// returns, so a thread that dies *between* ops leaves nothing to
+/// recover: the block it returned and still holds is not reported as
+/// `lost_block`, and no op is reported interrupted.
 #[test]
-fn relaxed_clear_reports_a_returned_block_as_lost() {
-    for coalesce_fences in [false, true] {
-        let pod = pod();
-        let options = AttachOptions { coalesce_fences, ..AttachOptions::default() };
-        let heap = Cxlalloc::attach(pod.spawn_process(), options).unwrap();
-        let survivor = heap.register_thread().unwrap();
-        let mut victim = heap.register_thread().unwrap();
-        let returned = victim.alloc(64).unwrap();
-        let tid = victim.tid();
-        drop(victim); // dies holding `returned`, no op in flight
-        heap.mark_crashed(tid).unwrap();
-        let report = heap.recover(tid, survivor.core()).unwrap();
-        let expected = coalesce_fences.then_some(returned.offset());
-        assert_eq!(report.lost_block, expected, "coalesce_fences: {coalesce_fences}: {report:?}");
-        assert_eq!(report.interrupted.is_some(), coalesce_fences);
-    }
+fn death_between_ops_reports_no_lost_block() {
+    let pod = pod();
+    let heap = Cxlalloc::attach(pod.spawn_process(), AttachOptions::default()).unwrap();
+    let survivor = heap.register_thread().unwrap();
+    let mut victim = heap.register_thread().unwrap();
+    victim.alloc(64).unwrap();
+    let tid = victim.tid();
+    drop(victim); // dies holding the block, no op in flight
+    heap.mark_crashed(tid).unwrap();
+    let report = heap.recover(tid, survivor.core()).unwrap();
+    assert_eq!(report.lost_block, None, "{report:?}");
+    assert_eq!(report.interrupted, None, "{report:?}");
 }
 
 /// The ledger round trip a shared-key peer runs: the owner fills each

@@ -35,7 +35,7 @@ type Pins = &'static [(u64, u64)];
 
 /// Each schedule pin's constant and doc line, in `scenarios::profiles()`
 /// order.
-const SCHEDULE_PINS: [(&str, &str, Pins); 3] = [
+const SCHEDULE_PINS: [(&str, &str, Pins); 2] = [
     (
         "CLASSIC",
         "/// Classic explorer profile (`Explorer::default()`): (seed, fingerprint).\n",
@@ -45,12 +45,6 @@ const SCHEDULE_PINS: [(&str, &str, Pins); 3] = [
         "LIVENESS",
         "/// Liveness profile (`liveness: true`): (seed, fingerprint).\n",
         golden::LIVENESS,
-    ),
-    (
-        "BATCHED",
-        "/// Liveness profile with batched remote frees and fence coalescing:\n\
-         /// (seed, fingerprint).\n",
-        golden::BATCHED,
     ),
 ];
 
@@ -121,11 +115,12 @@ fn main() {
          // EXPERIMENTS.md (\"Golden-fingerprint re-pin protocol\") for when a\n\
          // re-pin is legitimate. The pinned scenarios are defined once, in\n\
          // tests/common/scenarios.rs.\n//\n\
-         // Two kinds of pin. A schedule pin (CLASSIC, LIVENESS, BATCHED) mixes\n\
-         // every step outcome, allocated offset, live-set length, and recovery\n\
+         // Two kinds of pin. A schedule pin (CLASSIC, LIVENESS) mixes every\n\
+         // step outcome, allocated offset, live-set length, and recovery\n\
          // outcome of a run — so it changes only when the allocator's\n\
          // *observable* behaviour changes, never from substrate optimizations\n\
-         // (caches, counters). A trace pin (TRACE_SCRIPTED, TRACE_CONGESTED)\n\
+         // (caches, counters). The batched profile has no pin: it must replay\n\
+         // LIVENESS at every seed. A trace pin (TRACE_SCRIPTED, TRACE_CONGESTED)\n\
          // also mixes every charged nanosecond, so it carries modeled cost: it\n\
          // moves whenever an access starts or stops being charged. The traced\n\
          // window closes before the end-of-run audit, so a checker change\n\

@@ -290,8 +290,6 @@ pub struct SimConfig {
     /// Remote-free batch width passed to [`AttachOptions`]; 1 (the
     /// default) keeps the paper's eager per-free publish.
     pub remote_free_batch: u32,
-    /// Fence coalescing passed to [`AttachOptions`].
-    pub coalesce_fences: bool,
     /// Fabric contention model for the pod ([`cxl_pod::fabric`]):
     /// `None` (the default) builds the pod with a disabled fabric,
     /// keeping every classic schedule cost-identical to pre-fabric
@@ -311,7 +309,6 @@ impl Default for SimConfig {
             live_cap: 48,
             lease_expiry_ticks: 3,
             remote_free_batch: 1,
-            coalesce_fences: false,
             fabric: None,
         }
     }
@@ -542,7 +539,6 @@ pub fn run_on(
                 AttachOptions {
                     unsized_limit: 1,
                     remote_free_batch: config.remote_free_batch,
-                    coalesce_fences: config.coalesce_fences,
                     ..AttachOptions::default()
                 },
             )

@@ -8,11 +8,12 @@
 // re-pin is legitimate. The pinned scenarios are defined once, in
 // tests/common/scenarios.rs.
 //
-// Two kinds of pin. A schedule pin (CLASSIC, LIVENESS, BATCHED) mixes
-// every step outcome, allocated offset, live-set length, and recovery
+// Two kinds of pin. A schedule pin (CLASSIC, LIVENESS) mixes every
+// step outcome, allocated offset, live-set length, and recovery
 // outcome of a run — so it changes only when the allocator's
 // *observable* behaviour changes, never from substrate optimizations
-// (caches, counters). A trace pin (TRACE_SCRIPTED, TRACE_CONGESTED)
+// (caches, counters). The batched profile has no pin: it must replay
+// LIVENESS at every seed. A trace pin (TRACE_SCRIPTED, TRACE_CONGESTED)
 // also mixes every charged nanosecond, so it carries modeled cost: it
 // moves whenever an access starts or stops being charged. The traced
 // window closes before the end-of-run audit, so a checker change
@@ -37,14 +38,6 @@ pub const LIVENESS: &[(u64, u64)] = &[
     (5, 0x3e653b5093fbfb23),
     (23, 0xbd3d5b821137b186),
     (47, 0x19293bac26aebed6),
-];
-
-/// Liveness profile with batched remote frees and fence coalescing:
-/// (seed, fingerprint).
-#[allow(dead_code)]
-pub const BATCHED: &[(u64, u64)] = &[
-    (23, 0x55b495b7daa34c14),
-    (47, 0x1234099ff258b1e4),
 ];
 
 /// Trace-stream fingerprint of the scripted crash/recovery schedule
